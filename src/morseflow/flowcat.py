@@ -295,7 +295,7 @@ class FlowCategory:
 
 
 def validate_morse_smale(cat: FlowCategory) -> Report:
-    """Check the categorical axioms: order, dimension rule, finite type, boundary matching."""
+    """Check the categorical axioms: order, dimension rule, boundary matching."""
     order_fail = []
     try:
         cat._descendants
@@ -324,8 +324,6 @@ def validate_morse_smale(cat: FlowCategory) -> Report:
             dim_fail.append(
                 f"family {fam.source!r} -> {fam.target!r} spans index gap {gap}, expected 2"
             )
-
-    finite_fail = []  # finite data by construction; kept as an explicit check
 
     boundary_fail = []
     for a in cat.objects:
@@ -360,7 +358,6 @@ def validate_morse_smale(cat: FlowCategory) -> Report:
         (
             Check("partial-order", tuple(order_fail)),
             Check("dimension-rule", tuple(dim_fail)),
-            Check("finite-type", tuple(finite_fail)),
             Check("composition-into-boundary", tuple(boundary_fail)),
         )
     )

@@ -3,10 +3,11 @@
 Functions are exact trigonometric polynomials with rational coefficients on
 T^n, n <= 3.  Critical points come from damped Newton iteration on the
 gradient over a seed grid; connecting orbits from adaptive fourth-order
-integration of the negative gradient flow; signs from transporting a fixed
-unstable-manifold frame along each rigid trajectory; and one-parameter
-families on the two-torus from a bisection partition of the departure
-circle of an index-2 point.
+integration of the negative gradient flow; signs from a fixed
+unstable-manifold frame carried by the linearised flow in the same
+integration pass that follows each rigid trajectory, so every rigid flow is
+integrated once; and one-parameter families on the two-torus from a
+bisection partition of the departure circle of an index-2 point.
 
 Landing basins on the departure circle are told apart by both the rest
 point reached and the integer lattice offset of the unwrapped trajectory,
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -54,16 +56,14 @@ TWO_PI = 2.0 * math.pi
 def _parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise InputError("boolean is not a coefficient")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational {value!r}: {exc}") from None
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    raise InputError(f"bad rational {value!r}")
+    if not isinstance(value, (int, str, float, Fraction)):
+        raise InputError(f"bad rational {value!r}")
+    try:
+        q = Fraction(value)
+        float(q)  # the evaluators need every coefficient as a float
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"bad rational {value!r}: {exc}") from None
+    return q
 
 
 def _emit_rational(q: Fraction):
@@ -126,11 +126,19 @@ class TrigPolynomial:
             raw = data["terms"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad function payload: {exc}") from None
+        if not isinstance(raw, list):
+            raise InputError("function terms must be a list")
         terms = []
         for rec in raw:
+            if not isinstance(rec, dict):
+                raise InputError(f"function term {rec!r} is not an object")
+            try:
+                freq = tuple(int(k) for k in rec["freq"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"bad frequency in term {rec!r}: {exc}") from None
             terms.append(
                 TrigTerm(
-                    tuple(int(k) for k in rec["freq"]),
+                    freq,
                     _parse_rational(rec.get("cos", 0)),
                     _parse_rational(rec.get("sin", 0)),
                 )
@@ -245,14 +253,21 @@ class NumericalConfig:
     reverse_orientation: bool = False
 
     def __post_init__(self):
-        for name in (
-            "grid_resolution", "newton_tol", "newton_max_iter", "grad_tol",
-            "dedupe_radius", "nondeg_tol", "sphere_radius", "landing_radius",
-            "step_init", "step_min", "step_max", "step_tol", "bisection_tol",
-            "max_flow_time", "max_steps", "circle_samples",
-            "endpoint_match_tol", "probe_offset",
-        ):
-            if getattr(self, name) <= 0:
+        # Each field takes the type of its default: the flag must be a bool,
+        # counts must be integers, and everything else a finite real number.
+        for spec in fields(self):
+            name, value = spec.name, getattr(self, spec.name)
+            if isinstance(spec.default, bool):
+                if not isinstance(value, bool):
+                    raise InputError(f"config field {name} must be true or false")
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InputError(f"config field {name} must be a number")
+            if isinstance(spec.default, int) and not isinstance(value, numbers.Integral):
+                raise InputError(f"config field {name} must be an integer")
+            if not math.isfinite(value):
+                raise InputError(f"config field {name} must be finite")
+            if value <= 0:
                 raise InputError(f"config field {name} must be positive")
         if self.landing_radius >= self.sphere_radius:
             raise InputError("landing radius must be below the departure radius")
@@ -303,21 +318,6 @@ class FlowLine:
     trajectory: tuple[tuple[float, tuple[float, ...]], ...]
 
 
-@dataclass(frozen=True)
-class IntervalFamily:
-    """A one-parameter interval of flows with matched broken-flow endpoints."""
-
-    start_angle: float
-    end_angle: float
-    start_break: tuple[FlowLine, FlowLine]
-    end_break: tuple[FlowLine, FlowLine]
-
-
-@dataclass(frozen=True)
-class CircleFamily:
-    """A closed one-parameter family covering the whole departure circle."""
-
-
 # -- torus geometry helpers -------------------------------------------------
 
 
@@ -345,13 +345,13 @@ class _Landing(NamedTuple):
     offset: tuple[int, ...]
     time: float
     state: tuple[float, ...]
-    trajectory: tuple[tuple[float, tuple[float, ...]], ...] | None
+    trajectory: tuple[tuple[float, tuple[float, ...]], ...]
+    frame: np.ndarray | None
 
 
 class _Boundary(NamedTuple):
     angle: float
     saddle: CriticalPoint
-    landing: _Landing
 
 
 class _Arc(NamedTuple):
@@ -511,8 +511,14 @@ class _Analysis:
                 return cp, off
         return None
 
-    def integrate(self, x0: Sequence[float], record: bool = False) -> _Landing:
-        """Follow the negative gradient from x0 until it rests near a critical point."""
+    def integrate(
+        self, x0: Sequence[float], frame: np.ndarray | None = None
+    ) -> _Landing:
+        """Follow the negative gradient from x0 until it rests near a critical point.
+
+        A `frame` of tangent vectors at x0 is carried along by the linearised
+        flow v' = -Hess(x) v and returned with the landing.
+        """
         cfg = self.cfg
         comp = self.comp
         n = self.n
@@ -521,14 +527,12 @@ class _Analysis:
         t = 0.0
         h = cfg.step_init
         fx = comp.value(x)
-        traj = [(0.0, tuple(x))] if record else None
+        traj = [(0.0, tuple(x))]
         steps = 0
         while t <= cfg.max_flow_time:
             hit = self._land(x)
             if hit is not None:
-                return _Landing(
-                    hit[0], hit[1], t, tuple(x), tuple(traj) if record else None
-                )
+                return _Landing(hit[0], hit[1], t, tuple(x), tuple(traj), frame)
             steps += 1
             if steps > cfg.max_steps:
                 raise IntegrationFailureError("step budget exhausted")
@@ -544,17 +548,23 @@ class _Analysis:
                 ]
                 quarter = 0.25 * h
                 m1 = k1
-                m2 = g([x[j] + quarter * m1[j] for j in range(n)])
-                m3 = g([x[j] + quarter * m2[j] for j in range(n)])
-                m4 = g([x[j] + half_h * m3[j] for j in range(n)])
+                y2 = [x[j] + quarter * m1[j] for j in range(n)]
+                m2 = g(y2)
+                y3 = [x[j] + quarter * m2[j] for j in range(n)]
+                m3 = g(y3)
+                y4 = [x[j] + half_h * m3[j] for j in range(n)]
+                m4 = g(y4)
                 mid = [
                     x[j] + (half_h / 6.0) * (m1[j] + 2.0 * (m2[j] + m3[j]) + m4[j])
                     for j in range(n)
                 ]
                 l1 = g(mid)
-                l2 = g([mid[j] + quarter * l1[j] for j in range(n)])
-                l3 = g([mid[j] + quarter * l2[j] for j in range(n)])
-                l4 = g([mid[j] + half_h * l3[j] for j in range(n)])
+                z2 = [mid[j] + quarter * l1[j] for j in range(n)]
+                l2 = g(z2)
+                z3 = [mid[j] + quarter * l2[j] for j in range(n)]
+                l3 = g(z3)
+                z4 = [mid[j] + half_h * l3[j] for j in range(n)]
+                l4 = g(z4)
                 twohalf = [
                     mid[j] + (half_h / 6.0) * (l1[j] + 2.0 * (l2[j] + l3[j]) + l4[j])
                     for j in range(n)
@@ -573,16 +583,43 @@ class _Analysis:
                         "function value failed to decrease at the minimal step"
                     )
                 break
+            if frame is not None:
+                frame = self._advance_frame(
+                    frame, (x, y2, y3, y4, mid, z2, z3, z4), half_h
+                )
             x = xn
             fx = fn
             t += h
-            if record:
-                traj.append((t, tuple(x)))
+            traj.append((t, tuple(x)))
             if err * 32.0 < cfg.step_tol:
                 h = min(2.0 * h, cfg.step_max)
         raise IntegrationFailureError(
             f"no rest point reached within flow time {cfg.max_flow_time}"
         )
+
+    def _advance_frame(
+        self, v: np.ndarray, stages: tuple[list[float], ...], half_h: float
+    ) -> np.ndarray:
+        """RK4 for v' = -Hess(x) v over the two half steps of an accepted step.
+
+        `stages` are the eight points at which the half steps evaluated the
+        gradient, so the frame follows the same discrete path as the position.
+        """
+        jac = -self.comp.hess_batch(np.array(stages))
+        quarter = 0.5 * half_h
+        for i in (0, 4):
+            k1 = jac[i] @ v
+            k2 = jac[i + 1] @ (v + quarter * k1)
+            k3 = jac[i + 2] @ (v + quarter * k2)
+            k4 = jac[i + 3] @ (v + half_h * k3)
+            v = v + (half_h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        # Orientation-safe re-orthonormalization: with R's diagonal kept
+        # positive, replacing the frame by Q preserves the sign class.
+        q, r = np.linalg.qr(v)
+        diag = np.diagonal(r)
+        if np.any(diag == 0.0):
+            raise IntegrationFailureError("transported frame collapsed")
+        return q * np.sign(diag)
 
     # classification -------------------------------------------------------
 
@@ -592,8 +629,10 @@ class _Analysis:
             for j in range(self.n)
         ]
 
-    def classify(self, p: CriticalPoint, direction: np.ndarray) -> _Landing:
-        landing = self.integrate(self.seed(p, direction))
+    def classify(
+        self, p: CriticalPoint, direction: np.ndarray, frame: np.ndarray | None = None
+    ) -> _Landing:
+        landing = self.integrate(self.seed(p, direction), frame)
         if landing.point.index >= p.index:
             raise MorseSmaleViolationError(
                 f"trajectory from {p.id} reached {landing.point.id} of index "
@@ -601,36 +640,69 @@ class _Analysis:
             )
         return landing
 
-    # index-1 sources --------------------------------------------------------
+    # rigid flows ------------------------------------------------------------
+
+    def rigid_flows(self) -> list[FlowLine]:
+        """Rigid flows out of every index-1 and index-2 point, in point order."""
+        flows: list[FlowLine] = []
+        for p in self.points:
+            if p.index == 1:
+                flows.extend(self.saddle_flows(p))
+            elif p.index == 2:
+                flows.extend(self.max_flows(p))
+        return flows
+
+    def _flow_line(
+        self,
+        a: CriticalPoint,
+        direction: np.ndarray,
+        angle: float | None,
+        landing: _Landing,
+        counters: dict[str, int],
+    ) -> FlowLine:
+        target = landing.point
+        k = counters.get(target.id, 0)
+        counters[target.id] = k + 1
+        return FlowLine(
+            id=f"{a.id}>{target.id}#{k}",
+            source=a.id,
+            target=target.id,
+            sign=self._sign(a, landing),
+            departure_direction=tuple(float(v) for v in direction),
+            departure_angle=angle,
+            lattice_offset=landing.offset,
+            trajectory=landing.trajectory,
+        )
+
+    def _sign(self, a: CriticalPoint, landing: _Landing) -> int:
+        """Sign of a rigid flow: carried unstable frame against the arrival basis."""
+        target = landing.point
+        arrival = -self.comp.np_grad(np.array(landing.state))
+        speed = np.linalg.norm(arrival)
+        if speed == 0.0:
+            raise IntegrationFailureError("vanishing velocity at arrival")
+        basis = np.column_stack([arrival / speed, self.unstable_frame(target)])
+        if basis.shape[0] == basis.shape[1]:
+            m = np.linalg.solve(basis, landing.frame)
+        else:
+            m = np.linalg.lstsq(basis, landing.frame, rcond=None)[0]
+        det = float(np.linalg.det(m))
+        if abs(det) < 1e-6:
+            raise MorseSmaleViolationError(
+                f"ambiguous frame comparison along {a.id}->{target.id}"
+            )
+        return 1 if det > 0 else -1
 
     def saddle_flows(self, a: CriticalPoint) -> list[FlowLine]:
         if a.index != 1:
             raise InputError("saddle_flows requires an index-1 source")
-        w = self.unstable_frame(a)[:, 0]
-        flows = []
+        frame = self.unstable_frame(a)
+        w = frame[:, 0]
         counters: dict[str, int] = {}
-        for direction in (w, -w):
-            landing = self.classify(a, direction)
-            target = landing.point
-            rec = self.integrate(self.seed(a, direction), record=True)
-            if rec.point.id != target.id:
-                raise MorseSmaleViolationError("landing changed between passes")
-            sign = self.transport_sign(a, direction, target)
-            k = counters.get(target.id, 0)
-            counters[target.id] = k + 1
-            flows.append(
-                FlowLine(
-                    id=f"{a.id}>{target.id}#{k}",
-                    source=a.id,
-                    target=target.id,
-                    sign=sign,
-                    departure_direction=tuple(float(v) for v in direction),
-                    departure_angle=None,
-                    lattice_offset=rec.offset,
-                    trajectory=rec.trajectory,
-                )
-            )
-        return flows
+        return [
+            self._flow_line(a, d, None, self.classify(a, d, frame), counters)
+            for d in (w, -w)
+        ]
 
     # index-2 sources --------------------------------------------------------
 
@@ -641,8 +713,8 @@ class _Analysis:
     def _classify_angle(self, a: CriticalPoint, theta: float):
         landing = self.classify(a, self.direction_at(a, theta))
         if landing.point.index == 0:
-            return ("sink", (landing.point.id, landing.offset), landing)
-        return ("saddle", None, landing)
+            return ("sink", (landing.point.id, landing.offset), landing.point)
+        return ("saddle", None, landing.point)
 
     def partition(self, a: CriticalPoint) -> tuple[list[_Boundary], list[_Arc]]:
         """Split the departure circle of an index-2 point by landing class."""
@@ -658,9 +730,9 @@ class _Analysis:
         results = [self._classify_angle(a, th) for th in thetas]
 
         boundaries: list[_Boundary] = []
-        for k, (kind, _, landing) in enumerate(results):
+        for k, (kind, _, point) in enumerate(results):
             if kind == "saddle":
-                boundaries.append(_Boundary(thetas[k], landing.point, landing))
+                boundaries.append(_Boundary(thetas[k], point))
         for k in range(n_samples):
             kind0, cls0, _ = results[k]
             kind1, cls1, _ = results[(k + 1) % n_samples]
@@ -725,9 +797,9 @@ class _Analysis:
         cfg = self.cfg
         while hi - lo > cfg.bisection_tol:
             mid = 0.5 * (lo + hi)
-            kind, cls, landing = self._classify_angle(a, mid)
+            kind, cls, point = self._classify_angle(a, mid)
             if kind == "saddle":
-                return [_Boundary(mid % TWO_PI, landing.point, landing)]
+                return [_Boundary(mid % TWO_PI, point)]
             if cls == lo_cls:
                 lo = mid
             elif cls == hi_cls:
@@ -744,120 +816,19 @@ class _Analysis:
     def max_flows(self, a: CriticalPoint) -> list[FlowLine]:
         """Rigid flows out of an index-2 point, one per basin boundary direction."""
         boundaries, _ = self.partition(a)
+        frame = self.unstable_frame(a)
         flows = []
         counters: dict[str, int] = {}
         for b in boundaries:
             direction = self.direction_at(a, b.angle)
-            rec = self.integrate(self.seed(a, direction), record=True)
-            if rec.point.id != b.saddle.id:
+            landing = self.integrate(self.seed(a, direction), frame)
+            if landing.point.id != b.saddle.id:
                 raise MorseSmaleViolationError(
                     f"boundary direction near angle {b.angle:.9f} rests at "
-                    f"{rec.point.id}, expected {b.saddle.id}"
+                    f"{landing.point.id}, expected {b.saddle.id}"
                 )
-            sign = self.transport_sign(a, direction, b.saddle)
-            k = counters.get(b.saddle.id, 0)
-            counters[b.saddle.id] = k + 1
-            flows.append(
-                FlowLine(
-                    id=f"{a.id}>{b.saddle.id}#{k}",
-                    source=a.id,
-                    target=b.saddle.id,
-                    sign=sign,
-                    departure_direction=tuple(float(v) for v in direction),
-                    departure_angle=b.angle,
-                    lattice_offset=rec.offset,
-                    trajectory=rec.trajectory,
-                )
-            )
+            flows.append(self._flow_line(a, direction, b.angle, landing, counters))
         return flows
-
-    # frame transport --------------------------------------------------------
-
-    def transport_sign(
-        self, a: CriticalPoint, direction: np.ndarray, target: CriticalPoint
-    ) -> int:
-        """Sign of a rigid flow: transported unstable frame against the arrival basis."""
-        cfg = self.cfg
-        comp = self.comp
-        x = np.array(self.seed(a, direction))
-        v = self.unstable_frame(a).copy()
-        h = cfg.step_init
-        t = 0.0
-        steps = 0
-
-        def rhs(state_x: np.ndarray, state_v: np.ndarray):
-            return -comp.np_grad(state_x), -comp.np_hess(state_x) @ state_v
-
-        while t <= cfg.max_flow_time:
-            res, _, dist = _torus_residual(x, target.position)
-            if dist <= cfg.landing_radius:
-                break
-            for cp in self.points:
-                if cp.id != target.id and cp.id != a.id:
-                    if torus_distance(x, cp.position) <= cfg.landing_radius:
-                        raise MorseSmaleViolationError(
-                            f"transport along {a.id}->{target.id} rested at {cp.id}"
-                        )
-            steps += 1
-            if steps > cfg.max_steps:
-                raise IntegrationFailureError("transport step budget exhausted")
-            while True:
-                kx1, kv1 = rhs(x, v)
-                half_h = 0.5 * h
-                kx2, kv2 = rhs(x + half_h * kx1, v + half_h * kv1)
-                kx3, kv3 = rhs(x + half_h * kx2, v + half_h * kv2)
-                kx4, kv4 = rhs(x + h * kx3, v + h * kv3)
-                xf = x + (h / 6.0) * (kx1 + 2.0 * (kx2 + kx3) + kx4)
-                vf = v + (h / 6.0) * (kv1 + 2.0 * (kv2 + kv3) + kv4)
-                xm, vm = x, v
-                for _ in range(2):
-                    mx1, mv1 = rhs(xm, vm)
-                    qh = 0.25 * h
-                    mx2, mv2 = rhs(xm + qh * mx1, vm + qh * mv1)
-                    mx3, mv3 = rhs(xm + qh * mx2, vm + qh * mv2)
-                    mx4, mv4 = rhs(xm + half_h * mx3, vm + half_h * mv3)
-                    xm = xm + (half_h / 6.0) * (mx1 + 2.0 * (mx2 + mx3) + mx4)
-                    vm = vm + (half_h / 6.0) * (mv1 + 2.0 * (mv2 + mv3) + mv4)
-                err = float(np.max(np.abs(xf - xm)))
-                if err > cfg.step_tol and h > cfg.step_min:
-                    h = max(0.5 * h, cfg.step_min)
-                    continue
-                break
-            x = xm + (xm - xf) / 15.0
-            # Orientation-safe re-orthonormalization: with R's diagonal kept
-            # positive, replacing the frame by Q preserves the sign class.
-            q, r = np.linalg.qr(vm)
-            diag = np.diagonal(r)
-            if np.any(diag == 0.0):
-                raise IntegrationFailureError("transported frame collapsed")
-            v = q * np.sign(diag)
-            t += h
-            if err * 32.0 < cfg.step_tol:
-                h = min(2.0 * h, cfg.step_max)
-        else:
-            raise IntegrationFailureError(
-                f"transport along {a.id}->{target.id} did not arrive"
-            )
-
-        arrival = -comp.np_grad(x)
-        speed = np.linalg.norm(arrival)
-        if speed == 0.0:
-            raise IntegrationFailureError("vanishing velocity at arrival")
-        cols = [arrival / speed]
-        tframe = self.unstable_frame(target)
-        for j in range(tframe.shape[1]):
-            cols.append(tframe[:, j])
-        basis = np.column_stack(cols)
-        if basis.shape[0] == basis.shape[1]:
-            m = np.linalg.solve(basis, v)
-        else:
-            m = np.linalg.lstsq(basis, v, rcond=None)[0]
-        det = float(np.linalg.det(m))
-        if abs(det) < 1e-6:
-            raise MorseSmaleViolationError(
-                f"ambiguous frame comparison along {a.id}->{target.id}"
-            )
-        return 1 if det > 0 else -1
 
     # one-parameter families ---------------------------------------------------
 
@@ -865,7 +836,7 @@ class _Analysis:
         self, a: CriticalPoint, theta: float, saddle: CriticalPoint, sink: CriticalPoint
     ):
         """Direction along which a near-boundary trajectory leaves the saddle."""
-        rec = self.integrate(self.seed(a, self.direction_at(a, theta)), record=True)
+        rec = self.integrate(self.seed(a, self.direction_at(a, theta)))
         if rec.point.id != sink.id:
             raise UnmatchedEndpointError(
                 f"probe at angle {theta:.9f} rested at {rec.point.id}, "
@@ -886,14 +857,14 @@ class _Analysis:
 
     def families(
         self, a: CriticalPoint, c: CriticalPoint, flows: list[FlowLine]
-    ) -> list[IntervalFamily | CircleFamily]:
+    ) -> list[IntervalComponent | CircleComponent]:
         """Components of the one-parameter family from an index-2 point to a sink."""
         cfg = self.cfg
         boundaries, arcs = self.partition(a)
-        out: list[IntervalFamily | CircleFamily] = []
+        out: list[IntervalComponent | CircleComponent] = []
         if not boundaries:
             if arcs and arcs[0].landing_class[0] == c.id:
-                return [CircleFamily()]
+                return [CircleComponent()]
             return []
 
         def boundary_at(angle: float) -> _Boundary:
@@ -964,14 +935,11 @@ class _Analysis:
             width = arc.end - arc.start
             start_second = second_flow(b_start, arc.start, width)
             end_second = second_flow(b_end, arc.end, -width)
-            out.append(
-                IntervalFamily(
-                    start_angle=arc.start,
-                    end_angle=arc.end,
-                    start_break=(first_flow(b_start), start_second),
-                    end_break=(first_flow(b_end), end_second),
-                )
+            ends = tuple(
+                BrokenFlow(b.saddle.id, first_flow(b).id, second.id)
+                for b, second in ((b_start, start_second), (b_end, end_second))
             )
+            out.append(IntervalComponent(ends))
         return out
 
 
@@ -1016,7 +984,7 @@ def moduli_family(
     flows: list[FlowLine],
     cfg: NumericalConfig = NumericalConfig(),
     critical_points: list[CriticalPoint] | None = None,
-) -> list[IntervalFamily | CircleFamily]:
+) -> list[IntervalComponent | CircleComponent]:
     """One-parameter family components between an index-2 point and a sink on T^2.
 
     `flows` must contain the rigid flows out of `a` and out of the
@@ -1030,14 +998,18 @@ def moduli_family(
     return analysis.families(_resolve(analysis, a), _resolve(analysis, c), flows)
 
 
-def _assemble(analysis: _Analysis) -> tuple[FlowCategory, OrientationData, list[FlowLine]]:
+def build_flow_category(
+    f: TrigPolynomial, cfg: NumericalConfig = NumericalConfig()
+) -> tuple[FlowCategory, OrientationData]:
+    """Construct and validate the full flow category of a function on T^1 or T^2."""
+    if f.dimension > 2:
+        raise InputError(
+            "full flow categories are built on the one- and two-torus; "
+            "use find_critical_points and connecting_orbits in higher dimension"
+        )
+    analysis = _Analysis(f, cfg)
     points = analysis.points
-    flows: list[FlowLine] = []
-    for p in points:
-        if p.index == 1:
-            flows.extend(analysis.saddle_flows(p))
-        elif p.index == 2:
-            flows.extend(analysis.max_flows(p))
+    flows = analysis.rigid_flows()
     moduli = []
     for a in points:
         if a.index != 2:
@@ -1045,25 +1017,9 @@ def _assemble(analysis: _Analysis) -> tuple[FlowCategory, OrientationData, list[
         for c in points:
             if c.index != 0:
                 continue
-            fams = analysis.families(a, c, flows)
-            if not fams:
-                continue
-            comps: list[IntervalComponent | CircleComponent] = []
-            for fam in fams:
-                if isinstance(fam, CircleFamily):
-                    comps.append(CircleComponent())
-                    continue
-                s1, s2 = fam.start_break
-                e1, e2 = fam.end_break
-                comps.append(
-                    IntervalComponent(
-                        (
-                            BrokenFlow(s1.target, s1.id, s2.id),
-                            BrokenFlow(e1.target, e1.id, e2.id),
-                        )
-                    )
-                )
-            moduli.append(ModuliFamily(a.id, c.id, tuple(comps)))
+            comps = analysis.families(a, c, flows)
+            if comps:
+                moduli.append(ModuliFamily(a.id, c.id, tuple(comps)))
     cat = FlowCategory(
         tuple(p.id for p in points),
         {p.id: p.index for p in points},
@@ -1077,20 +1033,6 @@ def _assemble(analysis: _Analysis) -> tuple[FlowCategory, OrientationData, list[
     coh = check_orientation_coherence(cat, orientation)
     if not coh.passed:
         raise IncoherentOrientationError(coh.summary())
-    return cat, orientation, flows
-
-
-def build_flow_category(
-    f: TrigPolynomial, cfg: NumericalConfig = NumericalConfig()
-) -> tuple[FlowCategory, OrientationData]:
-    """Construct and validate the full flow category of a function on T^1 or T^2."""
-    if f.dimension > 2:
-        raise InputError(
-            "full flow categories are built on the one- and two-torus; "
-            "use find_critical_points and connecting_orbits in higher dimension"
-        )
-    analysis = _Analysis(f, cfg)
-    cat, orientation, _ = _assemble(analysis)
     return cat, orientation
 
 
@@ -1100,14 +1042,7 @@ def flow_lines(
     """All rigid trajectories of a function on T^1 or T^2, with trajectories recorded."""
     if f.dimension > 2:
         raise InputError("trajectory dumps cover the one- and two-torus")
-    analysis = _Analysis(f, cfg)
-    flows: list[FlowLine] = []
-    for p in analysis.points:
-        if p.index == 1:
-            flows.extend(analysis.saddle_flows(p))
-        elif p.index == 2:
-            flows.extend(analysis.max_flows(p))
-    return flows
+    return _Analysis(f, cfg).rigid_flows()
 
 
 # -- trajectory exports -----------------------------------------------------

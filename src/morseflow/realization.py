@@ -123,6 +123,16 @@ def in_face_image(x: GapSequence, m: int) -> bool:
 # -- chain complex data -----------------------------------------------------
 
 
+def _parse_matrix(rows, cols: int, what: str) -> IntegerMatrix:
+    """An integer matrix from JSON rows; `cols` fixes the width of an empty one."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InputError(f"{what} must be a list of rows")
+    try:
+        return IntegerMatrix(rows, cols=cols if not rows else None)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad entry in {what}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ChainComplexData:
     """Ordered bases per degree plus boundary matrices with zero composites.
@@ -191,10 +201,12 @@ class ChainComplexData:
             raw = data["boundaries"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad chain complex payload: {exc}") from None
+        if not isinstance(raw, list):
+            raise InputError("boundaries must be a list of matrices")
         boundaries = []
         for i, rows in enumerate(raw, start=1):
             cols = len(bases[i]) if i < len(bases) else 0
-            boundaries.append(IntegerMatrix(rows, cols=cols if not rows else None))
+            boundaries.append(_parse_matrix(rows, cols, f"boundary {i}"))
         return cls(bases, tuple(boundaries))
 
 
@@ -282,14 +294,18 @@ class FilteredRealization:
     def from_json(cls, data: dict) -> "FilteredRealization":
         cx = ChainComplexData.from_json(data)
         ring = CoefficientRing.parse(data.get("ring", "z"))
+        raw = data.get("components", {})
+        if not isinstance(raw, dict):
+            raise InputError("components must be an object keyed by 'p,q'")
         comps = {}
-        for key, rows in data.get("components", {}).items():
+        for key, rows in raw.items():
             try:
                 p, q = (int(s) for s in key.split(","))
             except ValueError:
                 raise InputError(f"bad component key {key!r}") from None
-            cols = cx.rank(p)
-            comps[(p, q)] = IntegerMatrix(rows, cols=cols if not rows else None)
+            if not (0 <= p <= cx.top_degree and 0 <= q <= cx.top_degree):
+                raise InputError(f"component key {key!r} names a level outside the bases")
+            comps[(p, q)] = _parse_matrix(rows, cx.rank(p), f"component {key!r}")
         return cls(cx, ring, comps)
 
 

@@ -157,11 +157,14 @@ def test_criterion_4_torus_interval_matching():
             f, by_id["p2.0"], by_id["p0.0"], flows, critical_points=pts
         )
         assert len(fams) == 4
+        sign = {fl.id: fl.sign for fl in flows}
         used = []
         for fam in fams:
-            (f1, g1), (f2, g2) = fam.start_break, fam.end_break
-            assert f1.sign * g1.sign + f2.sign * g2.sign == 0
-            used += [(f1.id, g1.id), (f2.id, g2.id)]
+            e1, e2 = fam.ends
+            assert (
+                sign[e1.first] * sign[e1.second] + sign[e2.first] * sign[e2.second] == 0
+            )
+            used += [(e1.first, e1.second), (e2.first, e2.second)]
         assert len(set(used)) == 8
         ok = True
     finally:

@@ -302,3 +302,38 @@ class TestContract:
         _, rep = run(capsys, "examples")
         assert sorted(rep) == ["command", "inputs", "results", "status", "warnings"]
         assert rep["command"] == "examples"
+
+
+MALFORMED = {
+    "config-reverse-str": ("config", {"reverse_orientation": "no"}),
+    "config-grid-str": ("config", {"grid_resolution": "a"}),
+    "config-grid-nan": ("config", {"grid_resolution": float("nan")}),
+    "config-samples-float": ("config", {"circle_samples": 2.5}),
+    "function-term-int": ("function", {"dim": 2, "terms": [1]}),
+    "function-coeff-overflow": (
+        "function",
+        {"dim": 1, "terms": [{"freq": [1], "cos": "1e400"}]},
+    ),
+    "complex-boundary-int": ("complex", {"bases": [["a"], ["b"]], "boundaries": [5]}),
+    "complex-component-level": (
+        "complex",
+        {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "components": {"5,0": [[1]]}},
+    ),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_one_with_one_report(self, capsys, tmp_path, case):
+        kind, payload = MALFORMED[case]
+        path = write_json(tmp_path / f"{kind}.json", payload)
+        argv = {
+            "config": ["orbits", "--example", "torus", "--config", path],
+            "function": ["crit", "--function", path],
+            "complex": ["realize", "--complex", path],
+        }[kind]
+        code, rep = run(capsys, *argv)
+        assert code == 1
+        assert rep["status"] == "input-error"
+        assert rep["command"] == argv[0]
+        assert rep["results"]["error"]

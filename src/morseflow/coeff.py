@@ -1,16 +1,22 @@
 """Exact integer linear algebra, coefficient rings, and chain homology.
 
-Everything here runs on arbitrary-precision Python integers.  The Smith
-normal form uses a deterministic pivot rule (smallest nonzero absolute
-value, ties broken by lowest row then column) so that repeated runs produce
-identical transforms.
+Everything here runs on arbitrary-precision Python integers.  A
+deterministic pivot rule (smallest nonzero absolute value, ties broken by
+lowest row then column) governs `smith_normal_form`, so repeated runs
+produce identical transforms.  `invariant_factors` needs no transforms:
+it first eliminates unit pivots sparsely, choosing short columns and short
+rows to limit fill-in, then runs the same Smith loop without transforms on
+the dense remainder.  Invariant factors are unique, so both routes give the
+same diagonal.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, islice
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -19,6 +25,18 @@ from .errors import (
     InputError,
     WindowOverflowError,
 )
+
+
+def _support(row: list[int]) -> list[int]:
+    """Column indices of the nonzero entries of a row."""
+    return list(compress(range(len(row)), row))
+
+
+def _json_integer(value, what: str) -> int:
+    """An integer read from JSON; `int()` alone would truncate 1.5 and accept "3"."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise InputError(f"{what} {value!r} is not an integer")
 
 
 class IntegerMatrix:
@@ -63,7 +81,7 @@ class IntegerMatrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self._e for v in row)
+        return not any(map(any, self._e))
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(
@@ -76,15 +94,14 @@ class IntegerMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        ot = other._e
+        nonzero = [[(j, row[j]) for j in _support(row)] for row in other._e]
         out = []
         for row in self._e:
             acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    ork = ot[k]
-                    for j in range(other.cols):
-                        acc[j] += a * ork[j]
+            for k in _support(row):
+                a = row[k]
+                for j, b in nonzero[k]:
+                    acc[j] += a * b
             out.append(acc)
         return IntegerMatrix(out, cols=other.cols)
 
@@ -146,14 +163,84 @@ def _select_pivot(d: list[list[int]], t: int, m: int, n: int) -> tuple[int, int]
     best_abs = None
     for i in range(t, m):
         di = d[i]
-        for j in range(t, n):
+        for j in compress(range(t, n), islice(di, t, None)):
             v = di[j]
-            if v:
-                a = -v if v < 0 else v
-                if best_abs is None or a < best_abs:
-                    best_abs = a
-                    best = (i, j)
+            a = -v if v < 0 else v
+            if a == 1:
+                return (i, j)  # nothing is smaller, and later ties lose
+            if best_abs is None or a < best_abs:
+                best_abs = a
+                best = (i, j)
     return best
+
+
+def _smith_reduce(
+    d: list[list[int]], u: list[list[int]] | None, v: list[list[int]] | None
+) -> None:
+    """Reduce the rows `d` in place to Smith form; U and V follow when given.
+
+    Row operations on d are applied to the rows of `u`, column operations to
+    the columns of `v`; either may be None to skip its updates.
+    """
+    m = len(d)
+    n = len(d[0]) if d else 0
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        piv = _select_pivot(d, t, m, n)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            d[t], d[pi] = d[pi], d[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in d:
+                row[t], row[pj] = row[pj], row[t]
+            if v is not None:
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
+        pivot = d[t][t]
+        # Clear column t below the pivot and row t to its right.
+        for i in range(t + 1, m):
+            q = d[i][t] // pivot
+            if q:
+                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                if u is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        # A column operation changes only the rows that are nonzero in column t.
+        d_live = [row for row in d if row[t]]
+        v_live = [row for row in v if row[t]] if v is not None else []
+        for j in range(t + 1, n):
+            q = d[t][j] // pivot
+            if q:
+                for row in d_live:
+                    row[j] -= q * row[t]
+                for row in v_live:
+                    row[j] -= q * row[t]
+        if any(d[i][t] for i in range(t + 1, m)) or any(
+            d[t][j] for j in range(t + 1, n)
+        ):
+            continue  # remainders are strictly smaller; re-select the pivot
+        # Divisibility repair: the pivot must divide the rest of the submatrix.
+        witness = None
+        if pivot not in (1, -1):  # a unit divides everything
+            for i in range(t + 1, m):
+                if any(x % pivot for x in islice(d[i], t + 1, None)):
+                    witness = i
+                    break
+        if witness is not None:
+            d[t] = [x + y for x, y in zip(d[t], d[witness])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[witness])]
+            continue
+        t += 1
+    for i in range(limit):
+        if d[i][i] < 0:
+            d[i] = [-x for x in d[i]]
+            if u is not None:
+                u[i] = [-x for x in u[i]]
 
 
 def smith_normal_form(
@@ -167,67 +254,7 @@ def smith_normal_form(
     d = a.to_rows()
     u = IntegerMatrix.identity(m).to_rows()
     v = IntegerMatrix.identity(n).to_rows()
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = _select_pivot(d, t, m, n)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in d:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        pivot = d[t][t]
-        # Clear column t below the pivot and row t to its right.
-        for i in range(t + 1, m):
-            q = d[i][t] // pivot
-            if q:
-                dt, ut = d[t], u[t]
-                di, ui = d[i], u[i]
-                for j in range(n):
-                    di[j] -= q * dt[j]
-                for j in range(m):
-                    ui[j] -= q * ut[j]
-        for j in range(t + 1, n):
-            q = d[t][j] // pivot
-            if q:
-                for row in d:
-                    row[j] -= q * row[t]
-                for row in v:
-                    row[j] -= q * row[t]
-        if any(d[i][t] for i in range(t + 1, m)) or any(
-            d[t][j] for j in range(t + 1, n)
-        ):
-            continue  # remainders are strictly smaller; re-select the pivot
-        # Divisibility repair: the pivot must divide the rest of the submatrix.
-        witness = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % pivot:
-                    witness = i
-                    break
-            if witness is not None:
-                break
-        if witness is not None:
-            dt, ut = d[t], u[t]
-            dw, uw = d[witness], u[witness]
-            for j in range(n):
-                dt[j] += dw[j]
-            for j in range(m):
-                ut[j] += uw[j]
-            continue
-        t += 1
-    for i in range(limit):
-        if d[i][i] < 0:
-            for j in range(n):
-                d[i][j] = -d[i][j]
-            for j in range(m):
-                u[i][j] = -u[i][j]
+    _smith_reduce(d, u, v)
     return (
         IntegerMatrix(u, cols=m),
         IntegerMatrix(d, cols=n),
@@ -235,13 +262,77 @@ def smith_normal_form(
     )
 
 
+def _eliminate_units(a: IntegerMatrix) -> tuple[int, list[list[int]]]:
+    """Sparse elimination of +-1 pivots: how many, and the dense remainder.
+
+    The shortest column holding a unit goes first, pivoting on the unit in
+    its shortest row, to limit fill-in.  Clearing the pivot's column by row
+    operations leaves its row to be cleared by column operations that touch
+    nothing else, so the pivot's row and column simply drop out.  The
+    remainder keeps the surviving nonzero rows and columns.
+    """
+    rows = [{j: r[j] for j in _support(r)} for r in a._e]
+    cols: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    # Columns by length.  Every change to a column pushes it again, so an entry
+    # whose length no longer matches is stale, and a column popped without a
+    # unit is dropped until a change gives it one.
+    queue = [(len(s), j) for j, s in cols.items()]
+    heapq.heapify(queue)
+    units = 0
+    while queue:
+        size, c = heapq.heappop(queue)
+        col = cols.get(c)
+        if col is None or len(col) != size:
+            continue
+        best = min(((len(rows[i]), i) for i in col if rows[i][c] in (1, -1)), default=None)
+        if best is None:
+            continue
+        r = best[1]
+        prow = rows[r]
+        p = prow.pop(c)
+        del cols[c]
+        col.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        for i in col:
+            ri = rows[i]
+            q = ri.pop(c) * p  # p is its own inverse
+            for j, x in prow.items():
+                y = ri.get(j, 0) - q * x
+                if y:
+                    if j not in ri:
+                        cols[j].add(i)
+                    ri[j] = y
+                elif j in ri:
+                    del ri[j]
+                    cols[j].discard(i)
+        rows[r] = {}
+        units += 1
+        for j in prow:
+            heapq.heappush(queue, (len(cols[j]), j))
+    live = [r for r in rows if r]
+    keep = sorted({j for r in live for j in r})
+    at = {j: k for k, j in enumerate(keep)}
+    dense = []
+    for r in live:
+        row = [0] * len(keep)
+        for j, x in r.items():
+            row[at[j]] = x
+        dense.append(row)
+    return units, dense
+
+
 def invariant_factors(a: IntegerMatrix) -> list[int]:
     """Positive diagonal entries of the Smith form, in divisibility order."""
-    _, d, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(a.rows, a.cols)):
-        if d[i, i]:
-            out.append(d[i, i])
+    units, d = _eliminate_units(a)
+    _smith_reduce(d, None, None)
+    out = [1] * units
+    for i in range(min(len(d), len(d[0]) if d else 0)):
+        if d[i][i]:
+            out.append(d[i][i])
     return out
 
 
@@ -489,8 +580,22 @@ def homology(
     middle basis) and `d_out` maps the middle term down.  The integral answer
     is converted to the requested ring; for a modulus m the reduction
     includes the torsion contribution inherited from the degree below, read
-    off the invariant factors of `d_out`.
+    off the invariant factors of `d_out`.  When `d_in` is `d_out` its
+    invariant factors are computed once.
     """
+    fac_in = invariant_factors(d_in)
+    fac_out = fac_in if d_out is d_in else invariant_factors(d_out)
+    return _homology_group(d_in, d_out, fac_in, fac_out, ring)
+
+
+def _homology_group(
+    d_in: IntegerMatrix,
+    d_out: IntegerMatrix,
+    fac_in: list[int],
+    fac_out: list[int],
+    ring: CoefficientRing,
+) -> HomologyGroup:
+    """`homology` given the invariant factors of both maps; checks they compose."""
     if d_out.cols != d_in.rows:
         raise DimensionMismatchError(
             f"boundary shapes incompatible: d_out has {d_out.cols} columns, "
@@ -499,8 +604,6 @@ def homology(
     if not (d_out @ d_in).is_zero():
         raise CompositeNonzeroError("d_out @ d_in is nonzero")
     n = d_in.rows
-    fac_in = invariant_factors(d_in)
-    fac_out = invariant_factors(d_out)
     free = n - len(fac_out) - len(fac_in)
     torsion = tuple(f for f in fac_in if f > 1)
 

@@ -26,6 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .coeff import _json_integer
 from .errors import (
     EulerMismatchError,
     IncoherentOrientationError,
@@ -122,7 +123,7 @@ class TrigPolynomial:
     @classmethod
     def from_json(cls, data: dict) -> "TrigPolynomial":
         try:
-            dim = int(data["dim"])
+            dim = _json_integer(data["dim"], "dimension")
             raw = data["terms"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad function payload: {exc}") from None
@@ -133,8 +134,8 @@ class TrigPolynomial:
             if not isinstance(rec, dict):
                 raise InputError(f"function term {rec!r} is not an object")
             try:
-                freq = tuple(int(k) for k in rec["freq"])
-            except (KeyError, TypeError, ValueError) as exc:
+                freq = tuple(_json_integer(k, "frequency") for k in rec["freq"])
+            except (KeyError, TypeError) as exc:
                 raise InputError(f"bad frequency in term {rec!r}: {exc}") from None
             terms.append(
                 TrigTerm(

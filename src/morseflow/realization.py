@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .coeff import CoefficientRing, HomologyGroup, IntegerMatrix, homology
+from .coeff import (
+    CoefficientRing,
+    HomologyGroup,
+    IntegerMatrix,
+    _homology_group,
+    _json_integer,
+    homology,
+    invariant_factors,
+)
 from .errors import (
     BoundaryCompositeError,
     IndexRangeError,
@@ -127,10 +135,13 @@ def _parse_matrix(rows, cols: int, what: str) -> IntegerMatrix:
     """An integer matrix from JSON rows; `cols` fixes the width of an empty one."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{what} must be a list of rows")
-    try:
-        return IntegerMatrix(rows, cols=cols if not rows else None)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad entry in {what}: {exc}") from None
+    where = f"entry in {what}"
+    # Rows of plain ints, the usual case, skip the per-entry check.
+    rows = [
+        r if set(map(type, r)) <= {int} else [_json_integer(v, where) for v in r]
+        for r in rows
+    ]
+    return IntegerMatrix(rows, cols=cols if not rows else None)
 
 
 @dataclass(frozen=True)
@@ -211,9 +222,15 @@ class ChainComplexData:
 
 
 def all_homology(c: ChainComplexData, ring: CoefficientRing) -> list[HomologyGroup]:
-    """Homology of the complex in every degree over the given ring."""
+    """Homology of the complex in every degree over the given ring.
+
+    Each boundary, the zero-shaped ends included, is factored once and its
+    invariant factors serve the degrees on both sides of it.
+    """
+    ds = [c.boundary(i) for i in range(c.top_degree + 2)]
+    factors = [invariant_factors(d) for d in ds]
     return [
-        homology(c.boundary(i + 1), c.boundary(i), ring)
+        _homology_group(ds[i + 1], ds[i], factors[i + 1], factors[i], ring)
         for i in range(c.top_degree + 1)
     ]
 

@@ -314,7 +314,10 @@ MALFORMED = {
         "function",
         {"dim": 1, "terms": [{"freq": [1], "cos": "1e400"}]},
     ),
+    "function-freq-fraction": ("function", {"dim": 1, "terms": [{"freq": [1.5], "cos": 1}]}),
+    "function-dim-fraction": ("function", {"dim": 1.5, "terms": [{"freq": [1], "cos": 1}]}),
     "complex-boundary-int": ("complex", {"bases": [["a"], ["b"]], "boundaries": [5]}),
+    "complex-entry-fraction": ("complex", {"bases": [["a"], ["b"]], "boundaries": [[[1.5]]]}),
     "complex-component-level": (
         "complex",
         {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "components": {"5,0": [[1]]}},

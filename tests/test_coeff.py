@@ -40,6 +40,20 @@ small_matrices = st.integers(1, 4).flatmap(
     )
 )
 
+# Shapes with an empty side, sparse +-1 boundaries, and entries whose
+# elimination leaves a nonempty dense remainder.
+factor_matrices = st.tuples(
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from([(0, 0, 0, 1, -1), (0, 0, 1, -1, 2, 3, 6), (0, 2, -3, 6, 4)]),
+).flatmap(
+    lambda spec: st.lists(
+        st.lists(st.sampled_from(spec[2]), min_size=spec[1], max_size=spec[1]),
+        min_size=spec[0],
+        max_size=spec[0],
+    ).map(lambda rows: IntegerMatrix(rows, cols=spec[1]))
+)
+
 
 class TestIntegerMatrix:
     def test_basic_ops(self):
@@ -125,6 +139,13 @@ class TestSmithNormalForm:
         assert diag[: len(nonzero)] == nonzero
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(factor_matrices)
+    def test_invariant_factors_match_smith_diagonal(self, a):
+        _, d, _ = smith_normal_form(a)
+        diag = [d[i, i] for i in range(min(a.shape))]
+        assert invariant_factors(a) == [x for x in diag if x]
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices)

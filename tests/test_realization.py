@@ -41,6 +41,45 @@ def random_morphism(rng: random.Random, source: int, target: int) -> GapSequence
     return GapSequence(source, target, tuple(coords))
 
 
+def grid_surface(n: int, klein: bool = False) -> ChainComplexData:
+    """Simplicial chain complex of an n x n grid on the torus or the Klein bottle.
+
+    Vertex (i, j) is taken mod n and every square is cut along one diagonal.
+    On the Klein bottle, wrapping around in j reflects i.
+    """
+
+    def vertex(i, j):
+        if klein and j >= n:
+            i = -i
+        return (i % n) * n + j % n
+
+    tris = sorted(
+        tuple(sorted(t))
+        for i in range(n)
+        for j in range(n)
+        for t in (
+            (vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1)),
+            (vertex(i, j), vertex(i, j + 1), vertex(i + 1, j + 1)),
+        )
+    )
+    edges = sorted({(t[a], t[b]) for t in tris for a, b in ((0, 1), (0, 2), (1, 2))})
+    at = {e: k for k, e in enumerate(edges)}
+    d1 = [[0] * len(edges) for _ in range(n * n)]
+    for k, (a, b) in enumerate(edges):
+        d1[a][k], d1[b][k] = -1, 1
+    d2 = [[0] * len(tris) for _ in edges]
+    for k, (a, b, c) in enumerate(tris):
+        d2[at[(b, c)]][k], d2[at[(a, c)]][k], d2[at[(a, b)]][k] = 1, -1, 1
+    return ChainComplexData(
+        (
+            tuple(f"v{v}" for v in range(n * n)),
+            tuple(f"e{a}.{b}" for a, b in edges),
+            tuple(f"t{a}.{b}.{c}" for a, b, c in tris),
+        ),
+        (IntegerMatrix(d1), IntegerMatrix(d2)),
+    )
+
+
 class TestGapSequence:
     def test_identity_has_no_coords(self):
         e = GapSequence.identity(3)
@@ -290,3 +329,16 @@ class TestRealize:
             rep = check_realization(bad, cx)
             assert not rep.passed
             assert not rep.check("connecting-maps").passed
+
+
+class TestLargeSurfaces:
+    """Boundaries of thousands of simplices, one Smith form each."""
+
+    @pytest.mark.parametrize("ring", ["z", "zmod:2"])
+    def test_torus_30(self, ring):
+        groups = all_homology(grid_surface(30), CoefficientRing.parse(ring))
+        assert [(g.free_rank, g.torsion) for g in groups] == [(1, ()), (2, ()), (1, ())]
+
+    def test_klein_16(self):
+        groups = all_homology(grid_surface(16, klein=True), CoefficientRing.integers())
+        assert [(g.free_rank, g.torsion) for g in groups] == [(1, ()), (1, (2,)), (0, ())]

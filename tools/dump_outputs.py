@@ -3,8 +3,12 @@
 Runs the CLI in-process on every example name, writes each report (exit
 code and stdout) and every file the CLI writes under OUT/cli, and writes the
 full category JSON with signs and the trajectory CSV of `flow_lines` for the
-first N perturbed tori under OUT/perturbed.  Two trees that behave
-identically produce identical directories:
+first N perturbed tori under OUT/perturbed.  Under OUT/coeff it writes, for
+a fixed-seed set of integer matrices up to 12 x 12, the Smith form with its
+transforms, the invariant factors and the homology over every ring of the
+two-term complex the matrix defines, plus the `realize` reports of the
+6 x 6 triangulated torus.  Two trees that behave identically produce
+identical directories:
 
     PYTHONPATH=old/src python tools/dump_outputs.py old-out
     PYTHONPATH=new/src python tools/dump_outputs.py new-out
@@ -18,12 +22,27 @@ import contextlib
 import io
 import json
 import os
+import random
+import sys
 from pathlib import Path
 
-from morseflow import InputError, bank, cli
+from morseflow import (
+    ChainComplexData,
+    CoefficientRing,
+    IntegerMatrix,
+    InputError,
+    all_homology,
+    bank,
+    cli,
+    invariant_factors,
+    smith_normal_form,
+)
 from morseflow.morse import build_flow_category, flow_lines, trajectory_csv
 
 RINGS = ("z", "zmod:2", "q", "laurent:2:1")
+# Entry pools: dense small integers, sparse +-1 (all unit pivots), and
+# sparse entries that leave a dense remainder with torsion.
+ENTRY_POOLS = (tuple(range(-9, 10)), (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, -1, 2, 3, 6, -4))
 
 
 def _run(out: Path, label: str, argv: list[str]) -> None:
@@ -89,6 +108,44 @@ def dump_perturbed(out: Path, count: int) -> None:
         (out / f"seed{seed}.csv").write_text(trajectory_csv(flow_lines(f)))
 
 
+def dump_coeff(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    rng = random.Random(0)
+    for k in range(90):
+        m, n = rng.randint(0, 12), rng.randint(0, 12)
+        pool = ENTRY_POOLS[k % len(ENTRY_POOLS)]
+        a = IntegerMatrix([[rng.choice(pool) for _ in range(n)] for _ in range(m)], cols=n)
+        u, d, v = smith_normal_form(a)
+        cx = ChainComplexData(
+            (tuple(f"r{i}" for i in range(m)), tuple(f"c{j}" for j in range(n))), (a,)
+        )
+        record = {
+            "a": a.to_json(),
+            "u": u.to_json(),
+            "d": d.to_json(),
+            "v": v.to_json(),
+            "invariantFactors": invariant_factors(a),
+            "homology": {
+                ring: [g.to_json() for g in all_homology(cx, CoefficientRing.parse(ring))]
+                for ring in RINGS
+            },
+        }
+        (out / f"matrix{k:02d}.json").write_text(json.dumps(record, sort_keys=True) + "\n")
+    # The grid triangulation lives with the tests that check its homology.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from test_realization import grid_surface
+
+    (out / "torus6.json").write_text(json.dumps(grid_surface(6).to_json()))
+    cwd = os.getcwd()
+    os.chdir(out)  # the report names the input file as given
+    try:
+        for ring in RINGS:
+            argv = ["realize", "--complex", "torus6.json", "--ring", ring]
+            _run(out, f"torus6.realize-{ring}", argv)
+    finally:
+        os.chdir(cwd)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="output directory (created)")
@@ -101,6 +158,7 @@ def main() -> None:
     names = ["circle", "torus", "klein", "rp2"] + [
         f"torus-perturbed:{s}" for s in bank.perturbed_torus_seeds(args.cli_seeds)
     ]
+    dump_coeff(out / "coeff")
     dump_cli(out / "cli", names)
     dump_perturbed(out / "perturbed", args.seeds)
 

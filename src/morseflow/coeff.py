@@ -59,12 +59,19 @@ class IntegerMatrix:
         self._e = e
 
     @classmethod
+    def _of(cls, e: list[list[int]], cols: int) -> "IntegerMatrix":
+        """A matrix on rows of Python ints built here: no per-entry `int()`."""
+        m = cls.__new__(cls)
+        m._e, m.rows, m.cols = e, len(e), cols
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -84,9 +91,9 @@ class IntegerMatrix:
         return not any(map(any, self._e))
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
+        return IntegerMatrix._of(
             [[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
+            self.rows,
         )
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
@@ -103,18 +110,18 @@ class IntegerMatrix:
                 for j, b in nonzero[k]:
                     acc[j] += a * b
             out.append(acc)
-        return IntegerMatrix(out, cols=other.cols)
+        return IntegerMatrix._of(out, other.cols)
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.shape != other.shape:
             raise DimensionMismatchError("shape mismatch in addition")
-        return IntegerMatrix(
+        return IntegerMatrix._of(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)],
-            cols=self.cols,
+            self.cols,
         )
 
     def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix([[-v for v in row] for row in self._e], cols=self.cols)
+        return IntegerMatrix._of([[-v for v in row] for row in self._e], self.cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -255,11 +262,7 @@ def smith_normal_form(
     u = IntegerMatrix.identity(m).to_rows()
     v = IntegerMatrix.identity(n).to_rows()
     _smith_reduce(d, u, v)
-    return (
-        IntegerMatrix(u, cols=m),
-        IntegerMatrix(d, cols=n),
-        IntegerMatrix(v, cols=n),
-    )
+    return IntegerMatrix._of(u, m), IntegerMatrix._of(d, n), IntegerMatrix._of(v, n)
 
 
 def _eliminate_units(a: IntegerMatrix) -> tuple[int, list[list[int]]]:

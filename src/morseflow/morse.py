@@ -9,6 +9,13 @@ integration pass that follows each rigid trajectory, so every rigid flow is
 integrated once; and one-parameter families on the two-torus from a
 bisection partition of the departure circle of an index-2 point.
 
+Departure angles that only need a landing class are integrated as lanes
+of one lockstep, vectorized run with each lane's own step size and the
+same step rule, and no recorded trajectory.  The circle samples form one
+batch; the bisection walks the same midpoints as a one-at-a-time
+bisection but classifies them ahead, a dyadic subtree under every open
+bracket per batch, so the boundary angles are the same floats.
+
 Landing basins on the departure circle are told apart by both the rest
 point reached and the integer lattice offset of the unwrapped trajectory,
 so distinct family components that reach the same rest point stay
@@ -32,6 +39,7 @@ from .errors import (
     IncoherentOrientationError,
     InputError,
     IntegrationFailureError,
+    MorseflowError,
     MorseSmaleViolationError,
     NotMorseError,
     UnmatchedEndpointError,
@@ -135,8 +143,12 @@ class TrigPolynomial:
                 raise InputError(f"function term {rec!r} is not an object")
             try:
                 freq = tuple(_json_integer(k, "frequency") for k in rec["freq"])
+                for k in freq:
+                    float(k)  # the evaluators need every frequency as a float
             except (KeyError, TypeError) as exc:
                 raise InputError(f"bad frequency in term {rec!r}: {exc}") from None
+            except OverflowError:
+                raise InputError("a frequency is too large for a float") from None
             terms.append(
                 TrigTerm(
                     freq,
@@ -200,6 +212,10 @@ class _Compiled:
         ph = TWO_PI * (self.freqs @ x)
         w = -TWO_PI * TWO_PI * (self.cos * np.cos(ph) + self.sin * np.sin(ph))
         return (self.freqs * w[:, None]).T @ self.freqs
+
+    def value_batch(self, x: np.ndarray) -> np.ndarray:
+        ph = TWO_PI * (x @ self.freqs.T)
+        return (np.cos(ph) * self.cos + np.sin(ph) * self.sin).sum(axis=1)
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
         ph = TWO_PI * (x @ self.freqs.T)
@@ -359,6 +375,12 @@ class _Arc(NamedTuple):
     start: float
     end: float
     landing_class: tuple[str, tuple[int, ...]]
+
+
+def _rests_too_high(p: CriticalPoint, q: CriticalPoint) -> MorseSmaleViolationError:
+    return MorseSmaleViolationError(
+        f"trajectory from {p.id} reached {q.id} of index {q.index} >= {p.index}"
+    )
 
 
 # -- critical point search --------------------------------------------------
@@ -598,6 +620,104 @@ class _Analysis:
             f"no rest point reached within flow time {cfg.max_flow_time}"
         )
 
+    def land_lanes(self, seeds: Sequence[Sequence[float]]) -> list:
+        """Where the flow from each seed comes to rest, all seeds in lockstep.
+
+        Each seed is one lane of a single vectorized integration.  A lane
+        follows `integrate`'s step rule with its own step size and ends as
+        (critical point, lattice offset) or as the IntegrationFailureError
+        that `integrate` would raise for it.  Lanes record no trajectory.
+        The stages are written with the gradient g instead of the flow -g;
+        negation is exact, so `x - c*g` equals `integrate`'s `x + c*(-g)`.
+        """
+        cfg = self.cfg
+        grad = self.comp.grad_batch
+        value = self.comp.value_batch
+        centres = np.array([p.position for p in self.points])
+        out: list = [None] * len(seeds)
+        lane = np.arange(len(seeds))
+        x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
+        fx = value(x)
+        t = np.zeros(len(seeds))
+        h = np.full(len(seeds), cfg.step_init)
+        steps = np.zeros(len(seeds), dtype=int)
+        fresh = np.ones(len(seeds), dtype=bool)
+
+        def pair(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            both = grad(np.concatenate((y, z)))
+            return both[: len(y)], both[len(y) :]
+
+        def finish(done: np.ndarray) -> None:
+            nonlocal lane, x, fx, t, h, steps, fresh
+            keep = ~done
+            lane, x, fx, t, h = lane[keep], x[keep], fx[keep], t[keep], h[keep]
+            steps, fresh = steps[keep], fresh[keep]
+
+        while len(lane):
+            # A lane that has just accepted a step (or not yet taken one)
+            # checks flow time, landing and step budget, in that order.
+            late = fresh & ~(t <= cfg.max_flow_time)
+            d = x[:, None, :] - centres
+            r = d - np.round(d)
+            d2 = r[..., 0] * r[..., 0]
+            for j in range(1, self.n):
+                d2 = d2 + r[..., j] * r[..., j]
+            near = np.sqrt(d2) <= cfg.landing_radius
+            landed = fresh & ~late & near.any(axis=1)
+            steps += fresh & ~late & ~landed
+            spent = steps > cfg.max_steps
+            for k in np.flatnonzero(late):
+                out[lane[k]] = IntegrationFailureError(
+                    f"no rest point reached within flow time {cfg.max_flow_time}"
+                )
+            for k in np.flatnonzero(landed):
+                i = int(near[k].argmax())
+                out[lane[k]] = (self.points[i], tuple(int(o) for o in np.round(d[k, i])))
+            for k in np.flatnonzero(spent):
+                out[lane[k]] = IntegrationFailureError("step budget exhausted")
+            done = late | landed | spent
+            if done.any():
+                finish(done)
+
+            hh = h[:, None]
+            half = 0.5 * hh
+            quarter = 0.25 * hh
+            # The full step and the first half step share g1 and are
+            # independent after it, so their stages go in one call each.
+            g1 = grad(x)
+            g2, m2 = pair(x - half * g1, x - quarter * g1)
+            g3, m3 = pair(x - half * g2, x - quarter * m2)
+            g4, m4 = pair(x - hh * g3, x - half * m3)
+            full = x - (hh / 6.0) * (g1 + 2.0 * (g2 + g3) + g4)
+            mid = x - (half / 6.0) * (g1 + 2.0 * (m2 + m3) + m4)
+            l1 = grad(mid)
+            l2 = grad(mid - quarter * l1)
+            l3 = grad(mid - quarter * l2)
+            l4 = grad(mid - half * l3)
+            twohalf = mid - (half / 6.0) * (l1 + 2.0 * (l2 + l3) + l4)
+            err = np.abs(full - twohalf).max(axis=1)
+            xn = twohalf + (twohalf - full) / 15.0
+            fn = value(xn)
+            above_min = h > cfg.step_min
+            rough = (err > cfg.step_tol) & above_min
+            climbs = ~rough & (fn >= fx)
+            stuck = climbs & ~above_min
+            take = ~rough & ~climbs
+            h = np.where(rough | (climbs & above_min), np.maximum(0.5 * h, cfg.step_min), h)
+            x = np.where(take[:, None], xn, x)
+            fx = np.where(take, fn, fx)
+            t = np.where(take, t + h, t)
+            grow = take & (err * 32.0 < cfg.step_tol)
+            h = np.where(grow, np.minimum(2.0 * h, cfg.step_max), h)
+            fresh = take
+            for k in np.flatnonzero(stuck):
+                out[lane[k]] = IntegrationFailureError(
+                    "function value failed to decrease at the minimal step"
+                )
+            if stuck.any():
+                finish(stuck)
+        return out
+
     def _advance_frame(
         self, v: np.ndarray, stages: tuple[list[float], ...], half_h: float
     ) -> np.ndarray:
@@ -635,10 +755,7 @@ class _Analysis:
     ) -> _Landing:
         landing = self.integrate(self.seed(p, direction), frame)
         if landing.point.index >= p.index:
-            raise MorseSmaleViolationError(
-                f"trajectory from {p.id} reached {landing.point.id} of index "
-                f"{landing.point.index} >= {p.index}"
-            )
+            raise _rests_too_high(p, landing.point)
         return landing
 
     # rigid flows ------------------------------------------------------------
@@ -711,11 +828,26 @@ class _Analysis:
         frame = self.unstable_frame(a)
         return math.cos(theta) * frame[:, 0] + math.sin(theta) * frame[:, 1]
 
-    def _classify_angle(self, a: CriticalPoint, theta: float):
-        landing = self.classify(a, self.direction_at(a, theta))
-        if landing.point.index == 0:
-            return ("sink", (landing.point.id, landing.offset), landing.point)
-        return ("saddle", None, landing.point)
+    def _classify_angles(self, a: CriticalPoint, thetas: Sequence[float]) -> list:
+        """Landing class of each departure angle of `a`, as lanes of one batch.
+
+        Each entry is ("sink", (sink id, offset), sink), ("saddle", None,
+        saddle), or the error that angle's flow raised.
+        """
+        seeds = [self.seed(a, self.direction_at(a, th)) for th in thetas]
+        out = []
+        for got in self.land_lanes(seeds):
+            if isinstance(got, Exception):
+                out.append(got)
+                continue
+            point, offset = got
+            if point.index >= a.index:
+                out.append(_rests_too_high(a, point))
+            elif point.index == 0:
+                out.append(("sink", (point.id, offset), point))
+            else:
+                out.append(("saddle", None, point))
+        return out
 
     def partition(self, a: CriticalPoint) -> tuple[list[_Boundary], list[_Arc]]:
         """Split the departure circle of an index-2 point by landing class."""
@@ -728,22 +860,22 @@ class _Analysis:
         n_samples = cfg.circle_samples
         step = TWO_PI / n_samples
         thetas = [k * step for k in range(n_samples)]
-        results = [self._classify_angle(a, th) for th in thetas]
+        results = self._classify_angles(a, thetas)
+        for got in results:
+            if isinstance(got, Exception):
+                raise got
 
         boundaries: list[_Boundary] = []
         for k, (kind, _, point) in enumerate(results):
             if kind == "saddle":
                 boundaries.append(_Boundary(thetas[k], point))
+        brackets = []
         for k in range(n_samples):
             kind0, cls0, _ = results[k]
             kind1, cls1, _ = results[(k + 1) % n_samples]
-            if kind0 != "sink" or kind1 != "sink":
-                continue
-            if cls0 == cls1:
-                continue
-            boundaries.extend(
-                self._bisect_boundaries(a, thetas[k], cls0, thetas[k] + step, cls1)
-            )
+            if kind0 == kind1 == "sink" and cls0 != cls1:
+                brackets.append((thetas[k], cls0, thetas[k] + step, cls1))
+        boundaries.extend(self._bisect_all(a, brackets))
 
         boundaries.sort(key=lambda b: b.angle)
         merged: list[_Boundary] = []
@@ -782,8 +914,10 @@ class _Analysis:
                 if inside:
                     cls = inside[0]
                 else:
-                    midth = 0.5 * (b.angle + end)
-                    kind, cls, _ = self._classify_angle(a, midth)
+                    (got,) = self._classify_angles(a, [0.5 * (b.angle + end)])
+                    if isinstance(got, Exception):
+                        raise got
+                    kind, cls, _ = got
                     if kind != "sink":
                         raise MorseSmaleViolationError(
                             "arc midpoint rests at an intermediate-index point"
@@ -792,13 +926,73 @@ class _Analysis:
         self._partitions[a.id] = (boundaries, arcs)
         return boundaries, arcs
 
-    def _bisect_boundaries(
-        self, a: CriticalPoint, lo: float, lo_cls, hi: float, hi_cls
-    ) -> list[_Boundary]:
+    def _bisect_all(self, a: CriticalPoint, brackets: list) -> list[_Boundary]:
+        """Bisect every bracket of the circle to its boundaries, speculatively.
+
+        The walks take turns, one visit each, and read each midpoint's
+        class from a cache keyed by the exact angle.  When a walk misses,
+        one batch classifies the dyadic subtree of depth k under every open
+        bracket, with k chosen so that a batch holds about `circle_samples`
+        lanes.  Every walk visits the midpoints a lone walk would, so the
+        boundaries are the same floats.  A lane's error counts only if a walk
+        visits its angle, and a walk's error only if every walk before it
+        succeeded, as if the walks had run one after another.
+        """
+        cfg = self.cfg
+        cache: dict[float, object] = {}
+        walks = [self._bisect_boundaries(*b) for b in brackets]
+        found: list = [None] * len(walks)
+        pending: dict[int, tuple[float, float]] = {}
+
+        def advance(i: int, got) -> None:
+            try:
+                if isinstance(got, Exception):
+                    raise got  # the walk visits an angle whose flow failed
+                pending[i] = walks[i].send(got)
+            except StopIteration as stop:
+                found[i] = stop.value
+                pending.pop(i, None)
+            except MorseflowError as exc:
+                found[i] = exc
+                pending.pop(i, None)
+
+        for i in range(len(walks)):
+            advance(i, None)
+        while pending:
+            open_brackets = list(pending.values())
+            if any(0.5 * (lo + hi) not in cache for lo, hi in open_brackets):
+                depth = (cfg.circle_samples // len(open_brackets) + 1).bit_length() - 1
+                angles = []
+                for _ in range(depth):
+                    halves = []
+                    for lo, hi in open_brackets:
+                        if hi - lo <= cfg.bisection_tol:
+                            continue
+                        mid = 0.5 * (lo + hi)
+                        if mid not in cache:
+                            angles.append(mid)
+                        halves += [(lo, mid), (mid, hi)]
+                    open_brackets = halves
+                cache.update(zip(angles, self._classify_angles(a, angles)))
+            for i, (lo, hi) in list(pending.items()):
+                advance(i, cache[0.5 * (lo + hi)])
+        boundaries = []
+        for got in found:
+            if isinstance(got, Exception):
+                raise got
+            boundaries.extend(got)
+        return boundaries
+
+    def _bisect_boundaries(self, lo: float, lo_cls, hi: float, hi_cls):
+        """Walk one bracket down to its boundaries (a generator).
+
+        It yields each bracket (lo, hi) whose midpoint it visits, is sent
+        that midpoint's class, and returns the boundaries it found.
+        """
         cfg = self.cfg
         while hi - lo > cfg.bisection_tol:
             mid = 0.5 * (lo + hi)
-            kind, cls, point = self._classify_angle(a, mid)
+            kind, cls, point = yield lo, hi
             if kind == "saddle":
                 return [_Boundary(mid % TWO_PI, point)]
             if cls == lo_cls:
@@ -806,9 +1000,8 @@ class _Analysis:
             elif cls == hi_cls:
                 hi = mid
             else:
-                return self._bisect_boundaries(
-                    a, lo, lo_cls, mid, cls
-                ) + self._bisect_boundaries(a, mid, cls, hi, hi_cls)
+                first = yield from self._bisect_boundaries(lo, lo_cls, mid, cls)
+                return first + (yield from self._bisect_boundaries(mid, cls, hi, hi_cls))
         raise MorseSmaleViolationError(
             "basin boundary did not resolve to an intermediate rest point "
             f"near angle {0.5 * (lo + hi):.12f}"

@@ -314,6 +314,7 @@ MALFORMED = {
         "function",
         {"dim": 1, "terms": [{"freq": [1], "cos": "1e400"}]},
     ),
+    "function-freq-overflow": ("function", {"dim": 1, "terms": [{"freq": [10**400], "cos": 1}]}),
     "function-freq-fraction": ("function", {"dim": 1, "terms": [{"freq": [1.5], "cos": 1}]}),
     "function-dim-fraction": ("function", {"dim": 1.5, "terms": [{"freq": [1], "cos": 1}]}),
     "complex-boundary-int": ("complex", {"bases": [["a"], ["b"]], "boundaries": [5]}),

@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morseflow import (
     CoefficientRing,
@@ -25,8 +27,15 @@ from morseflow import (
     trajectories_svg,
     trajectory_csv,
 )
-from morseflow.bank import circle_function, degenerate_function, torus_function
-from morseflow.errors import InputError, NotMorseError
+from morseflow.bank import (
+    circle_function,
+    degenerate_function,
+    perturbed_torus,
+    perturbed_torus_seeds,
+    torus_function,
+)
+from morseflow.errors import InputError, IntegrationFailureError, NotMorseError
+from morseflow.morse import _Analysis
 
 
 def three_torus_function() -> TrigPolynomial:
@@ -272,6 +281,136 @@ class TestModuliFamilies:
         flows = flow_lines(f)
         with pytest.raises(InputError):
             moduli_family(f, pts[0], pts[1], flows, critical_points=pts)
+
+
+def lane_functions() -> list[TrigPolynomial]:
+    return [torus_function()] + [perturbed_torus(s) for s in perturbed_torus_seeds(2)]
+
+
+def comparable(outcome):
+    """A lane outcome with any error reduced to its type and message."""
+    return (type(outcome), outcome.args) if isinstance(outcome, Exception) else outcome
+
+
+class TestLanes:
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_lanes_land_where_scalar_integration_lands(self, f):
+        analysis = _Analysis(f, NumericalConfig())
+        maxima = [p for p in analysis.points if p.index == 2]
+        assert maxima
+        for p in maxima:
+            seeds = [
+                analysis.seed(p, analysis.direction_at(p, (k + 0.5) * 2 * math.pi / 64))
+                for k in range(64)
+            ]
+            for seed, got in zip(seeds, analysis.land_lanes(seeds)):
+                landing = analysis.integrate(seed)
+                assert got == (landing.point, landing.offset)
+
+    @pytest.mark.parametrize(
+        "coarse", [{}, {"step_tol": 0.1, "step_max": 0.2}], ids=["default", "coarse"]
+    )
+    def test_lanes_stop_where_scalar_integration_stops(self, coarse):
+        # Step budget and flow time set at the median scalar run's exact
+        # step count and arrival time, and just below them: a lane whose
+        # step rule differs from integrate's lands on the other side.  The
+        # coarse tolerance makes steps overshoot, so the descent check bites.
+        f = perturbed_torus(perturbed_torus_seeds(1)[0])
+        analysis = _Analysis(f, NumericalConfig(**coarse))
+        top = analysis.points[0]
+        seeds = [
+            analysis.seed(top, analysis.direction_at(top, (k + 0.5) * 2 * math.pi / 32))
+            for k in range(32)
+        ]
+        runs = sorted((analysis.integrate(seed).trajectory for seed in seeds), key=len)
+        steps, time = len(runs[16]) - 1, runs[16][-1][0]
+        for limits in (
+            {"max_steps": steps},
+            {"max_steps": steps - 1},
+            {"max_flow_time": time},
+            {"max_flow_time": math.nextafter(time, 0.0)},
+        ):
+            limited = _Analysis(f, NumericalConfig(**coarse, **limits), analysis.points)
+            scalar = []
+            for seed in seeds:
+                try:
+                    landing = limited.integrate(seed)
+                    scalar.append((landing.point, landing.offset))
+                except IntegrationFailureError as exc:
+                    scalar.append(exc)
+            lanes = limited.land_lanes(seeds)
+            assert list(map(comparable, lanes)) == list(map(comparable, scalar))
+            failed = sum(isinstance(got, Exception) for got in lanes)
+            assert 0 < failed < len(seeds)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=6))
+    def test_one_batch_equals_one_angle_at_a_time(self, thetas):
+        analysis = _Analysis(perturbed_torus(perturbed_torus_seeds(1)[0]), NumericalConfig())
+        top = analysis.points[0]
+        batch = analysis._classify_angles(top, thetas)
+        alone = [analysis._classify_angles(top, [th])[0] for th in thetas]
+        assert list(map(comparable, batch)) == list(map(comparable, alone))
+
+    def test_speculative_lane_errors_count_only_where_the_walk_visits(self, monkeypatch):
+        f = perturbed_torus(perturbed_torus_seeds(1)[0])
+        classify = _Analysis._classify_angles
+        walk = _Analysis._bisect_boundaries
+        batches: list[list[float]] = []
+        visited: set[float] = set()
+
+        def recording_classify(self, a, thetas):
+            batches.append(list(thetas))
+            return classify(self, a, thetas)
+
+        def recording_walk(self, *bracket):
+            inner = walk(self, *bracket)
+            got = None
+            while True:
+                try:
+                    lo, hi = inner.send(got)
+                except StopIteration as stop:
+                    return stop.value
+                visited.add(0.5 * (lo + hi))
+                got = yield lo, hi
+
+        def partition_with_error_at(angle):
+            def failing_classify(self, a, thetas):
+                out = classify(self, a, thetas)
+                return [
+                    IntegrationFailureError("injected") if th == angle else got
+                    for th, got in zip(thetas, out)
+                ]
+
+            monkeypatch.setattr(_Analysis, "_classify_angles", failing_classify)
+            analysis = _Analysis(f, NumericalConfig())
+            return analysis.partition(analysis.points[0])
+
+        monkeypatch.setattr(_Analysis, "_classify_angles", recording_classify)
+        monkeypatch.setattr(_Analysis, "_bisect_boundaries", recording_walk)
+        analysis = _Analysis(f, NumericalConfig())
+        clean = analysis.partition(analysis.points[0])
+        speculative = {th for batch in batches[1:] for th in batch}
+        unvisited = sorted(speculative - visited)
+        assert visited <= speculative and unvisited
+
+        assert partition_with_error_at(unvisited[0]) == clean
+        with pytest.raises(IntegrationFailureError, match="injected"):
+            partition_with_error_at(min(visited))
+
+
+class TestRefinementInvariance:
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_tightened_build_keeps_category_and_signs(self, f):
+        cfg = NumericalConfig()
+        tight = cfg.with_overrides(
+            step_tol=cfg.step_tol / 10,
+            circle_samples=2 * cfg.circle_samples,
+            sphere_radius=cfg.sphere_radius / 2,
+        )
+        base = build_flow_category(f, cfg)
+        fine = build_flow_category(f, tight)
+        assert fine[0].to_json(fine[1]) == base[0].to_json(base[1])
 
 
 class TestBuildFlowCategory:

@@ -3,7 +3,11 @@
 Runs the CLI in-process on every example name, writes each report (exit
 code and stdout) and every file the CLI writes under OUT/cli, and writes the
 full category JSON with signs and the trajectory CSV of `flow_lines` for the
-first N perturbed tori under OUT/perturbed.  Under OUT/coeff it writes, for
+first N perturbed tori under OUT/perturbed.  Under OUT/partitions it writes
+the departure-circle partition of every index-2 point of the torus and of
+those perturbed tori: each boundary angle as `float.hex` with its saddle,
+and each arc's ends (also `float.hex`) with its landing class, so bisection
+decisions are compared bit for bit.  Under OUT/coeff it writes, for
 a fixed-seed set of integer matrices up to 12 x 12, the Smith form with its
 transforms, the invariant factors and the homology over every ring of the
 two-term complex the matrix defines, plus the `realize` reports of the
@@ -37,7 +41,13 @@ from morseflow import (
     invariant_factors,
     smith_normal_form,
 )
-from morseflow.morse import build_flow_category, flow_lines, trajectory_csv
+from morseflow.morse import (
+    NumericalConfig,
+    _Analysis,
+    build_flow_category,
+    flow_lines,
+    trajectory_csv,
+)
 
 RINGS = ("z", "zmod:2", "q", "laurent:2:1")
 # Entry pools: dense small integers, sparse +-1 (all unit pivots), and
@@ -108,6 +118,29 @@ def dump_perturbed(out: Path, count: int) -> None:
         (out / f"seed{seed}.csv").write_text(trajectory_csv(flow_lines(f)))
 
 
+def dump_partitions(out: Path, count: int) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    functions = [("torus", bank.torus_function())] + [
+        (f"seed{seed}", bank.perturbed_torus(seed))
+        for seed in bank.perturbed_torus_seeds(count)
+    ]
+    for name, f in functions:
+        analysis = _Analysis(f, NumericalConfig())
+        lines = []
+        for p in analysis.points:
+            if p.index != 2:
+                continue
+            boundaries, arcs = analysis.partition(p)
+            for b in boundaries:
+                lines.append(f"{p.id} boundary {b.angle.hex()} {b.saddle.id}")
+            for arc in arcs:
+                sink, offset = arc.landing_class
+                lines.append(
+                    f"{p.id} arc {arc.start.hex()} {arc.end.hex()} {sink} {list(offset)}"
+                )
+        (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
+
+
 def dump_coeff(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(0)
@@ -161,6 +194,7 @@ def main() -> None:
     dump_coeff(out / "coeff")
     dump_cli(out / "cli", names)
     dump_perturbed(out / "perturbed", args.seeds)
+    dump_partitions(out / "partitions", args.seeds)
 
 
 if __name__ == "__main__":

@@ -118,6 +118,13 @@ def _load_category(args, inputs: dict) -> tuple[FlowCategory, OrientationData]:
     raise InputError("provide --category FILE, --function FILE, or --example NAME")
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _group_json(g) -> dict:
     out = {"freeRank": g.free_rank, "torsion": list(g.torsion), "group": str(g)}
     if g.graded is not None:
@@ -261,7 +268,7 @@ def _cmd_examples(args, inputs, warnings) -> dict:
     written = []
 
     def emit(path: Path, payload: dict):
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         written.append(str(path))
 
     wrote_any = False
@@ -291,10 +298,10 @@ def _cmd_orbits(args, inputs, warnings) -> dict:
     flows = flow_lines(f, cfg)
     written = []
     if args.svg:
-        Path(args.svg).write_text(trajectories_svg(flows))
+        _write_text(Path(args.svg), trajectories_svg(flows))
         written.append(args.svg)
     if args.csv:
-        Path(args.csv).write_text(trajectory_csv(flows))
+        _write_text(Path(args.csv), trajectory_csv(flows))
         written.append(args.csv)
     return {
         "flows": [

@@ -285,7 +285,7 @@ class FlowCategory:
                         )
                     )
                 moduli.append(ModuliFamily(rec["from"], rec["to"], tuple(comps)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise InputError(f"bad flow category payload: {exc}") from None
         cat = cls(objects, index, tuple(flows), tuple(moduli))
         return cat, OrientationData(signs)

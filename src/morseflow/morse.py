@@ -9,12 +9,17 @@ integration pass that follows each rigid trajectory, so every rigid flow is
 integrated once; and one-parameter families on the two-torus from a
 bisection partition of the departure circle of an index-2 point.
 
-Departure angles that only need a landing class are integrated as lanes
-of one lockstep, vectorized run with each lane's own step size and the
-same step rule, and no recorded trajectory.  The circle samples form one
-batch; the bisection walks the same midpoints as a one-at-a-time
-bisection but classifies them ahead, a dyadic subtree under every open
-bracket per batch, so the boundary angles are the same floats.
+There is one integrator, `_Analysis.land_lanes`: many seeds run as lanes
+of one lockstep, vectorized run, each lane with its own step size, and
+optionally a recorded trajectory and a carried frame.  The rigid flows of
+all saddles form one run, those of each index-2 point another, and each
+family's probes a third.  The circle samples form one batch; the bisection
+walks the same midpoints as a one-at-a-time bisection but classifies them
+ahead, a dyadic subtree under every open bracket per batch, so the boundary
+angles are the same floats.  The batch evaluators give each row the same
+bits whatever the batch, so no result depends on which lanes share a run.
+When several lanes fail, the error raised is the one that building the
+flows one at a time would raise first.
 
 Landing basins on the departure circle are told apart by both the rest
 point reached and the integer lattice offset of the unwrapped trajectory,
@@ -160,48 +165,18 @@ class TrigPolynomial:
 
 
 class _Compiled:
-    """Float-compiled evaluators for one trigonometric polynomial."""
+    """Float-compiled evaluators for one trigonometric polynomial.
+
+    The batch evaluators take points as rows and give each row the same
+    bits whatever else is in the batch, so a lane of the integrator does
+    not depend on which other lanes are still running.
+    """
 
     def __init__(self, f: TrigPolynomial):
         self.n = f.dimension
         self.freqs = np.array([t.frequency for t in f.terms], dtype=float)
         self.cos = np.array([float(t.cos_coeff) for t in f.terms])
         self.sin = np.array([float(t.sin_coeff) for t in f.terms])
-        self.scalar_terms = [
-            (
-                tuple(float(k) for k in t.frequency),
-                float(t.cos_coeff),
-                float(t.sin_coeff),
-            )
-            for t in f.terms
-        ]
-
-    # scalar paths (hot loop of the integrator)
-
-    def value(self, x: Sequence[float]) -> float:
-        total = 0.0
-        for freq, c, s in self.scalar_terms:
-            ph = 0.0
-            for j in range(self.n):
-                ph += freq[j] * x[j]
-            ph *= TWO_PI
-            total += c * math.cos(ph) + s * math.sin(ph)
-        return total
-
-    def neg_grad(self, x: Sequence[float]) -> list[float]:
-        n = self.n
-        g = [0.0] * n
-        for freq, c, s in self.scalar_terms:
-            ph = 0.0
-            for j in range(n):
-                ph += freq[j] * x[j]
-            ph *= TWO_PI
-            w = TWO_PI * (c * math.sin(ph) - s * math.cos(ph))
-            for j in range(n):
-                g[j] += w * freq[j]
-        return g
-
-    # vectorized paths
 
     def np_grad(self, x: np.ndarray) -> np.ndarray:
         ph = TWO_PI * (self.freqs @ x)
@@ -213,17 +188,24 @@ class _Compiled:
         w = -TWO_PI * TWO_PI * (self.cos * np.cos(ph) + self.sin * np.sin(ph))
         return (self.freqs * w[:, None]).T @ self.freqs
 
+    # The contractions are einsums, not matrix products: BLAS rounds a
+    # one-row product differently from a many-row one (fused multiply-adds,
+    # another summation order), while einsum treats every row alike.
+
+    def _phases(self, x: np.ndarray) -> np.ndarray:
+        return TWO_PI * np.einsum("pj,tj->pt", x, self.freqs)
+
     def value_batch(self, x: np.ndarray) -> np.ndarray:
-        ph = TWO_PI * (x @ self.freqs.T)
+        ph = self._phases(x)
         return (np.cos(ph) * self.cos + np.sin(ph) * self.sin).sum(axis=1)
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
-        ph = TWO_PI * (x @ self.freqs.T)
+        ph = self._phases(x)
         w = TWO_PI * (np.cos(ph) * self.sin - np.sin(ph) * self.cos)
-        return w @ self.freqs
+        return np.einsum("pt,tj->pj", w, self.freqs)
 
     def hess_batch(self, x: np.ndarray) -> np.ndarray:
-        ph = TWO_PI * (x @ self.freqs.T)
+        ph = self._phases(x)
         w = -TWO_PI * TWO_PI * (np.cos(ph) * self.cos + np.sin(ph) * self.sin)
         return np.einsum("pt,ti,tj->pij", w, self.freqs, self.freqs)
 
@@ -239,7 +221,7 @@ def eval_grad_hess(f: TrigPolynomial, x: Sequence[float]):
         raise InputError(f"point has {len(x)} coordinates, expected {f.dimension}")
     comp = _compiled(f)
     xv = np.asarray(x, dtype=float)
-    return comp.value(list(xv)), comp.np_grad(xv), comp.np_hess(xv)
+    return float(comp.value_batch(xv[None])[0]), comp.np_grad(xv), comp.np_hess(xv)
 
 
 # -- configuration and result types -----------------------------------------
@@ -282,7 +264,11 @@ class NumericalConfig:
                 raise InputError(f"config field {name} must be a number")
             if isinstance(spec.default, int) and not isinstance(value, numbers.Integral):
                 raise InputError(f"config field {name} must be an integer")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond every float
+                finite = False
+            if not finite:
                 raise InputError(f"config field {name} must be finite")
             if value <= 0:
                 raise InputError(f"config field {name} must be positive")
@@ -358,11 +344,12 @@ def torus_distance(x: Sequence[float], p: Sequence[float]) -> float:
 
 
 class _Landing(NamedTuple):
+    """Where one lane came to rest; trajectory and frame only if asked for."""
+
     point: CriticalPoint
     offset: tuple[int, ...]
-    time: float
-    state: tuple[float, ...]
-    trajectory: tuple[tuple[float, tuple[float, ...]], ...]
+    state: np.ndarray
+    trajectory: tuple[tuple[float, tuple[float, ...]], ...] | None
     frame: np.ndarray | None
 
 
@@ -381,6 +368,13 @@ def _rests_too_high(p: CriticalPoint, q: CriticalPoint) -> MorseSmaleViolationEr
     return MorseSmaleViolationError(
         f"trajectory from {p.id} reached {q.id} of index {q.index} >= {p.index}"
     )
+
+
+def _ok(got):
+    """A lane or walk outcome, raised if it is an error."""
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 # -- critical point search --------------------------------------------------
@@ -450,7 +444,8 @@ def find_critical_points(
                 f"second-derivative eigenvalues {[float(e) for e in eigs]}"
             )
         index = int(np.sum(eigs < 0.0))
-        enriched.append((pt, comp.value(list(pt)), index, tuple(float(e) for e in eigs)))
+        value = float(comp.value_batch(xv[None])[0])
+        enriched.append((pt, value, index, tuple(float(e) for e in eigs)))
 
     euler = sum((-1) ** e[2] for e in enriched)
     if euler != 0:
@@ -527,108 +522,37 @@ class _Analysis:
 
     # integration ----------------------------------------------------------
 
-    def _land(self, x: Sequence[float]) -> tuple[CriticalPoint, tuple[int, ...]] | None:
-        for cp in self.points:
-            res, off, dist = _torus_residual(x, cp.position)
-            if dist <= self.cfg.landing_radius:
-                return cp, off
-        return None
+    def seed(self, p: CriticalPoint, direction: np.ndarray) -> list[float]:
+        return [
+            p.position[j] + self.cfg.sphere_radius * float(direction[j])
+            for j in range(self.n)
+        ]
 
-    def integrate(
-        self, x0: Sequence[float], frame: np.ndarray | None = None
-    ) -> _Landing:
-        """Follow the negative gradient from x0 until it rests near a critical point.
+    def land_lanes(
+        self,
+        seeds: Sequence[Sequence[float]],
+        frames: np.ndarray | None = None,
+        record: bool = False,
+    ) -> list:
+        """Follow the negative gradient from every seed until it rests, in lockstep.
 
-        A `frame` of tangent vectors at x0 is carried along by the linearised
-        flow v' = -Hess(x) v and returned with the landing.
-        """
-        cfg = self.cfg
-        comp = self.comp
-        n = self.n
-        g = comp.neg_grad
-        x = list(x0)
-        t = 0.0
-        h = cfg.step_init
-        fx = comp.value(x)
-        traj = [(0.0, tuple(x))]
-        steps = 0
-        while t <= cfg.max_flow_time:
-            hit = self._land(x)
-            if hit is not None:
-                return _Landing(hit[0], hit[1], t, tuple(x), tuple(traj), frame)
-            steps += 1
-            if steps > cfg.max_steps:
-                raise IntegrationFailureError("step budget exhausted")
-            while True:
-                k1 = g(x)
-                half_h = 0.5 * h
-                k2 = g([x[j] + half_h * k1[j] for j in range(n)])
-                k3 = g([x[j] + half_h * k2[j] for j in range(n)])
-                k4 = g([x[j] + h * k3[j] for j in range(n)])
-                full = [
-                    x[j] + (h / 6.0) * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j])
-                    for j in range(n)
-                ]
-                quarter = 0.25 * h
-                m1 = k1
-                y2 = [x[j] + quarter * m1[j] for j in range(n)]
-                m2 = g(y2)
-                y3 = [x[j] + quarter * m2[j] for j in range(n)]
-                m3 = g(y3)
-                y4 = [x[j] + half_h * m3[j] for j in range(n)]
-                m4 = g(y4)
-                mid = [
-                    x[j] + (half_h / 6.0) * (m1[j] + 2.0 * (m2[j] + m3[j]) + m4[j])
-                    for j in range(n)
-                ]
-                l1 = g(mid)
-                z2 = [mid[j] + quarter * l1[j] for j in range(n)]
-                l2 = g(z2)
-                z3 = [mid[j] + quarter * l2[j] for j in range(n)]
-                l3 = g(z3)
-                z4 = [mid[j] + half_h * l3[j] for j in range(n)]
-                l4 = g(z4)
-                twohalf = [
-                    mid[j] + (half_h / 6.0) * (l1[j] + 2.0 * (l2[j] + l3[j]) + l4[j])
-                    for j in range(n)
-                ]
-                err = max(abs(full[j] - twohalf[j]) for j in range(n))
-                if err > cfg.step_tol and h > cfg.step_min:
-                    h = max(0.5 * h, cfg.step_min)
-                    continue
-                xn = [twohalf[j] + (twohalf[j] - full[j]) / 15.0 for j in range(n)]
-                fn = comp.value(xn)
-                if fn >= fx:
-                    if h > cfg.step_min:
-                        h = max(0.5 * h, cfg.step_min)
-                        continue
-                    raise IntegrationFailureError(
-                        "function value failed to decrease at the minimal step"
-                    )
-                break
-            if frame is not None:
-                frame = self._advance_frame(
-                    frame, (x, y2, y3, y4, mid, z2, z3, z4), half_h
-                )
-            x = xn
-            fx = fn
-            t += h
-            traj.append((t, tuple(x)))
-            if err * 32.0 < cfg.step_tol:
-                h = min(2.0 * h, cfg.step_max)
-        raise IntegrationFailureError(
-            f"no rest point reached within flow time {cfg.max_flow_time}"
-        )
+        This is the package's one integrator.  Each seed is one lane of a
+        single vectorized run, with its own step size.  A step is
+        step-doubling RK4: a full step against two half steps, halved while
+        they differ by more than `step_tol` or while the function value
+        fails to drop, and doubled after a step accurate to 1/32 of
+        `step_tol`.  The stages are written with the gradient g instead of
+        the flow -g; negation is exact, so `x - c*g` equals `x + c*(-g)`.
 
-    def land_lanes(self, seeds: Sequence[Sequence[float]]) -> list:
-        """Where the flow from each seed comes to rest, all seeds in lockstep.
-
-        Each seed is one lane of a single vectorized integration.  A lane
-        follows `integrate`'s step rule with its own step size and ends as
-        (critical point, lattice offset) or as the IntegrationFailureError
-        that `integrate` would raise for it.  Lanes record no trajectory.
-        The stages are written with the gradient g instead of the flow -g;
-        negation is exact, so `x - c*g` equals `integrate`'s `x + c*(-g)`.
+        A lane ends as a `_Landing` or as the IntegrationFailureError its
+        flow raises.  Before each step it checks flow time, landing and step
+        budget, in that order; a step then fails on no descent at the
+        minimal step or on a collapsed frame.  With `record`, a landing
+        carries its trajectory: (time, point) at the seed and after every
+        accepted step.  `frames` (lanes x n x m) are tangent frames at the
+        seeds, carried by the linearised flow (`_advance_frames`) and
+        returned with the landing.  No lane depends on the others, so a lane
+        run alone gives the same bits.
         """
         cfg = self.cfg
         grad = self.comp.grad_batch
@@ -637,21 +561,25 @@ class _Analysis:
         out: list = [None] * len(seeds)
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
+        v = None if frames is None else np.array(frames, dtype=float)
         fx = value(x)
         t = np.zeros(len(seeds))
         h = np.full(len(seeds), cfg.step_init)
         steps = np.zeros(len(seeds), dtype=int)
         fresh = np.ones(len(seeds), dtype=bool)
+        paths = [[(0.0, tuple(s))] for s in x.tolist()] if record else None
 
         def pair(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             both = grad(np.concatenate((y, z)))
             return both[: len(y)], both[len(y) :]
 
         def finish(done: np.ndarray) -> None:
-            nonlocal lane, x, fx, t, h, steps, fresh
+            nonlocal lane, x, v, fx, t, h, steps, fresh
             keep = ~done
             lane, x, fx, t, h = lane[keep], x[keep], fx[keep], t[keep], h[keep]
             steps, fresh = steps[keep], fresh[keep]
+            if v is not None:
+                v = v[keep]
 
         while len(lane):
             # A lane that has just accepted a step (or not yet taken one)
@@ -666,18 +594,26 @@ class _Analysis:
             landed = fresh & ~late & near.any(axis=1)
             steps += fresh & ~late & ~landed
             spent = steps > cfg.max_steps
-            for k in np.flatnonzero(late):
-                out[lane[k]] = IntegrationFailureError(
-                    f"no rest point reached within flow time {cfg.max_flow_time}"
-                )
-            for k in np.flatnonzero(landed):
-                i = int(near[k].argmax())
-                out[lane[k]] = (self.points[i], tuple(int(o) for o in np.round(d[k, i])))
-            for k in np.flatnonzero(spent):
-                out[lane[k]] = IntegrationFailureError("step budget exhausted")
             done = late | landed | spent
             if done.any():
+                for k in np.flatnonzero(late):
+                    out[lane[k]] = IntegrationFailureError(
+                        f"no rest point reached within flow time {cfg.max_flow_time}"
+                    )
+                for k in np.flatnonzero(landed):
+                    i = int(near[k].argmax())
+                    out[lane[k]] = _Landing(
+                        self.points[i],
+                        tuple(int(o) for o in np.round(d[k, i])),
+                        x[k].copy(),
+                        tuple(paths[lane[k]]) if record else None,
+                        None if v is None else v[k].copy(),
+                    )
+                for k in np.flatnonzero(spent):
+                    out[lane[k]] = IntegrationFailureError("step budget exhausted")
                 finish(done)
+                if not len(lane):
+                    break
 
             hh = h[:, None]
             half = 0.5 * hh
@@ -685,15 +621,21 @@ class _Analysis:
             # The full step and the first half step share g1 and are
             # independent after it, so their stages go in one call each.
             g1 = grad(x)
-            g2, m2 = pair(x - half * g1, x - quarter * g1)
-            g3, m3 = pair(x - half * g2, x - quarter * m2)
-            g4, m4 = pair(x - hh * g3, x - half * m3)
+            y2 = x - quarter * g1
+            g2, m2 = pair(x - half * g1, y2)
+            y3 = x - quarter * m2
+            g3, m3 = pair(x - half * g2, y3)
+            y4 = x - half * m3
+            g4, m4 = pair(x - hh * g3, y4)
             full = x - (hh / 6.0) * (g1 + 2.0 * (g2 + g3) + g4)
             mid = x - (half / 6.0) * (g1 + 2.0 * (m2 + m3) + m4)
             l1 = grad(mid)
-            l2 = grad(mid - quarter * l1)
-            l3 = grad(mid - quarter * l2)
-            l4 = grad(mid - half * l3)
+            z2 = mid - quarter * l1
+            l2 = grad(z2)
+            z3 = mid - quarter * l2
+            l3 = grad(z3)
+            z4 = mid - half * l3
+            l4 = grad(z4)
             twohalf = mid - (half / 6.0) * (l1 + 2.0 * (l2 + l3) + l4)
             err = np.abs(full - twohalf).max(axis=1)
             xn = twohalf + (twohalf - full) / 15.0
@@ -703,6 +645,15 @@ class _Analysis:
             climbs = ~rough & (fn >= fx)
             stuck = climbs & ~above_min
             take = ~rough & ~climbs
+            collapsed = np.zeros(len(lane), dtype=bool)
+            if v is not None and take.any():
+                moved = np.flatnonzero(take)
+                stages = np.stack(
+                    [s[moved] for s in (x, y2, y3, y4, mid, z2, z3, z4)], axis=1
+                )
+                v[moved], collapsed[moved] = self._advance_frames(
+                    v[moved], stages, half[moved, :, None]
+                )
             h = np.where(rough | (climbs & above_min), np.maximum(0.5 * h, cfg.step_min), h)
             x = np.where(take[:, None], xn, x)
             fx = np.where(take, fn, fx)
@@ -710,64 +661,59 @@ class _Analysis:
             grow = take & (err * 32.0 < cfg.step_tol)
             h = np.where(grow, np.minimum(2.0 * h, cfg.step_max), h)
             fresh = take
-            for k in np.flatnonzero(stuck):
-                out[lane[k]] = IntegrationFailureError(
-                    "function value failed to decrease at the minimal step"
-                )
-            if stuck.any():
-                finish(stuck)
+            if record:
+                for k, tk, xk in zip(lane[take].tolist(), t[take].tolist(), x[take].tolist()):
+                    paths[k].append((tk, tuple(xk)))
+            failed = stuck | collapsed
+            if failed.any():
+                for k in np.flatnonzero(stuck):
+                    out[lane[k]] = IntegrationFailureError(
+                        "function value failed to decrease at the minimal step"
+                    )
+                for k in np.flatnonzero(collapsed):
+                    out[lane[k]] = IntegrationFailureError("transported frame collapsed")
+                finish(failed)
         return out
 
-    def _advance_frame(
-        self, v: np.ndarray, stages: tuple[list[float], ...], half_h: float
-    ) -> np.ndarray:
-        """RK4 for v' = -Hess(x) v over the two half steps of an accepted step.
+    def _advance_frames(
+        self, v: np.ndarray, stages: np.ndarray, half_h: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """RK4 for v' = -Hess(x) v over the two half steps of each lane's step.
 
-        `stages` are the eight points at which the half steps evaluated the
-        gradient, so the frame follows the same discrete path as the position.
+        `v` holds one frame per lane (lanes x n x m), `stages` the eight
+        points at which the lane's half steps evaluated the gradient (lanes x
+        8 x n), so each frame follows the same discrete path as its lane, and
+        `half_h` the half step (lanes x 1 x 1).  Returns the frames
+        re-orthonormalised and which of them collapsed.
         """
-        jac = -self.comp.hess_batch(np.array(stages))
+        lanes, _, n = stages.shape
+        jac = -self.comp.hess_batch(stages.reshape(-1, n)).reshape(lanes, 8, n, n)
         quarter = 0.5 * half_h
         for i in (0, 4):
-            k1 = jac[i] @ v
-            k2 = jac[i + 1] @ (v + quarter * k1)
-            k3 = jac[i + 2] @ (v + quarter * k2)
-            k4 = jac[i + 3] @ (v + half_h * k3)
+            k1 = jac[:, i] @ v
+            k2 = jac[:, i + 1] @ (v + quarter * k1)
+            k3 = jac[:, i + 2] @ (v + quarter * k2)
+            k4 = jac[:, i + 3] @ (v + half_h * k3)
             v = v + (half_h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         # Orientation-safe re-orthonormalization: with R's diagonal kept
         # positive, replacing the frame by Q preserves the sign class.
         q, r = np.linalg.qr(v)
-        diag = np.diagonal(r)
-        if np.any(diag == 0.0):
-            raise IntegrationFailureError("transported frame collapsed")
-        return q * np.sign(diag)
-
-    # classification -------------------------------------------------------
-
-    def seed(self, p: CriticalPoint, direction: np.ndarray) -> list[float]:
-        return [
-            p.position[j] + self.cfg.sphere_radius * float(direction[j])
-            for j in range(self.n)
-        ]
-
-    def classify(
-        self, p: CriticalPoint, direction: np.ndarray, frame: np.ndarray | None = None
-    ) -> _Landing:
-        landing = self.integrate(self.seed(p, direction), frame)
-        if landing.point.index >= p.index:
-            raise _rests_too_high(p, landing.point)
-        return landing
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * np.sign(diag)[:, None, :], (diag == 0.0).any(axis=1)
 
     # rigid flows ------------------------------------------------------------
 
     def rigid_flows(self) -> list[FlowLine]:
-        """Rigid flows out of every index-1 and index-2 point, in point order."""
+        """Rigid flows out of every index-2 and index-1 point, in point order.
+
+        `find_critical_points` lists points by falling index, so the index-2
+        points come first and the saddles, all in one run, after them.
+        """
         flows: list[FlowLine] = []
         for p in self.points:
-            if p.index == 1:
-                flows.extend(self.saddle_flows(p))
-            elif p.index == 2:
+            if p.index == 2:
                 flows.extend(self.max_flows(p))
+        flows.extend(self.saddle_flows([p for p in self.points if p.index == 1]))
         return flows
 
     def _flow_line(
@@ -795,7 +741,7 @@ class _Analysis:
     def _sign(self, a: CriticalPoint, landing: _Landing) -> int:
         """Sign of a rigid flow: carried unstable frame against the arrival basis."""
         target = landing.point
-        arrival = -self.comp.np_grad(np.array(landing.state))
+        arrival = -self.comp.np_grad(landing.state)
         speed = np.linalg.norm(arrival)
         if speed == 0.0:
             raise IntegrationFailureError("vanishing velocity at arrival")
@@ -811,16 +757,29 @@ class _Analysis:
             )
         return 1 if det > 0 else -1
 
-    def saddle_flows(self, a: CriticalPoint) -> list[FlowLine]:
-        if a.index != 1:
+    def saddle_flows(self, saddles: Sequence[CriticalPoint]) -> list[FlowLine]:
+        """Rigid flows along w and -w out of each index-1 point, all in one run."""
+        if any(a.index != 1 for a in saddles):
             raise InputError("saddle_flows requires an index-1 source")
-        frame = self.unstable_frame(a)
-        w = frame[:, 0]
-        counters: dict[str, int] = {}
-        return [
-            self._flow_line(a, d, None, self.classify(a, d, frame), counters)
-            for d in (w, -w)
+        frames = [self.unstable_frame(a) for a in saddles]
+        departures = [
+            (a, d, frame)
+            for a, frame in zip(saddles, frames)
+            for d in (frame[:, 0], -frame[:, 0])
         ]
+        landings = self.land_lanes(
+            [self.seed(a, d) for a, d, _ in departures],
+            np.array([frame for _, _, frame in departures]),
+            record=True,
+        )
+        flows = []
+        counters: dict[str, dict[str, int]] = {a.id: {} for a in saddles}
+        for (a, d, _), got in zip(departures, landings):
+            landing = _ok(got)
+            if landing.point.index >= a.index:
+                raise _rests_too_high(a, landing.point)
+            flows.append(self._flow_line(a, d, None, landing, counters[a.id]))
+        return flows
 
     # index-2 sources --------------------------------------------------------
 
@@ -840,7 +799,7 @@ class _Analysis:
             if isinstance(got, Exception):
                 out.append(got)
                 continue
-            point, offset = got
+            point, offset = got.point, got.offset
             if point.index >= a.index:
                 out.append(_rests_too_high(a, point))
             elif point.index == 0:
@@ -860,10 +819,7 @@ class _Analysis:
         n_samples = cfg.circle_samples
         step = TWO_PI / n_samples
         thetas = [k * step for k in range(n_samples)]
-        results = self._classify_angles(a, thetas)
-        for got in results:
-            if isinstance(got, Exception):
-                raise got
+        results = [_ok(got) for got in self._classify_angles(a, thetas)]
 
         boundaries: list[_Boundary] = []
         for k, (kind, _, point) in enumerate(results):
@@ -915,9 +871,7 @@ class _Analysis:
                     cls = inside[0]
                 else:
                     (got,) = self._classify_angles(a, [0.5 * (b.angle + end)])
-                    if isinstance(got, Exception):
-                        raise got
-                    kind, cls, _ = got
+                    kind, cls, _ = _ok(got)
                     if kind != "sink":
                         raise MorseSmaleViolationError(
                             "arc midpoint rests at an intermediate-index point"
@@ -978,9 +932,7 @@ class _Analysis:
                 advance(i, cache[0.5 * (lo + hi)])
         boundaries = []
         for got in found:
-            if isinstance(got, Exception):
-                raise got
-            boundaries.extend(got)
+            boundaries.extend(_ok(got))
         return boundaries
 
     def _bisect_boundaries(self, lo: float, lo_cls, hi: float, hi_cls):
@@ -1011,11 +963,16 @@ class _Analysis:
         """Rigid flows out of an index-2 point, one per basin boundary direction."""
         boundaries, _ = self.partition(a)
         frame = self.unstable_frame(a)
+        directions = [self.direction_at(a, b.angle) for b in boundaries]
+        landings = self.land_lanes(
+            [self.seed(a, d) for d in directions],
+            np.array([frame] * len(boundaries)),
+            record=True,
+        )
         flows = []
         counters: dict[str, int] = {}
-        for b in boundaries:
-            direction = self.direction_at(a, b.angle)
-            landing = self.integrate(self.seed(a, direction), frame)
+        for b, direction, got in zip(boundaries, directions, landings):
+            landing = _ok(got)
             if landing.point.id != b.saddle.id:
                 raise MorseSmaleViolationError(
                     f"boundary direction near angle {b.angle:.9f} rests at "
@@ -1027,16 +984,15 @@ class _Analysis:
     # one-parameter families ---------------------------------------------------
 
     def _exit_direction(
-        self, a: CriticalPoint, theta: float, saddle: CriticalPoint, sink: CriticalPoint
-    ):
-        """Direction along which a near-boundary trajectory leaves the saddle."""
-        rec = self.integrate(self.seed(a, self.direction_at(a, theta)))
-        if rec.point.id != sink.id:
+        self, landing: _Landing, theta: float, saddle: CriticalPoint, sink: CriticalPoint
+    ) -> np.ndarray:
+        """Direction along which a probe's trajectory leaves the saddle."""
+        if landing.point.id != sink.id:
             raise UnmatchedEndpointError(
-                f"probe at angle {theta:.9f} rested at {rec.point.id}, "
+                f"probe at angle {theta:.9f} rested at {landing.point.id}, "
                 f"expected {sink.id}"
             )
-        pts = [p for _, p in rec.trajectory]
+        pts = [p for _, p in landing.trajectory]
         dists = [torus_distance(p, saddle.position) for p in pts]
         near = min(range(len(pts)), key=lambda i: dists[i])
         exit_radius = min(0.1, 0.4 * self.min_separation)
@@ -1048,6 +1004,43 @@ class _Analysis:
         if dist == 0.0:
             raise UnmatchedEndpointError("probe trajectory never left the saddle")
         return np.array(res) / dist
+
+    def _probe_exits(
+        self,
+        a: CriticalPoint,
+        sink: CriticalPoint,
+        probes: Sequence[tuple[float, float, CriticalPoint]],
+    ) -> list:
+        """Exit directions of probes (boundary angle, inward width, saddle) from `a`.
+
+        A probe departs at eta = min(probe_offset, |width|/4) from its
+        boundary toward the arc.  That close, it can rest at the saddle
+        itself, so a probe that misses the sink backs off to 2 eta, 4 eta,
+        ... while eta stays within |width|/4.  The first offsets of all
+        probes form one lane run, and each round of retries a later one.
+        Each entry is the exit direction or the error of the probe's last
+        attempt.
+        """
+        out: list = [None] * len(probes)
+        eta = [min(self.cfg.probe_offset, 0.25 * abs(w)) for _, w, _ in probes]
+        pending = list(range(len(probes)))
+        while pending:
+            thetas = [probes[i][0] + math.copysign(eta[i], probes[i][1]) for i in pending]
+            seeds = [self.seed(a, self.direction_at(a, th)) for th in thetas]
+            retry = []
+            for i, theta, got in zip(pending, thetas, self.land_lanes(seeds, record=True)):
+                if isinstance(got, Exception):
+                    out[i] = got
+                    continue
+                try:
+                    out[i] = self._exit_direction(got, theta, probes[i][2], sink)
+                except UnmatchedEndpointError as exc:
+                    out[i] = exc
+                    eta[i] *= 2.0
+                    if eta[i] <= 0.25 * abs(probes[i][1]) + 1e-15:
+                        retry.append(i)
+            pending = retry
+        return out
 
     def families(
         self, a: CriticalPoint, c: CriticalPoint, flows: list[FlowLine]
@@ -1086,26 +1079,7 @@ class _Analysis:
                 f"angle {b.angle:.9f}"
             )
 
-        def second_flow(b: _Boundary, boundary_theta: float, inward: float) -> FlowLine:
-            # Probes too close to the boundary can rest at the saddle itself;
-            # back off geometrically until one reaches the sink.
-            width_cap = 0.25 * abs(inward)
-            exit_dir = None
-            last_error: UnmatchedEndpointError | None = None
-            eta = min(cfg.probe_offset, width_cap)
-            while eta <= width_cap + 1e-15:
-                try:
-                    exit_dir = self._exit_direction(
-                        a, boundary_theta + math.copysign(eta, inward), b.saddle, c
-                    )
-                    break
-                except UnmatchedEndpointError as exc:
-                    last_error = exc
-                    eta *= 2.0
-            if exit_dir is None:
-                raise last_error or UnmatchedEndpointError(
-                    f"no usable probe near angle {boundary_theta:.9f}"
-                )
+        def second_flow(b: _Boundary, exit_dir: np.ndarray) -> FlowLine:
             best = None
             best_dot = -math.inf
             for fl in flows:
@@ -1121,19 +1095,37 @@ class _Analysis:
                 )
             return best
 
-        for arc in arcs:
-            if arc.landing_class[0] != c.id:
-                continue
-            b_start = boundary_at(arc.start)
-            b_end = boundary_at(arc.end)
-            width = arc.end - arc.start
-            start_second = second_flow(b_start, arc.start, width)
-            end_second = second_flow(b_end, arc.end, -width)
-            ends = tuple(
-                BrokenFlow(b.saddle.id, first_flow(b).id, second.id)
-                for b, second in ((b_start, start_second), (b_end, end_second))
+        chosen = [arc for arc in arcs if arc.landing_class[0] == c.id]
+        located: list = []
+        for arc in chosen:
+            try:
+                located.append((boundary_at(arc.start), boundary_at(arc.end)))
+            except UnmatchedEndpointError as exc:
+                located.append(exc)
+        # Both ends of every arc probe inward in one run; the loop below
+        # meets each outcome where a one-arc-at-a-time build would.
+        probes = [
+            probe
+            for arc, ends in zip(chosen, located)
+            if not isinstance(ends, Exception)
+            for probe in (
+                (arc.start, arc.end - arc.start, ends[0].saddle),
+                (arc.end, -(arc.end - arc.start), ends[1].saddle),
             )
-            out.append(IntervalComponent(ends))
+        ]
+        exits = iter(self._probe_exits(a, c, probes))
+        for ends in located:
+            b_start, b_end = _ok(ends)
+            start_second = second_flow(b_start, _ok(next(exits)))
+            end_second = second_flow(b_end, _ok(next(exits)))
+            out.append(
+                IntervalComponent(
+                    tuple(
+                        BrokenFlow(b.saddle.id, first_flow(b).id, second.id)
+                        for b, second in ((b_start, start_second), (b_end, end_second))
+                    )
+                )
+            )
         return out
 
 
@@ -1161,7 +1153,7 @@ def connecting_orbits(
     a = _resolve(analysis, a)
     b = _resolve(analysis, b)
     if a.index == 1:
-        flows = analysis.saddle_flows(a)
+        flows = analysis.saddle_flows([a])
     elif a.index == 2:
         flows = analysis.max_flows(a)
     else:

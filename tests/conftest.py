@@ -1,20 +1,27 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here stay deliberately naive: rank computation by fraction
-Gaussian elimination, modular homology by enumerating small modules, and a
+Gaussian elimination, modular homology by enumerating small modules, a
 combinatorial surface triangulation whose boundary matrices are written
-down directly.  The library is then required to agree with them.
+down directly, and a scalar, one-trajectory-at-a-time flow integrator.  The
+library is then required to agree with them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from morseflow import ChainComplexData, FilteredRealization, IntegerMatrix
+from morseflow.errors import IntegrationFailureError
+from morseflow.morse import _compiled
+
+TWO_PI = 2.0 * math.pi
 
 
 # -- simplicial torus oracle ------------------------------------------------
@@ -214,6 +221,153 @@ def tampered_copy(x: FilteredRealization, rng: random.Random) -> FilteredRealiza
     comps = dict(x.components)
     comps[(p, p - 1)] = IntegerMatrix(rows, cols=mat.shape[1])
     return FilteredRealization(x.complex, x.ring, comps)
+
+
+# -- scalar flow oracle -----------------------------------------------------
+
+
+def _float_terms(f):
+    return [
+        (tuple(float(k) for k in t.frequency), float(t.cos_coeff), float(t.sin_coeff))
+        for t in f.terms
+    ]
+
+
+def _phase(freq, x):
+    ph = 0.0
+    for k, xj in zip(freq, x):
+        ph += k * xj
+    return ph * TWO_PI
+
+
+def _value(terms, x) -> float:
+    total = 0.0
+    for freq, c, s in terms:
+        ph = _phase(freq, x)
+        total += c * math.cos(ph) + s * math.sin(ph)
+    return total
+
+
+def _neg_grad(terms, x) -> list[float]:
+    g = [0.0] * len(x)
+    for freq, c, s in terms:
+        ph = _phase(freq, x)
+        w = TWO_PI * (c * math.sin(ph) - s * math.cos(ph))
+        for j in range(len(x)):
+            g[j] += w * freq[j]
+    return g
+
+
+def _advance_frame(hess, v, stages, half):
+    """RK4 for v' = -Hess(x) v over two half steps, then QR, diagonal positive.
+
+    `stages` are the eight points at which the half steps evaluated the
+    gradient, so the frame follows the same discrete path as the position.
+    """
+    jac = [-h for h in hess(np.array(stages))]
+    quarter = 0.5 * half
+    for i in (0, 4):
+        k1 = jac[i] @ v
+        k2 = jac[i + 1] @ (v + quarter * k1)
+        k3 = jac[i + 2] @ (v + quarter * k2)
+        k4 = jac[i + 3] @ (v + half * k3)
+        v = v + (half / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    q, r = np.linalg.qr(v)
+    diag = np.diagonal(r)
+    if np.any(diag == 0.0):
+        raise IntegrationFailureError("transported frame collapsed")
+    return q * np.sign(diag)
+
+
+def scalar_flow(f, cfg, points, x0, frame=None):
+    """Follow the negative gradient of f from x0, one point at a time.
+
+    Step-doubling RK4 with the package's step rule, in plain Python floats:
+    a full step against two half steps, halved while they differ by more
+    than `step_tol` or the value fails to drop, doubled after a step accurate
+    to 1/32 of it.  Checks flow time, landing and step budget before each
+    step.  A `frame` of tangent vectors at x0 is carried along by the
+    linearised flow, one step at a time; the Hessians come from the package.
+    Returns (rest point, lattice offset, trajectory, frame) or raises the
+    IntegrationFailureError of the package.
+    """
+    terms = _float_terms(f)
+    hess = _compiled(f).hess_batch
+    n = len(x0)
+
+    def g(y):
+        return _neg_grad(terms, y)
+
+    def landing(y):
+        for cp in points:
+            d = [yi - pi for yi, pi in zip(y, cp.position)]
+            off = tuple(round(di) for di in d)
+            dist = math.sqrt(sum((di - oi) * (di - oi) for di, oi in zip(d, off)))
+            if dist <= cfg.landing_radius:
+                return cp, off
+        return None
+
+    x = list(x0)
+    t = 0.0
+    h = cfg.step_init
+    fx = _value(terms, x)
+    traj = [(0.0, tuple(x))]
+    steps = 0
+    while t <= cfg.max_flow_time:
+        hit = landing(x)
+        if hit is not None:
+            return hit[0], hit[1], tuple(traj), frame
+        steps += 1
+        if steps > cfg.max_steps:
+            raise IntegrationFailureError("step budget exhausted")
+        while True:
+            k1 = g(x)
+            half = 0.5 * h
+            quarter = 0.25 * h
+            k2 = g([x[j] + half * k1[j] for j in range(n)])
+            k3 = g([x[j] + half * k2[j] for j in range(n)])
+            k4 = g([x[j] + h * k3[j] for j in range(n)])
+            full = [x[j] + (h / 6.0) * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]) for j in range(n)]
+            y2 = [x[j] + quarter * k1[j] for j in range(n)]
+            m2 = g(y2)
+            y3 = [x[j] + quarter * m2[j] for j in range(n)]
+            m3 = g(y3)
+            y4 = [x[j] + half * m3[j] for j in range(n)]
+            m4 = g(y4)
+            mid = [x[j] + (half / 6.0) * (k1[j] + 2.0 * (m2[j] + m3[j]) + m4[j]) for j in range(n)]
+            l1 = g(mid)
+            z2 = [mid[j] + quarter * l1[j] for j in range(n)]
+            l2 = g(z2)
+            z3 = [mid[j] + quarter * l2[j] for j in range(n)]
+            l3 = g(z3)
+            z4 = [mid[j] + half * l3[j] for j in range(n)]
+            l4 = g(z4)
+            two = [mid[j] + (half / 6.0) * (l1[j] + 2.0 * (l2[j] + l3[j]) + l4[j]) for j in range(n)]
+            err = max(abs(full[j] - two[j]) for j in range(n))
+            if err > cfg.step_tol and h > cfg.step_min:
+                h = max(0.5 * h, cfg.step_min)
+                continue
+            xn = [two[j] + (two[j] - full[j]) / 15.0 for j in range(n)]
+            fn = _value(terms, xn)
+            if fn >= fx:
+                if h > cfg.step_min:
+                    h = max(0.5 * h, cfg.step_min)
+                    continue
+                raise IntegrationFailureError(
+                    "function value failed to decrease at the minimal step"
+                )
+            break
+        if frame is not None:
+            frame = _advance_frame(hess, frame, (x, y2, y3, y4, mid, z2, z3, z4), half)
+        x = xn
+        fx = fn
+        t += h
+        traj.append((t, tuple(x)))
+        if err * 32.0 < cfg.step_tol:
+            h = min(2.0 * h, cfg.step_max)
+    raise IntegrationFailureError(
+        f"no rest point reached within flow time {cfg.max_flow_time}"
+    )
 
 
 # -- acceptance reporting ---------------------------------------------------

@@ -1,10 +1,18 @@
 """End-to-end command-line behavior: reports, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from morseflow import bank
+from morseflow import NumericalConfig, bank
 from morseflow.cli import CONFIG_ENV, main
 
 
@@ -259,6 +267,12 @@ class TestOrbits:
         assert all(f["samples"] > 0 for f in flows)
         assert {f["sign"] for f in flows} == {1, -1}
 
+    def test_unwritable_output_exits_one(self, capsys, tmp_path):
+        svg = tmp_path / "missing" / "orbits.svg"
+        code, rep = run(capsys, "orbits", "--example", "circle", "--svg", str(svg))
+        assert code == 1 and rep["status"] == "input-error"
+        assert str(svg) in rep["results"]["error"]
+
 
 class TestConfig:
     def test_config_flag(self, capsys, tmp_path):
@@ -323,6 +337,12 @@ MALFORMED = {
         "complex",
         {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "components": {"5,0": [[1]]}},
     ),
+    "config-grid-huge": ("config", {"grid_resolution": 10**400}),
+    "category-index-infinite": ("category", {"objects": [{"id": "M", "index": float("inf")}]}),
+    "category-family-int": (
+        "category",
+        {"objects": [{"id": "M", "index": 2}], "oneDimModuli": [{"components": [1]}]},
+    ),
 }
 
 
@@ -335,9 +355,146 @@ class TestMalformedInput:
             "config": ["orbits", "--example", "torus", "--config", path],
             "function": ["crit", "--function", path],
             "complex": ["realize", "--complex", path],
+            "category": ["validate", "--category", path],
         }[kind]
         code, rep = run(capsys, *argv)
         assert code == 1
         assert rep["status"] == "input-error"
         assert rep["command"] == argv[0]
         assert rep["results"]["error"]
+
+
+
+# -- fuzzing ----------------------------------------------------------------
+
+ODD_VALUES = (
+    None, True, False, 0, -1, 1, 2, 3, 0.5, 1.5, -2.5, 1e-3, 10**400, float("nan"),
+    float("inf"), "", "x", "1/3", "1/0", "p0.0", [], [1], [[1, 0]], {}, {"a": 1},
+)
+CONFIG_KEYS = sorted(NumericalConfig.__dataclass_fields__) + ["bogus"]
+RINGS = ("z", "q", "zmod:2", "zmod:0", "zmod:1", "zmod:x", "laurent:2:1", "laurent:0:0", "w")
+NAMES = ("circle", "torus", "klein", "rp2", "torus-perturbed:x", "nope", "")
+OBJECTS = ("p2.0", "p1.0", "p1.1", "p0.0", "nope", "")
+SMALL_COMPLEX = {"bases": [["a", "b"], ["e"]], "boundaries": [[[1, -1]]]}
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _json_paths(value, prefix + (i,))
+
+
+@st.composite
+def mutated(draw, bases):
+    """One of `bases` with up to three nodes replaced, deleted or joined by a stray."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        odd = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        if not path:
+            doc = odd
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(("replace", "delete", "stray")))
+        if action == "replace":
+            parent[path[-1]] = odd
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent["stray"] = odd
+        else:
+            parent.append(odd)
+    return doc
+
+
+def _category_json(name):
+    cat, orientation = bank.example_category(name)
+    return cat.to_json(orientation)
+
+
+FILES = {
+    "function": mutated([bank.example_function(n).to_json() for n in ("circle", "torus")]),
+    "category": mutated([_category_json(n) for n in ("torus", "klein")]),
+    "config": st.dictionaries(
+        st.sampled_from(CONFIG_KEYS), st.sampled_from(ODD_VALUES), max_size=3
+    ),
+    "complex": mutated([SMALL_COMPLEX]),
+}
+# The pieces each command accepts; any piece may also land on another command.
+PIECES = {
+    "crit": ("function", "config", "example"),
+    "homology": ("function", "config", "example", "category", "ring", "base"),
+    "validate": ("function", "config", "example", "category"),
+    "strata": ("function", "config", "example", "category", "object", "object"),
+    "realize": ("complex", "ring"),
+    "examples": ("name", "out"),
+    "orbits": ("function", "config", "example", "svg", "csv"),
+}
+ALL_PIECES = sorted({p for ps in PIECES.values() for p in ps} | {"stray-flag", "no-value"})
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A command line of valid and malformed pieces, with the files it names."""
+    command = draw(st.sampled_from(sorted(PIECES)))
+    argv, files = [command], {}
+    pieces = draw(st.lists(st.sampled_from(PIECES[command]), max_size=5))
+    if draw(st.integers(0, 3)) == 0:  # now and then a piece the command lacks
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(ALL_PIECES)))
+    for piece in pieces:
+        if piece in FILES:
+            files[f"{piece}.json"] = draw(FILES[piece])
+            argv += [f"--{piece}", draw(st.sampled_from((f"{piece}.json", "absent.json")))]
+        elif piece == "object":
+            argv.append(draw(st.sampled_from(OBJECTS)))
+        elif piece == "stray-flag":
+            argv.append("--bogus")
+        elif piece == "no-value":
+            argv.append(draw(st.sampled_from(("--ring", "--example", "--function"))))
+        else:
+            value = {
+                "example": NAMES,
+                "name": NAMES,
+                "ring": RINGS,
+                "base": OBJECTS,
+                "out": ("out", "function.json"),
+                "svg": ("t.svg", "missing/t.svg"),
+                "csv": ("t.csv", "missing/t.csv"),
+            }[piece]
+            argv += [f"--{piece}", draw(st.sampled_from(value))]
+    return argv, files
+
+
+class TestFuzz:
+    # The autouse fixture only clears an environment variable, which holds
+    # for every example alike.
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(fuzzed_argv())
+    def test_every_call_prints_one_report_and_exits_0_1_or_2(self, case):
+        argv, files = case
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                for name, payload in files.items():
+                    Path(name).write_text(json.dumps(payload))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+        status = {0: "ok", 1: "input-error", 2: "validation-failure"}
+        assert code in status
+        report = json.loads(out.getvalue())
+        assert sorted(report) == ["command", "inputs", "results", "status", "warnings"]
+        assert report["status"] == status[code]

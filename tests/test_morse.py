@@ -6,7 +6,9 @@ import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from conftest import scalar_flow
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +36,13 @@ from morseflow.bank import (
     perturbed_torus_seeds,
     torus_function,
 )
-from morseflow.errors import InputError, IntegrationFailureError, NotMorseError
-from morseflow.morse import _Analysis
+from morseflow.errors import (
+    InputError,
+    IntegrationFailureError,
+    MorseSmaleViolationError,
+    NotMorseError,
+)
+from morseflow.morse import _Analysis, _compiled, _Landing
 
 
 def three_torus_function() -> TrigPolynomial:
@@ -146,6 +153,41 @@ class TestEvaluation:
         )
         _, _, h = eval_grad_hess(f, (0.13, 0.71))
         assert h[0][1] == pytest.approx(h[1][0], rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_batch_rows_equal_rows_evaluated_alone(self, data):
+        # Lanes share evaluator calls, so each row must get the same bits in
+        # a batch of any size as it gets alone (one row is the edge case:
+        # a matrix-vector product rounds differently from a matrix product).
+        dim = data.draw(st.integers(1, 3))
+        coeff = st.fractions(-3, 3, max_denominator=12)
+        terms = data.draw(
+            st.lists(
+                st.builds(
+                    TrigTerm,
+                    st.tuples(*[st.integers(-3, 3)] * dim),
+                    coeff,
+                    coeff,
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        try:
+            f = TrigPolynomial(dim, tuple(terms))
+        except InputError:
+            return
+        coords = st.floats(-1.0, 2.0, allow_nan=False)
+        x = np.array(
+            data.draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=16)),
+            dtype=float,
+        )
+        comp = _compiled(f)
+        for evaluate in (comp.value_batch, comp.grad_batch, comp.hess_batch):
+            batch = evaluate(x)
+            for i in range(len(x)):
+                assert batch[i].tobytes() == evaluate(x[i : i + 1])[0].tobytes()
 
 
 class TestNumericalConfig:
@@ -292,6 +334,36 @@ def comparable(outcome):
     return (type(outcome), outcome.args) if isinstance(outcome, Exception) else outcome
 
 
+def oracle(analysis, seed):
+    """The scalar oracle's (rest point, offset, trajectory) from seed, or its error."""
+    try:
+        return scalar_flow(analysis.f, analysis.cfg, analysis.points, seed)[:3]
+    except IntegrationFailureError as exc:
+        return exc
+
+
+def recorded(got):
+    """A recorded lane's outcome in the oracle's shape."""
+    return got if isinstance(got, Exception) else (got.point, got.offset, got.trajectory)
+
+
+def framed_departures(analysis, index):
+    """Seeds and unstable frames of departures out of every point of one index."""
+    seeds, frames = [], []
+    for p in analysis.points:
+        if p.index != index:
+            continue
+        frame = analysis.unstable_frame(p)
+        if index == 1:
+            directions = [frame[:, 0], -frame[:, 0]]
+        else:
+            directions = [analysis.direction_at(p, (k + 0.5) * math.pi / 3) for k in range(6)]
+        for d in directions:
+            seeds.append(analysis.seed(p, d))
+            frames.append(frame)
+    return seeds, frames
+
+
 class TestLanes:
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_lanes_land_where_scalar_integration_lands(self, f):
@@ -303,17 +375,16 @@ class TestLanes:
                 analysis.seed(p, analysis.direction_at(p, (k + 0.5) * 2 * math.pi / 64))
                 for k in range(64)
             ]
-            for seed, got in zip(seeds, analysis.land_lanes(seeds)):
-                landing = analysis.integrate(seed)
-                assert got == (landing.point, landing.offset)
+            for seed, got in zip(seeds, analysis.land_lanes(seeds, record=True)):
+                assert recorded(got) == oracle(analysis, seed)
 
     @pytest.mark.parametrize(
         "coarse", [{}, {"step_tol": 0.1, "step_max": 0.2}], ids=["default", "coarse"]
     )
     def test_lanes_stop_where_scalar_integration_stops(self, coarse):
-        # Step budget and flow time set at the median scalar run's exact
+        # Step budget and flow time set at the median oracle run's exact
         # step count and arrival time, and just below them: a lane whose
-        # step rule differs from integrate's lands on the other side.  The
+        # step rule differs from the oracle's lands on the other side.  The
         # coarse tolerance makes steps overshoot, so the descent check bites.
         f = perturbed_torus(perturbed_torus_seeds(1)[0])
         analysis = _Analysis(f, NumericalConfig(**coarse))
@@ -322,7 +393,7 @@ class TestLanes:
             analysis.seed(top, analysis.direction_at(top, (k + 0.5) * 2 * math.pi / 32))
             for k in range(32)
         ]
-        runs = sorted((analysis.integrate(seed).trajectory for seed in seeds), key=len)
+        runs = sorted((oracle(analysis, seed)[2] for seed in seeds), key=len)
         steps, time = len(runs[16]) - 1, runs[16][-1][0]
         for limits in (
             {"max_steps": steps},
@@ -331,17 +402,50 @@ class TestLanes:
             {"max_flow_time": math.nextafter(time, 0.0)},
         ):
             limited = _Analysis(f, NumericalConfig(**coarse, **limits), analysis.points)
-            scalar = []
-            for seed in seeds:
-                try:
-                    landing = limited.integrate(seed)
-                    scalar.append((landing.point, landing.offset))
-                except IntegrationFailureError as exc:
-                    scalar.append(exc)
-            lanes = limited.land_lanes(seeds)
+            scalar = [oracle(limited, seed) for seed in seeds]
+            lanes = [recorded(got) for got in limited.land_lanes(seeds, record=True)]
             assert list(map(comparable, lanes)) == list(map(comparable, scalar))
             failed = sum(isinstance(got, Exception) for got in lanes)
             assert 0 < failed < len(seeds)
+
+    @pytest.mark.parametrize("index", [1, 2], ids=["saddle-frames", "maximum-frames"])
+    def test_trajectories_and_frames_do_not_depend_on_the_batch(self, index):
+        # Every lane is run alone, in batches of two and in one mixed batch
+        # (reversed, beside a lane that rests at once and a lane whose zero
+        # frame collapses); trajectories, rest states and carried frames
+        # must keep every bit, and the lone runs must match the oracle,
+        # which carries its frame one step at a time.
+        analysis = _Analysis(perturbed_torus(perturbed_torus_seeds(1)[0]), NumericalConfig())
+        seeds, frames = framed_departures(analysis, index)
+        assert len(seeds) >= 4
+
+        def run(lanes):
+            got = analysis.land_lanes(
+                [s for s, _ in lanes], np.array([v for _, v in lanes]), record=True
+            )
+            assert all(isinstance(g, _Landing) for g in got[: len(seeds)])
+            return got
+
+        lanes = list(zip(seeds, frames))
+        alone = [run([lane])[0] for lane in lanes]
+        pairs = [got for i in range(0, len(lanes), 2) for got in run(lanes[i : i + 2])]
+        rest = analysis.points[-1]
+        extra = [(list(rest.position), frames[0]), (seeds[0], np.zeros_like(frames[0]))]
+        mixed = run(lanes[::-1] + extra)
+        resting, collapsed = mixed[len(seeds) :]
+        for seed, frame, one in zip(seeds, frames, alone):
+            *scalar, carried = scalar_flow(analysis.f, analysis.cfg, analysis.points, seed, frame)
+            assert recorded(one) == tuple(scalar)
+            assert one.frame.tobytes() == carried.tobytes()
+        for batch in (pairs, mixed[len(seeds) - 1 :: -1]):
+            for one, got in zip(alone, batch):
+                assert recorded(got) == recorded(one)
+                assert got.state.tobytes() == one.state.tobytes()
+                assert got.frame.tobytes() == one.frame.tobytes()
+        assert resting.point == rest and resting.trajectory == ((0.0, rest.position),)
+        assert comparable(collapsed) == comparable(
+            IntegrationFailureError("transported frame collapsed")
+        )
 
     @settings(max_examples=12, deadline=None)
     @given(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=6))
@@ -397,6 +501,50 @@ class TestLanes:
         assert partition_with_error_at(unvisited[0]) == clean
         with pytest.raises(IntegrationFailureError, match="injected"):
             partition_with_error_at(min(visited))
+
+    @pytest.mark.parametrize("run", ["saddles", "boundaries", "probes"])
+    def test_lane_errors_raise_in_sequential_order(self, monkeypatch, run):
+        # The first lane run of one kind comes back with lanes 0-2 spoiled.
+        # Built one flow at a time, lane 1's failure is met first: a saddle's
+        # -w flow before the next saddle's w flow, a boundary before the next
+        # one, and an arc's end probe (after its start probe, sent back for
+        # a retry) before the next arc's start probe.  Lane 2's failure is a
+        # plain integration error that an unordered walk could raise instead.
+        f = perturbed_torus(perturbed_torus_seeds(1)[0])
+        points = find_critical_points(f)
+        saddle = next(p for p in points if p.index == 1)
+        land = _Analysis.land_lanes
+        runs = []
+
+        def kind(frames, record):
+            if frames is not None:
+                return "saddles" if frames.shape[2] == 1 else "boundaries"
+            return "probes" if record else "angles"
+
+        def spoiled(self, seeds, frames=None, record=False):
+            out = land(self, seeds, frames, record)
+            runs.append(kind(frames, record))
+            if runs.count(run) == 1 and runs[-1] == run:
+                assert len(out) >= 3
+                if run == "probes":
+                    out[0] = out[0]._replace(point=saddle)
+                    out[1] = IntegrationFailureError("injected at lane 1")
+                else:
+                    wrong = saddle if run == "saddles" else points[-1]
+                    out[1] = out[1]._replace(point=wrong)
+                out[2] = IntegrationFailureError("injected at lane 2")
+            return out
+
+        monkeypatch.setattr(_Analysis, "land_lanes", spoiled)
+        expected = {
+            "saddles": (MorseSmaleViolationError, f"trajectory from {saddle.id} reached"),
+            "boundaries": (MorseSmaleViolationError, f"rests at {points[-1].id}, expected"),
+            "probes": (IntegrationFailureError, "injected at lane 1"),
+        }[run]
+        with pytest.raises(expected[0], match=expected[1]):
+            build_flow_category(f)
+        if run == "probes":
+            assert runs.count("probes") >= 2  # lane 0 was retried in a later run
 
 
 class TestRefinementInvariance:

@@ -2,8 +2,11 @@
 
 Runs the CLI in-process on every example name, writes each report (exit
 code and stdout) and every file the CLI writes under OUT/cli, and writes the
-full category JSON with signs and the trajectory CSV of `flow_lines` for the
-first N perturbed tori under OUT/perturbed.  Under OUT/partitions it writes
+full category JSON with signs for the first N perturbed tori under
+OUT/perturbed.  Under OUT/trajectories it writes every sample of
+`flow_lines` of the torus and of those perturbed tori, time and coordinates
+as `float.hex`, so a change in the last bit of a recorded trajectory
+shows.  Under OUT/partitions it writes
 the departure-circle partition of every index-2 point of the torus and of
 those perturbed tori: each boundary angle as `float.hex` with its saddle,
 and each arc's ends (also `float.hex`) with its landing class, so bisection
@@ -46,7 +49,6 @@ from morseflow.morse import (
     _Analysis,
     build_flow_category,
     flow_lines,
-    trajectory_csv,
 )
 
 RINGS = ("z", "zmod:2", "q", "laurent:2:1")
@@ -108,23 +110,35 @@ def dump_cli(out: Path, names: list[str]) -> None:
         os.chdir(cwd)
 
 
+def _tori(count: int) -> list:
+    return [("torus", bank.torus_function())] + [
+        (f"seed{seed}", bank.perturbed_torus(seed))
+        for seed in bank.perturbed_torus_seeds(count)
+    ]
+
+
 def dump_perturbed(out: Path, count: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for seed in bank.perturbed_torus_seeds(count):
-        f = bank.perturbed_torus(seed)
-        cat, orientation = build_flow_category(f)
+        cat, orientation = build_flow_category(bank.perturbed_torus(seed))
         payload = json.dumps(cat.to_json(orientation), sort_keys=True, indent=2)
         (out / f"seed{seed}.category.json").write_text(payload + "\n")
-        (out / f"seed{seed}.csv").write_text(trajectory_csv(flow_lines(f)))
+
+
+def dump_trajectories(out: Path, count: int) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, f in _tori(count):
+        lines = [
+            f"{fl.id} {t.hex()} " + " ".join(v.hex() for v in pos)
+            for fl in flow_lines(f)
+            for t, pos in fl.trajectory
+        ]
+        (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
 
 def dump_partitions(out: Path, count: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    functions = [("torus", bank.torus_function())] + [
-        (f"seed{seed}", bank.perturbed_torus(seed))
-        for seed in bank.perturbed_torus_seeds(count)
-    ]
-    for name, f in functions:
+    for name, f in _tori(count):
         analysis = _Analysis(f, NumericalConfig())
         lines = []
         for p in analysis.points:
@@ -194,6 +208,7 @@ def main() -> None:
     dump_coeff(out / "coeff")
     dump_cli(out / "cli", names)
     dump_perturbed(out / "perturbed", args.seeds)
+    dump_trajectories(out / "trajectories", args.seeds)
     dump_partitions(out / "partitions", args.seeds)
 
 

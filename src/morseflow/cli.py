@@ -56,9 +56,19 @@ class _ReportedFailure(ValidationFailure):
         self.results = results
 
 
+class _HelpRequested(Exception):
+    """`-h` or `--help`: the help text, reported as an ordinary result."""
+
+
 class _Parser(argparse.ArgumentParser):
+    def _get_formatter(self):  # fixed width: help does not depend on the terminal
+        return self.formatter_class(prog=self.prog, width=80)
+
     def error(self, message):
         raise InputError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 # -- input plumbing ---------------------------------------------------------
@@ -224,9 +234,7 @@ def _cmd_realize(args, inputs, warnings) -> dict:
     if not isinstance(data, dict):
         raise InputError("complex file must hold a JSON object")
     if "components" in data:
-        x = FilteredRealization.from_json(data)
-        if "ring" not in data:
-            x = FilteredRealization(x.complex, ring, x.components)
+        x = FilteredRealization.from_json({"ring": args.ring, **data})
         cx = x.complex
         defects = x.total_square_defects()
         if defects:
@@ -397,6 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         command = args.command
         results = args.handler(args, inputs, warnings)
+    except _HelpRequested as exc:
+        results = {"help": str(exc)}
     except _ReportedFailure as exc:
         _emit(command, inputs, exc.results, warnings, "validation-failure")
         return 2

@@ -580,25 +580,12 @@ def homology(
     """Homology ker(d_out) / im(d_in) at the middle of C --d_in--> C' --d_out--> C''.
 
     `d_in` maps the degree above into the middle term (its rows index the
-    middle basis) and `d_out` maps the middle term down.  The integral answer
-    is converted to the requested ring; for a modulus m the reduction
-    includes the torsion contribution inherited from the degree below, read
-    off the invariant factors of `d_out`.  When `d_in` is `d_out` its
-    invariant factors are computed once.
+    middle basis) and `d_out` maps the middle term down.  These are raw
+    matrices, so their shapes and their composite are checked here.  The
+    integral answer is converted to the requested ring; for a modulus m the
+    reduction includes the torsion contribution inherited from the degree
+    below, read off the invariant factors of `d_out`.
     """
-    fac_in = invariant_factors(d_in)
-    fac_out = fac_in if d_out is d_in else invariant_factors(d_out)
-    return _homology_group(d_in, d_out, fac_in, fac_out, ring)
-
-
-def _homology_group(
-    d_in: IntegerMatrix,
-    d_out: IntegerMatrix,
-    fac_in: list[int],
-    fac_out: list[int],
-    ring: CoefficientRing,
-) -> HomologyGroup:
-    """`homology` given the invariant factors of both maps; checks they compose."""
     if d_out.cols != d_in.rows:
         raise DimensionMismatchError(
             f"boundary shapes incompatible: d_out has {d_out.cols} columns, "
@@ -606,7 +593,16 @@ def _homology_group(
         )
     if not (d_out @ d_in).is_zero():
         raise CompositeNonzeroError("d_out @ d_in is nonzero")
-    n = d_in.rows
+    return _homology_group(
+        d_in.rows, invariant_factors(d_in), invariant_factors(d_out), ring
+    )
+
+
+def _homology_group(
+    n: int, fac_in: list[int], fac_out: list[int], ring: CoefficientRing
+) -> HomologyGroup:
+    """`homology` at a middle term of rank `n`, from the invariant factors of
+    the maps into and out of it, which the caller vouches compose to zero."""
     free = n - len(fac_out) - len(fac_in)
     torsion = tuple(f for f in fac_in if f > 1)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .coeff import IntegerMatrix
+from .coeff import IntegerMatrix, _json_integer
 from .errors import (
     IncoherentOrientationError,
     InputError,
@@ -261,12 +261,12 @@ class FlowCategory:
     def from_json(cls, data: dict) -> tuple["FlowCategory", OrientationData]:
         try:
             objects = tuple(o["id"] for o in data["objects"])
-            index = {o["id"]: int(o["index"]) for o in data["objects"]}
+            index = {o["id"]: _json_integer(o["index"], "object index") for o in data["objects"]}
             flows = []
             signs = {}
             for rec in data.get("rigidFlows", []):
                 flows.append(RigidFlow(rec["id"], rec["from"], rec["to"]))
-                signs[rec["id"]] = int(rec["sign"])
+                signs[rec["id"]] = _json_integer(rec["sign"], "flow sign")
             flow_targets = {f.id: f.target for f in flows}
             moduli = []
             for rec in data.get("oneDimModuli", []):

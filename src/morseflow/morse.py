@@ -1054,17 +1054,6 @@ class _Analysis:
                 return [CircleComponent()]
             return []
 
-        def boundary_at(angle: float) -> _Boundary:
-            def gap(b: _Boundary) -> float:
-                return abs((b.angle - angle + math.pi) % TWO_PI - math.pi)
-
-            best = min(boundaries, key=gap)
-            if gap(best) > 1e-9:
-                raise UnmatchedEndpointError(
-                    f"no partition boundary at angle {angle:.9f}"
-                )
-            return best
-
         def first_flow(b: _Boundary) -> FlowLine:
             for fl in flows:
                 if fl.source != a.id or fl.target != b.saddle.id:
@@ -1095,27 +1084,24 @@ class _Analysis:
                 )
             return best
 
-        chosen = [arc for arc in arcs if arc.landing_class[0] == c.id]
-        located: list = []
-        for arc in chosen:
-            try:
-                located.append((boundary_at(arc.start), boundary_at(arc.end)))
-            except UnmatchedEndpointError as exc:
-                located.append(exc)
+        # Arc i of the partition runs from boundary i to boundary i + 1.
+        chosen = [
+            (arc, boundaries[i], boundaries[(i + 1) % len(boundaries)])
+            for i, arc in enumerate(arcs)
+            if arc.landing_class[0] == c.id
+        ]
         # Both ends of every arc probe inward in one run; the loop below
         # meets each outcome where a one-arc-at-a-time build would.
         probes = [
             probe
-            for arc, ends in zip(chosen, located)
-            if not isinstance(ends, Exception)
+            for arc, b_start, b_end in chosen
             for probe in (
-                (arc.start, arc.end - arc.start, ends[0].saddle),
-                (arc.end, -(arc.end - arc.start), ends[1].saddle),
+                (arc.start, arc.end - arc.start, b_start.saddle),
+                (arc.end, -(arc.end - arc.start), b_end.saddle),
             )
         ]
         exits = iter(self._probe_exits(a, c, probes))
-        for ends in located:
-            b_start, b_end = _ok(ends)
+        for _, b_start, b_end in chosen:
             start_second = second_flow(b_start, _ok(next(exits)))
             end_second = second_flow(b_end, _ok(next(exits)))
             out.append(

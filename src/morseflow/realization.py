@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .coeff import (
@@ -24,7 +25,6 @@ from .coeff import (
     IntegerMatrix,
     _homology_group,
     _json_integer,
-    homology,
     invariant_factors,
 )
 from .errors import (
@@ -150,6 +150,7 @@ class ChainComplexData:
 
     `bases[i]` lists the degree-i generator labels; `boundaries[i-1]` is the
     map from degree i to degree i-1 with shape len(bases[i-1]) x len(bases[i]).
+    Construction checks shapes and composites; frozen, the object needs no recheck.
     """
 
     bases: tuple[tuple[str, ...], ...]
@@ -167,16 +168,13 @@ class ChainComplexData:
             raise InputError(
                 f"expected {len(bases) - 1} boundary maps, got {len(self.boundaries)}"
             )
-        self.validate()
-
-    def validate(self):
         for i, d in enumerate(self.boundaries, start=1):
-            want = (len(self.bases[i - 1]), len(self.bases[i]))
+            want = (len(bases[i - 1]), len(bases[i]))
             if d.shape != want:
                 raise InputError(
                     f"boundary {i} has shape {d.shape}, expected {want}"
                 )
-        for i in range(2, len(self.bases)):
+        for i in range(2, len(bases)):
             if not (self.boundaries[i - 2] @ self.boundaries[i - 1]).is_zero():
                 raise BoundaryCompositeError(
                     f"boundary composite at degree {i} is nonzero"
@@ -225,12 +223,12 @@ def all_homology(c: ChainComplexData, ring: CoefficientRing) -> list[HomologyGro
     """Homology of the complex in every degree over the given ring.
 
     Each boundary, the zero-shaped ends included, is factored once and its
-    invariant factors serve the degrees on both sides of it.
+    invariant factors serve the degrees on both sides of it.  The complex was
+    checked when built, so no matrix products are formed here.
     """
-    ds = [c.boundary(i) for i in range(c.top_degree + 2)]
-    factors = [invariant_factors(d) for d in ds]
+    factors = [invariant_factors(c.boundary(i)) for i in range(c.top_degree + 2)]
     return [
-        _homology_group(ds[i + 1], ds[i], factors[i + 1], factors[i], ring)
+        _homology_group(c.rank(i), factors[i + 1], factors[i], ring)
         for i in range(c.top_degree + 1)
     ]
 
@@ -273,6 +271,10 @@ class FilteredRealization:
 
     def total_square_defects(self) -> list[tuple[int, int]]:
         """Level pairs (p, r) where the composed differential fails to vanish."""
+        return list(self._square_defects)
+
+    @cached_property
+    def _square_defects(self) -> tuple[tuple[int, int], ...]:
         n = self.complex.top_degree
         bad = []
         for p in range(2, n + 1):
@@ -282,7 +284,7 @@ class FilteredRealization:
                     acc = acc + (self.component(q, r) @ self.component(p, q))
                 if not acc.is_zero():
                     bad.append((p, r))
-        return bad
+        return tuple(bad)
 
     def total_differential(self) -> IntegerMatrix:
         """All components packed into one endomorphism of the direct sum of levels."""
@@ -293,10 +295,9 @@ class FilteredRealization:
         total = offsets[-1]
         rows = [[0] * total for _ in range(total)]
         for (p, q), mat in self.components.items():
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    rows[offsets[q] + i][offsets[p] + j] = mat[i, j]
-        return IntegerMatrix(rows, cols=total)
+            for i, row in enumerate(mat.to_rows()):
+                rows[offsets[q] + i][offsets[p] : offsets[p] + mat.cols] = row
+        return IntegerMatrix._of(rows, total)
 
     def to_json(self) -> dict:
         out = self.complex.to_json()
@@ -336,7 +337,6 @@ def realize(
     Optional `higher` supplies components dropping at least two levels.  The
     assembled total differential must square to zero.
     """
-    c.validate()
     comps: dict[tuple[int, int], IntegerMatrix] = {}
     for p in range(1, c.top_degree + 1):
         comps[(p, p - 1)] = c.boundary(p)
@@ -347,13 +347,17 @@ def realize(
                     f"higher component ({p}, {q}) must drop at least two levels"
                 )
             comps[(p, q)] = mat
-    obj = FilteredRealization(c, ring, comps)
-    defects = obj.total_square_defects()
+    return _square_zero(FilteredRealization(c, ring, comps))
+
+
+def _square_zero(x: FilteredRealization) -> FilteredRealization:
+    """`x` itself, once its total differential is known to square to zero."""
+    defects = x.total_square_defects()
     if defects:
         raise TotalDifferentialSquareError(
             f"total differential square is nonzero at level pairs {defects}"
         )
-    return obj
+    return x
 
 
 def check_realization(x: FilteredRealization, c: ChainComplexData) -> Report:
@@ -401,10 +405,8 @@ def total_homology(x: FilteredRealization) -> HomologyGroup:
     The integral ranks and torsion equal the direct sum of the degreewise
     homology whenever the realization has no level-skipping components.
     """
-    d = x.total_differential()
-    defects = x.total_square_defects()
-    if defects:
-        raise TotalDifferentialSquareError(
-            f"total differential square is nonzero at level pairs {defects}"
-        )
-    return homology(d, d, x.ring)
+    # The (p, r) block of D @ D is the sum over r < q < p that the defects
+    # check, so D squares to zero exactly when there are no defects.
+    d = _square_zero(x).total_differential()
+    factors = invariant_factors(d)
+    return _homology_group(d.rows, factors, factors, x.ring)

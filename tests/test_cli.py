@@ -312,6 +312,12 @@ class TestContract:
         code, rep = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["realize", "--help"], ["crit", "-h"]])
+    def test_help_is_one_ok_report(self, capsys, argv):
+        code, rep = run(capsys, *argv)
+        assert code == 0 and rep["status"] == "ok"
+        assert rep["results"]["help"].startswith("usage: morseflow")
+
     def test_report_shape(self, capsys):
         _, rep = run(capsys, "examples")
         assert sorted(rep) == ["command", "inputs", "results", "status", "warnings"]
@@ -342,6 +348,24 @@ MALFORMED = {
     "category-family-int": (
         "category",
         {"objects": [{"id": "M", "index": 2}], "oneDimModuli": [{"components": [1]}]},
+    ),
+    "category-sign-fraction": (
+        "category",
+        {
+            "objects": [{"id": "max", "index": 1}, {"id": "min", "index": 0}],
+            "rigidFlows": [{"id": "f", "from": "max", "to": "min", "sign": 1.5}],
+        },
+    ),
+    "category-index-fraction": (
+        "category",
+        {"objects": [{"id": "max", "index": 2.7}, {"id": "min", "index": 0}]},
+    ),
+    "category-sign-bool": (
+        "category",
+        {
+            "objects": [{"id": "max", "index": 1}, {"id": "min", "index": 0}],
+            "rigidFlows": [{"id": "f", "from": "max", "to": "min", "sign": True}],
+        },
     ),
 }
 
@@ -428,13 +452,13 @@ FILES = {
 }
 # The pieces each command accepts; any piece may also land on another command.
 PIECES = {
-    "crit": ("function", "config", "example"),
-    "homology": ("function", "config", "example", "category", "ring", "base"),
-    "validate": ("function", "config", "example", "category"),
-    "strata": ("function", "config", "example", "category", "object", "object"),
-    "realize": ("complex", "ring"),
-    "examples": ("name", "out"),
-    "orbits": ("function", "config", "example", "svg", "csv"),
+    "crit": ("function", "config", "example", "help"),
+    "homology": ("function", "config", "example", "category", "ring", "base", "help"),
+    "validate": ("function", "config", "example", "category", "help"),
+    "strata": ("function", "config", "example", "category", "object", "object", "help"),
+    "realize": ("complex", "ring", "help"),
+    "examples": ("name", "out", "help"),
+    "orbits": ("function", "config", "example", "svg", "csv", "help"),
 }
 ALL_PIECES = sorted({p for ps in PIECES.values() for p in ps} | {"stray-flag", "no-value"})
 
@@ -455,6 +479,8 @@ def fuzzed_argv(draw):
             argv.append(draw(st.sampled_from(OBJECTS)))
         elif piece == "stray-flag":
             argv.append("--bogus")
+        elif piece == "help":
+            argv.append(draw(st.sampled_from(("-h", "--help"))))
         elif piece == "no-value":
             argv.append(draw(st.sampled_from(("--ring", "--example", "--function"))))
         else:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_filtered_complex, tampered_copy
 from morseflow import (
@@ -17,6 +19,7 @@ from morseflow import (
     all_homology,
     check_realization,
     compose,
+    homology,
     in_face_image,
     realize,
     total_homology,
@@ -342,3 +345,64 @@ class TestLargeSurfaces:
     def test_klein_16(self):
         groups = all_homology(grid_surface(16, klein=True), CoefficientRing.integers())
         assert [(g.free_rank, g.torsion) for g in groups] == [(1, ()), (1, (2,)), (0, ())]
+
+
+class TestSquareZeroCheckedOnce:
+    """Each square-zero fact is checked by the object that holds it, once."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_no_defects_iff_total_differential_squares_to_zero(self, seed, perturb):
+        rng = random.Random(seed)
+        cx, higher = random_filtered_complex(rng)
+        comps = {(p, p - 1): cx.boundary(p) for p in range(1, cx.top_degree + 1)}
+        comps.update(higher)
+        if perturb:
+            # Bump one entry of a level-skipping component, present or not.
+            p = rng.randint(2, cx.top_degree)
+            q = rng.randint(0, p - 2)
+            rows = comps.get((p, q), IntegerMatrix.zeros(cx.rank(q), cx.rank(p))).to_rows()
+            rows[rng.randrange(cx.rank(q))][rng.randrange(cx.rank(p))] += rng.choice((-2, -1, 1, 2))
+            comps[(p, q)] = IntegerMatrix(rows)
+        x = FilteredRealization(cx, CoefficientRing.integers(), comps)
+        d = x.total_differential()
+        assert (not x.total_square_defects()) == (d @ d).is_zero()
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """A one-item list counting the `IntegerMatrix` products formed."""
+        count = [0]
+        matmul = IntegerMatrix.__matmul__
+
+        def counted(a, b):
+            count[0] += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(IntegerMatrix, "__matmul__", counted)
+        return count
+
+    def test_all_homology_forms_no_products(self, products):
+        cx = grid_surface(4)
+        before = products[0]
+        groups = all_homology(cx, CoefficientRing.integers())
+        assert products[0] == before
+        assert [(g.free_rank, g.torsion) for g in groups] == [(1, ()), (2, ()), (1, ())]
+
+    def test_defect_blocks_are_evaluated_once(self, products):
+        cx, higher = random_filtered_complex(random.Random(5))
+        ring = CoefficientRing.integers()
+        start = products[0]
+        x = realize(cx, ring, higher)
+        once = products[0] - start
+        assert once > 0
+        assert not x.total_square_defects()
+        total_homology(x)
+        assert products[0] - start == once
+        # One evaluation on a fresh object over the same components costs as much.
+        FilteredRealization(cx, ring, x.components).total_square_defects()
+        assert products[0] - start == 2 * once
+
+    def test_homology_of_raw_matrices_multiplies_once(self, products):
+        d = IntegerMatrix([[2]])
+        h = homology(d, IntegerMatrix.zeros(0, 1), CoefficientRing.integers())
+        assert products[0] == 1
+        assert h.torsion == (2,)

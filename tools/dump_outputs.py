@@ -14,8 +14,9 @@ decisions are compared bit for bit.  Under OUT/coeff it writes, for
 a fixed-seed set of integer matrices up to 12 x 12, the Smith form with its
 transforms, the invariant factors and the homology over every ring of the
 two-term complex the matrix defines, plus the `realize` reports of the
-6 x 6 triangulated torus.  Two trees that behave identically produce
-identical directories:
+6 x 6 triangulated torus and of the small complexes in REALIZE_CASES,
+which cover the error paths of `realize`.  Two trees that behave
+identically produce identical directories:
 
     PYTHONPATH=old/src python tools/dump_outputs.py old-out
     PYTHONPATH=new/src python tools/dump_outputs.py new-out
@@ -55,6 +56,15 @@ RINGS = ("z", "zmod:2", "q", "laurent:2:1")
 # Entry pools: dense small integers, sparse +-1 (all unit pivots), and
 # sparse entries that leave a dense remainder with torsion.
 ENTRY_POOLS = (tuple(range(-9, 10)), (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, -1, 2, 3, 6, -4))
+# Four levels with d1 = 1: a skip component (3, 1) then breaks the square.
+_LEVELS = {"bases": [["a"], ["b"], ["c"], ["d"]], "boundaries": [[[1]], [[0]], [[0]]]}
+_ADJACENT = {"1,0": [[1]], "2,1": [[0]], "3,2": [[0]]}
+REALIZE_CASES = {
+    "composite-nonzero": {"bases": [["x"], ["y"], ["z"]], "boundaries": [[[1]], [[1]]]},
+    "square-defect": {**_LEVELS, "ring": "z", "components": {**_ADJACENT, "3,1": [[1]]}},
+    "component-shape": {**_LEVELS, "components": {**_ADJACENT, "2,0": [[1], [1]]}},
+    "no-ring-key": {**_LEVELS, "components": {**_ADJACENT, "3,0": [[5]]}},
+}
 
 
 def _run(out: Path, label: str, argv: list[str]) -> None:
@@ -183,12 +193,17 @@ def dump_coeff(out: Path) -> None:
     from test_realization import grid_surface
 
     (out / "torus6.json").write_text(json.dumps(grid_surface(6).to_json()))
+    for name, payload in REALIZE_CASES.items():
+        (out / f"{name}.json").write_text(json.dumps(payload))
     cwd = os.getcwd()
     os.chdir(out)  # the report names the input file as given
     try:
         for ring in RINGS:
             argv = ["realize", "--complex", "torus6.json", "--ring", ring]
             _run(out, f"torus6.realize-{ring}", argv)
+        for name in REALIZE_CASES:
+            argv = ["realize", "--complex", f"{name}.json", "--ring", "zmod:2"]
+            _run(out, f"{name}.realize", argv)
     finally:
         os.chdir(cwd)
 

@@ -45,7 +45,11 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Sequence[Sequence[int]], cols: int | None = None):
-        e = [[int(v) for v in row] for row in entries]
+        # Rows of plain ints, the usual case, skip the per-entry check.
+        e = [
+            r if set(map(type, r)) <= {int} else [_json_integer(v, "matrix entry") for v in r]
+            for r in map(list, entries)
+        ]
         self.rows = len(e)
         if e:
             width = len(e[0])
@@ -55,7 +59,7 @@ class IntegerMatrix:
                 raise InputError("explicit column count disagrees with row width")
             self.cols = width
         else:
-            self.cols = 0 if cols is None else int(cols)
+            self.cols = 0 if cols is None else _json_integer(cols, "column count")
         self._e = e
 
     @classmethod
@@ -369,6 +373,10 @@ class CoefficientRing:
     truncation: int | None = None
 
     def __post_init__(self):
+        for name in ("modulus", "generator_degree", "truncation"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _json_integer(value, name.replace("_", " ")))
         if self.kind is RingKind.MODULAR:
             if self.modulus is None or self.modulus < 2:
                 raise InputError("modulus must be an integer >= 2")
@@ -388,7 +396,7 @@ class CoefficientRing:
 
     @classmethod
     def modular(cls, m: int) -> "CoefficientRing":
-        return cls(RingKind.MODULAR, modulus=int(m))
+        return cls(RingKind.MODULAR, modulus=m)
 
     @classmethod
     def rationals(cls) -> "CoefficientRing":
@@ -396,15 +404,13 @@ class CoefficientRing:
 
     @classmethod
     def laurent(cls, generator_degree: int, truncation: int) -> "CoefficientRing":
-        return cls(
-            RingKind.LAURENT,
-            generator_degree=int(generator_degree),
-            truncation=int(truncation),
-        )
+        return cls(RingKind.LAURENT, generator_degree=generator_degree, truncation=truncation)
 
     @classmethod
     def parse(cls, text: str) -> "CoefficientRing":
         """Parse ring codes: z, q, zmod:m, laurent:degree:window."""
+        if not isinstance(text, str):
+            raise InputError(f"ring code {text!r} is not a string")
         parts = text.strip().lower().split(":")
         try:
             if parts == ["z"]:

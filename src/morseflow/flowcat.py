@@ -25,6 +25,12 @@ from .realization import ChainComplexData
 from .report import Check, Report
 
 
+def _require_ids(*ids) -> None:
+    for i in ids:
+        if not isinstance(i, str):
+            raise InputError(f"id {i!r} is not a string")
+
+
 @dataclass(frozen=True)
 class RigidFlow:
     """A zero-dimensional flow from `source` down to `target`."""
@@ -73,9 +79,11 @@ class OrientationData:
     def __post_init__(self):
         clean = {}
         for fid, s in self.signs.items():
-            if s not in (1, -1):
+            _require_ids(fid)
+            sign = _json_integer(s, "flow sign")
+            if sign not in (1, -1):
                 raise InputError(f"sign of flow {fid!r} must be +1 or -1")
-            clean[str(fid)] = int(s)
+            clean[fid] = sign
         object.__setattr__(self, "signs", clean)
 
     def sign(self, flow_id: str) -> int:
@@ -109,16 +117,18 @@ class FlowCategory:
     moduli: tuple[ModuliFamily, ...] = ()
 
     def __post_init__(self):
-        objects = tuple(str(o) for o in self.objects)
+        objects = tuple(self.objects)
+        _require_ids(*objects, *self.index)
         if len(set(objects)) != len(objects):
             raise InputError("duplicate object ids")
         object.__setattr__(self, "objects", objects)
-        index = {str(o): int(i) for o, i in self.index.items()}
+        index = {o: _json_integer(i, "object index") for o, i in self.index.items()}
         if set(index) != set(objects):
             raise InputError("index map must cover exactly the objects")
         object.__setattr__(self, "index", index)
         seen = set()
         for f in self.rigid_flows:
+            _require_ids(f.id, f.source, f.target)
             if f.id in seen:
                 raise InputError(f"duplicate flow id {f.id!r}")
             seen.add(f.id)
@@ -126,12 +136,14 @@ class FlowCategory:
                 raise InputError(f"flow {f.id!r} references unknown objects")
         flows_by_id = {f.id: f for f in self.rigid_flows}
         for fam in self.moduli:
+            _require_ids(fam.source, fam.target)
             if fam.source not in index or fam.target not in index:
                 raise InputError("moduli family references unknown objects")
             for comp in fam.components:
                 if isinstance(comp, CircleComponent):
                     continue
                 for end in comp.ends:
+                    _require_ids(end.via, end.first, end.second)
                     first = flows_by_id.get(end.first)
                     second = flows_by_id.get(end.second)
                     if first is None or second is None:
@@ -261,12 +273,12 @@ class FlowCategory:
     def from_json(cls, data: dict) -> tuple["FlowCategory", OrientationData]:
         try:
             objects = tuple(o["id"] for o in data["objects"])
-            index = {o["id"]: _json_integer(o["index"], "object index") for o in data["objects"]}
+            index = {o["id"]: o["index"] for o in data["objects"]}
             flows = []
             signs = {}
             for rec in data.get("rigidFlows", []):
                 flows.append(RigidFlow(rec["id"], rec["from"], rec["to"]))
-                signs[rec["id"]] = _json_integer(rec["sign"], "flow sign")
+                signs[rec["id"]] = rec["sign"]
             flow_targets = {f.id: f.target for f in flows}
             moduli = []
             for rec in data.get("oneDimModuli", []):

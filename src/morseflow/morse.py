@@ -93,7 +93,13 @@ class TrigTerm:
     sin_coeff: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "frequency", tuple(int(k) for k in self.frequency))
+        freq = tuple(_json_integer(k, "frequency") for k in self.frequency)
+        try:
+            for k in freq:
+                float(k)  # the evaluators need every frequency as a float
+        except OverflowError:
+            raise InputError("a frequency is too large for a float") from None
+        object.__setattr__(self, "frequency", freq)
         object.__setattr__(self, "cos_coeff", _parse_rational(self.cos_coeff))
         object.__setattr__(self, "sin_coeff", _parse_rational(self.sin_coeff))
 
@@ -106,6 +112,7 @@ class TrigPolynomial:
     terms: tuple[TrigTerm, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _json_integer(self.dimension, "dimension"))
         if self.dimension not in (1, 2, 3):
             raise InputError("dimension must be 1, 2, or 3")
         terms = tuple(self.terms)
@@ -136,7 +143,7 @@ class TrigPolynomial:
     @classmethod
     def from_json(cls, data: dict) -> "TrigPolynomial":
         try:
-            dim = _json_integer(data["dim"], "dimension")
+            dim = data["dim"]
             raw = data["terms"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad function payload: {exc}") from None
@@ -147,20 +154,10 @@ class TrigPolynomial:
             if not isinstance(rec, dict):
                 raise InputError(f"function term {rec!r} is not an object")
             try:
-                freq = tuple(_json_integer(k, "frequency") for k in rec["freq"])
-                for k in freq:
-                    float(k)  # the evaluators need every frequency as a float
+                freq = tuple(rec["freq"])
             except (KeyError, TypeError) as exc:
                 raise InputError(f"bad frequency in term {rec!r}: {exc}") from None
-            except OverflowError:
-                raise InputError("a frequency is too large for a float") from None
-            terms.append(
-                TrigTerm(
-                    freq,
-                    _parse_rational(rec.get("cos", 0)),
-                    _parse_rational(rec.get("sin", 0)),
-                )
-            )
+            terms.append(TrigTerm(freq, rec.get("cos", 0), rec.get("sin", 0)))
         return cls(dim, tuple(terms))
 
 
@@ -177,16 +174,6 @@ class _Compiled:
         self.freqs = np.array([t.frequency for t in f.terms], dtype=float)
         self.cos = np.array([float(t.cos_coeff) for t in f.terms])
         self.sin = np.array([float(t.sin_coeff) for t in f.terms])
-
-    def np_grad(self, x: np.ndarray) -> np.ndarray:
-        ph = TWO_PI * (self.freqs @ x)
-        w = TWO_PI * (self.sin * np.cos(ph) - self.cos * np.sin(ph))
-        return w @ self.freqs
-
-    def np_hess(self, x: np.ndarray) -> np.ndarray:
-        ph = TWO_PI * (self.freqs @ x)
-        w = -TWO_PI * TWO_PI * (self.cos * np.cos(ph) + self.sin * np.sin(ph))
-        return (self.freqs * w[:, None]).T @ self.freqs
 
     # The contractions are einsums, not matrix products: BLAS rounds a
     # one-row product differently from a many-row one (fused multiply-adds,
@@ -220,8 +207,8 @@ def eval_grad_hess(f: TrigPolynomial, x: Sequence[float]):
     if len(x) != f.dimension:
         raise InputError(f"point has {len(x)} coordinates, expected {f.dimension}")
     comp = _compiled(f)
-    xv = np.asarray(x, dtype=float)
-    return float(comp.value_batch(xv[None])[0]), comp.np_grad(xv), comp.np_hess(xv)
+    xv = np.asarray(x, dtype=float)[None]
+    return float(comp.value_batch(xv)[0]), comp.grad_batch(xv)[0], comp.hess_batch(xv)[0]
 
 
 # -- configuration and result types -----------------------------------------
@@ -324,23 +311,21 @@ class FlowLine:
 # -- torus geometry helpers -------------------------------------------------
 
 
-def _torus_residual(x: Sequence[float], p: Sequence[float]):
-    """Nearest-lift displacement of x from p: (residual, lattice offset, distance)."""
-    res = []
-    off = []
-    d2 = 0.0
-    for xi, pi in zip(x, p):
-        d = xi - pi
-        o = round(d)
-        r = d - o
-        res.append(r)
-        off.append(int(o))
-        d2 += r * r
-    return res, tuple(off), math.sqrt(d2)
+def _wrap(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-lift residuals of displacements `d` (coordinates last) and their lengths.
+
+    The squares are summed one coordinate after another, so a length has
+    the same bits whatever else shares the call.
+    """
+    r = d - np.round(d)
+    d2 = r[..., 0] * r[..., 0]
+    for j in range(1, d.shape[-1]):
+        d2 = d2 + r[..., j] * r[..., j]
+    return r, np.sqrt(d2)
 
 
 def torus_distance(x: Sequence[float], p: Sequence[float]) -> float:
-    return _torus_residual(x, p)[2]
+    return float(_wrap(np.subtract(x, p, dtype=float))[1])
 
 
 class _Landing(NamedTuple):
@@ -378,6 +363,34 @@ def _ok(got):
 
 
 # -- critical point search --------------------------------------------------
+
+
+def _dedupe(pts: np.ndarray, gnorms: np.ndarray, radius: float) -> list[int]:
+    """Rows of `pts` that stand for distinct points, one row per point.
+
+    In row order, each row joins the first kept row within `radius` and
+    takes its place if its gradient norm is smaller; a row that joins none
+    is kept.  Rows are compared in batches, up to the first one that changes
+    what is kept.
+    """
+    reps = [0] if len(pts) else []
+    i = 1
+    while i < len(pts):
+        batch = slice(i, i + 64)
+        near = _wrap(pts[batch, None] - pts[reps])[1] <= radius
+        first = near.argmax(axis=1)
+        joins = near.any(axis=1)
+        change = np.flatnonzero(~joins | (gnorms[batch] < gnorms[reps][first]))
+        if not len(change):
+            i += 64
+            continue
+        k = int(change[0])
+        if joins[k]:
+            reps[first[k]] = i + k
+        else:
+            reps.append(i + k)
+        i += k + 1
+    return reps
 
 
 def find_critical_points(
@@ -423,29 +436,20 @@ def find_critical_points(
         (tuple(float(v) % 1.0 for v in pt), float(gn))
         for pt, gn in zip(x[keep], gnorm[keep])
     )
-    reps: list[tuple[tuple[float, ...], float]] = []
-    for pt, gn in candidates:
-        for i, (rp, rg) in enumerate(reps):
-            if torus_distance(pt, rp) <= cfg.dedupe_radius:
-                if gn < rg:
-                    reps[i] = (pt, gn)
-                break
-        else:
-            reps.append((pt, gn))
-
+    pts = np.array([pt for pt, _ in candidates]).reshape(-1, n)
+    reps = _dedupe(pts, np.array([gn for _, gn in candidates]), cfg.dedupe_radius)
+    xs = pts[reps]
+    eigs = np.linalg.eigvalsh(comp.hess_batch(xs))
+    values = comp.value_batch(xs)
     enriched = []
-    for pt, _ in reps:
-        xv = np.array(pt)
-        hess = comp.np_hess(xv)
-        eigs = np.linalg.eigvalsh(hess)
-        if np.min(np.abs(eigs)) < cfg.nondeg_tol:
+    for i, value, e in zip(reps, values.tolist(), eigs):
+        pt = candidates[i][0]
+        if np.min(np.abs(e)) < cfg.nondeg_tol:
             raise NotMorseError(
                 f"degenerate critical point near {tuple(round(v, 9) for v in pt)}: "
-                f"second-derivative eigenvalues {[float(e) for e in eigs]}"
+                f"second-derivative eigenvalues {e.tolist()}"
             )
-        index = int(np.sum(eigs < 0.0))
-        value = float(comp.value_batch(xv[None])[0])
-        enriched.append((pt, value, index, tuple(float(e) for e in eigs)))
+        enriched.append((pt, value, int(np.sum(e < 0.0)), tuple(e.tolist())))
 
     euler = sum((-1) ** e[2] for e in enriched)
     if euler != 0:
@@ -486,12 +490,11 @@ class _Analysis:
             else find_critical_points(f, cfg)
         )
         self.by_id = {p.id: p for p in self.points}
-        dists = [
-            torus_distance(p.position, q.position)
-            for i, p in enumerate(self.points)
-            for q in self.points[i + 1 :]
-        ]
-        self.min_separation = min(dists) if dists else 1.0
+        self.centres = np.array([p.position for p in self.points]).reshape(-1, self.n)
+        dists = _wrap(self.centres[:, None] - self.centres)[1]
+        self.min_separation = (
+            float(dists[np.triu_indices(len(dists), 1)].min()) if len(dists) > 1 else 1.0
+        )
         if cfg.sphere_radius >= 0.5 * self.min_separation:
             raise InputError(
                 "departure radius is not below half the minimal distance "
@@ -507,8 +510,7 @@ class _Analysis:
         cached = self._frames.get(p.id)
         if cached is not None:
             return cached
-        hess = self.comp.np_hess(np.array(p.position))
-        w, q = np.linalg.eigh(hess)
+        w, q = np.linalg.eigh(self.comp.hess_batch(np.array([p.position]))[0])
         cols = q[:, : int(np.sum(w < 0.0))].copy()
         for j in range(cols.shape[1]):
             col = cols[:, j]
@@ -523,10 +525,7 @@ class _Analysis:
     # integration ----------------------------------------------------------
 
     def seed(self, p: CriticalPoint, direction: np.ndarray) -> list[float]:
-        return [
-            p.position[j] + self.cfg.sphere_radius * float(direction[j])
-            for j in range(self.n)
-        ]
+        return (np.array(p.position) + self.cfg.sphere_radius * direction).tolist()
 
     def land_lanes(
         self,
@@ -557,7 +556,6 @@ class _Analysis:
         cfg = self.cfg
         grad = self.comp.grad_batch
         value = self.comp.value_batch
-        centres = np.array([p.position for p in self.points])
         out: list = [None] * len(seeds)
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
@@ -585,12 +583,8 @@ class _Analysis:
             # A lane that has just accepted a step (or not yet taken one)
             # checks flow time, landing and step budget, in that order.
             late = fresh & ~(t <= cfg.max_flow_time)
-            d = x[:, None, :] - centres
-            r = d - np.round(d)
-            d2 = r[..., 0] * r[..., 0]
-            for j in range(1, self.n):
-                d2 = d2 + r[..., j] * r[..., j]
-            near = np.sqrt(d2) <= cfg.landing_radius
+            d = x[:, None, :] - self.centres
+            near = _wrap(d)[1] <= cfg.landing_radius
             landed = fresh & ~late & near.any(axis=1)
             steps += fresh & ~late & ~landed
             spent = steps > cfg.max_steps
@@ -741,7 +735,7 @@ class _Analysis:
     def _sign(self, a: CriticalPoint, landing: _Landing) -> int:
         """Sign of a rigid flow: carried unstable frame against the arrival basis."""
         target = landing.point
-        arrival = -self.comp.np_grad(landing.state)
+        arrival = -self.comp.grad_batch(landing.state[None])[0]
         speed = np.linalg.norm(arrival)
         if speed == 0.0:
             raise IntegrationFailureError("vanishing velocity at arrival")
@@ -992,18 +986,15 @@ class _Analysis:
                 f"probe at angle {theta:.9f} rested at {landing.point.id}, "
                 f"expected {sink.id}"
             )
-        pts = [p for _, p in landing.trajectory]
-        dists = [torus_distance(p, saddle.position) for p in pts]
-        near = min(range(len(pts)), key=lambda i: dists[i])
+        res, dists = _wrap(np.array([p for _, p in landing.trajectory]) - saddle.position)
+        near = int(dists.argmin())
         exit_radius = min(0.1, 0.4 * self.min_separation)
-        for i in range(near, len(pts)):
-            if dists[i] >= exit_radius:
-                res, _, dist = _torus_residual(pts[i], saddle.position)
-                return np.array(res) / dist
-        res, _, dist = _torus_residual(pts[-1], saddle.position)
-        if dist == 0.0:
+        # The first sample after the closest one that is exit_radius away, else the last.
+        out = np.flatnonzero(dists[near:] >= exit_radius)
+        i = near + int(out[0]) if len(out) else -1
+        if dists[i] == 0.0:
             raise UnmatchedEndpointError("probe trajectory never left the saddle")
-        return np.array(res) / dist
+        return res[i] / dists[i]
 
     def _probe_exits(
         self,
@@ -1120,7 +1111,11 @@ class _Analysis:
 
 def _resolve(analysis: _Analysis, p: CriticalPoint) -> CriticalPoint:
     got = analysis.by_id.get(p.id)
-    if got is None or torus_distance(got.position, p.position) > 1e-6:
+    if (
+        got is None
+        or len(p.position) != analysis.n
+        or _wrap(np.subtract(got.position, p.position))[1] > 1e-6
+    ):
         raise InputError(f"critical point {p.id!r} does not belong to this function")
     return got
 

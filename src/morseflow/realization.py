@@ -24,7 +24,6 @@ from .coeff import (
     HomologyGroup,
     IntegerMatrix,
     _homology_group,
-    _json_integer,
     invariant_factors,
 )
 from .errors import (
@@ -135,12 +134,6 @@ def _parse_matrix(rows, cols: int, what: str) -> IntegerMatrix:
     """An integer matrix from JSON rows; `cols` fixes the width of an empty one."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{what} must be a list of rows")
-    where = f"entry in {what}"
-    # Rows of plain ints, the usual case, skip the per-entry check.
-    rows = [
-        r if set(map(type, r)) <= {int} else [_json_integer(v, where) for v in r]
-        for r in rows
-    ]
     return IntegerMatrix(rows, cols=cols if not rows else None)
 
 
@@ -157,11 +150,13 @@ class ChainComplexData:
     boundaries: tuple[IntegerMatrix, ...]
 
     def __post_init__(self):
-        bases = tuple(tuple(str(l) for l in b) for b in self.bases)
+        bases = tuple(tuple(b) for b in self.bases)
         object.__setattr__(self, "bases", bases)
         if not bases:
             raise InputError("a complex needs at least one degree")
         for b in bases:
+            if not all(isinstance(label, str) for label in b):
+                raise InputError(f"basis labels {list(b)!r} are not all strings")
             if len(set(b)) != len(b):
                 raise InputError("duplicate labels within a degree")
         if len(self.boundaries) != len(bases) - 1:
@@ -206,10 +201,12 @@ class ChainComplexData:
     @classmethod
     def from_json(cls, data: dict) -> "ChainComplexData":
         try:
-            bases = tuple(tuple(b) for b in data["bases"])
+            bases = data["bases"]
             raw = data["boundaries"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad chain complex payload: {exc}") from None
+        if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
+            raise InputError("bases must be a list of label lists")
         if not isinstance(raw, list):
             raise InputError("boundaries must be a list of matrices")
         boundaries = []
@@ -383,6 +380,8 @@ def check_realization(x: FilteredRealization, c: ChainComplexData) -> Report:
         want = c.boundary(i)
         if got.shape != want.shape:
             conn_fail.append(f"degree {i}: component shape {got.shape} != {want.shape}")
+            continue
+        if got == want:
             continue
         for r in range(want.rows):
             for s in range(want.cols):

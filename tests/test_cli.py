@@ -367,6 +367,26 @@ MALFORMED = {
             "rigidFlows": [{"id": "f", "from": "max", "to": "min", "sign": True}],
         },
     ),
+    "category-flow-from-list": (
+        "category",
+        {
+            "objects": [{"id": "max", "index": 1}, {"id": "min", "index": 0}],
+            "rigidFlows": [{"id": "f", "from": [], "to": "min", "sign": 1}],
+        },
+    ),
+    "category-family-from-object": (
+        "category",
+        {
+            "objects": [{"id": "max", "index": 2}, {"id": "min", "index": 0}],
+            "oneDimModuli": [{"from": {}, "to": "min", "components": []}],
+        },
+    ),
+    "complex-ring-int": (
+        "complex",
+        {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "ring": 3, "components": {"1,0": [[1]]}},
+    ),
+    "complex-basis-string": ("complex", {"bases": ["xy", ["z"]], "boundaries": [[[1], [1]]]}),
+    "complex-label-null": ("complex", {"bases": [[None], ["z"]], "boundaries": [[[1]]]}),
 }
 
 
@@ -400,6 +420,12 @@ RINGS = ("z", "q", "zmod:2", "zmod:0", "zmod:1", "zmod:x", "laurent:2:1", "laure
 NAMES = ("circle", "torus", "klein", "rp2", "torus-perturbed:x", "nope", "")
 OBJECTS = ("p2.0", "p1.0", "p1.1", "p0.0", "nope", "")
 SMALL_COMPLEX = {"bases": [["a", "b"], ["e"]], "boundaries": [[[1, -1]]]}
+FILTERED_COMPLEX = {
+    "bases": [["a"], ["b"], ["c"]],
+    "boundaries": [[[1]], [[0]]],
+    "ring": "zmod:2",
+    "components": {"1,0": [[1]], "2,1": [[0]], "2,0": [[0]]},
+}
 
 
 def _json_paths(node, prefix=()):
@@ -448,7 +474,7 @@ FILES = {
     "config": st.dictionaries(
         st.sampled_from(CONFIG_KEYS), st.sampled_from(ODD_VALUES), max_size=3
     ),
-    "complex": mutated([SMALL_COMPLEX]),
+    "complex": mutated([SMALL_COMPLEX, FILTERED_COMPLEX]),
 }
 # The pieces each command accepts; any piece may also land on another command.
 PIECES = {

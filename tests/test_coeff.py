@@ -76,6 +76,20 @@ class TestIntegerMatrix:
         b = IntegerMatrix.zeros(3, 2)
         assert (a @ b).shape == (0, 2)
 
+    @pytest.mark.parametrize("entry", [1.5, True, "3", None])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(InputError):
+            IntegerMatrix([[1, entry]])
+
+    def test_column_count_must_be_an_integer(self):
+        with pytest.raises(InputError):
+            IntegerMatrix([], cols=2.5)
+
+    def test_integral_floats_read_as_ints(self):
+        a = IntegerMatrix([[1.0, -2]])
+        assert a.to_rows() == [[1, -2]]
+        assert all(type(v) is int for v in a.to_rows()[0])
+
     def test_ragged_rejected(self):
         with pytest.raises(InputError):
             IntegerMatrix([[1, 2], [3]])
@@ -163,6 +177,25 @@ class TestCoefficientRing:
         for code in ("", "zz", "zmod:1", "zmod:x", "laurent:3:2", "laurent:2:0"):
             with pytest.raises(InputError):
                 CoefficientRing.parse(code)
+
+    @pytest.mark.parametrize("code", [3, None, True, ["z"], {"z": 1}])
+    def test_parse_rejects_non_strings(self, code):
+        with pytest.raises(InputError):
+            CoefficientRing.parse(code)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CoefficientRing.modular(2.5),
+            lambda: CoefficientRing.modular(True),
+            lambda: CoefficientRing.laurent(2.5, 1),
+            lambda: CoefficientRing.laurent(2, "1"),
+        ],
+        ids=["modulus-fraction", "modulus-bool", "degree-fraction", "window-string"],
+    )
+    def test_parameters_must_be_integers(self, make):
+        with pytest.raises(InputError):
+            make()
 
     def test_kinds_and_fields(self):
         assert CoefficientRing.integers().kind is RingKind.INTEGERS

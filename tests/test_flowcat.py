@@ -56,6 +56,31 @@ class TestConstruction:
         with pytest.raises(InputError):
             FlowCategory(("a", "b"), {"a": 0})
 
+    def test_index_must_be_integer(self):
+        with pytest.raises(InputError, match="object index 2.7"):
+            FlowCategory(("a", "b"), {"a": 2.7, "b": 0})
+        with pytest.raises(InputError):
+            FlowCategory(("a", "b"), {"a": True, "b": 0})
+        assert FlowCategory(("a", "b"), {"a": 1.0, "b": 0}).index == {"a": 1, "b": 0}
+
+    @pytest.mark.parametrize(
+        "flows, moduli",
+        [
+            ((RigidFlow("f", [], "b"),), ()),
+            ((RigidFlow(1, "a", "b"),), ()),
+            ((), (ModuliFamily({}, "b", ()),)),
+            ((), (ModuliFamily("a", "b", (IntervalComponent((BrokenFlow([], "f", "g"),) * 2),)),)),
+        ],
+        ids=["flow-source", "flow-id", "family-source", "endpoint-via"],
+    )
+    def test_ids_must_be_strings(self, flows, moduli):
+        with pytest.raises(InputError, match="is not a string"):
+            FlowCategory(("a", "b"), {"a": 2, "b": 0}, flows, moduli)
+
+    def test_object_ids_must_be_strings(self):
+        with pytest.raises(InputError, match="is not a string"):
+            FlowCategory((1, "b"), {1: 1, "b": 0})
+
     def test_interval_ends_must_break_correctly(self):
         with pytest.raises(InputError):
             FlowCategory(
@@ -164,6 +189,15 @@ class TestOrientationData:
     def test_sign_validation(self):
         with pytest.raises(InputError):
             OrientationData({"f": 2})
+
+    @pytest.mark.parametrize("sign", [True, 1.5, "1", None])
+    def test_sign_must_be_an_integer(self, sign):
+        with pytest.raises(InputError):
+            OrientationData({"f": sign})
+
+    def test_flow_ids_must_be_strings(self):
+        with pytest.raises(InputError, match="is not a string"):
+            OrientationData({1: 1})
 
     def test_flip_at_object_preserves_coherence(self):
         cat, ori = torus_category()

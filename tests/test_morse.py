@@ -42,7 +42,7 @@ from morseflow.errors import (
     MorseSmaleViolationError,
     NotMorseError,
 )
-from morseflow.morse import _Analysis, _compiled, _Landing
+from morseflow.morse import _Analysis, _compiled, _dedupe, _Landing, _wrap
 
 
 def three_torus_function() -> TrigPolynomial:
@@ -89,6 +89,26 @@ class TestTrigPolynomial:
             TrigPolynomial(4, (TrigTerm((1, 0, 0, 0), Fraction(1), Fraction(0)),))
         with pytest.raises(InputError):
             TrigPolynomial(0, ())
+
+    @pytest.mark.parametrize("k", [1.5, True, "1", None])
+    def test_frequency_must_be_an_integer(self, k):
+        with pytest.raises(InputError):
+            TrigTerm((k,), 1)
+
+    def test_frequency_must_fit_a_float(self):
+        with pytest.raises(InputError, match="too large"):
+            TrigTerm((10**400,), 1)
+
+    @pytest.mark.parametrize("dim", [True, 1.5, "1"])
+    def test_dimension_must_be_an_integer(self, dim):
+        with pytest.raises(InputError):
+            TrigPolynomial(dim, (TrigTerm((1,), 1),))
+
+    def test_integral_floats_read_as_ints(self):
+        f = TrigPolynomial(2.0, (TrigTerm((1.0, 0), 1),))
+        assert f.to_json()["dim"] == 2 and type(f.dimension) is int
+        assert f.terms[0].frequency == (1, 0)
+        assert all(type(k) is int for k in f.terms[0].frequency)
 
     def test_requires_a_nonconstant_term(self):
         with pytest.raises(InputError):
@@ -208,6 +228,59 @@ class TestNumericalConfig:
         assert cfg2.circle_samples == 128
         with pytest.raises(InputError):
             NumericalConfig.from_json({"bogus": 1})
+
+
+def loop_distance(x, p) -> float:
+    """Nearest-lift distance on the torus, one coordinate at a time."""
+    d2 = 0.0
+    for xi, pi in zip(x, p):
+        r = (xi - pi) - round(xi - pi)
+        d2 += r * r
+    return math.sqrt(d2)
+
+
+def loop_dedupe(pts, gnorms, radius) -> list[int]:
+    """Each row joins the first kept row within `radius`, replacing it if lower."""
+    reps = []
+    for i, (pt, gn) in enumerate(zip(pts, gnorms)):
+        for j, r in enumerate(reps):
+            if loop_distance(pt, pts[r]) <= radius:
+                if gn < gnorms[r]:
+                    reps[j] = i
+                break
+        else:
+            reps.append(i)
+    return reps
+
+
+class TestTorusGeometry:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_batched_distances_equal_the_loop(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coord = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.5, -0.5, 1.5])
+        rows = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=20))
+        p = data.draw(st.tuples(*[coord] * dim))
+        res, dist = _wrap(np.array(rows) - np.array(p))
+        assert dist.tolist() == [loop_distance(x, p) for x in rows]
+        assert [torus_distance(x, p) for x in rows] == dist.tolist()
+        assert res.tolist() == [[(xi - pi) - round(xi - pi) for xi, pi in zip(x, p)] for x in rows]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dedupe_matches_the_loop(self, dim):
+        # Clusters spread over a few radii make chains, where the first kept
+        # row, not the nearest, must win and replacements move the keeper;
+        # few distinct gradient norms make ties, which must not replace.
+        rng = random.Random(dim)
+        for _ in range(200):
+            centres = [[rng.random() for _ in range(dim)] for _ in range(rng.randint(1, 5))]
+            rows = sorted(
+                tuple((v + rng.uniform(-1, 1) * rng.choice((1e-8, 1e-7, 3e-7))) % 1.0 for v in c)
+                for c in (rng.choice(centres) for _ in range(rng.randint(0, 200)))
+            )
+            pts = np.array(rows).reshape(-1, dim)
+            gnorms = np.array([rng.randint(1, 4) * 1e-12 for _ in rows])
+            assert _dedupe(pts, gnorms, 1e-7) == loop_dedupe(rows, gnorms.tolist(), 1e-7)
 
 
 class TestCriticalPoints:

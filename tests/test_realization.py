@@ -182,6 +182,16 @@ class TestChainComplexData:
         with pytest.raises(InputError):
             ChainComplexData((("x", "x"),), ())
 
+    @pytest.mark.parametrize("label", [None, 1, ("x",)])
+    def test_labels_must_be_strings(self, label):
+        with pytest.raises(InputError):
+            ChainComplexData((("a", label),), ())
+
+    @pytest.mark.parametrize("bases", [["xy", ["z"]], [["x"], {"z": 1}], "xy"])
+    def test_json_bases_must_be_label_lists(self, bases):
+        with pytest.raises(InputError):
+            ChainComplexData.from_json({"bases": bases, "boundaries": [[[1], [1]]]})
+
     def test_boundary_off_the_ends(self):
         c = ChainComplexData((("a", "b"), ("c",)), (IntegerMatrix.zeros(2, 1),))
         assert c.boundary(0).shape == (0, 2)
@@ -247,6 +257,17 @@ class TestRealize:
         x = realize(c, CoefficientRing.integers())
         rep = check_realization(x, c)
         assert rep.passed
+
+    def test_matching_components_are_not_scanned_entry_by_entry(self, monkeypatch):
+        c = grid_surface(6)
+        x = realize(c, CoefficientRing.integers())
+        calls = []
+        read = IntegerMatrix.__getitem__
+        monkeypatch.setattr(
+            IntegerMatrix, "__getitem__", lambda m, key: calls.append(key) or read(m, key)
+        )
+        assert check_realization(x, c).passed
+        assert calls == []
 
     def test_tampered_component_reports_entry(self):
         c = ChainComplexData(

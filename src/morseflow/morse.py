@@ -2,8 +2,8 @@
 
 Functions are exact trigonometric polynomials with rational coefficients on
 T^n, n <= 3.  Critical points come from damped Newton iteration on the
-gradient over a seed grid; connecting orbits from adaptive fourth-order
-integration of the negative gradient flow; signs from a fixed
+gradient over a seed grid; connecting orbits from adaptive Dormand–Prince
+5(4) integration of the negative gradient flow; signs from a fixed
 unstable-manifold frame carried by the linearised flow in the same
 integration pass that follows each rigid trajectory, so every rigid flow is
 integrated once; and one-parameter families on the two-torus from a
@@ -182,14 +182,18 @@ class _Compiled:
     def _phases(self, x: np.ndarray) -> np.ndarray:
         return TWO_PI * np.einsum("pj,tj->pt", x, self.freqs)
 
-    def value_batch(self, x: np.ndarray) -> np.ndarray:
+    def value_grad_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and gradients from one pass over the phases."""
         ph = self._phases(x)
-        return (np.cos(ph) * self.cos + np.sin(ph) * self.sin).sum(axis=1)
+        c, s = np.cos(ph), np.sin(ph)
+        return (c * self.cos + s * self.sin).sum(axis=1), self._grad(c, s)
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
         ph = self._phases(x)
-        w = TWO_PI * (np.cos(ph) * self.sin - np.sin(ph) * self.cos)
-        return np.einsum("pt,tj->pj", w, self.freqs)
+        return self._grad(np.cos(ph), np.sin(ph))
+
+    def _grad(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return np.einsum("pt,tj->pj", TWO_PI * (c * self.sin - s * self.cos), self.freqs)
 
     def hess_batch(self, x: np.ndarray) -> np.ndarray:
         ph = self._phases(x)
@@ -208,7 +212,8 @@ def eval_grad_hess(f: TrigPolynomial, x: Sequence[float]):
         raise InputError(f"point has {len(x)} coordinates, expected {f.dimension}")
     comp = _compiled(f)
     xv = np.asarray(x, dtype=float)[None]
-    return float(comp.value_batch(xv)[0]), comp.grad_batch(xv)[0], comp.hess_batch(xv)[0]
+    value, grad = comp.value_grad_batch(xv)
+    return float(value[0]), grad[0], comp.hess_batch(xv)[0]
 
 
 # -- configuration and result types -----------------------------------------
@@ -440,7 +445,7 @@ def find_critical_points(
     reps = _dedupe(pts, np.array([gn for _, gn in candidates]), cfg.dedupe_radius)
     xs = pts[reps]
     eigs = np.linalg.eigvalsh(comp.hess_batch(xs))
-    values = comp.value_batch(xs)
+    values = comp.value_grad_batch(xs)[0]
     enriched = []
     for i, value, e in zip(reps, values.tolist(), eigs):
         pt = candidates[i][0]
@@ -469,6 +474,60 @@ def find_critical_points(
 
 
 # -- the trajectory engine --------------------------------------------------
+
+# The Dormand–Prince 5(4) tableau (Dormand & Prince, 1980; Hairer, Nørsett &
+# Wanner, Solving ODEs I, II.5).  Row s of _DP_A gives stage s + 1 from the
+# stages before it; the fifth-order weights _DP_B are its seventh row, so the
+# last stage sits at the new point (first same as last).  _DP_E is the fifth-
+# minus the fourth-order weights, so the error estimate needs all seven stages.
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    )
+)
+_DP_B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = np.array(
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+)
+
+
+def _combine(coeffs: np.ndarray, stages: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] * stages[j], added in the order of j.
+
+    An accumulation adds in order whatever the shape, so every lane gets
+    the same bits alone or in a batch; a reduction or an einsum may
+    regroup the sum when the lanes' axes collapse to length one.
+    """
+    c = coeffs.reshape((-1,) + (1,) * (stages.ndim - 1))
+    return np.add.accumulate(c * stages, axis=0)[-1]
+
+
+def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
+    """One Dormand–Prince 5(4) step of x' = -grad f from every row of `x`.
+
+    `g1` is the gradient at `x` and `hh` the step size as a column.  The
+    stages are written with the gradient g instead of the flow -g; negation
+    is exact, so `x - c*g` equals `x + c*(-g)`.  Six sequential evaluator
+    calls: stages 2-6 take a gradient each, and stage 7, at the fifth-order
+    solution, its value and gradient at once.  Returns the points of stages
+    1-6 (6 x lanes x n), the fifth-order solution with its value and
+    gradient, and the fourth- minus the fifth-order solution.
+    """
+    xs = np.empty((6,) + x.shape)
+    gs = np.empty((7,) + x.shape)
+    xs[0], gs[0] = x, g1
+    for s in range(1, 6):
+        xs[s] = x - hh * _combine(_DP_A[s], gs[:s])
+        gs[s] = comp.grad_batch(xs[s])
+    y = x - hh * _combine(_DP_B, gs[:6])
+    fy, gs[6] = comp.value_grad_batch(y)
+    return xs, y, fy, gs[6], hh * _combine(_DP_E, gs)
 
 
 class _Analysis:
@@ -537,11 +596,12 @@ class _Analysis:
 
         This is the package's one integrator.  Each seed is one lane of a
         single vectorized run, with its own step size.  A step is
-        step-doubling RK4: a full step against two half steps, halved while
-        they differ by more than `step_tol` or while the function value
-        fails to drop, and doubled after a step accurate to 1/32 of
-        `step_tol`.  The stages are written with the gradient g instead of
-        the flow -g; negation is exact, so `x - c*g` equals `x + c*(-g)`.
+        Dormand–Prince 5(4) (`_dp_step`), which carries the fifth-order
+        solution forward; its last stage, at the new point, serves the
+        descent check and is the next step's first stage.  A lane retries a
+        shorter step while the error estimate exceeds `step_tol`/15 or while
+        the function value fails to drop, and after an accepted step takes
+        h * min(5, max(0.2, 0.9 (tol/err)^(1/5))), at most `step_max`.
 
         A lane ends as a `_Landing` or as the IntegrationFailureError its
         flow raises.  Before each step it checks flow time, landing and step
@@ -554,27 +614,27 @@ class _Analysis:
         run alone gives the same bits.
         """
         cfg = self.cfg
-        grad = self.comp.grad_batch
-        value = self.comp.value_batch
+        # `step_tol` is a step-doubling tolerance: it bounds |one step - two
+        # half steps| of a fourth-order method, which is 15 = 2^4 - 1 times
+        # the error of the two-half-step solution (Richardson).  The pair
+        # estimates the error of its fourth-order solution itself, so it
+        # holds that error to the same bound, step_tol/15.
+        tol = cfg.step_tol / 15.0
         out: list = [None] * len(seeds)
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
         v = None if frames is None else np.array(frames, dtype=float)
-        fx = value(x)
+        fx, g1 = self.comp.value_grad_batch(x)
         t = np.zeros(len(seeds))
         h = np.full(len(seeds), cfg.step_init)
         steps = np.zeros(len(seeds), dtype=int)
         fresh = np.ones(len(seeds), dtype=bool)
         paths = [[(0.0, tuple(s))] for s in x.tolist()] if record else None
 
-        def pair(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            both = grad(np.concatenate((y, z)))
-            return both[: len(y)], both[len(y) :]
-
         def finish(done: np.ndarray) -> None:
-            nonlocal lane, x, v, fx, t, h, steps, fresh
+            nonlocal lane, x, v, fx, g1, t, h, steps, fresh
             keep = ~done
-            lane, x, fx, t, h = lane[keep], x[keep], fx[keep], t[keep], h[keep]
+            lane, x, fx, g1, t, h = lane[keep], x[keep], fx[keep], g1[keep], t[keep], h[keep]
             steps, fresh = steps[keep], fresh[keep]
             if v is not None:
                 v = v[keep]
@@ -609,51 +669,28 @@ class _Analysis:
                 if not len(lane):
                     break
 
-            hh = h[:, None]
-            half = 0.5 * hh
-            quarter = 0.25 * hh
-            # The full step and the first half step share g1 and are
-            # independent after it, so their stages go in one call each.
-            g1 = grad(x)
-            y2 = x - quarter * g1
-            g2, m2 = pair(x - half * g1, y2)
-            y3 = x - quarter * m2
-            g3, m3 = pair(x - half * g2, y3)
-            y4 = x - half * m3
-            g4, m4 = pair(x - hh * g3, y4)
-            full = x - (hh / 6.0) * (g1 + 2.0 * (g2 + g3) + g4)
-            mid = x - (half / 6.0) * (g1 + 2.0 * (m2 + m3) + m4)
-            l1 = grad(mid)
-            z2 = mid - quarter * l1
-            l2 = grad(z2)
-            z3 = mid - quarter * l2
-            l3 = grad(z3)
-            z4 = mid - half * l3
-            l4 = grad(z4)
-            twohalf = mid - (half / 6.0) * (l1 + 2.0 * (l2 + l3) + l4)
-            err = np.abs(full - twohalf).max(axis=1)
-            xn = twohalf + (twohalf - full) / 15.0
-            fn = value(xn)
+            xs, xn, fn, gn, delta = _dp_step(self.comp, x, g1, h[:, None])
+            err = np.abs(delta).max(axis=1)
             above_min = h > cfg.step_min
-            rough = (err > cfg.step_tol) & above_min
+            rough = (err > tol) & above_min
             climbs = ~rough & (fn >= fx)
             stuck = climbs & ~above_min
             take = ~rough & ~climbs
             collapsed = np.zeros(len(lane), dtype=bool)
             if v is not None and take.any():
                 moved = np.flatnonzero(take)
-                stages = np.stack(
-                    [s[moved] for s in (x, y2, y3, y4, mid, z2, z3, z4)], axis=1
-                )
                 v[moved], collapsed[moved] = self._advance_frames(
-                    v[moved], stages, half[moved, :, None]
+                    v[moved], xs[:, moved], h[moved, None, None]
                 )
-            h = np.where(rough | (climbs & above_min), np.maximum(0.5 * h, cfg.step_min), h)
+            with np.errstate(divide="ignore"):
+                fac = 0.9 * np.power(tol / err, 0.2)
+            grown = np.minimum(h * np.minimum(5.0, np.maximum(0.2, fac)), cfg.step_max)
+            shrunk = np.where(rough, h * np.maximum(0.2, np.minimum(1.0, fac)), 0.5 * h)
             x = np.where(take[:, None], xn, x)
             fx = np.where(take, fn, fx)
+            g1 = np.where(take[:, None], gn, g1)
             t = np.where(take, t + h, t)
-            grow = take & (err * 32.0 < cfg.step_tol)
-            h = np.where(grow, np.minimum(2.0 * h, cfg.step_max), h)
+            h = np.maximum(np.where(take, grown, shrunk), cfg.step_min)
             fresh = take
             if record:
                 for k, tk, xk in zip(lane[take].tolist(), t[take].tolist(), x[take].tolist()):
@@ -670,25 +707,23 @@ class _Analysis:
         return out
 
     def _advance_frames(
-        self, v: np.ndarray, stages: np.ndarray, half_h: np.ndarray
+        self, v: np.ndarray, xs: np.ndarray, hv: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """RK4 for v' = -Hess(x) v over the two half steps of each lane's step.
+        """One Dormand–Prince step of v' = -Hess(x) v along each lane's step.
 
-        `v` holds one frame per lane (lanes x n x m), `stages` the eight
-        points at which the lane's half steps evaluated the gradient (lanes x
-        8 x n), so each frame follows the same discrete path as its lane, and
-        `half_h` the half step (lanes x 1 x 1).  Returns the frames
-        re-orthonormalised and which of them collapsed.
+        `v` holds one frame per lane (lanes x n x m), `xs` the points of the
+        lane's stages 1-6 (6 x lanes x n), so each frame follows the same
+        discrete path as its lane, and `hv` the step (lanes x 1 x 1).  The
+        fifth-order weights leave out stage 7, so six Hessians suffice.
+        Returns the frames re-orthonormalised and which of them collapsed.
         """
-        lanes, _, n = stages.shape
-        jac = -self.comp.hess_batch(stages.reshape(-1, n)).reshape(lanes, 8, n, n)
-        quarter = 0.5 * half_h
-        for i in (0, 4):
-            k1 = jac[:, i] @ v
-            k2 = jac[:, i + 1] @ (v + quarter * k1)
-            k3 = jac[:, i + 2] @ (v + quarter * k2)
-            k4 = jac[:, i + 3] @ (v + half_h * k3)
-            v = v + (half_h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        stages, lanes, n = xs.shape
+        jac = -self.comp.hess_batch(xs.reshape(-1, n)).reshape(stages, lanes, n, n)
+        ks = np.empty((stages,) + v.shape)
+        ks[0] = jac[0] @ v
+        for s in range(1, stages):
+            ks[s] = jac[s] @ (v + hv * _combine(_DP_A[s], ks[:s]))
+        v = v + hv * _combine(_DP_B, ks)
         # Orientation-safe re-orthonormalization: with R's diagonal kept
         # positive, replacing the frame by Q preserves the sign class.
         q, r = np.linalg.qr(v)

@@ -258,20 +258,62 @@ def _neg_grad(terms, x) -> list[float]:
     return g
 
 
-def _advance_frame(hess, v, stages, half):
-    """RK4 for v' = -Hess(x) v over two half steps, then QR, diagonal positive.
+# The Dormand–Prince 5(4) tableau, written out again from the rationals.
+DP_A = (
+    (),
+    (Fraction(1, 5),),
+    (Fraction(3, 40), Fraction(9, 40)),
+    (Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)),
+    (Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)),
+    (
+        Fraction(9017, 3168),
+        Fraction(-355, 33),
+        Fraction(46732, 5247),
+        Fraction(49, 176),
+        Fraction(-5103, 18656),
+    ),
+)
+DP_B = (
+    Fraction(35, 384),
+    Fraction(0),
+    Fraction(500, 1113),
+    Fraction(125, 192),
+    Fraction(-2187, 6784),
+    Fraction(11, 84),
+)
+DP_B4 = (
+    Fraction(5179, 57600),
+    Fraction(0),
+    Fraction(7571, 16695),
+    Fraction(393, 640),
+    Fraction(-92097, 339200),
+    Fraction(187, 2100),
+    Fraction(1, 40),
+)
+_A = [[float(a) for a in row] for row in DP_A]
+_B = [float(b) for b in DP_B]
+_E = [float(b - b4) for b, b4 in zip(DP_B + (Fraction(0),), DP_B4)]
 
-    `stages` are the eight points at which the half steps evaluated the
-    gradient, so the frame follows the same discrete path as the position.
+
+def _combine(coeffs, ks):
+    """sum_j coeffs[j] * ks[j], added in the order of j."""
+    acc = coeffs[0] * ks[0]
+    for c, k in zip(coeffs[1:], ks[1:]):
+        acc = acc + c * k
+    return acc
+
+
+def _advance_frame(hess, v, stages, h):
+    """One DP5(4) step of v' = -Hess(x) v, then QR with R's diagonal positive.
+
+    `stages` are the points of stages 1-6 of the position's step, so the
+    frame follows the same discrete path; stage 7 has no weight.
     """
-    jac = [-h for h in hess(np.array(stages))]
-    quarter = 0.5 * half
-    for i in (0, 4):
-        k1 = jac[i] @ v
-        k2 = jac[i + 1] @ (v + quarter * k1)
-        k3 = jac[i + 2] @ (v + quarter * k2)
-        k4 = jac[i + 3] @ (v + half * k3)
-        v = v + (half / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    jac = [-m for m in hess(np.array(stages))]
+    ks = [jac[0] @ v]
+    for s in range(1, 6):
+        ks.append(jac[s] @ (v + h * _combine(_A[s], ks)))
+    v = v + h * _combine(_B, ks)
     q, r = np.linalg.qr(v)
     diag = np.diagonal(r)
     if np.any(diag == 0.0):
@@ -282,18 +324,23 @@ def _advance_frame(hess, v, stages, half):
 def scalar_flow(f, cfg, points, x0, frame=None):
     """Follow the negative gradient of f from x0, one point at a time.
 
-    Step-doubling RK4 with the package's step rule, in plain Python floats:
-    a full step against two half steps, halved while they differ by more
-    than `step_tol` or the value fails to drop, doubled after a step accurate
-    to 1/32 of it.  Checks flow time, landing and step budget before each
-    step.  A `frame` of tangent vectors at x0 is carried along by the
-    linearised flow, one step at a time; the Hessians come from the package.
-    Returns (rest point, lattice offset, trajectory, frame) or raises the
-    IntegrationFailureError of the package.
+    Dormand–Prince 5(4) with the package's step rule, in plain Python
+    floats: a step is retried while the error estimate exceeds step_tol/15
+    (shrunk by max(0.2, min(1, 0.9 (tol/err)^(1/5)))) or the value fails to
+    drop (halved), never below `step_min`, and after an accepted step h
+    becomes h * min(5, max(0.2, 0.9 (tol/err)^(1/5))), at most `step_max`.
+    The fifth root is numpy's, as in the package: on some CPUs numpy's
+    power differs from the C library's in the last bit.  Checks flow time,
+    landing and step budget before each step.  A `frame` of tangent vectors
+    at x0 is carried along by the linearised flow, one step at a time; the
+    Hessians come from the package.  Returns (rest point, lattice offset,
+    trajectory, frame) or raises the IntegrationFailureError of the
+    package.
     """
     terms = _float_terms(f)
     hess = _compiled(f).hess_batch
     n = len(x0)
+    tol = cfg.step_tol / 15.0
 
     def g(y):
         return _neg_grad(terms, y)
@@ -307,10 +354,15 @@ def scalar_flow(f, cfg, points, x0, frame=None):
                 return cp, off
         return None
 
+    def factor(err):
+        ratio = math.inf if err == 0.0 else tol / err
+        return 0.9 * float(np.power(np.array([ratio]), 0.2)[0])
+
     x = list(x0)
     t = 0.0
     h = cfg.step_init
     fx = _value(terms, x)
+    k1 = g(x)
     traj = [(0.0, tuple(x))]
     steps = 0
     while t <= cfg.max_flow_time:
@@ -321,34 +373,19 @@ def scalar_flow(f, cfg, points, x0, frame=None):
         if steps > cfg.max_steps:
             raise IntegrationFailureError("step budget exhausted")
         while True:
-            k1 = g(x)
-            half = 0.5 * h
-            quarter = 0.25 * h
-            k2 = g([x[j] + half * k1[j] for j in range(n)])
-            k3 = g([x[j] + half * k2[j] for j in range(n)])
-            k4 = g([x[j] + h * k3[j] for j in range(n)])
-            full = [x[j] + (h / 6.0) * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]) for j in range(n)]
-            y2 = [x[j] + quarter * k1[j] for j in range(n)]
-            m2 = g(y2)
-            y3 = [x[j] + quarter * m2[j] for j in range(n)]
-            m3 = g(y3)
-            y4 = [x[j] + half * m3[j] for j in range(n)]
-            m4 = g(y4)
-            mid = [x[j] + (half / 6.0) * (k1[j] + 2.0 * (m2[j] + m3[j]) + m4[j]) for j in range(n)]
-            l1 = g(mid)
-            z2 = [mid[j] + quarter * l1[j] for j in range(n)]
-            l2 = g(z2)
-            z3 = [mid[j] + quarter * l2[j] for j in range(n)]
-            l3 = g(z3)
-            z4 = [mid[j] + half * l3[j] for j in range(n)]
-            l4 = g(z4)
-            two = [mid[j] + (half / 6.0) * (l1[j] + 2.0 * (l2[j] + l3[j]) + l4[j]) for j in range(n)]
-            err = max(abs(full[j] - two[j]) for j in range(n))
-            if err > cfg.step_tol and h > cfg.step_min:
-                h = max(0.5 * h, cfg.step_min)
-                continue
-            xn = [two[j] + (two[j] - full[j]) / 15.0 for j in range(n)]
+            ks = [k1]
+            stages = [x]
+            for s in range(1, 6):
+                stages.append([x[j] + h * _combine(_A[s], [k[j] for k in ks]) for j in range(n)])
+                ks.append(g(stages[-1]))
+            xn = [x[j] + h * _combine(_B, [k[j] for k in ks]) for j in range(n)]
             fn = _value(terms, xn)
+            ks.append(g(xn))
+            err = max(abs(h * _combine(_E, [k[j] for k in ks])) for j in range(n))
+            fac = factor(err)
+            if err > tol and h > cfg.step_min:
+                h = max(h * max(0.2, min(1.0, fac)), cfg.step_min)
+                continue
             if fn >= fx:
                 if h > cfg.step_min:
                     h = max(0.5 * h, cfg.step_min)
@@ -358,13 +395,13 @@ def scalar_flow(f, cfg, points, x0, frame=None):
                 )
             break
         if frame is not None:
-            frame = _advance_frame(hess, frame, (x, y2, y3, y4, mid, z2, z3, z4), half)
+            frame = _advance_frame(hess, frame, stages, h)
         x = xn
         fx = fn
+        k1 = ks[6]
         t += h
         traj.append((t, tuple(x)))
-        if err * 32.0 < cfg.step_tol:
-            h = min(2.0 * h, cfg.step_max)
+        h = max(min(h * min(5.0, max(0.2, fac)), cfg.step_max), cfg.step_min)
     raise IntegrationFailureError(
         f"no rest point reached within flow time {cfg.max_flow_time}"
     )

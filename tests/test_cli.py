@@ -387,6 +387,14 @@ MALFORMED = {
     ),
     "complex-basis-string": ("complex", {"bases": ["xy", ["z"]], "boundaries": [[[1], [1]]]}),
     "complex-label-null": ("complex", {"bases": [[None], ["z"]], "boundaries": [[[1]]]}),
+    "complex-component-duplicate": (
+        "complex",
+        {
+            "bases": [["a"], ["b"]],
+            "boundaries": [[[1]]],
+            "components": {"1,0": [[1]], " +1 ,0": [[2]]},
+        },
+    ),
 }
 
 
@@ -468,13 +476,21 @@ def _category_json(name):
     return cat.to_json(orientation)
 
 
+BASES = {
+    "function": [bank.example_function(n).to_json() for n in ("circle", "torus")],
+    "category": [_category_json(n) for n in ("torus", "klein")],
+    "complex": [SMALL_COMPLEX, FILTERED_COMPLEX],
+    "config": [
+        {name: getattr(NumericalConfig(), name) for name in NumericalConfig.__dataclass_fields__}
+    ],
+}
 FILES = {
-    "function": mutated([bank.example_function(n).to_json() for n in ("circle", "torus")]),
-    "category": mutated([_category_json(n) for n in ("torus", "klein")]),
+    "function": mutated(BASES["function"]),
+    "category": mutated(BASES["category"]),
     "config": st.dictionaries(
         st.sampled_from(CONFIG_KEYS), st.sampled_from(ODD_VALUES), max_size=3
     ),
-    "complex": mutated([SMALL_COMPLEX, FILTERED_COMPLEX]),
+    "complex": mutated(BASES["complex"]),
 }
 # The pieces each command accepts; any piece may also land on another command.
 PIECES = {
@@ -533,20 +549,67 @@ class TestFuzz:
     )
     @given(fuzzed_argv())
     def test_every_call_prints_one_report_and_exits_0_1_or_2(self, case):
-        argv, files = case
-        cwd = os.getcwd()
-        with tempfile.TemporaryDirectory() as tmp:
-            os.chdir(tmp)
-            try:
-                for name, payload in files.items():
-                    Path(name).write_text(json.dumps(payload))
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = main(argv)
-            finally:
-                os.chdir(cwd)
-        status = {0: "ok", 1: "input-error", 2: "validation-failure"}
-        assert code in status
-        report = json.loads(out.getvalue())
-        assert sorted(report) == ["command", "inputs", "results", "status", "warnings"]
-        assert report["status"] == status[code]
+        assert_one_report(*case)
+
+
+def assert_one_report(argv, files):
+    """Run `main(argv)` beside `files`; it must print one report matching its exit code."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, payload in files.items():
+                Path(name).write_text(json.dumps(payload))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    status = {0: "ok", 1: "input-error", 2: "validation-failure"}
+    assert code in status
+    report = json.loads(out.getvalue())
+    assert sorted(report) == ["command", "inputs", "results", "status", "warnings"]
+    assert report["status"] == status[code]
+
+
+# The cheapest command that reads each kind of document.
+READERS = {
+    "function": ["crit", "--function"],
+    "config": ["crit", "--example", "circle", "--config"],
+    "category": ["validate", "--category"],
+    "complex": ["realize", "--complex"],
+}
+FIELD_VALUES = ([], {}, None, True, "x", 1.5, 10**400, -1)
+
+
+def _leaves(doc):
+    """Paths of the nodes of `doc` that are neither objects nor lists."""
+    for path in _json_paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if not isinstance(node, (dict, list)):
+            yield path
+
+
+class TestFieldFuzz:
+    # Every leaf of every base document, one at a time, takes each value of
+    # FIELD_VALUES; a random draw hits a given field too rarely.
+    @pytest.mark.parametrize(
+        "kind, i", [(kind, i) for kind in sorted(BASES) for i in range(len(BASES[kind]))]
+    )
+    def test_each_field_replaced_gives_one_report(self, kind, i):
+        base = BASES[kind][i]
+        failures = []
+        for path in _leaves(base):
+            for value in FIELD_VALUES:
+                doc = copy.deepcopy(base)
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = copy.deepcopy(value)
+                try:
+                    assert_one_report(READERS[kind] + [f"{kind}.json"], {f"{kind}.json": doc})
+                except Exception as exc:  # noqa: BLE001 - every escape is a finding
+                    failures.append((path, value, repr(exc)[:200]))
+        assert not failures, failures[:5]

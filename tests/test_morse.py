@@ -42,7 +42,7 @@ from morseflow.errors import (
     MorseSmaleViolationError,
     NotMorseError,
 )
-from morseflow.morse import _Analysis, _compiled, _dedupe, _Landing, _wrap
+from morseflow.morse import _Analysis, _compiled, _dedupe, _dp_step, _Landing, _wrap
 
 
 def three_torus_function() -> TrigPolynomial:
@@ -204,10 +204,18 @@ class TestEvaluation:
             dtype=float,
         )
         comp = _compiled(f)
-        for evaluate in (comp.value_batch, comp.grad_batch, comp.hess_batch):
+        evaluators = (
+            lambda y: comp.value_grad_batch(y)[0],
+            lambda y: comp.value_grad_batch(y)[1],
+            comp.grad_batch,
+            comp.hess_batch,
+        )
+        for evaluate in evaluators:
             batch = evaluate(x)
             for i in range(len(x)):
                 assert batch[i].tobytes() == evaluate(x[i : i + 1])[0].tobytes()
+        # The fused evaluator's gradient is the next step's first stage.
+        assert comp.value_grad_batch(x)[1].tobytes() == comp.grad_batch(x).tobytes()
 
 
 class TestNumericalConfig:
@@ -618,6 +626,44 @@ class TestLanes:
             build_flow_category(f)
         if run == "probes":
             assert runs.count("probes") >= 2  # lane 0 was retried in a later run
+
+
+def circle_flow(x0: float, t: float) -> float:
+    """The negative gradient flow of cos(2 pi x): tan(pi x) grows as e^(4 pi^2 t)."""
+    return math.atan(math.tan(math.pi * x0) * math.exp(4 * math.pi**2 * t)) / math.pi
+
+
+class TestDormandPrince:
+    @pytest.mark.parametrize(
+        "step_tol, within", [(1e-8, True), (15e-8, False)], ids=["default", "tol-not-over-15"]
+    )
+    def test_circle_lane_follows_the_closed_form(self, step_tol, within):
+        # Step-doubling RK4 stayed within 1.63e-8 of the closed form here.
+        # Holding the embedded solution to step_tol/15 keeps that accuracy;
+        # holding it to step_tol itself (step_tol 15x larger) drifts 3.1e-7.
+        analysis = _Analysis(circle_function(), NumericalConfig(step_tol=step_tol))
+        x0 = 1e-3
+        (got,) = analysis.land_lanes([[x0]], record=True)
+        assert got.point.index == 0 and len(got.trajectory) > 10
+        worst = max(abs(x[0] - circle_flow(x0, t)) for t, x in got.trajectory)
+        assert (worst <= 5e-8) == within, worst
+
+    def test_tableau_orders(self):
+        # One step from a fixed point at h, h/2 and h/4: the local error of
+        # an order-p solution falls as h^(p+1), so the fifth-order solution
+        # must show order 5 and the embedded one (fifth-order solution plus
+        # the returned difference) order 4.
+        comp = _compiled(circle_function())
+        x0 = 0.05
+        x = np.array([[x0]])
+        errors = []
+        for h in (0.005, 0.0025, 0.00125):
+            _, y5, _, _, delta = _dp_step(comp, x, comp.grad_batch(x), np.array([[h]]))
+            exact = circle_flow(x0, h)
+            errors.append((abs(y5[0, 0] - exact), abs(y5[0, 0] + delta[0, 0] - exact)))
+        for coarse, fine in zip(errors, errors[1:]):
+            for order, e_coarse, e_fine in zip((5, 4), coarse, fine):
+                assert math.log2(e_coarse / e_fine) - 1 == pytest.approx(order, abs=0.3)
 
 
 class TestRefinementInvariance:

@@ -476,36 +476,25 @@ def find_critical_points(
 # -- the trajectory engine --------------------------------------------------
 
 # The Dormand–Prince 5(4) tableau (Dormand & Prince, 1980; Hairer, Nørsett &
-# Wanner, Solving ODEs I, II.5).  Row s of _DP_A gives stage s + 1 from the
-# stages before it; the fifth-order weights _DP_B are its seventh row, so the
-# last stage sits at the new point (first same as last).  _DP_E is the fifth-
-# minus the fourth-order weights, so the error estimate needs all seven stages.
-_DP_A = tuple(
-    np.array(row)
-    for row in (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    )
+# Wanner, Solving ODEs I, II.5), one row per weighted sum of stages 1-7:
+# rows 0-4 give the points of stages 2-6, row 5 the fifth-order solution (at
+# which stage 7 sits: first same as last), and row 6 the fifth- minus the
+# fourth-order solution, the error estimate.  The sums are kept as running
+# sums, each stage added to every row that weights it as soon as it is
+# known, so every sum adds its terms in stage order whatever the number of
+# lanes; a reduction or an einsum may regroup a sum when the lanes' axes
+# collapse to length one, and a lane alone would then differ from the batch.
+_DP = np.array(
+    [
+        [1 / 5, 0, 0, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+        [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    ]
 )
-_DP_B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-_DP_E = np.array(
-    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-)
-
-
-def _combine(coeffs: np.ndarray, stages: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] * stages[j], added in the order of j.
-
-    An accumulation adds in order whatever the shape, so every lane gets
-    the same bits alone or in a batch; a reduction or an einsum may
-    regroup the sum when the lanes' axes collapse to length one.
-    """
-    c = coeffs.reshape((-1,) + (1,) * (stages.ndim - 1))
-    return np.add.accumulate(c * stages, axis=0)[-1]
 
 
 def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
@@ -520,14 +509,15 @@ def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
     gradient, and the fourth- minus the fifth-order solution.
     """
     xs = np.empty((6,) + x.shape)
-    gs = np.empty((7,) + x.shape)
-    xs[0], gs[0] = x, g1
+    xs[0] = x
+    sums = _DP[:, 0, None, None] * g1
     for s in range(1, 6):
-        xs[s] = x - hh * _combine(_DP_A[s], gs[:s])
-        gs[s] = comp.grad_batch(xs[s])
-    y = x - hh * _combine(_DP_B, gs[:6])
-    fy, gs[6] = comp.value_grad_batch(y)
-    return xs, y, fy, gs[6], hh * _combine(_DP_E, gs)
+        xs[s] = x - hh * sums[s - 1]
+        sums[s:] += _DP[s:, s, None, None] * comp.grad_batch(xs[s])
+    y = x - hh * sums[5]
+    fy, gy = comp.value_grad_batch(y)
+    sums[6] += _DP[6, 6] * gy
+    return xs, y, fy, gy, hh * sums[6]
 
 
 class _Analysis:
@@ -719,11 +709,11 @@ class _Analysis:
         """
         stages, lanes, n = xs.shape
         jac = -self.comp.hess_batch(xs.reshape(-1, n)).reshape(stages, lanes, n, n)
-        ks = np.empty((stages,) + v.shape)
-        ks[0] = jac[0] @ v
+        sums = _DP[:stages, 0, None, None, None] * (jac[0] @ v)
         for s in range(1, stages):
-            ks[s] = jac[s] @ (v + hv * _combine(_DP_A[s], ks[:s]))
-        v = v + hv * _combine(_DP_B, ks)
+            k = jac[s] @ (v + hv * sums[s - 1])
+            sums[s:] += _DP[s:stages, s, None, None, None] * k
+        v = v + hv * sums[stages - 1]
         # Orientation-safe re-orthonormalization: with R's diagonal kept
         # positive, replacing the frame by Q preserves the sign class.
         q, r = np.linalg.qr(v)

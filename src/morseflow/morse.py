@@ -14,12 +14,13 @@ of one lockstep, vectorized run, each lane with its own step size, and
 optionally a recorded trajectory and a carried frame.  The rigid flows of
 all saddles form one run, those of each index-2 point another, and each
 family's probes a third.  The circle samples form one batch; the bisection
-walks the same midpoints as a one-at-a-time bisection but classifies them
-ahead, a dyadic subtree under every open bracket per batch, so the boundary
-angles are the same floats.  The batch evaluators give each row the same
-bits whatever the batch, so no result depends on which lanes share a run.
-When several lanes fail, the error raised is the one that building the
-flows one at a time would raise first.
+steps every open bracket once a round, visits the same midpoints as a
+one-at-a-time bisection and classifies them ahead, a dyadic subtree under
+every open bracket per batch, so the boundary angles are the same floats.
+The batch evaluators give each row the same bits whatever the batch, so no
+result depends on which lanes share a run.  When several lanes fail, the
+error raised is the one that building the flows one at a time would raise
+first.
 
 Landing basins on the departure circle are told apart by both the rest
 point reached and the integer lattice offset of the unwrapped trajectory,
@@ -44,7 +45,6 @@ from .errors import (
     IncoherentOrientationError,
     InputError,
     IntegrationFailureError,
-    MorseflowError,
     MorseSmaleViolationError,
     NotMorseError,
     UnmatchedEndpointError,
@@ -330,6 +330,8 @@ def _wrap(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def torus_distance(x: Sequence[float], p: Sequence[float]) -> float:
+    if len(x) != len(p):
+        raise InputError(f"points have {len(x)} and {len(p)} coordinates")
     return float(_wrap(np.subtract(x, p, dtype=float))[1])
 
 
@@ -348,6 +350,15 @@ class _Boundary(NamedTuple):
     saddle: CriticalPoint
 
 
+class _Bracket(NamedTuple):
+    """An open bracket of the departure circle between two landing classes."""
+
+    lo: float
+    lo_cls: tuple[str, tuple[int, ...]]
+    hi: float
+    hi_cls: tuple[str, tuple[int, ...]]
+
+
 class _Arc(NamedTuple):
     start: float
     end: float
@@ -361,7 +372,7 @@ def _rests_too_high(p: CriticalPoint, q: CriticalPoint) -> MorseSmaleViolationEr
 
 
 def _ok(got):
-    """A lane or walk outcome, raised if it is an error."""
+    """A lane outcome or a bisection slot, raised if it is an error."""
     if isinstance(got, Exception):
         raise got
     return got
@@ -726,13 +737,25 @@ class _Analysis:
         """Rigid flows out of every index-2 and index-1 point, in point order.
 
         `find_critical_points` lists points by falling index, so the index-2
-        points come first and the saddles, all in one run, after them.
+        points come first and the saddles, all in one run, after them.  On a
+        surface the stable manifold of a saddle is two trajectories, each out
+        of an index-2 point, so a saddle that receives any other number of
+        flows from them marks a basin boundary the partition missed.
         """
         flows: list[FlowLine] = []
         for p in self.points:
             if p.index == 2:
                 flows.extend(self.max_flows(p))
-        flows.extend(self.saddle_flows([p for p in self.points if p.index == 1]))
+        saddles = [p for p in self.points if p.index == 1]
+        if self.n == 2:
+            for p in saddles:
+                incoming = sum(fl.target == p.id for fl in flows)
+                if incoming != 2:
+                    raise MorseSmaleViolationError(
+                        f"saddle {p.id} receives {incoming} rigid flows from index-2 "
+                        "points, expected 2; raise circle_samples"
+                    )
+        flows.extend(self.saddle_flows(saddles))
         return flows
 
     def _flow_line(
@@ -900,83 +923,66 @@ class _Analysis:
         return boundaries, arcs
 
     def _bisect_all(self, a: CriticalPoint, brackets: list) -> list[_Boundary]:
-        """Bisect every bracket of the circle to its boundaries, speculatively.
+        """Bisect every bracket (lo, lo class, hi, hi class) to its boundaries.
 
-        The walks take turns, one visit each, and read each midpoint's
-        class from a cache keyed by the exact angle.  When a walk misses,
-        one batch classifies the dyadic subtree of depth k under every open
+        Slots in angle order hold the open brackets, the boundaries found
+        and the errors met.  Each round takes one bisection step in every
+        open bracket: a midpoint whose flow failed is that error, a saddle
+        midpoint a boundary, a midpoint of the lo or hi class halves the
+        bracket, and one of a third class splits it in two, in place.  A
+        bracket within `bisection_tol` did not resolve.  Midpoint classes
+        come from a cache keyed by the exact angle; when a round misses, one
+        batch classifies the dyadic subtree of depth k >= 1 under every open
         bracket, with k chosen so that a batch holds about `circle_samples`
-        lanes.  Every walk visits the midpoints a lone walk would, so the
-        boundaries are the same floats.  A lane's error counts only if a walk
-        visits its angle, and a walk's error only if every walk before it
-        succeeded, as if the walks had run one after another.
+        lanes.  Every bracket visits the midpoints a one-at-a-time bisection
+        would, so the boundaries are the same floats.  A lane's error counts
+        only if a bracket visits its angle, and the error raised is the
+        first in angle order, the one a depth-first walk would meet first.
         """
         cfg = self.cfg
+
+        def opened(lo: float, lo_cls, hi: float, hi_cls):
+            if hi - lo > cfg.bisection_tol:
+                return _Bracket(lo, lo_cls, hi, hi_cls)
+            return MorseSmaleViolationError(
+                "basin boundary did not resolve to an intermediate rest point "
+                f"near angle {0.5 * (lo + hi):.12f}"
+            )
+
         cache: dict[float, object] = {}
-        walks = [self._bisect_boundaries(*b) for b in brackets]
-        found: list = [None] * len(walks)
-        pending: dict[int, tuple[float, float]] = {}
-
-        def advance(i: int, got) -> None:
-            try:
-                if isinstance(got, Exception):
-                    raise got  # the walk visits an angle whose flow failed
-                pending[i] = walks[i].send(got)
-            except StopIteration as stop:
-                found[i] = stop.value
-                pending.pop(i, None)
-            except MorseflowError as exc:
-                found[i] = exc
-                pending.pop(i, None)
-
-        for i in range(len(walks)):
-            advance(i, None)
-        while pending:
-            open_brackets = list(pending.values())
-            if any(0.5 * (lo + hi) not in cache for lo, hi in open_brackets):
-                depth = (cfg.circle_samples // len(open_brackets) + 1).bit_length() - 1
-                angles = []
+        slots = [opened(*b) for b in brackets]
+        while spans := [(s.lo, s.hi) for s in slots if isinstance(s, _Bracket)]:
+            if any(0.5 * (lo + hi) not in cache for lo, hi in spans):
+                # Splits can leave more open brackets than samples, hence k >= 1.
+                depth = max(1, (cfg.circle_samples // len(spans) + 1).bit_length() - 1)
+                level, angles = spans, []
                 for _ in range(depth):
-                    halves = []
-                    for lo, hi in open_brackets:
-                        if hi - lo <= cfg.bisection_tol:
-                            continue
-                        mid = 0.5 * (lo + hi)
-                        if mid not in cache:
-                            angles.append(mid)
-                        halves += [(lo, mid), (mid, hi)]
-                    open_brackets = halves
+                    level = [(lo, hi) for lo, hi in level if hi - lo > cfg.bisection_tol]
+                    mids = [0.5 * (lo + hi) for lo, hi in level]
+                    angles += [mid for mid in mids if mid not in cache]
+                    level = [h for (lo, hi), m in zip(level, mids) for h in ((lo, m), (m, hi))]
                 cache.update(zip(angles, self._classify_angles(a, angles)))
-            for i, (lo, hi) in list(pending.items()):
-                advance(i, cache[0.5 * (lo + hi)])
-        boundaries = []
-        for got in found:
-            boundaries.extend(_ok(got))
-        return boundaries
-
-    def _bisect_boundaries(self, lo: float, lo_cls, hi: float, hi_cls):
-        """Walk one bracket down to its boundaries (a generator).
-
-        It yields each bracket (lo, hi) whose midpoint it visits, is sent
-        that midpoint's class, and returns the boundaries it found.
-        """
-        cfg = self.cfg
-        while hi - lo > cfg.bisection_tol:
-            mid = 0.5 * (lo + hi)
-            kind, cls, point = yield lo, hi
-            if kind == "saddle":
-                return [_Boundary(mid % TWO_PI, point)]
-            if cls == lo_cls:
-                lo = mid
-            elif cls == hi_cls:
-                hi = mid
-            else:
-                first = yield from self._bisect_boundaries(lo, lo_cls, mid, cls)
-                return first + (yield from self._bisect_boundaries(mid, cls, hi, hi_cls))
-        raise MorseSmaleViolationError(
-            "basin boundary did not resolve to an intermediate rest point "
-            f"near angle {0.5 * (lo + hi):.12f}"
-        )
+            slots, previous = [], slots
+            for s in previous:
+                if not isinstance(s, _Bracket):
+                    slots.append(s)
+                    continue
+                mid = 0.5 * (s.lo + s.hi)
+                got = cache[mid]
+                if isinstance(got, Exception):
+                    slots.append(got)
+                    continue
+                kind, cls, point = got
+                if kind == "saddle":
+                    slots.append(_Boundary(mid % TWO_PI, point))
+                elif cls == s.lo_cls:
+                    slots.append(opened(mid, cls, s.hi, s.hi_cls))
+                elif cls == s.hi_cls:
+                    slots.append(opened(s.lo, s.lo_cls, mid, cls))
+                else:
+                    slots.append(opened(s.lo, s.lo_cls, mid, cls))
+                    slots.append(opened(mid, cls, s.hi, s.hi_cls))
+        return [_ok(s) for s in slots]
 
     def max_flows(self, a: CriticalPoint) -> list[FlowLine]:
         """Rigid flows out of an index-2 point, one per basin boundary direction."""
@@ -1138,6 +1144,7 @@ def _resolve(analysis: _Analysis, p: CriticalPoint) -> CriticalPoint:
     got = analysis.by_id.get(p.id)
     if (
         got is None
+        or got.index != p.index
         or len(p.position) != analysis.n
         or _wrap(np.subtract(got.position, p.position))[1] > 1e-6
     ):

@@ -3,8 +3,9 @@
 The oracles here stay deliberately naive: rank computation by fraction
 Gaussian elimination, modular homology by enumerating small modules, a
 combinatorial surface triangulation whose boundary matrices are written
-down directly, and a scalar, one-trajectory-at-a-time flow integrator.  The
-library is then required to agree with them.
+down directly, a scalar, one-trajectory-at-a-time flow integrator, and a
+recursive bisection of the departure circle that classifies one midpoint at
+a time.  The library is then required to agree with them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from morseflow import ChainComplexData, FilteredRealization, IntegerMatrix
-from morseflow.errors import IntegrationFailureError
+from morseflow.errors import IntegrationFailureError, MorseSmaleViolationError
 from morseflow.morse import _compiled
 
 TWO_PI = 2.0 * math.pi
@@ -405,6 +406,57 @@ def scalar_flow(f, cfg, points, x0, frame=None):
     raise IntegrationFailureError(
         f"no rest point reached within flow time {cfg.max_flow_time}"
     )
+
+
+# -- departure-circle bisection oracle --------------------------------------
+
+
+def bisect_one_at_a_time(analysis, a, visited=None):
+    """Basin boundaries on the departure circle of index-2 point `a`, naively.
+
+    The `circle_samples` angles form one batch; a sample that rests at a
+    saddle is a boundary, and every pair of neighbouring samples that rest
+    in different sink classes is bisected depth first, lower half first,
+    with one `_classify_angles` call per midpoint.  Each visited bracket
+    (lo, hi) is appended to `visited`.  Returns (angle, saddle) pairs in
+    the order met, or raises the first error met.
+    """
+    cfg = analysis.cfg
+    visited = [] if visited is None else visited
+
+    def ok(got):
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    def bisect(lo, lo_cls, hi, hi_cls):
+        if hi - lo <= cfg.bisection_tol:
+            raise MorseSmaleViolationError(
+                "basin boundary did not resolve to an intermediate rest point "
+                f"near angle {0.5 * (lo + hi):.12f}"
+            )
+        mid = 0.5 * (lo + hi)
+        visited.append((lo, hi))
+        (got,) = analysis._classify_angles(a, [mid])
+        kind, cls, point = ok(got)
+        if kind == "saddle":
+            return [(mid % TWO_PI, point)]
+        if cls == lo_cls:
+            return bisect(mid, cls, hi, hi_cls)
+        if cls == hi_cls:
+            return bisect(lo, lo_cls, mid, cls)
+        return bisect(lo, lo_cls, mid, cls) + bisect(mid, cls, hi, hi_cls)
+
+    n = cfg.circle_samples
+    step = TWO_PI / n
+    thetas = [k * step for k in range(n)]
+    samples = [ok(got) for got in analysis._classify_angles(a, thetas)]
+    found = [(th, point) for th, (kind, _, point) in zip(thetas, samples) if kind == "saddle"]
+    for k in range(n):
+        (kind0, cls0, _), (kind1, cls1, _) = samples[k], samples[(k + 1) % n]
+        if kind0 == kind1 == "sink" and cls0 != cls1:
+            found += bisect(thetas[k], cls0, thetas[k] + step, cls1)
+    return found
 
 
 # -- acceptance reporting ---------------------------------------------------

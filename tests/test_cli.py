@@ -154,6 +154,17 @@ class TestValidate:
         checks = {c["name"]: c for c in rep["results"]["orientation"]["checks"]}
         assert checks["interval-cancellation"]["failures"]
 
+    def test_missed_basin_boundary_exits_two(self, capsys, tmp_path):
+        # Three circle samples miss both boundaries through p1.0; the build
+        # counts the flows each saddle receives instead of passing 6 of 8.
+        path = write_json(tmp_path / "torus.json", bank.torus_function().to_json())
+        cfg = write_json(tmp_path / "c.json", {"circle_samples": 3})
+        code, rep = run(capsys, "validate", "--function", path, "--config", cfg)
+        assert code == 2 and rep["status"] == "validation-failure"
+        assert rep["results"]["errorType"] == "MorseSmaleViolationError"
+        assert "saddle p1.0 receives 0" in rep["results"]["error"]
+        assert "circle_samples" in rep["results"]["error"]
+
 
 class TestStrata:
     def test_torus_top_to_bottom(self, capsys):

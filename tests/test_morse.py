@@ -1,14 +1,16 @@
 """Numerical Morse data: critical points, flow lines, one-dimensional families."""
 
+import functools
 import json
 import math
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import scalar_flow
+from conftest import bisect_one_at_a_time, scalar_flow
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,6 +276,10 @@ class TestTorusGeometry:
         assert [torus_distance(x, p) for x in rows] == dist.tolist()
         assert res.tolist() == [[(xi - pi) - round(xi - pi) for xi, pi in zip(x, p)] for x in rows]
 
+    def test_distance_needs_points_of_one_dimension(self):
+        with pytest.raises(InputError, match="2 and 1 coordinates"):
+            torus_distance([0.1, 0.2], [0.3])
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_dedupe_matches_the_loop(self, dim):
         # Clusters spread over a few radii make chains, where the first kept
@@ -355,6 +361,16 @@ class TestFlowLines:
         bottom = pts[-1]
         with pytest.raises(InputError):
             connecting_orbits(torus_function(), top, bottom)
+
+    def test_index_gap_is_checked_on_the_function_s_points(self):
+        # A caller's point that claims another index does not belong to the
+        # function, so the gap it claims cannot let the call through.
+        f = torus_function()
+        top, p1_0, p1_1, _ = find_critical_points(f)
+        with pytest.raises(InputError, match="p1.0"):
+            connecting_orbits(f, replace(p1_0, index=2), p1_1)
+        with pytest.raises(InputError, match="p1.0"):
+            moduli_family(f, top, replace(p1_0, index=0), flow_lines(f))
 
     def test_torus_saddle_departure_angles(self):
         f = torus_function()
@@ -443,6 +459,15 @@ def framed_departures(analysis, index):
             seeds.append(analysis.seed(p, d))
             frames.append(frame)
     return seeds, frames
+
+
+@functools.lru_cache(maxsize=None)
+def one_at_a_time(f: TrigPolynomial, samples: int):
+    """The bisection oracle's boundaries and visited brackets for the first point of f."""
+    analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
+    visited: list[tuple[float, float]] = []
+    found = bisect_one_at_a_time(analysis, analysis.points[0], visited)
+    return found, visited
 
 
 class TestLanes:
@@ -540,24 +565,13 @@ class TestLanes:
     def test_speculative_lane_errors_count_only_where_the_walk_visits(self, monkeypatch):
         f = perturbed_torus(perturbed_torus_seeds(1)[0])
         classify = _Analysis._classify_angles
-        walk = _Analysis._bisect_boundaries
         batches: list[list[float]] = []
-        visited: set[float] = set()
+        _, walked = one_at_a_time(f, NumericalConfig().circle_samples)
+        visited = {0.5 * (lo + hi) for lo, hi in walked}
 
         def recording_classify(self, a, thetas):
             batches.append(list(thetas))
             return classify(self, a, thetas)
-
-        def recording_walk(self, *bracket):
-            inner = walk(self, *bracket)
-            got = None
-            while True:
-                try:
-                    lo, hi = inner.send(got)
-                except StopIteration as stop:
-                    return stop.value
-                visited.add(0.5 * (lo + hi))
-                got = yield lo, hi
 
         def partition_with_error_at(angle):
             def failing_classify(self, a, thetas):
@@ -572,7 +586,6 @@ class TestLanes:
             return analysis.partition(analysis.points[0])
 
         monkeypatch.setattr(_Analysis, "_classify_angles", recording_classify)
-        monkeypatch.setattr(_Analysis, "_bisect_boundaries", recording_walk)
         analysis = _Analysis(f, NumericalConfig())
         clean = analysis.partition(analysis.points[0])
         speculative = {th for batch in batches[1:] for th in batch}
@@ -626,6 +639,56 @@ class TestLanes:
             build_flow_category(f)
         if run == "probes":
             assert runs.count("probes") >= 2  # lane 0 was retried in a later run
+
+
+class TestPartition:
+    @pytest.mark.parametrize("samples", [3, 5])
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_boundaries_equal_one_at_a_time_bisection(self, f, samples):
+        # Three and five samples leave brackets that hold more than two
+        # basins, so the bisection splits them (four splits over these).
+        analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
+        top = analysis.points[0]
+        found, _ = one_at_a_time(f, samples)
+        expected = sorted(found, key=lambda b: b[0])
+        assert [tuple(b) for b in analysis.partition(top)[0]] == expected
+
+    def test_errors_in_both_halves_of_a_split_raise_the_lower_one(self, monkeypatch):
+        # The first midpoint of each half of a split fails; a depth-first
+        # walk meets the lower half's failure first.
+        f = lane_functions()[1]
+        _, visited = one_at_a_time(f, 3)
+        spans = set(visited)
+        lo, hi = next(
+            (lo, hi)
+            for lo, hi in visited
+            if {(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)} <= spans
+        )
+        mid = 0.5 * (lo + hi)
+        failing = {0.5 * (lo + mid): "lower half", 0.5 * (mid + hi): "upper half"}
+        classify = _Analysis._classify_angles
+
+        def failing_classify(self, a, thetas):
+            out = classify(self, a, thetas)
+            return [
+                IntegrationFailureError(failing[th]) if th in failing else got
+                for th, got in zip(thetas, out)
+            ]
+
+        monkeypatch.setattr(_Analysis, "_classify_angles", failing_classify)
+        analysis = _Analysis(f, NumericalConfig(circle_samples=3))
+        with pytest.raises(IntegrationFailureError, match="lower half"):
+            bisect_one_at_a_time(analysis, analysis.points[0])
+        with pytest.raises(IntegrationFailureError, match="lower half"):
+            analysis.partition(analysis.points[0])
+
+    def test_missed_basin_boundary_fails_loudly(self):
+        # Of three samples of the torus's departure circle, the one at angle
+        # 0 rests at the saddle p1.1, so neither interval beside it is
+        # bracketed and the boundaries through p1.0, at pi/2 and 3 pi/2, are
+        # lost: the build must count two flows into each saddle.
+        with pytest.raises(MorseSmaleViolationError, match="p1.0 receives 0 .*circle_samples"):
+            build_flow_category(torus_function(), NumericalConfig(circle_samples=3))
 
 
 def circle_flow(x0: float, t: float) -> float:

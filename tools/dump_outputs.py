@@ -10,7 +10,10 @@ shows.  Under OUT/partitions it writes
 the departure-circle partition of every index-2 point of the torus and of
 those perturbed tori: each boundary angle as `float.hex` with its saddle,
 and each arc's ends (also `float.hex`) with its landing class, so bisection
-decisions are compared bit for bit.  Under OUT/coeff it writes, for
+decisions are compared bit for bit; OUT/partitions-coarse holds the same at
+3 and 5 circle samples, where brackets hold more than two basins and the
+bisection splits them, and a partition that raises is written as
+`type: message`.  Under OUT/coeff it writes, for
 a fixed-seed set of integer matrices up to 12 x 12, the Smith form with its
 transforms, the invariant factors and the homology over every ring of the
 two-term complex the matrix defines, plus the `realize` reports of the
@@ -39,6 +42,7 @@ from morseflow import (
     CoefficientRing,
     IntegerMatrix,
     InputError,
+    MorseflowError,
     all_homology,
     bank,
     cli,
@@ -146,15 +150,21 @@ def dump_trajectories(out: Path, count: int) -> None:
         (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
 
-def dump_partitions(out: Path, count: int) -> None:
+def dump_partitions(
+    out: Path, count: int, cfg: NumericalConfig = NumericalConfig()
+) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for name, f in _tori(count):
-        analysis = _Analysis(f, NumericalConfig())
+        analysis = _Analysis(f, cfg)
         lines = []
         for p in analysis.points:
             if p.index != 2:
                 continue
-            boundaries, arcs = analysis.partition(p)
+            try:
+                boundaries, arcs = analysis.partition(p)
+            except MorseflowError as exc:
+                lines.append(f"{p.id} {type(exc).__name__}: {exc}")
+                continue
             for b in boundaries:
                 lines.append(f"{p.id} boundary {b.angle.hex()} {b.saddle.id}")
             for arc in arcs:
@@ -225,6 +235,9 @@ def main() -> None:
     dump_perturbed(out / "perturbed", args.seeds)
     dump_trajectories(out / "trajectories", args.seeds)
     dump_partitions(out / "partitions", args.seeds)
+    for samples in (3, 5):
+        coarse = NumericalConfig(circle_samples=samples)
+        dump_partitions(out / "partitions-coarse" / f"samples{samples}", args.seeds, coarse)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,12 @@ bisection partition of the departure circle of an index-2 point.
 There is one integrator, `_Analysis.land_lanes`: many seeds run as lanes
 of one lockstep, vectorized run, each lane with its own step size, and
 optionally a recorded trajectory and a carried frame.  The rigid flows of
-all saddles form one run, those of each index-2 point another, and each
-family's probes a third.  The circle samples form one batch; the bisection
-steps every open bracket once a round, visits the same midpoints as a
-one-at-a-time bisection and classifies them ahead, a dyadic subtree under
-every open bracket per batch, so the boundary angles are the same floats.
+all saddles form one run and those of each index-2 point another; each
+family end is read off the sign of a rigid flow, with no run of its own.
+The circle samples form one batch; the bisection steps every open bracket
+once a round, visits the same midpoints as a one-at-a-time bisection and
+classifies them ahead, a dyadic subtree under every open bracket per batch,
+so the boundary angles are the same floats.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
 error raised is the one that building the flows one at a time would raise
@@ -51,7 +52,6 @@ from .errors import (
 )
 from .flowcat import (
     BrokenFlow,
-    CircleComponent,
     FlowCategory,
     IntervalComponent,
     ModuliFamily,
@@ -239,8 +239,6 @@ class NumericalConfig:
     max_flow_time: float = 60.0
     max_steps: int = 200000
     circle_samples: int = 64
-    endpoint_match_tol: float = 1e-6
-    probe_offset: float = 1e-3
     reverse_orientation: bool = False
 
     def __post_init__(self):
@@ -562,6 +560,7 @@ class _Analysis:
             )
         self._frames: dict[str, np.ndarray] = {}
         self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
+        self._rigid_flows: list[FlowLine] | None = None
 
     # frames ---------------------------------------------------------------
 
@@ -742,6 +741,8 @@ class _Analysis:
         of an index-2 point, so a saddle that receives any other number of
         flows from them marks a basin boundary the partition missed.
         """
+        if self._rigid_flows is not None:
+            return self._rigid_flows
         flows: list[FlowLine] = []
         for p in self.points:
             if p.index == 2:
@@ -756,6 +757,7 @@ class _Analysis:
                         "points, expected 2; raise circle_samples"
                     )
         flows.extend(self.saddle_flows(saddles))
+        self._rigid_flows = flows
         return flows
 
     def _flow_line(
@@ -874,19 +876,7 @@ class _Analysis:
             if kind0 == kind1 == "sink" and cls0 != cls1:
                 brackets.append((thetas[k], cls0, thetas[k] + step, cls1))
         boundaries.extend(self._bisect_all(a, brackets))
-
         boundaries.sort(key=lambda b: b.angle)
-        merged: list[_Boundary] = []
-        for b in boundaries:
-            if merged and abs(b.angle - merged[-1].angle) <= cfg.bisection_tol:
-                continue
-            merged.append(b)
-        if (
-            len(merged) > 1
-            and (merged[0].angle + TWO_PI) - merged[-1].angle <= cfg.bisection_tol
-        ):
-            merged.pop()
-        boundaries = merged
 
         arcs: list[_Arc] = []
         if not boundaries:
@@ -1008,133 +998,48 @@ class _Analysis:
 
     # one-parameter families ---------------------------------------------------
 
-    def _exit_direction(
-        self, landing: _Landing, theta: float, saddle: CriticalPoint, sink: CriticalPoint
-    ) -> np.ndarray:
-        """Direction along which a probe's trajectory leaves the saddle."""
-        if landing.point.id != sink.id:
-            raise UnmatchedEndpointError(
-                f"probe at angle {theta:.9f} rested at {landing.point.id}, "
-                f"expected {sink.id}"
-            )
-        res, dists = _wrap(np.array([p for _, p in landing.trajectory]) - saddle.position)
-        near = int(dists.argmin())
-        exit_radius = min(0.1, 0.4 * self.min_separation)
-        # The first sample after the closest one that is exit_radius away, else the last.
-        out = np.flatnonzero(dists[near:] >= exit_radius)
-        i = near + int(out[0]) if len(out) else -1
-        if dists[i] == 0.0:
-            raise UnmatchedEndpointError("probe trajectory never left the saddle")
-        return res[i] / dists[i]
+    def families(self, a: CriticalPoint, c: CriticalPoint) -> list[IntervalComponent]:
+        """Components of the one-parameter family from an index-2 point to a sink.
 
-    def _probe_exits(
-        self,
-        a: CriticalPoint,
-        sink: CriticalPoint,
-        probes: Sequence[tuple[float, float, CriticalPoint]],
-    ) -> list:
-        """Exit directions of probes (boundary angle, inward width, saddle) from `a`.
-
-        A probe departs at eta = min(probe_offset, |width|/4) from its
-        boundary toward the arc.  That close, it can rest at the saddle
-        itself, so a probe that misses the sink backs off to 2 eta, 4 eta,
-        ... while eta stays within |width|/4.  The first offsets of all
-        probes form one lane run, and each round of retries a later one.
-        Each entry is the exit direction or the error of the probe's last
-        attempt.
+        Arc i of the partition runs from boundary i to boundary i + 1.  Each
+        end breaks at its boundary's saddle s into the rigid flow a -> s
+        that departs at the boundary angle and one of the two flows out of
+        s, and the sign of a -> s says which.  Let r and d be the radial
+        and angular departure directions at the boundary.  The linearised
+        flow maps r to (u - beta V d) / alpha, where u is the arrival
+        velocity, V d the carried image of d and alpha > 0 a time shift, so
+        `_sign`'s determinant against the basis (u / |u|, w_s) has the sign
+        of the w_s-component of V d, with w_s = `unstable_frame(s)[:, 0]`.
+        A departure just past the boundary angle thus passes s on its
+        sign(a -> s) w_s side: the arc after the boundary leaves s along
+        sign(a -> s) w_s, and the arc before it along -sign(a -> s) w_s.
+        `saddle_flows` departs along +w_s first.  A branch that does not
+        end at c is an UnmatchedEndpointError.
         """
-        out: list = [None] * len(probes)
-        eta = [min(self.cfg.probe_offset, 0.25 * abs(w)) for _, w, _ in probes]
-        pending = list(range(len(probes)))
-        while pending:
-            thetas = [probes[i][0] + math.copysign(eta[i], probes[i][1]) for i in pending]
-            seeds = [self.seed(a, self.direction_at(a, th)) for th in thetas]
-            retry = []
-            for i, theta, got in zip(pending, thetas, self.land_lanes(seeds, record=True)):
-                if isinstance(got, Exception):
-                    out[i] = got
-                    continue
-                try:
-                    out[i] = self._exit_direction(got, theta, probes[i][2], sink)
-                except UnmatchedEndpointError as exc:
-                    out[i] = exc
-                    eta[i] *= 2.0
-                    if eta[i] <= 0.25 * abs(probes[i][1]) + 1e-15:
-                        retry.append(i)
-            pending = retry
-        return out
-
-    def families(
-        self, a: CriticalPoint, c: CriticalPoint, flows: list[FlowLine]
-    ) -> list[IntervalComponent | CircleComponent]:
-        """Components of the one-parameter family from an index-2 point to a sink."""
-        cfg = self.cfg
+        flows = self.rigid_flows()
         boundaries, arcs = self.partition(a)
-        out: list[IntervalComponent | CircleComponent] = []
         if not boundaries:
-            if arcs and arcs[0].landing_class[0] == c.id:
-                return [CircleComponent()]
-            return []
-
-        def first_flow(b: _Boundary) -> FlowLine:
-            for fl in flows:
-                if fl.source != a.id or fl.target != b.saddle.id:
-                    continue
-                if fl.departure_angle is None:
-                    continue
-                delta = abs((fl.departure_angle - b.angle + math.pi) % TWO_PI - math.pi)
-                if delta <= cfg.endpoint_match_tol:
-                    return fl
-            raise UnmatchedEndpointError(
-                f"no rigid flow {a.id}->{b.saddle.id} matches the boundary at "
-                f"angle {b.angle:.9f}"
+            raise MorseSmaleViolationError(
+                f"the departure circle of {a.id} has no basin boundary"
             )
+        ends = list(zip(boundaries, (fl for fl in flows if fl.source == a.id), strict=True))
 
-        def second_flow(b: _Boundary, exit_dir: np.ndarray) -> FlowLine:
-            best = None
-            best_dot = -math.inf
-            for fl in flows:
-                if fl.source != b.saddle.id or fl.target != c.id:
-                    continue
-                dot = float(np.dot(exit_dir, np.array(fl.departure_direction)))
-                if dot > best_dot:
-                    best, best_dot = fl, dot
-            if best is None or best_dot < 0.5:
+        def end(b: _Boundary, first: FlowLine, side: int) -> BrokenFlow:
+            plus, minus = (fl for fl in flows if fl.source == b.saddle.id)
+            second = plus if side * first.sign > 0 else minus
+            if second.target != c.id:
                 raise UnmatchedEndpointError(
-                    f"no rigid flow {b.saddle.id}->{c.id} matches the family "
-                    f"boundary at angle {b.angle:.9f}"
+                    f"the family from {a.id} leaves {b.saddle.id} toward "
+                    f"{second.target} at the boundary at angle {b.angle:.9f}, "
+                    f"expected {c.id}"
                 )
-            return best
+            return BrokenFlow(b.saddle.id, first.id, second.id)
 
-        # Arc i of the partition runs from boundary i to boundary i + 1.
-        chosen = [
-            (arc, boundaries[i], boundaries[(i + 1) % len(boundaries)])
+        return [
+            IntervalComponent((end(*ends[i], 1), end(*ends[(i + 1) % len(ends)], -1)))
             for i, arc in enumerate(arcs)
             if arc.landing_class[0] == c.id
         ]
-        # Both ends of every arc probe inward in one run; the loop below
-        # meets each outcome where a one-arc-at-a-time build would.
-        probes = [
-            probe
-            for arc, b_start, b_end in chosen
-            for probe in (
-                (arc.start, arc.end - arc.start, b_start.saddle),
-                (arc.end, -(arc.end - arc.start), b_end.saddle),
-            )
-        ]
-        exits = iter(self._probe_exits(a, c, probes))
-        for _, b_start, b_end in chosen:
-            start_second = second_flow(b_start, _ok(next(exits)))
-            end_second = second_flow(b_end, _ok(next(exits)))
-            out.append(
-                IntervalComponent(
-                    tuple(
-                        BrokenFlow(b.saddle.id, first_flow(b).id, second.id)
-                        for b, second in ((b_start, start_second), (b_end, end_second))
-                    )
-                )
-            )
-        return out
 
 
 # -- public operations ------------------------------------------------------
@@ -1168,7 +1073,7 @@ def connecting_orbits(
     if a.index == 1:
         flows = analysis.saddle_flows([a])
     elif a.index == 2:
-        flows = analysis.max_flows(a)
+        flows = [fl for fl in analysis.rigid_flows() if fl.source == a.id]
     else:
         raise InputError(
             "connecting orbits are only seeded from index-1 and index-2 points"
@@ -1183,18 +1088,29 @@ def moduli_family(
     flows: list[FlowLine],
     cfg: NumericalConfig = NumericalConfig(),
     critical_points: list[CriticalPoint] | None = None,
-) -> list[IntervalComponent | CircleComponent]:
+) -> list[IntervalComponent]:
     """One-parameter family components between an index-2 point and a sink on T^2.
 
-    `flows` must contain the rigid flows out of `a` and out of the
-    intermediate saddles, as returned by `connecting_orbits`.
+    The components come from the analysis's own rigid flows.  `flows`, as
+    returned by `connecting_orbits`, must name every flow at their ends,
+    with the same id, source and target, or UnmatchedEndpointError is raised.
     """
     if f.dimension != 2:
         raise InputError("one-parameter families are computed on the two-torus")
     if a.index - c.index != 2:
         raise InputError("families require an index gap of exactly two")
     analysis = _Analysis(f, cfg, critical_points)
-    return analysis.families(_resolve(analysis, a), _resolve(analysis, c), flows)
+    comps = analysis.families(_resolve(analysis, a), _resolve(analysis, c))
+    given = {(fl.id, fl.source, fl.target) for fl in flows}
+    for comp in comps:
+        for e in comp.ends:
+            for named in ((e.first, a.id, e.via), (e.second, e.via, c.id)):
+                if named not in given:
+                    raise UnmatchedEndpointError(
+                        f"no rigid flow {named[0]} from {named[1]} to {named[2]} "
+                        "among the given flows"
+                    )
+    return comps
 
 
 def build_flow_category(
@@ -1216,7 +1132,7 @@ def build_flow_category(
         for c in points:
             if c.index != 0:
                 continue
-            comps = analysis.families(a, c, flows)
+            comps = analysis.families(a, c)
             if comps:
                 moduli.append(ModuliFamily(a.id, c.id, tuple(comps)))
     cat = FlowCategory(

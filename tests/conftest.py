@@ -3,9 +3,11 @@
 The oracles here stay deliberately naive: rank computation by fraction
 Gaussian elimination, modular homology by enumerating small modules, a
 combinatorial surface triangulation whose boundary matrices are written
-down directly, a scalar, one-trajectory-at-a-time flow integrator, and a
+down directly, a scalar, one-trajectory-at-a-time flow integrator, a
 recursive bisection of the departure circle that classifies one midpoint at
-a time.  The library is then required to agree with them.
+a time, and a probe that follows one trajectory past a family's broken end
+to see which way it leaves the saddle.  The library is then required to
+agree with them.
 """
 
 from __future__ import annotations
@@ -457,6 +459,41 @@ def bisect_one_at_a_time(analysis, a, visited=None):
         if kind0 == kind1 == "sink" and cls0 != cls1:
             found += bisect(thetas[k], cls0, thetas[k] + step, cls1)
     return found
+
+
+# -- family-end probe oracle ----------------------------------------------------
+
+
+def probe_exit(analysis, a, sink, saddle, theta, width, offset=1e-3):
+    """Direction in which a family leaves `saddle` next to the boundary at `theta`.
+
+    The family's arc of the departure circle of index-2 point `a` runs from
+    `theta` over the signed angle `width`, and its flows rest at `sink`.  A
+    probe departs at theta + eta toward the arc, eta = min(offset,
+    |width|/4).  That close it can rest at the saddle itself, so a probe
+    that misses the sink backs off to 2 eta, 4 eta, ... while eta stays
+    within |width|/4.  The direction is that of the nearest lift, from the
+    saddle, of the first recorded sample after the trajectory's closest
+    approach to the saddle that lies min(0.1, 0.4 * minimal separation)
+    away, or of the last sample.  Raises AssertionError if no probe
+    reaches the sink.
+    """
+    exit_radius = min(0.1, 0.4 * analysis.min_separation)
+    eta = min(offset, 0.25 * abs(width))
+    while eta <= 0.25 * abs(width) + 1e-15:
+        th = theta + math.copysign(eta, width)
+        (got,) = analysis.land_lanes([analysis.seed(a, analysis.direction_at(a, th))], record=True)
+        if not isinstance(got, Exception) and got.point.id == sink.id:
+            d = np.array([x for _, x in got.trajectory]) - np.array(saddle.position)
+            res = d - np.round(d)
+            dists = np.sqrt((res * res).sum(axis=1))
+            near = int(dists.argmin())
+            out = np.flatnonzero(dists[near:] >= exit_radius)
+            i = near + int(out[0]) if len(out) else -1
+            if dists[i] > 0.0:
+                return res[i] / dists[i]
+        eta *= 2.0
+    raise AssertionError(f"no probe from {a.id} near angle {theta!r} rests at {sink.id}")
 
 
 # -- acceptance reporting ---------------------------------------------------

@@ -300,9 +300,12 @@ class TestConfig:
         assert cfg in rep["inputs"]
 
     def test_unknown_config_field_exits_one(self, capsys, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", {"bogus": 1})
-        code, rep = run(capsys, "crit", "--example", "circle", "--config", cfg)
-        assert code == 1
+        # Two names that were config fields until family ends came from signs.
+        for field in ("bogus", "probe_offset", "endpoint_match_tol"):
+            cfg = write_json(tmp_path / "cfg.json", {field: 1})
+            code, rep = run(capsys, "crit", "--example", "circle", "--config", cfg)
+            assert code == 1 and rep["status"] == "input-error"
+            assert "unknown config fields" in rep["results"]["error"]
 
 
 class TestContract:

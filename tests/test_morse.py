@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import bisect_one_at_a_time, scalar_flow
+from conftest import bisect_one_at_a_time, probe_exit, scalar_flow
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +43,7 @@ from morseflow.errors import (
     IntegrationFailureError,
     MorseSmaleViolationError,
     NotMorseError,
+    UnmatchedEndpointError,
 )
 from morseflow.morse import _Analysis, _compiled, _dedupe, _dp_step, _Landing, _wrap
 
@@ -372,6 +373,15 @@ class TestFlowLines:
         with pytest.raises(InputError, match="p1.0"):
             moduli_family(f, top, replace(p1_0, index=0), flow_lines(f))
 
+    def test_flows_out_of_an_index_2_point_count_flows_into_each_saddle(self):
+        # Three samples miss the boundaries through p1.0 (see
+        # test_missed_basin_boundary_fails_loudly); the index-2 entry point
+        # must say so instead of returning no flows.
+        f = torus_function()
+        top, p1_0, _, _ = find_critical_points(f)
+        with pytest.raises(MorseSmaleViolationError, match="p1.0 receives 0 rigid flows"):
+            connecting_orbits(f, top, p1_0, NumericalConfig(circle_samples=3))
+
     def test_torus_saddle_departure_angles(self):
         f = torus_function()
         pts = find_critical_points(f)
@@ -396,6 +406,10 @@ class TestFlowLines:
             assert {fl.sign for fl in flows} == {1, -1}
 
 
+def lane_functions() -> list[TrigPolynomial]:
+    return [torus_function()] + [perturbed_torus(s) for s in perturbed_torus_seeds(2)]
+
+
 class TestModuliFamilies:
     def test_torus_intervals_cancel(self):
         f = torus_function()
@@ -414,16 +428,69 @@ class TestModuliFamilies:
             used += [(e1.first, e1.second), (e2.first, e2.second)]
         assert len(used) == len(set(used)) == 8
 
+    def test_family_counts_flows_into_each_saddle(self):
+        # With three samples, two of the four intervals would be found.
+        f = torus_function()
+        top, _, _, bottom = find_critical_points(f)
+        cfg = NumericalConfig(circle_samples=3)
+        with pytest.raises(MorseSmaleViolationError, match="p1.0 receives 0 rigid flows"):
+            moduli_family(f, top, bottom, flow_lines(f), cfg)
+
+    def test_given_flows_must_name_every_end(self):
+        f = torus_function()
+        top, _, _, bottom = find_critical_points(f)
+        flows = flow_lines(f)
+        assert len(moduli_family(f, top, bottom, flows)) == 4
+        saddle_flow = next(fl for fl in flows if fl.source == "p1.0")
+        retargeted = [replace(fl, target="p1.1") if fl == saddle_flow else fl for fl in flows]
+        for given in ([fl for fl in flows if fl != saddle_flow], retargeted):
+            with pytest.raises(UnmatchedEndpointError, match=saddle_flow.id):
+                moduli_family(f, top, bottom, given)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"reverse_orientation": True}, {"circle_samples": 7}],
+        ids=["default", "reversed", "samples7"],
+    )
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_ends_leave_each_saddle_the_way_probes_do(self, f, overrides):
+        # Each end's second flow is read off the sign of its first; a probe
+        # just inside the arc must leave the saddle nearer that flow's
+        # departure direction than the saddle's other flow's.
+        analysis = _Analysis(f, NumericalConfig(**overrides))
+        flows = {fl.id: fl for fl in analysis.rigid_flows()}
+        ends = 0
+        for a in analysis.points:
+            if a.index != 2:
+                continue
+            _, arcs = analysis.partition(a)
+            for c in analysis.points:
+                if c.index != 0:
+                    continue
+                chosen = [arc for arc in arcs if arc.landing_class[0] == c.id]
+                comps = analysis.families(a, c)
+                assert len(comps) == len(chosen)
+                for arc, comp in zip(chosen, comps):
+                    width = arc.end - arc.start
+                    for e, theta, inward in zip(comp.ends, (arc.start, arc.end), (width, -width)):
+                        first, saddle = flows[e.first], analysis.by_id[e.via]
+                        assert (first.source, first.target) == (a.id, saddle.id)
+                        assert first.departure_angle == pytest.approx(theta % (2 * math.pi))
+                        exit_dir = probe_exit(analysis, a, c, saddle, theta, inward)
+                        nearest = max(
+                            (fl for fl in flows.values() if fl.source == saddle.id),
+                            key=lambda fl: float(np.dot(exit_dir, fl.departure_direction)),
+                        )
+                        assert e.second == nearest.id
+                        ends += 1
+        assert ends >= 8
+
     def test_moduli_family_requires_gap_two(self):
         f = torus_function()
         pts = find_critical_points(f)
         flows = flow_lines(f)
         with pytest.raises(InputError):
             moduli_family(f, pts[0], pts[1], flows, critical_points=pts)
-
-
-def lane_functions() -> list[TrigPolynomial]:
-    return [torus_function()] + [perturbed_torus(s) for s in perturbed_torus_seeds(2)]
 
 
 def comparable(outcome):
@@ -596,49 +663,41 @@ class TestLanes:
         with pytest.raises(IntegrationFailureError, match="injected"):
             partition_with_error_at(min(visited))
 
-    @pytest.mark.parametrize("run", ["saddles", "boundaries", "probes"])
+    @pytest.mark.parametrize("run", ["saddles", "boundaries"])
     def test_lane_errors_raise_in_sequential_order(self, monkeypatch, run):
-        # The first lane run of one kind comes back with lanes 0-2 spoiled.
+        # The first lane run of one kind comes back with lanes 1-2 spoiled.
         # Built one flow at a time, lane 1's failure is met first: a saddle's
-        # -w flow before the next saddle's w flow, a boundary before the next
-        # one, and an arc's end probe (after its start probe, sent back for
-        # a retry) before the next arc's start probe.  Lane 2's failure is a
-        # plain integration error that an unordered walk could raise instead.
+        # -w flow before the next saddle's w flow, and a boundary before the
+        # next one.  Lane 2's failure is a plain integration error that an
+        # unordered walk could raise instead.
         f = perturbed_torus(perturbed_torus_seeds(1)[0])
         points = find_critical_points(f)
         saddle = next(p for p in points if p.index == 1)
         land = _Analysis.land_lanes
         runs = []
 
-        def kind(frames, record):
-            if frames is not None:
-                return "saddles" if frames.shape[2] == 1 else "boundaries"
-            return "probes" if record else "angles"
+        def kind(frames):
+            if frames is None:
+                return "angles"
+            return "saddles" if frames.shape[2] == 1 else "boundaries"
 
         def spoiled(self, seeds, frames=None, record=False):
             out = land(self, seeds, frames, record)
-            runs.append(kind(frames, record))
+            runs.append(kind(frames))
             if runs.count(run) == 1 and runs[-1] == run:
                 assert len(out) >= 3
-                if run == "probes":
-                    out[0] = out[0]._replace(point=saddle)
-                    out[1] = IntegrationFailureError("injected at lane 1")
-                else:
-                    wrong = saddle if run == "saddles" else points[-1]
-                    out[1] = out[1]._replace(point=wrong)
+                wrong = saddle if run == "saddles" else points[-1]
+                out[1] = out[1]._replace(point=wrong)
                 out[2] = IntegrationFailureError("injected at lane 2")
             return out
 
         monkeypatch.setattr(_Analysis, "land_lanes", spoiled)
         expected = {
-            "saddles": (MorseSmaleViolationError, f"trajectory from {saddle.id} reached"),
-            "boundaries": (MorseSmaleViolationError, f"rests at {points[-1].id}, expected"),
-            "probes": (IntegrationFailureError, "injected at lane 1"),
+            "saddles": f"trajectory from {saddle.id} reached",
+            "boundaries": f"rests at {points[-1].id}, expected",
         }[run]
-        with pytest.raises(expected[0], match=expected[1]):
+        with pytest.raises(MorseSmaleViolationError, match=expected):
             build_flow_category(f)
-        if run == "probes":
-            assert runs.count("probes") >= 2  # lane 0 was retried in a later run
 
 
 class TestPartition:

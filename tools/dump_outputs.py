@@ -3,7 +3,9 @@
 Runs the CLI in-process on every example name, writes each report (exit
 code and stdout) and every file the CLI writes under OUT/cli, and writes the
 full category JSON with signs for the first N perturbed tori under
-OUT/perturbed.  Under OUT/trajectories it writes every sample of
+OUT/perturbed, and the same with `reverse_orientation` under
+OUT/perturbed-reversed, which flips the unstable frames that signs and
+family ends are read from.  Under OUT/trajectories it writes every sample of
 `flow_lines` of the torus and of those perturbed tori, time and coordinates
 as `float.hex`, so a change in the last bit of a recorded trajectory
 shows.  Under OUT/partitions it writes
@@ -131,10 +133,12 @@ def _tori(count: int) -> list:
     ]
 
 
-def dump_perturbed(out: Path, count: int) -> None:
+def dump_perturbed(
+    out: Path, count: int, cfg: NumericalConfig = NumericalConfig()
+) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for seed in bank.perturbed_torus_seeds(count):
-        cat, orientation = build_flow_category(bank.perturbed_torus(seed))
+        cat, orientation = build_flow_category(bank.perturbed_torus(seed), cfg)
         payload = json.dumps(cat.to_json(orientation), sort_keys=True, indent=2)
         (out / f"seed{seed}.category.json").write_text(payload + "\n")
 
@@ -233,6 +237,8 @@ def main() -> None:
     dump_coeff(out / "coeff")
     dump_cli(out / "cli", names)
     dump_perturbed(out / "perturbed", args.seeds)
+    reversed_cfg = NumericalConfig(reverse_orientation=True)
+    dump_perturbed(out / "perturbed-reversed", args.seeds, reversed_cfg)
     dump_trajectories(out / "trajectories", args.seeds)
     dump_partitions(out / "partitions", args.seeds)
     for samples in (3, 5):

@@ -17,7 +17,9 @@ family end is read off the sign of a rigid flow, with no run of its own.
 The circle samples form one batch; the bisection steps every open bracket
 once a round, visits the same midpoints as a one-at-a-time bisection and
 classifies them ahead, a dyadic subtree under every open bracket per batch,
-so the boundary angles are the same floats.
+so the boundary angles are the same floats.  A lane that only classifies an
+angle stops once it enters a region around a sink that its flow provably
+never leaves, so it gets the class it would get by running on.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
 error raised is the one that building the flows one at a time would raise
@@ -320,7 +322,7 @@ def _wrap(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The squares are summed one coordinate after another, so a length has
     the same bits whatever else shares the call.
     """
-    r = d - np.round(d)
+    r = d - np.rint(d)  # np.round without its Python wrapper: the same bits
     d2 = r[..., 0] * r[..., 0]
     for j in range(1, d.shape[-1]):
         d2 = d2 + r[..., j] * r[..., j]
@@ -558,6 +560,26 @@ class _Analysis:
                 "departure radius is not below half the minimal distance "
                 "between critical points"
             )
+        # A trapping region around each sink c, where classification lanes
+        # may stop (Hirsch, Smale & Devaney, ch. 9).  M bounds the third
+        # derivative along unit vectors and lam is the smallest Hessian
+        # eigenvalue at c, so Hess f >= lam - M r on the ball B(c, r), and on
+        # its sphere f - f(c) >= g(r) = lam r^2/2 - M r^3/6 for r <= R =
+        # lam / M, where g(R) = lam R^2 / 3.  A point within rho <= R of c
+        # with f below a level l, l - f(c) < g(rho), cannot leave the ball,
+        # since f falls along the flow, and c is the only critical point in
+        # it, so the flow rests at c.  Safety factors rho = 0.999 R and
+        # l = f(c) + g(R) / 2 leave room for the rounding of f and for the
+        # gradient at c, at most `grad_tol`.  Since R <= 1/(2 pi) < 1/2 the
+        # nearest lift of c is the one the flow rests at.  A point that is
+        # no sink gets a negative radius and no region.
+        comp = self.comp
+        wave = TWO_PI * np.linalg.norm(comp.freqs, axis=1)
+        m = float(((np.abs(comp.cos) + np.abs(comp.sin)) * wave**3).sum())
+        lam = np.linalg.eigvalsh(comp.hess_batch(self.centres))[:, 0]
+        reach = lam / m
+        self.trap_radius = np.where(lam > 0.0, 0.999 * reach, -1.0)
+        self.trap_level = comp.value_grad_batch(self.centres)[0] + lam * reach * reach / 6.0
         self._frames: dict[str, np.ndarray] = {}
         self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
         self._rigid_flows: list[FlowLine] | None = None
@@ -591,6 +613,7 @@ class _Analysis:
         seeds: Sequence[Sequence[float]],
         frames: np.ndarray | None = None,
         record: bool = False,
+        trap: bool = False,
     ) -> list:
         """Follow the negative gradient from every seed until it rests, in lockstep.
 
@@ -604,14 +627,19 @@ class _Analysis:
         h * min(5, max(0.2, 0.9 (tol/err)^(1/5))), at most `step_max`.
 
         A lane ends as a `_Landing` or as the IntegrationFailureError its
-        flow raises.  Before each step it checks flow time, landing and step
-        budget, in that order; a step then fails on no descent at the
-        minimal step or on a collapsed frame.  With `record`, a landing
-        carries its trajectory: (time, point) at the seed and after every
-        accepted step.  `frames` (lanes x n x m) are tangent frames at the
-        seeds, carried by the linearised flow (`_advance_frames`) and
-        returned with the landing.  No lane depends on the others, so a lane
-        run alone gives the same bits.
+        flow raises.  At its seed and after each accepted step it checks
+        flow time, landing and step budget, in that order; a step then fails
+        on no descent at the minimal step or on a collapsed frame.  A lane
+        lands at the first critical point within `landing_radius`.  With
+        `trap`, a lane near none also lands at a sink once it is within
+        `trap_radius` of the sink with its value below `trap_level`, a
+        region its flow provably never leaves; its state is then not near
+        the sink, so only a lane whose landing class alone is read may
+        trap.  With `record`, a landing carries its trajectory: (time,
+        point) at the seed and after every accepted step.  `frames` (lanes x
+        n x m) are tangent frames at the seeds, carried by the linearised
+        flow (`_advance_frames`) and returned with the landing.  No lane
+        depends on the others, so a lane run alone gives the same bits.
         """
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
@@ -639,71 +667,81 @@ class _Analysis:
             if v is not None:
                 v = v[keep]
 
-        while len(lane):
-            # A lane that has just accepted a step (or not yet taken one)
-            # checks flow time, landing and step budget, in that order.
-            late = fresh & ~(t <= cfg.max_flow_time)
-            d = x[:, None, :] - self.centres
-            near = _wrap(d)[1] <= cfg.landing_radius
-            landed = fresh & ~late & near.any(axis=1)
-            steps += fresh & ~late & ~landed
-            spent = steps > cfg.max_steps
-            done = late | landed | spent
-            if done.any():
-                for k in np.flatnonzero(late):
-                    out[lane[k]] = IntegrationFailureError(
-                        f"no rest point reached within flow time {cfg.max_flow_time}"
-                    )
-                for k in np.flatnonzero(landed):
-                    i = int(near[k].argmax())
-                    out[lane[k]] = _Landing(
-                        self.points[i],
-                        tuple(int(o) for o in np.round(d[k, i])),
-                        x[k].copy(),
-                        tuple(paths[lane[k]]) if record else None,
-                        None if v is None else v[k].copy(),
-                    )
-                for k in np.flatnonzero(spent):
-                    out[lane[k]] = IntegrationFailureError("step budget exhausted")
-                finish(done)
-                if not len(lane):
-                    break
+        # A zero error estimate makes the step factor infinite, as meant.
+        with np.errstate(divide="ignore"):
+            while len(lane):
+                # A lane that has just accepted a step (or not yet taken one)
+                # checks flow time, landing and step budget, in that order.
+                # The tests run on every row and count only for those lanes;
+                # gathering their rows first would cost more calls than it saves.
+                d = x[:, None, :] - self.centres
+                dist = _wrap(d)[1]
+                near = dist <= cfg.landing_radius
+                if trap:
+                    caught = (dist <= self.trap_radius) & (fx[:, None] < self.trap_level)
+                    near = np.where(near.any(axis=1, keepdims=True), near, caught)
+                live = fresh & (t <= cfg.max_flow_time)
+                landed = live & near.any(axis=1)
+                counted = live ^ landed
+                steps += counted
+                spent = steps > cfg.max_steps
+                late = fresh ^ live
+                done = late | landed | spent
+                if done.any():
+                    for k in np.flatnonzero(late):
+                        out[lane[k]] = IntegrationFailureError(
+                            f"no rest point reached within flow time {cfg.max_flow_time}"
+                        )
+                    for k in np.flatnonzero(landed):
+                        i = int(near[k].argmax())
+                        out[lane[k]] = _Landing(
+                            self.points[i],
+                            tuple(int(o) for o in np.round(d[k, i])),
+                            x[k].copy(),
+                            tuple(paths[lane[k]]) if record else None,
+                            None if v is None else v[k].copy(),
+                        )
+                    for k in np.flatnonzero(spent):
+                        out[lane[k]] = IntegrationFailureError("step budget exhausted")
+                    finish(done)
+                    if not len(lane):
+                        break
 
-            xs, xn, fn, gn, delta = _dp_step(self.comp, x, g1, h[:, None])
-            err = np.abs(delta).max(axis=1)
-            above_min = h > cfg.step_min
-            rough = (err > tol) & above_min
-            climbs = ~rough & (fn >= fx)
-            stuck = climbs & ~above_min
-            take = ~rough & ~climbs
-            collapsed = np.zeros(len(lane), dtype=bool)
-            if v is not None and take.any():
-                moved = np.flatnonzero(take)
-                v[moved], collapsed[moved] = self._advance_frames(
-                    v[moved], xs[:, moved], h[moved, None, None]
-                )
-            with np.errstate(divide="ignore"):
-                fac = 0.9 * np.power(tol / err, 0.2)
-            grown = np.minimum(h * np.minimum(5.0, np.maximum(0.2, fac)), cfg.step_max)
-            shrunk = np.where(rough, h * np.maximum(0.2, np.minimum(1.0, fac)), 0.5 * h)
-            x = np.where(take[:, None], xn, x)
-            fx = np.where(take, fn, fx)
-            g1 = np.where(take[:, None], gn, g1)
-            t = np.where(take, t + h, t)
-            h = np.maximum(np.where(take, grown, shrunk), cfg.step_min)
-            fresh = take
-            if record:
-                for k, tk, xk in zip(lane[take].tolist(), t[take].tolist(), x[take].tolist()):
-                    paths[k].append((tk, tuple(xk)))
-            failed = stuck | collapsed
-            if failed.any():
-                for k in np.flatnonzero(stuck):
-                    out[lane[k]] = IntegrationFailureError(
-                        "function value failed to decrease at the minimal step"
+                xs, xn, fn, gn, delta = _dp_step(self.comp, x, g1, h[:, None])
+                err = np.abs(delta).max(axis=1)
+                above_min = h > cfg.step_min
+                rough = (err > tol) & above_min
+                climbs = ~rough & (fn >= fx)
+                failed = climbs & ~above_min
+                take = ~(rough | climbs)
+                if v is not None and take.any():
+                    moved = np.flatnonzero(take)
+                    collapsed = np.zeros(len(lane), dtype=bool)
+                    v[moved], collapsed[moved] = self._advance_frames(
+                        v[moved], xs[:, moved], h[moved, None, None]
                     )
-                for k in np.flatnonzero(collapsed):
-                    out[lane[k]] = IntegrationFailureError("transported frame collapsed")
-                finish(failed)
+                    failed = failed | collapsed
+                fac = 0.9 * np.power(tol / err, 0.2)
+                grown = np.minimum(h * np.minimum(5.0, np.maximum(0.2, fac)), cfg.step_max)
+                shrunk = np.where(rough, h * np.maximum(0.2, np.minimum(1.0, fac)), 0.5 * h)
+                rows = take[:, None]
+                np.copyto(x, xn, where=rows)
+                np.copyto(fx, fn, where=take)
+                np.copyto(g1, gn, where=rows)
+                np.add(t, h, out=t, where=take)
+                h = np.maximum(np.where(take, grown, shrunk), cfg.step_min)
+                fresh = take
+                if record:
+                    for k, tk, xk in zip(lane[take].tolist(), t[take].tolist(), x[take].tolist()):
+                        paths[k].append((tk, tuple(xk)))
+                if failed.any():
+                    for k in np.flatnonzero(failed):
+                        out[lane[k]] = IntegrationFailureError(
+                            "function value failed to decrease at the minimal step"
+                            if climbs[k]
+                            else "transported frame collapsed"
+                        )
+                    finish(failed)
         return out
 
     def _advance_frames(
@@ -839,7 +877,7 @@ class _Analysis:
         """
         seeds = [self.seed(a, self.direction_at(a, th)) for th in thetas]
         out = []
-        for got in self.land_lanes(seeds):
+        for got in self.land_lanes(seeds, trap=True):
             if isinstance(got, Exception):
                 out.append(got)
                 continue

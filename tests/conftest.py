@@ -5,9 +5,9 @@ Gaussian elimination, modular homology by enumerating small modules, a
 combinatorial surface triangulation whose boundary matrices are written
 down directly, a scalar, one-trajectory-at-a-time flow integrator, a
 recursive bisection of the departure circle that classifies one midpoint at
-a time, and a probe that follows one trajectory past a family's broken end
-to see which way it leaves the saddle.  The library is then required to
-agree with them.
+a time by a lane that runs until it lands, and a probe that follows one
+trajectory past a family's broken end to see which way it leaves the
+saddle.  The library is then required to agree with them.
 """
 
 from __future__ import annotations
@@ -413,15 +413,44 @@ def scalar_flow(f, cfg, points, x0, frame=None):
 # -- departure-circle bisection oracle --------------------------------------
 
 
+def full_landing_classes(analysis, a, thetas):
+    """Landing class of each departure angle of index-2 point `a`, by full landing.
+
+    Entries take the shape of `_classify_angles`'s: ("sink", (sink id,
+    offset), sink), ("saddle", None, saddle) or the error.  Every lane runs
+    until it is within `landing_radius` of its rest point, with no trapping
+    region, so these classes do not depend on the certificate that lets
+    `_classify_angles` stop early.
+    """
+    seeds = [analysis.seed(a, analysis.direction_at(a, th)) for th in thetas]
+    out = []
+    for got in analysis.land_lanes(seeds):
+        if isinstance(got, Exception):
+            out.append(got)
+        elif got.point.index >= a.index:
+            out.append(
+                MorseSmaleViolationError(
+                    f"trajectory from {a.id} reached {got.point.id} of index "
+                    f"{got.point.index} >= {a.index}"
+                )
+            )
+        elif got.point.index == 0:
+            out.append(("sink", (got.point.id, got.offset), got.point))
+        else:
+            out.append(("saddle", None, got.point))
+    return out
+
+
 def bisect_one_at_a_time(analysis, a, visited=None):
     """Basin boundaries on the departure circle of index-2 point `a`, naively.
 
     The `circle_samples` angles form one batch; a sample that rests at a
     saddle is a boundary, and every pair of neighbouring samples that rest
     in different sink classes is bisected depth first, lower half first,
-    with one `_classify_angles` call per midpoint.  Each visited bracket
-    (lo, hi) is appended to `visited`.  Returns (angle, saddle) pairs in
-    the order met, or raises the first error met.
+    with one lane per midpoint.  Every class comes from
+    `full_landing_classes`.  Each visited bracket (lo, hi) is appended to
+    `visited`.  Returns (angle, saddle) pairs in the order met, or raises
+    the first error met.
     """
     cfg = analysis.cfg
     visited = [] if visited is None else visited
@@ -439,7 +468,7 @@ def bisect_one_at_a_time(analysis, a, visited=None):
             )
         mid = 0.5 * (lo + hi)
         visited.append((lo, hi))
-        (got,) = analysis._classify_angles(a, [mid])
+        (got,) = full_landing_classes(analysis, a, [mid])
         kind, cls, point = ok(got)
         if kind == "saddle":
             return [(mid % TWO_PI, point)]
@@ -452,7 +481,7 @@ def bisect_one_at_a_time(analysis, a, visited=None):
     n = cfg.circle_samples
     step = TWO_PI / n
     thetas = [k * step for k in range(n)]
-    samples = [ok(got) for got in analysis._classify_angles(a, thetas)]
+    samples = [ok(got) for got in full_landing_classes(analysis, a, thetas)]
     found = [(th, point) for th, (kind, _, point) in zip(thetas, samples) if kind == "saddle"]
     for k in range(n):
         (kind0, cls0, _), (kind1, cls1, _) = samples[k], samples[(k + 1) % n]

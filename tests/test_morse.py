@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import bisect_one_at_a_time, probe_exit, scalar_flow
+from conftest import bisect_one_at_a_time, full_landing_classes, probe_exit, scalar_flow
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -681,8 +681,8 @@ class TestLanes:
                 return "angles"
             return "saddles" if frames.shape[2] == 1 else "boundaries"
 
-        def spoiled(self, seeds, frames=None, record=False):
-            out = land(self, seeds, frames, record)
+        def spoiled(self, seeds, frames=None, record=False, trap=False):
+            out = land(self, seeds, frames, record, trap)
             runs.append(kind(frames))
             if runs.count(run) == 1 and runs[-1] == run:
                 assert len(out) >= 3
@@ -714,7 +714,8 @@ class TestPartition:
 
     def test_errors_in_both_halves_of_a_split_raise_the_lower_one(self, monkeypatch):
         # The first midpoint of each half of a split fails; a depth-first
-        # walk meets the lower half's failure first.
+        # walk meets the lower half's failure first.  The lanes fail, so the
+        # oracle's full landings fail as the partition's trapped lanes do.
         f = lane_functions()[1]
         _, visited = one_at_a_time(f, 3)
         spans = set(visited)
@@ -724,18 +725,22 @@ class TestPartition:
             if {(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)} <= spans
         )
         mid = 0.5 * (lo + hi)
-        failing = {0.5 * (lo + mid): "lower half", 0.5 * (mid + hi): "upper half"}
-        classify = _Analysis._classify_angles
+        analysis = _Analysis(f, NumericalConfig(circle_samples=3))
+        top = analysis.points[0]
+        failing = {
+            tuple(analysis.seed(top, analysis.direction_at(top, th))): half
+            for th, half in ((0.5 * (lo + mid), "lower half"), (0.5 * (mid + hi), "upper half"))
+        }
+        land = _Analysis.land_lanes
 
-        def failing_classify(self, a, thetas):
-            out = classify(self, a, thetas)
+        def failing_land(self, seeds, *args, **kwargs):
+            out = land(self, seeds, *args, **kwargs)
             return [
-                IntegrationFailureError(failing[th]) if th in failing else got
-                for th, got in zip(thetas, out)
+                IntegrationFailureError(failing[tuple(s)]) if tuple(s) in failing else got
+                for s, got in zip(seeds, out)
             ]
 
-        monkeypatch.setattr(_Analysis, "_classify_angles", failing_classify)
-        analysis = _Analysis(f, NumericalConfig(circle_samples=3))
+        monkeypatch.setattr(_Analysis, "land_lanes", failing_land)
         with pytest.raises(IntegrationFailureError, match="lower half"):
             bisect_one_at_a_time(analysis, analysis.points[0])
         with pytest.raises(IntegrationFailureError, match="lower half"):
@@ -748,6 +753,150 @@ class TestPartition:
         # lost: the build must count two flows into each saddle.
         with pytest.raises(MorseSmaleViolationError, match="p1.0 receives 0 .*circle_samples"):
             build_flow_category(torus_function(), NumericalConfig(circle_samples=3))
+
+
+def third_derivative_bound(f: TrigPolynomial) -> float:
+    """Sum of (|cos| + |sin|) (2 pi |k|)^3 over the terms, from the exact coefficients."""
+    return sum(
+        (abs(float(t.cos_coeff)) + abs(float(t.sin_coeff)))
+        * (2 * math.pi * math.sqrt(sum(k * k for k in t.frequency))) ** 3
+        for t in f.terms
+    )
+
+
+class TestTrapping:
+    @pytest.mark.parametrize("samples", [NumericalConfig().circle_samples, 3, 5])
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_trapping_never_changes_a_class(self, monkeypatch, f, samples):
+        # Every angle the partitions classify gets the class and offset, or
+        # the error, that a lane running on to `landing_radius` gets.
+        classify = _Analysis._classify_angles
+        seen: dict[str, list] = {}
+
+        def recording_classify(self, a, thetas):
+            out = classify(self, a, thetas)
+            seen.setdefault(a.id, []).extend(zip(thetas, out))
+            return out
+
+        monkeypatch.setattr(_Analysis, "_classify_angles", recording_classify)
+        analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
+        maxima = [a for a in analysis.points if a.index == 2]
+        for a in maxima:
+            analysis.partition(a)
+        trapped = 0
+        for a in maxima:
+            thetas = [th for th, _ in seen[a.id]]
+            full = full_landing_classes(analysis, a, thetas)
+            assert [comparable(got) for _, got in seen[a.id]] == list(map(comparable, full))
+            seeds = [analysis.seed(a, analysis.direction_at(a, th)) for th in thetas]
+            trapped += sum(
+                torus_distance(got.state, got.point.position) > analysis.cfg.landing_radius
+                for got in analysis.land_lanes(seeds, trap=True)
+            )
+        assert trapped > 0
+
+    @pytest.mark.parametrize(
+        "f",
+        [torus_function()] + [perturbed_torus(s) for s in range(6)],
+        ids=["torus"] + [f"perturbed-{s}" for s in range(6)],
+    )
+    def test_certificate_holds_on_sampled_spheres(self, f):
+        # Inside the trapping radius the cubic Taylor bound and the Hessian
+        # bound hold, and the trapping level lies below the bound on the
+        # sphere, which is what keeps a lane below it inside the ball.
+        # 1e-12 allows for the rounding of the evaluated differences.
+        analysis = _Analysis(f, NumericalConfig())
+        m = third_derivative_bound(f)
+        sinks = 0
+        for i, c in enumerate(analysis.points):
+            rho, level = analysis.trap_radius[i], analysis.trap_level[i]
+            if c.index != 0:
+                assert rho < 0.0
+                continue
+            sinks += 1
+            f0, _, hess = eval_grad_hess(f, c.position)
+            lam = float(np.linalg.eigvalsh(hess)[0])
+            assert 0.0 < rho <= lam / m < 0.5
+            others = [p for p in analysis.points if p is not c]
+            assert all(torus_distance(p.position, c.position) > rho for p in others)
+            assert level - f0 < lam * rho**2 / 2 - m * rho**3 / 6
+            for r in rho * np.array([0.05, 0.25, 0.5, 0.75, 1.0]):
+                assert lam - m * r > 0.0
+                for k in range(24):
+                    u = np.array([math.cos(k * math.pi / 12), math.sin(k * math.pi / 12)])
+                    value, _, h = eval_grad_hess(f, np.array(c.position) + r * u)
+                    assert value - f0 >= lam * r**2 / 2 - m * r**3 / 6 - 1e-12
+                    assert np.linalg.eigvalsh(h)[0] >= lam - m * r - 1e-12
+        assert sinks >= 1
+
+    def test_lane_stops_at_its_first_sample_inside_a_region(self):
+        # Seeds within 0.9 rho of a sink lie above its level, where the flow
+        # is not yet certified; seeds by the top point start far away.
+        f = lane_functions()[1]
+        analysis = _Analysis(f, NumericalConfig())
+        sinks = [(i, p) for i, p in enumerate(analysis.points) if p.index == 0]
+        i, sink = sinks[0]
+        r = 0.9 * analysis.trap_radius[i]
+        seeds = [sink.position + r * np.array([math.cos(k), math.sin(k)]) for k in range(8)]
+        top = analysis.points[0]
+        seeds += [analysis.seed(top, analysis.direction_at(top, 0.8 * k)) for k in range(8)]
+        for got in analysis.land_lanes(seeds, record=True, trap=True):
+            samples = np.array([x for _, x in got.trajectory])
+            values = _compiled(f).value_grad_batch(samples)[0]
+            inside = np.zeros(len(samples), dtype=bool)
+            for j, p in sinks:
+                inside |= (_wrap(samples - p.position)[1] <= analysis.trap_radius[j]) & (
+                    values < analysis.trap_level[j]
+                )
+            assert got.point.index == 0 and len(samples) > 1
+            assert inside[-1] and not inside[:-1].any()
+
+    def test_caller_point_data_does_not_move_a_class(self):
+        # The regions come from the analysis's own evaluators at the
+        # positions, not from a caller's values or eigenvalues.
+        f = lane_functions()[1]
+        clean = _Analysis(f, NumericalConfig())
+        tampered = _Analysis(
+            f,
+            NumericalConfig(),
+            [
+                replace(p, value=p.value + 10.0, hessian_eigenvalues=(1e3,) * len(p.position))
+                for p in clean.points
+            ],
+        )
+        assert tampered.trap_radius.tobytes() == clean.trap_radius.tobytes()
+        assert tampered.trap_level.tobytes() == clean.trap_level.tobytes()
+        for a in clean.points:
+            if a.index == 2:
+                (boundaries, arcs), (clean_boundaries, clean_arcs) = (
+                    analysis.partition(analysis.by_id[a.id]) for analysis in (tampered, clean)
+                )
+                assert [(b.angle, b.saddle.id) for b in boundaries] == [
+                    (b.angle, b.saddle.id) for b in clean_boundaries
+                ]
+                assert arcs == clean_arcs
+
+    def test_trapped_lane_lands_where_full_landing_runs_out(self):
+        # A step budget or flow time that ends just after a lane enters the
+        # region: the classification lane lands, the full landing fails.
+        f = lane_functions()[1]
+        analysis = _Analysis(f, NumericalConfig())
+        top = analysis.points[0]
+        theta = 1.0
+        seed = analysis.seed(top, analysis.direction_at(top, theta))
+        (stop,) = analysis.land_lanes([seed], record=True, trap=True)
+        assert torus_distance(stop.state, stop.point.position) > analysis.cfg.landing_radius
+        steps, time = len(stop.trajectory) - 1, stop.trajectory[-1][0]
+        for limits, message in (
+            ({"max_steps": steps}, "step budget"),
+            ({"max_flow_time": time}, "flow time"),
+        ):
+            limited = _Analysis(f, NumericalConfig(**limits), analysis.points)
+            assert limited._classify_angles(top, [theta]) == [
+                ("sink", (stop.point.id, stop.offset), stop.point)
+            ]
+            (full,) = limited.land_lanes([seed])
+            assert isinstance(full, IntegrationFailureError) and message in str(full)
 
 
 def circle_flow(x0: float, t: float) -> float:

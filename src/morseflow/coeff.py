@@ -3,11 +3,14 @@
 Everything here runs on arbitrary-precision Python integers.  A
 deterministic pivot rule (smallest nonzero absolute value, ties broken by
 lowest row then column) governs `smith_normal_form`, so repeated runs
-produce identical transforms.  `invariant_factors` needs no transforms:
-it first eliminates unit pivots sparsely, choosing short columns and short
-rows to limit fill-in, then runs the same Smith loop without transforms on
-the dense remainder.  Invariant factors are unique, so both routes give the
-same diagonal.
+produce identical transforms.  Its loop keeps D and U as rows and V as
+columns, and each update touches only the nonzero entries of the pivot's
+row and the rows nonzero in the pivot's column, which suits boundary
+matrices with a few nonzeros a row.  `invariant_factors` needs no
+transforms: it first eliminates unit pivots sparsely, choosing short
+columns and short rows to limit fill-in, then runs the same Smith loop
+without transforms on the dense remainder.  Invariant factors are unique,
+so both routes give the same diagonal.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice
+from operator import itemgetter, not_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -30,6 +34,20 @@ from .errors import (
 def _support(row: list[int]) -> list[int]:
     """Column indices of the nonzero entries of a row."""
     return list(compress(range(len(row)), row))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def _size(value, what: str) -> int:
+    """A row or column count, which must not be negative."""
+    if value < 0:
+        raise InputError(f"{what} {value} is negative")
+    return value
 
 
 def _json_integer(value, what: str) -> int:
@@ -59,7 +77,7 @@ class IntegerMatrix:
                 raise InputError("explicit column count disagrees with row width")
             self.cols = width
         else:
-            self.cols = 0 if cols is None else _json_integer(cols, "column count")
+            self.cols = 0 if cols is None else _size(_json_integer(cols, "column count"), "column count")
         self._e = e
 
     @classmethod
@@ -71,11 +89,13 @@ class IntegerMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
+        _size(rows, "row count")
+        _size(cols, "column count")
         return cls._of([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls._of(_identity_rows(_size(n, "size")), n)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -168,12 +188,22 @@ class IntegerMatrix:
         return self.to_rows()
 
 
-def _select_pivot(d: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
-    """Smallest nonzero |entry| in the trailing submatrix, lowest (row, col) on ties."""
+def _select_pivot(
+    d: list[list[int]], zero: list[bool], t: int, m: int, n: int
+) -> tuple[int, int] | None:
+    """Smallest nonzero |entry| in the trailing submatrix, lowest (row, col) on ties.
+
+    Rows from t on are zero left of column t, and a zero row stays zero for
+    the rest of the reduction, so a row found zero is marked in `zero` and
+    not searched again.
+    """
     best = None
     best_abs = None
-    for i in range(t, m):
+    for i in compress(range(t, m), map(not_, islice(zero, t, None))):
         di = d[i]
+        if not any(di):
+            zero[i] = True
+            continue
         for j in compress(range(t, n), islice(di, t, None)):
             v = di[j]
             a = -v if v < 0 else v
@@ -186,53 +216,72 @@ def _select_pivot(d: list[list[int]], t: int, m: int, n: int) -> tuple[int, int]
 
 
 def _smith_reduce(
-    d: list[list[int]], u: list[list[int]] | None, v: list[list[int]] | None
+    d: list[list[int]], u: list[list[int]] | None, vt: list[list[int]] | None
 ) -> None:
     """Reduce the rows `d` in place to Smith form; U and V follow when given.
 
     Row operations on d are applied to the rows of `u`, column operations to
-    the columns of `v`; either may be None to skip its updates.
+    `vt`, which holds the columns of V so that a column swap or update is a
+    list swap or a row update; either may be None to skip its updates.  Each
+    update walks only the nonzero entries of the pivot's row (of D, U or V
+    transposed) and only the rows nonzero in the pivot's column, and the
+    remainder check looks only where an update landed.  Terms with a zero
+    multiplier are exactly zero, so the result is the same, integer for
+    integer, as full-row updates in the same order.
     """
     m = len(d)
     n = len(d[0]) if d else 0
     t = 0
     limit = min(m, n)
+    zero = [False] * m  # rows known to be zero; they move with their rows
     while t < limit:
-        piv = _select_pivot(d, t, m, n)
+        piv = _select_pivot(d, zero, t, m, n)
         if piv is None:
             break
         pi, pj = piv
         if pi != t:
             d[t], d[pi] = d[pi], d[t]
+            zero[t], zero[pi] = zero[pi], zero[t]
             if u is not None:
                 u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in d:
+            for row in islice(d, t, None):  # rows above t are zero in both
                 row[t], row[pj] = row[pj], row[t]
-            if v is not None:
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
-        pivot = d[t][t]
-        # Clear column t below the pivot and row t to its right.
-        for i in range(t + 1, m):
-            q = d[i][t] // pivot
-            if q:
-                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                if u is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-        # A column operation changes only the rows that are nonzero in column t.
-        d_live = [row for row in d if row[t]]
-        v_live = [row for row in v if row[t]] if v is not None else []
-        for j in range(t + 1, n):
-            q = d[t][j] // pivot
-            if q:
-                for row in d_live:
-                    row[j] -= q * row[t]
-                for row in v_live:
-                    row[j] -= q * row[t]
-        if any(d[i][t] for i in range(t + 1, m)) or any(
-            d[t][j] for j in range(t + 1, n)
-        ):
+            if vt is not None:
+                vt[t], vt[pj] = vt[pj], vt[t]
+        dt = d[t]
+        pivot = dt[t]
+        pivot_row = [(j, dt[j]) for j in _support(dt)]  # columns t and up
+        # Clear column t below the pivot.
+        below = list(compress(range(t + 1, m), map(itemgetter(t), islice(d, t + 1, None))))
+        if below:
+            pivot_u = [(j, u[t][j]) for j in _support(u[t])] if u is not None else ()
+            for i in below:
+                di = d[i]
+                q = di[t] // pivot
+                if q:
+                    for j, y in pivot_row:
+                        di[j] -= q * y
+                    if u is not None:
+                        ui = u[i]
+                        for j, y in pivot_u:
+                            ui[j] -= q * y
+        # Clear row t right of the pivot.  A column operation changes only the
+        # rows that are nonzero in column t: the pivot row and the remainders.
+        right = [j for j, _ in pivot_row if j != t]
+        if right:
+            live = [dt] + [d[i] for i in below if d[i][t]]
+            pivot_v = [(k, vt[t][k]) for k in _support(vt[t])] if vt is not None else ()
+            for j in right:
+                q = dt[j] // pivot
+                if q:
+                    for row in live:
+                        row[j] -= q * row[t]
+                    if vt is not None:
+                        vj = vt[j]
+                        for k, y in pivot_v:
+                            vj[k] -= q * y
+        if any(d[i][t] for i in below) or any(dt[j] for j in right):
             continue  # remainders are strictly smaller; re-select the pivot
         # Divisibility repair: the pivot must divide the rest of the submatrix.
         witness = None
@@ -242,14 +291,19 @@ def _smith_reduce(
                     witness = i
                     break
         if witness is not None:
-            d[t] = [x + y for x, y in zip(d[t], d[witness])]
+            dw = d[witness]
+            for j in _support(dw):
+                dt[j] += dw[j]
             if u is not None:
-                u[t] = [x + y for x, y in zip(u[t], u[witness])]
+                ut, uw = u[t], u[witness]
+                for j in _support(uw):
+                    ut[j] += uw[j]
             continue
         t += 1
+    # Off the diagonal D is zero by now.
     for i in range(limit):
         if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
+            d[i][i] = -d[i][i]
             if u is not None:
                 u[i] = [-x for x in u[i]]
 
@@ -263,9 +317,10 @@ def smith_normal_form(
     """
     m, n = a.rows, a.cols
     d = a.to_rows()
-    u = IntegerMatrix.identity(m).to_rows()
-    v = IntegerMatrix.identity(n).to_rows()
-    _smith_reduce(d, u, v)
+    u = _identity_rows(m)
+    vt = _identity_rows(n)  # the columns of V
+    _smith_reduce(d, u, vt)
+    v = [list(col) for col in zip(*vt)]
     return IntegerMatrix._of(u, m), IntegerMatrix._of(d, n), IntegerMatrix._of(v, n)
 
 

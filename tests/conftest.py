@@ -3,7 +3,7 @@
 The oracles here stay deliberately naive: rank computation by fraction
 Gaussian elimination, modular homology by enumerating small modules, a
 combinatorial surface triangulation whose boundary matrices are written
-down directly, a scalar, one-trajectory-at-a-time flow integrator, a
+down directly, the dense Smith reduction that rewrites whole rows, a scalar, one-trajectory-at-a-time flow integrator, a
 recursive bisection of the departure circle that classifies one midpoint at
 a time by a lane that runs until it lands, and a probe that follows one
 trajectory past a family's broken end to see which way it leaves the
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import compress, islice
 from math import gcd
 
 import numpy as np
@@ -91,6 +92,102 @@ def rational_rank(a: IntegerMatrix) -> int:
         rank += 1
         col += 1
     return rank
+
+
+# -- dense Smith-form oracle --------------------------------------------------
+
+
+def _dense_select_pivot(d, t, m, n):
+    """Smallest nonzero |entry| in the trailing submatrix, lowest (row, col) on ties."""
+    best = None
+    best_abs = None
+    for i in range(t, m):
+        di = d[i]
+        for j in compress(range(t, n), islice(di, t, None)):
+            v = di[j]
+            a = -v if v < 0 else v
+            if a == 1:
+                return (i, j)
+            if best_abs is None or a < best_abs:
+                best_abs = a
+                best = (i, j)
+    return best
+
+
+def dense_smith_reduce(d, u, v) -> None:
+    """The Smith loop with whole-row updates: rows of `u`, rows of `v`.
+
+    Same pivot rule and order of operations as `coeff._smith_reduce`, but
+    every row operation rewrites the whole row, every column operation and
+    swap walks every row, and the remainder check rescans the pivot's row
+    and column.
+    """
+    m = len(d)
+    n = len(d[0]) if d else 0
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        piv = _dense_select_pivot(d, t, m, n)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            d[t], d[pi] = d[pi], d[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in d:
+                row[t], row[pj] = row[pj], row[t]
+            if v is not None:
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
+        pivot = d[t][t]
+        for i in range(t + 1, m):
+            q = d[i][t] // pivot
+            if q:
+                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                if u is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        d_live = [row for row in d if row[t]]
+        v_live = [row for row in v if row[t]] if v is not None else []
+        for j in range(t + 1, n):
+            q = d[t][j] // pivot
+            if q:
+                for row in d_live:
+                    row[j] -= q * row[t]
+                for row in v_live:
+                    row[j] -= q * row[t]
+        if any(d[i][t] for i in range(t + 1, m)) or any(
+            d[t][j] for j in range(t + 1, n)
+        ):
+            continue
+        witness = None
+        if pivot not in (1, -1):
+            for i in range(t + 1, m):
+                if any(x % pivot for x in islice(d[i], t + 1, None)):
+                    witness = i
+                    break
+        if witness is not None:
+            d[t] = [x + y for x, y in zip(d[t], d[witness])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[witness])]
+            continue
+        t += 1
+    for i in range(limit):
+        if d[i][i] < 0:
+            d[i] = [-x for x in d[i]]
+            if u is not None:
+                u[i] = [-x for x in u[i]]
+
+
+def dense_smith_normal_form(a: IntegerMatrix):
+    """(U, D, V) of `a` from `dense_smith_reduce`, as row lists."""
+    m, n = a.shape
+    d = a.to_rows()
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    dense_smith_reduce(d, u, v)
+    return u, d, v
 
 
 # -- modular homology oracle by enumeration ---------------------------------

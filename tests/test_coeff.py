@@ -4,12 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     brute_mod_order_profile,
     claimed_order_profile,
+    dense_smith_normal_form,
     rational_rank,
 )
 from morseflow import (
@@ -29,6 +30,7 @@ from morseflow.errors import (
     DimensionMismatchError,
     WindowOverflowError,
 )
+from test_realization import grid_surface
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda rows: st.integers(1, 4).flatmap(
@@ -53,6 +55,38 @@ factor_matrices = st.tuples(
         max_size=spec[0],
     ).map(lambda rows: IntegerMatrix(rows, cols=spec[1]))
 )
+
+# Entries for the dense-oracle comparison: sparse +-1, wider and very wide
+# integers, non-unit entries whose pivots need the divisibility repair, and
+# nothing at all.
+oracle_entries = (
+    st.sampled_from((0, 0, 0, 0, 1, -1)),
+    st.integers(-99, 99),
+    st.one_of(st.just(0), st.integers(-(10**12), 10**12)),
+    st.sampled_from((0, 0, 2, -3, 4, 6, 9)),
+    st.just(0),
+)
+oracle_matrices = st.tuples(
+    st.integers(0, 8), st.integers(0, 8), st.sampled_from(oracle_entries)
+).flatmap(
+    lambda spec: st.lists(
+        st.lists(spec[2], min_size=spec[1], max_size=spec[1]),
+        min_size=spec[0],
+        max_size=spec[0],
+    ).map(lambda rows: IntegerMatrix(rows, cols=spec[1]))
+)
+
+
+def assert_matches_dense_oracle(a: IntegerMatrix) -> None:
+    """U, D and V equal the dense reduction's, entry for entry."""
+    m, n = a.shape
+    u, d, v = smith_normal_form(a)
+    ou, od, ov = dense_smith_normal_form(a)
+    assert (u.shape, d.shape, v.shape) == ((m, m), (m, n), (n, n))
+    assert u.to_rows() == ou
+    assert d.to_rows() == od
+    assert v.to_rows() == ov
+    assert invariant_factors(a) == [od[i][i] for i in range(min(m, n)) if od[i][i]]
 
 
 class TestIntegerMatrix:
@@ -84,6 +118,25 @@ class TestIntegerMatrix:
     def test_column_count_must_be_an_integer(self):
         with pytest.raises(InputError):
             IntegerMatrix([], cols=2.5)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: IntegerMatrix([], cols=-2),
+            lambda: IntegerMatrix.zeros(-1, 2),
+            lambda: IntegerMatrix.zeros(2, -1),
+            lambda: IntegerMatrix.identity(-1),
+        ],
+        ids=["explicit-cols", "zeros-rows", "zeros-cols", "identity"],
+    )
+    def test_negative_sizes_rejected(self, make):
+        with pytest.raises(InputError):
+            make()
+
+    def test_empty_sizes_accepted(self):
+        assert IntegerMatrix([], cols=0).shape == (0, 0)
+        assert IntegerMatrix.zeros(0, 3).shape == (0, 3)
+        assert IntegerMatrix.identity(0).shape == (0, 0)
 
     def test_integral_floats_read_as_ints(self):
         a = IntegerMatrix([[1.0, -2]])
@@ -160,6 +213,27 @@ class TestSmithNormalForm:
         _, d, _ = smith_normal_form(a)
         diag = [d[i, i] for i in range(min(a.shape))]
         assert invariant_factors(a) == [x for x in diag if x]
+
+    @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_surface_boundaries_match_dense_oracle(self, n, klein):
+        for a in grid_surface(n, klein).boundaries:
+            assert_matches_dense_oracle(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_matrices)
+    @example(IntegerMatrix([[2, 0], [0, 3]]))
+    @example(IntegerMatrix([[4, 6], [6, 9], [2, 3]]))
+    @example(IntegerMatrix.zeros(3, 4))
+    @example(IntegerMatrix([], cols=5))
+    @example(IntegerMatrix([[], [], []]))
+    def test_matches_dense_oracle(self, a):
+        assert_matches_dense_oracle(a)
+
+    def test_divisibility_repair(self):
+        u, d, v = smith_normal_form(IntegerMatrix([[2, 0], [0, 3]]))
+        assert d.to_rows() == [[1, 0], [0, 6]]
+        assert u @ IntegerMatrix([[2, 0], [0, 3]]) @ v == d
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices)

@@ -18,14 +18,20 @@ bisection splits them, and a partition that raises is written as
 `type: message`.  Under OUT/coeff it writes, for
 a fixed-seed set of integer matrices up to 12 x 12, the Smith form with its
 transforms, the invariant factors and the homology over every ring of the
-two-term complex the matrix defines, plus the `realize` reports of the
-6 x 6 triangulated torus and of the small complexes in REALIZE_CASES,
-which cover the error paths of `realize`.  Two trees that behave
-identically produce identical directories:
+two-term complex the matrix defines; the Smith form with its transforms
+and the invariant factors of both boundaries of the 6 x 6 triangulated
+torus and Klein bottle, whose elimination fills in; and the `realize`
+reports of that torus and of the small complexes in REALIZE_CASES, which
+cover the error paths of `realize`.  Two trees that behave identically
+produce identical directories:
 
     PYTHONPATH=old/src python tools/dump_outputs.py old-out
     PYTHONPATH=new/src python tools/dump_outputs.py new-out
     diff -r old-out new-out
+
+`--only SECTION` (repeatable) writes only the named top-level directories,
+for example `--only coeff` for the exact layer alone, which takes seconds
+instead of the minutes the perturbed tori take.
 """
 
 from __future__ import annotations
@@ -59,6 +65,15 @@ from morseflow.morse import (
 )
 
 RINGS = ("z", "zmod:2", "q", "laurent:2:1")
+SECTIONS = (
+    "coeff",
+    "cli",
+    "perturbed",
+    "perturbed-reversed",
+    "trajectories",
+    "partitions",
+    "partitions-coarse",
+)
 # Entry pools: dense small integers, sparse +-1 (all unit pivots), and
 # sparse entries that leave a dense remainder with torsion.
 ENTRY_POOLS = (tuple(range(-9, 10)), (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, -1, 2, 3, 6, -4))
@@ -179,6 +194,17 @@ def dump_partitions(
         (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
 
+def _smith_record(a: IntegerMatrix) -> dict:
+    u, d, v = smith_normal_form(a)
+    return {
+        "a": a.to_json(),
+        "u": u.to_json(),
+        "d": d.to_json(),
+        "v": v.to_json(),
+        "invariantFactors": invariant_factors(a),
+    }
+
+
 def dump_coeff(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(0)
@@ -186,26 +212,23 @@ def dump_coeff(out: Path) -> None:
         m, n = rng.randint(0, 12), rng.randint(0, 12)
         pool = ENTRY_POOLS[k % len(ENTRY_POOLS)]
         a = IntegerMatrix([[rng.choice(pool) for _ in range(n)] for _ in range(m)], cols=n)
-        u, d, v = smith_normal_form(a)
         cx = ChainComplexData(
             (tuple(f"r{i}" for i in range(m)), tuple(f"c{j}" for j in range(n))), (a,)
         )
-        record = {
-            "a": a.to_json(),
-            "u": u.to_json(),
-            "d": d.to_json(),
-            "v": v.to_json(),
-            "invariantFactors": invariant_factors(a),
-            "homology": {
-                ring: [g.to_json() for g in all_homology(cx, CoefficientRing.parse(ring))]
-                for ring in RINGS
-            },
+        record = _smith_record(a)
+        record["homology"] = {
+            ring: [g.to_json() for g in all_homology(cx, CoefficientRing.parse(ring))]
+            for ring in RINGS
         }
         (out / f"matrix{k:02d}.json").write_text(json.dumps(record, sort_keys=True) + "\n")
     # The grid triangulation lives with the tests that check its homology.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     from test_realization import grid_surface
 
+    for kind in ("torus", "klein"):
+        for i, a in enumerate(grid_surface(6, klein=kind == "klein").boundaries):
+            payload = json.dumps(_smith_record(a), sort_keys=True)
+            (out / f"smith-{kind}6-d{i + 1}.json").write_text(payload + "\n")
     (out / "torus6.json").write_text(json.dumps(grid_surface(6).to_json()))
     for name, payload in REALIZE_CASES.items():
         (out / f"{name}.json").write_text(json.dumps(payload))
@@ -229,21 +252,35 @@ def main() -> None:
     parser.add_argument(
         "--cli-seeds", type=int, default=2, help="perturbed tori run through the CLI"
     )
+    parser.add_argument(
+        "--only",
+        action="append",
+        choices=SECTIONS,
+        help="write only this section (repeatable; default: all)",
+    )
     args = parser.parse_args()
     out = Path(args.out).resolve()
+    only = set(args.only or SECTIONS)
     names = ["circle", "torus", "klein", "rp2"] + [
         f"torus-perturbed:{s}" for s in bank.perturbed_torus_seeds(args.cli_seeds)
     ]
-    dump_coeff(out / "coeff")
-    dump_cli(out / "cli", names)
-    dump_perturbed(out / "perturbed", args.seeds)
-    reversed_cfg = NumericalConfig(reverse_orientation=True)
-    dump_perturbed(out / "perturbed-reversed", args.seeds, reversed_cfg)
-    dump_trajectories(out / "trajectories", args.seeds)
-    dump_partitions(out / "partitions", args.seeds)
-    for samples in (3, 5):
-        coarse = NumericalConfig(circle_samples=samples)
-        dump_partitions(out / "partitions-coarse" / f"samples{samples}", args.seeds, coarse)
+    if "coeff" in only:
+        dump_coeff(out / "coeff")
+    if "cli" in only:
+        dump_cli(out / "cli", names)
+    if "perturbed" in only:
+        dump_perturbed(out / "perturbed", args.seeds)
+    if "perturbed-reversed" in only:
+        reversed_cfg = NumericalConfig(reverse_orientation=True)
+        dump_perturbed(out / "perturbed-reversed", args.seeds, reversed_cfg)
+    if "trajectories" in only:
+        dump_trajectories(out / "trajectories", args.seeds)
+    if "partitions" in only:
+        dump_partitions(out / "partitions", args.seeds)
+    if "partitions-coarse" in only:
+        for samples in (3, 5):
+            coarse = NumericalConfig(circle_samples=samples)
+            dump_partitions(out / "partitions-coarse" / f"samples{samples}", args.seeds, coarse)
 
 
 if __name__ == "__main__":

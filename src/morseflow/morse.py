@@ -15,11 +15,16 @@ optionally a recorded trajectory and a carried frame.  The rigid flows of
 all saddles form one run and those of each index-2 point another; each
 family end is read off the sign of a rigid flow, with no run of its own.
 The circle samples form one batch; the bisection steps every open bracket
-once a round, visits the same midpoints as a one-at-a-time bisection and
-classifies them ahead, a dyadic subtree under every open bracket per batch,
-so the boundary angles are the same floats.  A lane that only classifies an
-angle stops once it enters a region around a sink that its flow provably
-never leaves, so it gets the class it would get by running on.
+once a round and visits the same midpoints as a one-at-a-time bisection, so
+the boundary angles are the same floats.  A round that misses classifies
+ahead, in one batch of about max(64, `circle_samples`) lanes, the midpoints
+each bracket's walk would visit on its way to an aimed angle, or else a
+dyadic subtree under the bracket.  The aim comes from the time lanes
+spend passing a saddle, which once exponentiated is nearly linear in the
+angle's offset from the boundary; it picks only what is classified ahead,
+never a result.  A lane that only classifies an angle stops once it enters
+a region around a sink that its flow provably never leaves, so it gets the
+class it would get by running on.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
 error raised is the one that building the flows one at a time would raise
@@ -266,6 +271,13 @@ class NumericalConfig:
                 raise InputError(f"config field {name} must be positive")
         if self.landing_radius >= self.sphere_radius:
             raise InputError("landing radius must be below the departure radius")
+        # A step at or below `step_min` is accepted whatever its error, so a
+        # first step below it, or a largest step below it, would turn error
+        # control off.
+        if self.step_min > self.step_init:
+            raise InputError("step_min must not exceed step_init")
+        if self.step_init > self.step_max:
+            raise InputError("step_init must not exceed step_max")
 
     def with_overrides(self, **kwargs) -> "NumericalConfig":
         return replace(self, **kwargs)
@@ -335,14 +347,25 @@ def torus_distance(x: Sequence[float], p: Sequence[float]) -> float:
     return float(_wrap(np.subtract(x, p, dtype=float))[1])
 
 
+class _Passage(NamedTuple):
+    """A lane's longest passage by a saddle, as sigma = side * exp(-mu_u T)."""
+
+    saddle: CriticalPoint
+    sigma: float
+
+
 class _Landing(NamedTuple):
-    """Where one lane came to rest; trajectory and frame only if asked for."""
+    """Where one lane came to rest; trajectory and frame only if asked for.
+
+    A trapping lane also carries its longest saddle passage, if it had one.
+    """
 
     point: CriticalPoint
     offset: tuple[int, ...]
     state: np.ndarray
     trajectory: tuple[tuple[float, tuple[float, ...]], ...] | None
     frame: np.ndarray | None
+    passage: _Passage | None = None
 
 
 class _Boundary(NamedTuple):
@@ -531,6 +554,17 @@ def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
     return xs, y, fy, gy, hh * sums[6]
 
 
+# Radius of the ball around a saddle through which trapping lanes time their
+# passage; near the saddle the flow is close to its linearisation.
+_PASSAGE_RADIUS = 0.02
+# An aimed boundary angle is trusted to within this fraction of its distance
+# to the nearer of the two lanes it was aimed from.
+_AIM_SPREAD = 0.03
+# Lanes a bisection round classifies at least, since a run's cost per
+# iteration grows little up to this width.
+_ROUND_LANES = 64
+
+
 class _Analysis:
     """Shared caches for one function + configuration pair."""
 
@@ -576,10 +610,21 @@ class _Analysis:
         comp = self.comp
         wave = TWO_PI * np.linalg.norm(comp.freqs, axis=1)
         m = float(((np.abs(comp.cos) + np.abs(comp.sin)) * wave**3).sum())
-        lam = np.linalg.eigvalsh(comp.hess_batch(self.centres))[:, 0]
+        hess = comp.hess_batch(self.centres)
+        lam = np.linalg.eigvalsh(hess)[:, 0]
         reach = lam / m
         self.trap_radius = np.where(lam > 0.0, 0.999 * reach, -1.0)
         self.trap_level = comp.value_grad_batch(self.centres)[0] + lam * reach * reach / 6.0
+        # The saddles whose passage trapping lanes time (rows of `centres`,
+        # with one negative Hessian eigenvalue), each with its unstable rate
+        # mu_u and unstable eigenvector, both from the analysis's own Hessian.
+        w, q = np.linalg.eigh(hess)
+        self.passage_rows = np.flatnonzero((w < 0.0).sum(axis=1) == 1)
+        self.passage_rate = -w[self.passage_rows, 0]
+        self.passage_axis = q[self.passage_rows, :, 0]
+        # Per index-2 point, by departure angle: the class and passage of
+        # each classified lane that rests at a sink after passing a saddle.
+        self._passages: dict[str, dict[float, tuple[tuple, _Passage]]] = {}
         self._frames: dict[str, np.ndarray] = {}
         self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
         self._rigid_flows: list[FlowLine] | None = None
@@ -635,11 +680,19 @@ class _Analysis:
         `trap_radius` of the sink with its value below `trap_level`, a
         region its flow provably never leaves; its state is then not near
         the sink, so only a lane whose landing class alone is read may
-        trap.  With `record`, a landing carries its trajectory: (time,
-        point) at the seed and after every accepted step.  `frames` (lanes x
-        n x m) are tangent frames at the seeds, carried by the linearised
-        flow (`_advance_frames`) and returned with the landing.  No lane
-        depends on the others, so a lane run alone gives the same bits.
+        trap.  A trapping lane also times every passage through the ball of
+        radius `_PASSAGE_RADIUS` around a saddle s (`passage_rows`), and
+        its landing carries the longest one as sigma = side * exp(-mu_u T):
+        T is the time from entry to exit, mu_u the unstable rate of s, and
+        side the sign of the exit along s's unstable eigenvector.  By the
+        Dulac passage map, sigma is nearly linear in the departure angle
+        near a basin boundary through s.  The books only read the lane's
+        samples, so they change no bit of it.  With `record`, a landing
+        carries its trajectory: (time, point) at the seed and after every
+        accepted step.  `frames` (lanes x n x m) are tangent frames at the
+        seeds, carried by the linearised flow (`_advance_frames`) and
+        returned with the landing.  No lane depends on the others, so a lane
+        run alone gives the same bits.
         """
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
@@ -658,14 +711,27 @@ class _Analysis:
         steps = np.zeros(len(seeds), dtype=int)
         fresh = np.ones(len(seeds), dtype=bool)
         paths = [[(0.0, tuple(s))] for s in x.tolist()] if record else None
+        # Passage books of trapping lanes: each lane's distance to every
+        # tracked saddle and its time at the last check, the entry time into
+        # each ball it is in (NaN if it started there), and per seed the
+        # longest passage completed, with its time.
+        track = trap and len(self.passage_rows) > 0
+        if track:
+            tracked = self.passage_rows
+            last_d = _wrap(x[:, None, :] - self.centres[tracked])[1]
+            last_t = t.copy()
+            entry = np.full(last_d.shape, np.nan)
+            longest: list = [(-math.inf, None)] * len(seeds)
 
         def finish(done: np.ndarray) -> None:
-            nonlocal lane, x, v, fx, g1, t, h, steps, fresh
+            nonlocal lane, x, v, fx, g1, t, h, steps, fresh, last_d, last_t, entry
             keep = ~done
             lane, x, fx, g1, t, h = lane[keep], x[keep], fx[keep], g1[keep], t[keep], h[keep]
             steps, fresh = steps[keep], fresh[keep]
             if v is not None:
                 v = v[keep]
+            if track:
+                last_d, last_t, entry = last_d[keep], last_t[keep], entry[keep]
 
         # A zero error estimate makes the step factor infinite, as meant.
         with np.errstate(divide="ignore"):
@@ -675,7 +741,36 @@ class _Analysis:
                 # The tests run on every row and count only for those lanes;
                 # gathering their rows first would cost more calls than it saves.
                 d = x[:, None, :] - self.centres
-                dist = _wrap(d)[1]
+                res, dist = _wrap(d)
+                if track:
+                    # Only a lane that moved can cross a sphere around a
+                    # saddle; its crossing time is interpolated in log
+                    # distance between the samples that straddle it.
+                    ball = dist[:, tracked]
+                    crossed = (ball <= _PASSAGE_RADIUS) != (last_d <= _PASSAGE_RADIUS)
+                    if crossed.any():
+                        r, c = np.nonzero(crossed)
+                        d0, d1 = np.log(last_d[r, c]), np.log(ball[r, c])
+                        with np.errstate(invalid="ignore"):
+                            at = last_t[r] + (t[r] - last_t[r]) * (
+                                (d0 - math.log(_PASSAGE_RADIUS)) / (d0 - d1)
+                            )
+                        entering = ball[r, c] <= _PASSAGE_RADIUS
+                        entry[r[entering], c[entering]] = at[entering]
+                        exits = ~entering
+                        out_r, out_c = r[exits], c[exits]
+                        spans = at[exits] - entry[out_r, out_c]
+                        sides = np.einsum(
+                            "pj,pj->p", res[out_r, tracked[out_c]], self.passage_axis[out_c]
+                        )
+                        for k, col, span, side in zip(
+                            out_r.tolist(), out_c.tolist(), spans.tolist(), sides.tolist()
+                        ):
+                            if span > longest[lane[k]][0]:
+                                size = math.exp(-self.passage_rate[col] * span)
+                                saddle = self.points[tracked[col]]
+                                longest[lane[k]] = span, _Passage(saddle, math.copysign(size, side))
+                    last_d, last_t = ball, t.copy()
                 near = dist <= cfg.landing_radius
                 if trap:
                     caught = (dist <= self.trap_radius) & (fx[:, None] < self.trap_level)
@@ -700,6 +795,7 @@ class _Analysis:
                             x[k].copy(),
                             tuple(paths[lane[k]]) if record else None,
                             None if v is None else v[k].copy(),
+                            longest[lane[k]][1] if track else None,
                         )
                     for k in np.flatnonzero(spent):
                         out[lane[k]] = IntegrationFailureError("step budget exhausted")
@@ -873,11 +969,13 @@ class _Analysis:
         """Landing class of each departure angle of `a`, as lanes of one batch.
 
         Each entry is ("sink", (sink id, offset), sink), ("saddle", None,
-        saddle), or the error that angle's flow raised.
+        saddle), or the error that angle's flow raised.  The longest saddle
+        passage of each lane that rests at a sink is kept, with its class,
+        in `_passages[a.id]` by angle.
         """
         seeds = [self.seed(a, self.direction_at(a, th)) for th in thetas]
         out = []
-        for got in self.land_lanes(seeds, trap=True):
+        for th, got in zip(thetas, self.land_lanes(seeds, trap=True)):
             if isinstance(got, Exception):
                 out.append(got)
                 continue
@@ -886,6 +984,8 @@ class _Analysis:
                 out.append(_rests_too_high(a, point))
             elif point.index == 0:
                 out.append(("sink", (point.id, offset), point))
+                if got.passage is not None:
+                    self._passages.setdefault(a.id, {})[th] = ((point.id, offset), got.passage)
             else:
                 out.append(("saddle", None, point))
         return out
@@ -950,6 +1050,35 @@ class _Analysis:
         self._partitions[a.id] = (boundaries, arcs)
         return boundaries, arcs
 
+    def _aim(self, a: CriticalPoint, s: _Bracket) -> tuple[float, float] | None:
+        """Estimated boundary angle in bracket `s` with its uncertainty, or None.
+
+        The estimate rests on the two lanes nearest the boundary, those of
+        smallest |sigma| among the lanes of the bracket's two classes within
+        one bracket width of it that passed the saddle the nearest one
+        passed.  Sigma is nearly linear in the angle near the boundary, so
+        the line through their sigma values meets zero near it: by regula
+        falsi when the two lie on either side and by a secant when they lie
+        on one side, which avoids the kink of sigma's slope at the boundary.
+        The estimate is clamped into the bracket, and its uncertainty is
+        `_AIM_SPREAD` times its distance to the nearer of the two lanes.
+        """
+        width = s.hi - s.lo
+        near = sorted(
+            (abs(p.sigma), th, p)
+            for th, (cls, p) in self._passages.get(a.id, {}).items()
+            if cls in (s.lo_cls, s.hi_cls) and s.lo - width <= th <= s.hi + width
+        )
+        if not near:
+            return None
+        saddle = near[0][2].saddle
+        pairs = [(th, p.sigma) for _, th, p in near if p.saddle is saddle]
+        if len(pairs) < 2 or pairs[0][1] == pairs[1][1]:
+            return None
+        (t0, s0), (t1, s1) = pairs[:2]
+        aim = min(max(t0 - s0 * (t1 - t0) / (s1 - s0), s.lo), s.hi)
+        return aim, _AIM_SPREAD * min(abs(aim - t0), abs(aim - t1))
+
     def _bisect_all(self, a: CriticalPoint, brackets: list) -> list[_Boundary]:
         """Bisect every bracket (lo, lo class, hi, hi class) to its boundaries.
 
@@ -959,18 +1088,24 @@ class _Analysis:
         midpoint a boundary, a midpoint of the lo or hi class halves the
         bracket, and one of a third class splits it in two, in place.  A
         bracket within `bisection_tol` did not resolve.  Midpoint classes
-        come from a cache keyed by the exact angle; when a round misses, one
-        batch classifies the dyadic subtree of depth k >= 1 under every open
-        bracket, with k chosen so that a batch holds about `circle_samples`
-        lanes.  Every bracket visits the midpoints a one-at-a-time bisection
-        would, so the boundaries are the same floats.  A lane's error counts
-        only if a bracket visits its angle, and the error raised is the
-        first in angle order, the one a depth-first walk would meet first.
+        come from a cache keyed by the exact angle.  When a round misses,
+        one batch classifies ahead, for every open bracket, about its share
+        of max(`_ROUND_LANES`, `circle_samples`) new angles, and always its
+        own midpoint.  A bracket that `_aim` can aim gets the midpoints a
+        one-at-a-time bisection would visit on its way to the aimed angle,
+        and at each level whose midpoint lies within the uncertainty of the
+        aim, also the midpoint of the half the way does not take; any other
+        bracket gets its dyadic subtree of depth k >= 1, the largest within
+        its share.  Every bracket visits the midpoints a one-at-a-time
+        bisection would, whatever was classified ahead, so the boundaries
+        are the same floats.  A lane's error counts only if a bracket visits
+        its angle, and the error raised is the first in angle order, the one
+        a depth-first walk would meet first.
         """
-        cfg = self.cfg
+        tol = self.cfg.bisection_tol
 
         def opened(lo: float, lo_cls, hi: float, hi_cls):
-            if hi - lo > cfg.bisection_tol:
+            if hi - lo > tol:
                 return _Bracket(lo, lo_cls, hi, hi_cls)
             return MorseSmaleViolationError(
                 "basin boundary did not resolve to an intermediate rest point "
@@ -978,17 +1113,36 @@ class _Analysis:
             )
 
         cache: dict[float, object] = {}
-        slots = [opened(*b) for b in brackets]
-        while spans := [(s.lo, s.hi) for s in slots if isinstance(s, _Bracket)]:
-            if any(0.5 * (lo + hi) not in cache for lo, hi in spans):
-                # Splits can leave more open brackets than samples, hence k >= 1.
-                depth = max(1, (cfg.circle_samples // len(spans) + 1).bit_length() - 1)
-                level, angles = spans, []
-                for _ in range(depth):
-                    level = [(lo, hi) for lo, hi in level if hi - lo > cfg.bisection_tol]
+
+        def ahead(s: _Bracket, share: int) -> list[float]:
+            aim = self._aim(a, s)
+            if aim is None or not all(map(math.isfinite, aim)):
+                # The deepest full subtree within the share, of depth >= 1.
+                level, out = [(s.lo, s.hi)], []
+                for _ in range((share + 1).bit_length() - 1):
+                    level = [(lo, hi) for lo, hi in level if hi - lo > tol]
                     mids = [0.5 * (lo + hi) for lo, hi in level]
-                    angles += [mid for mid in mids if mid not in cache]
+                    out += [mid for mid in mids if mid not in cache]
                     level = [h for (lo, hi), m in zip(level, mids) for h in ((lo, m), (m, hi))]
+                return out
+            aim, spread = aim
+            lo, hi, out = s.lo, s.hi, []
+            while hi - lo > tol and len(out) < share:
+                mid = 0.5 * (lo + hi)
+                way, other = ((lo, mid), (mid, hi)) if aim < mid else ((mid, hi), (lo, mid))
+                picks = [mid]
+                if abs(mid - aim) <= spread and other[1] - other[0] > tol:
+                    picks.append(0.5 * (other[0] + other[1]))
+                out += [th for th in picks if th not in cache]
+                lo, hi = way
+            return out
+
+        slots = [opened(*b) for b in brackets]
+        while spans := [s for s in slots if isinstance(s, _Bracket)]:
+            if any(0.5 * (s.lo + s.hi) not in cache for s in spans):
+                # Splits can leave more open brackets than lanes, hence >= 1.
+                share = max(1, max(_ROUND_LANES, self.cfg.circle_samples) // len(spans))
+                angles = [th for s in spans for th in ahead(s, share)]
                 cache.update(zip(angles, self._classify_angles(a, angles)))
             slots, previous = [], slots
             for s in previous:

@@ -343,6 +343,9 @@ MALFORMED = {
     "config-grid-str": ("config", {"grid_resolution": "a"}),
     "config-grid-nan": ("config", {"grid_resolution": float("nan")}),
     "config-samples-float": ("config", {"circle_samples": 2.5}),
+    # A step at or below step_min skips error control; these once ran unchecked.
+    "config-step-min-above-init": ("config", {"step_min": 0.2}),
+    "config-step-init-above-max": ("config", {"step_init": 0.1}),
     "function-term-int": ("function", {"dim": 2, "terms": [1]}),
     "function-coeff-overflow": (
         "function",

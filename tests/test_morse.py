@@ -232,6 +232,16 @@ class TestNumericalConfig:
         with pytest.raises(InputError):
             NumericalConfig(sphere_radius=1e-4, landing_radius=1e-3)
 
+    def test_step_sizes_in_order(self):
+        for bad, message in (
+            ({"step_min": 0.2}, "step_min must not exceed step_init"),
+            ({"step_init": 0.1}, "step_init must not exceed step_max"),
+        ):
+            with pytest.raises(InputError, match=message):
+                NumericalConfig(**bad)
+        equal = NumericalConfig(step_min=0.05, step_init=0.05, step_max=0.05)
+        assert equal.step_min == equal.step_init == equal.step_max
+
     def test_overrides_and_json(self):
         cfg = NumericalConfig().with_overrides(circle_samples=128)
         assert cfg.circle_samples == 128
@@ -700,8 +710,17 @@ class TestLanes:
             build_flow_category(f)
 
 
+# Deliberately wrong aims for the speculation: the bracket's lower end, a
+# point beyond its upper end, and no number at all.
+WRONG_AIMS = {
+    "lo-end": lambda self, a, s: (s.lo, 0.25 * (s.hi - s.lo)),
+    "outside": lambda self, a, s: (s.hi + (s.hi - s.lo), s.hi - s.lo),
+    "nan": lambda self, a, s: (math.nan, math.nan),
+}
+
+
 class TestPartition:
-    @pytest.mark.parametrize("samples", [3, 5])
+    @pytest.mark.parametrize("samples", [64, 3, 5])
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_boundaries_equal_one_at_a_time_bisection(self, f, samples):
         # Three and five samples leave brackets that hold more than two
@@ -712,10 +731,39 @@ class TestPartition:
         expected = sorted(found, key=lambda b: b[0])
         assert [tuple(b) for b in analysis.partition(top)[0]] == expected
 
+    @pytest.mark.parametrize("samples", [64, 3, 5])
+    @pytest.mark.parametrize("aim", sorted(WRONG_AIMS))
+    def test_wrong_aims_keep_every_boundary(self, monkeypatch, aim, samples):
+        # An aim only picks the angles classified ahead; the walk is the same.
+        monkeypatch.setattr(_Analysis, "_aim", WRONG_AIMS[aim])
+        for f in lane_functions():
+            analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
+            found, _ = one_at_a_time(f, samples)
+            expected = sorted(found, key=lambda b: b[0])
+            assert [tuple(b) for b in analysis.partition(analysis.points[0])[0]] == expected
+
+    # Classification runs per partition before the speculation was aimed.
+    @pytest.mark.parametrize("seed, before", [(0, 7), (1, 7), (2, 6), (3, 9), (4, 7), (5, 8)])
+    def test_aimed_speculation_adds_no_run(self, monkeypatch, seed, before):
+        classify = _Analysis._classify_angles
+        runs = []
+
+        def counting_classify(self, a, thetas):
+            runs.append(a.id)
+            return classify(self, a, thetas)
+
+        monkeypatch.setattr(_Analysis, "_classify_angles", counting_classify)
+        analysis = _Analysis(perturbed_torus(seed), NumericalConfig())
+        maxima = [a for a in analysis.points if a.index == 2]
+        for a in maxima:
+            analysis.partition(a)
+            assert 0 < runs.count(a.id) <= before
+
     def test_errors_in_both_halves_of_a_split_raise_the_lower_one(self, monkeypatch):
         # The first midpoint of each half of a split fails; a depth-first
-        # walk meets the lower half's failure first.  The lanes fail, so the
-        # oracle's full landings fail as the partition's trapped lanes do.
+        # walk meets the lower half's failure first, whatever the aim.  The
+        # lanes fail, so the oracle's full landings fail as the partition's
+        # trapped lanes do.
         f = lane_functions()[1]
         _, visited = one_at_a_time(f, 3)
         spans = set(visited)
@@ -743,8 +791,11 @@ class TestPartition:
         monkeypatch.setattr(_Analysis, "land_lanes", failing_land)
         with pytest.raises(IntegrationFailureError, match="lower half"):
             bisect_one_at_a_time(analysis, analysis.points[0])
-        with pytest.raises(IntegrationFailureError, match="lower half"):
-            analysis.partition(analysis.points[0])
+        for aim in [_Analysis._aim] + [WRONG_AIMS[name] for name in sorted(WRONG_AIMS)]:
+            monkeypatch.setattr(_Analysis, "_aim", aim)
+            analysis = _Analysis(f, NumericalConfig(circle_samples=3))
+            with pytest.raises(IntegrationFailureError, match="lower half"):
+                analysis.partition(analysis.points[0])
 
     def test_missed_basin_boundary_fails_loudly(self):
         # Of three samples of the torus's departure circle, the one at angle
@@ -753,6 +804,49 @@ class TestPartition:
         # lost: the build must count two flows into each saddle.
         with pytest.raises(MorseSmaleViolationError, match="p1.0 receives 0 .*circle_samples"):
             build_flow_category(torus_function(), NumericalConfig(circle_samples=3))
+
+
+class TestPassage:
+    def test_sigma_is_linear_in_the_offset_from_each_boundary(self):
+        # By the Dulac passage map sigma is nearly proportional to the
+        # departure angle's offset delta from a boundary through the saddle.
+        analysis = _Analysis(perturbed_torus(0), NumericalConfig())
+        top = analysis.points[0]
+        boundaries, _ = analysis.partition(top)
+        assert len(boundaries) == 4
+        offsets = [1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4]
+        deltas = [side * d for side in (-1, 1) for d in offsets]
+        for b in boundaries:
+            seeds = [analysis.seed(top, analysis.direction_at(top, b.angle + d)) for d in deltas]
+            ratios = {}
+            for d, got in zip(deltas, analysis.land_lanes(seeds, trap=True)):
+                assert got.point.index == 0 and got.passage.saddle == b.saddle
+                ratios[d] = got.passage.sigma / d
+            reference = ratios[1e-5]
+            assert all(abs(r / reference - 1.0) <= 0.05 for r in ratios.values()), ratios
+
+    def test_tracking_changes_no_landing(self):
+        # Point, offset and state keep every bit with the books on or off,
+        # and only trapping lanes keep them.
+        f = perturbed_torus(0)
+        on = _Analysis(f, NumericalConfig())
+        off = _Analysis(f, NumericalConfig(), on.points)
+        off.passage_rows = off.passage_rows[:0]
+        top = on.points[0]
+        boundaries, _ = on.partition(top)
+        thetas = [k * 2 * math.pi / 32 for k in range(32)] + [
+            b.angle + d for b in boundaries for d in (-1e-3, -1e-6, 1e-8, 1e-5)
+        ]
+        seeds = [on.seed(top, on.direction_at(top, th)) for th in thetas]
+        tracked = on.land_lanes(seeds, trap=True)
+        for got, plain in zip(tracked, off.land_lanes(seeds, trap=True)):
+            assert (got.point, got.offset) == (plain.point, plain.offset)
+            assert got.state.tobytes() == plain.state.tobytes()
+            assert plain.passage is None
+        near = tracked[32:]
+        for i, b in enumerate(boundaries):
+            assert near[4 * i + 1].passage.saddle == near[4 * i + 3].passage.saddle == b.saddle
+        assert all(got.passage is None for got in on.land_lanes(seeds[-8:], record=True))
 
 
 def third_derivative_bound(f: TrigPolynomial) -> float:

@@ -111,7 +111,13 @@ def _load_function(args, inputs: dict) -> TrigPolynomial:
 
 
 def _load_category(args, inputs: dict) -> tuple[FlowCategory, OrientationData]:
-    """Category from a file, an authored example, or a numerical build."""
+    """Category from a file, an authored example, or a numerical build.
+
+    The config is read and checked first, whichever source is used, so a
+    bad config fails every command alike and a good one is listed in
+    `inputs` even when the category is not built.
+    """
+    cfg = _load_config(args, inputs)
     if getattr(args, "category", None):
         data = _read_json(args.category, inputs)
         return FlowCategory.from_json(data)
@@ -119,11 +125,9 @@ def _load_category(args, inputs: dict) -> tuple[FlowCategory, OrientationData]:
         _note_example(args.example, inputs)
         name = args.example
         if name.startswith("torus-perturbed:"):
-            cfg = _load_config(args, inputs)
             return build_flow_category(bank.example_function(name), cfg)
         return bank.example_category(name)
     if getattr(args, "function", None):
-        cfg = _load_config(args, inputs)
         return build_flow_category(_load_function(args, inputs), cfg)
     raise InputError("provide --category FILE, --function FILE, or --example NAME")
 

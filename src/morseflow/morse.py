@@ -11,9 +11,12 @@ bisection partition of the departure circle of an index-2 point.
 
 There is one integrator, `_Analysis.land_lanes`: many seeds run as lanes
 of one lockstep, vectorized run, each lane with its own step size, and
-optionally a recorded trajectory and a carried frame.  The rigid flows of
-all saddles form one run and those of each index-2 point another; each
-family end is read off the sign of a rigid flow, with no run of its own.
+optionally a recorded trajectory and a carried frame.  One eigendecomposition
+of the Hessians at the critical points gives the unstable frames, the sink
+trapping regions and the saddle passage axes.  The rigid flows of all
+saddles form one run and those of each index-2 point another, both along one
+departure path; each family end is read off the sign of a rigid flow, with
+no run of its own.
 The circle samples form one batch; the bisection steps every open bracket
 once a round and visits the same midpoints as a one-at-a-time bisection, so
 the boundary angles are the same floats.  A round that misses classifies
@@ -610,43 +613,34 @@ class _Analysis:
         comp = self.comp
         wave = TWO_PI * np.linalg.norm(comp.freqs, axis=1)
         m = float(((np.abs(comp.cos) + np.abs(comp.sin)) * wave**3).sum())
-        hess = comp.hess_batch(self.centres)
-        lam = np.linalg.eigvalsh(hess)[:, 0]
+        w, q = np.linalg.eigh(comp.hess_batch(self.centres))
+        lam = w[:, 0]
         reach = lam / m
         self.trap_radius = np.where(lam > 0.0, 0.999 * reach, -1.0)
         self.trap_level = comp.value_grad_batch(self.centres)[0] + lam * reach * reach / 6.0
         # The saddles whose passage trapping lanes time (rows of `centres`,
         # with one negative Hessian eigenvalue), each with its unstable rate
         # mu_u and unstable eigenvector, both from the analysis's own Hessian.
-        w, q = np.linalg.eigh(hess)
         self.passage_rows = np.flatnonzero((w < 0.0).sum(axis=1) == 1)
         self.passage_rate = -w[self.passage_rows, 0]
         self.passage_axis = q[self.passage_rows, :, 0]
+        # The unstable frame of each point, by id, which departures and signs
+        # are read against: the eigenvectors of the negative eigenvalues, each
+        # signed so that its first entry clear of zero is positive, and the
+        # first flipped under `reverse_orientation`.
+        self.frames: dict[str, np.ndarray] = {}
+        for p, wp, qp in zip(self.points, w, q):
+            cols = qp[:, wp < 0.0]
+            lead = cols[np.argmax(np.abs(cols) > 1e-8, axis=0), np.arange(cols.shape[1])]
+            sides = np.where(lead < 0.0, -1.0, 1.0)
+            if cfg.reverse_orientation:
+                sides[:1] = -sides[:1]
+            self.frames[p.id] = cols * sides
         # Per index-2 point, by departure angle: the class and passage of
         # each classified lane that rests at a sink after passing a saddle.
         self._passages: dict[str, dict[float, tuple[tuple, _Passage]]] = {}
-        self._frames: dict[str, np.ndarray] = {}
         self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
         self._rigid_flows: list[FlowLine] | None = None
-
-    # frames ---------------------------------------------------------------
-
-    def unstable_frame(self, p: CriticalPoint) -> np.ndarray:
-        """Ordered eigenbasis of the negative eigenspace, sign-normalized columns."""
-        cached = self._frames.get(p.id)
-        if cached is not None:
-            return cached
-        w, q = np.linalg.eigh(self.comp.hess_batch(np.array([p.position]))[0])
-        cols = q[:, : int(np.sum(w < 0.0))].copy()
-        for j in range(cols.shape[1]):
-            col = cols[:, j]
-            lead = next((v for v in col if abs(v) > 1e-8), 1.0)
-            if lead < 0:
-                cols[:, j] = -col
-        if self.cfg.reverse_orientation and cols.shape[1]:
-            cols[:, 0] = -cols[:, 0]
-        self._frames[p.id] = cols
-        return cols
 
     # integration ----------------------------------------------------------
 
@@ -870,10 +864,13 @@ class _Analysis:
         """Rigid flows out of every index-2 and index-1 point, in point order.
 
         `find_critical_points` lists points by falling index, so the index-2
-        points come first and the saddles, all in one run, after them.  On a
-        surface the stable manifold of a saddle is two trajectories, each out
-        of an index-2 point, so a saddle that receives any other number of
-        flows from them marks a basin boundary the partition missed.
+        points come first, one run each, and the saddles, all in one run,
+        after them; both kinds of run go through `_depart`, which carries
+        each source's frame from `frames`.  On a surface the stable manifold
+        of a saddle is two trajectories, each out of an index-2 point, so a
+        saddle that receives any other number of flows from them marks a
+        basin boundary the partition missed.  On T^3 there is no such count,
+        and an index-3 point has no flows here.
         """
         if self._rigid_flows is not None:
             return self._rigid_flows
@@ -894,28 +891,6 @@ class _Analysis:
         self._rigid_flows = flows
         return flows
 
-    def _flow_line(
-        self,
-        a: CriticalPoint,
-        direction: np.ndarray,
-        angle: float | None,
-        landing: _Landing,
-        counters: dict[str, int],
-    ) -> FlowLine:
-        target = landing.point
-        k = counters.get(target.id, 0)
-        counters[target.id] = k + 1
-        return FlowLine(
-            id=f"{a.id}>{target.id}#{k}",
-            source=a.id,
-            target=target.id,
-            sign=self._sign(a, landing),
-            departure_direction=tuple(float(v) for v in direction),
-            departure_angle=angle,
-            lattice_offset=landing.offset,
-            trajectory=landing.trajectory,
-        )
-
     def _sign(self, a: CriticalPoint, landing: _Landing) -> int:
         """Sign of a rigid flow: carried unstable frame against the arrival basis."""
         target = landing.point
@@ -923,7 +898,7 @@ class _Analysis:
         speed = np.linalg.norm(arrival)
         if speed == 0.0:
             raise IntegrationFailureError("vanishing velocity at arrival")
-        basis = np.column_stack([arrival / speed, self.unstable_frame(target)])
+        basis = np.column_stack([arrival / speed, self.frames[target.id]])
         if basis.shape[0] == basis.shape[1]:
             m = np.linalg.solve(basis, landing.frame)
         else:
@@ -937,32 +912,58 @@ class _Analysis:
 
     def saddle_flows(self, saddles: Sequence[CriticalPoint]) -> list[FlowLine]:
         """Rigid flows along w and -w out of each index-1 point, all in one run."""
-        if any(a.index != 1 for a in saddles):
-            raise InputError("saddle_flows requires an index-1 source")
-        frames = [self.unstable_frame(a) for a in saddles]
-        departures = [
-            (a, d, frame)
-            for a, frame in zip(saddles, frames)
-            for d in (frame[:, 0], -frame[:, 0])
-        ]
+        return self._depart(
+            [(a, side * self.frames[a.id][:, 0], None) for a in saddles for side in (1.0, -1.0)]
+        )
+
+    def _depart(
+        self, departures: Sequence[tuple[CriticalPoint, np.ndarray, _Boundary | None]]
+    ) -> list[FlowLine]:
+        """Rigid flows along (source, direction, boundary or None) departures, in one run.
+
+        Each lane carries its source's unstable frame and records its
+        trajectory.  In departure order, a failed flow raises its error, and
+        so does a boundary direction that rests elsewhere than at the
+        boundary's saddle, or a flow that rests no lower in index than its
+        source.  Flow k between the same two points is named source>target#k.
+        """
         landings = self.land_lanes(
             [self.seed(a, d) for a, d, _ in departures],
-            np.array([frame for _, _, frame in departures]),
+            np.array([self.frames[a.id] for a, _, _ in departures]),
             record=True,
         )
         flows = []
-        counters: dict[str, dict[str, int]] = {a.id: {} for a in saddles}
-        for (a, d, _), got in zip(departures, landings):
+        counts: dict[tuple[str, str], int] = {}
+        for (a, d, b), got in zip(departures, landings):
             landing = _ok(got)
-            if landing.point.index >= a.index:
-                raise _rests_too_high(a, landing.point)
-            flows.append(self._flow_line(a, d, None, landing, counters[a.id]))
+            target = landing.point
+            if b is not None and target.id != b.saddle.id:
+                raise MorseSmaleViolationError(
+                    f"boundary direction near angle {b.angle:.9f} rests at "
+                    f"{target.id}, expected {b.saddle.id}"
+                )
+            if target.index >= a.index:
+                raise _rests_too_high(a, target)
+            k = counts.get((a.id, target.id), 0)
+            counts[a.id, target.id] = k + 1
+            flows.append(
+                FlowLine(
+                    id=f"{a.id}>{target.id}#{k}",
+                    source=a.id,
+                    target=target.id,
+                    sign=self._sign(a, landing),
+                    departure_direction=tuple(float(v) for v in d),
+                    departure_angle=None if b is None else b.angle,
+                    lattice_offset=landing.offset,
+                    trajectory=landing.trajectory,
+                )
+            )
         return flows
 
     # index-2 sources --------------------------------------------------------
 
     def direction_at(self, a: CriticalPoint, theta: float) -> np.ndarray:
-        frame = self.unstable_frame(a)
+        frame = self.frames[a.id]
         return math.cos(theta) * frame[:, 0] + math.sin(theta) * frame[:, 1]
 
     def _classify_angles(self, a: CriticalPoint, thetas: Sequence[float]) -> list:
@@ -1018,12 +1019,8 @@ class _Analysis:
 
         arcs: list[_Arc] = []
         if not boundaries:
-            sink = next((r for r in results if r[0] == "sink"), None)
-            if sink is None:
-                raise MorseSmaleViolationError(
-                    "every sampled direction rests at a higher-index point"
-                )
-            arcs.append(_Arc(0.0, TWO_PI, sink[1]))
+            # No sample rested at a saddle and no two differ in class.
+            arcs.append(_Arc(0.0, TWO_PI, results[0][1]))
         else:
             for i, b in enumerate(boundaries):
                 nxt = boundaries[(i + 1) % len(boundaries)]
@@ -1169,24 +1166,7 @@ class _Analysis:
     def max_flows(self, a: CriticalPoint) -> list[FlowLine]:
         """Rigid flows out of an index-2 point, one per basin boundary direction."""
         boundaries, _ = self.partition(a)
-        frame = self.unstable_frame(a)
-        directions = [self.direction_at(a, b.angle) for b in boundaries]
-        landings = self.land_lanes(
-            [self.seed(a, d) for d in directions],
-            np.array([frame] * len(boundaries)),
-            record=True,
-        )
-        flows = []
-        counters: dict[str, int] = {}
-        for b, direction, got in zip(boundaries, directions, landings):
-            landing = _ok(got)
-            if landing.point.id != b.saddle.id:
-                raise MorseSmaleViolationError(
-                    f"boundary direction near angle {b.angle:.9f} rests at "
-                    f"{landing.point.id}, expected {b.saddle.id}"
-                )
-            flows.append(self._flow_line(a, direction, b.angle, landing, counters))
-        return flows
+        return self._depart([(a, self.direction_at(a, b.angle), b) for b in boundaries])
 
     # one-parameter families ---------------------------------------------------
 
@@ -1201,7 +1181,7 @@ class _Analysis:
         flow maps r to (u - beta V d) / alpha, where u is the arrival
         velocity, V d the carried image of d and alpha > 0 a time shift, so
         `_sign`'s determinant against the basis (u / |u|, w_s) has the sign
-        of the w_s-component of V d, with w_s = `unstable_frame(s)[:, 0]`.
+        of the w_s-component of V d, with w_s = `frames[s.id][:, 0]`.
         A departure just past the boundary angle thus passes s on its
         sign(a -> s) w_s side: the arc after the boundary leaves s along
         sign(a -> s) w_s, and the arc before it along -sign(a -> s) w_s.

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -306,6 +307,46 @@ class TestConfig:
             code, rep = run(capsys, "crit", "--example", "circle", "--config", cfg)
             assert code == 1 and rep["status"] == "input-error"
             assert "unknown config fields" in rep["results"]["error"]
+
+
+def _authored_torus_argv(tmp_path, command):
+    """A command that reads the authored torus category, as an example or a file."""
+    if command == "validate-category":
+        cat, orientation = bank.example_category("torus")
+        path = write_json(tmp_path / "torus.category.json", cat.to_json(orientation))
+        return ["validate", "--category", path]
+    return {
+        "homology": ["homology", "--example", "torus"],
+        "validate": ["validate", "--example", "torus"],
+        "strata": ["strata", "--example", "torus", "M", "m"],
+    }[command]
+
+
+AUTHORED_COMMANDS = ["homology", "validate", "strata", "validate-category"]
+
+
+class TestConfigOnAuthoredCategories:
+    # An authored category is never built, but its command still takes
+    # --config, so the config is read and checked as everywhere else.
+    @pytest.mark.parametrize("command", AUTHORED_COMMANDS)
+    @pytest.mark.parametrize(
+        "payload", [{"bogus": 1}, {"step_min": 0.2}], ids=["bogus", "step-min"]
+    )
+    def test_bad_config_exits_one_with_one_report(self, capsys, tmp_path, command, payload):
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        argv = _authored_torus_argv(tmp_path, command) + ["--config", cfg]
+        code, rep = run(capsys, *argv)
+        assert code == 1 and rep["status"] == "input-error"
+        assert rep["results"]["error"]
+        assert cfg in rep["inputs"]
+
+    @pytest.mark.parametrize("command", AUTHORED_COMMANDS)
+    def test_good_config_digest_is_listed(self, capsys, tmp_path, command):
+        cfg = write_json(tmp_path / "cfg.json", {"circle_samples": 48})
+        argv = _authored_torus_argv(tmp_path, command) + ["--config", cfg]
+        code, rep = run(capsys, *argv)
+        assert code == 0 and rep["status"] == "ok"
+        assert rep["inputs"][cfg] == hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
 
 
 class TestContract:

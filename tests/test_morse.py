@@ -527,7 +527,7 @@ def framed_departures(analysis, index):
     for p in analysis.points:
         if p.index != index:
             continue
-        frame = analysis.unstable_frame(p)
+        frame = analysis.frames[p.id]
         if index == 1:
             directions = [frame[:, 0], -frame[:, 0]]
         else:
@@ -804,6 +804,46 @@ class TestPartition:
         # lost: the build must count two flows into each saddle.
         with pytest.raises(MorseSmaleViolationError, match="p1.0 receives 0 .*circle_samples"):
             build_flow_category(torus_function(), NumericalConfig(circle_samples=3))
+
+    def test_a_circle_in_one_basin_is_one_arc(self, monkeypatch):
+        # On T^2 the saddle count rules this out later, but on T^3 nothing
+        # does: a circle whose every angle rests at one sink has no boundary.
+        analysis = _Analysis(torus_function(), NumericalConfig())
+        top, sink = analysis.points[0], analysis.points[-1]
+        cls = (sink.id, (0, 0))
+
+        def one_class(self, a, thetas):
+            return [("sink", cls, sink)] * len(thetas)
+
+        monkeypatch.setattr(_Analysis, "_classify_angles", one_class)
+        boundaries, arcs = analysis.partition(top)
+        assert boundaries == []
+        assert [tuple(arc) for arc in arcs] == [(0.0, 2 * math.pi, cls)]
+
+
+class TestThreeTorus:
+    def test_index_2_points_send_opposite_pairs_into_two_saddles(self):
+        # Each index-2 point of the cosine sum on T^3 spans two coordinate
+        # directions; its departure circle has four boundaries, two through
+        # the saddle of each direction, crossed with opposite signs.
+        analysis = _Analysis(three_torus_function(), NumericalConfig())
+        flows = analysis.rigid_flows()
+        assert len(flows) == 18
+        saddles = [p.id for p in analysis.points if p.index == 1]
+        signs = {
+            (a.id, s): [fl.sign for fl in flows if (fl.source, fl.target) == (a.id, s)]
+            for a in analysis.points
+            if a.index == 2
+            for s in saddles
+        }
+        for a in (p.id for p in analysis.points if p.index == 2):
+            assert sorted(len(signs[a, s]) for s in saddles) == [0, 2, 2]
+            assert all(sum(signs[a, s]) == 0 for s in saddles)
+        assert signs["p2.0", "p1.0"] == [-1, 1]
+        assert signs["p2.0", "p1.1"] == [1, -1]
+        assert signs["p2.0", "p1.2"] == []
+        for s in saddles:
+            assert sorted(fl.sign for fl in flows if fl.source == s) == [-1, 1]
 
 
 class TestPassage:

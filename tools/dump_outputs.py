@@ -15,7 +15,12 @@ and each arc's ends (also `float.hex`) with its landing class, so bisection
 decisions are compared bit for bit; OUT/partitions-coarse holds the same at
 3 and 5 circle samples, where brackets hold more than two basins and the
 bisection splits them, and a partition that raises is written as
-`type: message`.  Under OUT/coeff it writes, for
+`type: message`.  Under OUT/three-torus it writes the rigid flows that
+`_Analysis.rigid_flows` gives on T^3, out of the index-2 points and the
+saddles, for the symmetric cosine sum and one perturbation of it
+(THREE_TORUS_EXTRA), each at default and reversed orientation: every
+flow's id, sign, departure angle and direction, then every trajectory
+sample, all floats as `float.hex`.  Under OUT/coeff it writes, for
 a fixed-seed set of integer matrices up to 12 x 12, the Smith form with its
 transforms, the invariant factors and the homology over every ring of the
 two-term complex the matrix defines; the Smith form with its transforms
@@ -43,6 +48,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from morseflow import (
@@ -51,6 +57,8 @@ from morseflow import (
     IntegerMatrix,
     InputError,
     MorseflowError,
+    TrigPolynomial,
+    TrigTerm,
     all_homology,
     bank,
     cli,
@@ -73,6 +81,7 @@ SECTIONS = (
     "trajectories",
     "partitions",
     "partitions-coarse",
+    "three-torus",
 )
 # Entry pools: dense small integers, sparse +-1 (all unit pivots), and
 # sparse entries that leave a dense remainder with torsion.
@@ -86,6 +95,13 @@ REALIZE_CASES = {
     "component-shape": {**_LEVELS, "components": {**_ADJACENT, "2,0": [[1], [1]]}},
     "no-ring-key": {**_LEVELS, "components": {**_ADJACENT, "3,0": [[5]]}},
 }
+# Terms added to cos 2 pi x + cos 2 pi y + cos 2 pi z for the perturbed T^3
+# function; its eight critical points keep their indices.
+THREE_TORUS_EXTRA = (
+    TrigTerm((1, 1, 0), Fraction(1, 20), Fraction(-1, 50)),
+    TrigTerm((0, 1, -1), Fraction(0), Fraction(1, 25)),
+    TrigTerm((1, 0, 2), Fraction(-3, 100), Fraction(1, 100)),
+)
 
 
 def _run(out: Path, label: str, argv: list[str]) -> None:
@@ -158,14 +174,15 @@ def dump_perturbed(
         (out / f"seed{seed}.category.json").write_text(payload + "\n")
 
 
+def _samples(fl) -> list[str]:
+    """One line per trajectory sample of flow `fl`: id, time and point as `float.hex`."""
+    return [f"{fl.id} {t.hex()} " + " ".join(v.hex() for v in pos) for t, pos in fl.trajectory]
+
+
 def dump_trajectories(out: Path, count: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for name, f in _tori(count):
-        lines = [
-            f"{fl.id} {t.hex()} " + " ".join(v.hex() for v in pos)
-            for fl in flow_lines(f)
-            for t, pos in fl.trajectory
-        ]
+        lines = [line for fl in flow_lines(f) for line in _samples(fl)]
         (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -192,6 +209,30 @@ def dump_partitions(
                     f"{p.id} arc {arc.start.hex()} {arc.end.hex()} {sink} {list(offset)}"
                 )
         (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
+
+
+def dump_three_torus(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    axes = tuple(TrigTerm(tuple(int(i == j) for j in range(3)), Fraction(1)) for i in range(3))
+    functions = {
+        "symmetric": TrigPolynomial(3, axes),
+        "perturbed": TrigPolynomial(3, axes + THREE_TORUS_EXTRA),
+    }
+    orientations = {"": NumericalConfig(), "-reversed": NumericalConfig(reverse_orientation=True)}
+    for name, f in functions.items():
+        for suffix, cfg in orientations.items():
+            try:
+                flows = _Analysis(f, cfg).rigid_flows()
+            except MorseflowError as exc:
+                lines = [f"{type(exc).__name__}: {exc}"]
+            else:
+                lines = []
+                for fl in flows:
+                    angle = "none" if fl.departure_angle is None else fl.departure_angle.hex()
+                    direction = " ".join(v.hex() for v in fl.departure_direction)
+                    lines.append(f"{fl.id} sign {fl.sign} angle {angle} direction {direction}")
+                    lines += _samples(fl)
+            (out / f"{name}{suffix}.txt").write_text("\n".join(lines) + "\n")
 
 
 def _smith_record(a: IntegerMatrix) -> dict:
@@ -281,6 +322,8 @@ def main() -> None:
         for samples in (3, 5):
             coarse = NumericalConfig(circle_samples=samples)
             dump_partitions(out / "partitions-coarse" / f"samples{samples}", args.seeds, coarse)
+    if "three-torus" in only:
+        dump_three_torus(out / "three-torus")
 
 
 if __name__ == "__main__":

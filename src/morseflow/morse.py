@@ -12,22 +12,21 @@ bisection partition of the departure circle of an index-2 point.
 There is one integrator, `_Analysis.land_lanes`: many seeds run as lanes
 of one lockstep, vectorized run, each lane with its own step size, and
 optionally a recorded trajectory and a carried frame.  One eigendecomposition
-of the Hessians at the critical points gives the unstable frames, the sink
-trapping regions and the saddle passage axes.  The rigid flows of all
-saddles form one run and those of each index-2 point another, both along one
-departure path; each family end is read off the sign of a rigid flow, with
-no run of its own.
+of the Hessians at the critical points gives the unstable frames and the
+sink trapping regions.  The rigid flows of all saddles form one run and
+those of each index-2 point another, both along one departure path; each
+family end is read off the sign of a rigid flow, with no run of its own.
 The circle samples form one batch; the bisection steps every open bracket
 once a round and visits the same midpoints as a one-at-a-time bisection, so
 the boundary angles are the same floats.  A round that misses classifies
 ahead, in one batch of about max(64, `circle_samples`) lanes, the midpoints
 each bracket's walk would visit on its way to an aimed angle, or else a
-dyadic subtree under the bracket.  The aim comes from the time lanes
-spend passing a saddle, which once exponentiated is nearly linear in the
-angle's offset from the boundary; it picks only what is classified ahead,
-never a result.  A lane that only classifies an angle stops once it enters
-a region around a sink that its flow provably never leaves, so it gets the
-class it would get by running on.
+dyadic subtree under the bracket.  A boundary direction flows into a
+saddle, so the aim is where a stable separatrix of that saddle, followed
+backward in one run on -f, crosses the departure circle; it picks only
+what is classified ahead, never a result.  A lane that only classifies an
+angle stops once it enters a region around a sink that its flow provably
+never leaves, so it gets the class it would get by running on.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
 error raised is the one that building the flows one at a time would raise
@@ -350,25 +349,14 @@ def torus_distance(x: Sequence[float], p: Sequence[float]) -> float:
     return float(_wrap(np.subtract(x, p, dtype=float))[1])
 
 
-class _Passage(NamedTuple):
-    """A lane's longest passage by a saddle, as sigma = side * exp(-mu_u T)."""
-
-    saddle: CriticalPoint
-    sigma: float
-
-
 class _Landing(NamedTuple):
-    """Where one lane came to rest; trajectory and frame only if asked for.
-
-    A trapping lane also carries its longest saddle passage, if it had one.
-    """
+    """Where one lane came to rest; trajectory and frame only if asked for."""
 
     point: CriticalPoint
     offset: tuple[int, ...]
     state: np.ndarray
     trajectory: tuple[tuple[float, tuple[float, ...]], ...] | None
     frame: np.ndarray | None
-    passage: _Passage | None = None
 
 
 class _Boundary(NamedTuple):
@@ -557,12 +545,11 @@ def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
     return xs, y, fy, gy, hh * sums[6]
 
 
-# Radius of the ball around a saddle through which trapping lanes time their
-# passage; near the saddle the flow is close to its linearisation.
-_PASSAGE_RADIUS = 0.02
-# An aimed boundary angle is trusted to within this fraction of its distance
-# to the nearer of the two lanes it was aimed from.
-_AIM_SPREAD = 0.03
+# How far a separatrix shot may lie from its boundary angle, in radians: at
+# the default `step_tol`, every shot of the torus and of the 25 perturbed
+# tori of the example bank, at either orientation, lay within 6.6e-7 of the
+# boundary the bisection found.
+_SHOT_SPREAD = 1e-6
 # Lanes a bisection round classifies at least, since a run's cost per
 # iteration grows little up to this width.
 _ROUND_LANES = 64
@@ -618,12 +605,6 @@ class _Analysis:
         reach = lam / m
         self.trap_radius = np.where(lam > 0.0, 0.999 * reach, -1.0)
         self.trap_level = comp.value_grad_batch(self.centres)[0] + lam * reach * reach / 6.0
-        # The saddles whose passage trapping lanes time (rows of `centres`,
-        # with one negative Hessian eigenvalue), each with its unstable rate
-        # mu_u and unstable eigenvector, both from the analysis's own Hessian.
-        self.passage_rows = np.flatnonzero((w < 0.0).sum(axis=1) == 1)
-        self.passage_rate = -w[self.passage_rows, 0]
-        self.passage_axis = q[self.passage_rows, :, 0]
         # The unstable frame of each point, by id, which departures and signs
         # are read against: the eigenvectors of the negative eigenvalues, each
         # signed so that its first entry clear of zero is positive, and the
@@ -636,9 +617,7 @@ class _Analysis:
             if cfg.reverse_orientation:
                 sides[:1] = -sides[:1]
             self.frames[p.id] = cols * sides
-        # Per index-2 point, by departure angle: the class and passage of
-        # each classified lane that rests at a sink after passing a saddle.
-        self._passages: dict[str, dict[float, tuple[tuple, _Passage]]] = {}
+        self._shot_angles: dict[str, list[float]] | None = None
         self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
         self._rigid_flows: list[FlowLine] | None = None
 
@@ -674,19 +653,11 @@ class _Analysis:
         `trap_radius` of the sink with its value below `trap_level`, a
         region its flow provably never leaves; its state is then not near
         the sink, so only a lane whose landing class alone is read may
-        trap.  A trapping lane also times every passage through the ball of
-        radius `_PASSAGE_RADIUS` around a saddle s (`passage_rows`), and
-        its landing carries the longest one as sigma = side * exp(-mu_u T):
-        T is the time from entry to exit, mu_u the unstable rate of s, and
-        side the sign of the exit along s's unstable eigenvector.  By the
-        Dulac passage map, sigma is nearly linear in the departure angle
-        near a basin boundary through s.  The books only read the lane's
-        samples, so they change no bit of it.  With `record`, a landing
-        carries its trajectory: (time, point) at the seed and after every
-        accepted step.  `frames` (lanes x n x m) are tangent frames at the
-        seeds, carried by the linearised flow (`_advance_frames`) and
-        returned with the landing.  No lane depends on the others, so a lane
-        run alone gives the same bits.
+        trap.  With `record`, a landing carries its trajectory: (time,
+        point) at the seed and after every accepted step.  `frames` (lanes x
+        n x m) are tangent frames at the seeds, carried by the linearised
+        flow (`_advance_frames`) and returned with the landing.  No lane
+        depends on the others, so a lane run alone gives the same bits.
         """
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
@@ -705,27 +676,14 @@ class _Analysis:
         steps = np.zeros(len(seeds), dtype=int)
         fresh = np.ones(len(seeds), dtype=bool)
         paths = [[(0.0, tuple(s))] for s in x.tolist()] if record else None
-        # Passage books of trapping lanes: each lane's distance to every
-        # tracked saddle and its time at the last check, the entry time into
-        # each ball it is in (NaN if it started there), and per seed the
-        # longest passage completed, with its time.
-        track = trap and len(self.passage_rows) > 0
-        if track:
-            tracked = self.passage_rows
-            last_d = _wrap(x[:, None, :] - self.centres[tracked])[1]
-            last_t = t.copy()
-            entry = np.full(last_d.shape, np.nan)
-            longest: list = [(-math.inf, None)] * len(seeds)
 
         def finish(done: np.ndarray) -> None:
-            nonlocal lane, x, v, fx, g1, t, h, steps, fresh, last_d, last_t, entry
+            nonlocal lane, x, v, fx, g1, t, h, steps, fresh
             keep = ~done
             lane, x, fx, g1, t, h = lane[keep], x[keep], fx[keep], g1[keep], t[keep], h[keep]
             steps, fresh = steps[keep], fresh[keep]
             if v is not None:
                 v = v[keep]
-            if track:
-                last_d, last_t, entry = last_d[keep], last_t[keep], entry[keep]
 
         # A zero error estimate makes the step factor infinite, as meant.
         with np.errstate(divide="ignore"):
@@ -735,36 +693,7 @@ class _Analysis:
                 # The tests run on every row and count only for those lanes;
                 # gathering their rows first would cost more calls than it saves.
                 d = x[:, None, :] - self.centres
-                res, dist = _wrap(d)
-                if track:
-                    # Only a lane that moved can cross a sphere around a
-                    # saddle; its crossing time is interpolated in log
-                    # distance between the samples that straddle it.
-                    ball = dist[:, tracked]
-                    crossed = (ball <= _PASSAGE_RADIUS) != (last_d <= _PASSAGE_RADIUS)
-                    if crossed.any():
-                        r, c = np.nonzero(crossed)
-                        d0, d1 = np.log(last_d[r, c]), np.log(ball[r, c])
-                        with np.errstate(invalid="ignore"):
-                            at = last_t[r] + (t[r] - last_t[r]) * (
-                                (d0 - math.log(_PASSAGE_RADIUS)) / (d0 - d1)
-                            )
-                        entering = ball[r, c] <= _PASSAGE_RADIUS
-                        entry[r[entering], c[entering]] = at[entering]
-                        exits = ~entering
-                        out_r, out_c = r[exits], c[exits]
-                        spans = at[exits] - entry[out_r, out_c]
-                        sides = np.einsum(
-                            "pj,pj->p", res[out_r, tracked[out_c]], self.passage_axis[out_c]
-                        )
-                        for k, col, span, side in zip(
-                            out_r.tolist(), out_c.tolist(), spans.tolist(), sides.tolist()
-                        ):
-                            if span > longest[lane[k]][0]:
-                                size = math.exp(-self.passage_rate[col] * span)
-                                saddle = self.points[tracked[col]]
-                                longest[lane[k]] = span, _Passage(saddle, math.copysign(size, side))
-                    last_d, last_t = ball, t.copy()
+                dist = _wrap(d)[1]
                 near = dist <= cfg.landing_radius
                 if trap:
                     caught = (dist <= self.trap_radius) & (fx[:, None] < self.trap_level)
@@ -789,7 +718,6 @@ class _Analysis:
                             x[k].copy(),
                             tuple(paths[lane[k]]) if record else None,
                             None if v is None else v[k].copy(),
-                            longest[lane[k]][1] if track else None,
                         )
                     for k in np.flatnonzero(spent):
                         out[lane[k]] = IntegrationFailureError("step budget exhausted")
@@ -970,13 +898,11 @@ class _Analysis:
         """Landing class of each departure angle of `a`, as lanes of one batch.
 
         Each entry is ("sink", (sink id, offset), sink), ("saddle", None,
-        saddle), or the error that angle's flow raised.  The longest saddle
-        passage of each lane that rests at a sink is kept, with its class,
-        in `_passages[a.id]` by angle.
+        saddle), or the error that angle's flow raised.
         """
         seeds = [self.seed(a, self.direction_at(a, th)) for th in thetas]
         out = []
-        for th, got in zip(thetas, self.land_lanes(seeds, trap=True)):
+        for got in self.land_lanes(seeds, trap=True):
             if isinstance(got, Exception):
                 out.append(got)
                 continue
@@ -985,8 +911,6 @@ class _Analysis:
                 out.append(_rests_too_high(a, point))
             elif point.index == 0:
                 out.append(("sink", (point.id, offset), point))
-                if got.passage is not None:
-                    self._passages.setdefault(a.id, {})[th] = ((point.id, offset), got.passage)
             else:
                 out.append(("saddle", None, point))
         return out
@@ -1047,34 +971,65 @@ class _Analysis:
         self._partitions[a.id] = (boundaries, arcs)
         return boundaries, arcs
 
-    def _aim(self, a: CriticalPoint, s: _Bracket) -> tuple[float, float] | None:
-        """Estimated boundary angle in bracket `s` with its uncertainty, or None.
+    def _shots(self) -> dict[str, list[float]]:
+        """Angles at which stable separatrices of saddles cross each departure circle.
 
-        The estimate rests on the two lanes nearest the boundary, those of
-        smallest |sigma| among the lanes of the bracket's two classes within
-        one bracket width of it that passed the saddle the nearest one
-        passed.  Sigma is nearly linear in the angle near the boundary, so
-        the line through their sigma values meets zero near it: by regula
-        falsi when the two lie on either side and by a secant when they lie
-        on one side, which avoids the kink of sigma's slope at the boundary.
-        The estimate is clamped into the bracket, and its uncertainty is
-        `_AIM_SPREAD` times its distance to the nearer of the two lanes.
+        A boundary direction of an index-2 point a flows into a saddle, so
+        a stable separatrix of that saddle, followed backward, crosses a's
+        departure circle at the boundary angle.  On T^2 one recorded run on
+        -f (the same points, with index 2 - index and value -value) departs
+        every saddle along plus and minus its stable eigenvector, which is
+        -f's unstable frame.  For each lane that rests at an index-2 point
+        a, its step into a's departure sphere is halved down to `step_min`,
+        each half step taken from the last point outside (one `_dp_step`
+        for all lanes per halving), and the angle of that point in a's
+        frame is a shot of a.  A lane that fails or rests elsewhere gives
+        none; on T^1 and T^3 there are no shots.
         """
-        width = s.hi - s.lo
-        near = sorted(
-            (abs(p.sigma), th, p)
-            for th, (cls, p) in self._passages.get(a.id, {}).items()
-            if cls in (s.lo_cls, s.hi_cls) and s.lo - width <= th <= s.hi + width
-        )
-        if not near:
+        if self.n != 2 or self._shot_angles is not None:
+            return self._shot_angles or {}
+        cfg, tops, starts, steps = self.cfg, [], [], []
+        neg = tuple(TrigTerm(t.frequency, -t.cos_coeff, -t.sin_coeff) for t in self.f.terms)
+        points = [replace(p, value=-p.value, index=2 - p.index) for p in self.points]
+        back = _Analysis(TrigPolynomial(2, neg), cfg, points)
+        axes = [(s, back.frames[s.id][:, 0]) for s in back.points if s.index == 1]
+        seeds = [back.seed(s, side * w) for s, w in axes for side in (1.0, -1.0)]
+        for got in back.land_lanes(seeds, record=True):
+            if not isinstance(got, Exception) and got.point.index == 0:
+                tops.append(self.by_id[got.point.id])
+                path = np.array([p for _, p in got.trajectory])
+                k = int(np.argmax(_wrap(path - tops[-1].position)[1] <= cfg.sphere_radius))
+                starts.append(path[k - 1])
+                steps.append(got.trajectory[k][0] - got.trajectory[k - 1][0])
+        centres = np.array([a.position for a in tops]).reshape(-1, 2)
+        x, h = np.array(starts).reshape(-1, 2), np.array(steps)
+        g = back.comp.grad_batch(x)
+        while (h > cfg.step_min).any():
+            h = 0.5 * h
+            _, y, _, gy, _ = _dp_step(back.comp, x, g, h[:, None])
+            outside = (_wrap(y - centres)[1] > cfg.sphere_radius)[:, None]
+            x, g = np.where(outside, y, x), np.where(outside, gy, g)
+        self._shot_angles = {}
+        for a, r in zip(tops, _wrap(x - centres)[0]):
+            u, v = r @ self.frames[a.id]
+            self._shot_angles.setdefault(a.id, []).append(math.atan2(v, u) % TWO_PI)
+        return self._shot_angles
+
+    def _aim(self, a: CriticalPoint, s: _Bracket) -> tuple[float, float] | None:
+        """A shot of `a` in bracket `s`, clamped into it, with its spread, or None.
+
+        A shot counts through its lift nearest the bracket, if that lies in
+        the bracket give or take `_SHOT_SPREAD`, which is also its spread.
+        A bracket no wider than twice the spread gets no aim, since a shot
+        cannot tell its halves apart; its dyadic subtree serves it better.
+        """
+        if s.hi - s.lo <= 2.0 * _SHOT_SPREAD:
             return None
-        saddle = near[0][2].saddle
-        pairs = [(th, p.sigma) for _, th, p in near if p.saddle is saddle]
-        if len(pairs) < 2 or pairs[0][1] == pairs[1][1]:
-            return None
-        (t0, s0), (t1, s1) = pairs[:2]
-        aim = min(max(t0 - s0 * (t1 - t0) / (s1 - s0), s.lo), s.hi)
-        return aim, _AIM_SPREAD * min(abs(aim - t0), abs(aim - t1))
+        for shot in self._shots().get(a.id, []):
+            lift = shot + TWO_PI * round((0.5 * (s.lo + s.hi) - shot) / TWO_PI)
+            if s.lo - _SHOT_SPREAD <= lift <= s.hi + _SHOT_SPREAD:
+                return min(max(lift, s.lo), s.hi), _SHOT_SPREAD
+        return None
 
     def _bisect_all(self, a: CriticalPoint, brackets: list) -> list[_Boundary]:
         """Bisect every bracket (lo, lo class, hi, hi class) to its boundaries.
@@ -1088,12 +1043,12 @@ class _Analysis:
         come from a cache keyed by the exact angle.  When a round misses,
         one batch classifies ahead, for every open bracket, about its share
         of max(`_ROUND_LANES`, `circle_samples`) new angles, and always its
-        own midpoint.  A bracket that `_aim` can aim gets the midpoints a
-        one-at-a-time bisection would visit on its way to the aimed angle,
-        and at each level whose midpoint lies within the uncertainty of the
-        aim, also the midpoint of the half the way does not take; any other
-        bracket gets its dyadic subtree of depth k >= 1, the largest within
-        its share.  Every bracket visits the midpoints a one-at-a-time
+        own midpoint.  A bracket that `_aim` aims at a separatrix shot gets
+        the midpoints a one-at-a-time bisection would visit on its way to
+        the shot, and at each level whose midpoint lies within the shot's
+        spread, also the midpoint of the half the way does not take; any
+        other bracket gets its dyadic subtree of depth k >= 1, the largest
+        within its share.  Every bracket visits the midpoints a one-at-a-time
         bisection would, whatever was classified ahead, so the boundaries
         are the same floats.  A lane's error counts only if a bracket visits
         its angle, and the error raised is the first in angle order, the one

@@ -539,9 +539,10 @@ def framed_departures(analysis, index):
 
 
 @functools.lru_cache(maxsize=None)
-def one_at_a_time(f: TrigPolynomial, samples: int):
+def one_at_a_time(f: TrigPolynomial, samples: int, reverse_orientation: bool = False):
     """The bisection oracle's boundaries and visited brackets for the first point of f."""
-    analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
+    cfg = NumericalConfig(circle_samples=samples, reverse_orientation=reverse_orientation)
+    analysis = _Analysis(f, cfg)
     visited: list[tuple[float, float]] = []
     found = bisect_one_at_a_time(analysis, analysis.points[0], visited)
     return found, visited
@@ -846,47 +847,64 @@ class TestThreeTorus:
             assert sorted(fl.sign for fl in flows if fl.source == s) == [-1, 1]
 
 
-class TestPassage:
-    def test_sigma_is_linear_in_the_offset_from_each_boundary(self):
-        # By the Dulac passage map sigma is nearly proportional to the
-        # departure angle's offset delta from a boundary through the saddle.
-        analysis = _Analysis(perturbed_torus(0), NumericalConfig())
+class TestShots:
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_every_boundary_has_a_shot(self, f, reverse):
+        # A boundary direction flows into its saddle, so the saddle's stable
+        # separatrix, followed backward, crosses the circle at that angle.
+        analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse))
         top = analysis.points[0]
-        boundaries, _ = analysis.partition(top)
-        assert len(boundaries) == 4
-        offsets = [1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4]
-        deltas = [side * d for side in (-1, 1) for d in offsets]
-        for b in boundaries:
-            seeds = [analysis.seed(top, analysis.direction_at(top, b.angle + d)) for d in deltas]
-            ratios = {}
-            for d, got in zip(deltas, analysis.land_lanes(seeds, trap=True)):
-                assert got.point.index == 0 and got.passage.saddle == b.saddle
-                ratios[d] = got.passage.sigma / d
-            reference = ratios[1e-5]
-            assert all(abs(r / reference - 1.0) <= 0.05 for r in ratios.values()), ratios
+        shots = analysis._shots()[top.id]
+        found, _ = one_at_a_time(f, NumericalConfig().circle_samples, reverse)
+        assert found
+        for angle, _ in found:
+            assert min(abs(math.remainder(angle - shot, 2 * math.pi)) for shot in shots) <= 1e-6
 
-    def test_tracking_changes_no_landing(self):
-        # Point, offset and state keep every bit with the books on or off,
-        # and only trapping lanes keep them.
-        f = perturbed_torus(0)
-        on = _Analysis(f, NumericalConfig())
-        off = _Analysis(f, NumericalConfig(), on.points)
-        off.passage_rows = off.passage_rows[:0]
-        top = on.points[0]
-        boundaries, _ = on.partition(top)
-        thetas = [k * 2 * math.pi / 32 for k in range(32)] + [
-            b.angle + d for b in boundaries for d in (-1e-3, -1e-6, 1e-8, 1e-5)
-        ]
-        seeds = [on.seed(top, on.direction_at(top, th)) for th in thetas]
-        tracked = on.land_lanes(seeds, trap=True)
-        for got, plain in zip(tracked, off.land_lanes(seeds, trap=True)):
-            assert (got.point, got.offset) == (plain.point, plain.offset)
-            assert got.state.tobytes() == plain.state.tobytes()
-            assert plain.passage is None
-        near = tracked[32:]
-        for i, b in enumerate(boundaries):
-            assert near[4 * i + 1].passage.saddle == near[4 * i + 3].passage.saddle == b.saddle
-        assert all(got.passage is None for got in on.land_lanes(seeds[-8:], record=True))
+    def test_no_shots_off_the_two_torus(self):
+        for f in (circle_function(), three_torus_function()):
+            assert _Analysis(f, NumericalConfig())._shots() == {}
+
+    def test_failed_and_stray_shots_change_no_boundary(self, monkeypatch):
+        # In the backward run, the only recorded run without frames, one
+        # lane fails and another rests at a saddle: both give no shot, and
+        # the partition is still the oracle's.
+        land = _Analysis.land_lanes
+        spoiled = []
+
+        def spoiling_land(self, seeds, frames=None, record=False, trap=False):
+            out = land(self, seeds, frames, record, trap)
+            if record and frames is None:
+                out[0] = IntegrationFailureError("injected")
+                out[1] = out[1]._replace(point=next(p for p in self.points if p.index == 1))
+                spoiled.append(len(out))
+            return out
+
+        monkeypatch.setattr(_Analysis, "land_lanes", spoiling_land)
+        for f in lane_functions()[1:]:
+            analysis = _Analysis(f, NumericalConfig())
+            top = analysis.points[0]
+            found, _ = one_at_a_time(f, NumericalConfig().circle_samples)
+            expected = sorted(found, key=lambda b: b[0])
+            assert [tuple(b) for b in analysis.partition(top)[0]] == expected
+            assert sum(map(len, analysis._shots().values())) == spoiled.pop() - 2
+        assert not spoiled
+
+    def test_a_torus_build_makes_no_backward_run(self, monkeypatch):
+        # Every boundary of the torus is a circle sample, so no bracket asks
+        # for an aim: the samples, the flows out of the maximum and the
+        # saddle flows are the only runs.
+        land = _Analysis.land_lanes
+        runs = []
+
+        def counting_land(self, *args, **kwargs):
+            runs.append(self.f)
+            return land(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
+        f = torus_function()
+        build_flow_category(f)
+        assert runs == [f, f, f]
 
 
 def third_derivative_bound(f: TrigPolynomial) -> float:

@@ -8,10 +8,13 @@ the flow category and prints, per build:
 - rounds: the classification runs made from inside `_Analysis._bisect_all`;
 - iters: lane iterations, the calls of `_dp_step`, one per iteration of
   every `land_lanes` run, recorded and framed runs included;
-- lane-steps: the rows of those calls, lanes summed over iterations.
+- lane-steps: the rows of those calls, lanes summed over iterations;
+- shots: the `_dp_step` calls made inside `_Analysis._shots`, the backward
+  separatrix run and the halving of its last steps that aim the bisection;
+  `iters` includes them, so `iters - shots` is the partition and flow work.
 
-It wraps the three names from outside, so the same script measures any tree
-that has them:
+It wraps those names from outside, so the same script measures any tree
+that has them; a tree without `_Analysis._shots` gets a shots column of 0:
 
     PYTHONPATH=old/src python tools/count_rounds.py > old.txt
     PYTHONPATH=new/src python tools/count_rounds.py > new.txt
@@ -32,9 +35,10 @@ from morseflow.morse import NumericalConfig, _Analysis, build_flow_category
 
 @contextlib.contextmanager
 def counting(tally: dict):
-    """Count classification runs, bisection rounds, iterations and lane-steps into `tally`."""
+    """Count runs, rounds, iterations, lane-steps and shot iterations into `tally`."""
     classify, bisect, step = _Analysis._classify_angles, _Analysis._bisect_all, morse._dp_step
-    inside = [0]
+    shots = getattr(_Analysis, "_shots", None)
+    inside, shooting = [0], [0]
 
     def counted_classify(self, a, thetas):
         tally["runs"] += 1
@@ -48,23 +52,35 @@ def counting(tally: dict):
         finally:
             inside[0] -= 1
 
+    def counted_shots(self):
+        shooting[0] += 1
+        try:
+            return shots(self)
+        finally:
+            shooting[0] -= 1
+
     def counted_step(comp, x, *args):
         tally["iters"] += 1
         tally["lane-steps"] += len(x)
+        tally["shots"] += shooting[0] > 0
         return step(comp, x, *args)
 
     _Analysis._classify_angles = counted_classify
     _Analysis._bisect_all = counted_bisect
     morse._dp_step = counted_step
+    if shots is not None:
+        _Analysis._shots = counted_shots
     try:
         yield tally
     finally:
         _Analysis._classify_angles = classify
         _Analysis._bisect_all = bisect
         morse._dp_step = step
+        if shots is not None:
+            _Analysis._shots = shots
 
 
-COLUMNS = ("runs", "rounds", "iters", "lane-steps")
+COLUMNS = ("runs", "rounds", "iters", "lane-steps", "shots")
 
 
 def main(argv=None) -> None:

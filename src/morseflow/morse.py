@@ -3,30 +3,30 @@
 Functions are exact trigonometric polynomials with rational coefficients on
 T^n, n <= 3.  Critical points come from damped Newton iteration on the
 gradient over a seed grid; connecting orbits from adaptive Dormand–Prince
-5(4) integration of the negative gradient flow; signs from a fixed
-unstable-manifold frame carried by the linearised flow in the same
-integration pass that follows each rigid trajectory, so every rigid flow is
-integrated once; and one-parameter families on the two-torus from a
-bisection partition of the departure circle of an index-2 point.
+5(4) integration of the negative gradient flow; signs from two fixed
+frames, one carried by the linearised flow in the integration pass that
+follows each rigid trajectory, so every rigid flow is integrated once; and
+one-parameter families on the two-torus from a partition of the departure
+circle of an index-2 point into basins.
 
 There is one integrator, `_Analysis.land_lanes`: many seeds run as lanes
 of one lockstep, vectorized run, each lane with its own step size, and
 optionally a recorded trajectory and a carried frame.  One eigendecomposition
 of the Hessians at the critical points gives the unstable frames and the
-sink trapping regions.  The rigid flows of all saddles form one run and
-those of each index-2 point another, both along one departure path; each
+sink trapping regions.  The rigid flows of all saddles form one run; each
 family end is read off the sign of a rigid flow, with no run of its own.
-The circle samples form one batch; the bisection steps every open bracket
-once a round and visits the same midpoints as a one-at-a-time bisection, so
-the boundary angles are the same floats.  A round that misses classifies
-ahead, in one batch of about max(64, `circle_samples`) lanes, the midpoints
-each bracket's walk would visit on its way to an aimed angle, or else a
-dyadic subtree under the bracket.  A boundary direction flows into a
-saddle, so the aim is where a stable separatrix of that saddle, followed
-backward in one run on -f, crosses the departure circle; it picks only
-what is classified ahead, never a result.  A lane that only classifies an
-angle stops once it enters a region around a sink that its flow provably
-never leaves, so it gets the class it would get by running on.
+On T^2 a basin boundary direction flows into a saddle, so the boundaries
+are where the saddles' stable separatrices, followed backward in one
+framed, recorded run on -f, cross the departure circles, and that run,
+reversed, gives the rigid flows out of the index-2 points.  One batch of
+the circle samples and of lanes just beside each boundary checks every
+partition.  On T^3 each index-2 point bisects its circle from the samples,
+every bracket stepping once a round along the midpoints a one-at-a-time
+bisection visits, and a round that misses classifying a dyadic subtree
+under each bracket ahead; its boundary flows form one run.  A lane that
+only classifies an angle stops once it enters a region around a sink that
+its flow provably never leaves, so it gets the class it would get by
+running on.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
 error raised is the one that building the flows one at a time would raise
@@ -385,6 +385,29 @@ def _rests_too_high(p: CriticalPoint, q: CriticalPoint) -> MorseSmaleViolationEr
     )
 
 
+def _named(flows: Iterable[FlowLine]) -> list[FlowLine]:
+    """`flows` in order, flow k between the same two points named source>target#k."""
+    counts: dict[tuple[str, str], int] = {}
+    named = []
+    for fl in flows:
+        k = counts.get((fl.source, fl.target), 0)
+        counts[fl.source, fl.target] = k + 1
+        named.append(replace(fl, id=f"{fl.source}>{fl.target}#{k}"))
+    return named
+
+
+def _orientation(basis: np.ndarray, frame: np.ndarray, flow: str) -> int:
+    """Sign of the determinant of `frame` in `basis`; a near-tie raises."""
+    if basis.shape[0] == basis.shape[1]:
+        m = np.linalg.solve(basis, frame)
+    else:
+        m = np.linalg.lstsq(basis, frame, rcond=None)[0]
+    det = float(np.linalg.det(m))
+    if abs(det) < 1e-6:
+        raise MorseSmaleViolationError(f"ambiguous frame comparison along {flow}")
+    return 1 if det > 0 else -1
+
+
 def _ok(got):
     """A lane outcome or a bisection slot, raised if it is an error."""
     if isinstance(got, Exception):
@@ -545,10 +568,11 @@ def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
     return xs, y, fy, gy, hh * sums[6]
 
 
-# How far a separatrix shot may lie from its boundary angle, in radians: at
-# the default `step_tol`, every shot of the torus and of the 25 perturbed
-# tori of the example bank, at either orientation, lay within 6.6e-7 of the
-# boundary the bisection found.
+# How far the check lanes of a T^2 partition depart on either side of each
+# boundary, in radians.  At the default `step_tol`, every separatrix shot of
+# the torus and of the 25 perturbed tori of the example bank lay within
+# 6.6e-7 of the boundary the bisection found, and lanes at +-1e-6 landed in
+# the classes of the arcs beside it, where at +-1e-7 some rested at the saddle.
 _SHOT_SPREAD = 1e-6
 # Lanes a bisection round classifies at least, since a run's cost per
 # iteration grows little up to this width.
@@ -617,7 +641,7 @@ class _Analysis:
             if cfg.reverse_orientation:
                 sides[:1] = -sides[:1]
             self.frames[p.id] = cols * sides
-        self._shot_angles: dict[str, list[float]] | None = None
+        self._shot_flows: dict[str, list[FlowLine]] | None = None
         self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
         self._rigid_flows: list[FlowLine] | None = None
 
@@ -792,32 +816,17 @@ class _Analysis:
         """Rigid flows out of every index-2 and index-1 point, in point order.
 
         `find_critical_points` lists points by falling index, so the index-2
-        points come first, one run each, and the saddles, all in one run,
-        after them; both kinds of run go through `_depart`, which carries
-        each source's frame from `frames`.  On a surface the stable manifold
-        of a saddle is two trajectories, each out of an index-2 point, so a
-        saddle that receives any other number of flows from them marks a
-        basin boundary the partition missed.  On T^3 there is no such count,
-        and an index-3 point has no flows here.
+        points come first and the saddles, all in one run through `_depart`,
+        after them.  On T^2 the flows out of the index-2 points are the
+        saddles' stable separatrices, two per saddle by construction
+        (`_shots`); on T^3 each index-2 point makes one run through
+        `_depart`, which carries each source's frame from `frames`.  An
+        index-3 point has no flows here.
         """
-        if self._rigid_flows is not None:
-            return self._rigid_flows
-        flows: list[FlowLine] = []
-        for p in self.points:
-            if p.index == 2:
-                flows.extend(self.max_flows(p))
-        saddles = [p for p in self.points if p.index == 1]
-        if self.n == 2:
-            for p in saddles:
-                incoming = sum(fl.target == p.id for fl in flows)
-                if incoming != 2:
-                    raise MorseSmaleViolationError(
-                        f"saddle {p.id} receives {incoming} rigid flows from index-2 "
-                        "points, expected 2; raise circle_samples"
-                    )
-        flows.extend(self.saddle_flows(saddles))
-        self._rigid_flows = flows
-        return flows
+        if self._rigid_flows is None:
+            flows = [fl for p in self.points if p.index == 2 for fl in self.max_flows(p)]
+            self._rigid_flows = flows + self.saddle_flows([p for p in self.points if p.index == 1])
+        return self._rigid_flows
 
     def _sign(self, a: CriticalPoint, landing: _Landing) -> int:
         """Sign of a rigid flow: carried unstable frame against the arrival basis."""
@@ -827,16 +836,7 @@ class _Analysis:
         if speed == 0.0:
             raise IntegrationFailureError("vanishing velocity at arrival")
         basis = np.column_stack([arrival / speed, self.frames[target.id]])
-        if basis.shape[0] == basis.shape[1]:
-            m = np.linalg.solve(basis, landing.frame)
-        else:
-            m = np.linalg.lstsq(basis, landing.frame, rcond=None)[0]
-        det = float(np.linalg.det(m))
-        if abs(det) < 1e-6:
-            raise MorseSmaleViolationError(
-                f"ambiguous frame comparison along {a.id}->{target.id}"
-            )
-        return 1 if det > 0 else -1
+        return _orientation(basis, landing.frame, f"{a.id}->{target.id}")
 
     def saddle_flows(self, saddles: Sequence[CriticalPoint]) -> list[FlowLine]:
         """Rigid flows along w and -w out of each index-1 point, all in one run."""
@@ -861,7 +861,6 @@ class _Analysis:
             record=True,
         )
         flows = []
-        counts: dict[tuple[str, str], int] = {}
         for (a, d, b), got in zip(departures, landings):
             landing = _ok(got)
             target = landing.point
@@ -872,11 +871,9 @@ class _Analysis:
                 )
             if target.index >= a.index:
                 raise _rests_too_high(a, target)
-            k = counts.get((a.id, target.id), 0)
-            counts[a.id, target.id] = k + 1
             flows.append(
                 FlowLine(
-                    id=f"{a.id}>{target.id}#{k}",
+                    id="",
                     source=a.id,
                     target=target.id,
                     sign=self._sign(a, landing),
@@ -886,7 +883,7 @@ class _Analysis:
                     trajectory=landing.trajectory,
                 )
             )
-        return flows
+        return _named(flows)
 
     # index-2 sources --------------------------------------------------------
 
@@ -916,123 +913,138 @@ class _Analysis:
         return out
 
     def partition(self, a: CriticalPoint) -> tuple[list[_Boundary], list[_Arc]]:
-        """Split the departure circle of an index-2 point by landing class."""
-        if a.index != 2:
-            raise InputError("circle partition requires an index-2 source")
-        cached = self._partitions.get(a.id)
-        if cached is not None:
-            return cached
-        cfg = self.cfg
-        n_samples = cfg.circle_samples
-        step = TWO_PI / n_samples
-        thetas = [k * step for k in range(n_samples)]
-        results = [_ok(got) for got in self._classify_angles(a, thetas)]
+        """Split the departure circle of an index-2 point of T^2 by landing class.
 
-        boundaries: list[_Boundary] = []
-        for k, (kind, _, point) in enumerate(results):
-            if kind == "saddle":
-                boundaries.append(_Boundary(thetas[k], point))
-        brackets = []
-        for k in range(n_samples):
-            kind0, cls0, _ = results[k]
-            kind1, cls1, _ = results[(k + 1) % n_samples]
-            if kind0 == kind1 == "sink" and cls0 != cls1:
-                brackets.append((thetas[k], cls0, thetas[k] + step, cls1))
-        boundaries.extend(self._bisect_all(a, brackets))
-        boundaries.sort(key=lambda b: b.angle)
-
-        arcs: list[_Arc] = []
-        if not boundaries:
-            # No sample rested at a saddle and no two differ in class.
-            arcs.append(_Arc(0.0, TWO_PI, results[0][1]))
-        else:
-            for i, b in enumerate(boundaries):
-                nxt = boundaries[(i + 1) % len(boundaries)]
-                end = nxt.angle if i + 1 < len(boundaries) else nxt.angle + TWO_PI
-                inside = [
-                    results[k][1]
-                    for k, th in enumerate(thetas)
-                    for shift in (0.0, TWO_PI)
-                    if results[k][0] == "sink"
-                    and b.angle + cfg.bisection_tol
-                    < th + shift
-                    < end - cfg.bisection_tol
-                ]
-                if inside:
-                    cls = inside[0]
-                else:
-                    (got,) = self._classify_angles(a, [0.5 * (b.angle + end)])
-                    kind, cls, _ = _ok(got)
-                    if kind != "sink":
-                        raise MorseSmaleViolationError(
-                            "arc midpoint rests at an intermediate-index point"
-                        )
-                arcs.append(_Arc(b.angle, end, cls))
+        The boundaries are the angles of `_shots`' flows out of `a`, and arc
+        i, from boundary i to i + 1, takes the class of its ends.  One batch
+        checks them: the `circle_samples` angles and those `_SHOT_SPREAD`
+        before and after each boundary.  Both ends of an arc must rest in one
+        sink class, and every sample in its arc's class, or, within the
+        spread of a boundary, at any sink or that boundary's saddle; else a
+        boundary was missed or is extra, or there is a near-tie, and
+        MorseSmaleViolationError is raised.
+        """
+        if a.index != 2 or self.n != 2:
+            raise InputError("circle partition requires an index-2 source on T^2")
+        if a.id in self._partitions:
+            return self._partitions[a.id]
+        flows = self._shots().get(a.id, [])
+        boundaries = [_Boundary(fl.departure_angle, self.by_id[fl.target]) for fl in flows]
+        thetas = [k * (TWO_PI / self.cfg.circle_samples) for k in range(self.cfg.circle_samples)]
+        beside = [b.angle + side * _SHOT_SPREAD for b in boundaries for side in (-1.0, 1.0)]
+        results = [_ok(got) for got in self._classify_angles(a, thetas + beside)]
+        ends = results[len(thetas) :]
+        arcs = [] if boundaries else [_Arc(0.0, TWO_PI, results[0][1])]
+        for i, b in enumerate(boundaries):
+            j = (i + 1) % len(boundaries)
+            (kind, cls, p), (kind1, cls1, p1) = ends[2 * i + 1], ends[2 * j]
+            if not kind == kind1 == "sink" or cls != cls1:
+                raise MorseSmaleViolationError(
+                    f"the ends of the arc of {a.id} from angle {b.angle:.9f} rest at "
+                    f"{cls or p.id} and {cls1 or p1.id}: a basin boundary was missed, "
+                    "or one is a near-tie"
+                )
+            arcs.append(_Arc(b.angle, boundaries[j].angle + TWO_PI * (j == 0), cls))
+        for th, (kind, cls, point) in zip(thetas, results):
+            dist = [abs(math.remainder(th - b.angle, TWO_PI)) for b in boundaries]
+            near = {b.saddle for b, d in zip(boundaries, dist) if d <= _SHOT_SPREAD}
+            # The last arc wraps past 2 pi, so it also holds the angles below the first.
+            arc = next((arc for arc in reversed(arcs) if arc.start <= th), arcs[-1])
+            if not (point in near or kind == "sink" and (near or cls == arc.landing_class)):
+                raise MorseSmaleViolationError(
+                    f"the departure from {a.id} at angle {th:.9f} rests at {point.id}, "
+                    "off the basins of its partition: a basin boundary was missed or is extra"
+                )
         self._partitions[a.id] = (boundaries, arcs)
         return boundaries, arcs
 
-    def _shots(self) -> dict[str, list[float]]:
-        """Angles at which stable separatrices of saddles cross each departure circle.
+    def _bisect_boundaries(self, a: CriticalPoint) -> list[_Boundary]:
+        """Basin boundaries of `a` on T^3, where a saddle's stable manifold is a surface.
 
-        A boundary direction of an index-2 point a flows into a saddle, so
-        a stable separatrix of that saddle, followed backward, crosses a's
-        departure circle at the boundary angle.  On T^2 one recorded run on
-        -f (the same points, with index 2 - index and value -value) departs
-        every saddle along plus and minus its stable eigenvector, which is
-        -f's unstable frame.  For each lane that rests at an index-2 point
-        a, its step into a's departure sphere is halved down to `step_min`,
-        each half step taken from the last point outside (one `_dp_step`
-        for all lanes per halving), and the angle of that point in a's
-        frame is a shot of a.  A lane that fails or rests elsewhere gives
-        none; on T^1 and T^3 there are no shots.
+        A sample that rests at a saddle is a boundary, and `_bisect_all`
+        bisects every pair of neighbouring samples of different sink classes.
         """
-        if self.n != 2 or self._shot_angles is not None:
-            return self._shot_angles or {}
-        cfg, tops, starts, steps = self.cfg, [], [], []
+        step = TWO_PI / self.cfg.circle_samples
+        thetas = [k * step for k in range(self.cfg.circle_samples)]
+        results = [_ok(got) for got in self._classify_angles(a, thetas)]
+        boundaries = [
+            _Boundary(th, p) for th, (kind, _, p) in zip(thetas, results) if kind == "saddle"
+        ]
+        brackets = [
+            (th, c0, th + step, c1)
+            for th, (k0, c0, _), (k1, c1, _) in zip(thetas, results, results[1:] + results[:1])
+            if k0 == k1 == "sink" and c0 != c1
+        ]
+        return sorted(boundaries + self._bisect_all(a, brackets), key=lambda b: b.angle)
+
+    def _shots(self) -> dict[str, list[FlowLine]]:
+        """Rigid flows out of each index-2 point of T^2, along the saddles' stable separatrices.
+
+        The stable manifold of a saddle s is s and two trajectories, each
+        out of an index-2 point a across a basin boundary of its departure
+        circle.  One run on -f (the same points, with index 2 - index)
+        departs every saddle along plus and minus its stable eigenvector,
+        records each path and carries the frame (u/|u|, w_s): u = -grad f at
+        the seed, w_s = `frames[s.id][:, 0]`.  A lane that fails raises its
+        error, and one that rests at no index-2 point (at a saddle: a saddle
+        connection) raises MorseSmaleViolationError.  The step into a's
+        departure sphere is halved down to `step_min` from the last point
+        outside (one `_dp_step` for all lanes per halving), and a -> s
+        departs from the point reached: its trajectory is the path up to
+        there, reversed, time from 0, its lattice offset the landing offset
+        negated, and its sign that of the carried frame in `frames[a.id]`,
+        the inverse of `_sign`'s forward comparison.
+        """
+        if self.n != 2 or self._shot_flows is not None:
+            return self._shot_flows or {}
         neg = tuple(TrigTerm(t.frequency, -t.cos_coeff, -t.sin_coeff) for t in self.f.terms)
         points = [replace(p, value=-p.value, index=2 - p.index) for p in self.points]
-        back = _Analysis(TrigPolynomial(2, neg), cfg, points)
-        axes = [(s, back.frames[s.id][:, 0]) for s in back.points if s.index == 1]
-        seeds = [back.seed(s, side * w) for s, w in axes for side in (1.0, -1.0)]
-        for got in back.land_lanes(seeds, record=True):
-            if not isinstance(got, Exception) and got.point.index == 0:
-                tops.append(self.by_id[got.point.id])
-                path = np.array([p for _, p in got.trajectory])
-                k = int(np.argmax(_wrap(path - tops[-1].position)[1] <= cfg.sphere_radius))
-                starts.append(path[k - 1])
-                steps.append(got.trajectory[k][0] - got.trajectory[k - 1][0])
-        centres = np.array([a.position for a in tops]).reshape(-1, 2)
-        x, h = np.array(starts).reshape(-1, 2), np.array(steps)
+        back = _Analysis(TrigPolynomial(2, neg), self.cfg, points)
+        lanes = [(s, side) for s in self.points if s.index == 1 for side in (1.0, -1.0)]
+        seeds = [back.seed(s, side * back.frames[s.id][:, 0]) for s, side in lanes]
+        u = -self.comp.grad_batch(np.array(seeds).reshape(-1, 2))
+        w = np.array([self.frames[s.id][:, 0] for s, _ in lanes]).reshape(-1, 2)
+        frames = np.stack([u / np.linalg.norm(u, axis=1)[:, None], w], axis=2)
+        shots = []
+        for (s, _), got in zip(lanes, back.land_lanes(seeds, frames, record=True)):
+            landing = _ok(got)
+            a = self.by_id[landing.point.id]
+            if a.index != 2:
+                raise MorseSmaleViolationError(
+                    f"a stable separatrix of {s.id}, followed backward, rests at {a.id}, "
+                    "expected an index-2 point; a saddle there is a saddle connection"
+                )
+            path = np.array([p for _, p in landing.trajectory])
+            k = int(np.argmax(_wrap(path - a.position)[1] <= self.cfg.sphere_radius))
+            shots.append((s, a, landing, k))
+        centres = np.array([a.position for _, a, _, _ in shots]).reshape(-1, 2)
+        x = np.array([ld.trajectory[k - 1][1] for _, _, ld, k in shots]).reshape(-1, 2)
+        t = np.array([ld.trajectory[k - 1][0] for _, _, ld, k in shots])
+        h = np.array([ld.trajectory[k][0] for _, _, ld, k in shots]) - t
         g = back.comp.grad_batch(x)
-        while (h > cfg.step_min).any():
+        while (h > self.cfg.step_min).any():
             h = 0.5 * h
             _, y, _, gy, _ = _dp_step(back.comp, x, g, h[:, None])
-            outside = (_wrap(y - centres)[1] > cfg.sphere_radius)[:, None]
-            x, g = np.where(outside, y, x), np.where(outside, gy, g)
-        self._shot_angles = {}
-        for a, r in zip(tops, _wrap(x - centres)[0]):
-            u, v = r @ self.frames[a.id]
-            self._shot_angles.setdefault(a.id, []).append(math.atan2(v, u) % TWO_PI)
-        return self._shot_angles
-
-    def _aim(self, a: CriticalPoint, s: _Bracket) -> tuple[float, float] | None:
-        """A shot of `a` in bracket `s`, clamped into it, with its spread, or None.
-
-        A shot counts through its lift nearest the bracket, if that lies in
-        the bracket give or take `_SHOT_SPREAD`, which is also its spread.
-        A bracket no wider than twice the spread gets no aim, since a shot
-        cannot tell its halves apart; its dyadic subtree serves it better.
-        """
-        if s.hi - s.lo <= 2.0 * _SHOT_SPREAD:
-            return None
-        for shot in self._shots().get(a.id, []):
-            lift = shot + TWO_PI * round((0.5 * (s.lo + s.hi) - shot) / TWO_PI)
-            if s.lo - _SHOT_SPREAD <= lift <= s.hi + _SHOT_SPREAD:
-                return min(max(lift, s.lo), s.hi), _SHOT_SPREAD
-        return None
+            outside = _wrap(y - centres)[1] > self.cfg.sphere_radius
+            x, g = np.where(outside[:, None], y, x), np.where(outside[:, None], gy, g)
+            t = np.where(outside, t + h, t)
+        flows = []
+        for (s, a, landing, k), r, xc, tc in zip(shots, _wrap(x - centres)[0], x, t.tolist()):
+            along, across = r @ self.frames[a.id]
+            angle = math.atan2(across, along) % TWO_PI
+            path = [(0.0, tuple(xc.tolist()))]
+            path += [(tc - tp, p) for tp, p in reversed(landing.trajectory[:k])]
+            sign = _orientation(self.frames[a.id], landing.frame, f"{a.id}->{s.id}")
+            direction = tuple(float(c) for c in self.direction_at(a, angle))
+            offset = tuple(-o for o in landing.offset)
+            flows.append(FlowLine("", a.id, s.id, sign, direction, angle, offset, tuple(path)))
+        self._shot_flows = {}
+        for fl in _named(sorted(flows, key=lambda fl: fl.departure_angle)):
+            self._shot_flows.setdefault(fl.source, []).append(fl)
+        return self._shot_flows
 
     def _bisect_all(self, a: CriticalPoint, brackets: list) -> list[_Boundary]:
-        """Bisect every bracket (lo, lo class, hi, hi class) to its boundaries.
+        """Bisect every bracket (lo, lo class, hi, hi class) to its boundaries, on T^3.
 
         Slots in angle order hold the open brackets, the boundaries found
         and the errors met.  Each round takes one bisection step in every
@@ -1043,16 +1055,12 @@ class _Analysis:
         come from a cache keyed by the exact angle.  When a round misses,
         one batch classifies ahead, for every open bracket, about its share
         of max(`_ROUND_LANES`, `circle_samples`) new angles, and always its
-        own midpoint.  A bracket that `_aim` aims at a separatrix shot gets
-        the midpoints a one-at-a-time bisection would visit on its way to
-        the shot, and at each level whose midpoint lies within the shot's
-        spread, also the midpoint of the half the way does not take; any
-        other bracket gets its dyadic subtree of depth k >= 1, the largest
-        within its share.  Every bracket visits the midpoints a one-at-a-time
-        bisection would, whatever was classified ahead, so the boundaries
-        are the same floats.  A lane's error counts only if a bracket visits
-        its angle, and the error raised is the first in angle order, the one
-        a depth-first walk would meet first.
+        own midpoint: the bracket's dyadic subtree of depth k >= 1, the
+        largest within its share.  Every bracket visits the midpoints a
+        one-at-a-time bisection would, whatever was classified ahead, so
+        the boundaries are the same floats.  A lane's error counts only if a
+        bracket visits its angle, and the error raised is the first in angle
+        order, the one a depth-first walk would meet first.
         """
         tol = self.cfg.bisection_tol
 
@@ -1067,26 +1075,13 @@ class _Analysis:
         cache: dict[float, object] = {}
 
         def ahead(s: _Bracket, share: int) -> list[float]:
-            aim = self._aim(a, s)
-            if aim is None or not all(map(math.isfinite, aim)):
-                # The deepest full subtree within the share, of depth >= 1.
-                level, out = [(s.lo, s.hi)], []
-                for _ in range((share + 1).bit_length() - 1):
-                    level = [(lo, hi) for lo, hi in level if hi - lo > tol]
-                    mids = [0.5 * (lo + hi) for lo, hi in level]
-                    out += [mid for mid in mids if mid not in cache]
-                    level = [h for (lo, hi), m in zip(level, mids) for h in ((lo, m), (m, hi))]
-                return out
-            aim, spread = aim
-            lo, hi, out = s.lo, s.hi, []
-            while hi - lo > tol and len(out) < share:
-                mid = 0.5 * (lo + hi)
-                way, other = ((lo, mid), (mid, hi)) if aim < mid else ((mid, hi), (lo, mid))
-                picks = [mid]
-                if abs(mid - aim) <= spread and other[1] - other[0] > tol:
-                    picks.append(0.5 * (other[0] + other[1]))
-                out += [th for th in picks if th not in cache]
-                lo, hi = way
+            # The deepest full subtree within the share, of depth >= 1.
+            level, out = [(s.lo, s.hi)], []
+            for _ in range((share + 1).bit_length() - 1):
+                level = [(lo, hi) for lo, hi in level if hi - lo > tol]
+                mids = [0.5 * (lo + hi) for lo, hi in level]
+                out += [mid for mid in mids if mid not in cache]
+                level = [h for (lo, hi), m in zip(level, mids) for h in ((lo, m), (m, hi))]
             return out
 
         slots = [opened(*b) for b in brackets]
@@ -1119,8 +1114,11 @@ class _Analysis:
         return [_ok(s) for s in slots]
 
     def max_flows(self, a: CriticalPoint) -> list[FlowLine]:
-        """Rigid flows out of an index-2 point, one per basin boundary direction."""
-        boundaries, _ = self.partition(a)
+        """Rigid flows out of an index-2 point: `_shots`' on T^2, and on T^3 one
+        run along the directions of `_bisect_boundaries`."""
+        if self.n == 2:
+            return self._shots().get(a.id, [])
+        boundaries = self._bisect_boundaries(a)
         return self._depart([(a, self.direction_at(a, b.angle), b) for b in boundaries])
 
     # one-parameter families ---------------------------------------------------
@@ -1135,8 +1133,9 @@ class _Analysis:
         and angular departure directions at the boundary.  The linearised
         flow maps r to (u - beta V d) / alpha, where u is the arrival
         velocity, V d the carried image of d and alpha > 0 a time shift, so
-        `_sign`'s determinant against the basis (u / |u|, w_s) has the sign
-        of the w_s-component of V d, with w_s = `frames[s.id][:, 0]`.
+        `_sign`'s determinant against the basis (u / |u|, w_s) (which
+        `_shots` reads backward on T^2, with the same sign) has the sign of
+        the w_s-component of V d, with w_s = `frames[s.id][:, 0]`.
         A departure just past the boundary angle thus passes s on its
         sign(a -> s) w_s side: the arc after the boundary leaves s along
         sign(a -> s) w_s, and the arc before it along -sign(a -> s) w_s.
@@ -1149,21 +1148,21 @@ class _Analysis:
             raise MorseSmaleViolationError(
                 f"the departure circle of {a.id} has no basin boundary"
             )
-        ends = list(zip(boundaries, (fl for fl in flows if fl.source == a.id), strict=True))
+        firsts = self.max_flows(a)  # one per boundary, in the same order
 
-        def end(b: _Boundary, first: FlowLine, side: int) -> BrokenFlow:
-            plus, minus = (fl for fl in flows if fl.source == b.saddle.id)
+        def end(first: FlowLine, side: int) -> BrokenFlow:
+            plus, minus = (fl for fl in flows if fl.source == first.target)
             second = plus if side * first.sign > 0 else minus
             if second.target != c.id:
                 raise UnmatchedEndpointError(
-                    f"the family from {a.id} leaves {b.saddle.id} toward "
-                    f"{second.target} at the boundary at angle {b.angle:.9f}, "
+                    f"the family from {a.id} leaves {first.target} toward "
+                    f"{second.target} at the boundary at angle {first.departure_angle:.9f}, "
                     f"expected {c.id}"
                 )
-            return BrokenFlow(b.saddle.id, first.id, second.id)
+            return BrokenFlow(first.target, first.id, second.id)
 
         return [
-            IntervalComponent((end(*ends[i], 1), end(*ends[(i + 1) % len(ends)], -1)))
+            IntervalComponent((end(firsts[i], 1), end(firsts[(i + 1) % len(firsts)], -1)))
             for i, arc in enumerate(arcs)
             if arc.landing_class[0] == c.id
         ]
@@ -1200,7 +1199,7 @@ def connecting_orbits(
     if a.index == 1:
         flows = analysis.saddle_flows([a])
     elif a.index == 2:
-        flows = [fl for fl in analysis.rigid_flows() if fl.source == a.id]
+        flows = analysis.max_flows(a)
     else:
         raise InputError(
             "connecting orbits are only seeded from index-1 and index-2 points"

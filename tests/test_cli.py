@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from morseflow import NumericalConfig, bank
 from morseflow.cli import CONFIG_ENV, main
+from morseflow.morse import _Analysis
 
 
 @pytest.fixture(autouse=True)
@@ -155,16 +156,23 @@ class TestValidate:
         checks = {c["name"]: c for c in rep["results"]["orientation"]["checks"]}
         assert checks["interval-cancellation"]["failures"]
 
-    def test_missed_basin_boundary_exits_two(self, capsys, tmp_path):
-        # Three circle samples miss both boundaries through p1.0; the build
-        # counts the flows each saddle receives instead of passing 6 of 8.
+    def test_missed_basin_boundary_exits_two(self, capsys, tmp_path, monkeypatch):
+        # Three circle samples, which once hid both boundaries through p1.0,
+        # only check the boundaries the saddles' separatrices give.  A
+        # separatrix shot that goes missing leaves an arc whose ends rest in
+        # two basins, and the build fails loudly instead of passing 6 of 8.
         path = write_json(tmp_path / "torus.json", bank.torus_function().to_json())
         cfg = write_json(tmp_path / "c.json", {"circle_samples": 3})
         code, rep = run(capsys, "validate", "--function", path, "--config", cfg)
+        assert code == 0 and rep["results"]["rigidFlows"] == 8
+        shots = _Analysis._shots
+        monkeypatch.setattr(
+            _Analysis, "_shots", lambda self: {a: fl[1:] for a, fl in shots(self).items()}
+        )
+        code, rep = run(capsys, "validate", "--function", path, "--config", cfg)
         assert code == 2 and rep["status"] == "validation-failure"
         assert rep["results"]["errorType"] == "MorseSmaleViolationError"
-        assert "saddle p1.0 receives 0" in rep["results"]["error"]
-        assert "circle_samples" in rep["results"]["error"]
+        assert "a basin boundary was missed" in rep["results"]["error"]
 
 
 class TestStrata:

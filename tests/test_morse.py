@@ -45,7 +45,15 @@ from morseflow.errors import (
     NotMorseError,
     UnmatchedEndpointError,
 )
-from morseflow.morse import _Analysis, _compiled, _dedupe, _dp_step, _Landing, _wrap
+from morseflow.morse import (
+    _Analysis,
+    _Boundary,
+    _compiled,
+    _dedupe,
+    _dp_step,
+    _Landing,
+    _wrap,
+)
 
 
 def three_torus_function() -> TrigPolynomial:
@@ -384,13 +392,19 @@ class TestFlowLines:
             moduli_family(f, top, replace(p1_0, index=0), flow_lines(f))
 
     def test_flows_out_of_an_index_2_point_count_flows_into_each_saddle(self):
-        # Three samples miss the boundaries through p1.0 (see
-        # test_missed_basin_boundary_fails_loudly); the index-2 entry point
-        # must say so instead of returning no flows.
+        # The flows out of an index-2 point are the saddles' stable
+        # separatrices, two into each saddle of the torus whatever the
+        # sampling; three samples, which hid the boundaries through p1.0
+        # from a bisection, give the flows of 64.
         f = torus_function()
-        top, p1_0, _, _ = find_critical_points(f)
-        with pytest.raises(MorseSmaleViolationError, match="p1.0 receives 0 rigid flows"):
-            connecting_orbits(f, top, p1_0, NumericalConfig(circle_samples=3))
+        top, p1_0, p1_1, _ = find_critical_points(f)
+        for saddle in (p1_0, p1_1):
+            runs = [
+                connecting_orbits(f, top, saddle, NumericalConfig(circle_samples=k))
+                for k in (3, 5, 7, 64)
+            ]
+            assert len(runs[-1]) == 2
+            assert all(flows == runs[-1] for flows in runs)
 
     def test_torus_saddle_departure_angles(self):
         f = torus_function()
@@ -439,12 +453,15 @@ class TestModuliFamilies:
         assert len(used) == len(set(used)) == 8
 
     def test_family_counts_flows_into_each_saddle(self):
-        # With three samples, two of the four intervals would be found.
+        # A bisection from three samples found two of the four intervals;
+        # the separatrices give all four at any sampling.
         f = torus_function()
         top, _, _, bottom = find_critical_points(f)
-        cfg = NumericalConfig(circle_samples=3)
-        with pytest.raises(MorseSmaleViolationError, match="p1.0 receives 0 rigid flows"):
-            moduli_family(f, top, bottom, flow_lines(f), cfg)
+        flows = flow_lines(f)
+        fams = moduli_family(f, top, bottom, flows)
+        assert len(fams) == 4
+        for k in (3, 5, 7):
+            assert moduli_family(f, top, bottom, flows, NumericalConfig(circle_samples=k)) == fams
 
     def test_given_flows_must_name_every_end(self):
         f = torus_function()
@@ -641,6 +658,7 @@ class TestLanes:
         assert list(map(comparable, batch)) == list(map(comparable, alone))
 
     def test_speculative_lane_errors_count_only_where_the_walk_visits(self, monkeypatch):
+        # The bisection serves T^3; it runs here on a perturbed two-torus.
         f = perturbed_torus(perturbed_torus_seeds(1)[0])
         classify = _Analysis._classify_angles
         batches: list[list[float]] = []
@@ -661,11 +679,11 @@ class TestLanes:
 
             monkeypatch.setattr(_Analysis, "_classify_angles", failing_classify)
             analysis = _Analysis(f, NumericalConfig())
-            return analysis.partition(analysis.points[0])
+            return analysis._bisect_boundaries(analysis.points[0])
 
         monkeypatch.setattr(_Analysis, "_classify_angles", recording_classify)
         analysis = _Analysis(f, NumericalConfig())
-        clean = analysis.partition(analysis.points[0])
+        clean = analysis._bisect_boundaries(analysis.points[0])
         speculative = {th for batch in batches[1:] for th in batch}
         unvisited = sorted(speculative - visited)
         assert visited <= speculative and unvisited
@@ -678,9 +696,10 @@ class TestLanes:
     def test_lane_errors_raise_in_sequential_order(self, monkeypatch, run):
         # The first lane run of one kind comes back with lanes 1-2 spoiled.
         # Built one flow at a time, lane 1's failure is met first: a saddle's
-        # -w flow before the next saddle's w flow, and a boundary before the
-        # next one.  Lane 2's failure is a plain integration error that an
-        # unordered walk could raise instead.
+        # -w flow before the next saddle's w flow, and a saddle's stable
+        # separatrix (the backward run, with 2-frames) before the next one.
+        # Lane 2's failure is a plain integration error that an unordered
+        # walk could raise instead.
         f = perturbed_torus(perturbed_torus_seeds(1)[0])
         points = find_critical_points(f)
         saddle = next(p for p in points if p.index == 1)
@@ -711,16 +730,8 @@ class TestLanes:
             build_flow_category(f)
 
 
-# Deliberately wrong aims for the speculation: the bracket's lower end, a
-# point beyond its upper end, and no number at all.
-WRONG_AIMS = {
-    "lo-end": lambda self, a, s: (s.lo, 0.25 * (s.hi - s.lo)),
-    "outside": lambda self, a, s: (s.hi + (s.hi - s.lo), s.hi - s.lo),
-    "nan": lambda self, a, s: (math.nan, math.nan),
-}
-
-
 class TestPartition:
+    # The sampling and bisection that serve T^3, run on the two-torus.
     @pytest.mark.parametrize("samples", [64, 3, 5])
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_boundaries_equal_one_at_a_time_bisection(self, f, samples):
@@ -730,20 +741,11 @@ class TestPartition:
         top = analysis.points[0]
         found, _ = one_at_a_time(f, samples)
         expected = sorted(found, key=lambda b: b[0])
-        assert [tuple(b) for b in analysis.partition(top)[0]] == expected
+        assert [tuple(b) for b in analysis._bisect_boundaries(top)] == expected
 
-    @pytest.mark.parametrize("samples", [64, 3, 5])
-    @pytest.mark.parametrize("aim", sorted(WRONG_AIMS))
-    def test_wrong_aims_keep_every_boundary(self, monkeypatch, aim, samples):
-        # An aim only picks the angles classified ahead; the walk is the same.
-        monkeypatch.setattr(_Analysis, "_aim", WRONG_AIMS[aim])
-        for f in lane_functions():
-            analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
-            found, _ = one_at_a_time(f, samples)
-            expected = sorted(found, key=lambda b: b[0])
-            assert [tuple(b) for b in analysis.partition(analysis.points[0])[0]] == expected
-
-    # Classification runs per partition before the speculation was aimed.
+    # Classification runs per partition when the boundaries were bisected
+    # with aimed speculation.  Read from the shots, a partition makes one,
+    # the check run, and no bisection round.
     @pytest.mark.parametrize("seed, before", [(0, 7), (1, 7), (2, 6), (3, 9), (4, 7), (5, 8)])
     def test_aimed_speculation_adds_no_run(self, monkeypatch, seed, before):
         classify = _Analysis._classify_angles
@@ -753,18 +755,22 @@ class TestPartition:
             runs.append(a.id)
             return classify(self, a, thetas)
 
+        def no_bisection(self, a, brackets):
+            raise AssertionError("a T^2 partition bisected")
+
         monkeypatch.setattr(_Analysis, "_classify_angles", counting_classify)
+        monkeypatch.setattr(_Analysis, "_bisect_all", no_bisection)
         analysis = _Analysis(perturbed_torus(seed), NumericalConfig())
         maxima = [a for a in analysis.points if a.index == 2]
+        assert maxima
         for a in maxima:
             analysis.partition(a)
-            assert 0 < runs.count(a.id) <= before
+            assert runs.count(a.id) == 1 < before
 
     def test_errors_in_both_halves_of_a_split_raise_the_lower_one(self, monkeypatch):
         # The first midpoint of each half of a split fails; a depth-first
-        # walk meets the lower half's failure first, whatever the aim.  The
-        # lanes fail, so the oracle's full landings fail as the partition's
-        # trapped lanes do.
+        # walk meets the lower half's failure first.  The lanes fail, so the
+        # oracle's full landings fail as the bisection's trapped lanes do.
         f = lane_functions()[1]
         _, visited = one_at_a_time(f, 3)
         spans = set(visited)
@@ -792,23 +798,55 @@ class TestPartition:
         monkeypatch.setattr(_Analysis, "land_lanes", failing_land)
         with pytest.raises(IntegrationFailureError, match="lower half"):
             bisect_one_at_a_time(analysis, analysis.points[0])
-        for aim in [_Analysis._aim] + [WRONG_AIMS[name] for name in sorted(WRONG_AIMS)]:
-            monkeypatch.setattr(_Analysis, "_aim", aim)
-            analysis = _Analysis(f, NumericalConfig(circle_samples=3))
-            with pytest.raises(IntegrationFailureError, match="lower half"):
-                analysis.partition(analysis.points[0])
+        analysis = _Analysis(f, NumericalConfig(circle_samples=3))
+        with pytest.raises(IntegrationFailureError, match="lower half"):
+            analysis._bisect_boundaries(analysis.points[0])
 
-    def test_missed_basin_boundary_fails_loudly(self):
-        # Of three samples of the torus's departure circle, the one at angle
-        # 0 rests at the saddle p1.1, so neither interval beside it is
-        # bracketed and the boundaries through p1.0, at pi/2 and 3 pi/2, are
-        # lost: the build must count two flows into each saddle.
-        with pytest.raises(MorseSmaleViolationError, match="p1.0 receives 0 .*circle_samples"):
-            build_flow_category(torus_function(), NumericalConfig(circle_samples=3))
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_coarse_sampling_gives_the_full_category(self, f):
+        # Samples only check the boundaries, so none can be missed between
+        # them: 3, 5 and 7 samples give the category, signs and family ends
+        # of 64.
+        cat, orientation = build_flow_category(f)
+        for k in (3, 5, 7):
+            coarse = build_flow_category(f, NumericalConfig(circle_samples=k))
+            assert coarse[0].to_json(coarse[1]) == cat.to_json(orientation)
+
+    def test_missed_basin_boundary_fails_loudly(self, monkeypatch):
+        # A separatrix shot that goes missing drops its boundary, so the arc
+        # across it starts in one basin and ends in another.
+        shots = _Analysis._shots
+
+        def dropping(self):
+            return {a: flows[1:] for a, flows in shots(self).items()}
+
+        monkeypatch.setattr(_Analysis, "_shots", dropping)
+        for f in lane_functions():
+            with pytest.raises(MorseSmaleViolationError, match="rest at .* was missed"):
+                build_flow_category(f)
+
+    def test_a_sample_at_a_saddle_off_every_boundary_fails_loudly(self, monkeypatch):
+        # A sample far from every boundary that rests at a saddle marks a
+        # boundary the shots missed.
+        analysis = _Analysis(lane_functions()[1], NumericalConfig())
+        top = analysis.points[0]
+        saddle = next(p for p in analysis.points if p.index == 1)
+        classify = _Analysis._classify_angles
+
+        def one_sample_at_the_saddle(self, a, thetas):
+            out = classify(self, a, thetas)
+            return [("saddle", None, saddle)] + out[1:]
+
+        assert all(abs(b.angle) > 1e-3 for b in analysis.partition(top)[0])
+        analysis = _Analysis(lane_functions()[1], NumericalConfig(), analysis.points)
+        monkeypatch.setattr(_Analysis, "_classify_angles", one_sample_at_the_saddle)
+        with pytest.raises(MorseSmaleViolationError, match="angle 0.000000000 rests at p1"):
+            analysis.partition(top)
 
     def test_a_circle_in_one_basin_is_one_arc(self, monkeypatch):
-        # On T^2 the saddle count rules this out later, but on T^3 nothing
-        # does: a circle whose every angle rests at one sink has no boundary.
+        # A circle whose every angle rests at one sink, with no shot and no
+        # sample at a saddle, has no boundary and one arc; nothing on T^3
+        # rules it out.
         analysis = _Analysis(torus_function(), NumericalConfig())
         top, sink = analysis.points[0], analysis.points[-1]
         cls = (sink.id, (0, 0))
@@ -817,6 +855,8 @@ class TestPartition:
             return [("sink", cls, sink)] * len(thetas)
 
         monkeypatch.setattr(_Analysis, "_classify_angles", one_class)
+        monkeypatch.setattr(_Analysis, "_shots", lambda self: {})
+        assert analysis._bisect_boundaries(top) == []
         boundaries, arcs = analysis.partition(top)
         assert boundaries == []
         assert [tuple(arc) for arc in arcs] == [(0.0, 2 * math.pi, cls)]
@@ -852,48 +892,90 @@ class TestShots:
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_every_boundary_has_a_shot(self, f, reverse):
         # A boundary direction flows into its saddle, so the saddle's stable
-        # separatrix, followed backward, crosses the circle at that angle.
+        # separatrix, followed backward, crosses the circle at that angle:
+        # the partition's boundaries are the bisection oracle's, in the same
+        # order, at the same saddles, within 1e-6 rad.  The flows read
+        # backward have the ids, signs and lattice offsets of the forward
+        # flows that depart at the oracle's angles, framed by `_sign`.
         analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse))
         top = analysis.points[0]
-        shots = analysis._shots()[top.id]
+        boundaries, _ = analysis.partition(top)
         found, _ = one_at_a_time(f, NumericalConfig().circle_samples, reverse)
-        assert found
-        for angle, _ in found:
-            assert min(abs(math.remainder(angle - shot, 2 * math.pi)) for shot in shots) <= 1e-6
+        found = sorted(found, key=lambda b: b[0])
+        assert len(found) == len(boundaries) > 0
+        for (angle, saddle), b in zip(found, boundaries):
+            assert b.saddle == saddle
+            assert abs(math.remainder(b.angle - angle, 2 * math.pi)) <= 1e-6
+        forward = analysis._depart(
+            [(top, analysis.direction_at(top, th), _Boundary(th, s)) for th, s in found]
+        )
+        assert [(fl.id, fl.sign, fl.lattice_offset) for fl in analysis.max_flows(top)] == [
+            (fl.id, fl.sign, fl.lattice_offset) for fl in forward
+        ]
 
     def test_no_shots_off_the_two_torus(self):
         for f in (circle_function(), three_torus_function()):
             assert _Analysis(f, NumericalConfig())._shots() == {}
 
-    def test_failed_and_stray_shots_change_no_boundary(self, monkeypatch):
-        # In the backward run, the only recorded run without frames, one
-        # lane fails and another rests at a saddle: both give no shot, and
-        # the partition is still the oracle's.
+    @staticmethod
+    def spoil_backward_run(monkeypatch, spoil):
+        """Let `spoil(analysis, outcomes)` rewrite the outcomes of the backward run.
+
+        On T^2 it is the only run that carries 2-frames.
+        """
         land = _Analysis.land_lanes
-        spoiled = []
 
         def spoiling_land(self, seeds, frames=None, record=False, trap=False):
             out = land(self, seeds, frames, record, trap)
-            if record and frames is None:
-                out[0] = IntegrationFailureError("injected")
-                out[1] = out[1]._replace(point=next(p for p in self.points if p.index == 1))
-                spoiled.append(len(out))
+            if frames is not None and frames.shape[2] == 2:
+                spoil(self, out)
             return out
 
         monkeypatch.setattr(_Analysis, "land_lanes", spoiling_land)
-        for f in lane_functions()[1:]:
-            analysis = _Analysis(f, NumericalConfig())
-            top = analysis.points[0]
-            found, _ = one_at_a_time(f, NumericalConfig().circle_samples)
-            expected = sorted(found, key=lambda b: b[0])
-            assert [tuple(b) for b in analysis.partition(top)[0]] == expected
-            assert sum(map(len, analysis._shots().values())) == spoiled.pop() - 2
-        assert not spoiled
 
-    def test_a_torus_build_makes_no_backward_run(self, monkeypatch):
-        # Every boundary of the torus is a circle sample, so no bracket asks
-        # for an aim: the samples, the flows out of the maximum and the
-        # saddle flows are the only runs.
+    def test_a_failed_backward_lane_raises_its_error(self, monkeypatch):
+        def fail(analysis, out):
+            out[1] = IntegrationFailureError("injected at lane 1")
+            out[2] = IntegrationFailureError("injected at lane 2")
+
+        self.spoil_backward_run(monkeypatch, fail)
+        for f in lane_functions():
+            with pytest.raises(IntegrationFailureError, match="lane 1"):
+                build_flow_category(f)
+
+    def test_a_backward_lane_at_a_saddle_is_a_saddle_connection(self, monkeypatch):
+        def connect(analysis, out):
+            out[0] = out[0]._replace(point=next(p for p in analysis.points if p.index == 1))
+
+        self.spoil_backward_run(monkeypatch, connect)
+        for f in lane_functions():
+            with pytest.raises(MorseSmaleViolationError, match="rests at p1.0, .*saddle connection"):
+                flow_lines(f)
+
+    def test_a_check_lane_at_the_saddle_fails_loudly(self, monkeypatch):
+        # The lanes just beside a boundary pass its saddle; one that rests
+        # there is a near-tie.
+        clean = _Analysis(lane_functions()[1], NumericalConfig())
+        top = clean.points[0]
+        boundaries, _ = clean.partition(top)
+        classify = _Analysis._classify_angles
+
+        def resting(self, a, thetas):
+            out = classify(self, a, thetas)
+            assert len(thetas) == self.cfg.circle_samples + 2 * len(boundaries)
+            return out[:-1] + [("saddle", None, boundaries[-1].saddle)]
+
+        monkeypatch.setattr(_Analysis, "_classify_angles", resting)
+        analysis = _Analysis(lane_functions()[1], NumericalConfig(), clean.points)
+        with pytest.raises(MorseSmaleViolationError, match=r"rest at p1\.\d and \(.*near-tie"):
+            analysis.partition(top)
+
+    @pytest.mark.parametrize("samples", [3, 64])
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_a_two_torus_build_makes_three_runs(self, monkeypatch, f, samples):
+        # With one maximum: the backward run on -f, the saddle flows and the
+        # check of the maximum's partition, whatever the sampling; there is
+        # no bisection.
         land = _Analysis.land_lanes
         runs = []
 
@@ -902,9 +984,9 @@ class TestShots:
             return land(self, *args, **kwargs)
 
         monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
-        f = torus_function()
-        build_flow_category(f)
-        assert runs == [f, f, f]
+        cat, _ = build_flow_category(f, NumericalConfig(circle_samples=samples))
+        assert [cat.index[p] for p in cat.objects].count(2) == 1
+        assert len(runs) == 3 and runs.count(f) == 2
 
 
 def third_derivative_bound(f: TrigPolynomial) -> float:

@@ -1,20 +1,25 @@
-"""Count the lane work of the departure-circle bisection, build by build.
+"""Count the lane work of the departure-circle partitions, build by build.
 
 For the torus and `perturbed_torus(0..N-1)` (N = 25 by default) it builds
 the flow category and prints, per build:
 
-- runs: classification runs, the calls of `_Analysis._classify_angles`
-  (the circle samples, every bisection round and any arc midpoint);
-- rounds: the classification runs made from inside `_Analysis._bisect_all`;
+- runs: classification runs, the calls of `_Analysis._classify_angles`;
+- rounds: the classification runs made from inside `_Analysis._bisect_all`.
+  Every build here is on T^2, where the boundaries come from separatrix
+  shots and nothing bisects, so the script asserts that this is 0;
+- check: the lanes of the classification runs made outside `_bisect_all`,
+  on T^2 the check runs of `partition`: the circle samples and the lanes
+  beside each boundary;
 - iters: lane iterations, the calls of `_dp_step`, one per iteration of
   every `land_lanes` run, recorded and framed runs included;
 - lane-steps: the rows of those calls, lanes summed over iterations;
-- shots: the `_dp_step` calls made inside `_Analysis._shots`, the backward
-  separatrix run and the halving of its last steps that aim the bisection;
-  `iters` includes them, so `iters - shots` is the partition and flow work.
+- shots: the `_dp_step` calls made inside `_Analysis._shots`, the framed,
+  recorded backward separatrix run and the halving of its last steps, which
+  give the boundaries and the flows out of the index-2 points; `iters`
+  includes them.
 
 It wraps those names from outside, so the same script measures any tree
-that has them; a tree without `_Analysis._shots` gets a shots column of 0:
+that has them and bisects nothing on T^2:
 
     PYTHONPATH=old/src python tools/count_rounds.py > old.txt
     PYTHONPATH=new/src python tools/count_rounds.py > new.txt
@@ -35,14 +40,15 @@ from morseflow.morse import NumericalConfig, _Analysis, build_flow_category
 
 @contextlib.contextmanager
 def counting(tally: dict):
-    """Count runs, rounds, iterations, lane-steps and shot iterations into `tally`."""
+    """Count runs, rounds, check lanes, iterations, lane-steps and shot iterations into `tally`."""
     classify, bisect, step = _Analysis._classify_angles, _Analysis._bisect_all, morse._dp_step
-    shots = getattr(_Analysis, "_shots", None)
+    shots = _Analysis._shots
     inside, shooting = [0], [0]
 
     def counted_classify(self, a, thetas):
         tally["runs"] += 1
         tally["rounds"] += inside[0] > 0
+        tally["check"] += 0 if inside[0] else len(thetas)
         return classify(self, a, thetas)
 
     def counted_bisect(self, *args, **kwargs):
@@ -68,19 +74,17 @@ def counting(tally: dict):
     _Analysis._classify_angles = counted_classify
     _Analysis._bisect_all = counted_bisect
     morse._dp_step = counted_step
-    if shots is not None:
-        _Analysis._shots = counted_shots
+    _Analysis._shots = counted_shots
     try:
         yield tally
     finally:
         _Analysis._classify_angles = classify
         _Analysis._bisect_all = bisect
         morse._dp_step = step
-        if shots is not None:
-            _Analysis._shots = shots
+        _Analysis._shots = shots
 
 
-COLUMNS = ("runs", "rounds", "iters", "lane-steps", "shots")
+COLUMNS = ("runs", "rounds", "check", "iters", "lane-steps", "shots")
 
 
 def main(argv=None) -> None:
@@ -101,6 +105,7 @@ def main(argv=None) -> None:
             except MorseflowError as exc:
                 name += f" [{type(exc).__name__}]"
         print(f"{name:<20}" + "".join(f"{tally[c]:>12}" for c in COLUMNS))
+        assert tally["rounds"] == 0, f"{name} bisected its departure circles on T^2"
         for c in COLUMNS:
             total[c] += tally[c]
     print(f"{'total':<20}" + "".join(f"{total[c]:>12}" for c in COLUMNS))

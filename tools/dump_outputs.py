@@ -11,10 +11,10 @@ as `float.hex`, so a change in the last bit of a recorded trajectory
 shows.  Under OUT/partitions it writes
 the departure-circle partition of every index-2 point of the torus and of
 those perturbed tori: each boundary angle as `float.hex` with its saddle,
-and each arc's ends (also `float.hex`) with its landing class, so bisection
-decisions are compared bit for bit; OUT/partitions-coarse holds the same at
-3 and 5 circle samples, where brackets hold more than two basins and the
-bisection splits them, and a partition that raises is written as
+and each arc's ends (also `float.hex`) with its landing class, so the
+separatrix shots that give the boundaries are compared bit for bit;
+OUT/partitions-coarse holds the same at 3 and 5 circle samples, which only
+check the boundaries, and a partition that raises is written as
 `type: message`.  Under OUT/three-torus it writes the rigid flows that
 `_Analysis.rigid_flows` gives on T^3, out of the index-2 points and the
 saddles, for the symmetric cosine sum and one perturbation of it

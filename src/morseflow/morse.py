@@ -20,13 +20,11 @@ are where the saddles' stable separatrices, followed backward in one
 framed, recorded run on -f, cross the departure circles, and that run,
 reversed, gives the rigid flows out of the index-2 points.  One batch of
 the circle samples and of lanes just beside each boundary checks every
-partition.  On T^3 each index-2 point bisects its circle from the samples,
-every bracket stepping once a round along the midpoints a one-at-a-time
-bisection visits, and a round that misses classifying a dyadic subtree
-under each bracket ahead; its boundary flows form one run.  A lane that
-only classifies an angle stops once it enters a region around a sink that
-its flow provably never leaves, so it gets the class it would get by
-running on.
+partition.  On T^3 the stable manifold of a saddle is a surface, which no
+finite set of shots traces, so there only the saddles' flows are computed,
+in one run.  A lane that only classifies an angle stops once it enters a
+region around a sink that its flow provably never leaves, so it gets the
+class it would get by running on.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
 error raised is the one that building the flows one at a time would raise
@@ -234,17 +232,12 @@ class NumericalConfig:
 
     grid_resolution: int = 32
     newton_tol: float = 1e-12
-    newton_max_iter: int = 80
-    grad_tol: float = 1e-10
-    dedupe_radius: float = 1e-7
-    nondeg_tol: float = 1e-6
     sphere_radius: float = 1e-3
     landing_radius: float = 1e-4
     step_init: float = 1e-2
     step_min: float = 1e-9
     step_max: float = 5e-2
     step_tol: float = 1e-8
-    bisection_tol: float = 1e-10
     max_flow_time: float = 60.0
     max_steps: int = 200000
     circle_samples: int = 64
@@ -364,15 +357,6 @@ class _Boundary(NamedTuple):
     saddle: CriticalPoint
 
 
-class _Bracket(NamedTuple):
-    """An open bracket of the departure circle between two landing classes."""
-
-    lo: float
-    lo_cls: tuple[str, tuple[int, ...]]
-    hi: float
-    hi_cls: tuple[str, tuple[int, ...]]
-
-
 class _Arc(NamedTuple):
     start: float
     end: float
@@ -409,7 +393,7 @@ def _orientation(basis: np.ndarray, frame: np.ndarray, flow: str) -> int:
 
 
 def _ok(got):
-    """A lane outcome or a bisection slot, raised if it is an error."""
+    """A lane outcome, raised if it is an error."""
     if isinstance(got, Exception):
         raise got
     return got
@@ -461,7 +445,7 @@ def find_critical_points(
     axes = [np.arange(res) / res] * n
     x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     active = np.ones(len(x), dtype=bool)
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         g = comp.grad_batch(x)
         gnorm = np.linalg.norm(g, axis=1)
         work = active & (gnorm > cfg.newton_tol)
@@ -484,20 +468,18 @@ def find_critical_points(
 
     g = comp.grad_batch(x)
     gnorm = np.linalg.norm(g, axis=1)
-    keep = active & (gnorm <= cfg.grad_tol)
-    candidates = sorted(
-        (tuple(float(v) % 1.0 for v in pt), float(gn))
-        for pt, gn in zip(x[keep], gnorm[keep])
-    )
-    pts = np.array([pt for pt, _ in candidates]).reshape(-1, n)
-    reps = _dedupe(pts, np.array([gn for _, gn in candidates]), cfg.dedupe_radius)
-    xs = pts[reps]
+    keep = active & (gnorm <= _GRAD_TOL)
+    # Candidates sorted by coordinates, then gradient norm: np.mod has the
+    # bits of Python's float %, and lexsort takes its last key first.
+    pts, gnorms = np.mod(x[keep], 1.0), gnorm[keep]
+    order = np.lexsort((gnorms, *pts.T[::-1]))
+    pts, gnorms = pts[order], gnorms[order]
+    xs = pts[_dedupe(pts, gnorms, _DEDUPE_RADIUS)]
     eigs = np.linalg.eigvalsh(comp.hess_batch(xs))
     values = comp.value_grad_batch(xs)[0]
     enriched = []
-    for i, value, e in zip(reps, values.tolist(), eigs):
-        pt = candidates[i][0]
-        if np.min(np.abs(e)) < cfg.nondeg_tol:
+    for pt, value, e in zip(map(tuple, xs.tolist()), values.tolist(), eigs):
+        if np.min(np.abs(e)) < _NONDEG_TOL:
             raise NotMorseError(
                 f"degenerate critical point near {tuple(round(v, 9) for v in pt)}: "
                 f"second-derivative eigenvalues {e.tolist()}"
@@ -574,9 +556,14 @@ def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
 # 6.6e-7 of the boundary the bisection found, and lanes at +-1e-6 landed in
 # the classes of the arcs beside it, where at +-1e-7 some rested at the saddle.
 _SHOT_SPREAD = 1e-6
-# Lanes a bisection round classifies at least, since a run's cost per
-# iteration grows little up to this width.
-_ROUND_LANES = 64
+# The critical-point search: Newton steps from each grid seed at most, the
+# largest gradient norm a candidate may keep, the radius within which two
+# candidates are one point, and the smallest |Hessian eigenvalue| of a
+# nondegenerate point.
+_NEWTON_MAX_ITER = 80
+_GRAD_TOL = 1e-10
+_DEDUPE_RADIUS = 1e-7
+_NONDEG_TOL = 1e-6
 
 
 class _Analysis:
@@ -618,7 +605,7 @@ class _Analysis:
         # since f falls along the flow, and c is the only critical point in
         # it, so the flow rests at c.  Safety factors rho = 0.999 R and
         # l = f(c) + g(R) / 2 leave room for the rounding of f and for the
-        # gradient at c, at most `grad_tol`.  Since R <= 1/(2 pi) < 1/2 the
+        # gradient at c, at most `_GRAD_TOL`.  Since R <= 1/(2 pi) < 1/2 the
         # nearest lift of c is the one the flow rests at.  A point that is
         # no sink gets a negative radius and no region.
         comp = self.comp
@@ -817,11 +804,9 @@ class _Analysis:
 
         `find_critical_points` lists points by falling index, so the index-2
         points come first and the saddles, all in one run through `_depart`,
-        after them.  On T^2 the flows out of the index-2 points are the
-        saddles' stable separatrices, two per saddle by construction
-        (`_shots`); on T^3 each index-2 point makes one run through
-        `_depart`, which carries each source's frame from `frames`.  An
-        index-3 point has no flows here.
+        after them.  The flows out of the index-2 points are the saddles'
+        stable separatrices, two per saddle by construction (`_shots`), so
+        on T^3, which has index-2 points, `max_flows` raises InputError.
         """
         if self._rigid_flows is None:
             flows = [fl for p in self.points if p.index == 2 for fl in self.max_flows(p)]
@@ -841,34 +826,26 @@ class _Analysis:
     def saddle_flows(self, saddles: Sequence[CriticalPoint]) -> list[FlowLine]:
         """Rigid flows along w and -w out of each index-1 point, all in one run."""
         return self._depart(
-            [(a, side * self.frames[a.id][:, 0], None) for a in saddles for side in (1.0, -1.0)]
+            [(a, side * self.frames[a.id][:, 0]) for a in saddles for side in (1.0, -1.0)]
         )
 
-    def _depart(
-        self, departures: Sequence[tuple[CriticalPoint, np.ndarray, _Boundary | None]]
-    ) -> list[FlowLine]:
-        """Rigid flows along (source, direction, boundary or None) departures, in one run.
+    def _depart(self, departures: Sequence[tuple[CriticalPoint, np.ndarray]]) -> list[FlowLine]:
+        """Rigid flows along (source, direction) departures, in one run, for `saddle_flows`.
 
         Each lane carries its source's unstable frame and records its
         trajectory.  In departure order, a failed flow raises its error, and
-        so does a boundary direction that rests elsewhere than at the
-        boundary's saddle, or a flow that rests no lower in index than its
-        source.  Flow k between the same two points is named source>target#k.
+        so does a flow that rests no lower in index than its source.  Flow k
+        between the same two points is named source>target#k.
         """
         landings = self.land_lanes(
-            [self.seed(a, d) for a, d, _ in departures],
-            np.array([self.frames[a.id] for a, _, _ in departures]),
+            [self.seed(a, d) for a, d in departures],
+            np.array([self.frames[a.id] for a, _ in departures]),
             record=True,
         )
         flows = []
-        for (a, d, b), got in zip(departures, landings):
+        for (a, d), got in zip(departures, landings):
             landing = _ok(got)
             target = landing.point
-            if b is not None and target.id != b.saddle.id:
-                raise MorseSmaleViolationError(
-                    f"boundary direction near angle {b.angle:.9f} rests at "
-                    f"{target.id}, expected {b.saddle.id}"
-                )
             if target.index >= a.index:
                 raise _rests_too_high(a, target)
             flows.append(
@@ -878,7 +855,7 @@ class _Analysis:
                     target=target.id,
                     sign=self._sign(a, landing),
                     departure_direction=tuple(float(v) for v in d),
-                    departure_angle=None if b is None else b.angle,
+                    departure_angle=None,
                     lattice_offset=landing.offset,
                     trajectory=landing.trajectory,
                 )
@@ -958,25 +935,6 @@ class _Analysis:
         self._partitions[a.id] = (boundaries, arcs)
         return boundaries, arcs
 
-    def _bisect_boundaries(self, a: CriticalPoint) -> list[_Boundary]:
-        """Basin boundaries of `a` on T^3, where a saddle's stable manifold is a surface.
-
-        A sample that rests at a saddle is a boundary, and `_bisect_all`
-        bisects every pair of neighbouring samples of different sink classes.
-        """
-        step = TWO_PI / self.cfg.circle_samples
-        thetas = [k * step for k in range(self.cfg.circle_samples)]
-        results = [_ok(got) for got in self._classify_angles(a, thetas)]
-        boundaries = [
-            _Boundary(th, p) for th, (kind, _, p) in zip(thetas, results) if kind == "saddle"
-        ]
-        brackets = [
-            (th, c0, th + step, c1)
-            for th, (k0, c0, _), (k1, c1, _) in zip(thetas, results, results[1:] + results[:1])
-            if k0 == k1 == "sink" and c0 != c1
-        ]
-        return sorted(boundaries + self._bisect_all(a, brackets), key=lambda b: b.angle)
-
     def _shots(self) -> dict[str, list[FlowLine]]:
         """Rigid flows out of each index-2 point of T^2, along the saddles' stable separatrices.
 
@@ -1043,83 +1001,11 @@ class _Analysis:
             self._shot_flows.setdefault(fl.source, []).append(fl)
         return self._shot_flows
 
-    def _bisect_all(self, a: CriticalPoint, brackets: list) -> list[_Boundary]:
-        """Bisect every bracket (lo, lo class, hi, hi class) to its boundaries, on T^3.
-
-        Slots in angle order hold the open brackets, the boundaries found
-        and the errors met.  Each round takes one bisection step in every
-        open bracket: a midpoint whose flow failed is that error, a saddle
-        midpoint a boundary, a midpoint of the lo or hi class halves the
-        bracket, and one of a third class splits it in two, in place.  A
-        bracket within `bisection_tol` did not resolve.  Midpoint classes
-        come from a cache keyed by the exact angle.  When a round misses,
-        one batch classifies ahead, for every open bracket, about its share
-        of max(`_ROUND_LANES`, `circle_samples`) new angles, and always its
-        own midpoint: the bracket's dyadic subtree of depth k >= 1, the
-        largest within its share.  Every bracket visits the midpoints a
-        one-at-a-time bisection would, whatever was classified ahead, so
-        the boundaries are the same floats.  A lane's error counts only if a
-        bracket visits its angle, and the error raised is the first in angle
-        order, the one a depth-first walk would meet first.
-        """
-        tol = self.cfg.bisection_tol
-
-        def opened(lo: float, lo_cls, hi: float, hi_cls):
-            if hi - lo > tol:
-                return _Bracket(lo, lo_cls, hi, hi_cls)
-            return MorseSmaleViolationError(
-                "basin boundary did not resolve to an intermediate rest point "
-                f"near angle {0.5 * (lo + hi):.12f}"
-            )
-
-        cache: dict[float, object] = {}
-
-        def ahead(s: _Bracket, share: int) -> list[float]:
-            # The deepest full subtree within the share, of depth >= 1.
-            level, out = [(s.lo, s.hi)], []
-            for _ in range((share + 1).bit_length() - 1):
-                level = [(lo, hi) for lo, hi in level if hi - lo > tol]
-                mids = [0.5 * (lo + hi) for lo, hi in level]
-                out += [mid for mid in mids if mid not in cache]
-                level = [h for (lo, hi), m in zip(level, mids) for h in ((lo, m), (m, hi))]
-            return out
-
-        slots = [opened(*b) for b in brackets]
-        while spans := [s for s in slots if isinstance(s, _Bracket)]:
-            if any(0.5 * (s.lo + s.hi) not in cache for s in spans):
-                # Splits can leave more open brackets than lanes, hence >= 1.
-                share = max(1, max(_ROUND_LANES, self.cfg.circle_samples) // len(spans))
-                angles = [th for s in spans for th in ahead(s, share)]
-                cache.update(zip(angles, self._classify_angles(a, angles)))
-            slots, previous = [], slots
-            for s in previous:
-                if not isinstance(s, _Bracket):
-                    slots.append(s)
-                    continue
-                mid = 0.5 * (s.lo + s.hi)
-                got = cache[mid]
-                if isinstance(got, Exception):
-                    slots.append(got)
-                    continue
-                kind, cls, point = got
-                if kind == "saddle":
-                    slots.append(_Boundary(mid % TWO_PI, point))
-                elif cls == s.lo_cls:
-                    slots.append(opened(mid, cls, s.hi, s.hi_cls))
-                elif cls == s.hi_cls:
-                    slots.append(opened(s.lo, s.lo_cls, mid, cls))
-                else:
-                    slots.append(opened(s.lo, s.lo_cls, mid, cls))
-                    slots.append(opened(mid, cls, s.hi, s.hi_cls))
-        return [_ok(s) for s in slots]
-
     def max_flows(self, a: CriticalPoint) -> list[FlowLine]:
-        """Rigid flows out of an index-2 point: `_shots`' on T^2, and on T^3 one
-        run along the directions of `_bisect_boundaries`."""
-        if self.n == 2:
-            return self._shots().get(a.id, [])
-        boundaries = self._bisect_boundaries(a)
-        return self._depart([(a, self.direction_at(a, b.angle), b) for b in boundaries])
+        """Rigid flows out of an index-2 point of T^2, `_shots`'; off T^2 InputError."""
+        if self.n != 2:
+            raise InputError("rigid flows out of an index-2 point are computed on T^2")
+        return self._shots().get(a.id, [])
 
     # one-parameter families ---------------------------------------------------
 
@@ -1190,7 +1076,11 @@ def connecting_orbits(
     cfg: NumericalConfig = NumericalConfig(),
     critical_points: list[CriticalPoint] | None = None,
 ) -> list[FlowLine]:
-    """Rigid flows from a to b, for an index gap of one."""
+    """Rigid flows from a to b, for an index gap of one.
+
+    Flows out of an index-2 point are computed on T^2 only; elsewhere they
+    raise InputError.
+    """
     if a.index - b.index != 1:
         raise InputError("rigid flows require an index gap of exactly one")
     analysis = _Analysis(f, cfg, critical_points)
@@ -1245,8 +1135,9 @@ def build_flow_category(
     """Construct and validate the full flow category of a function on T^1 or T^2."""
     if f.dimension > 2:
         raise InputError(
-            "full flow categories are built on the one- and two-torus; "
-            "use find_critical_points and connecting_orbits in higher dimension"
+            "full flow categories are built on the one- and two-torus; on the "
+            "three-torus use find_critical_points, and connecting_orbits out of "
+            "index-1 points"
         )
     analysis = _Analysis(f, cfg)
     points = analysis.points

@@ -509,6 +509,9 @@ def scalar_flow(f, cfg, points, x0, frame=None):
 
 # -- departure-circle bisection oracle --------------------------------------
 
+# The oracle's bracket width below which a basin boundary did not resolve.
+BISECTION_TOL = 1e-10
+
 
 def full_landing_classes(analysis, a, thetas):
     """Landing class of each departure angle of index-2 point `a`, by full landing.
@@ -558,7 +561,7 @@ def bisect_one_at_a_time(analysis, a, visited=None):
         return got
 
     def bisect(lo, lo_cls, hi, hi_cls):
-        if hi - lo <= cfg.bisection_tol:
+        if hi - lo <= BISECTION_TOL:
             raise MorseSmaleViolationError(
                 "basin boundary did not resolve to an intermediate rest point "
                 f"near angle {0.5 * (lo + hi):.12f}"

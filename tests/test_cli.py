@@ -309,8 +309,11 @@ class TestConfig:
         assert cfg in rep["inputs"]
 
     def test_unknown_config_field_exits_one(self, capsys, tmp_path):
-        # Two names that were config fields until family ends came from signs.
-        for field in ("bogus", "probe_offset", "endpoint_match_tol"):
+        # Two names that were config fields until family ends came from
+        # signs, and five that went with the T^3 bisection and with the
+        # fields only the critical-point search read.
+        removed = ("bisection_tol", "newton_max_iter", "grad_tol", "dedupe_radius", "nondeg_tol")
+        for field in ("bogus", "probe_offset", "endpoint_match_tol", *removed):
             cfg = write_json(tmp_path / "cfg.json", {field: 1})
             code, rep = run(capsys, "crit", "--example", "circle", "--config", cfg)
             assert code == 1 and rep["status"] == "input-error"

@@ -47,7 +47,6 @@ from morseflow.errors import (
 )
 from morseflow.morse import (
     _Analysis,
-    _Boundary,
     _compiled,
     _dedupe,
     _dp_step,
@@ -657,41 +656,6 @@ class TestLanes:
         alone = [analysis._classify_angles(top, [th])[0] for th in thetas]
         assert list(map(comparable, batch)) == list(map(comparable, alone))
 
-    def test_speculative_lane_errors_count_only_where_the_walk_visits(self, monkeypatch):
-        # The bisection serves T^3; it runs here on a perturbed two-torus.
-        f = perturbed_torus(perturbed_torus_seeds(1)[0])
-        classify = _Analysis._classify_angles
-        batches: list[list[float]] = []
-        _, walked = one_at_a_time(f, NumericalConfig().circle_samples)
-        visited = {0.5 * (lo + hi) for lo, hi in walked}
-
-        def recording_classify(self, a, thetas):
-            batches.append(list(thetas))
-            return classify(self, a, thetas)
-
-        def partition_with_error_at(angle):
-            def failing_classify(self, a, thetas):
-                out = classify(self, a, thetas)
-                return [
-                    IntegrationFailureError("injected") if th == angle else got
-                    for th, got in zip(thetas, out)
-                ]
-
-            monkeypatch.setattr(_Analysis, "_classify_angles", failing_classify)
-            analysis = _Analysis(f, NumericalConfig())
-            return analysis._bisect_boundaries(analysis.points[0])
-
-        monkeypatch.setattr(_Analysis, "_classify_angles", recording_classify)
-        analysis = _Analysis(f, NumericalConfig())
-        clean = analysis._bisect_boundaries(analysis.points[0])
-        speculative = {th for batch in batches[1:] for th in batch}
-        unvisited = sorted(speculative - visited)
-        assert visited <= speculative and unvisited
-
-        assert partition_with_error_at(unvisited[0]) == clean
-        with pytest.raises(IntegrationFailureError, match="injected"):
-            partition_with_error_at(min(visited))
-
     @pytest.mark.parametrize("run", ["saddles", "boundaries"])
     def test_lane_errors_raise_in_sequential_order(self, monkeypatch, run):
         # The first lane run of one kind comes back with lanes 1-2 spoiled.
@@ -731,18 +695,6 @@ class TestLanes:
 
 
 class TestPartition:
-    # The sampling and bisection that serve T^3, run on the two-torus.
-    @pytest.mark.parametrize("samples", [64, 3, 5])
-    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
-    def test_boundaries_equal_one_at_a_time_bisection(self, f, samples):
-        # Three and five samples leave brackets that hold more than two
-        # basins, so the bisection splits them (four splits over these).
-        analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
-        top = analysis.points[0]
-        found, _ = one_at_a_time(f, samples)
-        expected = sorted(found, key=lambda b: b[0])
-        assert [tuple(b) for b in analysis._bisect_boundaries(top)] == expected
-
     # Classification runs per partition when the boundaries were bisected
     # with aimed speculation.  Read from the shots, a partition makes one,
     # the check run, and no bisection round.
@@ -755,11 +707,7 @@ class TestPartition:
             runs.append(a.id)
             return classify(self, a, thetas)
 
-        def no_bisection(self, a, brackets):
-            raise AssertionError("a T^2 partition bisected")
-
         monkeypatch.setattr(_Analysis, "_classify_angles", counting_classify)
-        monkeypatch.setattr(_Analysis, "_bisect_all", no_bisection)
         analysis = _Analysis(perturbed_torus(seed), NumericalConfig())
         maxima = [a for a in analysis.points if a.index == 2]
         assert maxima
@@ -768,9 +716,8 @@ class TestPartition:
             assert runs.count(a.id) == 1 < before
 
     def test_errors_in_both_halves_of_a_split_raise_the_lower_one(self, monkeypatch):
-        # The first midpoint of each half of a split fails; a depth-first
-        # walk meets the lower half's failure first.  The lanes fail, so the
-        # oracle's full landings fail as the bisection's trapped lanes do.
+        # The first midpoint of each half of a split fails; the oracle's
+        # depth-first walk meets the lower half's failure first.
         f = lane_functions()[1]
         _, visited = one_at_a_time(f, 3)
         spans = set(visited)
@@ -798,9 +745,6 @@ class TestPartition:
         monkeypatch.setattr(_Analysis, "land_lanes", failing_land)
         with pytest.raises(IntegrationFailureError, match="lower half"):
             bisect_one_at_a_time(analysis, analysis.points[0])
-        analysis = _Analysis(f, NumericalConfig(circle_samples=3))
-        with pytest.raises(IntegrationFailureError, match="lower half"):
-            analysis._bisect_boundaries(analysis.points[0])
 
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_coarse_sampling_gives_the_full_category(self, f):
@@ -845,8 +789,7 @@ class TestPartition:
 
     def test_a_circle_in_one_basin_is_one_arc(self, monkeypatch):
         # A circle whose every angle rests at one sink, with no shot and no
-        # sample at a saddle, has no boundary and one arc; nothing on T^3
-        # rules it out.
+        # sample at a saddle, has no boundary and one arc.
         analysis = _Analysis(torus_function(), NumericalConfig())
         top, sink = analysis.points[0], analysis.points[-1]
         cls = (sink.id, (0, 0))
@@ -856,35 +799,52 @@ class TestPartition:
 
         monkeypatch.setattr(_Analysis, "_classify_angles", one_class)
         monkeypatch.setattr(_Analysis, "_shots", lambda self: {})
-        assert analysis._bisect_boundaries(top) == []
         boundaries, arcs = analysis.partition(top)
         assert boundaries == []
         assert [tuple(arc) for arc in arcs] == [(0.0, 2 * math.pi, cls)]
 
 
 class TestThreeTorus:
-    def test_index_2_points_send_opposite_pairs_into_two_saddles(self):
-        # Each index-2 point of the cosine sum on T^3 spans two coordinate
-        # directions; its departure circle has four boundaries, two through
-        # the saddle of each direction, crossed with opposite signs.
-        analysis = _Analysis(three_torus_function(), NumericalConfig())
-        flows = analysis.rigid_flows()
-        assert len(flows) == 18
-        saddles = [p.id for p in analysis.points if p.index == 1]
-        signs = {
-            (a.id, s): [fl.sign for fl in flows if (fl.source, fl.target) == (a.id, s)]
-            for a in analysis.points
-            if a.index == 2
-            for s in saddles
-        }
-        for a in (p.id for p in analysis.points if p.index == 2):
-            assert sorted(len(signs[a, s]) for s in saddles) == [0, 2, 2]
-            assert all(sum(signs[a, s]) == 0 for s in saddles)
-        assert signs["p2.0", "p1.0"] == [-1, 1]
-        assert signs["p2.0", "p1.1"] == [1, -1]
-        assert signs["p2.0", "p1.2"] == []
+    def test_flows_out_of_an_index_2_point_raise_input_error(self):
+        # A saddle's stable manifold is a surface on T^3, which no finite set
+        # of shots traces, so these flows are computed on T^2 only.
+        f = three_torus_function()
+        points = find_critical_points(f)
+        by_id = {p.id: p for p in points}
+        with pytest.raises(InputError, match="index-2 point"):
+            connecting_orbits(f, by_id["p2.0"], by_id["p1.0"], critical_points=points)
+
+    # Ids, signs and lattice offsets of the saddle flows of the cosine sum,
+    # at default and reversed orientation.
+    SADDLE_FLOWS = {
+        False: [
+            ("p1.0>p0.0#0", 1, (0, 0, 0)),
+            ("p1.0>p0.0#1", -1, (-1, 0, 0)),
+            ("p1.1>p0.0#0", 1, (0, 0, 0)),
+            ("p1.1>p0.0#1", -1, (0, -1, 0)),
+            ("p1.2>p0.0#0", 1, (0, 0, 0)),
+            ("p1.2>p0.0#1", -1, (0, 0, -1)),
+        ],
+        True: [
+            ("p1.0>p0.0#0", 1, (-1, 0, 0)),
+            ("p1.0>p0.0#1", -1, (0, 0, 0)),
+            ("p1.1>p0.0#0", 1, (0, -1, 0)),
+            ("p1.1>p0.0#1", -1, (0, 0, 0)),
+            ("p1.2>p0.0#0", 1, (0, 0, -1)),
+            ("p1.2>p0.0#1", -1, (0, 0, 0)),
+        ],
+    }
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+    def test_saddle_flows_keep_their_ids_signs_and_offsets(self, reverse):
+        # Each saddle sends a (-1, +1) pair into the sink: one flow inside
+        # the unit cell and one across the face its unstable axis crosses.
+        analysis = _Analysis(three_torus_function(), NumericalConfig(reverse_orientation=reverse))
+        saddles = [p for p in analysis.points if p.index == 1]
+        flows = analysis.saddle_flows(saddles)
+        assert [(fl.id, fl.sign, fl.lattice_offset) for fl in flows] == self.SADDLE_FLOWS[reverse]
         for s in saddles:
-            assert sorted(fl.sign for fl in flows if fl.source == s) == [-1, 1]
+            assert sorted(fl.sign for fl in flows if fl.source == s.id) == [-1, 1]
 
 
 class TestShots:
@@ -896,7 +856,8 @@ class TestShots:
         # the partition's boundaries are the bisection oracle's, in the same
         # order, at the same saddles, within 1e-6 rad.  The flows read
         # backward have the ids, signs and lattice offsets of the forward
-        # flows that depart at the oracle's angles, framed by `_sign`.
+        # flows that depart at the oracle's angles, framed by `_sign`, and
+        # each of those rests at its boundary's saddle.
         analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse))
         top = analysis.points[0]
         boundaries, _ = analysis.partition(top)
@@ -906,9 +867,8 @@ class TestShots:
         for (angle, saddle), b in zip(found, boundaries):
             assert b.saddle == saddle
             assert abs(math.remainder(b.angle - angle, 2 * math.pi)) <= 1e-6
-        forward = analysis._depart(
-            [(top, analysis.direction_at(top, th), _Boundary(th, s)) for th, s in found]
-        )
+        forward = analysis._depart([(top, analysis.direction_at(top, th)) for th, _ in found])
+        assert [fl.target for fl in forward] == [s.id for _, s in found]
         assert [(fl.id, fl.sign, fl.lattice_offset) for fl in analysis.max_flows(top)] == [
             (fl.id, fl.sign, fl.lattice_offset) for fl in forward
         ]

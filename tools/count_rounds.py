@@ -4,12 +4,8 @@ For the torus and `perturbed_torus(0..N-1)` (N = 25 by default) it builds
 the flow category and prints, per build:
 
 - runs: classification runs, the calls of `_Analysis._classify_angles`;
-- rounds: the classification runs made from inside `_Analysis._bisect_all`.
-  Every build here is on T^2, where the boundaries come from separatrix
-  shots and nothing bisects, so the script asserts that this is 0;
-- check: the lanes of the classification runs made outside `_bisect_all`,
-  on T^2 the check runs of `partition`: the circle samples and the lanes
-  beside each boundary;
+- check: the lanes of those runs, the check runs of `partition`: the
+  circle samples and the lanes beside each boundary;
 - iters: lane iterations, the calls of `_dp_step`, one per iteration of
   every `land_lanes` run, recorded and framed runs included;
 - lane-steps: the rows of those calls, lanes summed over iterations;
@@ -19,7 +15,7 @@ the flow category and prints, per build:
   includes them.
 
 It wraps those names from outside, so the same script measures any tree
-that has them and bisects nothing on T^2:
+that has them:
 
     PYTHONPATH=old/src python tools/count_rounds.py > old.txt
     PYTHONPATH=new/src python tools/count_rounds.py > new.txt
@@ -40,23 +36,14 @@ from morseflow.morse import NumericalConfig, _Analysis, build_flow_category
 
 @contextlib.contextmanager
 def counting(tally: dict):
-    """Count runs, rounds, check lanes, iterations, lane-steps and shot iterations into `tally`."""
-    classify, bisect, step = _Analysis._classify_angles, _Analysis._bisect_all, morse._dp_step
-    shots = _Analysis._shots
-    inside, shooting = [0], [0]
+    """Count runs, check lanes, iterations, lane-steps and shot iterations into `tally`."""
+    classify, step, shots = _Analysis._classify_angles, morse._dp_step, _Analysis._shots
+    shooting = [0]
 
     def counted_classify(self, a, thetas):
         tally["runs"] += 1
-        tally["rounds"] += inside[0] > 0
-        tally["check"] += 0 if inside[0] else len(thetas)
+        tally["check"] += len(thetas)
         return classify(self, a, thetas)
-
-    def counted_bisect(self, *args, **kwargs):
-        inside[0] += 1
-        try:
-            return bisect(self, *args, **kwargs)
-        finally:
-            inside[0] -= 1
 
     def counted_shots(self):
         shooting[0] += 1
@@ -72,19 +59,17 @@ def counting(tally: dict):
         return step(comp, x, *args)
 
     _Analysis._classify_angles = counted_classify
-    _Analysis._bisect_all = counted_bisect
     morse._dp_step = counted_step
     _Analysis._shots = counted_shots
     try:
         yield tally
     finally:
         _Analysis._classify_angles = classify
-        _Analysis._bisect_all = bisect
         morse._dp_step = step
         _Analysis._shots = shots
 
 
-COLUMNS = ("runs", "rounds", "check", "iters", "lane-steps", "shots")
+COLUMNS = ("runs", "check", "iters", "lane-steps", "shots")
 
 
 def main(argv=None) -> None:
@@ -105,7 +90,6 @@ def main(argv=None) -> None:
             except MorseflowError as exc:
                 name += f" [{type(exc).__name__}]"
         print(f"{name:<20}" + "".join(f"{tally[c]:>12}" for c in COLUMNS))
-        assert tally["rounds"] == 0, f"{name} bisected its departure circles on T^2"
         for c in COLUMNS:
             total[c] += tally[c]
     print(f"{'total':<20}" + "".join(f"{total[c]:>12}" for c in COLUMNS))

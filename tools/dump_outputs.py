@@ -16,11 +16,12 @@ separatrix shots that give the boundaries are compared bit for bit;
 OUT/partitions-coarse holds the same at 3 and 5 circle samples, which only
 check the boundaries, and a partition that raises is written as
 `type: message`.  Under OUT/three-torus it writes the rigid flows that
-`_Analysis.rigid_flows` gives on T^3, out of the index-2 points and the
-saddles, for the symmetric cosine sum and one perturbation of it
-(THREE_TORUS_EXTRA), each at default and reversed orientation: every
-flow's id, sign, departure angle and direction, then every trajectory
-sample, all floats as `float.hex`.  Under OUT/coeff it writes, for
+`_Analysis.saddle_flows` gives out of the saddles on T^3, for the symmetric
+cosine sum and one perturbation of it (THREE_TORUS_EXTRA), each at default
+and reversed orientation: every flow's id, sign, departure angle and
+direction, then every trajectory sample, all floats as `float.hex`; then
+one line with the outcome of `connecting_orbits` from p2.0 to p1.0, its
+flows' ids and signs or `type: message`.  Under OUT/coeff it writes, for
 a fixed-seed set of integer matrices up to 12 x 12, the Smith form with its
 transforms, the invariant factors and the homology over every ring of the
 two-term complex the matrix defines; the Smith form with its transforms
@@ -69,6 +70,7 @@ from morseflow.morse import (
     NumericalConfig,
     _Analysis,
     build_flow_category,
+    connecting_orbits,
     flow_lines,
 )
 
@@ -221,17 +223,21 @@ def dump_three_torus(out: Path) -> None:
     orientations = {"": NumericalConfig(), "-reversed": NumericalConfig(reverse_orientation=True)}
     for name, f in functions.items():
         for suffix, cfg in orientations.items():
+            analysis = _Analysis(f, cfg)
+            lines = []
+            for fl in analysis.saddle_flows([p for p in analysis.points if p.index == 1]):
+                angle = "none" if fl.departure_angle is None else fl.departure_angle.hex()
+                direction = " ".join(v.hex() for v in fl.departure_direction)
+                lines.append(f"{fl.id} sign {fl.sign} angle {angle} direction {direction}")
+                lines += _samples(fl)
+            top, saddle = analysis.by_id["p2.0"], analysis.by_id["p1.0"]
             try:
-                flows = _Analysis(f, cfg).rigid_flows()
+                flows = connecting_orbits(f, top, saddle, cfg, analysis.points)
             except MorseflowError as exc:
-                lines = [f"{type(exc).__name__}: {exc}"]
+                outcome = f"{type(exc).__name__}: {exc}"
             else:
-                lines = []
-                for fl in flows:
-                    angle = "none" if fl.departure_angle is None else fl.departure_angle.hex()
-                    direction = " ".join(v.hex() for v in fl.departure_direction)
-                    lines.append(f"{fl.id} sign {fl.sign} angle {angle} direction {direction}")
-                    lines += _samples(fl)
+                outcome = " ".join(f"{fl.id} sign {fl.sign}" for fl in flows)
+            lines.append(f"connecting_orbits p2.0 p1.0: {outcome}")
             (out / f"{name}{suffix}.txt").write_text("\n".join(lines) + "\n")
 
 

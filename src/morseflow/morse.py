@@ -10,21 +10,22 @@ one-parameter families on the two-torus from a partition of the departure
 circle of an index-2 point into basins.
 
 There is one integrator, `_Analysis.land_lanes`: many seeds run as lanes
-of one lockstep, vectorized run, each lane with its own step size, and
-optionally a recorded trajectory and a carried frame.  One eigendecomposition
-of the Hessians at the critical points gives the unstable frames and the
-sink trapping regions.  The rigid flows of all saddles form one run; each
-family end is read off the sign of a rigid flow, with no run of its own.
-On T^2 a basin boundary direction flows into a saddle, so the boundaries
-are where the saddles' stable separatrices, followed backward in one
-framed, recorded run on -f, cross the departure circles, and that run,
-reversed, gives the rigid flows out of the index-2 points.  One batch of
-the circle samples and of lanes just beside each boundary checks every
-partition.  On T^3 the stable manifold of a saddle is a surface, which no
-finite set of shots traces, so there only the saddles' flows are computed,
-in one run.  A lane that only classifies an angle stops once it enters a
-region around a sink that its flow provably never leaves, so it gets the
-class it would get by running on.
+of one lockstep, vectorized run, each lane with its own step size and its
+own sense of time, and optionally a recorded trajectory and a carried
+frame.  One eigendecomposition of the Hessians at the critical points gives
+the unstable and stable frames and the sink trapping regions.  Each family
+end is read off the sign of a rigid flow, with no run of its own.  On T^2
+a basin boundary direction flows into a saddle, so the boundaries are where
+the saddles' stable separatrices, followed backward, cross the departure
+circles, and those paths, reversed, give the rigid flows out of the
+index-2 points.  All four separatrices of every saddle, the two unstable
+ones forward and the two stable ones backward, form one framed, recorded
+run.  One batch of the circle samples and of lanes just beside each
+boundary checks every partition.  On T^3 the stable manifold of a saddle is
+a surface, which no finite set of shots traces, so there only the saddles'
+flows are computed, in one run.  A lane that only classifies an angle stops
+once it enters a region around a sink that its flow provably never leaves,
+so it gets the class it would get by running on.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
 error raised is the one that building the flows one at a time would raise
@@ -530,13 +531,15 @@ _DP = np.array(
 def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
     """One Dormand–Prince 5(4) step of x' = -grad f from every row of `x`.
 
-    `g1` is the gradient at `x` and `hh` the step size as a column.  The
-    stages are written with the gradient g instead of the flow -g; negation
-    is exact, so `x - c*g` equals `x + c*(-g)`.  Six sequential evaluator
-    calls: stages 2-6 take a gradient each, and stage 7, at the fifth-order
-    solution, its value and gradient at once.  Returns the points of stages
-    1-6 (6 x lanes x n), the fifth-order solution with its value and
-    gradient, and the fourth- minus the fifth-order solution.
+    `g1` is the gradient at `x` and `hh` the signed step size as a column.
+    The stages are written with the gradient g instead of the flow -g;
+    negation is exact, so `x - c*g` equals `x + c*(-g)`, and a row whose
+    step is -h takes the step of size h of x' = +grad f, the flow of -f,
+    with the bits that the evaluators of -f would give it.  Six sequential
+    evaluator calls: stages 2-6 take a gradient each, and stage 7, at the
+    fifth-order solution, its value and gradient at once.  Returns the points
+    of stages 1-6 (6 x lanes x n), the fifth-order solution with the value
+    and gradient of f there, and the fourth- minus the fifth-order solution.
     """
     xs = np.empty((6,) + x.shape)
     xs[0] = x
@@ -619,16 +622,21 @@ class _Analysis:
         # The unstable frame of each point, by id, which departures and signs
         # are read against: the eigenvectors of the negative eigenvalues, each
         # signed so that its first entry clear of zero is positive, and the
-        # first flipped under `reverse_orientation`.
-        self.frames: dict[str, np.ndarray] = {}
-        for p, wp, qp in zip(self.points, w, q):
-            cols = qp[:, wp < 0.0]
+        # first flipped under `reverse_orientation`.  The same rule on the
+        # positive eigenvalues, largest first, gives the stable frames that
+        # backward lanes depart along: for a saddle of T^2 the unstable frame
+        # of -f, with the same bits on the example bank.
+        def signed(cols: np.ndarray) -> np.ndarray:
             lead = cols[np.argmax(np.abs(cols) > 1e-8, axis=0), np.arange(cols.shape[1])]
             sides = np.where(lead < 0.0, -1.0, 1.0)
             if cfg.reverse_orientation:
                 sides[:1] = -sides[:1]
-            self.frames[p.id] = cols * sides
-        self._shot_flows: dict[str, list[FlowLine]] | None = None
+            return cols * sides
+
+        self.frames = {p.id: signed(qp[:, wp < 0.0]) for p, wp, qp in zip(self.points, w, q)}
+        self.stable_frames = {
+            p.id: signed(qp[:, wp > 0.0][:, ::-1]) for p, wp, qp in zip(self.points, w, q)
+        }
         self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
         self._rigid_flows: list[FlowLine] | None = None
 
@@ -643,16 +651,22 @@ class _Analysis:
         frames: np.ndarray | None = None,
         record: bool = False,
         trap: bool = False,
+        senses: Sequence[float] | None = None,
     ) -> list:
-        """Follow the negative gradient from every seed until it rests, in lockstep.
+        """Follow the gradient flow from every seed until it rests, in lockstep.
 
         This is the package's one integrator.  Each seed is one lane of a
-        single vectorized run, with its own step size.  A step is
-        Dormand–Prince 5(4) (`_dp_step`), which carries the fifth-order
-        solution forward; its last stage, at the new point, serves the
-        descent check and is the next step's first stage.  A lane retries a
-        shorter step while the error estimate exceeds `step_tol`/15 or while
-        the function value fails to drop, and after an accepted step takes
+        single vectorized run, with its own step size and its own sense
+        sigma, +1 unless `senses` gives -1: the lane follows x' = -sigma
+        grad f, descends on sigma f and carries its frame by v' = -sigma
+        Hess f v.  Negation is exact, so a lane of sense -1 has the bits it
+        would have as a forward lane of an analysis of -f, and a lane of
+        sense +1 those of a run with no `senses`.  A step is Dormand–Prince
+        5(4) (`_dp_step`, given the step sigma h), which carries the
+        fifth-order solution forward; its last stage, at the new point,
+        serves the descent check and is the next step's first stage.  A lane
+        retries a shorter step while the error estimate exceeds `step_tol`/15
+        or while sigma f fails to drop, and after an accepted step takes
         h * min(5, max(0.2, 0.9 (tol/err)^(1/5))), at most `step_max`.
 
         A lane ends as a `_Landing` or as the IntegrationFailureError its
@@ -660,15 +674,16 @@ class _Analysis:
         flow time, landing and step budget, in that order; a step then fails
         on no descent at the minimal step or on a collapsed frame.  A lane
         lands at the first critical point within `landing_radius`.  With
-        `trap`, a lane near none also lands at a sink once it is within
-        `trap_radius` of the sink with its value below `trap_level`, a
-        region its flow provably never leaves; its state is then not near
+        `trap`, a forward lane near none also lands at a sink once it is
+        within `trap_radius` of the sink with its value below `trap_level`,
+        a region its flow provably never leaves; its state is then not near
         the sink, so only a lane whose landing class alone is read may
-        trap.  With `record`, a landing carries its trajectory: (time,
-        point) at the seed and after every accepted step.  `frames` (lanes x
-        n x m) are tangent frames at the seeds, carried by the linearised
-        flow (`_advance_frames`) and returned with the landing.  No lane
-        depends on the others, so a lane run alone gives the same bits.
+        trap, and a run that traps has forward lanes only.  With `record`, a
+        landing carries its trajectory: (time, point) at the seed and after
+        every accepted step.  `frames` (lanes x n x m) are tangent frames at
+        the seeds, carried by the linearised flow (`_advance_frames`) and
+        returned with the landing.  No lane depends on the others, so a lane
+        run alone gives the same bits.
         """
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
@@ -681,7 +696,9 @@ class _Analysis:
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
         v = None if frames is None else np.array(frames, dtype=float)
+        sense = np.ones(len(seeds)) if senses is None else np.array(senses, dtype=float)
         fx, g1 = self.comp.value_grad_batch(x)
+        fx = sense * fx
         t = np.zeros(len(seeds))
         h = np.full(len(seeds), cfg.step_init)
         steps = np.zeros(len(seeds), dtype=int)
@@ -689,10 +706,10 @@ class _Analysis:
         paths = [[(0.0, tuple(s))] for s in x.tolist()] if record else None
 
         def finish(done: np.ndarray) -> None:
-            nonlocal lane, x, v, fx, g1, t, h, steps, fresh
+            nonlocal lane, x, v, sense, fx, g1, t, h, steps, fresh
             keep = ~done
             lane, x, fx, g1, t, h = lane[keep], x[keep], fx[keep], g1[keep], t[keep], h[keep]
-            steps, fresh = steps[keep], fresh[keep]
+            sense, steps, fresh = sense[keep], steps[keep], fresh[keep]
             if v is not None:
                 v = v[keep]
 
@@ -736,7 +753,9 @@ class _Analysis:
                     if not len(lane):
                         break
 
-                xs, xn, fn, gn, delta = _dp_step(self.comp, x, g1, h[:, None])
+                hs = sense * h
+                xs, xn, fn, gn, delta = _dp_step(self.comp, x, g1, hs[:, None])
+                fn = sense * fn
                 err = np.abs(delta).max(axis=1)
                 above_min = h > cfg.step_min
                 rough = (err > tol) & above_min
@@ -747,7 +766,7 @@ class _Analysis:
                     moved = np.flatnonzero(take)
                     collapsed = np.zeros(len(lane), dtype=bool)
                     v[moved], collapsed[moved] = self._advance_frames(
-                        v[moved], xs[:, moved], h[moved, None, None]
+                        v[moved], xs[:, moved], hs[moved, None, None]
                     )
                     failed = failed | collapsed
                 fac = 0.9 * np.power(tol / err, 0.2)
@@ -780,8 +799,10 @@ class _Analysis:
 
         `v` holds one frame per lane (lanes x n x m), `xs` the points of the
         lane's stages 1-6 (6 x lanes x n), so each frame follows the same
-        discrete path as its lane, and `hv` the step (lanes x 1 x 1).  The
-        fifth-order weights leave out stage 7, so six Hessians suffice.
+        discrete path as its lane, and `hv` the signed step (lanes x 1 x 1):
+        a step of -h carries v' = +Hess(x) v, the linearised flow of -f,
+        with the bits the Hessians of -f would give.  The fifth-order weights
+        leave out stage 7, so six Hessians suffice.
         Returns the frames re-orthonormalised and which of them collapsed.
         """
         stages, lanes, n = xs.shape
@@ -803,15 +824,26 @@ class _Analysis:
         """Rigid flows out of every index-2 and index-1 point, in point order.
 
         `find_critical_points` lists points by falling index, so the index-2
-        points come first and the saddles, all in one run through `_depart`,
-        after them.  The flows out of the index-2 points are the saddles'
-        stable separatrices, two per saddle by construction (`_shots`), so
-        on T^3, which has index-2 points, `max_flows` raises InputError.
+        points come first and the saddles after them, all from one run of
+        `_separatrices`.  The flows out of the index-2 points are the
+        saddles' stable separatrices, two per saddle by construction, so on
+        T^3, which has index-2 points, InputError is raised.
         """
         if self._rigid_flows is None:
-            flows = [fl for p in self.points if p.index == 2 for fl in self.max_flows(p)]
-            self._rigid_flows = flows + self.saddle_flows([p for p in self.points if p.index == 1])
+            if self.n == 3:
+                raise InputError("rigid flows out of an index-2 point are computed on T^2")
+            saddles = [p for p in self.points if p.index == 1]
+            shots, flows = self._separatrices(saddles, stable=self.n == 2)
+            self._rigid_flows = shots + flows
         return self._rigid_flows
+
+    def max_flows(self, a: CriticalPoint) -> list[FlowLine]:
+        """Rigid flows out of an index-2 point, by departure angle; on T^3 InputError."""
+        return [fl for fl in self.rigid_flows() if fl.source == a.id]
+
+    def saddle_flows(self, saddles: Sequence[CriticalPoint]) -> list[FlowLine]:
+        """Rigid flows along w and -w out of each index-1 point, all in one run."""
+        return self._separatrices(saddles)[1]
 
     def _sign(self, a: CriticalPoint, landing: _Landing) -> int:
         """Sign of a rigid flow: carried unstable frame against the arrival basis."""
@@ -821,29 +853,43 @@ class _Analysis:
         if speed == 0.0:
             raise IntegrationFailureError("vanishing velocity at arrival")
         basis = np.column_stack([arrival / speed, self.frames[target.id]])
-        return _orientation(basis, landing.frame, f"{a.id}->{target.id}")
+        return _orientation(basis, landing.frame[:, : a.index], f"{a.id}->{target.id}")
 
-    def saddle_flows(self, saddles: Sequence[CriticalPoint]) -> list[FlowLine]:
-        """Rigid flows along w and -w out of each index-1 point, all in one run."""
-        return self._depart(
-            [(a, side * self.frames[a.id][:, 0]) for a in saddles for side in (1.0, -1.0)]
-        )
+    def _separatrices(
+        self, saddles: Sequence[CriticalPoint], stable: bool = False
+    ) -> tuple[list[FlowLine], list[FlowLine]]:
+        """Rigid flows along the separatrices of `saddles`, all in one run.
 
-    def _depart(self, departures: Sequence[tuple[CriticalPoint, np.ndarray]]) -> list[FlowLine]:
-        """Rigid flows along (source, direction) departures, in one run, for `saddle_flows`.
-
-        Each lane carries its source's unstable frame and records its
-        trajectory.  In departure order, a failed flow raises its error, and
-        so does a flow that rests no lower in index than its source.  Flow k
-        between the same two points is named source>target#k.
+        Forward lanes leave each saddle s along w_u and -w_u, w_u =
+        `frames[s.id][:, 0]`, record their trajectories and carry s's
+        unstable frame.  With `stable` (on T^2), lanes of sense -1 ahead of
+        them follow s's stable separatrices backward, along w_s and -w_s, w_s
+        = `stable_frames[s.id][:, 0]` (`_shot_flows`), and each forward lane
+        carries (w_u, w_s), since the frames of a run have one width; `_sign`
+        reads the first column.  The backward lanes' errors are raised
+        first, in saddle order; then, in departure order, a failed forward
+        flow raises its error, and so does one that rests no lower in index
+        than its source.  Returns the flows out of the index-2 points (none
+        without `stable`) and those out of the saddles, each flow k between
+        the same two points named source>target#k.
         """
-        landings = self.land_lanes(
-            [self.seed(a, d) for a, d in departures],
-            np.array([self.frames[a.id] for a, _ in departures]),
-            record=True,
-        )
+        lanes = [(s, side) for s in saddles for side in (1.0, -1.0)]
+        w_u = np.array([self.frames[s.id] for s, _ in lanes])
+        seeds = [self.seed(s, side * w[:, 0]) for (s, side), w in zip(lanes, w_u)]
+        frames, senses = w_u, None
+        if stable:
+            w_s = np.array([self.stable_frames[s.id] for s, _ in lanes])
+            back = [self.seed(s, side * w[:, 0]) for (s, side), w in zip(lanes, w_s)]
+            u = -self.comp.grad_batch(np.array(back))
+            u = u / np.linalg.norm(u, axis=1)[:, None]
+            shot_frames = np.concatenate([u[:, :, None], w_u], axis=2)
+            frames = np.concatenate([shot_frames, np.concatenate([w_u, w_s], axis=2)])
+            seeds, senses = back + seeds, [-1.0] * len(lanes) + [1.0] * len(lanes)
+        landings = self.land_lanes(seeds, frames, record=True, senses=senses)
+        split = len(landings) - len(lanes)
+        shots = self._shot_flows(lanes, landings[:split]) if stable else []
         flows = []
-        for (a, d), got in zip(departures, landings):
+        for (a, side), w, got in zip(lanes, w_u, landings[split:]):
             landing = _ok(got)
             target = landing.point
             if target.index >= a.index:
@@ -854,13 +900,13 @@ class _Analysis:
                     source=a.id,
                     target=target.id,
                     sign=self._sign(a, landing),
-                    departure_direction=tuple(float(v) for v in d),
+                    departure_direction=tuple(float(v) for v in side * w[:, 0]),
                     departure_angle=None,
                     lattice_offset=landing.offset,
                     trajectory=landing.trajectory,
                 )
             )
-        return _named(flows)
+        return shots, _named(flows)
 
     # index-2 sources --------------------------------------------------------
 
@@ -892,7 +938,8 @@ class _Analysis:
     def partition(self, a: CriticalPoint) -> tuple[list[_Boundary], list[_Arc]]:
         """Split the departure circle of an index-2 point of T^2 by landing class.
 
-        The boundaries are the angles of `_shots`' flows out of `a`, and arc
+        The boundaries are the angles of the flows out of `a`, read off the
+        saddles' stable separatrices (`_shot_flows`), and arc
         i, from boundary i to i + 1, takes the class of its ends.  One batch
         checks them: the `circle_samples` angles and those `_SHOT_SPREAD`
         before and after each boundary.  Both ends of an arc must rest in one
@@ -905,7 +952,7 @@ class _Analysis:
             raise InputError("circle partition requires an index-2 source on T^2")
         if a.id in self._partitions:
             return self._partitions[a.id]
-        flows = self._shots().get(a.id, [])
+        flows = self.max_flows(a)
         boundaries = [_Boundary(fl.departure_angle, self.by_id[fl.target]) for fl in flows]
         thetas = [k * (TWO_PI / self.cfg.circle_samples) for k in range(self.cfg.circle_samples)]
         beside = [b.angle + side * _SHOT_SPREAD for b in boundaries for side in (-1.0, 1.0)]
@@ -935,38 +982,32 @@ class _Analysis:
         self._partitions[a.id] = (boundaries, arcs)
         return boundaries, arcs
 
-    def _shots(self) -> dict[str, list[FlowLine]]:
-        """Rigid flows out of each index-2 point of T^2, along the saddles' stable separatrices.
+    def _shot_flows(
+        self, lanes: Sequence[tuple[CriticalPoint, float]], landings: list
+    ) -> list[FlowLine]:
+        """Rigid flows out of the index-2 points of T^2, from the saddles' stable separatrices.
 
         The stable manifold of a saddle s is s and two trajectories, each
         out of an index-2 point a across a basin boundary of its departure
-        circle.  One run on -f (the same points, with index 2 - index)
-        departs every saddle along plus and minus its stable eigenvector,
-        records each path and carries the frame (u/|u|, w_s): u = -grad f at
-        the seed, w_s = `frames[s.id][:, 0]`.  A lane that fails raises its
-        error, and one that rests at no index-2 point (at a saddle: a saddle
-        connection) raises MorseSmaleViolationError.  The step into a's
-        departure sphere is halved down to `step_min` from the last point
-        outside (one `_dp_step` for all lanes per halving), and a -> s
-        departs from the point reached: its trajectory is the path up to
-        there, reversed, time from 0, its lattice offset the landing offset
-        negated, and its sign that of the carried frame in `frames[a.id]`,
-        the inverse of `_sign`'s forward comparison.
+        circle.  `landings` are those of the backward lanes of
+        `_separatrices`, one per (saddle, side) of `lanes`: each departs s
+        along side * w_s, follows the flow of -f, records its path and
+        carries the frame (u/|u|, w_u): u = -grad f at the seed, w_u =
+        `frames[s.id][:, 0]`.  A lane that fails raises its error, and one
+        that rests at no index-2 point (at a saddle: a saddle connection)
+        raises MorseSmaleViolationError.  The step into a's departure sphere
+        is halved down to `step_min` from the last point outside (one
+        backward `_dp_step` for all lanes per halving), and a -> s departs
+        from the point reached: its trajectory is the path up to there,
+        reversed, time from 0, its lattice offset the landing offset negated,
+        and its sign that of the carried frame in `frames[a.id]`, the inverse
+        of `_sign`'s forward comparison.  The flows come in point order, each
+        point's by departure angle.
         """
-        if self.n != 2 or self._shot_flows is not None:
-            return self._shot_flows or {}
-        neg = tuple(TrigTerm(t.frequency, -t.cos_coeff, -t.sin_coeff) for t in self.f.terms)
-        points = [replace(p, value=-p.value, index=2 - p.index) for p in self.points]
-        back = _Analysis(TrigPolynomial(2, neg), self.cfg, points)
-        lanes = [(s, side) for s in self.points if s.index == 1 for side in (1.0, -1.0)]
-        seeds = [back.seed(s, side * back.frames[s.id][:, 0]) for s, side in lanes]
-        u = -self.comp.grad_batch(np.array(seeds).reshape(-1, 2))
-        w = np.array([self.frames[s.id][:, 0] for s, _ in lanes]).reshape(-1, 2)
-        frames = np.stack([u / np.linalg.norm(u, axis=1)[:, None], w], axis=2)
         shots = []
-        for (s, _), got in zip(lanes, back.land_lanes(seeds, frames, record=True)):
+        for (s, _), got in zip(lanes, landings):
             landing = _ok(got)
-            a = self.by_id[landing.point.id]
+            a = landing.point
             if a.index != 2:
                 raise MorseSmaleViolationError(
                     f"a stable separatrix of {s.id}, followed backward, rests at {a.id}, "
@@ -979,10 +1020,10 @@ class _Analysis:
         x = np.array([ld.trajectory[k - 1][1] for _, _, ld, k in shots]).reshape(-1, 2)
         t = np.array([ld.trajectory[k - 1][0] for _, _, ld, k in shots])
         h = np.array([ld.trajectory[k][0] for _, _, ld, k in shots]) - t
-        g = back.comp.grad_batch(x)
+        g = self.comp.grad_batch(x)
         while (h > self.cfg.step_min).any():
             h = 0.5 * h
-            _, y, _, gy, _ = _dp_step(back.comp, x, g, h[:, None])
+            _, y, _, gy, _ = _dp_step(self.comp, x, g, -h[:, None])
             outside = _wrap(y - centres)[1] > self.cfg.sphere_radius
             x, g = np.where(outside[:, None], y, x), np.where(outside[:, None], gy, g)
             t = np.where(outside, t + h, t)
@@ -996,16 +1037,8 @@ class _Analysis:
             direction = tuple(float(c) for c in self.direction_at(a, angle))
             offset = tuple(-o for o in landing.offset)
             flows.append(FlowLine("", a.id, s.id, sign, direction, angle, offset, tuple(path)))
-        self._shot_flows = {}
-        for fl in _named(sorted(flows, key=lambda fl: fl.departure_angle)):
-            self._shot_flows.setdefault(fl.source, []).append(fl)
-        return self._shot_flows
-
-    def max_flows(self, a: CriticalPoint) -> list[FlowLine]:
-        """Rigid flows out of an index-2 point of T^2, `_shots`'; off T^2 InputError."""
-        if self.n != 2:
-            raise InputError("rigid flows out of an index-2 point are computed on T^2")
-        return self._shots().get(a.id, [])
+        rank = {p.id: i for i, p in enumerate(self.points)}
+        return _named(sorted(flows, key=lambda fl: (rank[fl.source], fl.departure_angle)))
 
     # one-parameter families ---------------------------------------------------
 
@@ -1019,14 +1052,15 @@ class _Analysis:
         and angular departure directions at the boundary.  The linearised
         flow maps r to (u - beta V d) / alpha, where u is the arrival
         velocity, V d the carried image of d and alpha > 0 a time shift, so
-        `_sign`'s determinant against the basis (u / |u|, w_s) (which
-        `_shots` reads backward on T^2, with the same sign) has the sign of
-        the w_s-component of V d, with w_s = `frames[s.id][:, 0]`.
-        A departure just past the boundary angle thus passes s on its
-        sign(a -> s) w_s side: the arc after the boundary leaves s along
-        sign(a -> s) w_s, and the arc before it along -sign(a -> s) w_s.
-        `saddle_flows` departs along +w_s first.  A branch that does not
-        end at c is an UnmatchedEndpointError.
+        `_sign`'s determinant against the basis (u / |u|, w_u) (which
+        `_shot_flows` reads backward, with the same sign) has the sign of
+        the w_u-component of V d, with w_u = `frames[s.id][:, 0]`, the
+        unstable direction of s.  A departure just past the boundary angle
+        thus passes s on its sign(a -> s) w_u side: the arc after the
+        boundary leaves s along sign(a -> s) w_u, and the arc before it along
+        -sign(a -> s) w_u.  `_separatrices` departs along +w_u first.  All
+        these flows come from the one cached run of `rigid_flows`.  A branch
+        that does not end at c is an UnmatchedEndpointError.
         """
         flows = self.rigid_flows()
         boundaries, arcs = self.partition(a)

@@ -165,10 +165,8 @@ class TestValidate:
         cfg = write_json(tmp_path / "c.json", {"circle_samples": 3})
         code, rep = run(capsys, "validate", "--function", path, "--config", cfg)
         assert code == 0 and rep["results"]["rigidFlows"] == 8
-        shots = _Analysis._shots
-        monkeypatch.setattr(
-            _Analysis, "_shots", lambda self: {a: fl[1:] for a, fl in shots(self).items()}
-        )
+        max_flows = _Analysis.max_flows
+        monkeypatch.setattr(_Analysis, "max_flows", lambda self, a: max_flows(self, a)[1:])
         code, rep = run(capsys, "validate", "--function", path, "--config", cfg)
         assert code == 2 and rep["status"] == "validation-failure"
         assert rep["results"]["errorType"] == "MorseSmaleViolationError"

@@ -658,31 +658,28 @@ class TestLanes:
 
     @pytest.mark.parametrize("run", ["saddles", "boundaries"])
     def test_lane_errors_raise_in_sequential_order(self, monkeypatch, run):
-        # The first lane run of one kind comes back with lanes 1-2 spoiled.
+        # The separatrix run comes back with lanes 1-2 of one sense spoiled.
         # Built one flow at a time, lane 1's failure is met first: a saddle's
-        # -w flow before the next saddle's w flow, and a saddle's stable
-        # separatrix (the backward run, with 2-frames) before the next one.
-        # Lane 2's failure is a plain integration error that an unordered
-        # walk could raise instead.
+        # -w flow (sense +1) before the next saddle's w flow, and a saddle's
+        # stable separatrix (sense -1) before the next one.  Lane 2's failure
+        # is a plain integration error that an unordered walk could raise
+        # instead.
         f = perturbed_torus(perturbed_torus_seeds(1)[0])
         points = find_critical_points(f)
         saddle = next(p for p in points if p.index == 1)
         land = _Analysis.land_lanes
         runs = []
 
-        def kind(frames):
-            if frames is None:
-                return "angles"
-            return "saddles" if frames.shape[2] == 1 else "boundaries"
-
-        def spoiled(self, seeds, frames=None, record=False, trap=False):
-            out = land(self, seeds, frames, record, trap)
-            runs.append(kind(frames))
-            if runs.count(run) == 1 and runs[-1] == run:
-                assert len(out) >= 3
+        def spoiled(self, seeds, frames=None, record=False, trap=False, senses=None):
+            out = land(self, seeds, frames, record, trap, senses)
+            runs.append("angles" if frames is None else "separatrices")
+            if runs.count("separatrices") == 1 and runs[-1] == "separatrices":
+                wanted = 1.0 if run == "saddles" else -1.0
+                lanes = [k for k, sense in enumerate(senses) if sense == wanted]
+                assert len(lanes) >= 3
                 wrong = saddle if run == "saddles" else points[-1]
-                out[1] = out[1]._replace(point=wrong)
-                out[2] = IntegrationFailureError("injected at lane 2")
+                out[lanes[1]] = out[lanes[1]]._replace(point=wrong)
+                out[lanes[2]] = IntegrationFailureError("injected at lane 2")
             return out
 
         monkeypatch.setattr(_Analysis, "land_lanes", spoiled)
@@ -695,9 +692,37 @@ class TestLanes:
 
 
 class TestPartition:
+    # A two-torus build makes one separatrix run, every separatrix of every
+    # saddle, and one check run per index-2 point, whatever the sampling;
+    # no run is made on -f, and there is no bisection.
+    @pytest.mark.parametrize("samples", [3, 64])
+    @pytest.mark.parametrize(
+        "f",
+        [torus_function()] + [perturbed_torus(seed) for seed in range(6)],
+        ids=["torus"] + [f"seed{seed}" for seed in range(6)],
+    )
+    def test_a_two_torus_build_makes_two_runs(self, monkeypatch, f, samples):
+        land, classify = _Analysis.land_lanes, _Analysis._classify_angles
+        runs, checks = [], []
+
+        def counting_land(self, *args, **kwargs):
+            runs.append(self.f)
+            return land(self, *args, **kwargs)
+
+        def counting_classify(self, a, thetas):
+            checks.append(a.id)
+            return classify(self, a, thetas)
+
+        monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
+        monkeypatch.setattr(_Analysis, "_classify_angles", counting_classify)
+        cat, _ = build_flow_category(f, NumericalConfig(circle_samples=samples))
+        maxima = [p for p in cat.objects if cat.index[p] == 2]
+        assert maxima and sorted(checks) == sorted(maxima)
+        assert runs == [f] * (1 + len(maxima))
+
     # Classification runs per partition when the boundaries were bisected
-    # with aimed speculation.  Read from the shots, a partition makes one,
-    # the check run, and no bisection round.
+    # with aimed speculation (`before`).  Read from the separatrix shots, a
+    # partition makes one, the check run, and no bisection round.
     @pytest.mark.parametrize("seed, before", [(0, 7), (1, 7), (2, 6), (3, 9), (4, 7), (5, 8)])
     def test_aimed_speculation_adds_no_run(self, monkeypatch, seed, before):
         classify = _Analysis._classify_angles
@@ -759,12 +784,12 @@ class TestPartition:
     def test_missed_basin_boundary_fails_loudly(self, monkeypatch):
         # A separatrix shot that goes missing drops its boundary, so the arc
         # across it starts in one basin and ends in another.
-        shots = _Analysis._shots
+        max_flows = _Analysis.max_flows
 
-        def dropping(self):
-            return {a: flows[1:] for a, flows in shots(self).items()}
+        def dropping(self, a):
+            return max_flows(self, a)[1:]
 
-        monkeypatch.setattr(_Analysis, "_shots", dropping)
+        monkeypatch.setattr(_Analysis, "max_flows", dropping)
         for f in lane_functions():
             with pytest.raises(MorseSmaleViolationError, match="rest at .* was missed"):
                 build_flow_category(f)
@@ -798,7 +823,7 @@ class TestPartition:
             return [("sink", cls, sink)] * len(thetas)
 
         monkeypatch.setattr(_Analysis, "_classify_angles", one_class)
-        monkeypatch.setattr(_Analysis, "_shots", lambda self: {})
+        monkeypatch.setattr(_Analysis, "max_flows", lambda self, a: [])
         boundaries, arcs = analysis.partition(top)
         assert boundaries == []
         assert [tuple(arc) for arc in arcs] == [(0.0, 2 * math.pi, cls)]
@@ -867,28 +892,50 @@ class TestShots:
         for (angle, saddle), b in zip(found, boundaries):
             assert b.saddle == saddle
             assert abs(math.remainder(b.angle - angle, 2 * math.pi)) <= 1e-6
-        forward = analysis._depart([(top, analysis.direction_at(top, th)) for th, _ in found])
-        assert [fl.target for fl in forward] == [s.id for _, s in found]
-        assert [(fl.id, fl.sign, fl.lattice_offset) for fl in analysis.max_flows(top)] == [
-            (fl.id, fl.sign, fl.lattice_offset) for fl in forward
+        seeds = [analysis.seed(top, analysis.direction_at(top, th)) for th, _ in found]
+        frames = np.array([analysis.frames[top.id]] * len(seeds))
+        forward = analysis.land_lanes(seeds, frames, record=True)
+        assert [ld.point for ld in forward] == [s for _, s in found]
+        assert [(fl.target, fl.sign, fl.lattice_offset) for fl in analysis.max_flows(top)] == [
+            (ld.point.id, analysis._sign(top, ld), ld.offset) for ld in forward
         ]
 
-    def test_no_shots_off_the_two_torus(self):
-        for f in (circle_function(), three_torus_function()):
-            assert _Analysis(f, NumericalConfig())._shots() == {}
+    def test_no_shots_off_the_two_torus(self, monkeypatch):
+        # On the circle the saddle flows are one run of forward lanes with
+        # 1-frames; on T^3 flows out of index-2 points raise InputError.
+        land = _Analysis.land_lanes
+        runs = []
+
+        def counting_land(self, seeds, frames=None, record=False, trap=False, senses=None):
+            runs.append((senses, frames.shape))
+            return land(self, seeds, frames, record, trap, senses)
+
+        monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
+        analysis = _Analysis(circle_function(), NumericalConfig())
+        assert [fl.source for fl in analysis.rigid_flows()] == ["p1.0", "p1.0"]
+        assert runs == [(None, (2, 1, 1))]
+        analysis = _Analysis(three_torus_function(), NumericalConfig())
+        with pytest.raises(InputError, match="index-2 point"):
+            analysis.rigid_flows()
+        with pytest.raises(InputError, match="index-2 point"):
+            analysis.max_flows(analysis.points[0])
 
     @staticmethod
     def spoil_backward_run(monkeypatch, spoil):
-        """Let `spoil(analysis, outcomes)` rewrite the outcomes of the backward run.
+        """Let `spoil(analysis, outcomes)` rewrite the outcomes of the backward lanes.
 
-        On T^2 it is the only run that carries 2-frames.
+        On T^2 they are the lanes of sense -1, which lead the separatrix run.
         """
         land = _Analysis.land_lanes
 
-        def spoiling_land(self, seeds, frames=None, record=False, trap=False):
-            out = land(self, seeds, frames, record, trap)
-            if frames is not None and frames.shape[2] == 2:
-                spoil(self, out)
+        def spoiling_land(self, seeds, frames=None, record=False, trap=False, senses=None):
+            out = land(self, seeds, frames, record, trap, senses)
+            if senses is not None:
+                backward = senses.count(-1.0)
+                assert senses == [-1.0] * backward + [1.0] * backward
+                head = out[:backward]
+                spoil(self, head)
+                out[:backward] = head
             return out
 
         monkeypatch.setattr(_Analysis, "land_lanes", spoiling_land)
@@ -930,23 +977,100 @@ class TestShots:
         with pytest.raises(MorseSmaleViolationError, match=r"rest at p1\.\d and \(.*near-tie"):
             analysis.partition(top)
 
-    @pytest.mark.parametrize("samples", [3, 64])
+
+def minus(analysis: _Analysis) -> _Analysis:
+    """An analysis of -f: the same points, values negated, index n - index."""
+    f = analysis.f
+    neg = tuple(TrigTerm(t.frequency, -t.cos_coeff, -t.sin_coeff) for t in f.terms)
+    points = [replace(p, value=-p.value, index=f.dimension - p.index) for p in analysis.points]
+    return _Analysis(TrigPolynomial(f.dimension, neg), analysis.cfg, points)
+
+
+def lane_bits(got):
+    """Everything a lane returns, frames and states as bytes, points by id."""
+    if isinstance(got, Exception):
+        return comparable(got)
+    return (got.point.id, got.offset, got.trajectory, got.state.tobytes(), got.frame.tobytes())
+
+
+class TestSenses:
+    # One run follows every separatrix of every saddle, the stable ones with
+    # sense -1.  That rests on negation being exact: a lane of sense -1 is a
+    # lane of -f, and the stable eigenvector of a saddle is the unstable
+    # frame of -f, bit for bit.
+
+    @staticmethod
+    def backward_departures(analysis):
+        """Seeds and 2-frames out of each saddle along +-w_s and each sink along six directions."""
+        seeds, frames = [], []
+        for p in analysis.points:
+            if p.index == 1:
+                w = analysis.stable_frames[p.id][:, 0]
+                directions = [w, -w]
+                frame = np.column_stack([w, analysis.frames[p.id][:, 0]])
+            elif p.index == 0:
+                directions = [
+                    np.array([math.cos(th), math.sin(th)])
+                    for th in ((k + 0.5) * math.pi / 3 for k in range(6))
+                ]
+                frame = np.eye(2)
+            else:
+                continue
+            for d in directions:
+                seeds.append(analysis.seed(p, d))
+                frames.append(frame)
+        return seeds, np.array(frames)
+
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
-    def test_a_two_torus_build_makes_three_runs(self, monkeypatch, f, samples):
-        # With one maximum: the backward run on -f, the saddle flows and the
-        # check of the maximum's partition, whatever the sampling; there is
-        # no bisection.
-        land = _Analysis.land_lanes
-        runs = []
+    def test_a_backward_lane_is_a_lane_of_minus_f(self, f):
+        analysis = _Analysis(f, NumericalConfig())
+        seeds, frames = self.backward_departures(analysis)
+        backward = analysis.land_lanes(seeds, frames, record=True, senses=[-1.0] * len(seeds))
+        of_minus_f = minus(analysis).land_lanes(seeds, frames, record=True)
+        assert all(isinstance(got, _Landing) for got in backward)
+        assert list(map(lane_bits, backward)) == list(map(lane_bits, of_minus_f))
+        # Forward sinks of -f are f's index-2 points, backward f's saddles too.
+        assert {got.point.index for got in backward} <= {1, 2}
 
-        def counting_land(self, *args, **kwargs):
-            runs.append(self.f)
-            return land(self, *args, **kwargs)
+    def test_a_run_of_mixed_senses_keeps_each_lanes_bits(self):
+        analysis = _Analysis(perturbed_torus(perturbed_torus_seeds(1)[0]), NumericalConfig())
+        back_seeds, back_frames = self.backward_departures(analysis)
+        seeds, frames = framed_departures(analysis, 2)
+        for s in (p for p in analysis.points if p.index == 1):
+            w_u, w_s = analysis.frames[s.id][:, 0], analysis.stable_frames[s.id][:, 0]
+            for side in (1.0, -1.0):
+                seeds.append(analysis.seed(s, side * w_u))
+                frames.append(np.column_stack([w_u, w_s]))
+        frames = np.array(frames)
+        lanes = [(s, v, -1.0) for s, v in zip(back_seeds, back_frames)]
+        lanes += [(s, v, 1.0) for s, v in zip(seeds, frames)]
 
-        monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
-        cat, _ = build_flow_category(f, NumericalConfig(circle_samples=samples))
-        assert [cat.index[p] for p in cat.objects].count(2) == 1
-        assert len(runs) == 3 and runs.count(f) == 2
+        def run(batch):
+            return analysis.land_lanes(
+                [s for s, _, _ in batch],
+                np.array([v for _, v, _ in batch]),
+                record=True,
+                senses=[sense for _, _, sense in batch],
+            )
+
+        alone = [lane_bits(run([lane])[0]) for lane in lanes]
+        mixed = lanes[::2] + lanes[1::2]
+        order = list(range(len(lanes)))[::2] + list(range(len(lanes)))[1::2]
+        assert [lane_bits(got) for got in run(mixed)] == [alone[k] for k in order]
+        forward = analysis.land_lanes(seeds, frames, record=True)
+        assert list(map(lane_bits, forward)) == alone[len(back_seeds) :]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+    def test_a_saddles_stable_frame_is_its_unstable_frame_of_minus_f(self, reverse):
+        cfg = NumericalConfig(reverse_orientation=reverse)
+        for f in [torus_function()] + [perturbed_torus(seed) for seed in range(6)]:
+            analysis = _Analysis(f, cfg)
+            back = minus(analysis)
+            saddles = [p for p in analysis.points if p.index == 1]
+            assert saddles
+            for s in saddles:
+                assert analysis.stable_frames[s.id].shape == (2, 1)
+                assert analysis.stable_frames[s.id].tobytes() == back.frames[s.id].tobytes()
 
 
 def third_derivative_bound(f: TrigPolynomial) -> float:

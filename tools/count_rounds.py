@@ -9,10 +9,13 @@ the flow category and prints, per build:
 - iters: lane iterations, the calls of `_dp_step`, one per iteration of
   every `land_lanes` run, recorded and framed runs included;
 - lane-steps: the rows of those calls, lanes summed over iterations;
-- shots: the `_dp_step` calls made inside `_Analysis._shots`, the framed,
-  recorded backward separatrix run and the halving of its last steps, which
-  give the boundaries and the flows out of the index-2 points; `iters`
-  includes them.
+- lane-runs: the calls of `_Analysis.land_lanes`, classification, check
+  and separatrix runs alike;
+- shots: the `_dp_step` calls made inside `_Analysis._separatrices`, the
+  framed, recorded run of all four separatrices of every saddle (the
+  stable ones backward) and the halving of the backward lanes' last steps,
+  which give the saddle flows, the boundaries and the flows out of the
+  index-2 points; `iters` includes them.
 
 It wraps those names from outside, so the same script measures any tree
 that has them:
@@ -36,8 +39,9 @@ from morseflow.morse import NumericalConfig, _Analysis, build_flow_category
 
 @contextlib.contextmanager
 def counting(tally: dict):
-    """Count runs, check lanes, iterations, lane-steps and shot iterations into `tally`."""
-    classify, step, shots = _Analysis._classify_angles, morse._dp_step, _Analysis._shots
+    """Count runs, check lanes, iterations, lane-steps, lane runs and shot iterations."""
+    classify, step, land = _Analysis._classify_angles, morse._dp_step, _Analysis.land_lanes
+    shots = _Analysis._separatrices
     shooting = [0]
 
     def counted_classify(self, a, thetas):
@@ -45,12 +49,16 @@ def counting(tally: dict):
         tally["check"] += len(thetas)
         return classify(self, a, thetas)
 
-    def counted_shots(self):
+    def counted_shots(self, *args, **kwargs):
         shooting[0] += 1
         try:
-            return shots(self)
+            return shots(self, *args, **kwargs)
         finally:
             shooting[0] -= 1
+
+    def counted_land(self, *args, **kwargs):
+        tally["lane-runs"] += 1
+        return land(self, *args, **kwargs)
 
     def counted_step(comp, x, *args):
         tally["iters"] += 1
@@ -60,16 +68,18 @@ def counting(tally: dict):
 
     _Analysis._classify_angles = counted_classify
     morse._dp_step = counted_step
-    _Analysis._shots = counted_shots
+    _Analysis.land_lanes = counted_land
+    _Analysis._separatrices = counted_shots
     try:
         yield tally
     finally:
         _Analysis._classify_angles = classify
         morse._dp_step = step
-        _Analysis._shots = shots
+        _Analysis.land_lanes = land
+        _Analysis._separatrices = shots
 
 
-COLUMNS = ("runs", "check", "iters", "lane-steps", "shots")
+COLUMNS = ("runs", "check", "iters", "lane-steps", "lane-runs", "shots")
 
 
 def main(argv=None) -> None:

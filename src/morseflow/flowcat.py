@@ -95,10 +95,11 @@ class OrientationData:
     def flipped_at(self, cat: "FlowCategory", obj: str) -> "OrientationData":
         """Reorient one object: flip the sign of every adjacent flow.
 
-        The object's frame enters outgoing flows through the transported
-        frame and incoming ones through the arrival basis, so both flip;
-        interval sign products through the object are unchanged and
-        coherence is preserved.
+        A flow's sign compares the source's unstable frame with the flow
+        direction plus the target's, so the object's frame enters both its
+        outgoing and its incoming flows, and both flip; interval sign
+        products through the object are unchanged and coherence is
+        preserved.
         """
         out = dict(self.signs)
         for f in cat.rigid_flows:

@@ -3,25 +3,34 @@
 Functions are exact trigonometric polynomials with rational coefficients on
 T^n, n <= 3.  Critical points come from damped Newton iteration on the
 gradient over a seed grid; connecting orbits from adaptive Dormand–Prince
-5(4) integration of the negative gradient flow; signs from two fixed
-frames, one carried by the linearised flow in the integration pass that
-follows each rigid trajectory, so every rigid flow is integrated once; and
-one-parameter families on the two-torus from a partition of the departure
-circle of an index-2 point into basins.
+5(4) integration of the negative gradient flow, each rigid flow integrated
+once; signs in closed form from the departure geometry; and one-parameter
+families on the two-torus from a partition of the departure circle of an
+index-2 point into basins.
+
+The sign of a rigid flow a -> b compares the orientation of W^u(a) with
+R gamma' + T W^u(b) (Cohen, Jones & Segal, 1995), each W^u oriented by
+the unstable frame of its point.  Out of a saddle, W^u is the saddle and
+two flow lines oriented by w_u, its unstable direction, so the flow that
+leaves along side * w_u has sign `side`.  Out of an index-2 point of T^2,
+W^u is open, and the linearised flow keeps the orientation of every full
+frame (its determinant is the exponential of the integrated trace), so the
+frame (gamma', w_u(b)) near b is compared with the unstable frame of a
+directly, with no frame carried along the path.
 
 There is one integrator, `_Analysis.land_lanes`: many seeds run as lanes
 of one lockstep, vectorized run, each lane with its own step size and its
-own sense of time, and optionally a recorded trajectory and a carried
-frame.  One eigendecomposition of the Hessians at the critical points gives
+own sense of time, and optionally a recorded trajectory.  One
+eigendecomposition of the Hessians at the critical points gives
 the unstable and stable frames and the sink trapping regions.  Each family
 end is read off the sign of a rigid flow, with no run of its own.  On T^2
 a basin boundary direction flows into a saddle, so the boundaries are where
 the saddles' stable separatrices, followed backward, cross the departure
 circles, and those paths, reversed, give the rigid flows out of the
 index-2 points.  All four separatrices of every saddle, the two unstable
-ones forward and the two stable ones backward, form one framed, recorded
-run.  One batch of the circle samples and of lanes just beside each
-boundary checks every partition.  On T^3 the stable manifold of a saddle is
+ones forward and the two stable ones backward, form one recorded run.
+One batch of the circle samples and of lanes just beside each boundary
+checks every partition.  On T^3 the stable manifold of a saddle is
 a surface, which no finite set of shots traces, so there only the saddles'
 flows are computed, in one run.  A lane that only classifies an angle stops
 once it enters a region around a sink that its flow provably never leaves,
@@ -344,13 +353,12 @@ def torus_distance(x: Sequence[float], p: Sequence[float]) -> float:
 
 
 class _Landing(NamedTuple):
-    """Where one lane came to rest; trajectory and frame only if asked for."""
+    """Where one lane came to rest; its trajectory only if asked for."""
 
     point: CriticalPoint
     offset: tuple[int, ...]
     state: np.ndarray
     trajectory: tuple[tuple[float, tuple[float, ...]], ...] | None
-    frame: np.ndarray | None
 
 
 class _Boundary(NamedTuple):
@@ -383,11 +391,7 @@ def _named(flows: Iterable[FlowLine]) -> list[FlowLine]:
 
 def _orientation(basis: np.ndarray, frame: np.ndarray, flow: str) -> int:
     """Sign of the determinant of `frame` in `basis`; a near-tie raises."""
-    if basis.shape[0] == basis.shape[1]:
-        m = np.linalg.solve(basis, frame)
-    else:
-        m = np.linalg.lstsq(basis, frame, rcond=None)[0]
-    det = float(np.linalg.det(m))
+    det = float(np.linalg.det(np.linalg.solve(basis, frame)))
     if abs(det) < 1e-6:
         raise MorseSmaleViolationError(f"ambiguous frame comparison along {flow}")
     return 1 if det > 0 else -1
@@ -537,20 +541,17 @@ def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
     step is -h takes the step of size h of x' = +grad f, the flow of -f,
     with the bits that the evaluators of -f would give it.  Six sequential
     evaluator calls: stages 2-6 take a gradient each, and stage 7, at the
-    fifth-order solution, its value and gradient at once.  Returns the points
-    of stages 1-6 (6 x lanes x n), the fifth-order solution with the value
-    and gradient of f there, and the fourth- minus the fifth-order solution.
+    fifth-order solution, its value and gradient at once.  Returns the
+    fifth-order solution with the value and gradient of f there, and the
+    fourth- minus the fifth-order solution.
     """
-    xs = np.empty((6,) + x.shape)
-    xs[0] = x
     sums = _DP[:, 0, None, None] * g1
     for s in range(1, 6):
-        xs[s] = x - hh * sums[s - 1]
-        sums[s:] += _DP[s:, s, None, None] * comp.grad_batch(xs[s])
+        sums[s:] += _DP[s:, s, None, None] * comp.grad_batch(x - hh * sums[s - 1])
     y = x - hh * sums[5]
     fy, gy = comp.value_grad_batch(y)
     sums[6] += _DP[6, 6] * gy
-    return xs, y, fy, gy, hh * sums[6]
+    return y, fy, gy, hh * sums[6]
 
 
 # How far the check lanes of a T^2 partition depart on either side of each
@@ -648,7 +649,6 @@ class _Analysis:
     def land_lanes(
         self,
         seeds: Sequence[Sequence[float]],
-        frames: np.ndarray | None = None,
         record: bool = False,
         trap: bool = False,
         senses: Sequence[float] | None = None,
@@ -658,10 +658,9 @@ class _Analysis:
         This is the package's one integrator.  Each seed is one lane of a
         single vectorized run, with its own step size and its own sense
         sigma, +1 unless `senses` gives -1: the lane follows x' = -sigma
-        grad f, descends on sigma f and carries its frame by v' = -sigma
-        Hess f v.  Negation is exact, so a lane of sense -1 has the bits it
-        would have as a forward lane of an analysis of -f, and a lane of
-        sense +1 those of a run with no `senses`.  A step is Dormand–Prince
+        grad f and descends on sigma f.  Negation is exact, so a lane of
+        sense -1 has the bits it would have as a forward lane of an analysis
+        of -f, and a lane of sense +1 those of a run with no `senses`.  A step is Dormand–Prince
         5(4) (`_dp_step`, given the step sigma h), which carries the
         fifth-order solution forward; its last stage, at the new point,
         serves the descent check and is the next step's first stage.  A lane
@@ -672,18 +671,16 @@ class _Analysis:
         A lane ends as a `_Landing` or as the IntegrationFailureError its
         flow raises.  At its seed and after each accepted step it checks
         flow time, landing and step budget, in that order; a step then fails
-        on no descent at the minimal step or on a collapsed frame.  A lane
-        lands at the first critical point within `landing_radius`.  With
-        `trap`, a forward lane near none also lands at a sink once it is
-        within `trap_radius` of the sink with its value below `trap_level`,
-        a region its flow provably never leaves; its state is then not near
-        the sink, so only a lane whose landing class alone is read may
-        trap, and a run that traps has forward lanes only.  With `record`, a
+        on no descent at the minimal step.  A lane lands at the first
+        critical point within `landing_radius`.  With `trap`, a forward lane
+        near none also lands at a sink once it is within `trap_radius` of
+        the sink with its value below `trap_level`, a region its flow
+        provably never leaves; its state is then not near the sink, so only
+        a lane whose landing class alone is read may trap, and a run that
+        traps has forward lanes only.  With `record`, a
         landing carries its trajectory: (time, point) at the seed and after
-        every accepted step.  `frames` (lanes x n x m) are tangent frames at
-        the seeds, carried by the linearised flow (`_advance_frames`) and
-        returned with the landing.  No lane depends on the others, so a lane
-        run alone gives the same bits.
+        every accepted step.  No lane depends on the others, so a lane run
+        alone gives the same bits.
         """
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
@@ -695,7 +692,6 @@ class _Analysis:
         out: list = [None] * len(seeds)
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
-        v = None if frames is None else np.array(frames, dtype=float)
         sense = np.ones(len(seeds)) if senses is None else np.array(senses, dtype=float)
         fx, g1 = self.comp.value_grad_batch(x)
         fx = sense * fx
@@ -706,12 +702,10 @@ class _Analysis:
         paths = [[(0.0, tuple(s))] for s in x.tolist()] if record else None
 
         def finish(done: np.ndarray) -> None:
-            nonlocal lane, x, v, sense, fx, g1, t, h, steps, fresh
+            nonlocal lane, x, sense, fx, g1, t, h, steps, fresh
             keep = ~done
             lane, x, fx, g1, t, h = lane[keep], x[keep], fx[keep], g1[keep], t[keep], h[keep]
             sense, steps, fresh = sense[keep], steps[keep], fresh[keep]
-            if v is not None:
-                v = v[keep]
 
         # A zero error estimate makes the step factor infinite, as meant.
         with np.errstate(divide="ignore"):
@@ -745,7 +739,6 @@ class _Analysis:
                             tuple(int(o) for o in np.round(d[k, i])),
                             x[k].copy(),
                             tuple(paths[lane[k]]) if record else None,
-                            None if v is None else v[k].copy(),
                         )
                     for k in np.flatnonzero(spent):
                         out[lane[k]] = IntegrationFailureError("step budget exhausted")
@@ -753,8 +746,7 @@ class _Analysis:
                     if not len(lane):
                         break
 
-                hs = sense * h
-                xs, xn, fn, gn, delta = _dp_step(self.comp, x, g1, hs[:, None])
+                xn, fn, gn, delta = _dp_step(self.comp, x, g1, (sense * h)[:, None])
                 fn = sense * fn
                 err = np.abs(delta).max(axis=1)
                 above_min = h > cfg.step_min
@@ -762,13 +754,6 @@ class _Analysis:
                 climbs = ~rough & (fn >= fx)
                 failed = climbs & ~above_min
                 take = ~(rough | climbs)
-                if v is not None and take.any():
-                    moved = np.flatnonzero(take)
-                    collapsed = np.zeros(len(lane), dtype=bool)
-                    v[moved], collapsed[moved] = self._advance_frames(
-                        v[moved], xs[:, moved], hs[moved, None, None]
-                    )
-                    failed = failed | collapsed
                 fac = 0.9 * np.power(tol / err, 0.2)
                 grown = np.minimum(h * np.minimum(5.0, np.maximum(0.2, fac)), cfg.step_max)
                 shrunk = np.where(rough, h * np.maximum(0.2, np.minimum(1.0, fac)), 0.5 * h)
@@ -786,37 +771,9 @@ class _Analysis:
                     for k in np.flatnonzero(failed):
                         out[lane[k]] = IntegrationFailureError(
                             "function value failed to decrease at the minimal step"
-                            if climbs[k]
-                            else "transported frame collapsed"
                         )
                     finish(failed)
         return out
-
-    def _advance_frames(
-        self, v: np.ndarray, xs: np.ndarray, hv: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One Dormand–Prince step of v' = -Hess(x) v along each lane's step.
-
-        `v` holds one frame per lane (lanes x n x m), `xs` the points of the
-        lane's stages 1-6 (6 x lanes x n), so each frame follows the same
-        discrete path as its lane, and `hv` the signed step (lanes x 1 x 1):
-        a step of -h carries v' = +Hess(x) v, the linearised flow of -f,
-        with the bits the Hessians of -f would give.  The fifth-order weights
-        leave out stage 7, so six Hessians suffice.
-        Returns the frames re-orthonormalised and which of them collapsed.
-        """
-        stages, lanes, n = xs.shape
-        jac = -self.comp.hess_batch(xs.reshape(-1, n)).reshape(stages, lanes, n, n)
-        sums = _DP[:stages, 0, None, None, None] * (jac[0] @ v)
-        for s in range(1, stages):
-            k = jac[s] @ (v + hv * sums[s - 1])
-            sums[s:] += _DP[s:stages, s, None, None, None] * k
-        v = v + hv * sums[stages - 1]
-        # Orientation-safe re-orthonormalization: with R's diagonal kept
-        # positive, replacing the frame by Q preserves the sign class.
-        q, r = np.linalg.qr(v)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        return q * np.sign(diag)[:, None, :], (diag == 0.0).any(axis=1)
 
     # rigid flows ------------------------------------------------------------
 
@@ -845,62 +802,46 @@ class _Analysis:
         """Rigid flows along w and -w out of each index-1 point, all in one run."""
         return self._separatrices(saddles)[1]
 
-    def _sign(self, a: CriticalPoint, landing: _Landing) -> int:
-        """Sign of a rigid flow: carried unstable frame against the arrival basis."""
-        target = landing.point
-        arrival = -self.comp.grad_batch(landing.state[None])[0]
-        speed = np.linalg.norm(arrival)
-        if speed == 0.0:
-            raise IntegrationFailureError("vanishing velocity at arrival")
-        basis = np.column_stack([arrival / speed, self.frames[target.id]])
-        return _orientation(basis, landing.frame[:, : a.index], f"{a.id}->{target.id}")
-
     def _separatrices(
         self, saddles: Sequence[CriticalPoint], stable: bool = False
     ) -> tuple[list[FlowLine], list[FlowLine]]:
         """Rigid flows along the separatrices of `saddles`, all in one run.
 
-        Forward lanes leave each saddle s along w_u and -w_u, w_u =
-        `frames[s.id][:, 0]`, record their trajectories and carry s's
-        unstable frame.  With `stable` (on T^2), lanes of sense -1 ahead of
-        them follow s's stable separatrices backward, along w_s and -w_s, w_s
-        = `stable_frames[s.id][:, 0]` (`_shot_flows`), and each forward lane
-        carries (w_u, w_s), since the frames of a run have one width; `_sign`
-        reads the first column.  The backward lanes' errors are raised
-        first, in saddle order; then, in departure order, a failed forward
-        flow raises its error, and so does one that rests no lower in index
-        than its source.  Returns the flows out of the index-2 points (none
-        without `stable`) and those out of the saddles, each flow k between
-        the same two points named source>target#k.
+        Forward lanes leave each saddle s along side * w_u, side = 1 then
+        -1, w_u = `frames[s.id][:, 0]`, and record their trajectories; W^u(s)
+        is s and these two flows, oriented by w_u, so each flow's sign is its
+        side.  With `stable` (on T^2), lanes of sense -1 ahead of them follow
+        s's stable separatrices backward, along w_s and -w_s, w_s =
+        `stable_frames[s.id][:, 0]` (`_shot_flows`).  The backward lanes'
+        errors are raised first, in saddle order; then, in departure order, a
+        failed forward flow raises its error, and so does one that rests no
+        lower in index than its source.  Returns the flows out of the index-2
+        points (none without `stable`) and those out of the saddles, each
+        flow k between the same two points named source>target#k.
         """
-        lanes = [(s, side) for s in saddles for side in (1.0, -1.0)]
-        w_u = np.array([self.frames[s.id] for s, _ in lanes])
-        seeds = [self.seed(s, side * w[:, 0]) for (s, side), w in zip(lanes, w_u)]
-        frames, senses = w_u, None
+        lanes = [(s, side) for s in saddles for side in (1, -1)]
+        seeds = [self.seed(s, side * self.frames[s.id][:, 0]) for s, side in lanes]
+        senses = None
         if stable:
-            w_s = np.array([self.stable_frames[s.id] for s, _ in lanes])
-            back = [self.seed(s, side * w[:, 0]) for (s, side), w in zip(lanes, w_s)]
-            u = -self.comp.grad_batch(np.array(back))
-            u = u / np.linalg.norm(u, axis=1)[:, None]
-            shot_frames = np.concatenate([u[:, :, None], w_u], axis=2)
-            frames = np.concatenate([shot_frames, np.concatenate([w_u, w_s], axis=2)])
+            back = [self.seed(s, side * self.stable_frames[s.id][:, 0]) for s, side in lanes]
             seeds, senses = back + seeds, [-1.0] * len(lanes) + [1.0] * len(lanes)
-        landings = self.land_lanes(seeds, frames, record=True, senses=senses)
+        landings = self.land_lanes(seeds, record=True, senses=senses)
         split = len(landings) - len(lanes)
         shots = self._shot_flows(lanes, landings[:split]) if stable else []
         flows = []
-        for (a, side), w, got in zip(lanes, w_u, landings[split:]):
+        for (a, side), got in zip(lanes, landings[split:]):
             landing = _ok(got)
             target = landing.point
             if target.index >= a.index:
                 raise _rests_too_high(a, target)
+            direction = side * self.frames[a.id][:, 0]
             flows.append(
                 FlowLine(
                     id="",
                     source=a.id,
                     target=target.id,
-                    sign=self._sign(a, landing),
-                    departure_direction=tuple(float(v) for v in side * w[:, 0]),
+                    sign=side,
+                    departure_direction=tuple(float(v) for v in direction),
                     departure_angle=None,
                     lattice_offset=landing.offset,
                     trajectory=landing.trajectory,
@@ -983,7 +924,7 @@ class _Analysis:
         return boundaries, arcs
 
     def _shot_flows(
-        self, lanes: Sequence[tuple[CriticalPoint, float]], landings: list
+        self, lanes: Sequence[tuple[CriticalPoint, int]], landings: list
     ) -> list[FlowLine]:
         """Rigid flows out of the index-2 points of T^2, from the saddles' stable separatrices.
 
@@ -991,18 +932,21 @@ class _Analysis:
         out of an index-2 point a across a basin boundary of its departure
         circle.  `landings` are those of the backward lanes of
         `_separatrices`, one per (saddle, side) of `lanes`: each departs s
-        along side * w_s, follows the flow of -f, records its path and
-        carries the frame (u/|u|, w_u): u = -grad f at the seed, w_u =
-        `frames[s.id][:, 0]`.  A lane that fails raises its error, and one
-        that rests at no index-2 point (at a saddle: a saddle connection)
-        raises MorseSmaleViolationError.  The step into a's departure sphere
-        is halved down to `step_min` from the last point outside (one
-        backward `_dp_step` for all lanes per halving), and a -> s departs
-        from the point reached: its trajectory is the path up to there,
-        reversed, time from 0, its lattice offset the landing offset negated,
-        and its sign that of the carried frame in `frames[a.id]`, the inverse
-        of `_sign`'s forward comparison.  The flows come in point order, each
-        point's by departure angle.
+        along side * w_s, follows the flow of -f and records its path.  A
+        lane that fails raises its error, and one that rests at no index-2
+        point (at a saddle: a saddle connection) raises
+        MorseSmaleViolationError.  The step into a's departure sphere is
+        halved down to `step_min` from the last point outside (one backward
+        `_dp_step` for all lanes per halving), and a -> s departs from the
+        point reached: its trajectory is the path up to there, reversed,
+        time from 0, and its lattice offset the landing offset negated.  Its
+        sign compares W^u(a), oriented by `frames[a.id]`, with R gamma' +
+        T W^u(s), spanned at the seed by the frame (u/|u|, w_u), u = -grad f
+        there and w_u = `frames[s.id][:, 0]`.  W^u(a) is open and the flow
+        keeps the orientation of full frames, so that is the sign of the
+        frame at the seed in `frames[a.id]`, with no frame carried along the
+        path.  The flows come in point order, each point's by departure
+        angle.
         """
         shots = []
         for (s, _), got in zip(lanes, landings):
@@ -1020,20 +964,25 @@ class _Analysis:
         x = np.array([ld.trajectory[k - 1][1] for _, _, ld, k in shots]).reshape(-1, 2)
         t = np.array([ld.trajectory[k - 1][0] for _, _, ld, k in shots])
         h = np.array([ld.trajectory[k][0] for _, _, ld, k in shots]) - t
+        u = -self.comp.grad_batch(np.array([ld.trajectory[0][1] for _, _, ld, _ in shots]))
+        u = u / np.linalg.norm(u, axis=1)[:, None]
         g = self.comp.grad_batch(x)
         while (h > self.cfg.step_min).any():
             h = 0.5 * h
-            _, y, _, gy, _ = _dp_step(self.comp, x, g, -h[:, None])
+            y, _, gy, _ = _dp_step(self.comp, x, g, -h[:, None])
             outside = _wrap(y - centres)[1] > self.cfg.sphere_radius
             x, g = np.where(outside[:, None], y, x), np.where(outside[:, None], gy, g)
             t = np.where(outside, t + h, t)
         flows = []
-        for (s, a, landing, k), r, xc, tc in zip(shots, _wrap(x - centres)[0], x, t.tolist()):
+        for (s, a, landing, k), r, xc, tc, us in zip(
+            shots, _wrap(x - centres)[0], x, t.tolist(), u
+        ):
             along, across = r @ self.frames[a.id]
             angle = math.atan2(across, along) % TWO_PI
             path = [(0.0, tuple(xc.tolist()))]
             path += [(tc - tp, p) for tp, p in reversed(landing.trajectory[:k])]
-            sign = _orientation(self.frames[a.id], landing.frame, f"{a.id}->{s.id}")
+            frame = np.column_stack([us, self.frames[s.id][:, 0]])
+            sign = _orientation(self.frames[a.id], frame, f"{a.id}->{s.id}")
             direction = tuple(float(c) for c in self.direction_at(a, angle))
             offset = tuple(-o for o in landing.offset)
             flows.append(FlowLine("", a.id, s.id, sign, direction, angle, offset, tuple(path)))
@@ -1049,16 +998,17 @@ class _Analysis:
         end breaks at its boundary's saddle s into the rigid flow a -> s
         that departs at the boundary angle and one of the two flows out of
         s, and the sign of a -> s says which.  Let r and d be the radial
-        and angular departure directions at the boundary.  The linearised
-        flow maps r to (u - beta V d) / alpha, where u is the arrival
-        velocity, V d the carried image of d and alpha > 0 a time shift, so
-        `_sign`'s determinant against the basis (u / |u|, w_u) (which
-        `_shot_flows` reads backward, with the same sign) has the sign of
-        the w_u-component of V d, with w_u = `frames[s.id][:, 0]`, the
-        unstable direction of s.  A departure just past the boundary angle
-        thus passes s on its sign(a -> s) w_u side: the arc after the
-        boundary leaves s along sign(a -> s) w_u, and the arc before it along
-        -sign(a -> s) w_u.  `_separatrices` departs along +w_u first.  All
+        and angular departure directions at the boundary, a frame of W^u(a)
+        in its orientation.  The linearised flow maps r to (u - beta V d) /
+        alpha, where u is the arrival velocity, V d the image of d and
+        alpha > 0 a time shift, so the sign of a -> s, that of (V r, V d)
+        against the basis (u / |u|, w_u) (which `_shot_flows` reads at the
+        seed near s, with the same sign), is the sign of the w_u-component
+        of V d, with w_u = `frames[s.id][:, 0]`, the unstable direction of
+        s.  A departure just past the boundary angle thus passes s on its
+        sign(a -> s) w_u side: the arc after the boundary leaves s along
+        sign(a -> s) w_u, and the arc before it along -sign(a -> s) w_u.
+        `_separatrices` departs along +w_u first.  All
         these flows come from the one cached run of `rigid_flows`.  A branch
         that does not end at c is an UnmatchedEndpointError.
         """

@@ -3,11 +3,13 @@
 The oracles here stay deliberately naive: rank computation by fraction
 Gaussian elimination, modular homology by enumerating small modules, a
 combinatorial surface triangulation whose boundary matrices are written
-down directly, the dense Smith reduction that rewrites whole rows, a scalar, one-trajectory-at-a-time flow integrator, a
-recursive bisection of the departure circle that classifies one midpoint at
-a time by a lane that runs until it lands, and a probe that follows one
-trajectory past a family's broken end to see which way it leaves the
-saddle.  The library is then required to agree with them.
+down directly, the dense Smith reduction that rewrites whole rows, a
+scalar, one-trajectory-at-a-time flow integrator, signs read from frames
+that integrator carries along each rigid flow, a recursive bisection of the
+departure circle that classifies one midpoint at a time by a lane that runs
+until it lands, and a probe that follows one trajectory past a family's
+broken end to see which way it leaves the saddle.  The library is then
+required to agree with them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from math import gcd
 import numpy as np
 import pytest
 
-from morseflow import ChainComplexData, FilteredRealization, IntegerMatrix
+from morseflow import (
+    ChainComplexData,
+    FilteredRealization,
+    IntegerMatrix,
+    TrigPolynomial,
+    TrigTerm,
+)
 from morseflow.errors import IntegrationFailureError, MorseSmaleViolationError
 from morseflow.morse import _compiled
 
@@ -505,6 +513,50 @@ def scalar_flow(f, cfg, points, x0, frame=None):
     raise IntegrationFailureError(
         f"no rest point reached within flow time {cfg.max_flow_time}"
     )
+
+
+# -- carried-frame sign oracle ----------------------------------------------
+
+
+def _frame_sign(basis, frame) -> int:
+    """Sign of the determinant of `frame` in `basis`, by least squares if `basis` is not square."""
+    det = np.linalg.det(np.linalg.lstsq(basis, frame, rcond=None)[0])
+    return 1 if det > 0 else -1
+
+
+def forward_sign(analysis, a, seed):
+    """(rest point, offset, sign) of the flow out of `a` from `seed`, by a carried frame.
+
+    The unstable frame of `a` is carried along the flow by `scalar_flow`
+    and compared, at the rest point b, with the arrival basis (velocity,
+    unstable frame of b).
+    """
+    f = analysis.f
+    b, offset, traj, carried = scalar_flow(
+        f, analysis.cfg, analysis.points, seed, analysis.frames[a.id]
+    )
+    arrival = np.array(_neg_grad(_float_terms(f), traj[-1][1]))
+    basis = np.column_stack([arrival / np.linalg.norm(arrival), analysis.frames[b.id]])
+    return b, offset, _frame_sign(basis, carried)
+
+
+def backward_sign(analysis, s, side):
+    """(index-2 point a, offset, sign) of the flow a -> s along s's stable separatrix.
+
+    The separatrix leaves s along side * w_s backward in time, the flow of
+    -f, carrying the frame (velocity, w_u) of the seed, w_u the unstable
+    direction of s; the carried frame is compared at a with a's unstable
+    frame.  The offset is that of a -> s, the backward landing's negated.
+    """
+    f = analysis.f
+    seed = analysis.seed(s, side * analysis.stable_frames[s.id][:, 0])
+    u = np.array(_neg_grad(_float_terms(f), seed))
+    frame = np.column_stack([u / np.linalg.norm(u), analysis.frames[s.id][:, 0]])
+    minus_f = TrigPolynomial(
+        f.dimension, tuple(TrigTerm(t.frequency, -t.cos_coeff, -t.sin_coeff) for t in f.terms)
+    )
+    a, offset, _, carried = scalar_flow(minus_f, analysis.cfg, analysis.points, seed, frame)
+    return a, tuple(-o for o in offset), _frame_sign(analysis.frames[a.id], carried)
 
 
 # -- departure-circle bisection oracle --------------------------------------

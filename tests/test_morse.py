@@ -10,7 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import bisect_one_at_a_time, full_landing_classes, probe_exit, scalar_flow
+from conftest import (
+    backward_sign,
+    bisect_one_at_a_time,
+    forward_sign,
+    full_landing_classes,
+    probe_exit,
+    scalar_flow,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +58,7 @@ from morseflow.morse import (
     _dedupe,
     _dp_step,
     _Landing,
+    _orientation,
     _wrap,
 )
 
@@ -537,9 +545,9 @@ def recorded(got):
     return got if isinstance(got, Exception) else (got.point, got.offset, got.trajectory)
 
 
-def framed_departures(analysis, index):
-    """Seeds and unstable frames of departures out of every point of one index."""
-    seeds, frames = [], []
+def departures(analysis, index):
+    """Seeds of departures out of every point of one index, along its unstable frame."""
+    seeds = []
     for p in analysis.points:
         if p.index != index:
             continue
@@ -548,10 +556,8 @@ def framed_departures(analysis, index):
             directions = [frame[:, 0], -frame[:, 0]]
         else:
             directions = [analysis.direction_at(p, (k + 0.5) * math.pi / 3) for k in range(6)]
-        for d in directions:
-            seeds.append(analysis.seed(p, d))
-            frames.append(frame)
-    return seeds, frames
+        seeds += [analysis.seed(p, d) for d in directions]
+    return seeds
 
 
 @functools.lru_cache(maxsize=None)
@@ -608,44 +614,32 @@ class TestLanes:
             failed = sum(isinstance(got, Exception) for got in lanes)
             assert 0 < failed < len(seeds)
 
-    @pytest.mark.parametrize("index", [1, 2], ids=["saddle-frames", "maximum-frames"])
-    def test_trajectories_and_frames_do_not_depend_on_the_batch(self, index):
+    @pytest.mark.parametrize("index", [1, 2], ids=["saddles", "maxima"])
+    def test_trajectories_and_states_do_not_depend_on_the_batch(self, index):
         # Every lane is run alone, in batches of two and in one mixed batch
-        # (reversed, beside a lane that rests at once and a lane whose zero
-        # frame collapses); trajectories, rest states and carried frames
-        # must keep every bit, and the lone runs must match the oracle,
-        # which carries its frame one step at a time.
+        # (reversed, beside a lane that rests at once); trajectories and rest
+        # states must keep every bit, and the lone runs must match the oracle.
         analysis = _Analysis(perturbed_torus(perturbed_torus_seeds(1)[0]), NumericalConfig())
-        seeds, frames = framed_departures(analysis, index)
+        seeds = departures(analysis, index)
         assert len(seeds) >= 4
 
-        def run(lanes):
-            got = analysis.land_lanes(
-                [s for s, _ in lanes], np.array([v for _, v in lanes]), record=True
-            )
-            assert all(isinstance(g, _Landing) for g in got[: len(seeds)])
+        def run(batch):
+            got = analysis.land_lanes(batch, record=True)
+            assert all(isinstance(g, _Landing) for g in got)
             return got
 
-        lanes = list(zip(seeds, frames))
-        alone = [run([lane])[0] for lane in lanes]
-        pairs = [got for i in range(0, len(lanes), 2) for got in run(lanes[i : i + 2])]
+        alone = [run([seed])[0] for seed in seeds]
+        pairs = [got for i in range(0, len(seeds), 2) for got in run(seeds[i : i + 2])]
         rest = analysis.points[-1]
-        extra = [(list(rest.position), frames[0]), (seeds[0], np.zeros_like(frames[0]))]
-        mixed = run(lanes[::-1] + extra)
-        resting, collapsed = mixed[len(seeds) :]
-        for seed, frame, one in zip(seeds, frames, alone):
-            *scalar, carried = scalar_flow(analysis.f, analysis.cfg, analysis.points, seed, frame)
-            assert recorded(one) == tuple(scalar)
-            assert one.frame.tobytes() == carried.tobytes()
-        for batch in (pairs, mixed[len(seeds) - 1 :: -1]):
+        mixed = run(seeds[::-1] + [list(rest.position)])
+        resting = mixed[-1]
+        for seed, one in zip(seeds, alone):
+            assert recorded(one) == oracle(analysis, seed)
+        for batch in (pairs, mixed[-2::-1]):
             for one, got in zip(alone, batch):
                 assert recorded(got) == recorded(one)
                 assert got.state.tobytes() == one.state.tobytes()
-                assert got.frame.tobytes() == one.frame.tobytes()
         assert resting.point == rest and resting.trajectory == ((0.0, rest.position),)
-        assert comparable(collapsed) == comparable(
-            IntegrationFailureError("transported frame collapsed")
-        )
 
     @settings(max_examples=12, deadline=None)
     @given(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=6))
@@ -670,9 +664,9 @@ class TestLanes:
         land = _Analysis.land_lanes
         runs = []
 
-        def spoiled(self, seeds, frames=None, record=False, trap=False, senses=None):
-            out = land(self, seeds, frames, record, trap, senses)
-            runs.append("angles" if frames is None else "separatrices")
+        def spoiled(self, seeds, record=False, trap=False, senses=None):
+            out = land(self, seeds, record, trap, senses)
+            runs.append("separatrices" if record else "angles")
             if runs.count("separatrices") == 1 and runs[-1] == "separatrices":
                 wanted = 1.0 if run == "saddles" else -1.0
                 lanes = [k for k, sense in enumerate(senses) if sense == wanted]
@@ -880,9 +874,9 @@ class TestShots:
         # separatrix, followed backward, crosses the circle at that angle:
         # the partition's boundaries are the bisection oracle's, in the same
         # order, at the same saddles, within 1e-6 rad.  The flows read
-        # backward have the ids, signs and lattice offsets of the forward
-        # flows that depart at the oracle's angles, framed by `_sign`, and
-        # each of those rests at its boundary's saddle.
+        # backward have the targets, signs and lattice offsets of the forward
+        # flows that depart at the oracle's angles, signed by a frame carried
+        # along each of them, and each of those rests at its boundary's saddle.
         analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse))
         top = analysis.points[0]
         boundaries, _ = analysis.partition(top)
@@ -893,27 +887,26 @@ class TestShots:
             assert b.saddle == saddle
             assert abs(math.remainder(b.angle - angle, 2 * math.pi)) <= 1e-6
         seeds = [analysis.seed(top, analysis.direction_at(top, th)) for th, _ in found]
-        frames = np.array([analysis.frames[top.id]] * len(seeds))
-        forward = analysis.land_lanes(seeds, frames, record=True)
-        assert [ld.point for ld in forward] == [s for _, s in found]
+        forward = [forward_sign(analysis, top, seed) for seed in seeds]
+        assert [b for b, _, _ in forward] == [s for _, s in found]
         assert [(fl.target, fl.sign, fl.lattice_offset) for fl in analysis.max_flows(top)] == [
-            (ld.point.id, analysis._sign(top, ld), ld.offset) for ld in forward
+            (b.id, sign, offset) for b, offset, sign in forward
         ]
 
     def test_no_shots_off_the_two_torus(self, monkeypatch):
-        # On the circle the saddle flows are one run of forward lanes with
-        # 1-frames; on T^3 flows out of index-2 points raise InputError.
+        # On the circle the saddle flows are one run of two forward lanes; on
+        # T^3 flows out of index-2 points raise InputError.
         land = _Analysis.land_lanes
         runs = []
 
-        def counting_land(self, seeds, frames=None, record=False, trap=False, senses=None):
-            runs.append((senses, frames.shape))
-            return land(self, seeds, frames, record, trap, senses)
+        def counting_land(self, seeds, record=False, trap=False, senses=None):
+            runs.append((len(seeds), senses))
+            return land(self, seeds, record, trap, senses)
 
         monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
         analysis = _Analysis(circle_function(), NumericalConfig())
         assert [fl.source for fl in analysis.rigid_flows()] == ["p1.0", "p1.0"]
-        assert runs == [(None, (2, 1, 1))]
+        assert runs == [(2, None)]
         analysis = _Analysis(three_torus_function(), NumericalConfig())
         with pytest.raises(InputError, match="index-2 point"):
             analysis.rigid_flows()
@@ -928,8 +921,8 @@ class TestShots:
         """
         land = _Analysis.land_lanes
 
-        def spoiling_land(self, seeds, frames=None, record=False, trap=False, senses=None):
-            out = land(self, seeds, frames, record, trap, senses)
+        def spoiling_land(self, seeds, record=False, trap=False, senses=None):
+            out = land(self, seeds, record, trap, senses)
             if senses is not None:
                 backward = senses.count(-1.0)
                 assert senses == [-1.0] * backward + [1.0] * backward
@@ -987,10 +980,10 @@ def minus(analysis: _Analysis) -> _Analysis:
 
 
 def lane_bits(got):
-    """Everything a lane returns, frames and states as bytes, points by id."""
+    """Everything a lane returns, states as bytes, points by id."""
     if isinstance(got, Exception):
         return comparable(got)
-    return (got.point.id, got.offset, got.trajectory, got.state.tobytes(), got.frame.tobytes())
+    return (got.point.id, got.offset, got.trajectory, got.state.tobytes())
 
 
 class TestSenses:
@@ -1001,32 +994,28 @@ class TestSenses:
 
     @staticmethod
     def backward_departures(analysis):
-        """Seeds and 2-frames out of each saddle along +-w_s and each sink along six directions."""
-        seeds, frames = [], []
+        """Seeds out of each saddle along +-w_s and each sink along six directions."""
+        seeds = []
         for p in analysis.points:
             if p.index == 1:
                 w = analysis.stable_frames[p.id][:, 0]
                 directions = [w, -w]
-                frame = np.column_stack([w, analysis.frames[p.id][:, 0]])
             elif p.index == 0:
                 directions = [
                     np.array([math.cos(th), math.sin(th)])
                     for th in ((k + 0.5) * math.pi / 3 for k in range(6))
                 ]
-                frame = np.eye(2)
             else:
                 continue
-            for d in directions:
-                seeds.append(analysis.seed(p, d))
-                frames.append(frame)
-        return seeds, np.array(frames)
+            seeds += [analysis.seed(p, d) for d in directions]
+        return seeds
 
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_a_backward_lane_is_a_lane_of_minus_f(self, f):
         analysis = _Analysis(f, NumericalConfig())
-        seeds, frames = self.backward_departures(analysis)
-        backward = analysis.land_lanes(seeds, frames, record=True, senses=[-1.0] * len(seeds))
-        of_minus_f = minus(analysis).land_lanes(seeds, frames, record=True)
+        seeds = self.backward_departures(analysis)
+        backward = analysis.land_lanes(seeds, record=True, senses=[-1.0] * len(seeds))
+        of_minus_f = minus(analysis).land_lanes(seeds, record=True)
         assert all(isinstance(got, _Landing) for got in backward)
         assert list(map(lane_bits, backward)) == list(map(lane_bits, of_minus_f))
         # Forward sinks of -f are f's index-2 points, backward f's saddles too.
@@ -1034,30 +1023,20 @@ class TestSenses:
 
     def test_a_run_of_mixed_senses_keeps_each_lanes_bits(self):
         analysis = _Analysis(perturbed_torus(perturbed_torus_seeds(1)[0]), NumericalConfig())
-        back_seeds, back_frames = self.backward_departures(analysis)
-        seeds, frames = framed_departures(analysis, 2)
-        for s in (p for p in analysis.points if p.index == 1):
-            w_u, w_s = analysis.frames[s.id][:, 0], analysis.stable_frames[s.id][:, 0]
-            for side in (1.0, -1.0):
-                seeds.append(analysis.seed(s, side * w_u))
-                frames.append(np.column_stack([w_u, w_s]))
-        frames = np.array(frames)
-        lanes = [(s, v, -1.0) for s, v in zip(back_seeds, back_frames)]
-        lanes += [(s, v, 1.0) for s, v in zip(seeds, frames)]
+        back_seeds = self.backward_departures(analysis)
+        seeds = departures(analysis, 2) + departures(analysis, 1)
+        lanes = [(s, -1.0) for s in back_seeds] + [(s, 1.0) for s in seeds]
 
         def run(batch):
             return analysis.land_lanes(
-                [s for s, _, _ in batch],
-                np.array([v for _, v, _ in batch]),
-                record=True,
-                senses=[sense for _, _, sense in batch],
+                [s for s, _ in batch], record=True, senses=[sense for _, sense in batch]
             )
 
         alone = [lane_bits(run([lane])[0]) for lane in lanes]
         mixed = lanes[::2] + lanes[1::2]
         order = list(range(len(lanes)))[::2] + list(range(len(lanes)))[1::2]
         assert [lane_bits(got) for got in run(mixed)] == [alone[k] for k in order]
-        forward = analysis.land_lanes(seeds, frames, record=True)
+        forward = analysis.land_lanes(seeds, record=True)
         assert list(map(lane_bits, forward)) == alone[len(back_seeds) :]
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
@@ -1071,6 +1050,54 @@ class TestSenses:
             for s in saddles:
                 assert analysis.stable_frames[s.id].shape == (2, 1)
                 assert analysis.stable_frames[s.id].tobytes() == back.frames[s.id].tobytes()
+
+
+class TestSigns:
+    # Every sign is read in closed form: a saddle flow's is its departure
+    # side, and a flow a -> s out of an index-2 point compares the frame
+    # (velocity, w_u) at the backward seed with a's unstable frame.  The
+    # oracle carries the frame along each flow, one step at a time, and
+    # compares it at the far end: forward with (arrival velocity, unstable
+    # frame of the target), backward with a's unstable frame.
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+    @pytest.mark.parametrize(
+        "f",
+        [circle_function(), torus_function()]
+        + [perturbed_torus(seed) for seed in range(6)]
+        + [three_torus_function()],
+        ids=["circle", "torus"] + [f"seed{seed}" for seed in range(6)] + ["three-torus"],
+    )
+    def test_signs_equal_those_of_carried_frames(self, f, reverse):
+        analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse))
+        saddles = [p for p in analysis.points if p.index == 1]
+        assert saddles
+        flows = analysis.saddle_flows(saddles) if f.dimension == 3 else analysis.rigid_flows()
+        expected = []
+        for s in saddles:
+            for side in (1, -1):
+                seed = analysis.seed(s, side * analysis.frames[s.id][:, 0])
+                b, offset, sign = forward_sign(analysis, s, seed)
+                expected.append((s.id, b.id, offset, sign))
+        got = [(fl.source, fl.target, fl.lattice_offset, fl.sign) for fl in flows]
+        assert [fl for fl in got if analysis.by_id[fl[0]].index == 1] == expected
+        if f.dimension == 2:
+            # The flows out of an index-2 point come by departure angle, so
+            # they are compared as a multiset.
+            backward = []
+            for s in saddles:
+                for side in (1, -1):
+                    a, offset, sign = backward_sign(analysis, s, side)
+                    backward.append((a.id, s.id, offset, sign))
+            assert sorted(fl for fl in got if analysis.by_id[fl[0]].index == 2) == sorted(backward)
+
+    def test_a_nearly_singular_frame_comparison_raises(self):
+        basis = np.eye(2)
+        for det, sign in ((2e-6, 1), (-2e-6, -1)):
+            assert _orientation(basis, np.array([[1.0, 0.5], [0.0, det]]), "a->b") == sign
+        for det in (5e-7, -5e-7, 0.0):
+            with pytest.raises(MorseSmaleViolationError, match="ambiguous frame comparison"):
+                _orientation(basis, np.array([[1.0, 0.5], [0.0, det]]), "a->b")
 
 
 def third_derivative_bound(f: TrigPolynomial) -> float:
@@ -1247,7 +1274,7 @@ class TestDormandPrince:
         x = np.array([[x0]])
         errors = []
         for h in (0.005, 0.0025, 0.00125):
-            _, y5, _, _, delta = _dp_step(comp, x, comp.grad_batch(x), np.array([[h]]))
+            y5, _, _, delta = _dp_step(comp, x, comp.grad_batch(x), np.array([[h]]))
             exact = circle_flow(x0, h)
             errors.append((abs(y5[0, 0] - exact), abs(y5[0, 0] + delta[0, 0] - exact)))
         for coarse, fine in zip(errors, errors[1:]):

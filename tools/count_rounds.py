@@ -7,15 +7,21 @@ the flow category and prints, per build:
 - check: the lanes of those runs, the check runs of `partition`: the
   circle samples and the lanes beside each boundary;
 - iters: lane iterations, the calls of `_dp_step`, one per iteration of
-  every `land_lanes` run, recorded and framed runs included;
+  every `land_lanes` run, recorded runs included;
 - lane-steps: the rows of those calls, lanes summed over iterations;
 - lane-runs: the calls of `_Analysis.land_lanes`, classification, check
   and separatrix runs alike;
 - shots: the `_dp_step` calls made inside `_Analysis._separatrices`, the
-  framed, recorded run of all four separatrices of every saddle (the
-  stable ones backward) and the halving of the backward lanes' last steps,
-  which give the saddle flows, the boundaries and the flows out of the
-  index-2 points; `iters` includes them.
+  recorded run of all four separatrices of every saddle (the stable ones
+  backward) and the halving of the backward lanes' last steps, which give
+  the saddle flows, the boundaries and the flows out of the index-2
+  points; `iters` includes them;
+- grad-rows: the rows passed to the gradient evaluators of `_Compiled`
+  (`grad_batch` and `value_grad_batch`) inside `land_lanes` or inside a
+  `_dp_step`, so the halving steps count and the rest of the pipeline
+  does not;
+- hess-rows: the rows passed to `_Compiled.hess_batch` there, the
+  Hessians that carrying a frame along a lane would take.
 
 It wraps those names from outside, so the same script measures any tree
 that has them:
@@ -34,15 +40,23 @@ import argparse
 import contextlib
 
 from morseflow import MorseflowError, bank, morse
-from morseflow.morse import NumericalConfig, _Analysis, build_flow_category
+from morseflow.morse import NumericalConfig, _Analysis, _Compiled, build_flow_category
 
 
 @contextlib.contextmanager
 def counting(tally: dict):
-    """Count runs, check lanes, iterations, lane-steps, lane runs and shot iterations."""
+    """Count runs, check lanes, iterations, lane-steps, lane runs, shot iterations and rows."""
     classify, step, land = _Analysis._classify_angles, morse._dp_step, _Analysis.land_lanes
     shots = _Analysis._separatrices
-    shooting = [0]
+    evaluators = {
+        name: (getattr(_Compiled, name), column)
+        for name, column in (
+            ("grad_batch", "grad-rows"),
+            ("value_grad_batch", "grad-rows"),
+            ("hess_batch", "hess-rows"),
+        )
+    }
+    shooting, stepping = [0], [0]
 
     def counted_classify(self, a, thetas):
         tally["runs"] += 1
@@ -58,18 +72,36 @@ def counting(tally: dict):
 
     def counted_land(self, *args, **kwargs):
         tally["lane-runs"] += 1
-        return land(self, *args, **kwargs)
+        stepping[0] += 1
+        try:
+            return land(self, *args, **kwargs)
+        finally:
+            stepping[0] -= 1
 
     def counted_step(comp, x, *args):
         tally["iters"] += 1
         tally["lane-steps"] += len(x)
         tally["shots"] += shooting[0] > 0
-        return step(comp, x, *args)
+        stepping[0] += 1
+        try:
+            return step(comp, x, *args)
+        finally:
+            stepping[0] -= 1
+
+    def rows_counted(evaluate, column):
+        def counted(comp, x):
+            if stepping[0]:
+                tally[column] += len(x)
+            return evaluate(comp, x)
+
+        return counted
 
     _Analysis._classify_angles = counted_classify
     morse._dp_step = counted_step
     _Analysis.land_lanes = counted_land
     _Analysis._separatrices = counted_shots
+    for name, (evaluate, column) in evaluators.items():
+        setattr(_Compiled, name, rows_counted(evaluate, column))
     try:
         yield tally
     finally:
@@ -77,9 +109,13 @@ def counting(tally: dict):
         morse._dp_step = step
         _Analysis.land_lanes = land
         _Analysis._separatrices = shots
+        for name, (evaluate, _) in evaluators.items():
+            setattr(_Compiled, name, evaluate)
 
 
-COLUMNS = ("runs", "check", "iters", "lane-steps", "lane-runs", "shots")
+COLUMNS = (
+    "runs", "check", "iters", "lane-steps", "lane-runs", "shots", "grad-rows", "hess-rows"
+)
 
 
 def main(argv=None) -> None:

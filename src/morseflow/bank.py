@@ -66,6 +66,29 @@ def perturbed_torus(seed: int) -> TrigPolynomial:
     return TrigPolynomial(2, tuple(terms))
 
 
+def tilted_upright_torus(t) -> TrigPolynomial:
+    """Height of an upright torus of revolution, tilted by t sin(2 pi y), for rational t.
+
+    f_t = (2 + cos 2 pi y) cos 2 pi x + t sin 2 pi y, which equals
+    2 cos 2 pi x + 1/2 cos 2 pi (x + y) + 1/2 cos 2 pi (x - y) + t sin 2 pi y.
+    At t = 0 the saddle near (0, 1/2) sends a flow along y = 1/2 into the
+    saddle near (1/2, 1/2), the textbook saddle connection (Palis & de Melo,
+    Geometric Theory of Dynamical Systems, ch. 4); any small t != 0 breaks
+    it, and the stable separatrices of the lower saddle then cross the
+    departure circle of the maximum within about 1e-5 |t| rad on either
+    side of the boundary that the upper saddle's make.
+    """
+    return TrigPolynomial(
+        2,
+        (
+            TrigTerm((1, 0), Fraction(2)),
+            TrigTerm((1, 1), Fraction(1, 2)),
+            TrigTerm((1, -1), Fraction(1, 2)),
+            TrigTerm((0, 1), Fraction(0), t),
+        ),
+    )
+
+
 def perturbed_torus_seeds(
     count: int, start: int = 0, cfg: NumericalConfig | None = None
 ) -> list[int]:

@@ -27,14 +27,18 @@ end is read off the sign of a rigid flow, with no run of its own.  On T^2
 a basin boundary direction flows into a saddle, so the boundaries are where
 the saddles' stable separatrices, followed backward, cross the departure
 circles, and those paths, reversed, give the rigid flows out of the
-index-2 points.  All four separatrices of every saddle, the two unstable
-ones forward and the two stable ones backward, form one recorded run.
-One batch of the circle samples and of lanes just beside each boundary
-checks every partition.  On T^3 the stable manifold of a saddle is
-a surface, which no finite set of shots traces, so there only the saddles'
-flows are computed, in one run.  A lane that only classifies an angle stops
-once it enters a region around a sink that its flow provably never leaves,
-so it gets the class it would get by running on.
+index-2 points.  The sign of a -> s also says along which of s's two
+flows the arcs on either side of the boundary leave s, so each arc's
+landing class is read off the flows at its two ends, which must agree.
+All four separatrices of every saddle, the two unstable ones forward and
+the two stable ones backward, form one recorded run, and the circle
+samples of every index-2 point ride in it, unrecorded, to check the
+partitions; only the midpoints of arcs that no sample checks take a run
+of their own.  On T^3 the stable manifold of a saddle is a surface, which
+no finite set of shots traces, so there only the saddles' flows are
+computed, in one run.  A lane that only classifies an angle stops once it
+enters a region around a sink that its flow provably never leaves, so it
+gets the class it would get by running on.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
 error raised is the one that building the flows one at a time would raise
@@ -48,6 +52,7 @@ distinct.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
@@ -318,7 +323,7 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class FlowLine:
-    """A rigid trajectory between critical points with its transported sign."""
+    """A rigid trajectory between critical points with its sign, read off its departure."""
 
     id: str
     source: str
@@ -554,11 +559,10 @@ def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
     return y, fy, gy, hh * sums[6]
 
 
-# How far the check lanes of a T^2 partition depart on either side of each
-# boundary, in radians.  At the default `step_tol`, every separatrix shot of
-# the torus and of the 25 perturbed tori of the example bank lay within
-# 6.6e-7 of the boundary the bisection found, and lanes at +-1e-6 landed in
-# the classes of the arcs beside it, where at +-1e-7 some rested at the saddle.
+# The circle samples of a T^2 partition within this many radians of a
+# boundary may rest at any sink or at that boundary's saddle: at the default
+# `step_tol`, every separatrix shot of the torus and of the 25 perturbed tori
+# of the example bank lay within 6.6e-7 of the boundary a bisection found.
 _SHOT_SPREAD = 1e-6
 # The critical-point search: Newton steps from each grid seed at most, the
 # largest gradient norm a candidate may keep, the radius within which two
@@ -638,8 +642,10 @@ class _Analysis:
         self.stable_frames = {
             p.id: signed(qp[:, wp > 0.0][:, ::-1]) for p, wp, qp in zip(self.points, w, q)
         }
+        self.sample_angles = [k * (TWO_PI / cfg.circle_samples) for k in range(cfg.circle_samples)]
         self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
         self._rigid_flows: list[FlowLine] | None = None
+        self._samples: dict[str, list] = {}
 
     # integration ----------------------------------------------------------
 
@@ -649,8 +655,8 @@ class _Analysis:
     def land_lanes(
         self,
         seeds: Sequence[Sequence[float]],
-        record: bool = False,
-        trap: bool = False,
+        record: bool | Sequence[bool] = False,
+        trap: bool | Sequence[bool] = False,
         senses: Sequence[float] | None = None,
     ) -> list:
         """Follow the gradient flow from every seed until it rests, in lockstep.
@@ -672,15 +678,15 @@ class _Analysis:
         flow raises.  At its seed and after each accepted step it checks
         flow time, landing and step budget, in that order; a step then fails
         on no descent at the minimal step.  A lane lands at the first
-        critical point within `landing_radius`.  With `trap`, a forward lane
-        near none also lands at a sink once it is within `trap_radius` of
-        the sink with its value below `trap_level`, a region its flow
-        provably never leaves; its state is then not near the sink, so only
-        a lane whose landing class alone is read may trap, and a run that
-        traps has forward lanes only.  With `record`, a
-        landing carries its trajectory: (time, point) at the seed and after
-        every accepted step.  No lane depends on the others, so a lane run
-        alone gives the same bits.
+        critical point within `landing_radius`.  `trap` and `record` are
+        given per lane, or as one bool for all.  A trapping lane near none
+        also lands at a sink once it is within `trap_radius` of the sink
+        with its value below `trap_level`, a region its flow provably never
+        leaves; its state is then not near the sink, so only a lane whose
+        landing class alone is read may trap, and only a forward one.  A
+        recorded lane's landing carries its trajectory: (time, point) at
+        the seed and after every accepted step.  No lane depends on the
+        others, its kind included, so a lane run alone gives the same bits.
         """
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
@@ -693,19 +699,24 @@ class _Analysis:
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
         sense = np.ones(len(seeds)) if senses is None else np.array(senses, dtype=float)
+        traps = np.broadcast_to(np.asarray(trap, dtype=bool), len(seeds)).copy()
+        marks = np.broadcast_to(np.asarray(record, dtype=bool), len(seeds)).copy()
+        trapping, recording = bool(traps.any()), bool(marks.any())
         fx, g1 = self.comp.value_grad_batch(x)
         fx = sense * fx
         t = np.zeros(len(seeds))
         h = np.full(len(seeds), cfg.step_init)
         steps = np.zeros(len(seeds), dtype=int)
         fresh = np.ones(len(seeds), dtype=bool)
-        paths = [[(0.0, tuple(s))] for s in x.tolist()] if record else None
+        paths = [[(0.0, tuple(s))] if m else None for s, m in zip(x.tolist(), marks.tolist())]
 
         def finish(done: np.ndarray) -> None:
-            nonlocal lane, x, sense, fx, g1, t, h, steps, fresh
+            nonlocal lane, x, sense, fx, g1, t, h, steps, fresh, traps, marks, trapping, recording
             keep = ~done
             lane, x, fx, g1, t, h = lane[keep], x[keep], fx[keep], g1[keep], t[keep], h[keep]
             sense, steps, fresh = sense[keep], steps[keep], fresh[keep]
+            traps, marks = traps[keep], marks[keep]
+            trapping, recording = bool(traps.any()), bool(marks.any())
 
         # A zero error estimate makes the step factor infinite, as meant.
         with np.errstate(divide="ignore"):
@@ -717,8 +728,9 @@ class _Analysis:
                 d = x[:, None, :] - self.centres
                 dist = _wrap(d)[1]
                 near = dist <= cfg.landing_radius
-                if trap:
+                if trapping:
                     caught = (dist <= self.trap_radius) & (fx[:, None] < self.trap_level)
+                    caught &= traps[:, None]
                     near = np.where(near.any(axis=1, keepdims=True), near, caught)
                 live = fresh & (t <= cfg.max_flow_time)
                 landed = live & near.any(axis=1)
@@ -738,7 +750,7 @@ class _Analysis:
                             self.points[i],
                             tuple(int(o) for o in np.round(d[k, i])),
                             x[k].copy(),
-                            tuple(paths[lane[k]]) if record else None,
+                            None if paths[lane[k]] is None else tuple(paths[lane[k]]),
                         )
                     for k in np.flatnonzero(spent):
                         out[lane[k]] = IntegrationFailureError("step budget exhausted")
@@ -764,8 +776,9 @@ class _Analysis:
                 np.add(t, h, out=t, where=take)
                 h = np.maximum(np.where(take, grown, shrunk), cfg.step_min)
                 fresh = take
-                if record:
-                    for k, tk, xk in zip(lane[take].tolist(), t[take].tolist(), x[take].tolist()):
+                if recording:
+                    kept = take & marks
+                    for k, tk, xk in zip(lane[kept].tolist(), t[kept].tolist(), x[kept].tolist()):
                         paths[k].append((tk, tuple(xk)))
                 if failed.any():
                     for k in np.flatnonzero(failed):
@@ -782,15 +795,18 @@ class _Analysis:
 
         `find_critical_points` lists points by falling index, so the index-2
         points come first and the saddles after them, all from one run of
-        `_separatrices`.  The flows out of the index-2 points are the
-        saddles' stable separatrices, two per saddle by construction, so on
-        T^3, which has index-2 points, InputError is raised.
+        `_separatrices`, which also classifies the circle samples of every
+        index-2 point for `partition`.  The flows out of the index-2 points
+        are the saddles' stable separatrices, two per saddle by
+        construction, so on T^3, which has index-2 points, InputError is
+        raised.
         """
         if self._rigid_flows is None:
             if self.n == 3:
                 raise InputError("rigid flows out of an index-2 point are computed on T^2")
             saddles = [p for p in self.points if p.index == 1]
-            shots, flows = self._separatrices(saddles, stable=self.n == 2)
+            maxima = [p for p in self.points if p.index == 2] if self.n == 2 else None
+            shots, flows, self._samples = self._separatrices(saddles, maxima)
             self._rigid_flows = shots + flows
         return self._rigid_flows
 
@@ -803,33 +819,43 @@ class _Analysis:
         return self._separatrices(saddles)[1]
 
     def _separatrices(
-        self, saddles: Sequence[CriticalPoint], stable: bool = False
-    ) -> tuple[list[FlowLine], list[FlowLine]]:
+        self, saddles: Sequence[CriticalPoint], maxima: Sequence[CriticalPoint] | None = None
+    ) -> tuple[list[FlowLine], list[FlowLine], dict[str, list]]:
         """Rigid flows along the separatrices of `saddles`, all in one run.
 
         Forward lanes leave each saddle s along side * w_u, side = 1 then
         -1, w_u = `frames[s.id][:, 0]`, and record their trajectories; W^u(s)
         is s and these two flows, oriented by w_u, so each flow's sign is its
-        side.  With `stable` (on T^2), lanes of sense -1 ahead of them follow
+        side.  With `maxima` (on T^2), lanes of sense -1 ahead of them follow
         s's stable separatrices backward, along w_s and -w_s, w_s =
-        `stable_frames[s.id][:, 0]` (`_shot_flows`).  The backward lanes'
-        errors are raised first, in saddle order; then, in departure order, a
-        failed forward flow raises its error, and so does one that rests no
-        lower in index than its source.  Returns the flows out of the index-2
-        points (none without `stable`) and those out of the saddles, each
-        flow k between the same two points named source>target#k.
+        `stable_frames[s.id][:, 0]` (`_shot_flows`), and the departures of
+        each of `maxima` at the `sample_angles` ride after them as forward
+        trapping lanes, unrecorded.  The backward lanes' errors are raised
+        first, in saddle order; then, in departure order, a failed forward
+        flow raises its error, and so does one that rests no lower in index
+        than its source.  The samples raise nothing here: each comes back
+        as its `_landing_class`, which `partition` checks.  Returns the
+        flows out of the index-2 points (none without `maxima`), those out
+        of the saddles, each flow k between the same two points named
+        source>target#k, and the sample classes by point id.
         """
         lanes = [(s, side) for s in saddles for side in (1, -1)]
         seeds = [self.seed(s, side * self.frames[s.id][:, 0]) for s, side in lanes]
-        senses = None
-        if stable:
+        back, circle, senses = [], [], None
+        if maxima is not None:
             back = [self.seed(s, side * self.stable_frames[s.id][:, 0]) for s, side in lanes]
-            seeds, senses = back + seeds, [-1.0] * len(lanes) + [1.0] * len(lanes)
-        landings = self.land_lanes(seeds, record=True, senses=senses)
-        split = len(landings) - len(lanes)
-        shots = self._shot_flows(lanes, landings[:split]) if stable else []
+            circle = [
+                self.seed(a, self.direction_at(a, th)) for a in maxima for th in self.sample_angles
+            ]
+            senses = [-1.0] * len(back) + [1.0] * (len(seeds) + len(circle))
+        traps = [False] * (len(back) + len(seeds)) + [True] * len(circle)
+        landings = self.land_lanes(
+            back + seeds + circle, record=[not t for t in traps], trap=traps, senses=senses
+        )
+        split = len(back) + len(seeds)
+        shots = self._shot_flows(lanes, landings[: len(back)]) if maxima is not None else []
         flows = []
-        for (a, side), got in zip(lanes, landings[split:]):
+        for (a, side), got in zip(lanes, landings[len(back) : split]):
             landing = _ok(got)
             target = landing.point
             if target.index >= a.index:
@@ -847,7 +873,12 @@ class _Analysis:
                     trajectory=landing.trajectory,
                 )
             )
-        return shots, _named(flows)
+        per = len(self.sample_angles)
+        samples = {
+            a.id: [self._landing_class(a, got) for got in landings[start : start + per]]
+            for a, start in zip(maxima or (), range(split, len(landings), per))
+        }
+        return shots, _named(flows), samples
 
     # index-2 sources --------------------------------------------------------
 
@@ -855,73 +886,128 @@ class _Analysis:
         frame = self.frames[a.id]
         return math.cos(theta) * frame[:, 0] + math.sin(theta) * frame[:, 1]
 
-    def _classify_angles(self, a: CriticalPoint, thetas: Sequence[float]) -> list:
-        """Landing class of each departure angle of `a`, as lanes of one batch.
+    def _landing_class(self, a: CriticalPoint, got):
+        """The class of a departure out of `a` from its lane's outcome `got`.
 
-        Each entry is ("sink", (sink id, offset), sink), ("saddle", None,
-        saddle), or the error that angle's flow raised.
+        ("sink", (sink id, offset), sink), ("saddle", None, saddle), or the
+        error the flow raised.
         """
+        if isinstance(got, Exception):
+            return got
+        point = got.point
+        if point.index >= a.index:
+            return _rests_too_high(a, point)
+        if point.index == 0:
+            return ("sink", (point.id, got.offset), point)
+        return ("saddle", None, point)
+
+    def _classify_angles(self, a: CriticalPoint, thetas: Sequence[float]) -> list:
+        """`_landing_class` of each departure angle of `a`, as trapping lanes of one run."""
         seeds = [self.seed(a, self.direction_at(a, th)) for th in thetas]
-        out = []
-        for got in self.land_lanes(seeds, trap=True):
-            if isinstance(got, Exception):
-                out.append(got)
-                continue
-            point, offset = got.point, got.offset
-            if point.index >= a.index:
-                out.append(_rests_too_high(a, point))
-            elif point.index == 0:
-                out.append(("sink", (point.id, offset), point))
-            else:
-                out.append(("saddle", None, point))
-        return out
+        return [self._landing_class(a, got) for got in self.land_lanes(seeds, trap=True)]
 
     def partition(self, a: CriticalPoint) -> tuple[list[_Boundary], list[_Arc]]:
         """Split the departure circle of an index-2 point of T^2 by landing class.
 
         The boundaries are the angles of the flows out of `a`, read off the
-        saddles' stable separatrices (`_shot_flows`), and arc
-        i, from boundary i to i + 1, takes the class of its ends.  One batch
-        checks them: the `circle_samples` angles and those `_SHOT_SPREAD`
-        before and after each boundary.  Both ends of an arc must rest in one
-        sink class, and every sample in its arc's class, or, within the
-        spread of a boundary, at any sink or that boundary's saddle; else a
-        boundary was missed or is extra, or there is a near-tie, and
-        MorseSmaleViolationError is raised.
+        saddles' stable separatrices (`_shot_flows`), and arc i, from
+        boundary i to i + 1, takes the class of its ends, read off the signs
+        (`_boundary_ends`); the two must agree.  Integrated lanes check
+        them: the departures at the `sample_angles`, which rode in the
+        separatrix run, and one midpoint for each arc that holds no sample
+        clear of every boundary, in one run of their own.  A sample more
+        than `_SHOT_SPREAD` from every boundary must rest in its arc's
+        class, and one within it at any sink or that boundary's saddle; a
+        midpoint must rest in its arc's class.  Else a boundary was missed
+        or is extra, or there is a near-tie, and MorseSmaleViolationError is
+        raised.  The samples' errors come first, in angle order, then the
+        arcs' ends, the samples' checks and the midpoints'.
         """
         if a.index != 2 or self.n != 2:
             raise InputError("circle partition requires an index-2 source on T^2")
         if a.id in self._partitions:
             return self._partitions[a.id]
-        flows = self.max_flows(a)
-        boundaries = [_Boundary(fl.departure_angle, self.by_id[fl.target]) for fl in flows]
-        thetas = [k * (TWO_PI / self.cfg.circle_samples) for k in range(self.cfg.circle_samples)]
-        beside = [b.angle + side * _SHOT_SPREAD for b in boundaries for side in (-1.0, 1.0)]
-        results = [_ok(got) for got in self._classify_angles(a, thetas + beside)]
-        ends = results[len(thetas) :]
-        arcs = [] if boundaries else [_Arc(0.0, TWO_PI, results[0][1])]
+        self.rigid_flows()  # the one run, which classifies the samples too
+        samples = [_ok(got) for got in self._samples[a.id]]
+        boundaries = [
+            _Boundary(fl.departure_angle, self.by_id[fl.target]) for fl in self.max_flows(a)
+        ]
+        ends = self._boundary_ends(a)
+        arcs = [] if boundaries else [_Arc(0.0, TWO_PI, samples[0][1])]
         for i, b in enumerate(boundaries):
             j = (i + 1) % len(boundaries)
-            (kind, cls, p), (kind1, cls1, p1) = ends[2 * i + 1], ends[2 * j]
-            if not kind == kind1 == "sink" or cls != cls1:
+            (_, cls), (_, cls1) = ends[i][1], ends[j][0]
+            if cls != cls1:
                 raise MorseSmaleViolationError(
                     f"the ends of the arc of {a.id} from angle {b.angle:.9f} rest at "
-                    f"{cls or p.id} and {cls1 or p1.id}: a basin boundary was missed, "
-                    "or one is a near-tie"
+                    f"{cls} and {cls1}: a basin boundary was missed, or one is a near-tie"
                 )
             arcs.append(_Arc(b.angle, boundaries[j].angle + TWO_PI * (j == 0), cls))
-        for th, (kind, cls, point) in zip(thetas, results):
-            dist = [abs(math.remainder(th - b.angle, TWO_PI)) for b in boundaries]
-            near = {b.saddle for b, d in zip(boundaries, dist) if d <= _SHOT_SPREAD}
+
+        def off_basins(th: float, point: CriticalPoint) -> MorseSmaleViolationError:
+            return MorseSmaleViolationError(
+                f"the departure from {a.id} at angle {th:.9f} rests at {point.id}, "
+                "off the basins of its partition: a basin boundary was missed or is extra"
+            )
+
+        starts = [arc.start for arc in arcs]
+        sampled = set()
+        for th, (kind, cls, point) in zip(self.sample_angles, samples):
+            near = {
+                b.saddle
+                for b in boundaries
+                if abs(math.remainder(th - b.angle, TWO_PI)) <= _SHOT_SPREAD
+            }
+            if near:
+                if not (point in near or kind == "sink"):
+                    raise off_basins(th, point)
+                continue
             # The last arc wraps past 2 pi, so it also holds the angles below the first.
-            arc = next((arc for arc in reversed(arcs) if arc.start <= th), arcs[-1])
-            if not (point in near or kind == "sink" and (near or cls == arc.landing_class)):
-                raise MorseSmaleViolationError(
-                    f"the departure from {a.id} at angle {th:.9f} rests at {point.id}, "
-                    "off the basins of its partition: a basin boundary was missed or is extra"
-                )
+            k = (bisect.bisect_right(starts, th) - 1) % len(arcs)
+            if kind != "sink" or cls != arcs[k].landing_class:
+                raise off_basins(th, point)
+            sampled.add(k)
+        bare = [k for k in range(len(arcs)) if k not in sampled]
+        mids = [0.5 * (arcs[k].start + arcs[k].end) % TWO_PI for k in bare]
+        got = [_ok(got) for got in self._classify_angles(a, mids)] if mids else []
+        for k, th, (kind, cls, point) in zip(bare, mids, got):
+            if kind != "sink" or cls != arcs[k].landing_class:
+                raise off_basins(th, point)
         self._partitions[a.id] = (boundaries, arcs)
         return boundaries, arcs
+
+    def _boundary_ends(self, a: CriticalPoint) -> list[tuple[tuple, tuple]]:
+        """The ends of the arcs on either side of each boundary of `a`.
+
+        One (before, after) pair per flow a -> s out of `a`, by departure
+        angle, each a (`BrokenFlow`, landing class) pair: the flow a -> s,
+        then one of the two flows out of s, and the sign of a -> s says
+        which.  Let r and d be the radial and angular departure directions
+        at the boundary, a frame of W^u(a) in its orientation.  The
+        linearised flow maps r to (u - beta V d) / alpha, where u is the
+        arrival velocity, V d the image of d and alpha > 0 a time shift, so
+        the sign of a -> s, that of (V r, V d) against the basis (u / |u|,
+        w_u) (which `_shot_flows` reads at the seed near s, with the same
+        sign), is the sign of the w_u-component of V d, with w_u =
+        `frames[s.id][:, 0]`, the unstable direction of s.  A departure just
+        past the boundary angle thus passes s on its sign(a -> s) w_u side:
+        the arc after the boundary leaves s along sign(a -> s) w_u, and the
+        arc before it along -sign(a -> s) w_u.  `_separatrices` departs
+        along +w_u first.  The class of a side is the target of its flow out
+        of s, with the lattice offsets of both flows summed.
+        """
+        flows = self.rigid_flows()
+        ends = []
+        for first in self.max_flows(a):
+            plus, minus = (fl for fl in flows if fl.source == first.target)
+            pair = []
+            for side in (-1, 1):
+                second = plus if side * first.sign > 0 else minus
+                offset = tuple(p + q for p, q in zip(first.lattice_offset, second.lattice_offset))
+                end = BrokenFlow(first.target, first.id, second.id)
+                pair.append((end, (second.target, offset)))
+            ends.append(tuple(pair))
+        return ends
 
     def _shot_flows(
         self, lanes: Sequence[tuple[CriticalPoint, int]], landings: list
@@ -994,45 +1080,21 @@ class _Analysis:
     def families(self, a: CriticalPoint, c: CriticalPoint) -> list[IntervalComponent]:
         """Components of the one-parameter family from an index-2 point to a sink.
 
-        Arc i of the partition runs from boundary i to boundary i + 1.  Each
-        end breaks at its boundary's saddle s into the rigid flow a -> s
-        that departs at the boundary angle and one of the two flows out of
-        s, and the sign of a -> s says which.  Let r and d be the radial
-        and angular departure directions at the boundary, a frame of W^u(a)
-        in its orientation.  The linearised flow maps r to (u - beta V d) /
-        alpha, where u is the arrival velocity, V d the image of d and
-        alpha > 0 a time shift, so the sign of a -> s, that of (V r, V d)
-        against the basis (u / |u|, w_u) (which `_shot_flows` reads at the
-        seed near s, with the same sign), is the sign of the w_u-component
-        of V d, with w_u = `frames[s.id][:, 0]`, the unstable direction of
-        s.  A departure just past the boundary angle thus passes s on its
-        sign(a -> s) w_u side: the arc after the boundary leaves s along
-        sign(a -> s) w_u, and the arc before it along -sign(a -> s) w_u.
-        `_separatrices` departs along +w_u first.  All
-        these flows come from the one cached run of `rigid_flows`.  A branch
-        that does not end at c is an UnmatchedEndpointError.
+        Arc i of the partition runs from boundary i to boundary i + 1, and
+        an arc that rests at c is one component: its ends break at those
+        boundaries' saddles, the one after boundary i and the one before
+        boundary i + 1 (`_boundary_ends`), whose classes `partition` has
+        checked against the arc's.  All these flows come from the one cached
+        run of `rigid_flows`.
         """
-        flows = self.rigid_flows()
         boundaries, arcs = self.partition(a)
         if not boundaries:
             raise MorseSmaleViolationError(
                 f"the departure circle of {a.id} has no basin boundary"
             )
-        firsts = self.max_flows(a)  # one per boundary, in the same order
-
-        def end(first: FlowLine, side: int) -> BrokenFlow:
-            plus, minus = (fl for fl in flows if fl.source == first.target)
-            second = plus if side * first.sign > 0 else minus
-            if second.target != c.id:
-                raise UnmatchedEndpointError(
-                    f"the family from {a.id} leaves {first.target} toward "
-                    f"{second.target} at the boundary at angle {first.departure_angle:.9f}, "
-                    f"expected {c.id}"
-                )
-            return BrokenFlow(first.target, first.id, second.id)
-
+        ends = self._boundary_ends(a)
         return [
-            IntervalComponent((end(firsts[i], 1), end(firsts[(i + 1) % len(firsts)], -1)))
+            IntervalComponent((ends[i][1][0], ends[(i + 1) % len(ends)][0][0]))
             for i, arc in enumerate(arcs)
             if arc.landing_class[0] == c.id
         ]

@@ -28,6 +28,7 @@ from morseflow import (
     TrigTerm,
     all_homology,
     build_flow_category,
+    check_orientation_coherence,
     connecting_orbits,
     eval_grad_hess,
     find_critical_points,
@@ -43,6 +44,7 @@ from morseflow.bank import (
     degenerate_function,
     perturbed_torus,
     perturbed_torus_seeds,
+    tilted_upright_torus,
     torus_function,
 )
 from morseflow.errors import (
@@ -687,8 +689,11 @@ class TestLanes:
 
 class TestPartition:
     # A two-torus build makes one separatrix run, every separatrix of every
-    # saddle, and one check run per index-2 point, whatever the sampling;
-    # no run is made on -f, and there is no bisection.
+    # saddle with the circle samples of every index-2 point riding in it,
+    # and at most one more run per index-2 point, for the midpoints of the
+    # arcs that hold no sample clear of a boundary.  At 64 samples every arc
+    # holds one, so the build makes the one run.  No run is made on -f, and
+    # there is no bisection.
     @pytest.mark.parametrize("samples", [3, 64])
     @pytest.mark.parametrize(
         "f",
@@ -697,42 +702,48 @@ class TestPartition:
     )
     def test_a_two_torus_build_makes_two_runs(self, monkeypatch, f, samples):
         land, classify = _Analysis.land_lanes, _Analysis._classify_angles
-        runs, checks = [], []
+        runs, midpoints = [], []
 
         def counting_land(self, *args, **kwargs):
             runs.append(self.f)
             return land(self, *args, **kwargs)
 
         def counting_classify(self, a, thetas):
-            checks.append(a.id)
+            midpoints.append(a.id)
             return classify(self, a, thetas)
 
         monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
         monkeypatch.setattr(_Analysis, "_classify_angles", counting_classify)
         cat, _ = build_flow_category(f, NumericalConfig(circle_samples=samples))
         maxima = [p for p in cat.objects if cat.index[p] == 2]
-        assert maxima and sorted(checks) == sorted(maxima)
-        assert runs == [f] * (1 + len(maxima))
+        assert maxima and set(midpoints) <= set(maxima)
+        assert len(midpoints) == len(set(midpoints))
+        assert runs == [f] * (1 + len(midpoints))
+        if samples == 64:
+            assert midpoints == []
 
     # Classification runs per partition when the boundaries were bisected
-    # with aimed speculation (`before`).  Read from the separatrix shots, a
-    # partition makes one, the check run, and no bisection round.
+    # with aimed speculation (`before`).  Read from the separatrix shots and
+    # checked by the samples that rode in the separatrix run, a partition at
+    # the default sampling makes no run of its own.
     @pytest.mark.parametrize("seed, before", [(0, 7), (1, 7), (2, 6), (3, 9), (4, 7), (5, 8)])
     def test_aimed_speculation_adds_no_run(self, monkeypatch, seed, before):
-        classify = _Analysis._classify_angles
+        land = _Analysis.land_lanes
         runs = []
 
-        def counting_classify(self, a, thetas):
-            runs.append(a.id)
-            return classify(self, a, thetas)
+        def counting_land(self, *args, **kwargs):
+            runs.append(self.f)
+            return land(self, *args, **kwargs)
 
-        monkeypatch.setattr(_Analysis, "_classify_angles", counting_classify)
+        monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
         analysis = _Analysis(perturbed_torus(seed), NumericalConfig())
         maxima = [a for a in analysis.points if a.index == 2]
         assert maxima
+        analysis.rigid_flows()
+        assert len(runs) == 1
         for a in maxima:
             analysis.partition(a)
-            assert runs.count(a.id) == 1 < before
+            assert len(runs) == 1 < before
 
     def test_errors_in_both_halves_of_a_split_raise_the_lower_one(self, monkeypatch):
         # The first midpoint of each half of a split fails; the oracle's
@@ -794,15 +805,16 @@ class TestPartition:
         analysis = _Analysis(lane_functions()[1], NumericalConfig())
         top = analysis.points[0]
         saddle = next(p for p in analysis.points if p.index == 1)
-        classify = _Analysis._classify_angles
+        separatrices = _Analysis._separatrices
 
-        def one_sample_at_the_saddle(self, a, thetas):
-            out = classify(self, a, thetas)
-            return [("saddle", None, saddle)] + out[1:]
+        def one_sample_at_the_saddle(self, *args):
+            shots, flows, samples = separatrices(self, *args)
+            samples[top.id][0] = ("saddle", None, saddle)
+            return shots, flows, samples
 
         assert all(abs(b.angle) > 1e-3 for b in analysis.partition(top)[0])
         analysis = _Analysis(lane_functions()[1], NumericalConfig(), analysis.points)
-        monkeypatch.setattr(_Analysis, "_classify_angles", one_sample_at_the_saddle)
+        monkeypatch.setattr(_Analysis, "_separatrices", one_sample_at_the_saddle)
         with pytest.raises(MorseSmaleViolationError, match="angle 0.000000000 rests at p1"):
             analysis.partition(top)
 
@@ -812,15 +824,56 @@ class TestPartition:
         analysis = _Analysis(torus_function(), NumericalConfig())
         top, sink = analysis.points[0], analysis.points[-1]
         cls = (sink.id, (0, 0))
+        separatrices = _Analysis._separatrices
 
-        def one_class(self, a, thetas):
-            return [("sink", cls, sink)] * len(thetas)
+        def one_class(self, *args):
+            shots, flows, samples = separatrices(self, *args)
+            return shots, flows, {a: [("sink", cls, sink)] * len(got) for a, got in samples.items()}
 
-        monkeypatch.setattr(_Analysis, "_classify_angles", one_class)
+        monkeypatch.setattr(_Analysis, "_separatrices", one_class)
         monkeypatch.setattr(_Analysis, "max_flows", lambda self, a: [])
         boundaries, arcs = analysis.partition(top)
         assert boundaries == []
         assert [tuple(arc) for arc in arcs] == [(0.0, 2 * math.pi, cls)]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+    @pytest.mark.parametrize("samples", [3, 5, 7, 64])
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_every_arc_rests_where_its_midpoint_does(self, f, samples, reverse):
+        # The class read off the signs at each end of an arc is that of a
+        # lane from the arc's midpoint, run on to `landing_radius`.
+        cfg = NumericalConfig(circle_samples=samples, reverse_orientation=reverse)
+        analysis = _Analysis(f, cfg)
+        checked = 0
+        for a in analysis.points:
+            if a.index != 2:
+                continue
+            arcs = analysis.partition(a)[1]
+            mids = [0.5 * (arc.start + arc.end) for arc in arcs]
+            for arc, (kind, cls, _) in zip(arcs, full_landing_classes(analysis, a, mids)):
+                assert (kind, cls) == ("sink", arc.landing_class)
+                checked += 1
+        assert checked >= 4
+
+    # Along the tilted upright torus, the two boundaries that the lower
+    # saddle's stable separatrices make close in on the upper saddle's
+    # boundary, within about 1e-5 |t| rad, as t -> 0; at t = 0 the upper
+    # saddle's unstable separatrix runs into the lower saddle.
+    def test_a_saddle_connection_fails_loudly(self):
+        with pytest.raises(MorseSmaleViolationError, match="saddle connection"):
+            build_flow_category(tilted_upright_torus(0))
+
+    @pytest.mark.parametrize("t", ["1/10", "-1/10", "1/100", "-1/100", "1/1000"])
+    def test_a_build_near_a_saddle_connection(self, t):
+        f = tilted_upright_torus(Fraction(t))
+        ring = CoefficientRing.integers()
+        built = [build_flow_category(f, NumericalConfig(step_tol=tol)) for tol in (1e-8, 1e-12)]
+        for cat, orientation in built:
+            assert check_orientation_coherence(cat, orientation).passed
+            groups = all_homology(floer_complex(cat, orientation).complex, ring)
+            assert [str(g) for g in groups] == ["Z", "Z^2", "Z"]
+        (cat, orientation), (tight, tight_orientation) = built
+        assert tight.to_json(tight_orientation) == cat.to_json(orientation)
 
 
 class TestThreeTorus:
@@ -917,7 +970,9 @@ class TestShots:
     def spoil_backward_run(monkeypatch, spoil):
         """Let `spoil(analysis, outcomes)` rewrite the outcomes of the backward lanes.
 
-        On T^2 they are the lanes of sense -1, which lead the separatrix run.
+        On T^2 they are the lanes of sense -1, which lead the separatrix run;
+        the saddles' forward lanes follow, one per backward lane, and then
+        the circle samples.
         """
         land = _Analysis.land_lanes
 
@@ -925,7 +980,8 @@ class TestShots:
             out = land(self, seeds, record, trap, senses)
             if senses is not None:
                 backward = senses.count(-1.0)
-                assert senses == [-1.0] * backward + [1.0] * backward
+                assert senses == [-1.0] * backward + [1.0] * (len(senses) - backward)
+                assert len(senses) - backward > backward
                 head = out[:backward]
                 spoil(self, head)
                 out[:backward] = head
@@ -952,23 +1008,27 @@ class TestShots:
             with pytest.raises(MorseSmaleViolationError, match="rests at p1.0, .*saddle connection"):
                 flow_lines(f)
 
-    def test_a_check_lane_at_the_saddle_fails_loudly(self, monkeypatch):
-        # The lanes just beside a boundary pass its saddle; one that rests
-        # there is a near-tie.
-        clean = _Analysis(lane_functions()[1], NumericalConfig())
-        top = clean.points[0]
-        boundaries, _ = clean.partition(top)
-        classify = _Analysis._classify_angles
+    @pytest.mark.parametrize("spoil", ["offset", "target"])
+    def test_a_spoiled_saddle_flow_splits_an_arcs_end_classes(self, monkeypatch, spoil):
+        # Each arc's class is read off the saddle flows at both of its ends;
+        # a saddle flow with another lattice offset or target gives the two
+        # ends different classes, as a missed boundary would.
+        separatrices = _Analysis._separatrices
 
-        def resting(self, a, thetas):
-            out = classify(self, a, thetas)
-            assert len(thetas) == self.cfg.circle_samples + 2 * len(boundaries)
-            return out[:-1] + [("saddle", None, boundaries[-1].saddle)]
+        def spoiled(self, *args):
+            shots, flows, samples = separatrices(self, *args)
+            fl = flows[0]
+            if spoil == "offset":
+                fl = replace(fl, lattice_offset=(fl.lattice_offset[0] + 1,) + fl.lattice_offset[1:])
+            else:
+                fl = replace(fl, target=next(p.id for p in self.points if p.index == 1))
+            return shots, [fl] + flows[1:], samples
 
-        monkeypatch.setattr(_Analysis, "_classify_angles", resting)
-        analysis = _Analysis(lane_functions()[1], NumericalConfig(), clean.points)
-        with pytest.raises(MorseSmaleViolationError, match=r"rest at p1\.\d and \(.*near-tie"):
-            analysis.partition(top)
+        monkeypatch.setattr(_Analysis, "_separatrices", spoiled)
+        for f in lane_functions():
+            analysis = _Analysis(f, NumericalConfig())
+            with pytest.raises(MorseSmaleViolationError, match=r"rest at \(.*near-tie"):
+                analysis.partition(analysis.points[0])
 
 
 def minus(analysis: _Analysis) -> _Analysis:
@@ -1022,22 +1082,37 @@ class TestSenses:
         assert {got.point.index for got in backward} <= {1, 2}
 
     def test_a_run_of_mixed_senses_keeps_each_lanes_bits(self):
+        # Backward recorded lanes, forward recorded lanes, forward trapping
+        # lanes and forward plain lanes share one run, interleaved; each
+        # keeps the bits it has alone, in a run of its own kind.
         analysis = _Analysis(perturbed_torus(perturbed_torus_seeds(1)[0]), NumericalConfig())
         back_seeds = self.backward_departures(analysis)
         seeds = departures(analysis, 2) + departures(analysis, 1)
-        lanes = [(s, -1.0) for s in back_seeds] + [(s, 1.0) for s in seeds]
+        lanes = (
+            [(s, -1.0, True, False) for s in back_seeds]
+            + [(s, 1.0, True, False) for s in seeds]
+            + [(s, 1.0, False, True) for s in departures(analysis, 2)]
+            + [(s, 1.0, False, False) for s in departures(analysis, 1)]
+        )
 
         def run(batch):
-            return analysis.land_lanes(
-                [s for s, _ in batch], record=True, senses=[sense for _, sense in batch]
-            )
+            seeds, senses, records, traps = (list(column) for column in zip(*batch))
+            return analysis.land_lanes(seeds, record=records, trap=traps, senses=senses)
 
         alone = [lane_bits(run([lane])[0]) for lane in lanes]
         mixed = lanes[::2] + lanes[1::2]
         order = list(range(len(lanes)))[::2] + list(range(len(lanes)))[1::2]
         assert [lane_bits(got) for got in run(mixed)] == [alone[k] for k in order]
+        first = len(back_seeds)
         forward = analysis.land_lanes(seeds, record=True)
-        assert list(map(lane_bits, forward)) == alone[len(back_seeds) :]
+        assert list(map(lane_bits, forward)) == alone[first : first + len(seeds)]
+        first += len(seeds)
+        trapping = analysis.land_lanes(departures(analysis, 2), trap=True)
+        assert list(map(lane_bits, trapping)) == alone[first : first + len(trapping)]
+        assert any(
+            torus_distance(got.state, got.point.position) > analysis.cfg.landing_radius
+            for got in trapping
+        )
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
     def test_a_saddles_stable_frame_is_its_unstable_frame_of_minus_f(self, reverse):
@@ -1113,31 +1188,35 @@ class TestTrapping:
     @pytest.mark.parametrize("samples", [NumericalConfig().circle_samples, 3, 5])
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_trapping_never_changes_a_class(self, monkeypatch, f, samples):
-        # Every angle the partitions classify gets the class and offset, or
-        # the error, that a lane running on to `landing_radius` gets.
-        classify = _Analysis._classify_angles
-        seen: dict[str, list] = {}
+        # Every lane that may trap, the circle samples in the separatrix run
+        # and any arc midpoints, gets the rest point and offset, or the
+        # error, that a lane running on to `landing_radius` gets.
+        land = _Analysis.land_lanes
+        seen = []
 
-        def recording_classify(self, a, thetas):
-            out = classify(self, a, thetas)
-            seen.setdefault(a.id, []).extend(zip(thetas, out))
+        def recording_land(self, seeds, record=False, trap=False, senses=None):
+            out = land(self, seeds, record, trap, senses)
+            traps = np.broadcast_to(trap, len(seeds))
+            seen.extend((seed, got) for seed, got, t in zip(seeds, out, traps) if t)
             return out
 
-        monkeypatch.setattr(_Analysis, "_classify_angles", recording_classify)
+        monkeypatch.setattr(_Analysis, "land_lanes", recording_land)
         analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
         maxima = [a for a in analysis.points if a.index == 2]
         for a in maxima:
             analysis.partition(a)
-        trapped = 0
-        for a in maxima:
-            thetas = [th for th, _ in seen[a.id]]
-            full = full_landing_classes(analysis, a, thetas)
-            assert [comparable(got) for _, got in seen[a.id]] == list(map(comparable, full))
-            seeds = [analysis.seed(a, analysis.direction_at(a, th)) for th in thetas]
-            trapped += sum(
-                torus_distance(got.state, got.point.position) > analysis.cfg.landing_radius
-                for got in analysis.land_lanes(seeds, trap=True)
-            )
+        assert len(seen) >= samples * len(maxima)
+        seeds = [seed for seed, _ in seen]
+        full = analysis.land_lanes(seeds)
+
+        def rest(got):
+            return comparable(got) if isinstance(got, Exception) else (got.point, got.offset)
+
+        assert [rest(got) for _, got in seen] == list(map(rest, full))
+        trapped = sum(
+            torus_distance(got.state, got.point.position) > analysis.cfg.landing_radius
+            for _, got in seen
+        )
         assert trapped > 0
 
     @pytest.mark.parametrize(

@@ -3,14 +3,18 @@
 For the torus and `perturbed_torus(0..N-1)` (N = 25 by default) it builds
 the flow category and prints, per build:
 
-- runs: classification runs, the calls of `_Analysis._classify_angles`;
-- check: the lanes of those runs, the check runs of `partition`: the
-  circle samples and the lanes beside each boundary;
+- runs: the partition's own lane runs, the calls of
+  `_Analysis._classify_angles` (the check runs of a tree whose circle
+  samples run apart from the separatrices, the midpoint runs of one whose
+  samples ride in the separatrix run);
+- check: the lanes that may trap, those whose landing class alone is read,
+  wherever they run: the circle samples, and the lanes beside each
+  boundary or the arc midpoints that check the partition;
 - iters: lane iterations, the calls of `_dp_step`, one per iteration of
   every `land_lanes` run, recorded runs included;
 - lane-steps: the rows of those calls, lanes summed over iterations;
-- lane-runs: the calls of `_Analysis.land_lanes`, classification, check
-  and separatrix runs alike;
+- lane-runs: the calls of `_Analysis.land_lanes`, check, midpoint and
+  separatrix runs alike;
 - shots: the `_dp_step` calls made inside `_Analysis._separatrices`, the
   recorded run of all four separatrices of every saddle (the stable ones
   backward) and the halving of the backward lanes' last steps, which give
@@ -39,6 +43,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 
+import numpy as np
+
 from morseflow import MorseflowError, bank, morse
 from morseflow.morse import NumericalConfig, _Analysis, _Compiled, build_flow_category
 
@@ -60,7 +66,6 @@ def counting(tally: dict):
 
     def counted_classify(self, a, thetas):
         tally["runs"] += 1
-        tally["check"] += len(thetas)
         return classify(self, a, thetas)
 
     def counted_shots(self, *args, **kwargs):
@@ -70,11 +75,12 @@ def counting(tally: dict):
         finally:
             shooting[0] -= 1
 
-    def counted_land(self, *args, **kwargs):
+    def counted_land(self, seeds, record=False, trap=False, senses=None):
         tally["lane-runs"] += 1
+        tally["check"] += int(np.broadcast_to(trap, len(seeds)).sum())
         stepping[0] += 1
         try:
-            return land(self, *args, **kwargs)
+            return land(self, seeds, record, trap, senses)
         finally:
             stepping[0] -= 1
 

@@ -81,7 +81,12 @@ class NotMorseError(ValidationFailure):
 
 
 class EulerMismatchError(ValidationFailure):
-    """Signed critical point counts are inconsistent with the torus."""
+    """The critical point list is incomplete or inconsistent with the torus.
+
+    Raised when the certificate cannot show that every critical point lies
+    near a listed one, when two listed points share a ball that holds at
+    most one, or when the signed counts fail to cancel.
+    """
 
 
 class MorseSmaleViolationError(ValidationFailure):

@@ -2,7 +2,9 @@
 
 Functions are exact trigonometric polynomials with rational coefficients on
 T^n, n <= 3.  Critical points come from damped Newton iteration on the
-gradient over a seed grid; connecting orbits from adaptive Dormand–Prince
+gradient, seeded only from the cells of a grid that closed-form bounds on
+the derivatives cannot exclude, and the same bounds certify that the list
+misses none; connecting orbits from adaptive Dormand–Prince
 5(4) integration of the negative gradient flow, each rigid flow integrated
 once; signs in closed form from the departure geometry; and one-parameter
 families on the two-torus from a partition of the departure circle of an
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -440,20 +443,48 @@ def _dedupe(pts: np.ndarray, gnorms: np.ndarray, radius: float) -> list[int]:
     return reps
 
 
+def _derivative_bounds(comp: _Compiled) -> tuple[float, float]:
+    """Bounds M2 on the norm of Hess f and M3 on its third derivative, over the whole torus.
+
+    A term c cos(2 pi k.x) + s sin(2 pi k.x) has second derivative
+    -(2 pi)^2 (k k^T)(c cos + s sin), of norm at most |(c, s)| (2 pi |k|)^2,
+    and a third derivative that takes any three unit vectors to at most
+    (|c| + |s|) (2 pi |k|)^3, so Hess f moves by at most M3 |x - y| from y
+    to x; M2 and M3 sum these over the terms.
+    """
+    wave = TWO_PI * np.linalg.norm(comp.freqs, axis=1)
+    m2 = float((np.hypot(comp.cos, comp.sin) * wave**2).sum())
+    m3 = float(((np.abs(comp.cos) + np.abs(comp.sin)) * wave**3).sum())
+    return m2, m3
+
+
 def find_critical_points(
     f: TrigPolynomial, cfg: NumericalConfig = NumericalConfig()
 ) -> list[CriticalPoint]:
-    """Locate all critical points via Newton iteration from a uniform seed grid.
+    """Locate all critical points, and certify that none is missing.
+
+    The grid of `grid_resolution`^n points k / res cuts the torus into
+    cubes, one around each point.  A cube whose centre gradient exceeds
+    what the Hessian bound M2 lets the gradient change across it holds no
+    critical point, so damped Newton iteration runs only from the centres
+    of the other cubes, the live cells.  The certificate then covers every
+    live cell by the ball of a found point p of radius mu_p / M3, mu_p its
+    smallest |Hessian eigenvalue|, which holds no other critical point;
+    cells that neither test settles are split (`_certify`).
 
     Raises NotMorseError when a converged point has a near-singular second
-    derivative and EulerMismatchError when signed counts fail to cancel
-    (a symptom of missed points; raise the grid resolution).
+    derivative, and EulerMismatchError when the list is not certified
+    complete or signed counts fail to cancel (a symptom of missed points;
+    raise the grid resolution).
     """
     comp = _compiled(f)
     n = f.dimension
     res = cfg.grid_resolution
     axes = [np.arange(res) / res] * n
-    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    m2, m3 = _derivative_bounds(comp)
+    cells = grid[_live(comp.grad_batch(grid), _half_diagonal(n, 0.5 / res), m2)]
+    x = cells.copy()
     active = np.ones(len(x), dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         g = comp.grad_batch(x)
@@ -496,6 +527,7 @@ def find_critical_points(
             )
         enriched.append((pt, value, int(np.sum(e < 0.0)), tuple(e.tolist())))
 
+    _certify(comp, cells, 0.5 / res, xs, np.abs(eigs).min(axis=1), m2, m3)
     euler = sum((-1) ** e[2] for e in enriched)
     if euler != 0:
         raise EulerMismatchError(
@@ -510,6 +542,110 @@ def find_critical_points(
         k = counters.get(index, 0)
         counters[index] = k + 1
         out.append(CriticalPoint(f"p{index}.{k}", pt, val, index, eigs))
+    return out
+
+
+# The certificate of the critical-point search (the exclusion and inclusion
+# tests of interval Newton methods: Moore, Kearfott & Cloud, Introduction to
+# Interval Analysis, 2009, ch. 8; Tucker, Validated Numerics, 2011).  The
+# half-diagonal sqrt(n) w of a cube of half-width w is inflated by
+# `_CELL_INFLATION`, far above the rounding of its centre (k / res, or a
+# split's centre, each within a few 2^-53 of its exact value per coordinate)
+# and of a distance or radius below 1, so the cubes of the computed centres
+# still cover the torus and the covering test errs on the safe side.
+# `_ROUNDING_SLACK` M2, some 4.5e6 ulps of M2, bounds the rounding of a
+# computed gradient and of a computed Hessian eigenvalue: the phase 2 pi k.x
+# is within a few ulps of 2 pi |k| sqrt(n), so a term of the gradient errs by
+# a few ulps of sqrt(n) (2 pi |k|)^2 |(c, s)| and one of the Hessian by a few
+# ulps of sqrt(n) (2 pi |k|)^3 |(c, s)|, which stays below the slack while
+# the number of terms times 2 pi max |k| stays below about 1e6.  A cube is
+# split at most `_CERT_DEPTH` times (the example bank needs at most 3 at
+# `grid_resolution` 24 or 32), and at most `_CERT_CELLS` cubes are examined
+# at one depth, so a grid far too coarse for the function's frequencies
+# raises instead of splitting on.
+_CELL_INFLATION = 1e-12
+_ROUNDING_SLACK = 1e-9
+_CERT_DEPTH = 5
+_CERT_CELLS = 1 << 16
+
+
+def _half_diagonal(n: int, half: float) -> float:
+    """The half-diagonal of a cube of half-width `half` in n dimensions, inflated."""
+    return math.sqrt(n) * half + _CELL_INFLATION
+
+
+def _live(g: np.ndarray, rho: float, m2: float) -> np.ndarray:
+    """Which cubes of half-diagonal `rho`, with gradients `g` at their centres, may hold a critical point.
+
+    Across such a cube the gradient moves by at most M2 rho from its
+    centre value, so a cube with |grad f| > M2 rho there holds none.
+    """
+    return np.linalg.norm(g, axis=1) <= m2 * rho + _ROUNDING_SLACK * m2
+
+
+def _certify(
+    comp: _Compiled,
+    cells: np.ndarray,
+    half: float,
+    xs: np.ndarray,
+    mu: np.ndarray,
+    m2: float,
+    m3: float,
+) -> None:
+    """Check that every critical point lies in the ball of a found point that holds no other.
+
+    `cells` are the centres of the live cubes of half-width `half`, the
+    others being excluded already (`_live`); `xs` are the found points and
+    `mu` their smallest |Hessian eigenvalues|.  On the open ball B(p, r_p),
+    r_p = (mu_p - slack) / M3, Hess f differs from Hess f(p) by less than
+    the true mu_p in norm, so grad f is injective there and the ball holds
+    at most one critical point; two found points in one ball raise.  A
+    cube inside some ball is covered; a cube neither covered nor excluded
+    is split into 2^n cubes of half the width.  If one is left after
+    `_CERT_DEPTH` splits, a critical point may be missing, and
+    EulerMismatchError names the cube.  So every critical point lies in
+    the ball of a found point, and each ball holds at most one: there are
+    no more critical points than found ones.
+    """
+    n = comp.n
+    radii = (mu - _ROUNDING_SLACK * m2) / m3
+    dists = _wrap(xs[:, None] - xs)[1]
+    np.fill_diagonal(dists, np.inf)
+    shared = np.argwhere(dists < radii[:, None])
+    if len(shared):
+        i, j = shared[0]
+        raise EulerMismatchError(
+            f"found points {tuple(xs[i].tolist())} and {tuple(xs[j].tolist())} lie "
+            "in one ball that holds at most one critical point"
+        )
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=n)))
+    for depth in range(_CERT_DEPTH + 1):
+        rho = _half_diagonal(n, half)
+        if depth:
+            cells = cells[_live(comp.grad_batch(cells), rho, m2)]
+        cells = cells[~_covered(cells, rho, xs, radii)]
+        if not len(cells):
+            return
+        if depth == _CERT_DEPTH or len(cells) << n > _CERT_CELLS:
+            centre = tuple(round(v % 1.0, 9) for v in cells[0].tolist())
+            raise EulerMismatchError(
+                f"no certificate for the cube of half-width {half:.3g} at {centre}: "
+                "a critical point may be missing; raise grid_resolution"
+            )
+        cells = (cells[:, None] + half * corners).reshape(-1, n)
+        half = 0.5 * half
+
+
+def _covered(cells: np.ndarray, rho: float, xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Which balls B(cell, rho) lie inside the ball B(x, r) of some found point.
+
+    The cells go in chunks of about 2^20 distances, so a long list of
+    points never takes one array of every cell against every point.
+    """
+    out = np.zeros(len(cells), dtype=bool)
+    step = max(1, (1 << 20) // max(1, len(xs)))
+    for i in range(0, len(cells), step):
+        out[i : i + step] = (_wrap(cells[i : i + step, None] - xs)[1] + rho < radii).any(axis=1)
     return out
 
 
@@ -617,8 +753,7 @@ class _Analysis:
         # nearest lift of c is the one the flow rests at.  A point that is
         # no sink gets a negative radius and no region.
         comp = self.comp
-        wave = TWO_PI * np.linalg.norm(comp.freqs, axis=1)
-        m = float(((np.abs(comp.cos) + np.abs(comp.sin)) * wave**3).sum())
+        m = _derivative_bounds(comp)[1]
         w, q = np.linalg.eigh(comp.hess_batch(self.centres))
         lam = w[:, 0]
         reach = lam / m

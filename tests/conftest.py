@@ -8,8 +8,9 @@ scalar, one-trajectory-at-a-time flow integrator, signs read from frames
 that integrator carries along each rigid flow, a recursive bisection of the
 departure circle that classifies one midpoint at a time by a lane that runs
 until it lands, and a probe that follows one trajectory past a family's
-broken end to see which way it leaves the saddle.  The library is then
-required to agree with them.
+broken end to see which way it leaves the saddle, and the critical-point
+search that runs Newton from every grid seed with no exclusion or
+certificate.  The library is then required to agree with them.
 """
 
 from __future__ import annotations
@@ -25,13 +26,20 @@ import pytest
 
 from morseflow import (
     ChainComplexData,
+    CriticalPoint,
     FilteredRealization,
     IntegerMatrix,
     TrigPolynomial,
     TrigTerm,
 )
 from morseflow.errors import IntegrationFailureError, MorseSmaleViolationError
-from morseflow.morse import _compiled
+from morseflow.morse import (
+    _DEDUPE_RADIUS,
+    _GRAD_TOL,
+    _NEWTON_MAX_ITER,
+    _compiled,
+    _dedupe,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -329,6 +337,64 @@ def tampered_copy(x: FilteredRealization, rng: random.Random) -> FilteredRealiza
     comps = dict(x.components)
     comps[(p, p - 1)] = IntegerMatrix(rows, cols=mat.shape[1])
     return FilteredRealization(x.complex, x.ring, comps)
+
+
+# -- all-seeds critical point oracle ----------------------------------------
+
+
+def all_seeds_critical_points(f, cfg) -> list[CriticalPoint]:
+    """Critical points by damped Newton iteration from every point of the seed grid.
+
+    The search as it was before the exclusion pass and the certificate:
+    no seed is skipped, and nothing but the nondegeneracy check and the
+    Euler count stands behind the list, which this oracle asserts.
+    """
+    comp = _compiled(f)
+    n = f.dimension
+    res = cfg.grid_resolution
+    axes = [np.arange(res) / res] * n
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(_NEWTON_MAX_ITER):
+        g = comp.grad_batch(x)
+        gnorm = np.linalg.norm(g, axis=1)
+        work = active & (gnorm > cfg.newton_tol)
+        if not work.any():
+            break
+        h = comp.hess_batch(x[work])
+        ok = np.abs(np.linalg.det(h)) > 1e-300
+        idx = np.flatnonzero(work)
+        active[idx[~ok]] = False
+        if not ok.any():
+            break
+        step = np.linalg.solve(h[ok], g[work][ok][..., None])[..., 0]
+        norms = np.linalg.norm(step, axis=1)
+        big = norms > 0.25
+        if big.any():
+            step[big] *= (0.25 / norms[big])[:, None]
+        x[idx[ok]] -= step
+        x[idx[ok]] %= 1.0
+    gnorm = np.linalg.norm(comp.grad_batch(x), axis=1)
+    keep = active & (gnorm <= _GRAD_TOL)
+    pts, gnorms = np.mod(x[keep], 1.0), gnorm[keep]
+    order = np.lexsort((gnorms, *pts.T[::-1]))
+    pts, gnorms = pts[order], gnorms[order]
+    xs = pts[_dedupe(pts, gnorms, _DEDUPE_RADIUS)]
+    eigs = np.linalg.eigvalsh(comp.hess_batch(xs))
+    values = comp.value_grad_batch(xs)[0]
+    found = [
+        (pt, value, int(np.sum(e < 0.0)), tuple(e.tolist()))
+        for pt, value, e in zip(map(tuple, xs.tolist()), values.tolist(), eigs)
+    ]
+    assert sum((-1) ** index for _, _, index, _ in found) == 0
+    found.sort(key=lambda e: (-e[2], tuple(round(v, 9) for v in e[0])))
+    counters: dict[int, int] = {}
+    out = []
+    for pt, value, index, e in found:
+        k = counters.get(index, 0)
+        counters[index] = k + 1
+        out.append(CriticalPoint(f"p{index}.{k}", pt, value, index, e))
+    return out
 
 
 # -- scalar flow oracle -----------------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (
+    all_seeds_critical_points,
     backward_sign,
     bisect_one_at_a_time,
     forward_sign,
@@ -35,6 +36,7 @@ from morseflow import (
     floer_complex,
     flow_lines,
     moduli_family,
+    morse,
     torus_distance,
     trajectories_svg,
     trajectory_csv,
@@ -48,6 +50,7 @@ from morseflow.bank import (
     torus_function,
 )
 from morseflow.errors import (
+    EulerMismatchError,
     InputError,
     IntegrationFailureError,
     MorseSmaleViolationError,
@@ -58,6 +61,7 @@ from morseflow.morse import (
     _Analysis,
     _compiled,
     _dedupe,
+    _derivative_bounds,
     _dp_step,
     _Landing,
     _orientation,
@@ -363,6 +367,94 @@ class TestCriticalPoints:
     def test_ids_are_stable(self):
         pts = find_critical_points(torus_function())
         assert [p.id for p in pts] == ["p2.0", "p1.0", "p1.1", "p0.0"]
+
+
+# Every function of the example bank that the critical-point search serves.
+SEARCH_BANK = {
+    "circle": circle_function(),
+    "torus": torus_function(),
+    **{f"perturbed-{s}": perturbed_torus(s) for s in range(25)},
+    "three-torus": three_torus_function(),
+    **{f"tilted-{t}": tilted_upright_torus(Fraction(t)) for t in ("1/10", "-1/10", "1/100")},
+}
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("res", [24, 32])
+    def test_live_seeds_find_what_every_seed_finds(self, res):
+        # Newton from the live cells alone finds the points that Newton from
+        # every grid seed finds: the same ids and indices, and positions that
+        # differ at most in the last bits, where dedupe keeps another seed's
+        # convergent.
+        cfg = NumericalConfig(grid_resolution=res)
+        for name, f in SEARCH_BANK.items():
+            got, want = find_critical_points(f, cfg), all_seeds_critical_points(f, cfg)
+            assert [(p.id, p.index) for p in got] == [(p.id, p.index) for p in want], name
+            for p, q in zip(got, want):
+                assert np.abs(_wrap(np.subtract(p.position, q.position))[0]).max() <= 2.2e-16
+
+    @pytest.mark.parametrize("name", list(SEARCH_BANK))
+    def test_dropping_any_point_fails_the_certificate(self, monkeypatch, name):
+        f = SEARCH_BANK[name]
+        count = len(find_critical_points(f))
+        for drop in range(count):
+
+            def dropping(pts, gnorms, radius, drop=drop):
+                reps = _dedupe(pts, gnorms, radius)
+                assert len(reps) == count
+                return reps[:drop] + reps[drop + 1 :]
+
+            monkeypatch.setattr(morse, "_dedupe", dropping)
+            with pytest.raises(EulerMismatchError, match="no certificate for the cube"):
+                find_critical_points(f)
+
+    def test_a_degenerate_point_raises_before_the_certificate(self, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("the certificate ran before the nondegeneracy check")
+
+        monkeypatch.setattr(morse, "_certify", unreached)
+        with pytest.raises(NotMorseError):
+            find_critical_points(degenerate_function())
+
+    def test_two_found_points_in_one_ball_fail_loudly(self, monkeypatch):
+        # Without dedupe, several seeds' convergents of one point are listed.
+        monkeypatch.setattr(morse, "_dedupe", lambda pts, gnorms, radius: list(range(len(pts))))
+        with pytest.raises(EulerMismatchError, match="in one ball"):
+            find_critical_points(torus_function())
+
+    def test_a_grid_too_coarse_for_the_frequencies_is_caught(self):
+        # f has 1,600 critical points, and Newton from 64 seeds finds at most
+        # 64 of them, in equal numbers of each parity, so the Euler count
+        # alone lets the list pass.
+        f = TrigPolynomial(2, (TrigTerm((20, 0), Fraction(1)), TrigTerm((0, 20), Fraction(1))))
+        cfg = NumericalConfig(grid_resolution=8)
+        with pytest.raises(EulerMismatchError, match="no certificate for the cube"):
+            find_critical_points(f, cfg)
+
+    @pytest.mark.parametrize("name", ["torus", "perturbed-0", "perturbed-1", "three-torus"])
+    def test_derivative_bounds_hold(self, name):
+        f = SEARCH_BANK[name]
+        m2, m3 = _derivative_bounds(_compiled(f))
+        assert m3 == third_derivative_bound(f)
+        rng = np.random.default_rng(5)
+        x = rng.random((200, f.dimension))
+        hess = _compiled(f).hess_batch(x)
+        assert np.linalg.norm(hess, ord=2, axis=(1, 2)).max() <= m2
+        # The third derivative along unit vectors u, by central differences
+        # of u^T Hess f u.
+        u = rng.normal(size=(200, f.dimension))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        eps = 1e-4
+        quad = [
+            np.einsum("pi,pij,pj->p", u, _compiled(f).hess_batch(x + s * eps * u), u)
+            for s in (1, -1)
+        ]
+        assert (np.abs(quad[0] - quad[1]) / (2 * eps)).max() <= m3
+
+    def test_the_acceptance_seeds_are_pinned(self):
+        # Acceptance 3 and the benchmark's torus builds take their
+        # perturbations from this list, which the search filters.
+        assert perturbed_torus_seeds(25) == list(range(25))
 
 
 class TestFlowLines:

@@ -1,4 +1,4 @@
-"""Count the lane work of the departure-circle partitions, build by build.
+"""Count the lane work of the departure-circle partitions and the critical-point search.
 
 For the torus and `perturbed_torus(0..N-1)` (N = 25 by default) it builds
 the flow category and prints, per build:
@@ -27,6 +27,21 @@ the flow category and prints, per build:
 - hess-rows: the rows passed to `_Compiled.hess_batch` there, the
   Hessians that carrying a frame along a lane would take.
 
+A second table counts the critical-point search of each build, and of the
+cosine sum on T^3, from the evaluator calls made inside
+`find_critical_points`:
+
+- grid: the rows of the search's first gradient call, the seed grid;
+- seeds: the rows the Newton loop starts from, those of the gradient call
+  before the first Hessian call (the live cells, or the whole grid on a
+  tree that seeds Newton from every grid point);
+- newton-iters and newton-rows: the Hessian calls of the Newton loop and
+  their rows, every Hessian call but the last, which gives the
+  eigenvalues of the found points;
+- cells: the cells the certificate examines at each depth, the live cells
+  it starts from and then the rows of each of its gradient calls, joined
+  by `/`; `-` on a tree with no `morse._certify`.
+
 It wraps those names from outside, so the same script measures any tree
 that has them:
 
@@ -46,14 +61,27 @@ import contextlib
 import numpy as np
 
 from morseflow import MorseflowError, bank, morse
-from morseflow.morse import NumericalConfig, _Analysis, _Compiled, build_flow_category
+from morseflow.morse import (
+    NumericalConfig,
+    TrigPolynomial,
+    TrigTerm,
+    _Analysis,
+    _Compiled,
+    build_flow_category,
+)
 
 
 @contextlib.contextmanager
-def counting(tally: dict):
-    """Count runs, check lanes, iterations, lane-steps, lane runs, shot iterations and rows."""
+def counting(tally: dict, search: list):
+    """Count runs, check lanes, iterations, lane-steps, lane runs, shot iterations and rows.
+
+    The evaluator calls made inside the critical-point search are appended
+    to `search` as (column, rows), with column "cells" inside the
+    certificate.
+    """
     classify, step, land = _Analysis._classify_angles, morse._dp_step, _Analysis.land_lanes
-    shots = _Analysis._separatrices
+    shots, find = _Analysis._separatrices, morse.find_critical_points
+    certify = getattr(morse, "_certify", None)
     evaluators = {
         name: (getattr(_Compiled, name), column)
         for name, column in (
@@ -62,7 +90,7 @@ def counting(tally: dict):
             ("hess_batch", "hess-rows"),
         )
     }
-    shooting, stepping = [0], [0]
+    shooting, stepping, finding, certifying = [0], [0], [False], [False]
 
     def counted_classify(self, a, thetas):
         tally["runs"] += 1
@@ -94,10 +122,27 @@ def counting(tally: dict):
         finally:
             stepping[0] -= 1
 
+    def counted_find(*args, **kwargs):
+        finding[0] = True
+        try:
+            return find(*args, **kwargs)
+        finally:
+            finding[0] = False
+
+    def counted_certify(comp, cells, *args):
+        search.append(("cells", len(cells)))
+        certifying[0] = True
+        try:
+            return certify(comp, cells, *args)
+        finally:
+            certifying[0] = False
+
     def rows_counted(evaluate, column):
         def counted(comp, x):
             if stepping[0]:
                 tally[column] += len(x)
+            if finding[0]:
+                search.append(("cells" if certifying[0] else column, len(x)))
             return evaluate(comp, x)
 
         return counted
@@ -106,6 +151,9 @@ def counting(tally: dict):
     morse._dp_step = counted_step
     _Analysis.land_lanes = counted_land
     _Analysis._separatrices = counted_shots
+    morse.find_critical_points = counted_find
+    if certify is not None:
+        morse._certify = counted_certify
     for name, (evaluate, column) in evaluators.items():
         setattr(_Compiled, name, rows_counted(evaluate, column))
     try:
@@ -115,6 +163,9 @@ def counting(tally: dict):
         morse._dp_step = step
         _Analysis.land_lanes = land
         _Analysis._separatrices = shots
+        morse.find_critical_points = find
+        if certify is not None:
+            morse._certify = certify
         for name, (evaluate, _) in evaluators.items():
             setattr(_Compiled, name, evaluate)
 
@@ -122,6 +173,26 @@ def counting(tally: dict):
 COLUMNS = (
     "runs", "check", "iters", "lane-steps", "lane-runs", "shots", "grad-rows", "hess-rows"
 )
+SEARCH_COLUMNS = ("grid", "seeds", "newton-iters", "newton-rows", "cells")
+
+
+def search_counts(search: list) -> dict:
+    """The search columns from the (column, rows) log of one search."""
+    hess = [i for i, (column, _) in enumerate(search) if column == "hess-rows"]
+    cells = [str(rows) for column, rows in search if column == "cells"]
+    return {
+        "grid": search[0][1],
+        "seeds": next(r for c, r in reversed(search[: hess[0]]) if c == "grad-rows"),
+        "newton-iters": len(hess) - 1,
+        "newton-rows": sum(search[i][1] for i in hess[:-1]),
+        "cells": "/".join(cells) or "-",
+    }
+
+
+def three_torus_cosine_sum() -> TrigPolynomial:
+    """cos 2 pi x + cos 2 pi y + cos 2 pi z, with eight critical points."""
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return TrigPolynomial(3, tuple(TrigTerm(k, 1) for k in axes))
 
 
 def main(argv=None) -> None:
@@ -135,8 +206,10 @@ def main(argv=None) -> None:
     ]
     print(f"{'function':<20}" + "".join(f"{c:>12}" for c in COLUMNS))
     total = dict.fromkeys(COLUMNS, 0)
+    searches = []
     for name, f in functions:
-        with counting(dict.fromkeys(COLUMNS, 0)) as tally:
+        search: list = []
+        with counting(dict.fromkeys(COLUMNS, 0), search) as tally:
             try:
                 build_flow_category(f, cfg)
             except MorseflowError as exc:
@@ -144,7 +217,22 @@ def main(argv=None) -> None:
         print(f"{name:<20}" + "".join(f"{tally[c]:>12}" for c in COLUMNS))
         for c in COLUMNS:
             total[c] += tally[c]
+        searches.append((name, search))
     print(f"{'total':<20}" + "".join(f"{total[c]:>12}" for c in COLUMNS))
+
+    search = []
+    with counting(dict.fromkeys(COLUMNS, 0), search):
+        morse.find_critical_points(three_torus_cosine_sum(), cfg)
+    searches.append(("three-torus cosines", search))
+    print()
+    print(f"{'search':<20}" + "".join(f"{c:>14}" for c in SEARCH_COLUMNS))
+    total = dict.fromkeys(SEARCH_COLUMNS[:-1], 0)
+    for name, search in searches:
+        counts = search_counts(search)
+        print(f"{name:<20}" + "".join(f"{counts[c]:>14}" for c in SEARCH_COLUMNS))
+        for c in total:
+            total[c] += counts[c]
+    print(f"{'total':<20}" + "".join(f"{total[c]:>14}" for c in SEARCH_COLUMNS[:-1]))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ for identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -334,7 +335,14 @@ def _cmd_orbits(args, inputs, warnings) -> dict:
 # -- parser and entry point -------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and shared by every later `main` call.
+
+    Parsing reads the parser and never changes it: each call fills a fresh
+    namespace, and errors and help leave by exceptions, so a call's report
+    does not depend on the calls before it.
+    """
     parser = _Parser(prog="morseflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -405,6 +405,14 @@ def matrix_rank(a: IntegerMatrix) -> int:
 # -- coefficient rings ------------------------------------------------------
 
 
+# The largest truncation window of a graded Laurent ring.  A graded answer
+# replicates the integral one in each of the 2w + 1 powers of its window, so
+# its time, memory and report grow linearly in w and carry nothing the
+# integral answer does not: `homology --ring laurent:2:10000` of the torus
+# already writes a 3.6 MB report, and a window of 10^8 would exhaust memory.
+_LAURENT_WINDOW_MAX = 1000
+
+
 class RingKind(Enum):
     INTEGERS = "z"
     MODULAR = "zmod"
@@ -441,6 +449,10 @@ class CoefficientRing:
                 raise InputError("generator degree must be a positive even integer")
             if w is None or w <= 0:
                 raise InputError("truncation window must be a positive integer")
+            if w > _LAURENT_WINDOW_MAX:
+                raise InputError(
+                    f"truncation window {w} is above the ceiling {_LAURENT_WINDOW_MAX}"
+                )
         else:
             if self.modulus is not None or self.generator_degree is not None:
                 raise InputError("unexpected parameters for this ring kind")

@@ -33,12 +33,12 @@ index-2 points.  The sign of a -> s also says along which of s's two
 flows the arcs on either side of the boundary leave s, so each arc's
 landing class is read off the flows at its two ends, which must agree.
 All four separatrices of every saddle, the two unstable ones forward and
-the two stable ones backward, form one recorded run, and the circle
-samples of every index-2 point ride in it, unrecorded, to check the
-partitions; only the midpoints of arcs that no sample checks take a run
-of their own.  On T^3 the stable manifold of a saddle is a surface, which
-no finite set of shots traces, so there only the saddles' flows are
-computed, in one run.  A lane that only classifies an angle stops once it
+the two stable ones backward, form one recorded run, and where
+partitions are read the circle samples of every index-2 point ride in
+it, unrecorded, to check them; only the midpoints of arcs that no sample
+checks take a run of their own.  On T^3 the stable manifold of a saddle
+is a surface, which no finite set of shots traces, so there only the
+saddles' flows are computed, in one run.  A lane that only classifies an angle stops once it
 enters a region around a sink that its flow provably never leaves, so it
 gets the class it would get by running on.
 The batch evaluators give each row the same bits whatever the batch, so no
@@ -472,7 +472,8 @@ def find_critical_points(
     smallest |Hessian eigenvalue|, which holds no other critical point;
     cells that neither test settles are split (`_certify`).
 
-    Raises NotMorseError when a converged point has a near-singular second
+    Raises InputError when the grid would hold more than `_GRID_POINTS_MAX`
+    points, NotMorseError when a converged point has a near-singular second
     derivative, and EulerMismatchError when the list is not certified
     complete or signed counts fail to cancel (a symptom of missed points;
     raise the grid resolution).
@@ -480,6 +481,11 @@ def find_critical_points(
     comp = _compiled(f)
     n = f.dimension
     res = cfg.grid_resolution
+    if res**n > _GRID_POINTS_MAX:
+        raise InputError(
+            f"grid_resolution {res} gives {res}^{n} seed points, above the "
+            f"ceiling {_GRID_POINTS_MAX}"
+        )
     axes = [np.arange(res) / res] * n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     m2, m3 = _derivative_bounds(comp)
@@ -703,7 +709,11 @@ _SHOT_SPREAD = 1e-6
 # The critical-point search: Newton steps from each grid seed at most, the
 # largest gradient norm a candidate may keep, the radius within which two
 # candidates are one point, and the smallest |Hessian eigenvalue| of a
-# nondegenerate point.
+# nondegenerate point.  The seed grid holds at most `_GRID_POINTS_MAX`
+# points (1024 per axis on T^2, 101 on T^3, against the default 32): its
+# gradient pass takes several floats per point and term, so 2^20 points of
+# `perturbed_torus(0)` peak at about 250 MB and 2^22 at about 900 MB.
+_GRID_POINTS_MAX = 1 << 20
 _NEWTON_MAX_ITER = 80
 _GRAD_TOL = 1e-10
 _DEDUPE_RADIUS = 1e-7
@@ -711,13 +721,19 @@ _NONDEG_TOL = 1e-6
 
 
 class _Analysis:
-    """Shared caches for one function + configuration pair."""
+    """Shared caches for one function + configuration pair.
+
+    `samples` says whether the circle samples ride in the separatrix run,
+    for callers that read partitions; without them `partition` classifies
+    its samples in a run of their own, with the same bits.
+    """
 
     def __init__(
         self,
         f: TrigPolynomial,
         cfg: NumericalConfig,
         critical_points: list[CriticalPoint] | None = None,
+        samples: bool = True,
     ):
         self.f = f
         self.cfg = cfg
@@ -780,6 +796,7 @@ class _Analysis:
         self.sample_angles = [k * (TWO_PI / cfg.circle_samples) for k in range(cfg.circle_samples)]
         self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
         self._rigid_flows: list[FlowLine] | None = None
+        self._sampled = samples
         self._samples: dict[str, list] = {}
 
     # integration ----------------------------------------------------------
@@ -930,11 +947,12 @@ class _Analysis:
 
         `find_critical_points` lists points by falling index, so the index-2
         points come first and the saddles after them, all from one run of
-        `_separatrices`, which also classifies the circle samples of every
-        index-2 point for `partition`.  The flows out of the index-2 points
-        are the saddles' stable separatrices, two per saddle by
-        construction, so on T^3, which has index-2 points, InputError is
-        raised.
+        `_separatrices`.  Unless the analysis was made without `samples`,
+        the circle samples of every index-2 point ride in that run, for
+        `partition`; either way the flows have the same bits.  The flows
+        out of the index-2 points are the saddles' stable separatrices, two
+        per saddle by construction, so on T^3, which has index-2 points,
+        InputError is raised.
         """
         if self._rigid_flows is None:
             if self.n == 3:
@@ -963,25 +981,27 @@ class _Analysis:
         is s and these two flows, oriented by w_u, so each flow's sign is its
         side.  With `maxima` (on T^2), lanes of sense -1 ahead of them follow
         s's stable separatrices backward, along w_s and -w_s, w_s =
-        `stable_frames[s.id][:, 0]` (`_shot_flows`), and the departures of
-        each of `maxima` at the `sample_angles` ride after them as forward
-        trapping lanes, unrecorded.  The backward lanes' errors are raised
-        first, in saddle order; then, in departure order, a failed forward
-        flow raises its error, and so does one that rests no lower in index
-        than its source.  The samples raise nothing here: each comes back
-        as its `_landing_class`, which `partition` checks.  Returns the
-        flows out of the index-2 points (none without `maxima`), those out
-        of the saddles, each flow k between the same two points named
-        source>target#k, and the sample classes by point id.
+        `stable_frames[s.id][:, 0]` (`_shot_flows`), and unless the analysis
+        was made without `samples`, the departures of each of `maxima` at
+        the `sample_angles` ride after them as forward trapping lanes,
+        unrecorded.  No lane depends on another, so the flows have the same
+        bits with or without the samples.  The backward lanes' errors are
+        raised first, in saddle order; then, in departure order, a failed
+        forward flow raises its error, and so does one that rests no lower
+        in index than its source.  The samples raise nothing here: each
+        comes back as its `_landing_class`, which `partition` checks.
+        Returns the flows out of the index-2 points (none without
+        `maxima`), those out of the saddles, each flow k between the same
+        two points named source>target#k, and the sample classes by point
+        id (none without samples).
         """
         lanes = [(s, side) for s in saddles for side in (1, -1)]
         seeds = [self.seed(s, side * self.frames[s.id][:, 0]) for s, side in lanes]
         back, circle, senses = [], [], None
         if maxima is not None:
             back = [self.seed(s, side * self.stable_frames[s.id][:, 0]) for s, side in lanes]
-            circle = [
-                self.seed(a, self.direction_at(a, th)) for a in maxima for th in self.sample_angles
-            ]
+            angles = self.sample_angles if self._sampled else []
+            circle = [self.seed(a, self.direction_at(a, th)) for a in maxima for th in angles]
             senses = [-1.0] * len(back) + [1.0] * (len(seeds) + len(circle))
         traps = [False] * (len(back) + len(seeds)) + [True] * len(circle)
         landings = self.land_lanes(
@@ -1011,7 +1031,7 @@ class _Analysis:
         per = len(self.sample_angles)
         samples = {
             a.id: [self._landing_class(a, got) for got in landings[start : start + per]]
-            for a, start in zip(maxima or (), range(split, len(landings), per))
+            for a, start in zip(maxima if circle else (), range(split, len(landings), per))
         }
         return shots, _named(flows), samples
 
@@ -1049,8 +1069,9 @@ class _Analysis:
         boundary i to i + 1, takes the class of its ends, read off the signs
         (`_boundary_ends`); the two must agree.  Integrated lanes check
         them: the departures at the `sample_angles`, which rode in the
-        separatrix run, and one midpoint for each arc that holds no sample
-        clear of every boundary, in one run of their own.  A sample more
+        separatrix run (or, for an analysis made without `samples`, take a
+        run of their own), and one midpoint for each arc that holds no
+        sample clear of every boundary, in one run of their own.  A sample more
         than `_SHOT_SPREAD` from every boundary must rest in its arc's
         class, and one within it at any sink or that boundary's saddle; a
         midpoint must rest in its arc's class.  Else a boundary was missed
@@ -1062,8 +1083,9 @@ class _Analysis:
             raise InputError("circle partition requires an index-2 source on T^2")
         if a.id in self._partitions:
             return self._partitions[a.id]
-        self.rigid_flows()  # the one run, which classifies the samples too
-        samples = [_ok(got) for got in self._samples[a.id]]
+        self.rigid_flows()  # the one run, which classifies the samples too if they rode
+        classes = self._samples.get(a.id) or self._classify_angles(a, self.sample_angles)
+        samples = [_ok(got) for got in classes]
         boundaries = [
             _Boundary(fl.departure_angle, self.by_id[fl.target]) for fl in self.max_flows(a)
         ]
@@ -1260,11 +1282,12 @@ def connecting_orbits(
     """Rigid flows from a to b, for an index gap of one.
 
     Flows out of an index-2 point are computed on T^2 only; elsewhere they
-    raise InputError.
+    raise InputError.  They come from the separatrix run of every saddle,
+    made without the circle samples, since no partition is read.
     """
     if a.index - b.index != 1:
         raise InputError("rigid flows require an index gap of exactly one")
-    analysis = _Analysis(f, cfg, critical_points)
+    analysis = _Analysis(f, cfg, critical_points, samples=False)
     a = _resolve(analysis, a)
     b = _resolve(analysis, b)
     if a.index == 1:
@@ -1352,10 +1375,15 @@ def build_flow_category(
 def flow_lines(
     f: TrigPolynomial, cfg: NumericalConfig = NumericalConfig()
 ) -> list[FlowLine]:
-    """All rigid trajectories of a function on T^1 or T^2, with trajectories recorded."""
+    """All rigid trajectories of a function on T^1 or T^2, with trajectories recorded.
+
+    They come from one separatrix run made without the circle samples,
+    since no partition is read; `build_flow_category` gives the same flows
+    from its run, in which the samples ride.
+    """
     if f.dimension > 2:
         raise InputError("trajectory dumps cover the one- and two-torus")
-    return _Analysis(f, cfg).rigid_flows()
+    return _Analysis(f, cfg, samples=False).rigid_flows()
 
 
 # -- trajectory exports -----------------------------------------------------

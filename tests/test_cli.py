@@ -7,6 +7,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from morseflow import NumericalConfig, bank
-from morseflow.cli import CONFIG_ENV, main
+from morseflow.cli import CONFIG_ENV, _build_parser, main
 from morseflow.morse import _Analysis
 
 
@@ -130,8 +131,10 @@ class TestHomology:
         assert [g["group"] for g in rep["results"]["homology"]] == ["Z", "Z^2", "Z"]
 
     def test_bad_ring_exits_one(self, capsys):
-        code, rep = run(capsys, "homology", "--example", "torus", "--ring", "zz")
-        assert code == 1
+        # A Laurent window above the ceiling is refused before any work.
+        for ring in ("zz", "laurent:2:100000000"):
+            code, rep = run(capsys, "homology", "--example", "torus", "--ring", ring)
+            assert code == 1 and rep["status"] == "input-error"
 
 
 class TestValidate:
@@ -306,6 +309,20 @@ class TestConfig:
         assert code == 0
         assert cfg in rep["inputs"]
 
+    def test_a_huge_seed_grid_is_refused_before_it_is_built(self, capsys, tmp_path):
+        # 10^12 seed points would take terabytes; the search refuses the grid
+        # before it allocates it.
+        cfg = write_json(tmp_path / "cfg.json", {"grid_resolution": 1000000})
+        tracemalloc.start()
+        try:
+            code, rep = run(capsys, "crit", "--example", "torus", "--config", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and rep["status"] == "input-error"
+        assert "ceiling" in rep["results"]["error"]
+        assert peak < 16 << 20
+
     def test_unknown_config_field_exits_one(self, capsys, tmp_path):
         # Two names that were config fields until family ends came from
         # signs, and five that went with the T^3 bisection and with the
@@ -381,6 +398,36 @@ class TestContract:
         code, rep = run(capsys, *argv)
         assert code == 0 and rep["status"] == "ok"
         assert rep["results"]["help"].startswith("usage: morseflow")
+
+    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+        # `main` builds its parser once per process.  Each call below, made
+        # after those before it, prints the report it prints as the first
+        # call on a fresh parser: parsing leaves nothing behind.
+        cfg = write_json(tmp_path / "cfg.json", {"circle_samples": 48})
+        calls = [
+            ["homology", "--example", "circle", "--ring", "w"],
+            ["crit", "--bogus"],
+            ["frobnicate"],
+            ["--help"],
+            ["realize", "--help"],
+            ["crit", "--example", "circle", "--config", cfg],
+            ["crit", "--example", "circle"],
+            ["homology", "--example", "circle", "--ring", "zmod:2"],
+            ["homology", "--example", "circle"],
+        ]
+
+        def call(argv):
+            code = main(list(argv))
+            return code, capsys.readouterr().out
+
+        first = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            first.append(call(argv))
+        _build_parser.cache_clear()
+        again = [call(argv) for argv in calls]
+        assert _build_parser.cache_info().misses == 1
+        assert again == first
 
     def test_report_shape(self, capsys):
         _, rep = run(capsys, "examples")

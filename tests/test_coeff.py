@@ -252,6 +252,16 @@ class TestCoefficientRing:
             with pytest.raises(InputError):
                 CoefficientRing.parse(code)
 
+    def test_laurent_window_has_a_ceiling(self):
+        # The graded answer grows linearly with the window, so a short code
+        # must not ask for an unbounded one.
+        assert CoefficientRing.parse("laurent:2:1000").truncation == 1000
+        for code in ("laurent:2:1001", "laurent:2:100000000"):
+            with pytest.raises(InputError, match="ceiling"):
+                CoefficientRing.parse(code)
+        with pytest.raises(InputError, match="ceiling"):
+            CoefficientRing.laurent(2, 10**400)
+
     @pytest.mark.parametrize("code", [3, None, True, ["z"], {"z": 1}])
     def test_parse_rejects_non_strings(self, code):
         with pytest.raises(InputError):

@@ -530,6 +530,46 @@ class TestFlowLines:
             assert flows[0].lattice_offset != flows[1].lattice_offset
             assert {fl.sign for fl in flows} == {1, -1}
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+    @pytest.mark.parametrize(
+        "f",
+        [circle_function(), torus_function()]
+        + [perturbed_torus(seed) for seed in range(5)]
+        + [tilted_upright_torus(Fraction(1, 10))],
+        ids=["circle", "torus"] + [f"seed{seed}" for seed in range(5)] + ["tilted"],
+    )
+    def test_sample_free_flows_are_the_sampled_run_s(self, monkeypatch, f, reverse):
+        # `flow_lines` and `connecting_orbits` read no partition, so their run
+        # carries the separatrix lanes alone; no lane depends on another, so
+        # every flow, trajectory included, has the bits of the sampled run's.
+        # `repr` tells -0.0 from 0.0 and round-trips every other float.
+        cfg = NumericalConfig(reverse_orientation=reverse)
+        sampled = _Analysis(f, cfg)
+        want = sampled.rigid_flows()
+        land = _Analysis.land_lanes
+        runs = []
+
+        def counting_land(self, seeds, *args, **kwargs):
+            runs.append(len(seeds))
+            return land(self, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
+        assert repr(flow_lines(f, cfg)) == repr(want)
+        saddles = [p for p in sampled.points if p.index == 1]
+        assert runs == [(4 if f.dimension == 2 else 2) * len(saddles)]
+        for a in sampled.points:
+            if a.index != 2:
+                continue
+            for b in saddles:
+                got = connecting_orbits(f, a, b, cfg, critical_points=sampled.points)
+                assert got and repr(got) == repr(
+                    [fl for fl in want if fl.source == a.id and fl.target == b.id]
+                )
+            # Without samples in its run, a partition classifies them in a run
+            # of its own and comes out the same.
+            free = _Analysis(f, cfg, sampled.points, samples=False)
+            assert repr(free.partition(a)) == repr(sampled.partition(a))
+
 
 def lane_functions() -> list[TrigPolynomial]:
     return [torus_function()] + [perturbed_torus(s) for s in perturbed_torus_seeds(2)]
@@ -1064,7 +1104,7 @@ class TestShots:
 
         On T^2 they are the lanes of sense -1, which lead the separatrix run;
         the saddles' forward lanes follow, one per backward lane, and then
-        the circle samples.
+        the circle samples where they ride in the run.
         """
         land = _Analysis.land_lanes
 
@@ -1073,7 +1113,7 @@ class TestShots:
             if senses is not None:
                 backward = senses.count(-1.0)
                 assert senses == [-1.0] * backward + [1.0] * (len(senses) - backward)
-                assert len(senses) - backward > backward
+                assert len(senses) - backward >= backward
                 head = out[:backward]
                 spoil(self, head)
                 out[:backward] = head
@@ -1095,10 +1135,14 @@ class TestShots:
         def connect(analysis, out):
             out[0] = out[0]._replace(point=next(p for p in analysis.points if p.index == 1))
 
+        # Through a run without the circle samples and through one with them.
         self.spoil_backward_run(monkeypatch, connect)
         for f in lane_functions():
-            with pytest.raises(MorseSmaleViolationError, match="rests at p1.0, .*saddle connection"):
-                flow_lines(f)
+            for build in (flow_lines, build_flow_category):
+                with pytest.raises(
+                    MorseSmaleViolationError, match="rests at p1.0, .*saddle connection"
+                ):
+                    build(f)
 
     @pytest.mark.parametrize("spoil", ["offset", "target"])
     def test_a_spoiled_saddle_flow_splits_an_arcs_end_classes(self, monkeypatch, spoil):

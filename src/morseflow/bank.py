@@ -21,7 +21,7 @@ from .flowcat import (
     OrientationData,
     RigidFlow,
 )
-from .morse import NumericalConfig, TrigPolynomial, TrigTerm, find_critical_points
+from .morse import TrigPolynomial, TrigTerm, find_critical_points
 
 
 def circle_function() -> TrigPolynomial:
@@ -89,18 +89,15 @@ def tilted_upright_torus(t) -> TrigPolynomial:
     )
 
 
-def perturbed_torus_seeds(
-    count: int, start: int = 0, cfg: NumericalConfig | None = None
-) -> list[int]:
-    """First `count` seeds at or after `start` whose perturbation stays Morse."""
-    cfg = cfg or NumericalConfig()
+def perturbed_torus_seeds(count: int) -> list[int]:
+    """First `count` seeds whose perturbation stays Morse."""
     out: list[int] = []
-    seed = start
+    seed = 0
     while len(out) < count:
-        if seed - start > 100 * count:
+        if seed > 100 * count:
             raise InputError("could not collect enough Morse perturbations")
         try:
-            find_critical_points(perturbed_torus(seed), cfg)
+            find_critical_points(perturbed_torus(seed))
         except (NotMorseError, EulerMismatchError):
             pass
         else:

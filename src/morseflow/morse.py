@@ -24,14 +24,15 @@ There is one integrator, `_Analysis.land_lanes`: many seeds run as lanes
 of one lockstep, vectorized run, each lane with its own step size and its
 own sense of time, and optionally a recorded trajectory.  One
 eigendecomposition of the Hessians at the critical points gives
-the unstable and stable frames and the sink trapping regions.  Each family
-end is read off the sign of a rigid flow, with no run of its own.  On T^2
+the unstable and stable frames and the sink trapping regions.  On T^2
 a basin boundary direction flows into a saddle, so the boundaries are where
 the saddles' stable separatrices, followed backward, cross the departure
 circles, and those paths, reversed, give the rigid flows out of the
 index-2 points.  The sign of a -> s also says along which of s's two
-flows the arcs on either side of the boundary leave s, so each arc's
-landing class is read off the flows at its two ends, which must agree.
+flows the arcs on either side of the boundary leave s, so each arc
+carries its two ends, broken flows read off the signs with no run of
+their own, and its landing class, which both ends must rest in; a
+family is the arcs that rest at its sink, with their ends.
 All four separatrices of every saddle, the two unstable ones forward and
 the two stable ones backward, form one recorded run, and where
 partitions are read the circle samples of every index-2 point ride in
@@ -375,9 +376,12 @@ class _Boundary(NamedTuple):
 
 
 class _Arc(NamedTuple):
+    """An arc of a departure circle, and its broken ends at its start and end boundaries."""
+
     start: float
     end: float
     landing_class: tuple[str, tuple[int, ...]]
+    ends: tuple[BrokenFlow, BrokenFlow]
 
 
 def _rests_too_high(p: CriticalPoint, q: CriticalPoint) -> MorseSmaleViolationError:
@@ -489,7 +493,12 @@ def find_critical_points(
     axes = [np.arange(res) / res] * n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     m2, m3 = _derivative_bounds(comp)
-    cells = grid[_live(comp.grad_batch(grid), _half_diagonal(n, 0.5 / res), m2)]
+    rho = _half_diagonal(n, 0.5 / res)
+    live = [
+        _live(comp.grad_batch(grid[i : i + _GRID_BLOCK]), rho, m2)
+        for i in range(0, len(grid), _GRID_BLOCK)
+    ]
+    cells = grid[np.concatenate(live)]
     x = cells.copy()
     active = np.ones(len(x), dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
@@ -710,10 +719,13 @@ _SHOT_SPREAD = 1e-6
 # largest gradient norm a candidate may keep, the radius within which two
 # candidates are one point, and the smallest |Hessian eigenvalue| of a
 # nondegenerate point.  The seed grid holds at most `_GRID_POINTS_MAX`
-# points (1024 per axis on T^2, 101 on T^3, against the default 32): its
-# gradient pass takes several floats per point and term, so 2^20 points of
-# `perturbed_torus(0)` peak at about 250 MB and 2^22 at about 900 MB.
+# points (1024 per axis on T^2, 101 on T^3, against the default 32).  Its
+# gradient pass takes several floats per point and term, so it and the
+# exclusion test run over `_GRID_BLOCK` rows at a time, which bounds their
+# memory by the block instead of the grid; a default grid (at most 32^3 =
+# 32,768 points) is one block.  Each row has the same bits in any batch.
 _GRID_POINTS_MAX = 1 << 20
+_GRID_BLOCK = 1 << 16
 _NEWTON_MAX_ITER = 80
 _GRAD_TOL = 1e-10
 _DEDUPE_RADIUS = 1e-7
@@ -1066,40 +1078,68 @@ class _Analysis:
 
         The boundaries are the angles of the flows out of `a`, read off the
         saddles' stable separatrices (`_shot_flows`), and arc i, from
-        boundary i to i + 1, takes the class of its ends, read off the signs
-        (`_boundary_ends`); the two must agree.  Integrated lanes check
-        them: the departures at the `sample_angles`, which rode in the
-        separatrix run (or, for an analysis made without `samples`, take a
-        run of their own), and one midpoint for each arc that holds no
-        sample clear of every boundary, in one run of their own.  A sample more
-        than `_SHOT_SPREAD` from every boundary must rest in its arc's
-        class, and one within it at any sink or that boundary's saddle; a
-        midpoint must rest in its arc's class.  Else a boundary was missed
-        or is extra, or there is a near-tie, and MorseSmaleViolationError is
-        raised.  The samples' errors come first, in angle order, then the
-        arcs' ends, the samples' checks and the midpoints'.
+        boundary i to i + 1, carries its two ends, the broken flows at those
+        boundaries, and takes their class; the two must agree.  Each end is
+        the flow a -> s of its boundary, then one of the two flows out of
+        s, and the sign of a -> s says which.  Let r and d be the radial and
+        angular departure directions at the boundary, a frame of W^u(a) in
+        its orientation.  The linearised flow maps r to (u - beta V d) /
+        alpha, where u is the arrival velocity, V d the image of d and
+        alpha > 0 a time shift, so the sign of a -> s, that of (V r, V d)
+        against the basis (u / |u|, w_u) (which `_shot_flows` reads at the
+        seed near s, with the same sign), is the sign of the w_u-component
+        of V d, with w_u = `frames[s.id][:, 0]`, the unstable direction of
+        s.  A departure just past the boundary angle thus passes s on its
+        sign(a -> s) w_u side: the arc after the boundary leaves s along
+        sign(a -> s) w_u, and the arc before it along -sign(a -> s) w_u.
+        `_separatrices` departs along +w_u first.  The class of an end is
+        the target of its flow out of s, with the lattice offsets of both
+        flows summed.
+
+        Integrated lanes check the arcs: the departures at the
+        `sample_angles`, which rode in the separatrix run (or, for an
+        analysis made without `samples`, take a run of their own), and one
+        midpoint for each arc that holds no sample clear of every boundary,
+        in one run of their own.  A sample more than `_SHOT_SPREAD` from
+        every boundary must rest in its arc's class, and one within it at
+        any sink or that boundary's saddle; a midpoint must rest in its
+        arc's class.  Else a boundary was missed or is extra, or there is a
+        near-tie, and MorseSmaleViolationError is raised, as it is when the
+        circle has no boundary at all (a Morse-Smale flow on T^2 has none
+        such: every index-2 disc is bounded by saddle separatrices).  The
+        samples' errors come first, in angle order, then a missing
+        boundary, the arcs' ends, the samples' checks and the midpoints'.
         """
         if a.index != 2 or self.n != 2:
             raise InputError("circle partition requires an index-2 source on T^2")
         if a.id in self._partitions:
             return self._partitions[a.id]
-        self.rigid_flows()  # the one run, which classifies the samples too if they rode
+        flows = self.rigid_flows()  # the one run, which classifies the samples too if they rode
         classes = self._samples.get(a.id) or self._classify_angles(a, self.sample_angles)
         samples = [_ok(got) for got in classes]
-        boundaries = [
-            _Boundary(fl.departure_angle, self.by_id[fl.target]) for fl in self.max_flows(a)
-        ]
-        ends = self._boundary_ends(a)
-        arcs = [] if boundaries else [_Arc(0.0, TWO_PI, samples[0][1])]
+        firsts = self.max_flows(a)
+        if not firsts:
+            raise MorseSmaleViolationError(f"the departure circle of {a.id} has no basin boundary")
+        boundaries = [_Boundary(fl.departure_angle, self.by_id[fl.target]) for fl in firsts]
+        ends = []  # (before, after) each boundary, each a (BrokenFlow, landing class) pair
+        for first in firsts:
+            plus, minus = (fl for fl in flows if fl.source == first.target)
+            pair = []
+            for second in (minus, plus) if first.sign > 0 else (plus, minus):
+                offset = tuple(p + q for p, q in zip(first.lattice_offset, second.lattice_offset))
+                broken = BrokenFlow(first.target, first.id, second.id)
+                pair.append((broken, (second.target, offset)))
+            ends.append(pair)
+        arcs = []
         for i, b in enumerate(boundaries):
             j = (i + 1) % len(boundaries)
-            (_, cls), (_, cls1) = ends[i][1], ends[j][0]
+            (start, cls), (end, cls1) = ends[i][1], ends[j][0]
             if cls != cls1:
                 raise MorseSmaleViolationError(
                     f"the ends of the arc of {a.id} from angle {b.angle:.9f} rest at "
                     f"{cls} and {cls1}: a basin boundary was missed, or one is a near-tie"
                 )
-            arcs.append(_Arc(b.angle, boundaries[j].angle + TWO_PI * (j == 0), cls))
+            arcs.append(_Arc(b.angle, boundaries[j].angle + TWO_PI * (j == 0), cls, (start, end)))
 
         def off_basins(th: float, point: CriticalPoint) -> MorseSmaleViolationError:
             return MorseSmaleViolationError(
@@ -1132,39 +1172,6 @@ class _Analysis:
                 raise off_basins(th, point)
         self._partitions[a.id] = (boundaries, arcs)
         return boundaries, arcs
-
-    def _boundary_ends(self, a: CriticalPoint) -> list[tuple[tuple, tuple]]:
-        """The ends of the arcs on either side of each boundary of `a`.
-
-        One (before, after) pair per flow a -> s out of `a`, by departure
-        angle, each a (`BrokenFlow`, landing class) pair: the flow a -> s,
-        then one of the two flows out of s, and the sign of a -> s says
-        which.  Let r and d be the radial and angular departure directions
-        at the boundary, a frame of W^u(a) in its orientation.  The
-        linearised flow maps r to (u - beta V d) / alpha, where u is the
-        arrival velocity, V d the image of d and alpha > 0 a time shift, so
-        the sign of a -> s, that of (V r, V d) against the basis (u / |u|,
-        w_u) (which `_shot_flows` reads at the seed near s, with the same
-        sign), is the sign of the w_u-component of V d, with w_u =
-        `frames[s.id][:, 0]`, the unstable direction of s.  A departure just
-        past the boundary angle thus passes s on its sign(a -> s) w_u side:
-        the arc after the boundary leaves s along sign(a -> s) w_u, and the
-        arc before it along -sign(a -> s) w_u.  `_separatrices` departs
-        along +w_u first.  The class of a side is the target of its flow out
-        of s, with the lattice offsets of both flows summed.
-        """
-        flows = self.rigid_flows()
-        ends = []
-        for first in self.max_flows(a):
-            plus, minus = (fl for fl in flows if fl.source == first.target)
-            pair = []
-            for side in (-1, 1):
-                second = plus if side * first.sign > 0 else minus
-                offset = tuple(p + q for p, q in zip(first.lattice_offset, second.lattice_offset))
-                end = BrokenFlow(first.target, first.id, second.id)
-                pair.append((end, (second.target, offset)))
-            ends.append(tuple(pair))
-        return ends
 
     def _shot_flows(
         self, lanes: Sequence[tuple[CriticalPoint, int]], landings: list
@@ -1237,24 +1244,13 @@ class _Analysis:
     def families(self, a: CriticalPoint, c: CriticalPoint) -> list[IntervalComponent]:
         """Components of the one-parameter family from an index-2 point to a sink.
 
-        Arc i of the partition runs from boundary i to boundary i + 1, and
-        an arc that rests at c is one component: its ends break at those
-        boundaries' saddles, the one after boundary i and the one before
-        boundary i + 1 (`_boundary_ends`), whose classes `partition` has
-        checked against the arc's.  All these flows come from the one cached
-        run of `rigid_flows`.
+        Each arc of the partition that rests at c is one component, whose
+        ends are the arc's: they break at the saddles of its two boundaries,
+        and `partition` has checked their classes against the arc's.  All
+        these flows come from the one cached run of `rigid_flows`.
         """
-        boundaries, arcs = self.partition(a)
-        if not boundaries:
-            raise MorseSmaleViolationError(
-                f"the departure circle of {a.id} has no basin boundary"
-            )
-        ends = self._boundary_ends(a)
-        return [
-            IntervalComponent((ends[i][1][0], ends[(i + 1) % len(ends)][0][0]))
-            for i, arc in enumerate(arcs)
-            if arc.landing_class[0] == c.id
-        ]
+        arcs = self.partition(a)[1]
+        return [IntervalComponent(arc.ends) for arc in arcs if arc.landing_class[0] == c.id]
 
 
 # -- public operations ------------------------------------------------------

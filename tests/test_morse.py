@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
@@ -450,6 +451,27 @@ class TestCertificate:
             for s in (1, -1)
         ]
         assert (np.abs(quad[0] - quad[1]) / (2 * eps)).max() <= m3
+
+    def test_the_largest_seed_grid_is_searched_in_blocks(self):
+        # 2^20 seed points, the ceiling, peaked at 216 MiB when their
+        # gradients were taken in one batch; in blocks the grid itself is
+        # most of the peak.
+        tracemalloc.start()
+        try:
+            pts = find_critical_points(perturbed_torus(0), NumericalConfig(grid_resolution=1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 4
+        assert peak < 64 << 20
+
+    @pytest.mark.parametrize("name", ["torus", "perturbed-0", "three-torus"])
+    def test_blocks_of_any_size_find_the_same_points(self, monkeypatch, name):
+        # The live cells do not depend on where the blocks split the grid.
+        f = SEARCH_BANK[name]
+        want = repr(find_critical_points(f))
+        monkeypatch.setattr(morse, "_GRID_BLOCK", 100)
+        assert repr(find_critical_points(f)) == want
 
     def test_the_acceptance_seeds_are_pinned(self):
         # Acceptance 3 and the benchmark's torus builds take their
@@ -950,9 +972,10 @@ class TestPartition:
         with pytest.raises(MorseSmaleViolationError, match="angle 0.000000000 rests at p1"):
             analysis.partition(top)
 
-    def test_a_circle_in_one_basin_is_one_arc(self, monkeypatch):
+    def test_a_circle_in_one_basin_fails_loudly(self, monkeypatch):
         # A circle whose every angle rests at one sink, with no shot and no
-        # sample at a saddle, has no boundary and one arc.
+        # sample at a saddle, has no boundary, which no Morse-Smale flow on
+        # T^2 gives: every index-2 disc is bounded by saddle separatrices.
         analysis = _Analysis(torus_function(), NumericalConfig())
         top, sink = analysis.points[0], analysis.points[-1]
         cls = (sink.id, (0, 0))
@@ -964,9 +987,54 @@ class TestPartition:
 
         monkeypatch.setattr(_Analysis, "_separatrices", one_class)
         monkeypatch.setattr(_Analysis, "max_flows", lambda self, a: [])
-        boundaries, arcs = analysis.partition(top)
-        assert boundaries == []
-        assert [tuple(arc) for arc in arcs] == [(0.0, 2 * math.pi, cls)]
+        with pytest.raises(MorseSmaleViolationError, match=f"of {top.id} has no basin boundary"):
+            analysis.partition(top)
+        with pytest.raises(MorseSmaleViolationError, match=f"of {top.id} has no basin boundary"):
+            build_flow_category(torus_function())
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_each_arc_carries_its_broken_ends(self, f, reverse):
+        # Arc k runs from boundary k to k + 1, and each of its ends breaks at
+        # the saddle of its boundary: first the flow out of the index-2 point
+        # there, then a flow to the arc's sink, their offsets summing to the
+        # arc's.
+        analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse))
+        flows = {fl.id: fl for fl in analysis.rigid_flows()}
+        checked = 0
+        for a in analysis.points:
+            if a.index != 2:
+                continue
+            boundaries, arcs = analysis.partition(a)
+            firsts = analysis.max_flows(a)
+            assert len(arcs) == len(boundaries) == len(firsts)
+            for k, arc in enumerate(arcs):
+                sink, offset = arc.landing_class
+                for end, i in zip(arc.ends, (k, (k + 1) % len(arcs))):
+                    first, second = flows[end.first], flows[end.second]
+                    assert end.via == boundaries[i].saddle.id
+                    assert first == firsts[i]
+                    assert (second.source, second.target) == (end.via, sink)
+                    pairs = zip(first.lattice_offset, second.lattice_offset)
+                    assert tuple(p + q for p, q in pairs) == offset
+                    checked += 1
+        assert checked >= 8
+
+    def test_a_build_reads_the_flows_out_of_each_index_2_point_once(self, monkeypatch):
+        # The partition reads them and stores each arc's ends; the families
+        # of every sink filter the cached arcs.
+        max_flows = _Analysis.max_flows
+        calls = []
+
+        def counting(self, a):
+            calls.append(a.id)
+            return max_flows(self, a)
+
+        monkeypatch.setattr(_Analysis, "max_flows", counting)
+        for f in [torus_function()] + [perturbed_torus(s) for s in range(6)]:
+            calls.clear()
+            cat, _ = build_flow_category(f)
+            assert sorted(calls) == sorted(p for p in cat.objects if cat.index[p] == 2)
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
     @pytest.mark.parametrize("samples", [3, 5, 7, 64])

@@ -226,12 +226,6 @@ class FlowCategory:
                     out.append(BrokenFlow(f.target, f.id, g.id))
         return out
 
-    def flow(self, flow_id: str) -> RigidFlow:
-        for f in self.rigid_flows:
-            if f.id == flow_id:
-                return f
-        raise InputError(f"unknown flow id {flow_id!r}")
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self, orientation: OrientationData) -> dict:

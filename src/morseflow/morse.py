@@ -315,15 +315,6 @@ class CriticalPoint:
     index: int
     hessian_eigenvalues: tuple[float, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "position": list(self.position),
-            "value": self.value,
-            "index": self.index,
-            "hessian_eigenvalues": list(self.hessian_eigenvalues),
-        }
-
 
 @dataclass(frozen=True)
 class FlowLine:
@@ -368,11 +359,6 @@ class _Landing(NamedTuple):
     offset: tuple[int, ...]
     state: np.ndarray
     trajectory: tuple[tuple[float, tuple[float, ...]], ...] | None
-
-
-class _Boundary(NamedTuple):
-    angle: float
-    saddle: CriticalPoint
 
 
 class _Arc(NamedTuple):
@@ -655,8 +641,12 @@ def _covered(cells: np.ndarray, rho: float, xs: np.ndarray, radii: np.ndarray) -
     """Which balls B(cell, rho) lie inside the ball B(x, r) of some found point.
 
     The cells go in chunks of about 2^20 distances, so a long list of
-    points never takes one array of every cell against every point.
+    points never takes one array of every cell against every point.  A
+    ball of radius at most rho holds no such B(cell, rho), so those balls
+    are dropped first.
     """
+    keep = radii > rho
+    xs, radii = xs[keep], radii[keep]
     out = np.zeros(len(cells), dtype=bool)
     step = max(1, (1 << 20) // max(1, len(xs)))
     for i in range(0, len(cells), step):
@@ -736,8 +726,8 @@ class _Analysis:
     """Shared caches for one function + configuration pair.
 
     `samples` says whether the circle samples ride in the separatrix run,
-    for callers that read partitions; without them `partition` classifies
-    its samples in a run of their own, with the same bits.
+    for callers that read partitions; an analysis made without them has no
+    partition.
     """
 
     def __init__(
@@ -806,7 +796,7 @@ class _Analysis:
             p.id: signed(qp[:, wp > 0.0][:, ::-1]) for p, wp, qp in zip(self.points, w, q)
         }
         self.sample_angles = [k * (TWO_PI / cfg.circle_samples) for k in range(cfg.circle_samples)]
-        self._partitions: dict[str, tuple[list[_Boundary], list[_Arc]]] = {}
+        self._partitions: dict[str, list[_Arc]] = {}
         self._rigid_flows: list[FlowLine] | None = None
         self._sampled = samples
         self._samples: dict[str, list] = {}
@@ -971,8 +961,7 @@ class _Analysis:
                 raise InputError("rigid flows out of an index-2 point are computed on T^2")
             saddles = [p for p in self.points if p.index == 1]
             maxima = [p for p in self.points if p.index == 2] if self.n == 2 else None
-            shots, flows, self._samples = self._separatrices(saddles, maxima)
-            self._rigid_flows = shots + flows
+            self._rigid_flows, self._samples = self._separatrices(saddles, maxima)
         return self._rigid_flows
 
     def max_flows(self, a: CriticalPoint) -> list[FlowLine]:
@@ -981,11 +970,11 @@ class _Analysis:
 
     def saddle_flows(self, saddles: Sequence[CriticalPoint]) -> list[FlowLine]:
         """Rigid flows along w and -w out of each index-1 point, all in one run."""
-        return self._separatrices(saddles)[1]
+        return self._separatrices(saddles)[0]
 
     def _separatrices(
         self, saddles: Sequence[CriticalPoint], maxima: Sequence[CriticalPoint] | None = None
-    ) -> tuple[list[FlowLine], list[FlowLine], dict[str, list]]:
+    ) -> tuple[list[FlowLine], dict[str, list]]:
         """Rigid flows along the separatrices of `saddles`, all in one run.
 
         Forward lanes leave each saddle s along side * w_u, side = 1 then
@@ -1002,10 +991,10 @@ class _Analysis:
         forward flow raises its error, and so does one that rests no lower
         in index than its source.  The samples raise nothing here: each
         comes back as its `_landing_class`, which `partition` checks.
-        Returns the flows out of the index-2 points (none without
-        `maxima`), those out of the saddles, each flow k between the same
-        two points named source>target#k, and the sample classes by point
-        id (none without samples).
+        Returns the rigid flows in point order, those out of the index-2
+        points (none without `maxima`) and then those out of the saddles,
+        each flow k between the same two points named source>target#k, and
+        the sample classes by point id (none without samples).
         """
         lanes = [(s, side) for s in saddles for side in (1, -1)]
         seeds = [self.seed(s, side * self.frames[s.id][:, 0]) for s, side in lanes]
@@ -1045,7 +1034,7 @@ class _Analysis:
             a.id: [self._landing_class(a, got) for got in landings[start : start + per]]
             for a, start in zip(maxima if circle else (), range(split, len(landings), per))
         }
-        return shots, _named(flows), samples
+        return shots + _named(flows), samples
 
     # index-2 sources --------------------------------------------------------
 
@@ -1056,24 +1045,21 @@ class _Analysis:
     def _landing_class(self, a: CriticalPoint, got):
         """The class of a departure out of `a` from its lane's outcome `got`.
 
-        ("sink", (sink id, offset), sink), ("saddle", None, saddle), or the
-        error the flow raised.
+        (point id, lattice offset) of the point it rests at, or the error
+        the flow raised.
         """
         if isinstance(got, Exception):
             return got
-        point = got.point
-        if point.index >= a.index:
-            return _rests_too_high(a, point)
-        if point.index == 0:
-            return ("sink", (point.id, got.offset), point)
-        return ("saddle", None, point)
+        if got.point.index >= a.index:
+            return _rests_too_high(a, got.point)
+        return (got.point.id, got.offset)
 
     def _classify_angles(self, a: CriticalPoint, thetas: Sequence[float]) -> list:
         """`_landing_class` of each departure angle of `a`, as trapping lanes of one run."""
         seeds = [self.seed(a, self.direction_at(a, th)) for th in thetas]
         return [self._landing_class(a, got) for got in self.land_lanes(seeds, trap=True)]
 
-    def partition(self, a: CriticalPoint) -> tuple[list[_Boundary], list[_Arc]]:
+    def partition(self, a: CriticalPoint) -> list[_Arc]:
         """Split the departure circle of an index-2 point of T^2 by landing class.
 
         The boundaries are the angles of the flows out of `a`, read off the
@@ -1093,17 +1079,17 @@ class _Analysis:
         sign(a -> s) w_u side: the arc after the boundary leaves s along
         sign(a -> s) w_u, and the arc before it along -sign(a -> s) w_u.
         `_separatrices` departs along +w_u first.  The class of an end is
-        the target of its flow out of s, with the lattice offsets of both
-        flows summed.
+        (sink id, offset): the target of its flow out of s, with the
+        lattice offsets of both flows summed.
 
         Integrated lanes check the arcs: the departures at the
-        `sample_angles`, which rode in the separatrix run (or, for an
-        analysis made without `samples`, take a run of their own), and one
-        midpoint for each arc that holds no sample clear of every boundary,
-        in one run of their own.  A sample more than `_SHOT_SPREAD` from
-        every boundary must rest in its arc's class, and one within it at
-        any sink or that boundary's saddle; a midpoint must rest in its
-        arc's class.  Else a boundary was missed or is extra, or there is a
+        `sample_angles`, which rode in the separatrix run (an analysis made
+        without `samples` has none, and so no partition), and one midpoint
+        for each arc that holds no sample clear of every boundary, in one
+        run of their own.  A sample more than `_SHOT_SPREAD` from every
+        boundary must rest in its arc's class, and one within it at any
+        sink or that boundary's saddle; a midpoint must rest in its arc's
+        class.  Else a boundary was missed or is extra, or there is a
         near-tie, and MorseSmaleViolationError is raised, as it is when the
         circle has no boundary at all (a Morse-Smale flow on T^2 has none
         such: every index-2 disc is bounded by saddle separatrices).  The
@@ -1114,13 +1100,11 @@ class _Analysis:
             raise InputError("circle partition requires an index-2 source on T^2")
         if a.id in self._partitions:
             return self._partitions[a.id]
-        flows = self.rigid_flows()  # the one run, which classifies the samples too if they rode
-        classes = self._samples.get(a.id) or self._classify_angles(a, self.sample_angles)
-        samples = [_ok(got) for got in classes]
+        flows = self.rigid_flows()  # the one run, which classifies the samples too
+        samples = [_ok(got) for got in self._samples[a.id]]
         firsts = self.max_flows(a)
         if not firsts:
             raise MorseSmaleViolationError(f"the departure circle of {a.id} has no basin boundary")
-        boundaries = [_Boundary(fl.departure_angle, self.by_id[fl.target]) for fl in firsts]
         ends = []  # (before, after) each boundary, each a (BrokenFlow, landing class) pair
         for first in firsts:
             plus, minus = (fl for fl in flows if fl.source == first.target)
@@ -1130,48 +1114,49 @@ class _Analysis:
                 broken = BrokenFlow(first.target, first.id, second.id)
                 pair.append((broken, (second.target, offset)))
             ends.append(pair)
+        angles = [fl.departure_angle for fl in firsts]
         arcs = []
-        for i, b in enumerate(boundaries):
-            j = (i + 1) % len(boundaries)
+        for i, th in enumerate(angles):
+            j = (i + 1) % len(angles)
             (start, cls), (end, cls1) = ends[i][1], ends[j][0]
             if cls != cls1:
                 raise MorseSmaleViolationError(
-                    f"the ends of the arc of {a.id} from angle {b.angle:.9f} rest at "
+                    f"the ends of the arc of {a.id} from angle {th:.9f} rest at "
                     f"{cls} and {cls1}: a basin boundary was missed, or one is a near-tie"
                 )
-            arcs.append(_Arc(b.angle, boundaries[j].angle + TWO_PI * (j == 0), cls, (start, end)))
+            arcs.append(_Arc(th, angles[j] + TWO_PI * (j == 0), cls, (start, end)))
 
-        def off_basins(th: float, point: CriticalPoint) -> MorseSmaleViolationError:
+        def off_basins(th: float, point_id: str) -> MorseSmaleViolationError:
             return MorseSmaleViolationError(
-                f"the departure from {a.id} at angle {th:.9f} rests at {point.id}, "
+                f"the departure from {a.id} at angle {th:.9f} rests at {point_id}, "
                 "off the basins of its partition: a basin boundary was missed or is extra"
             )
 
         starts = [arc.start for arc in arcs]
         sampled = set()
-        for th, (kind, cls, point) in zip(self.sample_angles, samples):
+        for th, cls in zip(self.sample_angles, samples):
             near = {
-                b.saddle
-                for b in boundaries
-                if abs(math.remainder(th - b.angle, TWO_PI)) <= _SHOT_SPREAD
+                fl.target
+                for fl in firsts
+                if abs(math.remainder(th - fl.departure_angle, TWO_PI)) <= _SHOT_SPREAD
             }
             if near:
-                if not (point in near or kind == "sink"):
-                    raise off_basins(th, point)
+                if not (cls[0] in near or self.by_id[cls[0]].index == 0):
+                    raise off_basins(th, cls[0])
                 continue
             # The last arc wraps past 2 pi, so it also holds the angles below the first.
             k = (bisect.bisect_right(starts, th) - 1) % len(arcs)
-            if kind != "sink" or cls != arcs[k].landing_class:
-                raise off_basins(th, point)
+            if cls != arcs[k].landing_class:
+                raise off_basins(th, cls[0])
             sampled.add(k)
         bare = [k for k in range(len(arcs)) if k not in sampled]
         mids = [0.5 * (arcs[k].start + arcs[k].end) % TWO_PI for k in bare]
         got = [_ok(got) for got in self._classify_angles(a, mids)] if mids else []
-        for k, th, (kind, cls, point) in zip(bare, mids, got):
-            if kind != "sink" or cls != arcs[k].landing_class:
-                raise off_basins(th, point)
-        self._partitions[a.id] = (boundaries, arcs)
-        return boundaries, arcs
+        for k, th, cls in zip(bare, mids, got):
+            if cls != arcs[k].landing_class:
+                raise off_basins(th, cls[0])
+        self._partitions[a.id] = arcs
+        return arcs
 
     def _shot_flows(
         self, lanes: Sequence[tuple[CriticalPoint, int]], landings: list
@@ -1249,7 +1234,7 @@ class _Analysis:
         and `partition` has checked their classes against the arc's.  All
         these flows come from the one cached run of `rigid_flows`.
         """
-        arcs = self.partition(a)[1]
+        arcs = self.partition(a)
         return [IntervalComponent(arc.ends) for arc in arcs if arc.landing_class[0] == c.id]
 
 

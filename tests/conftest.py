@@ -634,8 +634,8 @@ BISECTION_TOL = 1e-10
 def full_landing_classes(analysis, a, thetas):
     """Landing class of each departure angle of index-2 point `a`, by full landing.
 
-    Entries take the shape of `_classify_angles`'s: ("sink", (sink id,
-    offset), sink), ("saddle", None, saddle) or the error.  Every lane runs
+    Entries take the shape of `_classify_angles`'s: (point id, offset) or
+    the error.  Every lane runs
     until it is within `landing_radius` of its rest point, with no trapping
     region, so these classes do not depend on the certificate that lets
     `_classify_angles` stop early.
@@ -652,10 +652,8 @@ def full_landing_classes(analysis, a, thetas):
                     f"{got.point.index} >= {a.index}"
                 )
             )
-        elif got.point.index == 0:
-            out.append(("sink", (got.point.id, got.offset), got.point))
         else:
-            out.append(("saddle", None, got.point))
+            out.append((got.point.id, got.offset))
     return out
 
 
@@ -678,6 +676,9 @@ def bisect_one_at_a_time(analysis, a, visited=None):
             raise got
         return got
 
+    def index(cls):
+        return analysis.by_id[cls[0]].index
+
     def bisect(lo, lo_cls, hi, hi_cls):
         if hi - lo <= BISECTION_TOL:
             raise MorseSmaleViolationError(
@@ -687,9 +688,9 @@ def bisect_one_at_a_time(analysis, a, visited=None):
         mid = 0.5 * (lo + hi)
         visited.append((lo, hi))
         (got,) = full_landing_classes(analysis, a, [mid])
-        kind, cls, point = ok(got)
-        if kind == "saddle":
-            return [(mid % TWO_PI, point)]
+        cls = ok(got)
+        if index(cls) == 1:
+            return [(mid % TWO_PI, analysis.by_id[cls[0]])]
         if cls == lo_cls:
             return bisect(mid, cls, hi, hi_cls)
         if cls == hi_cls:
@@ -700,10 +701,10 @@ def bisect_one_at_a_time(analysis, a, visited=None):
     step = TWO_PI / n
     thetas = [k * step for k in range(n)]
     samples = [ok(got) for got in full_landing_classes(analysis, a, thetas)]
-    found = [(th, point) for th, (kind, _, point) in zip(thetas, samples) if kind == "saddle"]
+    found = [(th, analysis.by_id[cls[0]]) for th, cls in zip(thetas, samples) if index(cls) == 1]
     for k in range(n):
-        (kind0, cls0, _), (kind1, cls1, _) = samples[k], samples[(k + 1) % n]
-        if kind0 == kind1 == "sink" and cls0 != cls1:
+        cls0, cls1 = samples[k], samples[(k + 1) % n]
+        if index(cls0) == index(cls1) == 0 and cls0 != cls1:
             found += bisect(thetas[k], cls0, thetas[k] + step, cls1)
     return found
 

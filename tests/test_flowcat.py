@@ -6,6 +6,7 @@ import pytest
 
 from morseflow import (
     BrokenFlow,
+    CircleComponent,
     CoefficientRing,
     FlowCategory,
     IntervalComponent,
@@ -25,6 +26,7 @@ from morseflow.bank import (
     rp2_category,
     torus_category,
 )
+from morseflow.cli import CONFIG_ENV, main
 from morseflow.errors import (
     IncoherentOrientationError,
     InvalidFlowCategoryError,
@@ -309,3 +311,30 @@ class TestSerialization:
         data = cat.to_json(ori)
         indices = [o["index"] for o in data["objects"]]
         assert indices == sorted(indices, reverse=True)
+
+
+class TestCircleComponent:
+    def test_a_circle_in_the_torus_family_changes_nothing(self, capsys, monkeypatch, tmp_path):
+        # A closed loop of flows has no ends, so it adds no broken flow for
+        # the validators to pair and nothing to the boundary: the category
+        # stays valid, and its complex and homology are the torus's.
+        plain, ori = torus_category()
+        (fam,) = plain.moduli
+        circled = ModuliFamily(fam.source, fam.target, fam.components + (CircleComponent(),))
+        cat = FlowCategory(plain.objects, plain.index, plain.rigid_flows, (circled,))
+        assert validate_morse_smale(cat).passed
+        assert check_orientation_coherence(cat, ori).passed
+        payload = json.loads(json.dumps(cat.to_json(ori)))
+        assert {"kind": "circle"} in payload["oneDimModuli"][0]["components"]
+        cat2, ori2 = FlowCategory.from_json(payload)
+        assert cat2.moduli == cat.moduli and cat2.to_json(ori2) == payload
+        want = floer_complex(plain, ori).complex.to_json()
+        assert floer_complex(cat, ori).complex.to_json() == want
+        monkeypatch.delenv(CONFIG_ENV, raising=False)
+        path = tmp_path / "circled.json"
+        path.write_text(json.dumps(payload))
+        assert main(["validate", "--category", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["passed"] is True
+        assert main(["homology", "--category", str(path)]) == 0
+        groups = json.loads(capsys.readouterr().out)["results"]["homology"]
+        assert [g["group"] for g in groups] == ["Z", "Z^2", "Z"]

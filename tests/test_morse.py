@@ -61,6 +61,7 @@ from morseflow.errors import (
 from morseflow.morse import (
     _Analysis,
     _compiled,
+    _covered,
     _dedupe,
     _derivative_bounds,
     _dp_step,
@@ -432,6 +433,23 @@ class TestCertificate:
         with pytest.raises(EulerMismatchError, match="no certificate for the cube"):
             find_critical_points(f, cfg)
 
+    @pytest.mark.parametrize("n, balls", [(2, 40), (2, 2500), (3, 2500)])
+    def test_covered_is_the_all_pairs_check(self, n, balls):
+        # `_covered` drops the balls no wider than rho and takes the cells in
+        # chunks; neither may change which cells it finds covered.  With
+        # 2,500 balls a chunk holds 419 cells, so the 1,200 cells take three.
+        # Every seventh radius is rho itself, and the second set of radii,
+        # all at most rho, drops every ball.
+        rng = np.random.default_rng(n * balls)
+        rho = 0.01
+        cells, xs = rng.random((1200, n)), rng.random((balls, n))
+        radii = rng.uniform(0.0, 4 * rho, balls)
+        radii[::7] = rho
+        for r in (radii, np.minimum(radii, rho)):
+            want = [bool((_wrap(c - xs)[1] + rho < r).any()) for c in cells]
+            assert _covered(cells, rho, xs, r).tolist() == want
+        assert 0 < sum(_covered(cells, rho, xs, radii)) < len(cells)
+
     @pytest.mark.parametrize("name", ["torus", "perturbed-0", "perturbed-1", "three-torus"])
     def test_derivative_bounds_hold(self, name):
         f = SEARCH_BANK[name]
@@ -587,10 +605,6 @@ class TestFlowLines:
                 assert got and repr(got) == repr(
                     [fl for fl in want if fl.source == a.id and fl.target == b.id]
                 )
-            # Without samples in its run, a partition classifies them in a run
-            # of its own and comes out the same.
-            free = _Analysis(f, cfg, sampled.points, samples=False)
-            assert repr(free.partition(a)) == repr(sampled.partition(a))
 
 
 def lane_functions() -> list[TrigPolynomial]:
@@ -653,7 +667,7 @@ class TestModuliFamilies:
         for a in analysis.points:
             if a.index != 2:
                 continue
-            _, arcs = analysis.partition(a)
+            arcs = analysis.partition(a)
             for c in analysis.points:
                 if c.index != 0:
                     continue
@@ -962,11 +976,11 @@ class TestPartition:
         separatrices = _Analysis._separatrices
 
         def one_sample_at_the_saddle(self, *args):
-            shots, flows, samples = separatrices(self, *args)
-            samples[top.id][0] = ("saddle", None, saddle)
-            return shots, flows, samples
+            flows, samples = separatrices(self, *args)
+            samples[top.id][0] = (saddle.id, (0, 0))
+            return flows, samples
 
-        assert all(abs(b.angle) > 1e-3 for b in analysis.partition(top)[0])
+        assert all(abs(arc.start) > 1e-3 for arc in analysis.partition(top))
         analysis = _Analysis(lane_functions()[1], NumericalConfig(), analysis.points)
         monkeypatch.setattr(_Analysis, "_separatrices", one_sample_at_the_saddle)
         with pytest.raises(MorseSmaleViolationError, match="angle 0.000000000 rests at p1"):
@@ -982,8 +996,8 @@ class TestPartition:
         separatrices = _Analysis._separatrices
 
         def one_class(self, *args):
-            shots, flows, samples = separatrices(self, *args)
-            return shots, flows, {a: [("sink", cls, sink)] * len(got) for a, got in samples.items()}
+            flows, samples = separatrices(self, *args)
+            return flows, {a: [cls] * len(got) for a, got in samples.items()}
 
         monkeypatch.setattr(_Analysis, "_separatrices", one_class)
         monkeypatch.setattr(_Analysis, "max_flows", lambda self, a: [])
@@ -1005,14 +1019,14 @@ class TestPartition:
         for a in analysis.points:
             if a.index != 2:
                 continue
-            boundaries, arcs = analysis.partition(a)
+            arcs = analysis.partition(a)
             firsts = analysis.max_flows(a)
-            assert len(arcs) == len(boundaries) == len(firsts)
+            assert len(arcs) == len(firsts)
             for k, arc in enumerate(arcs):
                 sink, offset = arc.landing_class
                 for end, i in zip(arc.ends, (k, (k + 1) % len(arcs))):
                     first, second = flows[end.first], flows[end.second]
-                    assert end.via == boundaries[i].saddle.id
+                    assert end.via == firsts[i].target
                     assert first == firsts[i]
                     assert (second.source, second.target) == (end.via, sink)
                     pairs = zip(first.lattice_offset, second.lattice_offset)
@@ -1048,10 +1062,10 @@ class TestPartition:
         for a in analysis.points:
             if a.index != 2:
                 continue
-            arcs = analysis.partition(a)[1]
+            arcs = analysis.partition(a)
             mids = [0.5 * (arc.start + arc.end) for arc in arcs]
-            for arc, (kind, cls, _) in zip(arcs, full_landing_classes(analysis, a, mids)):
-                assert (kind, cls) == ("sink", arc.landing_class)
+            for arc, cls in zip(arcs, full_landing_classes(analysis, a, mids)):
+                assert cls == arc.landing_class
                 checked += 1
         assert checked >= 4
 
@@ -1132,13 +1146,13 @@ class TestShots:
         # along each of them, and each of those rests at its boundary's saddle.
         analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse))
         top = analysis.points[0]
-        boundaries, _ = analysis.partition(top)
+        arcs = analysis.partition(top)
         found, _ = one_at_a_time(f, NumericalConfig().circle_samples, reverse)
         found = sorted(found, key=lambda b: b[0])
-        assert len(found) == len(boundaries) > 0
-        for (angle, saddle), b in zip(found, boundaries):
-            assert b.saddle == saddle
-            assert abs(math.remainder(b.angle - angle, 2 * math.pi)) <= 1e-6
+        assert len(found) == len(arcs) > 0
+        for (angle, saddle), arc in zip(found, arcs):
+            assert arc.ends[0].via == saddle.id
+            assert abs(math.remainder(arc.start - angle, 2 * math.pi)) <= 1e-6
         seeds = [analysis.seed(top, analysis.direction_at(top, th)) for th, _ in found]
         forward = [forward_sign(analysis, top, seed) for seed in seeds]
         assert [b for b, _, _ in forward] == [s for _, s in found]
@@ -1220,13 +1234,14 @@ class TestShots:
         separatrices = _Analysis._separatrices
 
         def spoiled(self, *args):
-            shots, flows, samples = separatrices(self, *args)
-            fl = flows[0]
+            flows, samples = separatrices(self, *args)
+            k = next(k for k, fl in enumerate(flows) if self.by_id[fl.source].index == 1)
+            fl = flows[k]
             if spoil == "offset":
                 fl = replace(fl, lattice_offset=(fl.lattice_offset[0] + 1,) + fl.lattice_offset[1:])
             else:
                 fl = replace(fl, target=next(p.id for p in self.points if p.index == 1))
-            return shots, [fl] + flows[1:], samples
+            return flows[:k] + [fl] + flows[k + 1 :], samples
 
         monkeypatch.setattr(_Analysis, "_separatrices", spoiled)
         for f in lane_functions():
@@ -1496,12 +1511,9 @@ class TestTrapping:
         assert tampered.trap_level.tobytes() == clean.trap_level.tobytes()
         for a in clean.points:
             if a.index == 2:
-                (boundaries, arcs), (clean_boundaries, clean_arcs) = (
+                arcs, clean_arcs = (
                     analysis.partition(analysis.by_id[a.id]) for analysis in (tampered, clean)
                 )
-                assert [(b.angle, b.saddle.id) for b in boundaries] == [
-                    (b.angle, b.saddle.id) for b in clean_boundaries
-                ]
                 assert arcs == clean_arcs
 
     def test_trapped_lane_lands_where_full_landing_runs_out(self):
@@ -1520,9 +1532,7 @@ class TestTrapping:
             ({"max_flow_time": time}, "flow time"),
         ):
             limited = _Analysis(f, NumericalConfig(**limits), analysis.points)
-            assert limited._classify_angles(top, [theta]) == [
-                ("sink", (stop.point.id, stop.offset), stop.point)
-            ]
+            assert limited._classify_angles(top, [theta]) == [(stop.point.id, stop.offset)]
             (full,) = limited.land_lanes([seed])
             assert isinstance(full, IntegrationFailureError) and message in str(full)
 

@@ -199,12 +199,12 @@ def dump_partitions(
             if p.index != 2:
                 continue
             try:
-                boundaries, arcs = analysis.partition(p)
+                arcs = analysis.partition(p)
             except MorseflowError as exc:
                 lines.append(f"{p.id} {type(exc).__name__}: {exc}")
                 continue
-            for b in boundaries:
-                lines.append(f"{p.id} boundary {b.angle.hex()} {b.saddle.id}")
+            for arc in arcs:  # each arc starts at a boundary and breaks there at its saddle
+                lines.append(f"{p.id} boundary {arc.start.hex()} {arc.ends[0].via}")
             for arc in arcs:
                 sink, offset = arc.landing_class
                 lines.append(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .coeff import _json_integer
 from .errors import EulerMismatchError, InputError, NotMorseError
 from .flowcat import (
     BrokenFlow,
@@ -87,6 +88,61 @@ def tilted_upright_torus(t) -> TrigPolynomial:
             TrigTerm((0, 1), Fraction(0), t),
         ),
     )
+
+
+def pullback(f: TrigPolynomial, a) -> TrigPolynomial:
+    """f(A x) for an integer matrix A with det A = +-1, exact in the rationals.
+
+    A term with frequency k becomes one with frequency A^T k and the same
+    coefficients.  A unimodular A maps the lattice onto itself, so f(A x)
+    is a function on the same torus with the same critical values; unless
+    A is orthogonal its gradient flow is another flow.
+    """
+    rows = tuple(tuple(_json_integer(v, "matrix entry") for v in row) for row in a)
+    n = f.dimension
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise InputError(f"a pullback of a function on T^{n} needs an {n} x {n} matrix")
+    if abs(_det(rows)) != 1:
+        raise InputError(f"matrix {rows} does not have determinant +-1")
+    return TrigPolynomial(
+        n,
+        tuple(
+            TrigTerm(
+                tuple(sum(rows[i][j] * t.frequency[i] for i in range(n)) for j in range(n)),
+                t.cos_coeff,
+                t.sin_coeff,
+            )
+            for t in f.terms
+        ),
+    )
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def quarter_shift(f: TrigPolynomial, q) -> TrigPolynomial:
+    """f(x + q/4) for an integer vector q, exact in the rationals.
+
+    The phase of a term with frequency k moves by k.q quarter turns, and a
+    quarter turn takes c cos + s sin to s cos - c sin.
+    """
+    q = tuple(_json_integer(v, "shift") for v in q)
+    if len(q) != f.dimension:
+        raise InputError(f"shift has {len(q)} coordinates, expected {f.dimension}")
+    terms = []
+    for t in f.terms:
+        c, s = t.cos_coeff, t.sin_coeff
+        for _ in range(sum(k * v for k, v in zip(t.frequency, q)) % 4):
+            c, s = s, -c
+        terms.append(TrigTerm(t.frequency, c, s))
+    return TrigPolynomial(f.dimension, tuple(terms))
 
 
 def perturbed_torus_seeds(count: int) -> list[int]:

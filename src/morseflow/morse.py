@@ -4,9 +4,10 @@ Functions are exact trigonometric polynomials with rational coefficients on
 T^n, n <= 3.  Critical points come from damped Newton iteration on the
 gradient, seeded only from the cells of a grid that closed-form bounds on
 the derivatives cannot exclude, and the same bounds certify that the list
-misses none; connecting orbits from adaptive Dormand–Prince
-5(4) integration of the negative gradient flow, each rigid flow integrated
-once; signs in closed form from the departure geometry; and one-parameter
+misses none; connecting orbits from high-order Taylor steps of the negative
+gradient flow, whose series a trigonometric polynomial gives in closed
+form, each rigid flow integrated once; signs in closed form from the
+departure geometry; and one-parameter
 families on the two-torus from a partition of the departure circle of an
 index-2 point into basins.
 
@@ -200,6 +201,19 @@ class _Compiled:
         self.freqs = np.array([t.frequency for t in f.terms], dtype=float)
         self.cos = np.array([float(t.cos_coeff) for t in f.terms])
         self.sin = np.array([float(t.sin_coeff) for t in f.terms])
+        # Tables for the lanes, which contract over the cos and then the sin
+        # of each term (`trig_batch`): `value_table` gives f in its first
+        # column, and `jet_table` the velocity -grad f in its first n and
+        # the rates of change of the phases in the others (`_taylor_jet`).
+        # An einsum whose kept axes all have length one may regroup its sum,
+        # so each table has at least two columns.
+        wave = TWO_PI * self.freqs
+        velocity = np.stack((-self.sin[:, None] * wave, self.cos[:, None] * wave))
+        self.jet_table = np.concatenate(
+            (velocity, np.einsum("ktj,uj->ktu", velocity, wave)), axis=2
+        )
+        self.value_table = np.zeros((2, len(wave), 2))
+        self.value_table[:, :, 0] = (self.cos, self.sin)
 
     # The contractions are einsums, not matrix products: BLAS rounds a
     # one-row product differently from a many-row one (fused multiply-adds,
@@ -212,7 +226,23 @@ class _Compiled:
         """Values and gradients from one pass over the phases."""
         ph = self._phases(x)
         c, s = np.cos(ph), np.sin(ph)
-        return (c * self.cos + s * self.sin).sum(axis=1), self._grad(c, s)
+        return self._value(c, s), self._grad(c, s)
+
+    def trig_batch(self, x: np.ndarray) -> np.ndarray:
+        """cos and sin of each term's phase at the rows of `x`, as (2, terms, rows).
+
+        The rows come last, so that the contractions of `_taylor_jet` run
+        their inner loops along the rows.
+        """
+        ph = TWO_PI * np.einsum("tj,pj->tp", self.freqs, x)
+        return np.stack((np.cos(ph), np.sin(ph)))
+
+    def value_of(self, cs: np.ndarray) -> np.ndarray:
+        """Values from `trig_batch`: the cos terms, then the sin terms, added in order."""
+        return np.einsum("ktl,ktu->ul", cs, self.value_table)[0]
+
+    def _value(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return (c * self.cos + s * self.sin).sum(axis=1)
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
         ph = self._phases(x)
@@ -285,9 +315,10 @@ class NumericalConfig:
                 raise InputError(f"config field {name} must be positive")
         if self.landing_radius >= self.sphere_radius:
             raise InputError("landing radius must be below the departure radius")
-        # A step at or below `step_min` is accepted whatever its error, so a
-        # first step below it, or a largest step below it, would turn error
-        # control off.
+        # A step is never shorter than `step_min`, whatever its error, so a
+        # largest step below it would turn error control off.  `step_init`,
+        # the first step of the Dormand–Prince lanes the Taylor lanes
+        # replaced, is still checked here but no longer read.
         if self.step_min > self.step_init:
             raise InputError("step_min must not exceed step_init")
         if self.step_init > self.step_max:
@@ -656,48 +687,106 @@ def _covered(cells: np.ndarray, rho: float, xs: np.ndarray, radii: np.ndarray) -
 
 # -- the trajectory engine --------------------------------------------------
 
-# The Dormand–Prince 5(4) tableau (Dormand & Prince, 1980; Hairer, Nørsett &
-# Wanner, Solving ODEs I, II.5), one row per weighted sum of stages 1-7:
-# rows 0-4 give the points of stages 2-6, row 5 the fifth-order solution (at
-# which stage 7 sits: first same as last), and row 6 the fifth- minus the
-# fourth-order solution, the error estimate.  The sums are kept as running
-# sums, each stage added to every row that weights it as soon as it is
-# known, so every sum adds its terms in stage order whatever the number of
-# lanes; a reduction or an einsum may regroup a sum when the lanes' axes
-# collapse to length one, and a lane alone would then differ from the batch.
-_DP = np.array(
-    [
-        [1 / 5, 0, 0, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-        [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-    ]
-)
+# The order of every Taylor step: over the torus and the 25 perturbed tori
+# at the default `step_tol`, orders 18 to 22 build in about the same time,
+# with 575 to 463 lockstep iterations, 511 at 20.  `_crossing` cuts a bracket
+# into `_CROSSING_PARTS` parts per round.
+_TAYLOR_ORDER = 20
+_CROSSING_PARTS = 16
 
 
-def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
-    """One Dormand–Prince 5(4) step of x' = -grad f from every row of `x`.
+def _taylor_jet(comp: _Compiled, cs: np.ndarray, sense: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients x_1 .. x_order of the flow x' = -sigma grad f out of every row.
 
-    `g1` is the gradient at `x` and `hh` the signed step size as a column.
-    The stages are written with the gradient g instead of the flow -g;
-    negation is exact, so `x - c*g` equals `x + c*(-g)`, and a row whose
-    step is -h takes the step of size h of x' = +grad f, the flow of -f,
-    with the bits that the evaluators of -f would give it.  Six sequential
-    evaluator calls: stages 2-6 take a gradient each, and stage 7, at the
-    fifth-order solution, its value and gradient at once.  Returns the
-    fifth-order solution with the value and gradient of f there, and the
-    fourth- minus the fifth-order solution.
+    `cs` is `comp.trig_batch` at the rows, the zeroth order of C_t = cos
+    theta_t and S_t = sin theta_t, theta_t = 2 pi k_t.x, and `sense` holds
+    each row's sigma.  For sigma = 1, with D_j = j theta_j, the recursion is
+
+        (n+1) x_{n+1} = sum_t 2 pi k_t (c_t S_{t,n} - s_t C_{t,n}),
+        D_{n+1} = 2 pi k_t . (n+1) x_{n+1},
+        (n+1) C_{n+1} = -sum_{j=1}^{n+1} D_j S_{n+1-j},
+        (n+1) S_{n+1} = sum_{j=1}^{n+1} D_j C_{n+1-j},
+
+    the series of C' = -theta' S and S' = theta' C (Jorba & Zou, "A
+    software package for the numerical integration of ODEs by means of
+    high-order Taylor methods", Experimental Mathematics 14, 2005).  The
+    flow of sense -1 runs the same path backward in time, so its x_j is
+    (-1)^j x_j; each order of the recursion for -f flips by the same sign,
+    so a row of sense -1 has the bits of a row of -f.  The contractions
+    over the terms are einsums (see `_Compiled`), and the sums over j add
+    their terms one order after another, so a row has the same bits in
+    any batch.  Returns an array (order, rows, n), x_{j+1} at index j.
     """
-    sums = _DP[:, 0, None, None] * g1
-    for s in range(1, 6):
-        sums[s:] += _DP[s:, s, None, None] * comp.grad_batch(x - hh * sums[s - 1])
-    y = x - hh * sums[5]
-    fy, gy = comp.value_grad_batch(y)
-    sums[6] += _DP[6, 6] * gy
-    return y, fy, gy, hh * sums[6]
+    terms, rows = cs.shape[1:]
+    n_x = comp.n
+    e = np.empty((order, 2, terms, rows))  # E_k at order - 1 - k, so E_n .. E_0 is a slice
+    w = np.empty((order, n_x + terms, rows))  # (n+1) x_{n+1} and D_{n+1} at n
+    d = w[:, n_x:]
+    e[-1] = cs
+    rotate = np.arange(1.0, order)[:, None, None, None] * np.array([-1.0, 1.0])[:, None, None]
+    for n in range(order):
+        top = order - 1 - n
+        np.einsum("ktl,ktu->ul", e[top], comp.jet_table, out=w[n])
+        if n + 1 < order:
+            acc = np.add.reduce(d[: n + 1, None] * e[top:], axis=0)
+            np.divide(acc[::-1], rotate[n], out=e[top - 1])
+    j = np.arange(1.0, order + 1.0)[:, None, None]
+    return ((w[:, :n_x] / j) * sense**j).transpose(0, 2, 1)
+
+
+def _taylor_size(jet: np.ndarray, tol: float) -> np.ndarray:
+    """The step of each row at which its last two terms stay within `tol`.
+
+    That is min_j (tol/|x_j|)^(1/j) over j = p - 1, p, the step rule of
+    Jorba & Zou (2005), with the largest coordinate as the norm; the
+    powers are numpy's.
+    """
+    order = len(jet)
+    last = np.abs(jet[-2:]).max(axis=2)
+    with np.errstate(divide="ignore"):
+        return np.minimum(
+            np.power(tol / last[0], 1.0 / (order - 1)), np.power(tol / last[1], 1.0 / order)
+        )
+
+
+def _horner(jet: np.ndarray, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """x + sum_j jet[j-1] tau^j by Horner's rule, `tau` broadcast against the rows of x."""
+    y = jet[-1]
+    for c in jet[-2::-1]:
+        y = y * tau + c
+    return y * tau + x
+
+
+def _crossing(
+    comp: _Compiled, x: np.ndarray, centres: np.ndarray, h: np.ndarray, cfg: NumericalConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where backward Taylor steps from the rows of `x` enter the departure spheres at `centres`.
+
+    Row i steps over time h_i, from outside its sphere of radius
+    `sphere_radius` to inside it, along the polynomial P_i of
+    `_taylor_jet` at x_i, sense -1, the step its lane took.  Each round
+    cuts the bracket [lo, hi] of a crossing time (lo outside, hi inside,
+    from [0, h_i]) into `_CROSSING_PARTS` equal parts and keeps the first
+    part that ends inside: four bisections at 16 parts, on P_i, with no
+    gradient evaluated.  A row stops once its bracket is at most
+    `step_min` wide, so its result does not depend on the other rows.
+    Returns P(lo), the last point found outside, and lo.
+    """
+    radius = cfg.sphere_radius
+    jet = _taylor_jet(comp, comp.trig_batch(x), -np.ones(len(x)), _TAYLOR_ORDER)[:, :, None]
+    parts = np.arange(1.0, _CROSSING_PARTS) / _CROSSING_PARTS
+    lo, hi = np.zeros_like(h), h
+    wide = hi - lo > cfg.step_min
+    while wide.any():
+        tau = lo[:, None] + (hi - lo)[:, None] * parts
+        inside = _wrap(_horner(jet, x[:, None], tau[..., None]) - centres[:, None])[1] <= radius
+        first = np.where(inside.any(axis=1), inside.argmax(axis=1), len(parts))
+        ends = np.column_stack([lo, tau, hi])
+        rows = np.arange(len(x))
+        lo = np.where(wide, ends[rows, first], lo)
+        hi = np.where(wide, ends[rows, first + 1], hi)
+        wide = hi - lo > cfg.step_min
+    return _horner(jet[:, :, 0], x, lo[:, None]), lo
 
 
 # The circle samples of a T^2 partition within this many radians of a
@@ -705,6 +794,12 @@ def _dp_step(comp: _Compiled, x: np.ndarray, g1: np.ndarray, hh: np.ndarray):
 # `step_tol`, every separatrix shot of the torus and of the 25 perturbed tori
 # of the example bank lay within 6.6e-7 of the boundary a bisection found.
 _SHOT_SPREAD = 1e-6
+# A departure angle within this many radians below 2 pi reads as 0.  A
+# symmetric function puts a boundary on the first axis of the unstable
+# frame, and there rounding alone, about ulp(1) / `sphere_radius` = 1e-13
+# rad at the default radius, decides whether its angle is 0 or just below
+# 2 pi, and so whether its flow is named first or last.
+_ANGLE_WRAP = 1e-12
 # The critical-point search: Newton steps from each grid seed at most, the
 # largest gradient norm a candidate may keep, the radius within which two
 # candidates are one point, and the smallest |Hessian eigenvalue| of a
@@ -820,13 +915,18 @@ class _Analysis:
         sigma, +1 unless `senses` gives -1: the lane follows x' = -sigma
         grad f and descends on sigma f.  Negation is exact, so a lane of
         sense -1 has the bits it would have as a forward lane of an analysis
-        of -f, and a lane of sense +1 those of a run with no `senses`.  A step is Dormand–Prince
-        5(4) (`_dp_step`, given the step sigma h), which carries the
-        fifth-order solution forward; its last stage, at the new point,
-        serves the descent check and is the next step's first stage.  A lane
-        retries a shorter step while the error estimate exceeds `step_tol`/15
-        or while sigma f fails to drop, and after an accepted step takes
-        h * min(5, max(0.2, 0.9 (tol/err)^(1/5))), at most `step_max`.
+        of -f, and a lane of sense +1 those of a run with no `senses`.
+
+        A step is the Taylor polynomial of order `_TAYLOR_ORDER` of the
+        lane's flow (`_taylor_jet`), evaluated by Horner's rule.  Its size
+        comes from the last two coefficients (Jorba & Zou, 2005;
+        `_taylor_size`): h = min_j (tol/|x_j|)^(1/j), j = p - 1, p, with
+        tol = `step_tol`/1500, at most `step_max` and never below
+        `step_min`.  The cos and sin of the phases at the new point give
+        sigma f there, for the descent check, and are the next step's zeroth
+        order.  A step is taken only if sigma f drops; otherwise the lane
+        retries from the same point with at most half the step, and after a
+        step is taken the bound is `step_max` again.
 
         A lane ends as a `_Landing` or as the IntegrationFailureError its
         flow raises.  At its seed and after each accepted step it checks
@@ -845,10 +945,17 @@ class _Analysis:
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
         # half steps| of a fourth-order method, which is 15 = 2^4 - 1 times
-        # the error of the two-half-step solution (Richardson).  The pair
-        # estimates the error of its fourth-order solution itself, so it
-        # holds that error to the same bound, step_tol/15.
-        tol = cfg.step_tol / 15.0
+        # the error of the two-half-step solution (Richardson), so step_tol/15
+        # bounds a step's local error.  A Taylor step errs by about its last
+        # term, and the shots read angles on the departure circle, where a
+        # position error d at distance r from the index-2 point turns the
+        # angle by about d/r.  The last terms are held a hundred times below
+        # step_tol/15, which puts every boundary of the torus and the 25
+        # perturbed tori within 1.3e-9 rad of the boundary at step_tol 1e-12
+        # (9.6e-8 for the Dormand–Prince 5(4) lanes this replaced; 9.9e-8 at
+        # step_tol/15 itself).
+        tol = cfg.step_tol / 1500.0
+        order = _TAYLOR_ORDER
         out: list = [None] * len(seeds)
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
@@ -856,90 +963,87 @@ class _Analysis:
         traps = np.broadcast_to(np.asarray(trap, dtype=bool), len(seeds)).copy()
         marks = np.broadcast_to(np.asarray(record, dtype=bool), len(seeds)).copy()
         trapping, recording = bool(traps.any()), bool(marks.any())
-        fx, g1 = self.comp.value_grad_batch(x)
-        fx = sense * fx
+        cs = self.comp.trig_batch(x)
+        fx = sense * self.comp.value_of(cs)
         t = np.zeros(len(seeds))
-        h = np.full(len(seeds), cfg.step_init)
+        cap = np.full(len(seeds), cfg.step_max)
         steps = np.zeros(len(seeds), dtype=int)
         fresh = np.ones(len(seeds), dtype=bool)
         paths = [[(0.0, tuple(s))] if m else None for s, m in zip(x.tolist(), marks.tolist())]
 
         def finish(done: np.ndarray) -> None:
-            nonlocal lane, x, sense, fx, g1, t, h, steps, fresh, traps, marks, trapping, recording
+            nonlocal lane, x, sense, cs, fx, t, cap, steps, fresh, traps, marks, trapping, recording
             keep = ~done
-            lane, x, fx, g1, t, h = lane[keep], x[keep], fx[keep], g1[keep], t[keep], h[keep]
+            lane, x, cs, fx = lane[keep], x[keep], cs[..., keep], fx[keep]
+            t, cap = t[keep], cap[keep]
             sense, steps, fresh = sense[keep], steps[keep], fresh[keep]
             traps, marks = traps[keep], marks[keep]
             trapping, recording = bool(traps.any()), bool(marks.any())
 
-        # A zero error estimate makes the step factor infinite, as meant.
-        with np.errstate(divide="ignore"):
-            while len(lane):
-                # A lane that has just accepted a step (or not yet taken one)
-                # checks flow time, landing and step budget, in that order.
-                # The tests run on every row and count only for those lanes;
-                # gathering their rows first would cost more calls than it saves.
-                d = x[:, None, :] - self.centres
-                dist = _wrap(d)[1]
-                near = dist <= cfg.landing_radius
-                if trapping:
-                    caught = (dist <= self.trap_radius) & (fx[:, None] < self.trap_level)
-                    caught &= traps[:, None]
-                    near = np.where(near.any(axis=1, keepdims=True), near, caught)
-                live = fresh & (t <= cfg.max_flow_time)
-                landed = live & near.any(axis=1)
-                counted = live ^ landed
-                steps += counted
-                spent = steps > cfg.max_steps
-                late = fresh ^ live
-                done = late | landed | spent
-                if done.any():
-                    for k in np.flatnonzero(late):
-                        out[lane[k]] = IntegrationFailureError(
-                            f"no rest point reached within flow time {cfg.max_flow_time}"
-                        )
-                    for k in np.flatnonzero(landed):
-                        i = int(near[k].argmax())
-                        out[lane[k]] = _Landing(
-                            self.points[i],
-                            tuple(int(o) for o in np.round(d[k, i])),
-                            x[k].copy(),
-                            None if paths[lane[k]] is None else tuple(paths[lane[k]]),
-                        )
-                    for k in np.flatnonzero(spent):
-                        out[lane[k]] = IntegrationFailureError("step budget exhausted")
-                    finish(done)
-                    if not len(lane):
-                        break
+        while len(lane):
+            # A lane that has just accepted a step (or not yet taken one)
+            # checks flow time, landing and step budget, in that order.
+            # The tests run on every row and count only for those lanes;
+            # gathering their rows first would cost more calls than it saves.
+            d = x[:, None, :] - self.centres
+            dist = _wrap(d)[1]
+            near = dist <= cfg.landing_radius
+            if trapping:
+                caught = (dist <= self.trap_radius) & (fx[:, None] < self.trap_level)
+                caught &= traps[:, None]
+                near = np.where(near.any(axis=1, keepdims=True), near, caught)
+            live = fresh & (t <= cfg.max_flow_time)
+            landed = live & near.any(axis=1)
+            counted = live ^ landed
+            steps += counted
+            spent = steps > cfg.max_steps
+            late = fresh ^ live
+            done = late | landed | spent
+            if done.any():
+                for k in np.flatnonzero(late):
+                    out[lane[k]] = IntegrationFailureError(
+                        f"no rest point reached within flow time {cfg.max_flow_time}"
+                    )
+                for k in np.flatnonzero(landed):
+                    i = int(near[k].argmax())
+                    out[lane[k]] = _Landing(
+                        self.points[i],
+                        tuple(int(o) for o in np.round(d[k, i])),
+                        x[k].copy(),
+                        None if paths[lane[k]] is None else tuple(paths[lane[k]]),
+                    )
+                for k in np.flatnonzero(spent):
+                    out[lane[k]] = IntegrationFailureError("step budget exhausted")
+                finish(done)
+                if not len(lane):
+                    break
 
-                xn, fn, gn, delta = _dp_step(self.comp, x, g1, (sense * h)[:, None])
-                fn = sense * fn
-                err = np.abs(delta).max(axis=1)
-                above_min = h > cfg.step_min
-                rough = (err > tol) & above_min
-                climbs = ~rough & (fn >= fx)
-                failed = climbs & ~above_min
-                take = ~(rough | climbs)
-                fac = 0.9 * np.power(tol / err, 0.2)
-                grown = np.minimum(h * np.minimum(5.0, np.maximum(0.2, fac)), cfg.step_max)
-                shrunk = np.where(rough, h * np.maximum(0.2, np.minimum(1.0, fac)), 0.5 * h)
-                rows = take[:, None]
-                np.copyto(x, xn, where=rows)
-                np.copyto(fx, fn, where=take)
-                np.copyto(g1, gn, where=rows)
-                np.add(t, h, out=t, where=take)
-                h = np.maximum(np.where(take, grown, shrunk), cfg.step_min)
-                fresh = take
-                if recording:
-                    kept = take & marks
-                    for k, tk, xk in zip(lane[kept].tolist(), t[kept].tolist(), x[kept].tolist()):
-                        paths[k].append((tk, tuple(xk)))
-                if failed.any():
-                    for k in np.flatnonzero(failed):
-                        out[lane[k]] = IntegrationFailureError(
-                            "function value failed to decrease at the minimal step"
-                        )
-                    finish(failed)
+            jet = _taylor_jet(self.comp, cs, sense, order)
+            # A jet that overflows gives a NaN rule; fmin takes the bound
+            # instead, and the descent check then fails down to `step_min`.
+            h = np.fmax(np.fmin(cap, _taylor_size(jet, tol)), cfg.step_min)
+            xn = _horner(jet, x, h[:, None])
+            csn = self.comp.trig_batch(xn)
+            fn = sense * self.comp.value_of(csn)
+            take = fn < fx
+            failed = ~take & (h <= cfg.step_min)
+            rows = take[:, None]
+            np.copyto(x, xn, where=rows)
+            np.copyto(cs, csn, where=take)
+            np.copyto(fx, fn, where=take)
+            np.add(t, h, out=t, where=take)
+            cap = np.where(take, cfg.step_max, 0.5 * h)
+            fresh = take
+            if recording:
+                kept = take & marks
+                for k, tk, xk in zip(lane[kept].tolist(), t[kept].tolist(), x[kept].tolist()):
+                    paths[k].append((tk, tuple(xk)))
+            if failed.any():
+                for k in np.flatnonzero(failed):
+                    out[lane[k]] = IntegrationFailureError(
+                        "function value failed to decrease at the minimal step"
+                    )
+                finish(failed)
         return out
 
     # rigid flows ------------------------------------------------------------
@@ -1170,10 +1274,11 @@ class _Analysis:
         along side * w_s, follows the flow of -f and records its path.  A
         lane that fails raises its error, and one that rests at no index-2
         point (at a saddle: a saddle connection) raises
-        MorseSmaleViolationError.  The step into a's departure sphere is
-        halved down to `step_min` from the last point outside (one backward
-        `_dp_step` for all lanes per halving), and a -> s departs from the
-        point reached: its trajectory is the path up to there, reversed,
+        MorseSmaleViolationError.  The crossing of a's departure sphere is
+        found on the polynomial of the lane's step into it, to within
+        `step_min` of flow time, with no gradient evaluated (`_crossing`),
+        and a -> s departs from the last point found outside: its
+        trajectory is the path up to there, reversed,
         time from 0, and its lattice offset the landing offset negated.  Its
         sign compares W^u(a), oriented by `frames[a.id]`, with R gamma' +
         T W^u(s), spanned at the seed by the frame (u/|u|, w_u), u = -grad f
@@ -1201,19 +1306,15 @@ class _Analysis:
         h = np.array([ld.trajectory[k][0] for _, _, ld, k in shots]) - t
         u = -self.comp.grad_batch(np.array([ld.trajectory[0][1] for _, _, ld, _ in shots]))
         u = u / np.linalg.norm(u, axis=1)[:, None]
-        g = self.comp.grad_batch(x)
-        while (h > self.cfg.step_min).any():
-            h = 0.5 * h
-            y, _, gy, _ = _dp_step(self.comp, x, g, -h[:, None])
-            outside = _wrap(y - centres)[1] > self.cfg.sphere_radius
-            x, g = np.where(outside[:, None], y, x), np.where(outside[:, None], gy, g)
-            t = np.where(outside, t + h, t)
+        x, tau = _crossing(self.comp, x, centres, h, self.cfg)
+        t = t + tau
         flows = []
         for (s, a, landing, k), r, xc, tc, us in zip(
             shots, _wrap(x - centres)[0], x, t.tolist(), u
         ):
             along, across = r @ self.frames[a.id]
             angle = math.atan2(across, along) % TWO_PI
+            angle = 0.0 if angle > TWO_PI - _ANGLE_WRAP else angle
             path = [(0.0, tuple(xc.tolist()))]
             path += [(tc - tp, p) for tp, p in reversed(landing.trajectory[:k])]
             frame = np.column_stack([us, self.frames[s.id][:, 0]])

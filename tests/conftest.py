@@ -4,8 +4,9 @@ The oracles here stay deliberately naive: rank computation by fraction
 Gaussian elimination, modular homology by enumerating small modules, a
 combinatorial surface triangulation whose boundary matrices are written
 down directly, the dense Smith reduction that rewrites whole rows, a
-scalar, one-trajectory-at-a-time flow integrator, signs read from frames
-that integrator carries along each rigid flow, a recursive bisection of the
+scalar, one-trajectory-at-a-time twin of the package's Taylor steps,
+signs read from frames that an independent Dormand–Prince integrator
+carries along each rigid flow, a recursive bisection of the
 departure circle that classifies one midpoint at a time by a lane that runs
 until it lands, and a probe that follows one trajectory past a family's
 broken end to see which way it leaves the saddle, and the critical-point
@@ -432,6 +433,156 @@ def _neg_grad(terms, x) -> list[float]:
     return g
 
 
+# The order of the package's Taylor steps.
+TAYLOR_ORDER = 20
+
+
+def _landing(points, cfg, y):
+    """The first critical point within `landing_radius` of y, with its lattice offset, or None."""
+    for cp in points:
+        d = [yi - pi for yi, pi in zip(y, cp.position)]
+        off = tuple(round(di) for di in d)
+        dist = math.sqrt(sum((di - oi) * (di - oi) for di, oi in zip(d, off)))
+        if dist <= cfg.landing_radius:
+            return cp, off
+    return None
+
+
+def _jet_tables(terms):
+    """The jet's coefficients, from the exact terms: P[k][t][j] and Q[k][t][u] = P[k][t] . 2 pi k_u.
+
+    k = 0 takes cos theta_t and k = 1 sin theta_t: -grad f = sum_t
+    2 pi k_t (c_t sin - s_t cos).
+    """
+    waves = [[TWO_PI * k for k in freq] for freq, _, _ in terms]
+    p = [
+        [[-s * w for w in wave] for (_, _, s), wave in zip(terms, waves)],
+        [[c * w for w in wave] for (_, c, _), wave in zip(terms, waves)],
+    ]
+    q = [[[_dot(row, wave) for wave in waves] for row in pk] for pk in p]
+    return p, q
+
+
+def _dot(a, b) -> float:
+    acc = 0.0
+    for u, v in zip(a, b):
+        acc += u * v
+    return acc
+
+
+def taylor_jet(terms, x, sense, order):
+    """Taylor coefficients x_1 .. x_order of x' = -sense grad f at x, one order at a time.
+
+    With C_t = cos 2 pi k_t.x and S_t = sin 2 pi k_t.x, and D_j = j theta_j
+    for the phases theta_t:
+    (n+1) x_{n+1} = sum_t 2 pi k_t (c_t S_{t,n} - s_t C_{t,n}), D_{n+1} =
+    2 pi k_t . (n+1) x_{n+1}, (n+1) C_{n+1} = -sum_j D_j S_{n+1-j} and
+    (n+1) S_{n+1} = sum_j D_j C_{n+1-j}, each sum added from its first
+    term on: over the cos terms and then the sin terms, and over j from 1.
+    The backward flow runs the same path backward, so its x_j is
+    (-1)^j x_j.
+    """
+    p, q = _jet_tables(terms)
+    nt = len(terms)
+
+    def contract(ek, table, u):
+        return sum_in_order(ek[k][t] * table[k][t][u] for k in (0, 1) for t in range(nt))
+
+    phases = [_phase(freq, x) for freq, _, _ in terms]
+    e = [[[math.cos(ph) for ph in phases], [math.sin(ph) for ph in phases]]]
+    d = [None]
+    for n in range(order - 1):
+        d.append([contract(e[n], q, u) for u in range(nt)])
+        acc = [
+            [sum_in_order(d[j][t] * e[n + 1 - j][k][t] for j in range(1, n + 2)) for t in range(nt)]
+            for k in (0, 1)
+        ]
+        e.append([[a / -(n + 1.0) for a in acc[1]], [a / (n + 1.0) for a in acc[0]]])
+    jet = []
+    for j in range(1, order + 1):
+        v = [contract(e[j - 1], p, i) for i in range(len(x))]
+        jet.append([(vi / j) * sense**j for vi in v])
+    return jet
+
+
+def sum_in_order(values) -> float:
+    """values[0] + values[1] + ..., added left to right."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def scalar_flow(f, cfg, points, x0, sense=1.0):
+    """Follow the gradient flow x' = -sense grad f from x0, one point at a time.
+
+    The package's Taylor steps in plain Python floats, each order added up
+    one term at a time (`taylor_jet`, order `TAYLOR_ORDER`): a step's size
+    is min((tol/|x_{p-1}|)^(1/(p-1)), (tol/|x_p|)^(1/p)), tol =
+    step_tol/1500 and |.| the largest coordinate, at most `step_max`, or at most half a
+    step after which the value of sense * f failed to drop, and never below
+    `step_min`; the powers are numpy's, as in the package, since on some
+    CPUs numpy's power differs from the C library's in the last bit.  A
+    step is evaluated by Horner's rule and taken only if sense * f drops,
+    f summed over the cos terms and then the sin terms.
+    Checks flow time, landing and step budget before each step.  Returns
+    (rest point, lattice offset, trajectory) or raises the
+    IntegrationFailureError of the package.
+    """
+    terms = _float_terms(f)
+    tol = cfg.step_tol / 1500.0
+    order = TAYLOR_ORDER
+
+    def value(y):
+        phases = [_phase(freq, y) for freq, _, _ in terms]
+        cosines = sum_in_order(c * math.cos(ph) for (_, c, _), ph in zip(terms, phases))
+        sines = sum_in_order(s * math.sin(ph) for (_, _, s), ph in zip(terms, phases))
+        return sense * (cosines + sines)
+
+    def power(a, b):
+        return float(np.power(np.array([a]), b)[0])
+
+    x = list(x0)
+    t = 0.0
+    cap = cfg.step_max
+    fx = value(x)
+    traj = [(0.0, tuple(x))]
+    steps = 0
+    while True:
+        if t > cfg.max_flow_time:
+            raise IntegrationFailureError(
+                f"no rest point reached within flow time {cfg.max_flow_time}"
+            )
+        hit = _landing(points, cfg, x)
+        if hit is not None:
+            return hit[0], hit[1], tuple(traj)
+        steps += 1
+        if steps > cfg.max_steps:
+            raise IntegrationFailureError("step budget exhausted")
+        while True:
+            jet = taylor_jet(terms, x, sense, order)
+            last = [max(abs(c) for c in jet[-2]), max(abs(c) for c in jet[-1])]
+            rule = min(
+                math.inf if last[0] == 0.0 else power(tol / last[0], 1.0 / (order - 1)),
+                math.inf if last[1] == 0.0 else power(tol / last[1], 1.0 / order),
+            )
+            h = max(min(cap, rule), cfg.step_min)
+            xn = list(jet[-1])
+            for c in jet[-2::-1]:
+                xn = [yi * h + ci for yi, ci in zip(xn, c)]
+            xn = [yi * h + xi for yi, xi in zip(xn, x)]
+            fn = value(xn)
+            if fn < fx:
+                break
+            if h <= cfg.step_min:
+                raise IntegrationFailureError(
+                    "function value failed to decrease at the minimal step"
+                )
+            cap = 0.5 * h
+        x, fx, t, cap = xn, fn, t + h, cfg.step_max
+        traj.append((t, tuple(x)))
+
+
 # The Dormand–Prince 5(4) tableau, written out again from the rationals.
 DP_A = (
     (),
@@ -495,21 +646,20 @@ def _advance_frame(hess, v, stages, h):
     return q * np.sign(diag)
 
 
-def scalar_flow(f, cfg, points, x0, frame=None):
-    """Follow the negative gradient of f from x0, one point at a time.
+def dp5_flow(f, cfg, points, x0, frame=None):
+    """Follow the negative gradient of f from x0 with Dormand–Prince 5(4), carrying a frame.
 
-    Dormand–Prince 5(4) with the package's step rule, in plain Python
-    floats: a step is retried while the error estimate exceeds step_tol/15
-    (shrunk by max(0.2, min(1, 0.9 (tol/err)^(1/5)))) or the value fails to
-    drop (halved), never below `step_min`, and after an accepted step h
-    becomes h * min(5, max(0.2, 0.9 (tol/err)^(1/5))), at most `step_max`.
-    The fifth root is numpy's, as in the package: on some CPUs numpy's
-    power differs from the C library's in the last bit.  Checks flow time,
-    landing and step budget before each step.  A `frame` of tangent vectors
-    at x0 is carried along by the linearised flow, one step at a time; the
-    Hessians come from the package.  Returns (rest point, lattice offset,
-    trajectory, frame) or raises the IntegrationFailureError of the
-    package.
+    An integrator independent of the package's, for the sign oracles,
+    which compare signs and not bits: in plain Python floats, a step is
+    retried while the error estimate exceeds step_tol/15 (shrunk by
+    max(0.2, min(1, 0.9 (tol/err)^(1/5)))) or the value fails to drop
+    (halved), never below `step_min`, and after an accepted step h becomes
+    h * min(5, max(0.2, 0.9 (tol/err)^(1/5))), at most `step_max`, from a
+    first step of `step_init`.  Checks flow time, landing and step budget
+    before each step.  A `frame` of tangent vectors at x0 is carried along
+    by the linearised flow, one step at a time; the Hessians come from the
+    package.  Returns (rest point, lattice offset, trajectory, frame) or
+    raises an IntegrationFailureError.
     """
     terms = _float_terms(f)
     hess = _compiled(f).hess_batch
@@ -518,15 +668,6 @@ def scalar_flow(f, cfg, points, x0, frame=None):
 
     def g(y):
         return _neg_grad(terms, y)
-
-    def landing(y):
-        for cp in points:
-            d = [yi - pi for yi, pi in zip(y, cp.position)]
-            off = tuple(round(di) for di in d)
-            dist = math.sqrt(sum((di - oi) * (di - oi) for di, oi in zip(d, off)))
-            if dist <= cfg.landing_radius:
-                return cp, off
-        return None
 
     def factor(err):
         ratio = math.inf if err == 0.0 else tol / err
@@ -540,7 +681,7 @@ def scalar_flow(f, cfg, points, x0, frame=None):
     traj = [(0.0, tuple(x))]
     steps = 0
     while t <= cfg.max_flow_time:
-        hit = landing(x)
+        hit = _landing(points, cfg, x)
         if hit is not None:
             return hit[0], hit[1], tuple(traj), frame
         steps += 1
@@ -593,12 +734,12 @@ def _frame_sign(basis, frame) -> int:
 def forward_sign(analysis, a, seed):
     """(rest point, offset, sign) of the flow out of `a` from `seed`, by a carried frame.
 
-    The unstable frame of `a` is carried along the flow by `scalar_flow`
+    The unstable frame of `a` is carried along the flow by `dp5_flow`
     and compared, at the rest point b, with the arrival basis (velocity,
     unstable frame of b).
     """
     f = analysis.f
-    b, offset, traj, carried = scalar_flow(
+    b, offset, traj, carried = dp5_flow(
         f, analysis.cfg, analysis.points, seed, analysis.frames[a.id]
     )
     arrival = np.array(_neg_grad(_float_terms(f), traj[-1][1]))
@@ -621,7 +762,7 @@ def backward_sign(analysis, s, side):
     minus_f = TrigPolynomial(
         f.dimension, tuple(TrigTerm(t.frequency, -t.cos_coeff, -t.sin_coeff) for t in f.terms)
     )
-    a, offset, _, carried = scalar_flow(minus_f, analysis.cfg, analysis.points, seed, frame)
+    a, offset, _, carried = dp5_flow(minus_f, analysis.cfg, analysis.points, seed, frame)
     return a, tuple(-o for o in offset), _frame_sign(analysis.frames[a.id], carried)
 
 

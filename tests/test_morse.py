@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from morseflow import (
     CoefficientRing,
+    CriticalPoint,
     NumericalConfig,
     TrigPolynomial,
     TrigTerm,
@@ -64,9 +65,10 @@ from morseflow.morse import (
     _covered,
     _dedupe,
     _derivative_bounds,
-    _dp_step,
+    _horner,
     _Landing,
     _orientation,
+    _taylor_jet,
     _wrap,
 )
 
@@ -240,8 +242,21 @@ class TestEvaluation:
             batch = evaluate(x)
             for i in range(len(x)):
                 assert batch[i].tobytes() == evaluate(x[i : i + 1])[0].tobytes()
-        # The fused evaluator's gradient is the next step's first stage.
         assert comp.value_grad_batch(x)[1].tobytes() == comp.grad_batch(x).tobytes()
+        # The lanes' evaluators, which take the rows last: the cos and sin of
+        # the phases, the values read off them, and the Taylor jet of either
+        # sense.
+        sides = st.lists(st.sampled_from([1.0, -1.0]), min_size=len(x), max_size=len(x))
+        senses = np.array(data.draw(sides))
+        cs = comp.trig_batch(x)
+        values = comp.value_of(cs)
+        jet = _taylor_jet(comp, cs, senses, 7)
+        for i in range(len(x)):
+            one = comp.trig_batch(x[i : i + 1])
+            assert cs[..., i].tobytes() == one[..., 0].tobytes()
+            assert values[i].tobytes() == comp.value_of(one)[0].tobytes()
+            alone = _taylor_jet(comp, one, senses[i : i + 1], 7)
+            assert jet[:, i].tobytes() == alone[:, 0].tobytes()
 
 
 class TestNumericalConfig:
@@ -755,13 +770,14 @@ class TestLanes:
                 assert recorded(got) == oracle(analysis, seed)
 
     @pytest.mark.parametrize(
-        "coarse", [{}, {"step_tol": 0.1, "step_max": 0.2}], ids=["default", "coarse"]
+        "coarse", [{}, {"step_tol": 0.5, "step_max": 0.5}], ids=["default", "coarse"]
     )
     def test_lanes_stop_where_scalar_integration_stops(self, coarse):
         # Step budget and flow time set at the median oracle run's exact
         # step count and arrival time, and just below them: a lane whose
         # step rule differs from the oracle's lands on the other side.  The
-        # coarse tolerance makes steps overshoot, so the descent check bites.
+        # coarse tolerance makes steps overshoot, so the descent check bites:
+        # the 32 lanes retry 21 steps in all.
         f = perturbed_torus(perturbed_torus_seeds(1)[0])
         analysis = _Analysis(f, NumericalConfig(**coarse))
         top = analysis.points[0]
@@ -819,6 +835,22 @@ class TestLanes:
         batch = analysis._classify_angles(top, thetas)
         alone = [analysis._classify_angles(top, [th])[0] for th in thetas]
         assert list(map(comparable, batch)) == list(map(comparable, alone))
+
+    def test_a_lane_whose_series_overflows_fails_loudly(self):
+        # The Taylor coefficients of 10^300 cos 2 pi x overflow to NaN; the
+        # lane shortens its step down to step_min and fails there, instead
+        # of taking a step of step_min whatever its error (the Dormand–Prince
+        # lanes jumped to x = 5.7e291 and called that a rest at the source).
+        f = TrigPolynomial(1, (TrigTerm((1,), Fraction(10**300)),))
+        points = [
+            CriticalPoint("p1.0", (0.0,), 1e300, 1, (-4e301,)),
+            CriticalPoint("p0.0", (0.5,), -1e300, 0, (4e301,)),
+        ]
+        analysis = _Analysis(f, NumericalConfig(), points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (got,) = analysis.land_lanes([[1e-3]], record=True)
+        assert isinstance(got, IntegrationFailureError)
+        assert "failed to decrease at the minimal step" in str(got)
 
     @pytest.mark.parametrize("run", ["saddles", "boundaries"])
     def test_lane_errors_raise_in_sequential_order(self, monkeypatch, run):
@@ -1144,6 +1176,10 @@ class TestShots:
         # backward have the targets, signs and lattice offsets of the forward
         # flows that depart at the oracle's angles, signed by a frame carried
         # along each of them, and each of those rests at its boundary's saddle.
+        # The carried-frame oracle follows those flows at step_tol 1e-12: the
+        # oracle's angles lie within about 1e-9 rad of the true boundaries,
+        # and at the default step_tol its Dormand–Prince steps err by up to
+        # about 1e-7 rad, enough to pass the saddle.
         analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse))
         top = analysis.points[0]
         arcs = analysis.partition(top)
@@ -1154,7 +1190,8 @@ class TestShots:
             assert arc.ends[0].via == saddle.id
             assert abs(math.remainder(arc.start - angle, 2 * math.pi)) <= 1e-6
         seeds = [analysis.seed(top, analysis.direction_at(top, th)) for th, _ in found]
-        forward = [forward_sign(analysis, top, seed) for seed in seeds]
+        tight = _Analysis(f, analysis.cfg.with_overrides(step_tol=1e-12), analysis.points)
+        forward = [forward_sign(tight, top, seed) for seed in seeds]
         assert [b for b, _, _ in forward] == [s for _, s in found]
         assert [(fl.target, fl.sign, fl.lattice_offset) for fl in analysis.max_flows(top)] == [
             (b.id, sign, offset) for b, offset, sign in forward
@@ -1542,14 +1579,11 @@ def circle_flow(x0: float, t: float) -> float:
     return math.atan(math.tan(math.pi * x0) * math.exp(4 * math.pi**2 * t)) / math.pi
 
 
-class TestDormandPrince:
-    @pytest.mark.parametrize(
-        "step_tol, within", [(1e-8, True), (15e-8, False)], ids=["default", "tol-not-over-15"]
-    )
+class TestTaylorStep:
+    @pytest.mark.parametrize("step_tol, within", [(1e-8, True)], ids=["default"])
     def test_circle_lane_follows_the_closed_form(self, step_tol, within):
-        # Step-doubling RK4 stayed within 1.63e-8 of the closed form here.
-        # Holding the embedded solution to step_tol/15 keeps that accuracy;
-        # holding it to step_tol itself (step_tol 15x larger) drifts 3.1e-7.
+        # Step-doubling RK4 stayed within 1.63e-8 of the closed form here,
+        # and the Dormand–Prince 5(4) lanes within 5e-8.
         analysis = _Analysis(circle_function(), NumericalConfig(step_tol=step_tol))
         x0 = 1e-3
         (got,) = analysis.land_lanes([[x0]], record=True)
@@ -1557,22 +1591,37 @@ class TestDormandPrince:
         worst = max(abs(x[0] - circle_flow(x0, t)) for t, x in got.trajectory)
         assert (worst <= 5e-8) == within, worst
 
-    def test_tableau_orders(self):
+    def test_the_step_polynomial_errs_at_its_order(self):
         # One step from a fixed point at h, h/2 and h/4: the local error of
-        # an order-p solution falls as h^(p+1), so the fifth-order solution
-        # must show order 5 and the embedded one (fifth-order solution plus
-        # the returned difference) order 4.
+        # an order-p series falls as h^(p+1).  At the package's order a step
+        # of 0.01 is exact to rounding.
         comp = _compiled(circle_function())
         x0 = 0.05
         x = np.array([[x0]])
-        errors = []
-        for h in (0.005, 0.0025, 0.00125):
-            y5, _, _, delta = _dp_step(comp, x, comp.grad_batch(x), np.array([[h]]))
-            exact = circle_flow(x0, h)
-            errors.append((abs(y5[0, 0] - exact), abs(y5[0, 0] + delta[0, 0] - exact)))
-        for coarse, fine in zip(errors, errors[1:]):
-            for order, e_coarse, e_fine in zip((5, 4), coarse, fine):
-                assert math.log2(e_coarse / e_fine) - 1 == pytest.approx(order, abs=0.3)
+        cs = comp.trig_batch(x)
+        for order in (2, 4, 6):
+            jet = _taylor_jet(comp, cs, np.ones(1), order)
+            errors = [
+                abs(_horner(jet, x, np.array([[h]]))[0, 0] - circle_flow(x0, h))
+                for h in (0.005, 0.0025, 0.00125)
+            ]
+            for coarse, fine in zip(errors, errors[1:]):
+                assert math.log2(coarse / fine) - 1 == pytest.approx(order, abs=0.3)
+        jet = _taylor_jet(comp, cs, np.ones(1), morse._TAYLOR_ORDER)
+        assert abs(_horner(jet, x, np.array([[0.01]]))[0, 0] - circle_flow(x0, 0.01)) <= 1e-15
+
+    def test_closed_form_error_scales_with_step_tol(self):
+        # The worst error of a circle lane stays below step_tol / 100 and
+        # falls at least tenfold for each hundredfold tighter step_tol.
+        x0 = 1e-3
+        worst = []
+        for step_tol in (1e-4, 1e-6, 1e-8, 1e-10):
+            analysis = _Analysis(circle_function(), NumericalConfig(step_tol=step_tol))
+            (got,) = analysis.land_lanes([[x0]], record=True)
+            worst.append(max(abs(x[0] - circle_flow(x0, t)) for t, x in got.trajectory))
+            assert worst[-1] <= step_tol / 100, (step_tol, worst[-1])
+        for coarse, fine in zip(worst, worst[1:]):
+            assert fine <= coarse / 10, worst
 
 
 class TestRefinementInvariance:
@@ -1586,6 +1635,20 @@ class TestRefinementInvariance:
         )
         base = build_flow_category(f, cfg)
         fine = build_flow_category(f, tight)
+        assert fine[0].to_json(fine[1]) == base[0].to_json(base[1])
+
+    @pytest.mark.parametrize(
+        "f",
+        [circle_function(), torus_function()]
+        + [perturbed_torus(s) for s in perturbed_torus_seeds(25)]
+        + [tilted_upright_torus(Fraction(1, 10)), tilted_upright_torus(Fraction(-1, 10))],
+        ids=["circle", "torus"] + [f"perturbed-{s}" for s in range(25)] + ["tilted+", "tilted-"],
+    )
+    def test_step_tol_1e_12_keeps_category_signs_and_family_ends(self, f):
+        # The category's JSON holds its flows with their signs and every
+        # family component with its two broken ends.
+        base = build_flow_category(f, NumericalConfig(step_tol=1e-8))
+        fine = build_flow_category(f, NumericalConfig(step_tol=1e-12))
         assert fine[0].to_json(fine[1]) == base[0].to_json(base[1])
 
 

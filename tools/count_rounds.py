@@ -10,22 +10,32 @@ the flow category and prints, per build:
 - check: the lanes that may trap, those whose landing class alone is read,
   wherever they run: the circle samples, and the lanes beside each
   boundary or the arc midpoints that check the partition;
-- iters: lane iterations, the calls of `_dp_step`, one per iteration of
-  every `land_lanes` run, recorded runs included;
+- iters: lane iterations, the calls of the tree's step function, one per
+  iteration of every `land_lanes` run, recorded runs included: `_dp_step`
+  on a tree with Dormand–Prince lanes, `_taylor_jet` on one with Taylor
+  lanes, whose crossing refinement (`morse._crossing`) takes one more jet;
 - lane-steps: the rows of those calls, lanes summed over iterations;
 - lane-runs: the calls of `_Analysis.land_lanes`, check, midpoint and
   separatrix runs alike;
-- shots: the `_dp_step` calls made inside `_Analysis._separatrices`, the
-  recorded run of all four separatrices of every saddle (the stable ones
-  backward) and the halving of the backward lanes' last steps, which give
-  the saddle flows, the boundaries and the flows out of the index-2
-  points; `iters` includes them;
-- grad-rows: the rows passed to the gradient evaluators of `_Compiled`
-  (`grad_batch` and `value_grad_batch`) inside `land_lanes` or inside a
-  `_dp_step`, so the halving steps count and the rest of the pipeline
-  does not;
-- hess-rows: the rows passed to `_Compiled.hess_batch` there, the
-  Hessians that carrying a frame along a lane would take.
+- shots: the step-function calls made inside `_Analysis._separatrices`,
+  the recorded run of all four separatrices of every saddle (the stable
+  ones backward) and the refinement of the backward lanes' last steps,
+  which give the saddle flows, the boundaries and the flows out of the
+  index-2 points; `iters` includes them;
+- grad-rows: the rows passed to the evaluators of `_Compiled` that take
+  the cos and sin of the phases (`grad_batch`, `value_grad_batch` and,
+  where it exists, `trig_batch`) inside `land_lanes` or inside a step
+  function, so the halving steps of a Dormand–Prince tree count and the
+  rest of the pipeline does not;
+- jet-rows: the rows passed to `_taylor_jet`, each a Taylor series of the
+  tree's order (0 on a Dormand–Prince tree);
+- cross-rows: the evaluator and jet rows of the refinement of the crossing
+  of the departure circles: those of the `_dp_step` calls inside
+  `_Analysis._shot_flows` on a Dormand–Prince tree, and those inside
+  `morse._crossing` on a Taylor tree;
+- hess-rows: the rows passed to `_Compiled.hess_batch` inside `land_lanes`
+  or a step function, the Hessians that carrying a frame along a lane
+  would take.
 
 A second table counts the critical-point search of each build, and of the
 cosine sum on T^3, from the evaluator calls made inside
@@ -79,48 +89,63 @@ def counting(tally: dict, search: list):
     to `search` as (column, rows), with column "cells" inside the
     certificate.
     """
-    classify, step, land = _Analysis._classify_angles, morse._dp_step, _Analysis.land_lanes
-    shots, find = _Analysis._separatrices, morse.find_critical_points
+    classify, land = _Analysis._classify_angles, _Analysis.land_lanes
+    shots, shot_flows = _Analysis._separatrices, _Analysis._shot_flows
+    find = morse.find_critical_points
     certify = getattr(morse, "_certify", None)
+    crossing = getattr(morse, "_crossing", None)
+    # The step function and the number of rows in its second argument.
+    if hasattr(morse, "_dp_step"):
+        step_name, rows_of = "_dp_step", len
+    else:
+        step_name, rows_of = "_taylor_jet", lambda cs: cs.shape[-1]
+    step = getattr(morse, step_name)
     evaluators = {
         name: (getattr(_Compiled, name), column)
         for name, column in (
             ("grad_batch", "grad-rows"),
             ("value_grad_batch", "grad-rows"),
+            ("trig_batch", "grad-rows"),
             ("hess_batch", "hess-rows"),
         )
+        if hasattr(_Compiled, name)
     }
-    shooting, stepping, finding, certifying = [0], [0], [False], [False]
+    shooting, landing, in_step, refining = [0], [0], [0], [0]
+    finding, certifying = [False], [False]
 
     def counted_classify(self, a, thetas):
         tally["runs"] += 1
         return classify(self, a, thetas)
 
-    def counted_shots(self, *args, **kwargs):
-        shooting[0] += 1
-        try:
-            return shots(self, *args, **kwargs)
-        finally:
-            shooting[0] -= 1
+    def nested(flag, call):
+        def counted(*args, **kwargs):
+            flag[0] += 1
+            try:
+                return call(*args, **kwargs)
+            finally:
+                flag[0] -= 1
+
+        return counted
 
     def counted_land(self, seeds, record=False, trap=False, senses=None):
         tally["lane-runs"] += 1
         tally["check"] += int(np.broadcast_to(trap, len(seeds)).sum())
-        stepping[0] += 1
-        try:
-            return land(self, seeds, record, trap, senses)
-        finally:
-            stepping[0] -= 1
+        return nested(landing, land)(self, seeds, record, trap, senses)
+
+    def refinement(rows):
+        # A Taylor tree refines in `_crossing`; a Dormand–Prince tree in
+        # the step-function calls of `_shot_flows`.
+        if refining[0] and (crossing is not None or in_step[0]):
+            tally["cross-rows"] += rows
 
     def counted_step(comp, x, *args):
         tally["iters"] += 1
-        tally["lane-steps"] += len(x)
+        tally["lane-steps"] += rows_of(x)
         tally["shots"] += shooting[0] > 0
-        stepping[0] += 1
-        try:
-            return step(comp, x, *args)
-        finally:
-            stepping[0] -= 1
+        if step_name == "_taylor_jet":
+            tally["jet-rows"] += rows_of(x)
+            refinement(rows_of(x))
+        return nested(in_step, step)(comp, x, *args)
 
     def counted_find(*args, **kwargs):
         finding[0] = True
@@ -139,8 +164,9 @@ def counting(tally: dict, search: list):
 
     def rows_counted(evaluate, column):
         def counted(comp, x):
-            if stepping[0]:
+            if landing[0] or in_step[0]:
                 tally[column] += len(x)
+            refinement(len(x))
             if finding[0]:
                 search.append(("cells" if certifying[0] else column, len(x)))
             return evaluate(comp, x)
@@ -148,9 +174,13 @@ def counting(tally: dict, search: list):
         return counted
 
     _Analysis._classify_angles = counted_classify
-    morse._dp_step = counted_step
+    setattr(morse, step_name, counted_step)
     _Analysis.land_lanes = counted_land
-    _Analysis._separatrices = counted_shots
+    _Analysis._separatrices = nested(shooting, shots)
+    if crossing is not None:
+        morse._crossing = nested(refining, crossing)
+    else:
+        _Analysis._shot_flows = nested(refining, shot_flows)
     morse.find_critical_points = counted_find
     if certify is not None:
         morse._certify = counted_certify
@@ -160,9 +190,12 @@ def counting(tally: dict, search: list):
         yield tally
     finally:
         _Analysis._classify_angles = classify
-        morse._dp_step = step
+        setattr(morse, step_name, step)
         _Analysis.land_lanes = land
         _Analysis._separatrices = shots
+        _Analysis._shot_flows = shot_flows
+        if crossing is not None:
+            morse._crossing = crossing
         morse.find_critical_points = find
         if certify is not None:
             morse._certify = certify
@@ -171,7 +204,16 @@ def counting(tally: dict, search: list):
 
 
 COLUMNS = (
-    "runs", "check", "iters", "lane-steps", "lane-runs", "shots", "grad-rows", "hess-rows"
+    "runs",
+    "check",
+    "iters",
+    "lane-steps",
+    "lane-runs",
+    "shots",
+    "grad-rows",
+    "jet-rows",
+    "cross-rows",
+    "hess-rows",
 )
 SEARCH_COLUMNS = ("grid", "seeds", "newton-iters", "newton-rows", "cells")
 

@@ -226,7 +226,7 @@ class _Compiled:
         """Values and gradients from one pass over the phases."""
         ph = self._phases(x)
         c, s = np.cos(ph), np.sin(ph)
-        return self._value(c, s), self._grad(c, s)
+        return (c * self.cos + s * self.sin).sum(axis=1), self._grad(c, s)
 
     def trig_batch(self, x: np.ndarray) -> np.ndarray:
         """cos and sin of each term's phase at the rows of `x`, as (2, terms, rows).
@@ -234,15 +234,12 @@ class _Compiled:
         The rows come last, so that the contractions of `_taylor_jet` run
         their inner loops along the rows.
         """
-        ph = TWO_PI * np.einsum("tj,pj->tp", self.freqs, x)
+        ph = self._phases(x).T
         return np.stack((np.cos(ph), np.sin(ph)))
 
     def value_of(self, cs: np.ndarray) -> np.ndarray:
         """Values from `trig_batch`: the cos terms, then the sin terms, added in order."""
         return np.einsum("ktl,ktu->ul", cs, self.value_table)[0]
-
-    def _value(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return (c * self.cos + s * self.sin).sum(axis=1)
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
         ph = self._phases(x)
@@ -951,9 +948,8 @@ class _Analysis:
         # position error d at distance r from the index-2 point turns the
         # angle by about d/r.  The last terms are held a hundred times below
         # step_tol/15, which puts every boundary of the torus and the 25
-        # perturbed tori within 1.3e-9 rad of the boundary at step_tol 1e-12
-        # (9.6e-8 for the Dormand–Prince 5(4) lanes this replaced; 9.9e-8 at
-        # step_tol/15 itself).
+        # perturbed tori within 1.3e-9 rad of the boundary at step_tol 1e-12,
+        # against 9.9e-8 when they are held to step_tol/15 itself.
         tol = cfg.step_tol / 1500.0
         order = _TAYLOR_ORDER
         out: list = [None] * len(seeds)

@@ -121,10 +121,8 @@ class TestIsometries:
 # MorseSmaleViolationError (the two ends of an arc rest in different
 # classes; a circle sample rests off the basins of its partition), and
 # "builds" a category with the homology of the torus.  Seed 3 of the first
-# shear, whose two boundaries near pi/2 lie 1.6e-10 rad apart, builds
-# since the lanes take Taylor steps, with the same boundaries at step_tol
-# 1e-8 and 1e-12; under the Dormand–Prince lanes it failed with arc-ends,
-# and seeds 0, 8, 12, 19 and 23 failed the other way.
+# shear builds: its two boundaries near pi/2 lie 1.6e-10 rad apart, the
+# same at step_tol 1e-8 and 1e-12.
 SHEARS = {
     "x-by-y": (
         ((1, 1), (0, 1)),

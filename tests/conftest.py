@@ -459,19 +459,15 @@ def _jet_tables(terms):
         [[-s * w for w in wave] for (_, _, s), wave in zip(terms, waves)],
         [[c * w for w in wave] for (_, c, _), wave in zip(terms, waves)],
     ]
-    q = [[[_dot(row, wave) for wave in waves] for row in pk] for pk in p]
+    q = [
+        [[sum_in_order(u * v for u, v in zip(row, wave)) for wave in waves] for row in pk]
+        for pk in p
+    ]
     return p, q
 
 
-def _dot(a, b) -> float:
-    acc = 0.0
-    for u, v in zip(a, b):
-        acc += u * v
-    return acc
-
-
-def taylor_jet(terms, x, sense, order):
-    """Taylor coefficients x_1 .. x_order of x' = -sense grad f at x, one order at a time.
+def taylor_jet(terms, x, order):
+    """Taylor coefficients x_1 .. x_order of x' = -grad f at x, one order at a time.
 
     With C_t = cos 2 pi k_t.x and S_t = sin 2 pi k_t.x, and D_j = j theta_j
     for the phases theta_t:
@@ -479,8 +475,6 @@ def taylor_jet(terms, x, sense, order):
     2 pi k_t . (n+1) x_{n+1}, (n+1) C_{n+1} = -sum_j D_j S_{n+1-j} and
     (n+1) S_{n+1} = sum_j D_j C_{n+1-j}, each sum added from its first
     term on: over the cos terms and then the sin terms, and over j from 1.
-    The backward flow runs the same path backward, so its x_j is
-    (-1)^j x_j.
     """
     p, q = _jet_tables(terms)
     nt = len(terms)
@@ -501,7 +495,7 @@ def taylor_jet(terms, x, sense, order):
     jet = []
     for j in range(1, order + 1):
         v = [contract(e[j - 1], p, i) for i in range(len(x))]
-        jet.append([(vi / j) * sense**j for vi in v])
+        jet.append([vi / j for vi in v])
     return jet
 
 
@@ -513,21 +507,20 @@ def sum_in_order(values) -> float:
     return acc
 
 
-def scalar_flow(f, cfg, points, x0, sense=1.0):
-    """Follow the gradient flow x' = -sense grad f from x0, one point at a time.
+def scalar_flow(f, cfg, points, x0):
+    """Follow the negative gradient of f from x0, one point at a time.
 
     The package's Taylor steps in plain Python floats, each order added up
     one term at a time (`taylor_jet`, order `TAYLOR_ORDER`): a step's size
     is min((tol/|x_{p-1}|)^(1/(p-1)), (tol/|x_p|)^(1/p)), tol =
-    step_tol/1500 and |.| the largest coordinate, at most `step_max`, or at most half a
-    step after which the value of sense * f failed to drop, and never below
+    step_tol/1500 and |.| the largest coordinate, at most `step_max`, or at
+    most half a step after which f failed to drop, and never below
     `step_min`; the powers are numpy's, as in the package, since on some
     CPUs numpy's power differs from the C library's in the last bit.  A
-    step is evaluated by Horner's rule and taken only if sense * f drops,
-    f summed over the cos terms and then the sin terms.
-    Checks flow time, landing and step budget before each step.  Returns
-    (rest point, lattice offset, trajectory) or raises the
-    IntegrationFailureError of the package.
+    step is evaluated by Horner's rule and taken only if f, summed over the
+    cos terms and then the sin terms, drops.  Checks flow time, landing and
+    step budget before each step.  Returns (rest point, lattice offset,
+    trajectory) or raises the IntegrationFailureError of the package.
     """
     terms = _float_terms(f)
     tol = cfg.step_tol / 1500.0
@@ -537,7 +530,7 @@ def scalar_flow(f, cfg, points, x0, sense=1.0):
         phases = [_phase(freq, y) for freq, _, _ in terms]
         cosines = sum_in_order(c * math.cos(ph) for (_, c, _), ph in zip(terms, phases))
         sines = sum_in_order(s * math.sin(ph) for (_, _, s), ph in zip(terms, phases))
-        return sense * (cosines + sines)
+        return cosines + sines
 
     def power(a, b):
         return float(np.power(np.array([a]), b)[0])
@@ -560,7 +553,7 @@ def scalar_flow(f, cfg, points, x0, sense=1.0):
         if steps > cfg.max_steps:
             raise IntegrationFailureError("step budget exhausted")
         while True:
-            jet = taylor_jet(terms, x, sense, order)
+            jet = taylor_jet(terms, x, order)
             last = [max(abs(c) for c in jet[-2]), max(abs(c) for c in jet[-1])]
             rule = min(
                 math.inf if last[0] == 0.0 else power(tol / last[0], 1.0 / (order - 1)),

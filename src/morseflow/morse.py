@@ -951,7 +951,6 @@ class _Analysis:
         # perturbed tori within 1.3e-9 rad of the boundary at step_tol 1e-12,
         # against 9.9e-8 when they are held to step_tol/15 itself.
         tol = cfg.step_tol / 1500.0
-        order = _TAYLOR_ORDER
         out: list = [None] * len(seeds)
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
@@ -1014,7 +1013,7 @@ class _Analysis:
                 if not len(lane):
                     break
 
-            jet = _taylor_jet(self.comp, cs, sense, order)
+            jet = _taylor_jet(self.comp, cs, sense, _TAYLOR_ORDER)
             # A jet that overflows gives a NaN rule; fmin takes the bound
             # instead, and the descent check then fails down to `step_min`.
             h = np.fmax(np.fmin(cap, _taylor_size(jet, tol)), cfg.step_min)

@@ -382,7 +382,7 @@ def all_seeds_critical_points(f, cfg) -> list[CriticalPoint]:
     pts, gnorms = pts[order], gnorms[order]
     xs = pts[_dedupe(pts, gnorms, _DEDUPE_RADIUS)]
     eigs = np.linalg.eigvalsh(comp.hess_batch(xs))
-    values = comp.value_grad_batch(xs)[0]
+    values = comp.value_batch(xs)
     found = [
         (pt, value, int(np.sum(e < 0.0)), tuple(e.tolist()))
         for pt, value, e in zip(map(tuple, xs.tolist()), values.tolist(), eigs)
@@ -611,6 +611,8 @@ DP_B4 = (
 _A = [[float(a) for a in row] for row in DP_A]
 _B = [float(b) for b in DP_B]
 _E = [float(b - b4) for b, b4 in zip(DP_B + (Fraction(0),), DP_B4)]
+# The first step of `dp5_flow`, that of the package's retired Dormand–Prince lanes.
+DP5_FIRST_STEP = 1e-2
 
 
 def _combine(coeffs, ks):
@@ -648,10 +650,10 @@ def dp5_flow(f, cfg, points, x0, frame=None):
     max(0.2, min(1, 0.9 (tol/err)^(1/5)))) or the value fails to drop
     (halved), never below `step_min`, and after an accepted step h becomes
     h * min(5, max(0.2, 0.9 (tol/err)^(1/5))), at most `step_max`, from a
-    first step of `step_init`.  Checks flow time, landing and step budget
-    before each step.  A `frame` of tangent vectors at x0 is carried along
-    by the linearised flow, one step at a time; the Hessians come from the
-    package.  Returns (rest point, lattice offset, trajectory, frame) or
+    first step of `DP5_FIRST_STEP`.  Checks flow time, landing and step
+    budget before each step.  A `frame` of tangent vectors at x0 is carried
+    along by the linearised flow, one step at a time; the Hessians come from
+    the package.  Returns (rest point, lattice offset, trajectory, frame) or
     raises an IntegrationFailureError.
     """
     terms = _float_terms(f)
@@ -668,7 +670,7 @@ def dp5_flow(f, cfg, points, x0, frame=None):
 
     x = list(x0)
     t = 0.0
-    h = cfg.step_init
+    h = DP5_FIRST_STEP
     fx = _value(terms, x)
     k1 = g(x)
     traj = [(0.0, tuple(x))]

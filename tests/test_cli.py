@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -440,9 +442,10 @@ MALFORMED = {
     "config-grid-str": ("config", {"grid_resolution": "a"}),
     "config-grid-nan": ("config", {"grid_resolution": float("nan")}),
     "config-samples-float": ("config", {"circle_samples": 2.5}),
-    # A step at or below step_min skips error control; these once ran unchecked.
-    "config-step-min-above-init": ("config", {"step_min": 0.2}),
-    "config-step-init-above-max": ("config", {"step_init": 0.1}),
+    # A step at or below step_min skips error control; this once ran unchecked.
+    "config-step-min-above-max": ("config", {"step_min": 0.2}),
+    # The first step of the Dormand–Prince lanes, no field since the Taylor lanes.
+    "config-step-init-retired": ("config", {"step_init": 0.01}),
     "function-term-int": ("function", {"dim": 2, "terms": [1]}),
     "function-coeff-overflow": (
         "function",
@@ -529,6 +532,31 @@ class TestMalformedInput:
         assert rep["command"] == argv[0]
         assert rep["results"]["error"]
 
+
+class TestProcess:
+    # `python -m morseflow.cli`, as a shell runs it: the exit code reaches the
+    # process through `sys.exit(main())`, which no in-process test calls.
+    def test_exit_codes_reach_the_process(self, tmp_path):
+        cat, ori = bank.torus_category()
+        payload = cat.to_json(ori)
+        payload["rigidFlows"][0]["sign"] *= -1
+        cfg = write_json(tmp_path / "cfg.json", {"step_init": 0.01})
+        bad = write_json(tmp_path / "bad.json", payload)
+        cases = (
+            (["crit", "--example", "torus"], 0, "ok"),
+            (["crit", "--example", "circle", "--config", cfg], 1, "input-error"),
+            (["validate", "--category", bad], 2, "validation-failure"),
+        )
+        for argv, code, status in cases:
+            done = subprocess.run(
+                [sys.executable, "-m", "morseflow.cli", *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == code, done.stderr
+            report = json.loads(done.stdout)
+            assert report["status"] == status and report["command"] == argv[0]
 
 
 # -- fuzzing ----------------------------------------------------------------

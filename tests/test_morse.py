@@ -232,17 +232,10 @@ class TestEvaluation:
             dtype=float,
         )
         comp = _compiled(f)
-        evaluators = (
-            lambda y: comp.value_grad_batch(y)[0],
-            lambda y: comp.value_grad_batch(y)[1],
-            comp.grad_batch,
-            comp.hess_batch,
-        )
-        for evaluate in evaluators:
+        for evaluate in (comp.value_batch, comp.grad_batch, comp.hess_batch):
             batch = evaluate(x)
             for i in range(len(x)):
                 assert batch[i].tobytes() == evaluate(x[i : i + 1])[0].tobytes()
-        assert comp.value_grad_batch(x)[1].tobytes() == comp.grad_batch(x).tobytes()
         # The lanes' evaluators, which take the rows last: the cos and sin of
         # the phases, the values read off them, and the Taylor jet of either
         # sense.
@@ -271,14 +264,13 @@ class TestNumericalConfig:
             NumericalConfig(sphere_radius=1e-4, landing_radius=1e-3)
 
     def test_step_sizes_in_order(self):
-        for bad, message in (
-            ({"step_min": 0.2}, "step_min must not exceed step_init"),
-            ({"step_init": 0.1}, "step_init must not exceed step_max"),
-        ):
-            with pytest.raises(InputError, match=message):
-                NumericalConfig(**bad)
-        equal = NumericalConfig(step_min=0.05, step_init=0.05, step_max=0.05)
-        assert equal.step_min == equal.step_init == equal.step_max
+        with pytest.raises(InputError, match="step_min must not exceed step_max"):
+            NumericalConfig(step_min=0.2)
+        equal = NumericalConfig(step_min=0.05, step_max=0.05)
+        assert equal.step_min == equal.step_max
+        # The first step of the retired Dormand–Prince lanes is no field.
+        with pytest.raises(InputError, match="unknown config fields"):
+            NumericalConfig.from_json({"step_init": 0.01})
 
     def test_overrides_and_json(self):
         cfg = NumericalConfig().with_overrides(circle_samples=128)
@@ -1522,7 +1514,7 @@ class TestTrapping:
         seeds += [analysis.seed(top, analysis.direction_at(top, 0.8 * k)) for k in range(8)]
         for got in analysis.land_lanes(seeds, record=True, trap=True):
             samples = np.array([x for _, x in got.trajectory])
-            values = _compiled(f).value_grad_batch(samples)[0]
+            values = _compiled(f).value_batch(samples)
             inside = np.zeros(len(samples), dtype=bool)
             for j, p in sinks:
                 inside |= (_wrap(samples - p.position)[1] <= analysis.trap_radius[j]) & (

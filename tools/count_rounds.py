@@ -4,38 +4,29 @@ For the torus and `perturbed_torus(0..N-1)` (N = 25 by default) it builds
 the flow category and prints, per build:
 
 - runs: the partition's own lane runs, the calls of
-  `_Analysis._classify_angles` (the check runs of a tree whose circle
-  samples run apart from the separatrices, the midpoint runs of one whose
-  samples ride in the separatrix run);
+  `_Analysis._classify_angles`, the midpoint runs of the arcs that no
+  circle sample checks;
 - check: the lanes that may trap, those whose landing class alone is read,
   wherever they run: the circle samples, and the lanes beside each
   boundary or the arc midpoints that check the partition;
-- iters: lane iterations, the calls of the tree's step function, one per
-  iteration of every `land_lanes` run, recorded runs included: `_dp_step`
-  on a tree with Dormand–Prince lanes, `_taylor_jet` on one with Taylor
-  lanes, whose crossing refinement (`morse._crossing`) takes one more jet;
+- iters: lane iterations, the calls of `_taylor_jet`, one per iteration
+  of every `land_lanes` run, recorded runs included, and one more for the
+  crossing refinement (`morse._crossing`);
 - lane-steps: the rows of those calls, lanes summed over iterations;
 - lane-runs: the calls of `_Analysis.land_lanes`, check, midpoint and
   separatrix runs alike;
-- shots: the step-function calls made inside `_Analysis._separatrices`,
+- shots: the `_taylor_jet` calls made inside `_Analysis._separatrices`,
   the recorded run of all four separatrices of every saddle (the stable
   ones backward) and the refinement of the backward lanes' last steps,
   which give the saddle flows, the boundaries and the flows out of the
   index-2 points; `iters` includes them;
 - grad-rows: the rows passed to the evaluators of `_Compiled` that take
-  the cos and sin of the phases (`grad_batch`, `value_grad_batch` and,
-  where it exists, `trig_batch`) inside `land_lanes` or inside a step
-  function, so the halving steps of a Dormand–Prince tree count and the
-  rest of the pipeline does not;
+  the cos and sin of the phases (`grad_batch` and `trig_batch`) inside
+  `land_lanes`, so the rest of the pipeline does not count;
 - jet-rows: the rows passed to `_taylor_jet`, each a Taylor series of the
-  tree's order (0 on a Dormand–Prince tree);
+  tree's order;
 - cross-rows: the evaluator and jet rows of the refinement of the crossing
-  of the departure circles: those of the `_dp_step` calls inside
-  `_Analysis._shot_flows` on a Dormand–Prince tree, and those inside
-  `morse._crossing` on a Taylor tree;
-- hess-rows: the rows passed to `_Compiled.hess_batch` inside `land_lanes`
-  or a step function, the Hessians that carrying a frame along a lane
-  would take.
+  of the departure circles, those inside `morse._crossing`.
 
 A second table counts the critical-point search of each build, and of the
 cosine sum on T^3, from the evaluator calls made inside
@@ -43,14 +34,13 @@ cosine sum on T^3, from the evaluator calls made inside
 
 - grid: the rows of the search's first gradient call, the seed grid;
 - seeds: the rows the Newton loop starts from, those of the gradient call
-  before the first Hessian call (the live cells, or the whole grid on a
-  tree that seeds Newton from every grid point);
+  before the first Hessian call, the live cells;
 - newton-iters and newton-rows: the Hessian calls of the Newton loop and
   their rows, every Hessian call but the last, which gives the
   eigenvalues of the found points;
 - cells: the cells the certificate examines at each depth, the live cells
   it starts from and then the rows of each of its gradient calls, joined
-  by `/`; `-` on a tree with no `morse._certify`.
+  by `/`.
 
 It wraps those names from outside, so the same script measures any tree
 that has them:
@@ -90,27 +80,18 @@ def counting(tally: dict, search: list):
     certificate.
     """
     classify, land = _Analysis._classify_angles, _Analysis.land_lanes
-    shots, shot_flows = _Analysis._separatrices, _Analysis._shot_flows
-    find = morse.find_critical_points
-    certify = getattr(morse, "_certify", None)
-    crossing = getattr(morse, "_crossing", None)
-    # The step function and the number of rows in its second argument.
-    if hasattr(morse, "_dp_step"):
-        step_name, rows_of = "_dp_step", len
-    else:
-        step_name, rows_of = "_taylor_jet", lambda cs: cs.shape[-1]
-    step = getattr(morse, step_name)
+    shots, step = _Analysis._separatrices, morse._taylor_jet
+    find, certify, crossing = morse.find_critical_points, morse._certify, morse._crossing
+    # The Hessian rows are logged for the search alone.
     evaluators = {
         name: (getattr(_Compiled, name), column)
         for name, column in (
             ("grad_batch", "grad-rows"),
-            ("value_grad_batch", "grad-rows"),
             ("trig_batch", "grad-rows"),
-            ("hess_batch", "hess-rows"),
+            ("hess_batch", "hess"),
         )
-        if hasattr(_Compiled, name)
     }
-    shooting, landing, in_step, refining = [0], [0], [0], [0]
+    shooting, landing, refining = [0], [0], [0]
     finding, certifying = [False], [False]
 
     def counted_classify(self, a, thetas):
@@ -133,19 +114,17 @@ def counting(tally: dict, search: list):
         return nested(landing, land)(self, seeds, record, trap, senses)
 
     def refinement(rows):
-        # A Taylor tree refines in `_crossing`; a Dormand–Prince tree in
-        # the step-function calls of `_shot_flows`.
-        if refining[0] and (crossing is not None or in_step[0]):
+        if refining[0]:
             tally["cross-rows"] += rows
 
-    def counted_step(comp, x, *args):
+    def counted_step(comp, cs, *args):
+        rows = cs.shape[-1]
         tally["iters"] += 1
-        tally["lane-steps"] += rows_of(x)
+        tally["lane-steps"] += rows
         tally["shots"] += shooting[0] > 0
-        if step_name == "_taylor_jet":
-            tally["jet-rows"] += rows_of(x)
-            refinement(rows_of(x))
-        return nested(in_step, step)(comp, x, *args)
+        tally["jet-rows"] += rows
+        refinement(rows)
+        return step(comp, cs, *args)
 
     def counted_find(*args, **kwargs):
         finding[0] = True
@@ -164,7 +143,7 @@ def counting(tally: dict, search: list):
 
     def rows_counted(evaluate, column):
         def counted(comp, x):
-            if landing[0] or in_step[0]:
+            if landing[0] and column in tally:
                 tally[column] += len(x)
             refinement(len(x))
             if finding[0]:
@@ -174,31 +153,24 @@ def counting(tally: dict, search: list):
         return counted
 
     _Analysis._classify_angles = counted_classify
-    setattr(morse, step_name, counted_step)
+    morse._taylor_jet = counted_step
     _Analysis.land_lanes = counted_land
     _Analysis._separatrices = nested(shooting, shots)
-    if crossing is not None:
-        morse._crossing = nested(refining, crossing)
-    else:
-        _Analysis._shot_flows = nested(refining, shot_flows)
+    morse._crossing = nested(refining, crossing)
     morse.find_critical_points = counted_find
-    if certify is not None:
-        morse._certify = counted_certify
+    morse._certify = counted_certify
     for name, (evaluate, column) in evaluators.items():
         setattr(_Compiled, name, rows_counted(evaluate, column))
     try:
         yield tally
     finally:
         _Analysis._classify_angles = classify
-        setattr(morse, step_name, step)
+        morse._taylor_jet = step
         _Analysis.land_lanes = land
         _Analysis._separatrices = shots
-        _Analysis._shot_flows = shot_flows
-        if crossing is not None:
-            morse._crossing = crossing
+        morse._crossing = crossing
         morse.find_critical_points = find
-        if certify is not None:
-            morse._certify = certify
+        morse._certify = certify
         for name, (evaluate, _) in evaluators.items():
             setattr(_Compiled, name, evaluate)
 
@@ -213,21 +185,20 @@ COLUMNS = (
     "grad-rows",
     "jet-rows",
     "cross-rows",
-    "hess-rows",
 )
 SEARCH_COLUMNS = ("grid", "seeds", "newton-iters", "newton-rows", "cells")
 
 
 def search_counts(search: list) -> dict:
     """The search columns from the (column, rows) log of one search."""
-    hess = [i for i, (column, _) in enumerate(search) if column == "hess-rows"]
+    hess = [i for i, (column, _) in enumerate(search) if column == "hess"]
     cells = [str(rows) for column, rows in search if column == "cells"]
     return {
         "grid": search[0][1],
         "seeds": next(r for c, r in reversed(search[: hess[0]]) if c == "grad-rows"),
         "newton-iters": len(hess) - 1,
         "newton-rows": sum(search[i][1] for i in hess[:-1]),
-        "cells": "/".join(cells) or "-",
+        "cells": "/".join(cells),
     }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coeff import _json_integer
+from .coeff import IntegerMatrix, _json_integer
 from .errors import EulerMismatchError, InputError, NotMorseError
 from .flowcat import (
     BrokenFlow,
@@ -102,7 +102,7 @@ def pullback(f: TrigPolynomial, a) -> TrigPolynomial:
     n = f.dimension
     if len(rows) != n or any(len(row) != n for row in rows):
         raise InputError(f"a pullback of a function on T^{n} needs an {n} x {n} matrix")
-    if abs(_det(rows)) != 1:
+    if abs(IntegerMatrix(rows).determinant()) != 1:
         raise InputError(f"matrix {rows} does not have determinant +-1")
     return TrigPolynomial(
         n,
@@ -114,16 +114,6 @@ def pullback(f: TrigPolynomial, a) -> TrigPolynomial:
             )
             for t in f.terms
         ),
-    )
-
-
-def _det(rows) -> int:
-    """Determinant of a square integer matrix by cofactor expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    return sum(
-        (-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
-        for j in range(len(rows))
     )
 
 

@@ -21,14 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice
 from operator import itemgetter, not_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import (
-    CompositeNonzeroError,
-    DimensionMismatchError,
-    InputError,
-    WindowOverflowError,
-)
+from .errors import CompositeNonzeroError, DimensionMismatchError, InputError
 
 
 def _support(row: list[int]) -> list[int]:
@@ -425,9 +420,8 @@ class CoefficientRing:
     """Supported coefficient systems for homology computations.
 
     The graded Laurent variant is a window-truncated stand-in for a graded
-    unit ring with one invertible generator of fixed even degree: elements
-    only carry generator powers p with |p| <= truncation, and operations
-    that would leave the window raise instead of silently truncating.
+    unit ring with one invertible generator of fixed even degree, keeping
+    the generator powers p with |p| <= truncation.
     """
 
     kind: RingKind
@@ -501,104 +495,20 @@ class CoefficientRing:
             return f"zmod:{self.modulus}"
         return f"laurent:{self.generator_degree}:{self.truncation}"
 
-    @property
-    def is_field(self) -> bool:
-        if self.kind is RingKind.RATIONALS:
-            return True
-        if self.kind is RingKind.MODULAR:
-            return _is_prime(self.modulus)
-        return False
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
 
 def _invariant_chain(orders: Iterable[int]) -> list[int]:
-    """Normalize a multiset of cyclic orders into a divisibility chain d1 | d2 | ..."""
-    exponents: dict[int, list[int]] = {}
-    for o in orders:
-        for p, e in _factorize(o).items():
-            exponents.setdefault(p, []).append(e)
-    slots = max((len(v) for v in exponents.values()), default=0)
-    chain = []
-    for t in range(slots):
-        f = 1
-        for p, es in exponents.items():
-            es_sorted = sorted(es, reverse=True)
-            if t < len(es_sorted):
-                f *= p ** es_sorted[t]
-        chain.append(f)
-    chain.reverse()
-    return chain
+    """Normalize a multiset of cyclic orders into a divisibility chain d1 | d2 | ...
 
-
-@dataclass(frozen=True)
-class LaurentElement:
-    """Element of the truncated graded unit ring: integer coefficients per generator power."""
-
-    ring: CoefficientRing
-    coeffs: tuple[tuple[int, int], ...]  # sorted (power, coefficient) pairs
-
-    @classmethod
-    def of(cls, ring: CoefficientRing, coeffs: Mapping[int, int]) -> "LaurentElement":
-        if ring.kind is not RingKind.LAURENT:
-            raise InputError("LaurentElement requires a graded Laurent ring")
-        w = ring.truncation
-        clean = {}
-        for p, c in coeffs.items():
-            if abs(p) > w:
-                raise WindowOverflowError(
-                    f"power {p} outside window [-{w}, {w}]"
-                )
-            if c:
-                clean[int(p)] = int(c)
-        return cls(ring, tuple(sorted(clean.items())))
-
-    def _check(self, other: "LaurentElement"):
-        if self.ring != other.ring:
-            raise InputError("mixed Laurent rings")
-
-    def __add__(self, other: "LaurentElement") -> "LaurentElement":
-        self._check(other)
-        acc = dict(self.coeffs)
-        for p, c in other.coeffs:
-            acc[p] = acc.get(p, 0) + c
-        return LaurentElement.of(self.ring, acc)
-
-    def __neg__(self) -> "LaurentElement":
-        return LaurentElement.of(self.ring, {p: -c for p, c in self.coeffs})
-
-    def __mul__(self, other: "LaurentElement") -> "LaurentElement":
-        self._check(other)
-        acc: dict[int, int] = {}
-        for p, c in self.coeffs:
-            for q, d in other.coeffs:
-                if c * d:
-                    acc[p + q] = acc.get(p + q, 0) + c * d
-        return LaurentElement.of(self.ring, acc)
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so replacing each pair (d_i, d_j),
+    i < j, by its gcd and lcm keeps the group, and once d_i has met every
+    later entry it divides them all.  Orders of 1 drop out; nothing is factored.
+    """
+    d = list(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return [x for x in d if x > 1]
 
 
 # -- homology ---------------------------------------------------------------
@@ -684,12 +594,13 @@ def _homology_group(
     if ring.kind is RingKind.RATIONALS:
         return HomologyGroup(free)
     if ring.kind is RingKind.MODULAR:
+        # Every order divides m, so the copies of Z/m top the chain as they
+        # are, and only the smaller orders are normalised.
         m = ring.modulus
-        orders = [m] * free
-        orders += [math.gcd(f, m) for f in torsion]
+        orders = [math.gcd(f, m) for f in torsion]
         orders += [math.gcd(f, m) for f in fac_out if f > 1]
-        chain = _invariant_chain(o for o in orders if o > 1)
-        free_m = sum(1 for d in chain if d == m)
+        chain = _invariant_chain(o for o in orders if 1 < o < m)
+        free_m = free + orders.count(m) + chain.count(m)
         return HomologyGroup(free_m, tuple(d for d in chain if d != m))
     # Graded Laurent: the integral answer replicated across the power window.
     base = HomologyGroup(free, torsion)

@@ -28,10 +28,6 @@ class CompositeNonzeroError(ValidationFailure):
     """Two consecutive boundary maps do not compose to zero."""
 
 
-class WindowOverflowError(ValidationFailure):
-    """A graded ring operation left the truncation window."""
-
-
 # -- composition category and realizations ----------------------------------
 
 class SourceTargetMismatchError(ValidationFailure):

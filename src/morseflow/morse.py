@@ -274,7 +274,6 @@ class NumericalConfig:
     """Tolerances and resolutions for the numerical pipeline."""
 
     grid_resolution: int = 32
-    newton_tol: float = 1e-12
     sphere_radius: float = 1e-3
     landing_radius: float = 1e-4
     step_min: float = 1e-9
@@ -510,7 +509,7 @@ def find_critical_points(
     for _ in range(_NEWTON_MAX_ITER):
         g = comp.grad_batch(x)
         gnorm = np.linalg.norm(g, axis=1)
-        work = active & (gnorm > cfg.newton_tol)
+        work = active & (gnorm > _NEWTON_TOL)
         if not work.any():
             break
         h = comp.hess_batch(x[work])
@@ -791,17 +790,19 @@ _SHOT_SPREAD = 1e-6
 # 2 pi, and so whether its flow is named first or last.
 _ANGLE_WRAP = 1e-12
 # The critical-point search: Newton steps from each grid seed at most, the
-# largest gradient norm a candidate may keep, the radius within which two
-# candidates are one point, and the smallest |Hessian eigenvalue| of a
-# nondegenerate point.  The seed grid holds at most `_GRID_POINTS_MAX`
-# points (1024 per axis on T^2, 101 on T^3, against the default 32).  Its
-# gradient pass takes several floats per point and term, so it and the
-# exclusion test run over `_GRID_BLOCK` rows at a time, which bounds their
-# memory by the block instead of the grid; a default grid (at most 32^3 =
-# 32,768 points) is one block.  Each row has the same bits in any batch.
+# gradient norm at which a seed stops stepping, the largest gradient norm a
+# candidate may keep, the radius within which two candidates are one point,
+# and the smallest |Hessian eigenvalue| of a nondegenerate point.  The seed
+# grid holds at most `_GRID_POINTS_MAX` points (1024 per axis on T^2, 101 on
+# T^3, against the default 32).  Its gradient pass takes several floats per
+# point and term, so it and the exclusion test run over `_GRID_BLOCK` rows
+# at a time, which bounds their memory by the block instead of the grid; a
+# default grid (at most 32^3 = 32,768 points) is one block.  Each row has the
+# same bits in any batch.
 _GRID_POINTS_MAX = 1 << 20
 _GRID_BLOCK = 1 << 16
 _NEWTON_MAX_ITER = 80
+_NEWTON_TOL = 1e-12
 _GRAD_TOL = 1e-10
 _DEDUPE_RADIUS = 1e-7
 _NONDEG_TOL = 1e-6

@@ -38,6 +38,7 @@ from morseflow.morse import (
     _DEDUPE_RADIUS,
     _GRAD_TOL,
     _NEWTON_MAX_ITER,
+    _NEWTON_TOL,
     _compiled,
     _dedupe,
 )
@@ -359,7 +360,7 @@ def all_seeds_critical_points(f, cfg) -> list[CriticalPoint]:
     for _ in range(_NEWTON_MAX_ITER):
         g = comp.grad_batch(x)
         gnorm = np.linalg.norm(g, axis=1)
-        work = active & (gnorm > cfg.newton_tol)
+        work = active & (gnorm > _NEWTON_TOL)
         if not work.any():
             break
         h = comp.hess_batch(x[work])

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -97,6 +98,20 @@ class TestHomology:
         assert code == 0
         assert [g["freeRank"] for g in rep["results"]["homology"]] == [1, 2, 1]
         assert all(g["torsion"] == [] for g in rep["results"]["homology"])
+
+    def test_torus_over_a_large_prime_modulus(self, capsys):
+        # Z/m torsion is normalised with gcds, so a large modulus costs no
+        # more than a small one; factoring this 17-digit prime by trial
+        # division took 15 s.
+        start = time.process_time()
+        code, rep = run(
+            capsys, "homology", "--example", "torus", "--ring", "zmod:10000000000000061"
+        )
+        elapsed = time.process_time() - start
+        assert code == 0
+        assert [g["freeRank"] for g in rep["results"]["homology"]] == [1, 2, 1]
+        assert all(g["torsion"] == [] for g in rep["results"]["homology"])
+        assert elapsed < 1.0
 
     def test_laurent_ring_reports_graded_parts(self, capsys):
         code, rep = run(
@@ -327,9 +342,16 @@ class TestConfig:
 
     def test_unknown_config_field_exits_one(self, capsys, tmp_path):
         # Two names that were config fields until family ends came from
-        # signs, and five that went with the T^3 bisection and with the
+        # signs, and six that went with the T^3 bisection and with the
         # fields only the critical-point search read.
-        removed = ("bisection_tol", "newton_max_iter", "grad_tol", "dedupe_radius", "nondeg_tol")
+        removed = (
+            "bisection_tol",
+            "newton_max_iter",
+            "newton_tol",
+            "grad_tol",
+            "dedupe_radius",
+            "nondeg_tol",
+        )
         for field in ("bogus", "probe_offset", "endpoint_match_tol", *removed):
             cfg = write_json(tmp_path / "cfg.json", {field: 1})
             code, rep = run(capsys, "crit", "--example", "circle", "--config", cfg)

@@ -18,18 +18,14 @@ from morseflow import (
     HomologyGroup,
     IntegerMatrix,
     InputError,
-    LaurentElement,
     RingKind,
     homology,
     invariant_factors,
     matrix_rank,
     smith_normal_form,
 )
-from morseflow.errors import (
-    CompositeNonzeroError,
-    DimensionMismatchError,
-    WindowOverflowError,
-)
+from morseflow.coeff import _invariant_chain
+from morseflow.errors import CompositeNonzeroError, DimensionMismatchError
 from test_realization import grid_surface
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -283,28 +279,34 @@ class TestCoefficientRing:
 
     def test_kinds_and_fields(self):
         assert CoefficientRing.integers().kind is RingKind.INTEGERS
-        assert CoefficientRing.rationals().is_field
-        assert CoefficientRing.modular(7).is_field
-        assert not CoefficientRing.modular(6).is_field
-        assert not CoefficientRing.laurent(2, 3).is_field
 
 
-class TestLaurentElements:
-    def test_window_arithmetic(self):
-        ring = CoefficientRing.laurent(2, 2)
-        x = LaurentElement.of(ring, {1: 3, -1: 2})
-        y = LaurentElement.of(ring, {1: 1})
-        assert (x + y).coeffs == ((-1, 2), (1, 4))
-        assert (x + (-x)).coeffs == ()
-        assert (x * y).coeffs == ((0, 2), (2, 3))
+@st.composite
+def order_multisets(draw, budget=2000):
+    """Cyclic orders, 1 included, whose product is at most `budget`."""
+    orders = []
+    while budget > 1 and draw(st.booleans()):
+        orders.append(draw(st.integers(1, budget)))
+        budget //= orders[-1]
+    return orders
 
-    def test_window_overflow(self):
-        ring = CoefficientRing.laurent(2, 2)
-        with pytest.raises(WindowOverflowError):
-            LaurentElement.of(ring, {3: 1})
-        x = LaurentElement.of(ring, {2: 1})
-        with pytest.raises(WindowOverflowError):
-            x * x
+
+class TestInvariantChain:
+    @settings(max_examples=200, deadline=None)
+    @given(order_multisets())
+    @example([])
+    @example([1, 1])
+    @example([2, 3])
+    @example([4, 6])
+    @example([12, 18, 8])
+    @example([6, 6, 6, 4])
+    def test_a_chain_of_the_same_group(self, orders):
+        # A finite abelian group is determined by how many elements it has
+        # of each order.
+        chain = _invariant_chain(orders)
+        assert all(d > 1 for d in chain)
+        assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+        assert claimed_order_profile(chain) == claimed_order_profile(orders)
 
 
 class TestHomology:

@@ -35,6 +35,7 @@ from morseflow import (
     floer_complex,
 )
 from morseflow.bank import perturbed_torus, perturbed_torus_seeds, pullback, quarter_shift
+from test_morse import three_torus_function
 
 SEEDS = perturbed_torus_seeds(25)
 SWAP = ((0, 1), (1, 0))
@@ -98,12 +99,29 @@ class TestLatticeHelpers:
             g = quarter_shift(g, (1, 1))
         assert g == f
 
+    def test_a_unimodular_pullback_on_the_three_torus(self):
+        # Its first pivot is zero, so the determinant takes a row swap.
+        f = three_torus_function()
+        a = ((0, 1, 0), (1, 0, 1), (0, 0, 1))
+        g = pullback(f, a)
+        for x in ((0.1, 0.7, 0.2), (0.33, 0.05, 0.9)):
+            ax = tuple(sum(a[i][j] * x[j] for j in range(3)) for i in range(3))
+            assert eval_grad_hess(g, x)[0] == pytest.approx(eval_grad_hess(f, ax)[0], abs=1e-13)
+
     @pytest.mark.parametrize(
-        "a", [((2, 0), (0, 1)), ((1, 1), (1, 1)), ((1, 0),), ((1.5, 0), (0, 1))]
+        "a",
+        [
+            ((2, 0), (0, 1)),
+            ((1, 1), (1, 1)),
+            ((1, 0),),
+            ((1.5, 0), (0, 1)),
+            ((1, 1, 0), (0, 1, 1), (1, 0, 1)),  # determinant 2, on T^3
+        ],
     )
     def test_a_matrix_off_the_unimodular_group_is_refused(self, a):
+        f = three_torus_function() if len(a) == 3 else perturbed_torus(SEEDS[0])
         with pytest.raises(InputError):
-            pullback(perturbed_torus(SEEDS[0]), a)
+            pullback(f, a)
 
 
 class TestIsometries:

@@ -254,8 +254,8 @@ class TestEvaluation:
 
 class TestNumericalConfig:
     def test_rejects_nonpositive_tolerances(self):
-        with pytest.raises(InputError):
-            NumericalConfig(newton_tol=0.0)
+        with pytest.raises(InputError, match="step_tol must be positive"):
+            NumericalConfig(step_tol=0.0)
         with pytest.raises(InputError):
             NumericalConfig(grid_resolution=0)
 

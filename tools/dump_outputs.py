@@ -74,7 +74,7 @@ from morseflow.morse import (
     flow_lines,
 )
 
-RINGS = ("z", "zmod:2", "q", "laurent:2:1")
+RINGS = ("z", "zmod:2", "zmod:6", "zmod:12", "q", "laurent:2:1")
 SECTIONS = (
     "coeff",
     "cli",

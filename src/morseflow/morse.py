@@ -57,7 +57,6 @@ distinct.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import numbers
@@ -252,16 +251,11 @@ class _Compiled:
         return np.einsum("pt,ti,tj->pij", w, self.freqs, self.freqs)
 
 
-@functools.lru_cache(maxsize=64)
-def _compiled(f: TrigPolynomial) -> _Compiled:
-    return _Compiled(f)
-
-
 def eval_grad_hess(f: TrigPolynomial, x: Sequence[float]):
     """Value, gradient, and second-derivative matrix of f at x."""
     if len(x) != f.dimension:
         raise InputError(f"point has {len(x)} coordinates, expected {f.dimension}")
-    comp = _compiled(f)
+    comp = _Compiled(f)
     xv = np.asarray(x, dtype=float)[None]
     return float(comp.value_batch(xv)[0]), comp.grad_batch(xv)[0], comp.hess_batch(xv)[0]
 
@@ -429,26 +423,26 @@ def _dedupe(pts: np.ndarray, gnorms: np.ndarray, radius: float) -> list[int]:
 
     In row order, each row joins the first kept row within `radius` and
     takes its place if its gradient norm is smaller; a row that joins none
-    is kept.  Rows are compared in batches, up to the first one that changes
-    what is kept.
+    is kept.  The rows are walked one at a time, each against the kept rows.
+    A row equal to the row before it, with a gradient norm no smaller, is
+    skipped: it would join what that row joined, whose norm is no larger,
+    and replace nothing.  Newton's convergents repeat exactly (the 648
+    candidates of the T^3 cosine sum hold 8 distinct rows), and the search
+    sorts them by position, then gradient norm, so every repeat is skipped.
     """
-    reps = [0] if len(pts) else []
-    i = 1
-    while i < len(pts):
-        batch = slice(i, i + 64)
-        near = _wrap(pts[batch, None] - pts[reps])[1] <= radius
-        first = near.argmax(axis=1)
-        joins = near.any(axis=1)
-        change = np.flatnonzero(~joins | (gnorms[batch] < gnorms[reps][first]))
-        if not len(change):
-            i += 64
+    rows, norms = pts.tolist(), gnorms.tolist()
+    kept = np.empty_like(pts)  # pts[reps], kept in step with reps
+    reps: list[int] = []
+    for i, row in enumerate(rows):
+        if i and row == rows[i - 1] and norms[i] >= norms[i - 1]:
             continue
-        k = int(change[0])
-        if joins[k]:
-            reps[first[k]] = i + k
-        else:
-            reps.append(i + k)
-        i += k + 1
+        near = np.flatnonzero(_wrap(pts[i] - kept[: len(reps)])[1] <= radius)
+        if not len(near):
+            kept[len(reps)] = pts[i]
+            reps.append(i)
+        elif norms[i] < norms[reps[near[0]]]:
+            kept[near[0]] = pts[i]
+            reps[near[0]] = i
     return reps
 
 
@@ -487,7 +481,7 @@ def find_critical_points(
     complete or signed counts fail to cancel (a symptom of missed points;
     raise the grid resolution).
     """
-    comp = _compiled(f)
+    comp = _Compiled(f)
     n = f.dimension
     res = cfg.grid_resolution
     if res**n > _GRID_POINTS_MAX:
@@ -629,15 +623,13 @@ def _certify(
     """
     n = comp.n
     radii = (mu - _ROUNDING_SLACK * m2) / m3
-    dists = _wrap(xs[:, None] - xs)[1]
-    np.fill_diagonal(dists, np.inf)
-    shared = np.argwhere(dists < radii[:, None])
-    if len(shared):
-        i, j = shared[0]
-        raise EulerMismatchError(
-            f"found points {tuple(xs[i].tolist())} and {tuple(xs[j].tolist())} lie "
-            "in one ball that holds at most one critical point"
-        )
+    for i in range(len(xs)):
+        shared = np.flatnonzero(_distances_from(xs, i) < radii[i])
+        if len(shared):
+            raise EulerMismatchError(
+                f"found points {tuple(xs[i].tolist())} and {tuple(xs[shared[0]].tolist())} "
+                "lie in one ball that holds at most one critical point"
+            )
     corners = np.array(list(itertools.product((-0.5, 0.5), repeat=n)))
     for depth in range(_CERT_DEPTH + 1):
         rho = _half_diagonal(n, half)
@@ -659,18 +651,22 @@ def _certify(
 def _covered(cells: np.ndarray, rho: float, xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Which balls B(cell, rho) lie inside the ball B(x, r) of some found point.
 
-    The cells go in chunks of about 2^20 distances, so a long list of
-    points never takes one array of every cell against every point.  A
-    ball of radius at most rho holds no such B(cell, rho), so those balls
-    are dropped first.
+    The found points are taken one at a time, each against every cell, so
+    memory grows with the cells, not with cells times points.  A ball of
+    radius at most rho holds no B(cell, rho), so it is passed over.
     """
-    keep = radii > rho
-    xs, radii = xs[keep], radii[keep]
     out = np.zeros(len(cells), dtype=bool)
-    step = max(1, (1 << 20) // max(1, len(xs)))
-    for i in range(0, len(cells), step):
-        out[i : i + step] = (_wrap(cells[i : i + step, None] - xs)[1] + rho < radii).any(axis=1)
+    for x, r in zip(xs, radii.tolist()):
+        if r > rho:
+            out |= _wrap(cells - x)[1] + rho < r
     return out
+
+
+def _distances_from(xs: np.ndarray, i: int) -> np.ndarray:
+    """Distances from row i of `xs` to every row, with inf at row i itself."""
+    d = _wrap(xs[i] - xs)[1]
+    d[i] = np.inf
+    return d
 
 
 # -- the trajectory engine --------------------------------------------------
@@ -825,7 +821,7 @@ class _Analysis:
     ):
         self.f = f
         self.cfg = cfg
-        self.comp = _compiled(f)
+        self.comp = _Compiled(f)
         self.n = f.dimension
         self.points = (
             list(critical_points)
@@ -834,9 +830,9 @@ class _Analysis:
         )
         self.by_id = {p.id: p for p in self.points}
         self.centres = np.array([p.position for p in self.points]).reshape(-1, self.n)
-        dists = _wrap(self.centres[:, None] - self.centres)[1]
+        c = self.centres
         self.min_separation = (
-            float(dists[np.triu_indices(len(dists), 1)].min()) if len(dists) > 1 else 1.0
+            min(float(_distances_from(c, i).min()) for i in range(len(c))) if len(c) > 1 else 1.0
         )
         if cfg.sphere_radius >= 0.5 * self.min_separation:
             raise InputError(

@@ -39,7 +39,7 @@ from morseflow.morse import (
     _GRAD_TOL,
     _NEWTON_MAX_ITER,
     _NEWTON_TOL,
-    _compiled,
+    _Compiled,
     _dedupe,
 )
 
@@ -351,7 +351,7 @@ def all_seeds_critical_points(f, cfg) -> list[CriticalPoint]:
     no seed is skipped, and nothing but the nondegeneracy check and the
     Euler count stands behind the list, which this oracle asserts.
     """
-    comp = _compiled(f)
+    comp = _Compiled(f)
     n = f.dimension
     res = cfg.grid_resolution
     axes = [np.arange(res) / res] * n
@@ -658,7 +658,7 @@ def dp5_flow(f, cfg, points, x0, frame=None):
     raises an IntegrationFailureError.
     """
     terms = _float_terms(f)
-    hess = _compiled(f).hess_batch
+    hess = _Compiled(f).hess_batch
     n = len(x0)
     tol = cfg.step_tol / 15.0
 

@@ -61,7 +61,8 @@ from morseflow.errors import (
 )
 from morseflow.morse import (
     _Analysis,
-    _compiled,
+    _certify,
+    _Compiled,
     _covered,
     _dedupe,
     _derivative_bounds,
@@ -231,7 +232,7 @@ class TestEvaluation:
             data.draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=16)),
             dtype=float,
         )
-        comp = _compiled(f)
+        comp = _Compiled(f)
         for evaluate in (comp.value_batch, comp.grad_batch, comp.hess_batch):
             batch = evaluate(x)
             for i in range(len(x)):
@@ -326,6 +327,8 @@ class TestTorusGeometry:
         # Clusters spread over a few radii make chains, where the first kept
         # row, not the nearest, must win and replacements move the keeper;
         # few distinct gradient norms make ties, which must not replace.
+        # Runs of exactly equal rows, as Newton's convergents come, with
+        # gradient norms in any order, try the skip of a repeated row.
         rng = random.Random(dim)
         for _ in range(200):
             centres = [[rng.random() for _ in range(dim)] for _ in range(rng.randint(1, 5))]
@@ -333,9 +336,11 @@ class TestTorusGeometry:
                 tuple((v + rng.uniform(-1, 1) * rng.choice((1e-8, 1e-7, 3e-7))) % 1.0 for v in c)
                 for c in (rng.choice(centres) for _ in range(rng.randint(0, 200)))
             )
-            pts = np.array(rows).reshape(-1, dim)
-            gnorms = np.array([rng.randint(1, 4) * 1e-12 for _ in rows])
-            assert _dedupe(pts, gnorms, 1e-7) == loop_dedupe(rows, gnorms.tolist(), 1e-7)
+            runs = [row for row in rows[: rng.randint(0, 50)] for _ in range(rng.randint(1, 6))]
+            for case in (rows, runs):
+                pts = np.array(case).reshape(-1, dim)
+                gnorms = np.array([rng.randint(1, 4) * 1e-12 for _ in case])
+                assert _dedupe(pts, gnorms, 1e-7) == loop_dedupe(case, gnorms.tolist(), 1e-7)
 
 
 class TestCriticalPoints:
@@ -442,11 +447,10 @@ class TestCertificate:
 
     @pytest.mark.parametrize("n, balls", [(2, 40), (2, 2500), (3, 2500)])
     def test_covered_is_the_all_pairs_check(self, n, balls):
-        # `_covered` drops the balls no wider than rho and takes the cells in
-        # chunks; neither may change which cells it finds covered.  With
-        # 2,500 balls a chunk holds 419 cells, so the 1,200 cells take three.
-        # Every seventh radius is rho itself, and the second set of radii,
-        # all at most rho, drops every ball.
+        # `_covered` passes over the balls no wider than rho and takes the
+        # found points one at a time; neither may change which cells it
+        # finds covered.  Every seventh radius is rho itself, and the second
+        # set of radii, all at most rho, passes over every ball.
         rng = np.random.default_rng(n * balls)
         rho = 0.01
         cells, xs = rng.random((1200, n)), rng.random((balls, n))
@@ -460,11 +464,11 @@ class TestCertificate:
     @pytest.mark.parametrize("name", ["torus", "perturbed-0", "perturbed-1", "three-torus"])
     def test_derivative_bounds_hold(self, name):
         f = SEARCH_BANK[name]
-        m2, m3 = _derivative_bounds(_compiled(f))
+        m2, m3 = _derivative_bounds(_Compiled(f))
         assert m3 == third_derivative_bound(f)
         rng = np.random.default_rng(5)
         x = rng.random((200, f.dimension))
-        hess = _compiled(f).hess_batch(x)
+        hess = _Compiled(f).hess_batch(x)
         assert np.linalg.norm(hess, ord=2, axis=(1, 2)).max() <= m2
         # The third derivative along unit vectors u, by central differences
         # of u^T Hess f u.
@@ -472,7 +476,7 @@ class TestCertificate:
         u /= np.linalg.norm(u, axis=1)[:, None]
         eps = 1e-4
         quad = [
-            np.einsum("pi,pij,pj->p", u, _compiled(f).hess_batch(x + s * eps * u), u)
+            np.einsum("pi,pij,pj->p", u, _Compiled(f).hess_batch(x + s * eps * u), u)
             for s in (1, -1)
         ]
         assert (np.abs(quad[0] - quad[1]) / (2 * eps)).max() <= m3
@@ -489,6 +493,46 @@ class TestCertificate:
             tracemalloc.stop()
         assert len(pts) == 4
         assert peak < 64 << 20
+
+    def test_passes_over_many_found_points_take_one_at_a_time(self):
+        # 1,600 found points: dedupe, the one-ball check and the coverage
+        # test peaked at 118 MiB with arrays of every pair (of every cell
+        # against every point); one point at a time they take a few MiB.
+        f = TrigPolynomial(2, (TrigTerm((20, 0), Fraction(1)), TrigTerm((0, 20), Fraction(1))))
+        tracemalloc.start()
+        try:
+            pts = find_critical_points(f, NumericalConfig(grid_resolution=64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 1600
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_distances_between_found_points_equal_the_loop(self, dim):
+        # The minimal separation and the first pair, in row-major order,
+        # that shares a ball (radius mu when M2 = 0 and M3 = 1), against
+        # every pair by `loop_distance`.
+        f = {1: circle_function(), 2: torus_function(), 3: three_torus_function()}[dim]
+        cfg = NumericalConfig(sphere_radius=1e-9, landing_radius=1e-10)
+        rng = random.Random(dim)
+        for _ in range(40):
+            xs = [tuple(rng.random() for _ in range(dim)) for _ in range(rng.randint(1, 30))]
+            mu = [rng.uniform(0.0, 0.2) for _ in xs]
+            pairs = [(i, j) for i in range(len(xs)) for j in range(len(xs)) if i != j]
+            dists = {(i, j): loop_distance(xs[i], xs[j]) for i, j in pairs}
+            points = [CriticalPoint(f"p0.{k}", x, 0.0, 0, (1.0,) * dim) for k, x in enumerate(xs)]
+            analysis = _Analysis(f, cfg, critical_points=points, samples=False)
+            assert analysis.min_separation == min(dists.values(), default=1.0)
+            shared = [(i, j) for i, j in pairs if dists[i, j] < mu[i]]
+            args = (_Compiled(f), np.empty((0, dim)), 0.5, np.array(xs), np.array(mu), 0.0, 1.0)
+            if not shared:
+                assert _certify(*args) is None
+                continue
+            i, j = shared[0]
+            with pytest.raises(EulerMismatchError) as err:
+                _certify(*args)
+            assert str(err.value).startswith(f"found points {xs[i]} and {xs[j]} lie in one ball")
 
     @pytest.mark.parametrize("name", ["torus", "perturbed-0", "three-torus"])
     def test_blocks_of_any_size_find_the_same_points(self, monkeypatch, name):
@@ -1514,7 +1558,7 @@ class TestTrapping:
         seeds += [analysis.seed(top, analysis.direction_at(top, 0.8 * k)) for k in range(8)]
         for got in analysis.land_lanes(seeds, record=True, trap=True):
             samples = np.array([x for _, x in got.trajectory])
-            values = _compiled(f).value_batch(samples)
+            values = _Compiled(f).value_batch(samples)
             inside = np.zeros(len(samples), dtype=bool)
             for j, p in sinks:
                 inside |= (_wrap(samples - p.position)[1] <= analysis.trap_radius[j]) & (
@@ -1586,7 +1630,7 @@ class TestTaylorStep:
         # One step from a fixed point at h, h/2 and h/4: the local error of
         # an order-p series falls as h^(p+1).  At the package's order a step
         # of 0.01 is exact to rounding.
-        comp = _compiled(circle_function())
+        comp = _Compiled(circle_function())
         x0 = 0.05
         x = np.array([[x0]])
         cs = comp.trig_batch(x)

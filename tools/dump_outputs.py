@@ -21,7 +21,12 @@ cosine sum and one perturbation of it (THREE_TORUS_EXTRA), each at default
 and reversed orientation: every flow's id, sign, departure angle and
 direction, then every trajectory sample, all floats as `float.hex`; then
 one line with the outcome of `connecting_orbits` from p2.0 to p1.0, its
-flows' ids and signs or `type: message`.  Under OUT/coeff it writes, for
+flows' ids and signs or `type: message`.  Under OUT/search it writes, for
+each function of SEARCH_CASES, what `find_critical_points` gives: one line
+per found point with its id, then position, value and Hessian eigenvalues
+as `float.hex`, or `type: message` when the search raises; the cases find
+up to 1,600 points, so the passes over found points run at scale.
+Under OUT/coeff it writes, for
 a fixed-seed set of integer matrices up to 12 x 12, the Smith form with its
 transforms, the invariant factors and the homology over every ring of the
 two-term complex the matrix defines; the Smith form with its transforms
@@ -71,6 +76,7 @@ from morseflow.morse import (
     _Analysis,
     build_flow_category,
     connecting_orbits,
+    find_critical_points,
     flow_lines,
 )
 
@@ -84,6 +90,7 @@ SECTIONS = (
     "partitions",
     "partitions-coarse",
     "three-torus",
+    "search",
 )
 # Entry pools: dense small integers, sparse +-1 (all unit pivots), and
 # sparse entries that leave a dense remainder with torsion.
@@ -104,6 +111,22 @@ THREE_TORUS_EXTRA = (
     TrigTerm((0, 1, -1), Fraction(0), Fraction(1, 25)),
     TrigTerm((1, 0, 2), Fraction(-3, 100), Fraction(1, 100)),
 )
+
+_COS20 = TrigPolynomial(2, (TrigTerm((20, 0), Fraction(1)), TrigTerm((0, 20), Fraction(1))))
+_SHEARS = {"shear": ((1, 1), (0, 1)), "steep": ((1, 0), (2, 1))}
+# (function, grid_resolution) per case: cos 2 pi 20x + cos 2 pi 20y, whose
+# 1,600 critical points only the grid of 64 resolves; the anisotropic
+# pullbacks of two perturbed tori; and the tilted torus at its saddle
+# connection.
+SEARCH_CASES = {
+    **{f"cos20-grid{res}": (_COS20, res) for res in (8, 32, 64)},
+    **{
+        f"perturbed{seed}-{name}": (bank.pullback(bank.perturbed_torus(seed), a), 32)
+        for seed in (0, 3)
+        for name, a in _SHEARS.items()
+    },
+    "tilted0": (bank.tilted_upright_torus(0), 32),
+}
 
 
 def _run(out: Path, label: str, argv: list[str]) -> None:
@@ -241,6 +264,21 @@ def dump_three_torus(out: Path) -> None:
             (out / f"{name}{suffix}.txt").write_text("\n".join(lines) + "\n")
 
 
+def dump_search(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (f, res) in SEARCH_CASES.items():
+        try:
+            points = find_critical_points(f, NumericalConfig(grid_resolution=res))
+        except MorseflowError as exc:
+            lines = [f"{type(exc).__name__}: {exc}"]
+        else:
+            lines = [
+                " ".join([p.id] + [v.hex() for v in (*p.position, p.value, *p.hessian_eigenvalues)])
+                for p in points
+            ]
+        (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
+
+
 def _smith_record(a: IntegerMatrix) -> dict:
     u, d, v = smith_normal_form(a)
     return {
@@ -330,6 +368,8 @@ def main() -> None:
             dump_partitions(out / "partitions-coarse" / f"samples{samples}", args.seeds, coarse)
     if "three-torus" in only:
         dump_three_torus(out / "three-torus")
+    if "search" in only:
+        dump_search(out / "search")
 
 
 if __name__ == "__main__":

@@ -7,15 +7,16 @@ produce identical transforms.  Its loop keeps D and U as rows and V as
 columns, and each update touches only the nonzero entries of the pivot's
 row and the rows nonzero in the pivot's column, which suits boundary
 matrices with a few nonzeros a row.  `invariant_factors` needs no
-transforms: it first eliminates unit pivots sparsely, choosing short
-columns and short rows to limit fill-in, then runs the same Smith loop
-without transforms on the dense remainder.  Invariant factors are unique,
-so both routes give the same diagonal.
+transforms: it first eliminates unit pivots sparsely, in one sweep over
+the rows or the columns, whichever are more, taken shortest first, each
+pivoting on its unit with the shortest crossing line to limit fill-in;
+then it runs the same Smith loop without transforms on the dense
+remainder.  Invariant factors are unique, so both routes give the same
+diagonal.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -322,61 +323,78 @@ def smith_normal_form(
 def _eliminate_units(a: IntegerMatrix) -> tuple[int, list[list[int]]]:
     """Sparse elimination of +-1 pivots: how many, and the dense remainder.
 
-    The shortest column holding a unit goes first, pivoting on the unit in
-    its shortest row, to limit fill-in.  Clearing the pivot's column by row
-    operations leaves its row to be cleared by column operations that touch
-    nothing else, so the pivot's row and column simply drop out.  The
-    remainder keeps the surviving nonzero rows and columns.
+    The lines are the rows when there are at least as many rows as columns,
+    otherwise the columns, built by inverting the sparse rows; `cross[c]`
+    holds the lines nonzero at crossing position c.  One sweep visits the
+    lines shortest first, by their initial length, and pivots each on its
+    unit whose crossing line is shortest, a Markowitz order that limits
+    fill-in without a priority queue.  Clearing the pivot's crossing line
+    with multiples of its line leaves the line to be cleared by operations
+    that touch nothing else, so both drop out.  Lines without a unit are
+    swept again, since fill-in may have given them one, until a sweep
+    pivots nowhere.  The remainder keeps the surviving lines over the
+    surviving crossing positions: the rest of the matrix or of its
+    transpose, which has the same invariant factors.
     """
-    rows = [{j: r[j] for j in _support(r)} for r in a._e]
-    cols: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for j in r:
-            cols.setdefault(j, set()).add(i)
-    # Columns by length.  Every change to a column pushes it again, so an entry
-    # whose length no longer matches is stale, and a column popped without a
-    # unit is dropped until a change gives it one.
-    queue = [(len(s), j) for j, s in cols.items()]
-    heapq.heapify(queue)
+    e = a._e
+    supports = [_support(r) for r in e]
+    if a.rows >= a.cols:
+        lines = [{j: r[j] for j in s} for r, s in zip(e, supports)]
+        cross: list[set[int]] = [set() for _ in range(a.cols)]
+        for i, s in enumerate(supports):
+            for j in s:
+                cross[j].add(i)
+    else:
+        lines = [{} for _ in range(a.cols)]
+        for i, (r, s) in enumerate(zip(e, supports)):
+            for j in s:
+                lines[j][i] = r[j]
+        cross = [set(s) for s in supports]
+    todo = [i for i, line in enumerate(lines) if line]
+    if len(todo) > 1:
+        todo.sort(key=lambda i: len(lines[i]))
     units = 0
-    while queue:
-        size, c = heapq.heappop(queue)
-        col = cols.get(c)
-        if col is None or len(col) != size:
-            continue
-        best = min(((len(rows[i]), i) for i in col if rows[i][c] in (1, -1)), default=None)
-        if best is None:
-            continue
-        r = best[1]
-        prow = rows[r]
-        p = prow.pop(c)
-        del cols[c]
-        col.discard(r)
-        for j in prow:
-            cols[j].discard(r)
-        for i in col:
-            ri = rows[i]
-            q = ri.pop(c) * p  # p is its own inverse
-            for j, x in prow.items():
-                y = ri.get(j, 0) - q * x
-                if y:
-                    if j not in ri:
-                        cols[j].add(i)
-                    ri[j] = y
-                elif j in ri:
-                    del ri[j]
-                    cols[j].discard(i)
-        rows[r] = {}
-        units += 1
-        for j in prow:
-            heapq.heappush(queue, (len(cols[j]), j))
-    live = [r for r in rows if r]
-    keep = sorted({j for r in live for j in r})
+    while todo:
+        before = units
+        retry = []
+        for r in todo:
+            line = lines[r]
+            if not line:
+                continue
+            pivots = [(len(cross[c]), c) for c, x in line.items() if x == 1 or x == -1]
+            if not pivots:
+                retry.append(r)
+                continue
+            c = min(pivots)[1]
+            p = line.pop(c)
+            col = cross[c]
+            col.discard(r)
+            for j in line:
+                cross[j].discard(r)
+            for i in col:
+                li = lines[i]
+                q = li.pop(c) * p  # p is its own inverse
+                for j, x in line.items():
+                    y = li.get(j, 0) - q * x
+                    if y:
+                        if j not in li:
+                            cross[j].add(i)
+                        li[j] = y
+                    elif j in li:
+                        del li[j]
+                        cross[j].discard(i)
+            lines[r] = {}
+            units += 1
+        if units == before:
+            break
+        todo = retry
+    live = [line for line in lines if line]
+    keep = sorted({j for line in live for j in line})
     at = {j: k for k, j in enumerate(keep)}
     dense = []
-    for r in live:
+    for line in live:
         row = [0] * len(keep)
-        for j, x in r.items():
+        for j, x in line.items():
             row[at[j]] = x
         dense.append(row)
     return units, dense
@@ -384,6 +402,8 @@ def _eliminate_units(a: IntegerMatrix) -> tuple[int, list[list[int]]]:
 
 def invariant_factors(a: IntegerMatrix) -> list[int]:
     """Positive diagonal entries of the Smith form, in divisibility order."""
+    if not any(map(any, a._e)):  # zero-shaped or zero: no index to build
+        return []
     units, d = _eliminate_units(a)
     _smith_reduce(d, None, None)
     out = [1] * units

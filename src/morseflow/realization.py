@@ -320,6 +320,8 @@ class FilteredRealization:
                 raise InputError(f"bad component key {key!r}") from None
             if not (0 <= p <= cx.top_degree and 0 <= q <= cx.top_degree):
                 raise InputError(f"component key {key!r} names a level outside the bases")
+            if q >= p:
+                raise InputError(f"component key {key!r} does not lower the level")
             if (p, q) in comps:
                 raise InputError(f"component key {key!r} repeats the level pair {p},{q}")
             comps[(p, q)] = _parse_matrix(rows, cx.rank(p), f"component {key!r}")

@@ -482,6 +482,16 @@ MALFORMED = {
         "complex",
         {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "components": {"5,0": [[1]]}},
     ),
+    # Keys inside the bases that do not lower the level once escaped as
+    # the constructor's IndexRangeError, a validation failure.
+    "complex-component-upward": (
+        "complex",
+        {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "components": {"0,1": [[1]]}},
+    ),
+    "complex-component-same-level": (
+        "complex",
+        {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "components": {"1,1": [[1]]}},
+    ),
     "config-grid-huge": ("config", {"grid_resolution": 10**400}),
     "category-index-infinite": ("category", {"objects": [{"id": "M", "index": float("inf")}]}),
     "category-family-int": (

@@ -24,7 +24,7 @@ from morseflow import (
     matrix_rank,
     smith_normal_form,
 )
-from morseflow.coeff import _invariant_chain
+from morseflow.coeff import _eliminate_units, _invariant_chain
 from morseflow.errors import CompositeNonzeroError, DimensionMismatchError
 from test_realization import grid_surface
 
@@ -213,8 +213,39 @@ class TestSmithNormalForm:
     @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
     @pytest.mark.parametrize("n", range(3, 9))
     def test_surface_boundaries_match_dense_oracle(self, n, klein):
+        # d1 is wide and d2 tall; with their transposes both orientations run.
         for a in grid_surface(n, klein).boundaries:
             assert_matches_dense_oracle(a)
+            assert_matches_dense_oracle(a.transpose())
+
+    def test_arrow_matches_dense_oracle(self):
+        # A unit on the dense first column would fill in the whole matrix.
+        n = 120
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[0][i] = rows[i][0] = 1
+            rows[i][i] = 1 + i % 3
+        a = IntegerMatrix(rows)
+        assert_matches_dense_oracle(a)
+        assert_matches_dense_oracle(a.transpose())
+
+    def test_units_made_by_fill_in_are_eliminated(self):
+        # Row 0 has no unit until row 1 pivots; a second sweep takes it.
+        a = IntegerMatrix([[2, 3, 0], [1, 1, 1], [0, 2, 5]])
+        assert _eliminate_units(a) == (2, [[9]])
+        assert_matches_dense_oracle(a)
+
+    def test_unit_free_matrix_is_all_remainder(self):
+        wide = IntegerMatrix([[2, 4, 0, 6], [0, 6, 9, 3], [4, 0, 8, 10]])
+        for a in (wide, wide.transpose()):
+            units, dense = _eliminate_units(a)
+            assert units == 0 and len(dense) * len(dense[0]) == a.rows * a.cols
+            assert_matches_dense_oracle(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_matrices)
+    def test_transpose_keeps_invariant_factors(self, a):
+        assert invariant_factors(a) == invariant_factors(a.transpose())
 
     @settings(max_examples=300, deadline=None)
     @given(oracle_matrices)

@@ -206,25 +206,36 @@ class FlowCategory:
         self.mu(a), self.mu(b)
         return b in self._descendants[a]
 
+    @cached_property
+    def _flows_from(self) -> dict[str, list[RigidFlow]]:
+        """The rigid flows out of each object, in flow order."""
+        out: dict[str, list[RigidFlow]] = {}
+        for f in self.rigid_flows:
+            out.setdefault(f.source, []).append(f)
+        return out
+
+    @cached_property
+    def _families(self) -> dict[tuple[str, str], ModuliFamily]:
+        """The first family between each (source, target) pair."""
+        out: dict[tuple[str, str], ModuliFamily] = {}
+        for fam in self.moduli:
+            out.setdefault((fam.source, fam.target), fam)
+        return out
+
     def flows_between(self, a: str, b: str) -> list[RigidFlow]:
-        return [f for f in self.rigid_flows if f.source == a and f.target == b]
+        return [f for f in self._flows_from.get(a, ()) if f.target == b]
 
     def family_between(self, a: str, b: str) -> ModuliFamily | None:
-        for fam in self.moduli:
-            if fam.source == a and fam.target == b:
-                return fam
-        return None
+        return self._families.get((a, b))
 
     def broken_flows(self, a: str, b: str) -> list[BrokenFlow]:
         """All composable rigid-flow pairs from a to b, in id order."""
-        out = []
-        for f in self.rigid_flows:
-            if f.source != a:
-                continue
-            for g in self.rigid_flows:
-                if g.source == f.target and g.target == b:
-                    out.append(BrokenFlow(f.target, f.id, g.id))
-        return out
+        return [
+            BrokenFlow(f.target, f.id, g.id)
+            for f in self._flows_from.get(a, ())
+            for g in self._flows_from.get(f.target, ())
+            if g.target == b
+        ]
 
     # -- serialization ------------------------------------------------------
 

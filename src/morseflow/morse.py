@@ -218,7 +218,10 @@ class _Compiled:
 
     # The contractions are einsums, not matrix products: BLAS rounds a
     # one-row product differently from a many-row one (fused multiply-adds,
-    # another summation order), while einsum treats every row alike.
+    # another summation order), while einsum treats every row alike.  With
+    # the rows on its inner loop and a kept axis longer than one (the
+    # tables' columns, or cos and sin in the sums over j of `_taylor_jet`),
+    # an einsum adds each sum from 0.0, one term after another.
 
     def _phases(self, x: np.ndarray) -> np.ndarray:
         return TWO_PI * np.einsum("pj,tj->pt", x, self.freqs)
@@ -234,7 +237,10 @@ class _Compiled:
         their inner loops along the rows.
         """
         ph = self._phases(x).T
-        return np.stack((np.cos(ph), np.sin(ph)))
+        cs = np.empty((2,) + ph.shape)
+        np.cos(ph, out=cs[0])
+        np.sin(ph, out=cs[1])
+        return cs
 
     def value_of(self, cs: np.ndarray) -> np.ndarray:
         """Values from `trig_batch`: the cos terms, then the sin terms, added in order."""
@@ -352,10 +358,12 @@ def _wrap(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The squares are summed one coordinate after another, so a length has
     the same bits whatever else shares the call.
     """
-    r = d - np.rint(d)  # np.round without its Python wrapper: the same bits
+    r = np.rint(d)  # np.round without its Python wrapper: the same bits
+    np.subtract(d, r, out=r)
     d2 = r[..., 0] * r[..., 0]
     for j in range(1, d.shape[-1]):
-        d2 = d2 + r[..., j] * r[..., j]
+        rj = r[..., j]
+        d2 += rj * rj
     return r, np.sqrt(d2)
 
 
@@ -696,10 +704,13 @@ def _taylor_jet(comp: _Compiled, cs: np.ndarray, sense: np.ndarray, order: int) 
     high-order Taylor methods", Experimental Mathematics 14, 2005).  The
     flow of sense -1 runs the same path backward in time, so its x_j is
     (-1)^j x_j; each order of the recursion for -f flips by the same sign,
-    so a row of sense -1 has the bits of a row of -f.  The contractions
-    over the terms are einsums (see `_Compiled`), and the sums over j add
-    their terms one order after another, so a row has the same bits in
-    any batch.  Returns an array (order, rows, n), x_{j+1} at index j.
+    so a row of sense -1 has the bits of a row of -f, but that a zero x_j
+    of odd j is -0.0.  The contractions over the terms and the sums over j
+    are einsums (see `_Compiled`) that add from 0.0, one term after
+    another, as the same sums in plain floats do, so a row has the same
+    bits in any batch.  Each order's sums over j go straight into the slot
+    of the next order, through a view that swaps C and S, and are divided
+    there.  Returns an array (order, rows, n), x_{j+1} at index j.
     """
     terms, rows = cs.shape[1:]
     n_x = comp.n
@@ -712,10 +723,11 @@ def _taylor_jet(comp: _Compiled, cs: np.ndarray, sense: np.ndarray, order: int) 
         top = order - 1 - n
         np.einsum("ktl,ktu->ul", e[top], comp.jet_table, out=w[n])
         if n + 1 < order:
-            acc = np.add.reduce(d[: n + 1, None] * e[top:], axis=0)
-            np.divide(acc[::-1], rotate[n], out=e[top - 1])
-    j = np.arange(1.0, order + 1.0)[:, None, None]
-    return ((w[:, :n_x] / j) * sense**j).transpose(0, 2, 1)
+            np.einsum("jtl,jktl->ktl", d[: n + 1], e[top:], out=e[top - 1][::-1])
+            e[top - 1] /= rotate[n]
+    jet = w[:, :n_x] / np.arange(1.0, order + 1.0)[:, None, None]
+    jet[::2] *= sense  # the odd orders; sense**j is 1 at the even ones
+    return jet.transpose(0, 2, 1)
 
 
 def _taylor_size(jet: np.ndarray, tol: float) -> np.ndarray:
@@ -735,10 +747,15 @@ def _taylor_size(jet: np.ndarray, tol: float) -> np.ndarray:
 
 def _horner(jet: np.ndarray, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """x + sum_j jet[j-1] tau^j by Horner's rule, `tau` broadcast against the rows of x."""
-    y = jet[-1]
+    y = jet[-1] * tau
+    t = np.empty_like(y)  # tau in the shape and memory order of y, numpy's fastest loop
+    t[...] = tau
     for c in jet[-2::-1]:
-        y = y * tau + c
-    return y * tau + x
+        y += c
+        y *= t
+    # The points are row-major, as the rows of a jet are not: on T^3,
+    # `_phases` adds the coordinates of a column-major row in another order.
+    return np.add(y, x, order="C")
 
 
 def _crossing(

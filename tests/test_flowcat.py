@@ -12,9 +12,13 @@ from morseflow import (
     IntervalComponent,
     ModuliFamily,
     OrientationData,
+    NumericalConfig,
     RigidFlow,
     InputError,
+    TrigPolynomial,
+    TrigTerm,
     all_homology,
+    build_flow_category,
     check_orientation_coherence,
     floer_complex,
     validate_morse_smale,
@@ -23,6 +27,7 @@ from morseflow.bank import (
     circle_category,
     klein_category,
     ladder_category,
+    perturbed_torus,
     rp2_category,
     torus_category,
 )
@@ -112,6 +117,55 @@ class TestValidators:
         cat, ori = make()
         assert validate_morse_smale(cat).passed
         assert check_orientation_coherence(cat, ori).passed
+
+    def test_indexed_lookups_match_a_full_scan(self):
+        # perturbed_torus(0) with every frequency times 4: 64 points, 128
+        # flows and 64 families.  The flows by source and the families by
+        # (source, target) must give what a scan of every flow or family
+        # gives, in the same order, with the first family of a repeated pair.
+        m = 4
+        f = TrigPolynomial(
+            2,
+            tuple(
+                TrigTerm(tuple(m * k for k in t.frequency), t.cos_coeff, t.sin_coeff)
+                for t in perturbed_torus(0).terms
+            ),
+        )
+        cfg = NumericalConfig(
+            grid_resolution=32 * m, sphere_radius=1e-3 / m, landing_radius=1e-4 / m
+        )
+        built, _ = build_flow_category(f, cfg)
+        assert len(built.objects) == 64 and len(built.moduli) == 64
+        first = built.moduli[0]
+        cat = FlowCategory(
+            built.objects,
+            built.index,
+            built.rigid_flows,
+            built.moduli + (ModuliFamily(first.source, first.target, ()),),
+        )
+        flows, families = cat.rigid_flows, cat.moduli
+        pairs = 0
+        for a in cat.objects:
+            for b in cat.objects:
+                gap = cat.mu(a) - cat.mu(b)
+                if gap == 1:
+                    scan = [g for g in flows if g.source == a and g.target == b]
+                    assert cat.flows_between(a, b) == scan
+                elif gap == 2:
+                    scan = [
+                        BrokenFlow(g.target, g.id, h.id)
+                        for g in flows
+                        if g.source == a
+                        for h in flows
+                        if h.source == g.target and h.target == b
+                    ]
+                    assert cat.broken_flows(a, b) == scan
+                    pairs += len(scan)
+                    fam = next((x for x in families if (x.source, x.target) == (a, b)), None)
+                    assert cat.family_between(a, b) is fam
+        assert pairs == 128
+        assert cat.family_between(first.source, first.target) is first
+        assert validate_morse_smale(cat).passed
 
     def test_index_raising_flow_fails_order_check(self):
         cat = FlowCategory(

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (
+    _float_terms,
     all_seeds_critical_points,
     backward_sign,
     bisect_one_at_a_time,
@@ -19,6 +20,7 @@ from conftest import (
     full_landing_classes,
     probe_exit,
     scalar_flow,
+    taylor_jet,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,13 +246,29 @@ class TestEvaluation:
         senses = np.array(data.draw(sides))
         cs = comp.trig_batch(x)
         values = comp.value_of(cs)
-        jet = _taylor_jet(comp, cs, senses, 7)
+        jets = {p: _taylor_jet(comp, cs, senses, p) for p in (7, morse._TAYLOR_ORDER)}
+        # Horner's rule writes through one buffer, at a step per row as in
+        # `land_lanes` and at several per row as in `_crossing`.
+        jet = jets[morse._TAYLOR_ORDER]
+        tau = np.array(data.draw(st.lists(st.floats(0.0, 0.1), min_size=len(x), max_size=len(x))))
+        taus = tau[:, None] * np.array([0.25, 0.5, 1.0])
+        stepped = _horner(jet, x, tau[:, None])
+        moved = comp.trig_batch(stepped)
+        spread = _horner(jet[:, :, None], x[:, None], taus[..., None])
         for i in range(len(x)):
             one = comp.trig_batch(x[i : i + 1])
             assert cs[..., i].tobytes() == one[..., 0].tobytes()
             assert values[i].tobytes() == comp.value_of(one)[0].tobytes()
-            alone = _taylor_jet(comp, one, senses[i : i + 1], 7)
-            assert jet[:, i].tobytes() == alone[:, 0].tobytes()
+            for p, batch in jets.items():
+                alone = _taylor_jet(comp, one, senses[i : i + 1], p)
+                assert batch[:, i].tobytes() == alone[:, 0].tobytes()
+            row = jet[:, i : i + 1]
+            alone = _horner(row, x[i : i + 1], tau[i : i + 1, None])
+            assert stepped[i].tobytes() == alone[0].tobytes()
+            # A lane's next zeroth order comes from the points Horner gives.
+            assert moved[..., i].tobytes() == comp.trig_batch(alone)[..., 0].tobytes()
+            alone = _horner(row[:, :, None], x[i : i + 1, None], taus[i : i + 1, :, None])
+            assert spread[i].tobytes() == alone[0].tobytes()
 
 
 class TestNumericalConfig:
@@ -1644,6 +1662,32 @@ class TestTaylorStep:
                 assert math.log2(coarse / fine) - 1 == pytest.approx(order, abs=0.3)
         jet = _taylor_jet(comp, cs, np.ones(1), morse._TAYLOR_ORDER)
         assert abs(_horner(jet, x, np.array([[0.01]]))[0, 0] - circle_flow(x0, 0.01)) <= 1e-15
+
+    @pytest.mark.parametrize("rows", [1, 4, 72])
+    @pytest.mark.parametrize("sense", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "f",
+        [circle_function(), torus_function(), perturbed_torus(0)],
+        ids=["circle", "torus", "p0"],
+    )
+    def test_jet_has_the_bits_of_the_scalar_twin(self, f, sense, rows):
+        # The sums over j add from 0.0, one term after another, as the
+        # twin's do, with one term (the circle) or several.  The first rows
+        # put a phase's sin at exactly 0 and phases at pi/2 and pi; the twin
+        # of sense -1 is the twin of -f.  Flipping an odd order makes a zero
+        # x_j -0.0 where the twin of -f has 0.0 (at a critical point), so
+        # that sense compares with zeros made positive: adding 0.0 changes
+        # no other value.
+        x = np.vstack([[0.0, 0.0], [0.25, 0.5], np.random.default_rng(5).random((70, 2))])
+        x = x[:rows, : f.dimension]
+        comp = _Compiled(f)
+        order = morse._TAYLOR_ORDER
+        jet = _taylor_jet(comp, comp.trig_batch(x), np.full(rows, sense), order)
+        terms = [(k, sense * c, sense * s) for k, c, s in _float_terms(f)]
+        twin = np.array([taylor_jet(terms, row, order) for row in x.tolist()])
+        if sense < 0:
+            jet, twin = jet + 0.0, twin + 0.0
+        assert jet.transpose(1, 0, 2).tobytes() == twin.tobytes()
 
     def test_closed_form_error_scales_with_step_tol(self):
         # The worst error of a circle lane stays below step_tol / 100 and

@@ -215,18 +215,20 @@ class FlowCategory:
         return out
 
     @cached_property
-    def _families(self) -> dict[tuple[str, str], ModuliFamily]:
-        """The first family between each (source, target) pair."""
-        out: dict[tuple[str, str], ModuliFamily] = {}
+    def _families(self) -> dict[tuple[str, str], list[ModuliFamily]]:
+        """The families between each (source, target) pair, in family order."""
+        out: dict[tuple[str, str], list[ModuliFamily]] = {}
         for fam in self.moduli:
-            out.setdefault((fam.source, fam.target), fam)
+            out.setdefault((fam.source, fam.target), []).append(fam)
         return out
 
     def flows_between(self, a: str, b: str) -> list[RigidFlow]:
         return [f for f in self._flows_from.get(a, ()) if f.target == b]
 
     def family_between(self, a: str, b: str) -> ModuliFamily | None:
-        return self._families.get((a, b))
+        """The first family from a to b, if any."""
+        fams = self._families.get((a, b))
+        return fams[0] if fams else None
 
     def broken_flows(self, a: str, b: str) -> list[BrokenFlow]:
         """All composable rigid-flow pairs from a to b, in id order."""
@@ -343,22 +345,21 @@ def validate_morse_smale(cat: FlowCategory) -> Report:
                 f"family {fam.source!r} -> {fam.target!r} spans index gap {gap}, expected 2"
             )
 
+    # Every family of a pair counts: a family listed twice uses each end twice.
     boundary_fail = []
+    by_index: dict[int, list[str]] = {}
+    for o in cat.objects:
+        by_index.setdefault(cat.mu(o), []).append(o)
     for a in cat.objects:
-        for b in cat.objects:
-            if a == b or cat.mu(a) - cat.mu(b) != 2:
-                continue
-            broken = cat.broken_flows(a, b)
-            fam = cat.family_between(a, b)
-            ends: list[tuple[str, str]] = []
-            if fam is not None:
-                for comp in fam.components:
-                    if isinstance(comp, IntervalComponent):
-                        ends.extend(
-                            (e.first, e.second) for e in comp.ends
-                        )
-            want = sorted((bf.first, bf.second) for bf in broken)
-            got = sorted(ends)
+        for b in by_index.get(cat.mu(a) - 2, ()):
+            want = sorted((bf.first, bf.second) for bf in cat.broken_flows(a, b))
+            got = sorted(
+                (e.first, e.second)
+                for fam in cat._families.get((a, b), ())
+                for comp in fam.components
+                if isinstance(comp, IntervalComponent)
+                for e in comp.ends
+            )
             if want != got:
                 missing = [p for p in want if p not in got]
                 extra = [p for p in got if p not in want]

@@ -193,7 +193,9 @@ class _Compiled:
     `value_batch`, `grad_batch` and `hess_batch` take points as rows; the
     lanes instead read values and Taylor series (`value_of`, `_taylor_jet`)
     off `trig_batch`, which puts the rows last.  Every evaluator gives each
-    row the same bits whatever else is in the batch, so a lane of the
+    row the same bits whatever else is in the batch and whatever its memory
+    layout (`_phases` reads the points row-major: on T^3 einsum adds the
+    coordinates of a column-major row in another order), so a lane of the
     integrator does not depend on which other lanes are still running.
     """
 
@@ -224,7 +226,7 @@ class _Compiled:
     # an einsum adds each sum from 0.0, one term after another.
 
     def _phases(self, x: np.ndarray) -> np.ndarray:
-        return TWO_PI * np.einsum("pj,tj->pt", x, self.freqs)
+        return TWO_PI * np.einsum("pj,tj->pt", np.ascontiguousarray(x), self.freqs)
 
     def value_batch(self, x: np.ndarray) -> np.ndarray:
         ph = self._phases(x)
@@ -753,9 +755,8 @@ def _horner(jet: np.ndarray, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
     for c in jet[-2::-1]:
         y += c
         y *= t
-    # The points are row-major, as the rows of a jet are not: on T^3,
-    # `_phases` adds the coordinates of a column-major row in another order.
-    return np.add(y, x, order="C")
+    y += x
+    return y
 
 
 def _crossing(
@@ -822,11 +823,11 @@ _NONDEG_TOL = 1e-6
 
 
 class _Analysis:
-    """Shared caches for one function + configuration pair.
+    """Points, frames and trap regions of one function + config, and its one separatrix run.
 
     `samples` says whether the circle samples ride in the separatrix run,
     for callers that read partitions; an analysis made without them has no
-    partition.
+    `sample_angles`, and `partition` refuses it.
     """
 
     def __init__(
@@ -894,10 +895,9 @@ class _Analysis:
         self.stable_frames = {
             p.id: signed(qp[:, wp > 0.0][:, ::-1]) for p, wp, qp in zip(self.points, w, q)
         }
-        self.sample_angles = [k * (TWO_PI / cfg.circle_samples) for k in range(cfg.circle_samples)]
-        self._partitions: dict[str, list[_Arc]] = {}
+        count = cfg.circle_samples if samples else 0
+        self.sample_angles = [k * (TWO_PI / count) for k in range(count)]
         self._rigid_flows: list[FlowLine] | None = None
-        self._sampled = samples
         self._samples: dict[str, list] = {}
 
     # integration ----------------------------------------------------------
@@ -1088,9 +1088,9 @@ class _Analysis:
         is s and these two flows, oriented by w_u, so each flow's sign is its
         side.  With `maxima` (on T^2), lanes of sense -1 ahead of them follow
         s's stable separatrices backward, along w_s and -w_s, w_s =
-        `stable_frames[s.id][:, 0]` (`_shot_flows`), and unless the analysis
-        was made without `samples`, the departures of each of `maxima` at
-        the `sample_angles` ride after them as forward trapping lanes,
+        `stable_frames[s.id][:, 0]` (`_shot_flows`), and the departures of
+        each of `maxima` at the `sample_angles` (none for an analysis made
+        without `samples`) ride after them as forward trapping lanes,
         unrecorded.  No lane depends on another, so the flows have the same
         bits with or without the samples.  The backward lanes' errors are
         raised first, in saddle order; then, in departure order, a failed
@@ -1100,15 +1100,17 @@ class _Analysis:
         Returns the rigid flows in point order, those out of the index-2
         points (none without `maxima`) and then those out of the saddles,
         each flow k between the same two points named source>target#k, and
-        the sample classes by point id (none without samples).
+        the sample classes of each of `maxima` by point id, empty without
+        samples.
         """
         lanes = [(s, side) for s in saddles for side in (1, -1)]
         seeds = [self.seed(s, side * self.frames[s.id][:, 0]) for s, side in lanes]
         back, circle, senses = [], [], None
         if maxima is not None:
             back = [self.seed(s, side * self.stable_frames[s.id][:, 0]) for s, side in lanes]
-            angles = self.sample_angles if self._sampled else []
-            circle = [self.seed(a, self.direction_at(a, th)) for a in maxima for th in angles]
+            circle = [
+                self.seed(a, self.direction_at(a, th)) for a in maxima for th in self.sample_angles
+            ]
             senses = [-1.0] * len(back) + [1.0] * (len(seeds) + len(circle))
         traps = [False] * (len(back) + len(seeds)) + [True] * len(circle)
         landings = self.land_lanes(
@@ -1136,10 +1138,10 @@ class _Analysis:
                 )
             )
         per = len(self.sample_angles)
-        samples = {
-            a.id: [self._landing_class(a, got) for got in landings[start : start + per]]
-            for a, start in zip(maxima if circle else (), range(split, len(landings), per))
-        }
+        samples = {}
+        for k, a in enumerate(maxima or ()):
+            start = split + k * per
+            samples[a.id] = [self._landing_class(a, got) for got in landings[start : start + per]]
         return shots + _named(flows), samples
 
     # index-2 sources --------------------------------------------------------
@@ -1190,7 +1192,7 @@ class _Analysis:
 
         Integrated lanes check the arcs: the departures at the
         `sample_angles`, which rode in the separatrix run (an analysis made
-        without `samples` has none, and so no partition), and one midpoint
+        without `samples` has none, and InputError is raised), and one midpoint
         for each arc that holds no sample clear of every boundary, in one
         run of their own.  A sample more than `_SHOT_SPREAD` from every
         boundary must rest in its arc's class, and one within it at any
@@ -1204,8 +1206,8 @@ class _Analysis:
         """
         if a.index != 2 or self.n != 2:
             raise InputError("circle partition requires an index-2 source on T^2")
-        if a.id in self._partitions:
-            return self._partitions[a.id]
+        if not self.sample_angles:
+            raise InputError("an analysis made without circle samples has no partition")
         flows = self.rigid_flows()  # the one run, which classifies the samples too
         samples = [_ok(got) for got in self._samples[a.id]]
         firsts = self.max_flows(a)
@@ -1261,7 +1263,6 @@ class _Analysis:
         for k, th, cls in zip(bare, mids, got):
             if cls != arcs[k].landing_class:
                 raise off_basins(th, cls[0])
-        self._partitions[a.id] = arcs
         return arcs
 
     def _shot_flows(
@@ -1327,19 +1328,6 @@ class _Analysis:
         rank = {p.id: i for i, p in enumerate(self.points)}
         return _named(sorted(flows, key=lambda fl: (rank[fl.source], fl.departure_angle)))
 
-    # one-parameter families ---------------------------------------------------
-
-    def families(self, a: CriticalPoint, c: CriticalPoint) -> list[IntervalComponent]:
-        """Components of the one-parameter family from an index-2 point to a sink.
-
-        Each arc of the partition that rests at c is one component, whose
-        ends are the arc's: they break at the saddles of its two boundaries,
-        and `partition` has checked their classes against the arc's.  All
-        these flows come from the one cached run of `rigid_flows`.
-        """
-        arcs = self.partition(a)
-        return [IntervalComponent(arc.ends) for arc in arcs if arc.landing_class[0] == c.id]
-
 
 # -- public operations ------------------------------------------------------
 
@@ -1395,16 +1383,22 @@ def moduli_family(
 ) -> list[IntervalComponent]:
     """One-parameter family components between an index-2 point and a sink on T^2.
 
-    The components come from the analysis's own rigid flows.  `flows`, as
-    returned by `connecting_orbits`, must name every flow at their ends,
-    with the same id, source and target, or UnmatchedEndpointError is raised.
+    Each arc of the partition of a's departure circle that rests at c is one
+    component, whose ends are the arc's: they break at the saddles of its
+    two boundaries, and `partition` has checked their classes against the
+    arc's.  The components come from the analysis's own rigid flows.
+    `flows`, as returned by `connecting_orbits`, must name every flow at
+    their ends, with the same id, source and target, or
+    UnmatchedEndpointError is raised.
     """
     if f.dimension != 2:
         raise InputError("one-parameter families are computed on the two-torus")
     if a.index - c.index != 2:
         raise InputError("families require an index gap of exactly two")
     analysis = _Analysis(f, cfg, critical_points)
-    comps = analysis.families(_resolve(analysis, a), _resolve(analysis, c))
+    a, c = _resolve(analysis, a), _resolve(analysis, c)
+    arcs = analysis.partition(a)
+    comps = [IntervalComponent(arc.ends) for arc in arcs if arc.landing_class[0] == c.id]
     given = {(fl.id, fl.source, fl.target) for fl in flows}
     for comp in comps:
         for e in comp.ends:
@@ -1431,15 +1425,14 @@ def build_flow_category(
     points = analysis.points
     flows = analysis.rigid_flows()
     moduli = []
-    for a in points:
-        if a.index != 2:
-            continue
-        for c in points:
-            if c.index != 0:
-                continue
-            comps = analysis.families(a, c)
+    for a in (p for p in points if p.index == 2):
+        arcs = analysis.partition(a)
+        for c in (p for p in points if p.index == 0):
+            comps = tuple(
+                IntervalComponent(arc.ends) for arc in arcs if arc.landing_class[0] == c.id
+            )
             if comps:
-                moduli.append(ModuliFamily(a.id, c.id, tuple(comps)))
+                moduli.append(ModuliFamily(a.id, c.id, comps))
     cat = FlowCategory(
         tuple(p.id for p in points),
         {p.id: p.index for p in points},

@@ -176,6 +176,20 @@ class TestValidate:
         checks = {c["name"]: c for c in rep["results"]["orientation"]["checks"]}
         assert checks["interval-cancellation"]["failures"]
 
+    def test_a_family_listed_twice_exits_two(self, capsys, tmp_path):
+        cat, ori = bank.torus_category()
+        payload = cat.to_json(ori)
+        payload["oneDimModuli"] *= 2
+        path = write_json(tmp_path / "twice.json", payload)
+        code, rep = run(capsys, "validate", "--category", path)
+        assert code == 2
+        assert rep["status"] == "validation-failure"
+        assert rep["results"]["moduliFamilies"] == 2
+        assert rep["results"]["passed"] is False
+        checks = {c["name"]: c for c in rep["results"]["morseSmale"]["checks"]}
+        (failure,) = checks["composition-into-boundary"]["failures"]
+        assert "endpoints used more than once" in failure
+
     def test_missed_basin_boundary_exits_two(self, capsys, tmp_path, monkeypatch):
         # Three circle samples, which once hid both boundaries through p1.0,
         # only check the boundaries the saddles' separatrices give.  A

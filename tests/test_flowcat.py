@@ -216,6 +216,18 @@ class TestValidators:
         rep = validate_morse_smale(doubled)
         assert not rep.passed
 
+    def test_a_family_listed_twice_uses_each_end_twice(self):
+        # Each family of a pair counts, not only the first: listing the torus
+        # family again ends every broken flow at two intervals.
+        cat, ori = torus_category()
+        (fam,) = cat.moduli
+        twice = FlowCategory(cat.objects, cat.index, cat.rigid_flows, (fam, fam))
+        assert check_orientation_coherence(twice, ori).passed
+        failures = validate_morse_smale(twice).check("composition-into-boundary").failures
+        pairs = sorted((bf.first, bf.second) for bf in twice.broken_flows("M", "m"))
+        assert len(pairs) == 8
+        assert failures == (f"pair ('M', 'm'): endpoints used more than once: {pairs}",)
+
     def test_cycle_detected(self):
         cat = FlowCategory(
             ("a", "b"),

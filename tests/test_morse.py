@@ -270,6 +270,25 @@ class TestEvaluation:
             alone = _horner(row[:, :, None], x[i : i + 1, None], taus[i : i + 1, :, None])
             assert spread[i].tobytes() == alone[0].tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 2, 5, 17, 64, 150])
+    def test_column_major_batches_give_the_row_major_bits(self, rows):
+        # `_horner` may hand the evaluators a column-major batch of points; on
+        # T^3 einsum would add the coordinates of such a row in another order.
+        f = TrigPolynomial(
+            3,
+            (
+                TrigTerm((1, 2, -1), Fraction(1), Fraction(1, 3)),
+                TrigTerm((2, -1, 3), Fraction(-2, 3), Fraction(1, 2)),
+                TrigTerm((3, 1, 1), Fraction(1, 5), Fraction(-1)),
+                TrigTerm((-1, 3, 2), Fraction(3, 4), Fraction(2, 7)),
+            ),
+        )
+        comp = _Compiled(f)
+        x = np.random.default_rng(rows).uniform(-1.0, 2.0, (rows, 3))
+        fortran = np.asfortranarray(x)
+        for evaluate in (comp.trig_batch, comp.value_batch, comp.grad_batch, comp.hess_batch):
+            assert evaluate(fortran).tobytes() == evaluate(x).tobytes()
+
 
 class TestNumericalConfig:
     def test_rejects_nonpositive_tolerances(self):
@@ -730,7 +749,10 @@ class TestModuliFamilies:
         # Each end's second flow is read off the sign of its first; a probe
         # just inside the arc must leave the saddle nearer that flow's
         # departure direction than the saddle's other flow's.
-        analysis = _Analysis(f, NumericalConfig(**overrides))
+        cfg = NumericalConfig(**overrides)
+        cat, _ = build_flow_category(f, cfg)
+        families = {(fam.source, fam.target): fam.components for fam in cat.moduli}
+        analysis = _Analysis(f, cfg)
         flows = {fl.id: fl for fl in analysis.rigid_flows()}
         ends = 0
         for a in analysis.points:
@@ -741,9 +763,10 @@ class TestModuliFamilies:
                 if c.index != 0:
                     continue
                 chosen = [arc for arc in arcs if arc.landing_class[0] == c.id]
-                comps = analysis.families(a, c)
+                comps = families.get((a.id, c.id), ())
                 assert len(comps) == len(chosen)
                 for arc, comp in zip(chosen, comps):
+                    assert comp.ends == arc.ends
                     width = arc.end - arc.start
                     for e, theta, inward in zip(comp.ends, (arc.start, arc.end), (width, -width)):
                         first, saddle = flows[e.first], analysis.by_id[e.via]
@@ -975,6 +998,13 @@ class TestPartition:
         assert runs == [f] * (1 + len(midpoints))
         if samples == 64:
             assert midpoints == []
+
+    def test_an_analysis_made_without_samples_has_no_partition(self):
+        # Its run carries no circle samples, so it refuses before any lane runs.
+        analysis = _Analysis(torus_function(), NumericalConfig(), samples=False)
+        with pytest.raises(InputError, match="has no partition"):
+            analysis.partition(analysis.points[0])
+        assert analysis.sample_angles == [] and analysis._rigid_flows is None
 
     # Classification runs per partition when the boundaries were bisected
     # with aimed speculation (`before`).  Read from the separatrix shots and

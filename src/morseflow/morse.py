@@ -934,8 +934,10 @@ class _Analysis:
 
         A lane ends as a `_Landing` or as the IntegrationFailureError its
         flow raises.  At its seed and after each accepted step it checks
-        flow time, landing and step budget, in that order; a step then fails
-        on no descent at the minimal step.  A lane lands at the first
+        flow time, landing and step budget, in that order; a step that does
+        not descend at the minimal step fails the lane.  Lanes leave the run
+        only at that check, a failed one at the check after its step, so
+        every outcome is written in one place.  A lane lands at the first
         critical point within `landing_radius`.  `trap` and `record` are
         given per lane, or as one bool for all.  A trapping lane near none
         also lands at a sink once it is within `trap_radius` of the sink
@@ -962,45 +964,36 @@ class _Analysis:
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
         sense = np.ones(len(seeds)) if senses is None else np.array(senses, dtype=float)
-        traps = np.broadcast_to(np.asarray(trap, dtype=bool), len(seeds)).copy()
-        marks = np.broadcast_to(np.asarray(record, dtype=bool), len(seeds)).copy()
-        trapping, recording = bool(traps.any()), bool(marks.any())
+        traps = np.broadcast_to(np.asarray(trap, dtype=bool), len(seeds))
+        marks = np.broadcast_to(np.asarray(record, dtype=bool), len(seeds))
         cs = self.comp.trig_batch(x)
         fx = sense * self.comp.value_of(cs)
         t = np.zeros(len(seeds))
         cap = np.full(len(seeds), cfg.step_max)
         steps = np.zeros(len(seeds), dtype=int)
         fresh = np.ones(len(seeds), dtype=bool)
+        failed = np.zeros(len(seeds), dtype=bool)
         paths = [[(0.0, tuple(s))] if m else None for s, m in zip(x.tolist(), marks.tolist())]
 
-        def finish(done: np.ndarray) -> None:
-            nonlocal lane, x, sense, cs, fx, t, cap, steps, fresh, traps, marks, trapping, recording
-            keep = ~done
-            lane, x, cs, fx = lane[keep], x[keep], cs[..., keep], fx[keep]
-            t, cap = t[keep], cap[keep]
-            sense, steps, fresh = sense[keep], steps[keep], fresh[keep]
-            traps, marks = traps[keep], marks[keep]
-            trapping, recording = bool(traps.any()), bool(marks.any())
-
-        while len(lane):
+        while True:
             # A lane that has just accepted a step (or not yet taken one)
-            # checks flow time, landing and step budget, in that order.
-            # The tests run on every row and count only for those lanes;
-            # gathering their rows first would cost more calls than it saves.
+            # checks flow time, landing and step budget, in that order; a
+            # lane whose last step failed leaves here too.  The tests run on
+            # every row and count only for those lanes; gathering their rows
+            # first would cost more calls than it saves.
             d = x[:, None, :] - self.centres
             dist = _wrap(d)[1]
             near = dist <= cfg.landing_radius
-            if trapping:
-                caught = (dist <= self.trap_radius) & (fx[:, None] < self.trap_level)
-                caught &= traps[:, None]
-                near = np.where(near.any(axis=1, keepdims=True), near, caught)
+            caught = (dist <= self.trap_radius) & (fx[:, None] < self.trap_level)
+            caught &= traps[lane][:, None]
+            near = np.where(near.any(axis=1, keepdims=True), near, caught)
             live = fresh & (t <= cfg.max_flow_time)
             landed = live & near.any(axis=1)
             counted = live ^ landed
             steps += counted
             spent = steps > cfg.max_steps
             late = fresh ^ live
-            done = late | landed | spent
+            done = late | landed | spent | failed
             if done.any():
                 for k in np.flatnonzero(late):
                     out[lane[k]] = IntegrationFailureError(
@@ -1016,9 +1009,16 @@ class _Analysis:
                     )
                 for k in np.flatnonzero(spent):
                     out[lane[k]] = IntegrationFailureError("step budget exhausted")
-                finish(done)
-                if not len(lane):
-                    break
+                for k in np.flatnonzero(failed):
+                    out[lane[k]] = IntegrationFailureError(
+                        "function value failed to decrease at the minimal step"
+                    )
+                # `fresh` and `failed` are not kept: the step sets them anew.
+                keep = ~done
+                lane, x, cs, fx = lane[keep], x[keep], cs[..., keep], fx[keep]
+                t, cap, sense, steps = t[keep], cap[keep], sense[keep], steps[keep]
+            if not len(lane):
+                return out
 
             jet = _taylor_jet(self.comp, cs, sense, _TAYLOR_ORDER)
             # A jet that overflows gives a NaN rule; fmin takes the bound
@@ -1036,17 +1036,9 @@ class _Analysis:
             np.add(t, h, out=t, where=take)
             cap = np.where(take, cfg.step_max, 0.5 * h)
             fresh = take
-            if recording:
-                kept = take & marks
-                for k, tk, xk in zip(lane[kept].tolist(), t[kept].tolist(), x[kept].tolist()):
-                    paths[k].append((tk, tuple(xk)))
-            if failed.any():
-                for k in np.flatnonzero(failed):
-                    out[lane[k]] = IntegrationFailureError(
-                        "function value failed to decrease at the minimal step"
-                    )
-                finish(failed)
-        return out
+            kept = take & marks[lane]
+            for k, tk, xk in zip(lane[kept].tolist(), t[kept].tolist(), x[kept].tolist()):
+                paths[k].append((tk, tuple(xk)))
 
     # rigid flows ------------------------------------------------------------
 

@@ -147,6 +147,15 @@ class TestHomology:
         assert code == 0
         assert [g["group"] for g in rep["results"]["homology"]] == ["Z", "Z^2", "Z"]
 
+    def test_perturbed_torus_example_builds_numerically(self, capsys, tmp_path):
+        code, rep = run(capsys, "homology", "--example", "torus-perturbed:0")
+        assert code == 0 and rep["status"] == "ok"
+        assert [g["group"] for g in rep["results"]["homology"]] == ["Z", "Z^2", "Z"]
+        cfg = write_json(tmp_path / "cfg.json", {"bogus": 1})
+        code, rep = run(capsys, "homology", "--example", "torus-perturbed:0", "--config", cfg)
+        assert code == 1 and rep["status"] == "input-error"
+        assert "unknown config fields" in rep["results"]["error"]
+
     def test_bad_ring_exits_one(self, capsys):
         # A Laurent window above the ceiling is refused before any work.
         for ring in ("zz", "laurent:2:100000000"):
@@ -163,6 +172,16 @@ class TestValidate:
         assert res["rigidFlows"] == 8
         assert res["moduliFamilies"] == 1
         assert res["passed"] is True
+
+    def test_perturbed_torus_example_builds_numerically(self, capsys, tmp_path):
+        code, rep = run(capsys, "validate", "--example", "torus-perturbed:0")
+        assert code == 0 and rep["status"] == "ok"
+        assert rep["results"]["passed"] is True
+        assert "example:torus-perturbed:0" in rep["inputs"]
+        cfg = write_json(tmp_path / "cfg.json", {"bogus": 1})
+        code, rep = run(capsys, "validate", "--example", "torus-perturbed:0", "--config", cfg)
+        assert code == 1 and rep["status"] == "input-error"
+        assert cfg in rep["inputs"]
 
     def test_flipped_sign_reported_and_exits_two(self, capsys, tmp_path):
         cat, ori = bank.torus_category()
@@ -260,6 +279,23 @@ class TestRealize:
     def test_missing_complex_flag_exits_one(self, capsys):
         code, rep = run(capsys, "realize")
         assert code == 1
+
+    def test_ring_precedence_depends_on_components(self, capsys, tmp_path):
+        # Pins the present precedence, which no message reports: a file with
+        # `components` keeps its own "ring" over an explicit --ring, and a
+        # file without them has its "ring" ignored.
+        payload = {"bases": [["a"], ["b"]], "boundaries": [[[2]]], "ring": "zmod:2"}
+        plain = write_json(tmp_path / "plain.json", payload)
+        code, rep = run(capsys, "realize", "--complex", plain, "--ring", "q")
+        assert code == 0
+        assert rep["results"]["ring"] == "q"
+        assert rep["results"]["totalHomology"]["group"] == "0"
+        payload["components"] = {"1,0": [[2]]}
+        filtered = write_json(tmp_path / "filtered.json", payload)
+        code, rep = run(capsys, "realize", "--complex", filtered, "--ring", "q")
+        assert code == 0
+        assert rep["results"]["ring"] == "zmod:2"
+        assert rep["results"]["totalHomology"]["group"] == "Z^2"
 
 
 class TestExamples:

@@ -929,6 +929,37 @@ class TestLanes:
         assert isinstance(got, IntegrationFailureError)
         assert "failed to decrease at the minimal step" in str(got)
 
+    def test_a_lane_that_fails_mid_run_leaves_the_others_running(self, monkeypatch):
+        # An analysis that does not know p1.0 cannot land a lane seeded
+        # there: its steps halve down to step_min and fail at the 10th
+        # iteration, while four departures of p2.0 run on and land.  The
+        # failed lane takes no further jet row, and every lane has the
+        # outcome it has alone.
+        f = torus_function()
+        points = find_critical_points(f)
+        saddle = next(p for p in points if p.id == "p1.0")
+        others = [p for p in points if p is not saddle]
+        analysis = _Analysis(f, NumericalConfig(step_min=1e-4), others)
+        top = analysis.by_id["p2.0"]
+        seeds = [list(saddle.position)]
+        seeds += [analysis.seed(top, analysis.direction_at(top, 0.3 * k)) for k in range(4)]
+        jet, rows = morse._taylor_jet, []
+
+        def counting_jet(comp, cs, sense, order):
+            rows.append(len(sense))
+            return jet(comp, cs, sense, order)
+
+        monkeypatch.setattr(morse, "_taylor_jet", counting_jet)
+        got = analysis.land_lanes(seeds, record=True)
+        assert rows == [5] * 10 + [4, 4, 4, 4, 3, 1]
+        assert isinstance(got[0], IntegrationFailureError)
+        assert "failed to decrease at the minimal step" in str(got[0])
+        for landing in got[1:]:
+            assert isinstance(landing, _Landing)
+            assert 15 <= len(landing.trajectory) <= 17
+        alone = [analysis.land_lanes([seed], record=True)[0] for seed in seeds]
+        assert list(map(lane_bits, got)) == list(map(lane_bits, alone))
+
     @pytest.mark.parametrize("run", ["saddles", "boundaries"])
     def test_lane_errors_raise_in_sequential_order(self, monkeypatch, run):
         # The separatrix run comes back with lanes 1-2 of one sense spoiled.

@@ -284,6 +284,41 @@ class TestRealize:
         failures = rep.check("connecting-maps").failures
         assert any("b" in msg and "c" in msg for msg in failures)
 
+    def test_reference_of_another_shape_fails_the_checks(self):
+        # Against reference data with other bases, another length or other
+        # boundary shapes, the check reports what differs instead of raising.
+        c = ChainComplexData(
+            (("a", "b"), ("c",)),
+            (IntegerMatrix([[1], [1]]),),
+        )
+        x = realize(c, CoefficientRing.integers())
+        renamed = ChainComplexData((("a", "z"), ("c",)), c.boundaries)
+        rep = check_realization(x, renamed)
+        assert rep.check("free-subquotients").failures == (
+            "degree 0: level basis ['a', 'b'] != complex basis ['a', 'z']",
+        )
+        assert rep.check("connecting-maps").passed
+        longer = ChainComplexData(
+            (("a", "b"), ("c",), ("e",)),
+            (IntegerMatrix([[1], [1]]), IntegerMatrix([[0]])),
+        )
+        rep = check_realization(x, longer)
+        assert rep.check("free-subquotients").failures == (
+            "filtration length 1 != complex length 2",
+        )
+        assert rep.check("connecting-maps").passed
+        wider = ChainComplexData(
+            (("a", "b"), ("c", "d")),
+            (IntegerMatrix([[1, -1], [1, -1]]),),
+        )
+        rep = check_realization(x, wider)
+        assert rep.check("free-subquotients").failures == (
+            "degree 1: level basis ['c'] != complex basis ['c', 'd']",
+        )
+        assert rep.check("connecting-maps").failures == (
+            "degree 1: component shape (2, 1) != (2, 2)",
+        )
+
     def test_component_shape_validated(self):
         c = ChainComplexData(
             (("a",), ("b",)),

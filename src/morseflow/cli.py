@@ -234,7 +234,8 @@ def _cmd_strata(args, inputs, warnings) -> dict:
 
 
 def _cmd_realize(args, inputs, warnings) -> dict:
-    ring = CoefficientRing.parse(args.ring)
+    CoefficientRing.parse(args.ring)  # a bad code fails before the file is read
+    # A file's own "ring" is the ring; --ring applies to a file without one.
     data = _read_json(args.complex, inputs)
     if not isinstance(data, dict):
         raise InputError("complex file must hold a JSON object")
@@ -249,7 +250,7 @@ def _cmd_realize(args, inputs, warnings) -> dict:
             )
     else:
         cx = ChainComplexData.from_json(data)
-        x = realize(cx, ring)
+        x = realize(cx, CoefficientRing.parse(data.get("ring", args.ring)))
     rep = check_realization(x, cx)
     results = {
         "ring": x.ring.spec_string(),

@@ -2,17 +2,16 @@
 
 Everything here runs on arbitrary-precision Python integers.  A
 deterministic pivot rule (smallest nonzero absolute value, ties broken by
-lowest row then column) governs `smith_normal_form`, so repeated runs
-produce identical transforms.  Its loop keeps D and U as rows and V as
-columns, and each update touches only the nonzero entries of the pivot's
-row and the rows nonzero in the pivot's column, which suits boundary
-matrices with a few nonzeros a row.  `invariant_factors` needs no
-transforms: it first eliminates unit pivots sparsely, in one sweep over
-the rows or the columns, whichever are more, taken shortest first, each
-pivoting on its unit with the shortest crossing line to limit fill-in;
-then it runs the same Smith loop without transforms on the dense
-remainder.  Invariant factors are unique, so both routes give the same
-diagonal.
+lowest row then column) governs `smith_normal_form`, the one Smith loop,
+so repeated runs produce identical transforms.  It keeps D and U as rows
+and V as columns, and each update touches only the nonzero entries of the
+pivot's row and the rows nonzero in the pivot's column, which suits
+boundary matrices with a few nonzeros a row.  `invariant_factors` first
+eliminates unit pivots sparsely, in one sweep over the rows or the
+columns, whichever are more, taken shortest first, each pivoting on its
+unit with the shortest crossing line to limit fill-in; then it takes the
+Smith form of the dense remainder.  Invariant factors are unique, so this
+gives the same diagonal as the Smith form of the whole matrix.
 """
 
 from __future__ import annotations
@@ -211,22 +210,25 @@ def _select_pivot(
     return best
 
 
-def _smith_reduce(
-    d: list[list[int]], u: list[list[int]] | None, vt: list[list[int]] | None
-) -> None:
-    """Reduce the rows `d` in place to Smith form; U and V follow when given.
+def smith_normal_form(
+    a: IntegerMatrix,
+) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+    """Return (U, D, V) with U @ a @ V == D, U and V unimodular.
 
-    Row operations on d are applied to the rows of `u`, column operations to
-    `vt`, which holds the columns of V so that a column swap or update is a
-    list swap or a row update; either may be None to skip its updates.  Each
-    update walks only the nonzero entries of the pivot's row (of D, U or V
-    transposed) and only the rows nonzero in the pivot's column, and the
-    remainder check looks only where an update landed.  Terms with a zero
-    multiplier are exactly zero, so the result is the same, integer for
-    integer, as full-row updates in the same order.
+    D is diagonal with nonnegative entries satisfying d1 | d2 | ... .  This
+    is the one Smith loop.  It reduces the rows of D in place, applies each
+    row operation to the rows of U and each column operation to `vt`, which
+    holds the columns of V so that a column swap or update is a list swap or
+    a row update.  Each update walks only the nonzero entries of the pivot's
+    row (of D, U or V transposed) and only the rows nonzero in the pivot's
+    column, and the remainder check looks only where an update landed.
+    Terms with a zero multiplier are exactly zero, so the result is the
+    same, integer for integer, as full-row updates in the same order.
     """
-    m = len(d)
-    n = len(d[0]) if d else 0
+    m, n = a.rows, a.cols
+    d = a.to_rows()
+    u = _identity_rows(m)
+    vt = _identity_rows(n)  # the columns of V
     t = 0
     limit = min(m, n)
     zero = [False] * m  # rows known to be zero; they move with their rows
@@ -238,45 +240,41 @@ def _smith_reduce(
         if pi != t:
             d[t], d[pi] = d[pi], d[t]
             zero[t], zero[pi] = zero[pi], zero[t]
-            if u is not None:
-                u[t], u[pi] = u[pi], u[t]
+            u[t], u[pi] = u[pi], u[t]
         if pj != t:
             for row in islice(d, t, None):  # rows above t are zero in both
                 row[t], row[pj] = row[pj], row[t]
-            if vt is not None:
-                vt[t], vt[pj] = vt[pj], vt[t]
+            vt[t], vt[pj] = vt[pj], vt[t]
         dt = d[t]
         pivot = dt[t]
         pivot_row = [(j, dt[j]) for j in _support(dt)]  # columns t and up
         # Clear column t below the pivot.
         below = list(compress(range(t + 1, m), map(itemgetter(t), islice(d, t + 1, None))))
         if below:
-            pivot_u = [(j, u[t][j]) for j in _support(u[t])] if u is not None else ()
+            pivot_u = [(j, u[t][j]) for j in _support(u[t])]
             for i in below:
                 di = d[i]
                 q = di[t] // pivot
                 if q:
                     for j, y in pivot_row:
                         di[j] -= q * y
-                    if u is not None:
-                        ui = u[i]
-                        for j, y in pivot_u:
-                            ui[j] -= q * y
+                    ui = u[i]
+                    for j, y in pivot_u:
+                        ui[j] -= q * y
         # Clear row t right of the pivot.  A column operation changes only the
         # rows that are nonzero in column t: the pivot row and the remainders.
         right = [j for j, _ in pivot_row if j != t]
         if right:
             live = [dt] + [d[i] for i in below if d[i][t]]
-            pivot_v = [(k, vt[t][k]) for k in _support(vt[t])] if vt is not None else ()
+            pivot_v = [(k, vt[t][k]) for k in _support(vt[t])]
             for j in right:
                 q = dt[j] // pivot
                 if q:
                     for row in live:
                         row[j] -= q * row[t]
-                    if vt is not None:
-                        vj = vt[j]
-                        for k, y in pivot_v:
-                            vj[k] -= q * y
+                    vj = vt[j]
+                    for k, y in pivot_v:
+                        vj[k] -= q * y
         if any(d[i][t] for i in below) or any(dt[j] for j in right):
             continue  # remainders are strictly smaller; re-select the pivot
         # Divisibility repair: the pivot must divide the rest of the submatrix.
@@ -290,32 +288,16 @@ def _smith_reduce(
             dw = d[witness]
             for j in _support(dw):
                 dt[j] += dw[j]
-            if u is not None:
-                ut, uw = u[t], u[witness]
-                for j in _support(uw):
-                    ut[j] += uw[j]
+            ut, uw = u[t], u[witness]
+            for j in _support(uw):
+                ut[j] += uw[j]
             continue
         t += 1
     # Off the diagonal D is zero by now.
     for i in range(limit):
         if d[i][i] < 0:
             d[i][i] = -d[i][i]
-            if u is not None:
-                u[i] = [-x for x in u[i]]
-
-
-def smith_normal_form(
-    a: IntegerMatrix,
-) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Return (U, D, V) with U @ a @ V == D, U and V unimodular.
-
-    D is diagonal with nonnegative entries satisfying d1 | d2 | ... .
-    """
-    m, n = a.rows, a.cols
-    d = a.to_rows()
-    u = _identity_rows(m)
-    vt = _identity_rows(n)  # the columns of V
-    _smith_reduce(d, u, vt)
+            u[i] = [-x for x in u[i]]
     v = [list(col) for col in zip(*vt)]
     return IntegerMatrix._of(u, m), IntegerMatrix._of(d, n), IntegerMatrix._of(v, n)
 
@@ -401,16 +383,16 @@ def _eliminate_units(a: IntegerMatrix) -> tuple[int, list[list[int]]]:
 
 
 def invariant_factors(a: IntegerMatrix) -> list[int]:
-    """Positive diagonal entries of the Smith form, in divisibility order."""
+    """Positive diagonal entries of the Smith form, in divisibility order.
+
+    Each pivot of the unit sweep gives a factor 1; the rest are the nonzero
+    diagonal of the Smith form of the remainder the sweep leaves.
+    """
     if not any(map(any, a._e)):  # zero-shaped or zero: no index to build
         return []
-    units, d = _eliminate_units(a)
-    _smith_reduce(d, None, None)
-    out = [1] * units
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
+    units, rest = _eliminate_units(a)
+    _, d, _ = smith_normal_form(IntegerMatrix(rest))
+    return [1] * units + [d[i, i] for i in range(min(d.shape)) if d[i, i]]
 
 
 def matrix_rank(a: IntegerMatrix) -> int:

@@ -135,7 +135,7 @@ def _dense_select_pivot(d, t, m, n):
 def dense_smith_reduce(d, u, v) -> None:
     """The Smith loop with whole-row updates: rows of `u`, rows of `v`.
 
-    Same pivot rule and order of operations as `coeff._smith_reduce`, but
+    Same pivot rule and order of operations as `smith_normal_form`, but
     every row operation rewrites the whole row, every column operation and
     swap walks every row, and the remainder check rescans the pivot's row
     and column.

@@ -156,6 +156,11 @@ class TestHomology:
         assert code == 1 and rep["status"] == "input-error"
         assert "unknown config fields" in rep["results"]["error"]
 
+    def test_bad_perturbation_seed_exits_one(self, capsys):
+        code, rep = run(capsys, "homology", "--example", "torus-perturbed:x")
+        assert code == 1 and rep["status"] == "input-error"
+        assert "bad perturbation seed 'x'" in rep["results"]["error"]
+
     def test_bad_ring_exits_one(self, capsys):
         # A Laurent window above the ceiling is refused before any work.
         for ring in ("zz", "laurent:2:100000000"):
@@ -281,15 +286,14 @@ class TestRealize:
         assert code == 1
 
     def test_ring_precedence_depends_on_components(self, capsys, tmp_path):
-        # Pins the present precedence, which no message reports: a file with
-        # `components` keeps its own "ring" over an explicit --ring, and a
-        # file without them has its "ring" ignored.
+        # One rule, with or without `components`: a file's own "ring" is the
+        # ring, over an explicit --ring.
         payload = {"bases": [["a"], ["b"]], "boundaries": [[[2]]], "ring": "zmod:2"}
         plain = write_json(tmp_path / "plain.json", payload)
         code, rep = run(capsys, "realize", "--complex", plain, "--ring", "q")
         assert code == 0
-        assert rep["results"]["ring"] == "q"
-        assert rep["results"]["totalHomology"]["group"] == "0"
+        assert rep["results"]["ring"] == "zmod:2"
+        assert rep["results"]["totalHomology"]["group"] == "Z^2"
         payload["components"] = {"1,0": [[2]]}
         filtered = write_json(tmp_path / "filtered.json", payload)
         code, rep = run(capsys, "realize", "--complex", filtered, "--ring", "q")
@@ -594,6 +598,29 @@ MALFORMED = {
             "components": {"1,0": [[1]], " +1 ,0": [[2]]},
         },
     ),
+    # A plain file's own "ring" is read too, so a bad one is refused.
+    "complex-plain-ring-int": ("complex", {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "ring": 3}),
+    "complex-top-level-array": ("complex", [{"bases": [["a"]], "boundaries": []}]),
+    "complex-components-list": (
+        "complex",
+        {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "components": [1]},
+    ),
+    "complex-component-key-semicolon": (
+        "complex",
+        {"bases": [["a"], ["b"]], "boundaries": [[[1]]], "components": {"1;0": [[1]]}},
+    ),
+    "complex-boundaries-int": ("complex", {"bases": [["a"], ["b"]], "boundaries": 3}),
+    "complex-bases-missing": ("complex", {"boundaries": [[[1]]]}),
+    "complex-bases-empty": ("complex", {"bases": [], "boundaries": []}),
+    "complex-boundaries-too-few": ("complex", {"bases": [["a"], ["b"]], "boundaries": []}),
+    "config-top-level-array": ("config", [{"grid_resolution": 32}]),
+    "category-object-repeated": (
+        "category",
+        {"objects": [{"id": "M", "index": 1}, {"id": "M", "index": 0}]},
+    ),
+    "function-terms-int": ("function", {"dim": 1, "terms": 3}),
+    "function-dim-missing": ("function", {"terms": [{"freq": [1], "cos": 1}]}),
+    "function-term-freq-missing": ("function", {"dim": 1, "terms": [{"cos": 1}]}),
 }
 
 

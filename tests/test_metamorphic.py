@@ -11,6 +11,9 @@ of whole objects, which homology does not see.  No oracle is needed
 (Chen et al., "Metamorphic testing: a review of challenges and
 opportunities", ACM Computing Surveys 51, 2018).
 
+Scaling by c > 0 keeps the critical points and the flow lines, which are
+only run at another speed, so c * f must give the very category of f.
+
 A shear changes the metric, so its flow is another flow, and only the
 homology must agree.  The perturbed tori pulled back by the two shears
 below have maxima with Hessian eigenvalue ratios of about 5 and 34, and
@@ -21,6 +24,7 @@ to say so.
 
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -28,13 +32,22 @@ from morseflow import (
     CoefficientRing,
     InputError,
     MorseflowError,
+    TrigPolynomial,
+    TrigTerm,
     all_homology,
     build_flow_category,
     eval_grad_hess,
     find_critical_points,
     floer_complex,
 )
-from morseflow.bank import perturbed_torus, perturbed_torus_seeds, pullback, quarter_shift
+from morseflow.bank import (
+    circle_function,
+    perturbed_torus,
+    perturbed_torus_seeds,
+    pullback,
+    quarter_shift,
+    torus_function,
+)
 from test_morse import three_torus_function
 
 SEEDS = perturbed_torus_seeds(25)
@@ -131,6 +144,34 @@ class TestIsometries:
         for seed in SEEDS:
             f = perturbed_torus(seed)
             assert shape(ISOMETRIES[name](f)) == shape(f), seed
+
+
+def scaled(f, c):
+    """c * f, exact in the rationals."""
+    return TrigPolynomial(
+        f.dimension,
+        tuple(TrigTerm(t.frequency, c * t.cos_coeff, c * t.sin_coeff) for t in f.terms),
+    )
+
+
+SCALED = {
+    "circle": circle_function,
+    "torus": torus_function,
+    **{f"perturbed-{s}": lambda s=s: perturbed_torus(s) for s in range(3)},
+}
+
+
+class TestScaling:
+    # Far outside these powers of ten the build refuses, loudly (ROADMAP,
+    # "Where the pipeline refuses").
+    @pytest.mark.parametrize("name", sorted(SCALED))
+    def test_a_positive_multiple_gives_the_same_category(self, name):
+        f = SCALED[name]()
+        cat, ori = build_flow_category(f)
+        want = cat.to_json(ori)
+        for k in (-1, 1, 2, 3, 4):
+            cat, ori = build_flow_category(scaled(f, Fraction(10) ** k))
+            assert cat.to_json(ori) == want, k
 
 
 # The outcome of building each perturbed torus pulled back by a shear, by

@@ -1846,3 +1846,16 @@ class TestExports:
         assert root.tag.endswith("svg")
         titles = {el.text for el in root.iter() if el.tag.endswith("title")}
         assert {f.id for f in flows} <= titles
+
+    def test_svg_splits_a_polyline_where_it_wraps(self):
+        # Flows of this perturbed torus cross the edges of the unit square,
+        # so some flow is drawn as more than one polyline, and no step
+        # inside a polyline jumps across the square.
+        flows = flow_lines(perturbed_torus(0))
+        root = ET.fromstring(trajectories_svg(flows))
+        lines = [el for el in root.iter() if el.tag.endswith("polyline")]
+        assert len(lines) > len(flows)
+        for el in lines:
+            pts = [tuple(map(float, p.split(","))) for p in el.get("points").split()]
+            for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+                assert abs(x1 - x0) <= 0.5 and abs(y1 - y0) <= 0.5

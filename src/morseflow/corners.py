@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .coeff import _json_integer
 from .errors import (
     IndexRangeError,
     InputError,
@@ -34,6 +35,14 @@ def corner_code(point: Sequence) -> int:
     return code
 
 
+def _read_k(k) -> int:
+    """A number k of slots or faces, read as `_json_integer` reads it and at least 0."""
+    k = _json_integer(k, "k")
+    if k < 0:
+        raise InputError(f"k {k} is negative")
+    return k
+
+
 @dataclass(frozen=True)
 class CubeObject:
     """A vertex of the poset 2^k, encoded by a 0/1 tuple."""
@@ -41,7 +50,7 @@ class CubeObject:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+        bits = tuple(_json_integer(b, "cube coordinate") for b in self.bits)
         if any(b not in (0, 1) for b in bits):
             raise InputError("cube coordinates must be 0 or 1")
         object.__setattr__(self, "bits", bits)
@@ -50,16 +59,20 @@ class CubeObject:
     def k(self) -> int:
         return len(self.bits)
 
-    def leq(self, other: "CubeObject") -> bool:
+    def _pairs(self, other: "CubeObject") -> zip:
+        """The bits of both vertices side by side; InputError if their cubes differ."""
         if self.k != other.k:
             raise InputError("cube dimensions differ")
-        return all(a <= b for a, b in zip(self.bits, other.bits))
+        return zip(self.bits, other.bits)
+
+    def leq(self, other: "CubeObject") -> bool:
+        return all(a <= b for a, b in self._pairs(other))
 
     def disjoint_from(self, other: "CubeObject") -> bool:
-        return all(not (a and b) for a, b in zip(self.bits, other.bits))
+        return all(not (a and b) for a, b in self._pairs(other))
 
     def join(self, other: "CubeObject") -> "CubeObject":
-        return CubeObject(tuple(a | b for a, b in zip(self.bits, other.bits)))
+        return CubeObject(tuple(a | b for a, b in self._pairs(other)))
 
     def concat(self, other: "CubeObject") -> "CubeObject":
         return CubeObject(self.bits + other.bits)
@@ -82,11 +95,12 @@ class FaceStructure:
     labels: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _read_k(self.k))
         samples = tuple(
             tuple(Fraction(v) for v in pt) for pt in self.samples
         )
         object.__setattr__(self, "samples", samples)
-        labels = tuple(frozenset(int(l) for l in ls) for ls in self.labels)
+        labels = tuple(frozenset(_json_integer(l, "face label") for l in ls) for ls in self.labels)
         object.__setattr__(self, "labels", labels)
         if len(samples) != len(labels):
             raise InputError("samples and label sets must align")
@@ -224,6 +238,7 @@ class SignDiagram:
     assignment: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _read_k(self.k))
         clean = {}
         for obj in CubeObject.all_objects(self.k):
             try:

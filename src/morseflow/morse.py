@@ -23,7 +23,7 @@ directly, with no frame carried along the path.
 
 There is one integrator, `_Analysis.land_lanes`: many seeds run as lanes
 of one lockstep, vectorized run, each lane with its own step size and its
-own sense of time, and optionally a recorded trajectory.  One
+own sense of time, and a recorded trajectory unless it traps.  One
 eigendecomposition of the Hessians at the critical points gives
 the unstable and stable frames and the sink trapping regions.  On T^2
 a basin boundary direction flows into a saddle, so the boundaries are where
@@ -41,7 +41,7 @@ it, unrecorded, to check them; only the midpoints of arcs that no sample
 checks take a run of their own.  On T^3 the stable manifold of a saddle
 is a surface, which no finite set of shots traces, so there only the
 saddles' flows are computed, in one run.  A lane that only classifies an angle stops once it
-enters a region around a sink that its flow provably never leaves, so it
+enters a ball around a sink that its flow provably never leaves, so it
 gets the class it would get by running on.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
@@ -376,7 +376,7 @@ def torus_distance(x: Sequence[float], p: Sequence[float]) -> float:
 
 
 class _Landing(NamedTuple):
-    """Where one lane came to rest; its trajectory only if asked for."""
+    """Where one lane came to rest; its trajectory unless it was a trapping lane."""
 
     point: CriticalPoint
     offset: tuple[int, ...]
@@ -632,7 +632,7 @@ def _certify(
     no more critical points than found ones.
     """
     n = comp.n
-    radii = (mu - _ROUNDING_SLACK * m2) / m3
+    radii = _ball_radius(mu, m2, m3)
     for i in range(len(xs)):
         shared = np.flatnonzero(_distances_from(xs, i) < radii[i])
         if len(shared):
@@ -656,6 +656,11 @@ def _certify(
             )
         cells = (cells[:, None] + half * corners).reshape(-1, n)
         half = 0.5 * half
+
+
+def _ball_radius(mu: np.ndarray, m2: float, m3: float) -> np.ndarray:
+    """(mu - slack) / M3: the radius of the ball around a point that holds no other (`_certify`)."""
+    return (mu - _ROUNDING_SLACK * m2) / m3
 
 
 def _covered(cells: np.ndarray, rho: float, xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -858,25 +863,23 @@ class _Analysis:
                 "between critical points"
             )
         # A trapping region around each sink c, where classification lanes
-        # may stop (Hirsch, Smale & Devaney, ch. 9).  M bounds the third
-        # derivative along unit vectors and lam is the smallest Hessian
-        # eigenvalue at c, so Hess f >= lam - M r on the ball B(c, r), and on
-        # its sphere f - f(c) >= g(r) = lam r^2/2 - M r^3/6 for r <= R =
-        # lam / M, where g(R) = lam R^2 / 3.  A point within rho <= R of c
-        # with f below a level l, l - f(c) < g(rho), cannot leave the ball,
-        # since f falls along the flow, and c is the only critical point in
-        # it, so the flow rests at c.  Safety factors rho = 0.999 R and
-        # l = f(c) + g(R) / 2 leave room for the rounding of f and for the
-        # gradient at c, at most `_GRAD_TOL`.  Since R <= 1/(2 pi) < 1/2 the
-        # nearest lift of c is the one the flow rests at.  A point that is
-        # no sink gets a negative radius and no region.
+        # may stop: its ball B(c, r_c) of `_certify`, r_c = mu / M3, where mu,
+        # the computed smallest Hessian eigenvalue lam less `_ROUNDING_SLACK`
+        # M2, is below the true one.  At distance s from c, Hess f >= mu -
+        # M3 s, so on the sphere |x - c| = r, <x - c, grad f(x)> >= r^2 (mu -
+        # M3 r / 2) - r |grad f(c)|, which is positive for 2 |grad f(c)| / mu
+        # < r <= r_c and on to almost 2 r_c, so the rounding of a distance
+        # near r_c does no harm.  (A found point has |grad f(c)| <=
+        # `_GRAD_TOL`, and on the example bank r_c mu / 2 is above 0.27.)
+        # So |x - c| falls along the flow, the ball is forward-invariant, and
+        # the flow rests at a critical point in it, its only one (Hirsch,
+        # Smale & Devaney, ch. 9).  Since r_c <= lam / M3 <= 1/(2 pi) < 1/2
+        # the nearest lift of c is the one the flow rests at.  A point that
+        # is no sink has lam < 0, so a negative radius and no region.
         comp = self.comp
-        m = _derivative_bounds(comp)[1]
+        m2, m3 = _derivative_bounds(comp)
         w, q = np.linalg.eigh(comp.hess_batch(self.centres))
-        lam = w[:, 0]
-        reach = lam / m
-        self.trap_radius = np.where(lam > 0.0, 0.999 * reach, -1.0)
-        self.trap_level = comp.value_batch(self.centres) + lam * reach * reach / 6.0
+        self.trap_radius = _ball_radius(w[:, 0], m2, m3)
         # The unstable frame of each point, by id, which departures and signs
         # are read against: the eigenvectors of the negative eigenvalues, each
         # signed so that its first entry clear of zero is positive, and the
@@ -908,7 +911,6 @@ class _Analysis:
     def land_lanes(
         self,
         seeds: Sequence[Sequence[float]],
-        record: bool | Sequence[bool] = False,
         trap: bool | Sequence[bool] = False,
         senses: Sequence[float] | None = None,
     ) -> list:
@@ -938,15 +940,15 @@ class _Analysis:
         not descend at the minimal step fails the lane.  Lanes leave the run
         only at that check, a failed one at the check after its step, so
         every outcome is written in one place.  A lane lands at the first
-        critical point within `landing_radius`.  `trap` and `record` are
-        given per lane, or as one bool for all.  A trapping lane near none
-        also lands at a sink once it is within `trap_radius` of the sink
-        with its value below `trap_level`, a region its flow provably never
-        leaves; its state is then not near the sink, so only a lane whose
-        landing class alone is read may trap, and only a forward one.  A
-        recorded lane's landing carries its trajectory: (time, point) at
-        the seed and after every accepted step.  No lane depends on the
-        others, its kind included, so a lane run alone gives the same bits.
+        critical point within `landing_radius`.  `trap` is given per lane,
+        or as one bool for all.  A trapping lane near none also lands at a
+        sink once it is within `trap_radius` of the sink, a ball its flow
+        provably never leaves; its state is then not near the sink, so only
+        a lane whose landing class alone is read may trap, and only a
+        forward one.  The landing of a lane that does not trap carries its
+        trajectory: (time, point) at the seed and after every accepted
+        step.  No lane depends on the others, its kind included, so a lane
+        run alone gives the same bits.
         """
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
@@ -965,7 +967,6 @@ class _Analysis:
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
         sense = np.ones(len(seeds)) if senses is None else np.array(senses, dtype=float)
         traps = np.broadcast_to(np.asarray(trap, dtype=bool), len(seeds))
-        marks = np.broadcast_to(np.asarray(record, dtype=bool), len(seeds))
         cs = self.comp.trig_batch(x)
         fx = sense * self.comp.value_of(cs)
         t = np.zeros(len(seeds))
@@ -973,7 +974,7 @@ class _Analysis:
         steps = np.zeros(len(seeds), dtype=int)
         fresh = np.ones(len(seeds), dtype=bool)
         failed = np.zeros(len(seeds), dtype=bool)
-        paths = [[(0.0, tuple(s))] if m else None for s, m in zip(x.tolist(), marks.tolist())]
+        paths = [None if tr else [(0.0, tuple(s))] for s, tr in zip(x.tolist(), traps.tolist())]
 
         while True:
             # A lane that has just accepted a step (or not yet taken one)
@@ -984,8 +985,7 @@ class _Analysis:
             d = x[:, None, :] - self.centres
             dist = _wrap(d)[1]
             near = dist <= cfg.landing_radius
-            caught = (dist <= self.trap_radius) & (fx[:, None] < self.trap_level)
-            caught &= traps[lane][:, None]
+            caught = (dist <= self.trap_radius) & traps[lane][:, None]
             near = np.where(near.any(axis=1, keepdims=True), near, caught)
             live = fresh & (t <= cfg.max_flow_time)
             landed = live & near.any(axis=1)
@@ -1036,7 +1036,7 @@ class _Analysis:
             np.add(t, h, out=t, where=take)
             cap = np.where(take, cfg.step_max, 0.5 * h)
             fresh = take
-            kept = take & marks[lane]
+            kept = take & ~traps[lane]
             for k, tk, xk in zip(lane[kept].tolist(), t[kept].tolist(), x[kept].tolist()):
                 paths[k].append((tk, tuple(xk)))
 
@@ -1105,9 +1105,7 @@ class _Analysis:
             ]
             senses = [-1.0] * len(back) + [1.0] * (len(seeds) + len(circle))
         traps = [False] * (len(back) + len(seeds)) + [True] * len(circle)
-        landings = self.land_lanes(
-            back + seeds + circle, record=[not t for t in traps], trap=traps, senses=senses
-        )
+        landings = self.land_lanes(back + seeds + circle, trap=traps, senses=senses)
         split = len(back) + len(seeds)
         shots = self._shot_flows(lanes, landings[: len(back)]) if maxima is not None else []
         flows = []

@@ -24,6 +24,7 @@ from .coeff import (
     HomologyGroup,
     IntegerMatrix,
     _homology_group,
+    _json_integer,
     invariant_factors,
 )
 from .errors import (
@@ -49,6 +50,8 @@ class GapSequence:
     coords: tuple[Fraction, ...] | None
 
     def __post_init__(self):
+        object.__setattr__(self, "source", _json_integer(self.source, "source"))
+        object.__setattr__(self, "target", _json_integer(self.target, "target"))
         if self.source < self.target:
             raise InputError("no morphisms raise the object index")
         gap = self.source - self.target
@@ -76,13 +79,17 @@ class GapSequence:
 
     @classmethod
     def of(cls, source: int, target: int, values: Mapping[int, Fraction] | Sequence) -> "GapSequence":
-        """Build from either a dense coordinate sequence or an index -> value map."""
-        if isinstance(values, Mapping):
-            coords = []
-            for i in range(target + 1, source):
-                coords.append(Fraction(values.get(i, 0)))
-            return cls(source, target, tuple(coords))
-        return cls(source, target, tuple(Fraction(v) for v in values))
+        """Build from either a dense coordinate sequence or an index -> value map.
+
+        A map's indices must be ones that `coordinate` takes.
+        """
+        if not isinstance(values, Mapping):
+            return cls(source, target, tuple(values))
+        source, target = _json_integer(source, "source"), _json_integer(target, "target")
+        x = cls(source, target, tuple(values.get(i, 0) for i in range(target + 1, source)))
+        for i in values:
+            x.coordinate(i)
+        return x
 
     @property
     def is_basepoint(self) -> bool:

@@ -867,7 +867,7 @@ def probe_exit(analysis, a, sink, saddle, theta, width, offset=1e-3):
     eta = min(offset, 0.25 * abs(width))
     while eta <= 0.25 * abs(width) + 1e-15:
         th = theta + math.copysign(eta, width)
-        (got,) = analysis.land_lanes([analysis.seed(a, analysis.direction_at(a, th))], record=True)
+        (got,) = analysis.land_lanes([analysis.seed(a, analysis.direction_at(a, th))])
         if not isinstance(got, Exception) and got.point.id == sink.id:
             d = np.array([x for _, x in got.trajectory]) - np.array(saddle.position)
             res = d - np.round(d)

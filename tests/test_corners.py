@@ -67,6 +67,18 @@ class TestCubeObject:
         with pytest.raises(InputError):
             CubeObject((0, 2))
 
+    @pytest.mark.parametrize("bits", [(0.5, 1), ("1",), (True, 0), (None,)])
+    def test_rejects_a_coordinate_that_is_not_an_integer(self, bits):
+        # int() would read 0.5 as 0 and "1" as 1.
+        with pytest.raises(InputError, match="not an integer"):
+            CubeObject(bits)
+
+    @pytest.mark.parametrize("method", ["join", "disjoint_from"])
+    def test_join_and_disjoint_refuse_another_cube(self, method):
+        # zip would truncate to the shorter cube: (1, 0) join (0, 1, 1) was (1, 1).
+        with pytest.raises(InputError, match="cube dimensions differ"):
+            getattr(CubeObject((1, 0)), method)(CubeObject((0, 1, 1)))
+
 
 class TestFaceStructure:
     def test_canonical_assignment_passes(self):
@@ -97,6 +109,16 @@ class TestFaceStructure:
     def test_sample_arity_enforced(self):
         with pytest.raises(InputError):
             FaceStructure(2, ((0,),), (frozenset({1}),))
+
+    def test_label_must_be_an_integer(self):
+        # int() would read the label 1.7 as face 1.
+        with pytest.raises(InputError, match="face label 1.7 is not an integer"):
+            FaceStructure(2, ((0, 1),), (frozenset({1.7}),))
+
+    @pytest.mark.parametrize("k, message", [(-1, "negative"), (1.5, "not an integer")])
+    def test_k_must_be_a_count(self, k, message):
+        with pytest.raises(InputError, match=message):
+            FaceStructure(k, (), ())
 
 
 class TestStrata:
@@ -193,6 +215,12 @@ class TestSignDiagram:
     def test_missing_vertex_rejected(self):
         with pytest.raises(InputError):
             SignDiagram(2, {(0, 0): 1, (1, 1): 1})
+
+    @pytest.mark.parametrize("k, message", [(-1, "negative"), (1.5, "not an integer")])
+    def test_k_must_be_a_count(self, k, message):
+        # A ValueError and a TypeError from itertools.product before.
+        with pytest.raises(InputError, match=message):
+            SignDiagram(k, {})
 
     def test_slot_units_are_multiplicative(self):
         d = SignDiagram.from_slot_units((1, -1, -1))

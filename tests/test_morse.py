@@ -843,7 +843,7 @@ class TestLanes:
                 analysis.seed(p, analysis.direction_at(p, (k + 0.5) * 2 * math.pi / 64))
                 for k in range(64)
             ]
-            for seed, got in zip(seeds, analysis.land_lanes(seeds, record=True)):
+            for seed, got in zip(seeds, analysis.land_lanes(seeds)):
                 assert recorded(got) == oracle(analysis, seed)
 
     @pytest.mark.parametrize(
@@ -872,7 +872,7 @@ class TestLanes:
         ):
             limited = _Analysis(f, NumericalConfig(**coarse, **limits), analysis.points)
             scalar = [oracle(limited, seed) for seed in seeds]
-            lanes = [recorded(got) for got in limited.land_lanes(seeds, record=True)]
+            lanes = [recorded(got) for got in limited.land_lanes(seeds)]
             assert list(map(comparable, lanes)) == list(map(comparable, scalar))
             failed = sum(isinstance(got, Exception) for got in lanes)
             assert 0 < failed < len(seeds)
@@ -887,7 +887,7 @@ class TestLanes:
         assert len(seeds) >= 4
 
         def run(batch):
-            got = analysis.land_lanes(batch, record=True)
+            got = analysis.land_lanes(batch)
             assert all(isinstance(g, _Landing) for g in got)
             return got
 
@@ -925,7 +925,7 @@ class TestLanes:
         ]
         analysis = _Analysis(f, NumericalConfig(), points)
         with np.errstate(over="ignore", invalid="ignore"):
-            (got,) = analysis.land_lanes([[1e-3]], record=True)
+            (got,) = analysis.land_lanes([[1e-3]])
         assert isinstance(got, IntegrationFailureError)
         assert "failed to decrease at the minimal step" in str(got)
 
@@ -950,14 +950,14 @@ class TestLanes:
             return jet(comp, cs, sense, order)
 
         monkeypatch.setattr(morse, "_taylor_jet", counting_jet)
-        got = analysis.land_lanes(seeds, record=True)
+        got = analysis.land_lanes(seeds)
         assert rows == [5] * 10 + [4, 4, 4, 4, 3, 1]
         assert isinstance(got[0], IntegrationFailureError)
         assert "failed to decrease at the minimal step" in str(got[0])
         for landing in got[1:]:
             assert isinstance(landing, _Landing)
             assert 15 <= len(landing.trajectory) <= 17
-        alone = [analysis.land_lanes([seed], record=True)[0] for seed in seeds]
+        alone = [analysis.land_lanes([seed])[0] for seed in seeds]
         assert list(map(lane_bits, got)) == list(map(lane_bits, alone))
 
     @pytest.mark.parametrize("run", ["saddles", "boundaries"])
@@ -974,9 +974,9 @@ class TestLanes:
         land = _Analysis.land_lanes
         runs = []
 
-        def spoiled(self, seeds, record=False, trap=False, senses=None):
-            out = land(self, seeds, record, trap, senses)
-            runs.append("separatrices" if record else "angles")
+        def spoiled(self, seeds, trap=False, senses=None):
+            out = land(self, seeds, trap, senses)
+            runs.append("separatrices" if senses is not None else "angles")
             if runs.count("separatrices") == 1 and runs[-1] == "separatrices":
                 wanted = 1.0 if run == "saddles" else -1.0
                 lanes = [k for k, sense in enumerate(senses) if sense == wanted]
@@ -1318,9 +1318,9 @@ class TestShots:
         land = _Analysis.land_lanes
         runs = []
 
-        def counting_land(self, seeds, record=False, trap=False, senses=None):
+        def counting_land(self, seeds, trap=False, senses=None):
             runs.append((len(seeds), senses))
-            return land(self, seeds, record, trap, senses)
+            return land(self, seeds, trap, senses)
 
         monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
         analysis = _Analysis(circle_function(), NumericalConfig())
@@ -1342,8 +1342,8 @@ class TestShots:
         """
         land = _Analysis.land_lanes
 
-        def spoiling_land(self, seeds, record=False, trap=False, senses=None):
-            out = land(self, seeds, record, trap, senses)
+        def spoiling_land(self, seeds, trap=False, senses=None):
+            out = land(self, seeds, trap, senses)
             if senses is not None:
                 backward = senses.count(-1.0)
                 assert senses == [-1.0] * backward + [1.0] * (len(senses) - backward)
@@ -1445,37 +1445,36 @@ class TestSenses:
     def test_a_backward_lane_is_a_lane_of_minus_f(self, f):
         analysis = _Analysis(f, NumericalConfig())
         seeds = self.backward_departures(analysis)
-        backward = analysis.land_lanes(seeds, record=True, senses=[-1.0] * len(seeds))
-        of_minus_f = minus(analysis).land_lanes(seeds, record=True)
+        backward = analysis.land_lanes(seeds, senses=[-1.0] * len(seeds))
+        of_minus_f = minus(analysis).land_lanes(seeds)
         assert all(isinstance(got, _Landing) for got in backward)
         assert list(map(lane_bits, backward)) == list(map(lane_bits, of_minus_f))
         # Forward sinks of -f are f's index-2 points, backward f's saddles too.
         assert {got.point.index for got in backward} <= {1, 2}
 
     def test_a_run_of_mixed_senses_keeps_each_lanes_bits(self):
-        # Backward recorded lanes, forward recorded lanes, forward trapping
-        # lanes and forward plain lanes share one run, interleaved; each
-        # keeps the bits it has alone, in a run of its own kind.
+        # Backward recorded lanes, forward recorded lanes and forward
+        # trapping lanes share one run, interleaved; each keeps the bits it
+        # has alone, in a run of its own kind.
         analysis = _Analysis(perturbed_torus(perturbed_torus_seeds(1)[0]), NumericalConfig())
         back_seeds = self.backward_departures(analysis)
         seeds = departures(analysis, 2) + departures(analysis, 1)
         lanes = (
-            [(s, -1.0, True, False) for s in back_seeds]
-            + [(s, 1.0, True, False) for s in seeds]
-            + [(s, 1.0, False, True) for s in departures(analysis, 2)]
-            + [(s, 1.0, False, False) for s in departures(analysis, 1)]
+            [(s, -1.0, False) for s in back_seeds]
+            + [(s, 1.0, False) for s in seeds]
+            + [(s, 1.0, True) for s in departures(analysis, 2)]
         )
 
         def run(batch):
-            seeds, senses, records, traps = (list(column) for column in zip(*batch))
-            return analysis.land_lanes(seeds, record=records, trap=traps, senses=senses)
+            seeds, senses, traps = (list(column) for column in zip(*batch))
+            return analysis.land_lanes(seeds, trap=traps, senses=senses)
 
         alone = [lane_bits(run([lane])[0]) for lane in lanes]
         mixed = lanes[::2] + lanes[1::2]
         order = list(range(len(lanes)))[::2] + list(range(len(lanes)))[1::2]
         assert [lane_bits(got) for got in run(mixed)] == [alone[k] for k in order]
         first = len(back_seeds)
-        forward = analysis.land_lanes(seeds, record=True)
+        forward = analysis.land_lanes(seeds)
         assert list(map(lane_bits, forward)) == alone[first : first + len(seeds)]
         first += len(seeds)
         trapping = analysis.land_lanes(departures(analysis, 2), trap=True)
@@ -1565,8 +1564,8 @@ class TestTrapping:
         land = _Analysis.land_lanes
         seen = []
 
-        def recording_land(self, seeds, record=False, trap=False, senses=None):
-            out = land(self, seeds, record, trap, senses)
+        def recording_land(self, seeds, trap=False, senses=None):
+            out = land(self, seeds, trap, senses)
             traps = np.broadcast_to(trap, len(seeds))
             seen.extend((seed, got) for seed, got, t in zip(seeds, out, traps) if t)
             return out
@@ -1595,56 +1594,85 @@ class TestTrapping:
         [torus_function()] + [perturbed_torus(s) for s in range(6)],
         ids=["torus"] + [f"perturbed-{s}" for s in range(6)],
     )
-    def test_certificate_holds_on_sampled_spheres(self, f):
-        # Inside the trapping radius the cubic Taylor bound and the Hessian
-        # bound hold, and the trapping level lies below the bound on the
-        # sphere, which is what keeps a lane below it inside the ball.
-        # 1e-12 allows for the rounding of the evaluated differences.
+    def test_the_flow_points_into_a_ball_on_sampled_spheres(self, f):
+        # A sink's ball is the certificate's, r_c = (lam - slack) / M3, and
+        # on spheres around the sink up to r_c, and on past it, the gradient
+        # points away from the sink, so |x - c| falls along the flow.
         analysis = _Analysis(f, NumericalConfig())
+        m2 = _derivative_bounds(analysis.comp)[0]
         m = third_derivative_bound(f)
         sinks = 0
         for i, c in enumerate(analysis.points):
-            rho, level = analysis.trap_radius[i], analysis.trap_level[i]
+            rho = analysis.trap_radius[i]
             if c.index != 0:
                 assert rho < 0.0
                 continue
             sinks += 1
-            f0, _, hess = eval_grad_hess(f, c.position)
-            lam = float(np.linalg.eigvalsh(hess)[0])
-            assert 0.0 < rho <= lam / m < 0.5
-            others = [p for p in analysis.points if p is not c]
-            assert all(torus_distance(p.position, c.position) > rho for p in others)
-            assert level - f0 < lam * rho**2 / 2 - m * rho**3 / 6
-            for r in rho * np.array([0.05, 0.25, 0.5, 0.75, 1.0]):
-                assert lam - m * r > 0.0
+            lam = float(np.linalg.eigvalsh(eval_grad_hess(f, c.position)[2])[0])
+            assert rho == pytest.approx((lam - 1e-9 * m2) / m, rel=1e-12)
+            assert 0.0 < rho < lam / m <= 1.0 / (2.0 * math.pi)
+            for r in rho * np.array([0.05, 0.25, 0.5, 0.75, 1.0, 1.5]):
                 for k in range(24):
                     u = np.array([math.cos(k * math.pi / 12), math.sin(k * math.pi / 12)])
-                    value, _, h = eval_grad_hess(f, np.array(c.position) + r * u)
-                    assert value - f0 >= lam * r**2 / 2 - m * r**3 / 6 - 1e-12
-                    assert np.linalg.eigvalsh(h)[0] >= lam - m * r - 1e-12
+                    grad = eval_grad_hess(f, np.array(c.position) + r * u)[1]
+                    assert float(np.dot(r * u, grad)) > 0.0
         assert sinks >= 1
 
-    def test_lane_stops_at_its_first_sample_inside_a_region(self):
-        # Seeds within 0.9 rho of a sink lie above its level, where the flow
-        # is not yet certified; seeds by the top point start far away.
-        f = lane_functions()[1]
+    @pytest.mark.parametrize(
+        "f",
+        [torus_function()] + [perturbed_torus(s) for s in range(6)],
+        ids=["torus"] + [f"perturbed-{s}" for s in range(6)],
+    )
+    def test_no_other_point_lies_in_a_ball(self, f):
         analysis = _Analysis(f, NumericalConfig())
+        for i, c in enumerate(analysis.points):
+            others = [p for p in analysis.points if p is not c]
+            assert all(
+                torus_distance(p.position, c.position) > analysis.trap_radius[i] for p in others
+            )
+
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_a_seed_inside_a_ball_stops_at_its_seed(self, f):
+        # Near the rim and deep inside, on the sink's own lift and on
+        # another: the trapping lane stops before its first step, with the
+        # rest point and offset of a lane that runs on to `landing_radius`.
+        analysis = _Analysis(f, NumericalConfig())
+        seeds = []
+        for i, c in enumerate(analysis.points):
+            if c.index == 0:
+                for k, r in enumerate(analysis.trap_radius[i] * np.array([0.3, 0.9, 0.9999])):
+                    u = np.array([math.cos(1.0 + 2.0 * k), math.sin(1.0 + 2.0 * k)])
+                    seeds += [np.array(c.position) + r * u + lift for lift in ([0, 0], [1, -1])]
+        trapped = analysis.land_lanes(seeds, trap=True)
+        assert [stop.state.tobytes() for stop in trapped] == [seed.tobytes() for seed in seeds]
+        for stop, got in zip(trapped, analysis.land_lanes(seeds)):
+            assert stop.trajectory is None and len(got.trajectory) > 1
+            assert (stop.point, stop.offset) == (got.point, got.offset)
+        assert {stop.offset for stop in trapped} == {(0, 0), (1, -1)}
+
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_a_trapped_lane_stops_at_the_first_recorded_point_in_a_ball(self, f):
+        # The same seed, run without trapping, records its path; the
+        # trapping lane stops at the first point of it inside a sink's ball,
+        # where the full landing is still well short of `landing_radius`.
+        # A departure that rests at a saddle enters no ball and runs on.
+        analysis = _Analysis(f, NumericalConfig())
+        seeds = departures(analysis, 2) + departures(analysis, 1)
         sinks = [(i, p) for i, p in enumerate(analysis.points) if p.index == 0]
-        i, sink = sinks[0]
-        r = 0.9 * analysis.trap_radius[i]
-        seeds = [sink.position + r * np.array([math.cos(k), math.sin(k)]) for k in range(8)]
-        top = analysis.points[0]
-        seeds += [analysis.seed(top, analysis.direction_at(top, 0.8 * k)) for k in range(8)]
-        for got in analysis.land_lanes(seeds, record=True, trap=True):
-            samples = np.array([x for _, x in got.trajectory])
-            values = _Compiled(f).value_batch(samples)
-            inside = np.zeros(len(samples), dtype=bool)
-            for j, p in sinks:
-                inside |= (_wrap(samples - p.position)[1] <= analysis.trap_radius[j]) & (
-                    values < analysis.trap_level[j]
-                )
-            assert got.point.index == 0 and len(samples) > 1
-            assert inside[-1] and not inside[:-1].any()
+        far = resting = 0
+        for stop, got in zip(analysis.land_lanes(seeds, trap=True), analysis.land_lanes(seeds)):
+            path = np.array([x for _, x in got.trajectory])
+            if got.point.index != 0:
+                assert stop.state.tobytes() == got.state.tobytes()
+                continue
+            resting += 1
+            inside = [_wrap(path - p.position)[1] <= analysis.trap_radius[i] for i, p in sinks]
+            first = int(np.flatnonzero(np.any(inside, axis=0))[0])
+            assert first > 0 and stop.trajectory is None
+            assert stop.state.tobytes() == path[first].tobytes()
+            assert (stop.point, stop.offset) == (got.point, got.offset)
+            far += torus_distance(stop.state, stop.point.position) > analysis.cfg.landing_radius
+        assert far == resting > 0
 
     def test_caller_point_data_does_not_move_a_class(self):
         # The regions come from the analysis's own evaluators at the
@@ -1660,7 +1688,6 @@ class TestTrapping:
             ],
         )
         assert tampered.trap_radius.tobytes() == clean.trap_radius.tobytes()
-        assert tampered.trap_level.tobytes() == clean.trap_level.tobytes()
         for a in clean.points:
             if a.index == 2:
                 arcs, clean_arcs = (
@@ -1676,9 +1703,11 @@ class TestTrapping:
         top = analysis.points[0]
         theta = 1.0
         seed = analysis.seed(top, analysis.direction_at(top, theta))
-        (stop,) = analysis.land_lanes([seed], record=True, trap=True)
+        (stop,) = analysis.land_lanes([seed], trap=True)
+        (got,) = analysis.land_lanes([seed])
         assert torus_distance(stop.state, stop.point.position) > analysis.cfg.landing_radius
-        steps, time = len(stop.trajectory) - 1, stop.trajectory[-1][0]
+        steps = [x for _, x in got.trajectory].index(tuple(stop.state.tolist()))
+        time = got.trajectory[steps][0]
         for limits, message in (
             ({"max_steps": steps}, "step budget"),
             ({"max_flow_time": time}, "flow time"),
@@ -1700,7 +1729,7 @@ class TestTaylorStep:
         # Step-doubling RK4 stayed within 1.63e-8 of the closed form here.
         analysis = _Analysis(circle_function(), NumericalConfig(step_tol=step_tol))
         x0 = 1e-3
-        (got,) = analysis.land_lanes([[x0]], record=True)
+        (got,) = analysis.land_lanes([[x0]])
         assert got.point.index == 0 and len(got.trajectory) > 10
         worst = max(abs(x[0] - circle_flow(x0, t)) for t, x in got.trajectory)
         assert (worst <= 5e-8) == within, worst
@@ -1757,7 +1786,7 @@ class TestTaylorStep:
         worst = []
         for step_tol in (1e-4, 1e-6, 1e-8, 1e-10):
             analysis = _Analysis(circle_function(), NumericalConfig(step_tol=step_tol))
-            (got,) = analysis.land_lanes([[x0]], record=True)
+            (got,) = analysis.land_lanes([[x0]])
             worst.append(max(abs(x[0] - circle_flow(x0, t)) for t, x in got.trajectory))
             assert worst[-1] <= step_tol / 100, (step_tol, worst[-1])
         for coarse, fine in zip(worst, worst[1:]):

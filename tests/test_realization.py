@@ -128,6 +128,22 @@ class TestGapSequence:
         with pytest.raises(IndexRangeError):
             f.coordinate(4)
 
+    @pytest.mark.parametrize("index", [5, 0, 3, -1])
+    def test_map_index_outside_the_gap_rejected(self, index):
+        # The dense build read only the indices 1 and 2, so 5 was dropped.
+        with pytest.raises(IndexRangeError, match=f"index {index} not strictly between 0 and 3"):
+            GapSequence.of(3, 0, {index: 1, 1: 2})
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [("3", 0), (3, "0"), (3.5, 0), (None, 0)],
+        ids=["str", "str-target", "half", "none"],
+    )
+    def test_endpoints_must_be_integers(self, source, target):
+        # A TypeError from the comparison of "3" with 0 before.
+        with pytest.raises(InputError, match="not an integer"):
+            GapSequence(source, target, None)
+
     def test_basepoint_absorbs(self):
         f = GapSequence.of(3, 1, {2: Fraction(5)})
         b = GapSequence.basepoint(5, 3)

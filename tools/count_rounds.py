@@ -108,10 +108,12 @@ def counting(tally: dict, search: list):
 
         return counted
 
-    def counted_land(self, seeds, record=False, trap=False, senses=None):
+    # Every caller passes `trap` by keyword; the rest is forwarded as given,
+    # so trees whose `land_lanes` takes other parameters count alike.
+    def counted_land(self, seeds, *args, **kwargs):
         tally["lane-runs"] += 1
-        tally["check"] += int(np.broadcast_to(trap, len(seeds)).sum())
-        return nested(landing, land)(self, seeds, record, trap, senses)
+        tally["check"] += int(np.broadcast_to(kwargs.get("trap", False), len(seeds)).sum())
+        return nested(landing, land)(self, seeds, *args, **kwargs)
 
     def refinement(rows):
         if refining[0]:

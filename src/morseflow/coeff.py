@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import compress, islice
 from operator import itemgetter, not_
 from typing import Iterable, Sequence
@@ -50,6 +51,22 @@ def _json_integer(value, what: str) -> int:
     if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
     raise InputError(f"{what} {value!r} is not an integer")
+
+
+def _parse_rational(value) -> Fraction:
+    """An exact rational read as JSON gives one: an int, a float, a string such as "1/3", or a Fraction.
+
+    Anything else raises InputError.
+    """
+    if isinstance(value, bool):
+        raise InputError("boolean is not a coefficient")
+    if not isinstance(value, (int, str, float, Fraction)):
+        raise InputError(f"bad rational {value!r}")
+    try:
+        q = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {value!r}: {exc}") from None
+    return q
 
 
 class IntegerMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .coeff import _json_integer
+from .coeff import _json_integer, _parse_rational
 from .errors import (
     IndexRangeError,
     InputError,
@@ -96,9 +96,7 @@ class FaceStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _read_k(self.k))
-        samples = tuple(
-            tuple(Fraction(v) for v in pt) for pt in self.samples
-        )
+        samples = tuple(tuple(_parse_rational(v) for v in pt) for pt in self.samples)
         object.__setattr__(self, "samples", samples)
         labels = tuple(frozenset(_json_integer(l, "face label") for l in ls) for ls in self.labels)
         object.__setattr__(self, "labels", labels)
@@ -114,7 +112,7 @@ class FaceStructure:
     @classmethod
     def canonical(cls, k: int, samples: Iterable[Sequence]) -> "FaceStructure":
         """Assign each sample to the faces where its coordinates vanish."""
-        pts = tuple(tuple(Fraction(v) for v in pt) for pt in samples)
+        pts = tuple(tuple(_parse_rational(v) for v in pt) for pt in samples)
         labels = tuple(
             frozenset(j + 1 for j, v in enumerate(pt) if v == 0) for pt in pts
         )
@@ -225,6 +223,20 @@ def strata_report_json(cat: FlowCategory, a: str, b: str) -> dict:
 # -- unit sign assignments --------------------------------------------------
 
 
+# The largest k of a `SignDiagram`: its assignment holds 2^k units.
+SIGN_DIAGRAM_K_MAX = 16
+
+
+def _sign_k(k) -> int:
+    """The k of a `SignDiagram`, read as `_read_k` reads it and at most `SIGN_DIAGRAM_K_MAX`."""
+    k = _read_k(k)
+    if k > SIGN_DIAGRAM_K_MAX:
+        raise InputError(
+            f"k {k} is above the ceiling {SIGN_DIAGRAM_K_MAX}: a diagram holds 2^k units"
+        )
+    return k
+
+
 @dataclass(frozen=True)
 class SignDiagram:
     """A unit (+1/-1) for each vertex of 2^k, +1 at the bottom vertex.
@@ -238,24 +250,31 @@ class SignDiagram:
     assignment: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _read_k(self.k))
+        k = _sign_k(self.k)
+        object.__setattr__(self, "k", k)
+        # The assignment is read before the cube is, so a short one is
+        # refused at the cost of its own size.
+        if not isinstance(self.assignment, Mapping):
+            raise InputError("a sign diagram's assignment maps vertices to units")
         clean = {}
-        for obj in CubeObject.all_objects(self.k):
-            try:
-                v = self.assignment[obj.bits]
-            except KeyError:
-                raise InputError(f"missing unit for {obj.bits}") from None
+        for bits, v in self.assignment.items():
+            if not isinstance(bits, tuple) or len(bits) != k:
+                raise InputError(f"{bits!r} is not a vertex of the cube 2^{k}")
+            bits = CubeObject(bits).bits
             if v not in (1, -1):
-                raise InputError(f"unit at {obj.bits} must be +1 or -1")
-            clean[obj.bits] = int(v)
-        if clean[(0,) * self.k] != 1:
+                raise InputError(f"unit at {bits} must be +1 or -1")
+            clean[bits] = int(v)
+        if len(clean) < 1 << k:
+            missing = next(b for b in itertools.product((0, 1), repeat=k) if b not in clean)
+            raise InputError(f"missing unit for {missing}")
+        if clean[(0,) * k] != 1:
             raise InputError("the bottom vertex must carry +1")
-        object.__setattr__(self, "assignment", clean)
+        object.__setattr__(self, "assignment", dict(sorted(clean.items())))
 
     @classmethod
     def from_slot_units(cls, units: Sequence[int]) -> "SignDiagram":
         """The multiplicative diagram generated by one unit per slot."""
-        k = len(units)
+        k = _sign_k(len(units))
         assignment = {}
         for obj in CubeObject.all_objects(k):
             v = 1
@@ -271,11 +290,12 @@ class SignDiagram:
 
     def pair(self, other: "SignDiagram") -> "SignDiagram":
         """Concatenate the cubes; the unit at a join is the product of units."""
+        k = _sign_k(self.k + other.k)
         assignment = {}
         for a in CubeObject.all_objects(self.k):
             for b in CubeObject.all_objects(other.k):
                 assignment[a.bits + b.bits] = self.unit(a) * other.unit(b)
-        return SignDiagram(self.k + other.k, assignment)
+        return SignDiagram(k, assignment)
 
     def is_multiplicative(self) -> bool:
         """Units factor over joins of disjointly supported vertices."""

@@ -66,7 +66,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .coeff import _json_integer
+from .coeff import _json_integer, _parse_rational
 from .errors import (
     EulerMismatchError,
     IncoherentOrientationError,
@@ -93,15 +93,12 @@ TWO_PI = 2.0 * math.pi
 # -- exact trigonometric functions ------------------------------------------
 
 
-def _parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError("boolean is not a coefficient")
-    if not isinstance(value, (int, str, float, Fraction)):
-        raise InputError(f"bad rational {value!r}")
+def _parse_coefficient(value) -> Fraction:
+    """A rational read by `coeff._parse_rational` and within the float range, since the evaluators need every coefficient as a float."""
+    q = _parse_rational(value)
     try:
-        q = Fraction(value)
-        float(q)  # the evaluators need every coefficient as a float
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        float(q)
+    except OverflowError as exc:
         raise InputError(f"bad rational {value!r}: {exc}") from None
     return q
 
@@ -126,8 +123,8 @@ class TrigTerm:
         except OverflowError:
             raise InputError("a frequency is too large for a float") from None
         object.__setattr__(self, "frequency", freq)
-        object.__setattr__(self, "cos_coeff", _parse_rational(self.cos_coeff))
-        object.__setattr__(self, "sin_coeff", _parse_rational(self.sin_coeff))
+        object.__setattr__(self, "cos_coeff", _parse_coefficient(self.cos_coeff))
+        object.__setattr__(self, "sin_coeff", _parse_coefficient(self.sin_coeff))
 
 
 @dataclass(frozen=True)
@@ -488,8 +485,9 @@ def find_critical_points(
     Raises InputError when the grid would hold more than `_GRID_POINTS_MAX`
     points, NotMorseError when a converged point has a near-singular second
     derivative, and EulerMismatchError when the list is not certified
-    complete or signed counts fail to cancel (a symptom of missed points;
-    raise the grid resolution).
+    complete, signed counts fail to cancel, or it holds no point of index 0
+    or none of index n (a symptom of missed points; raise the grid
+    resolution).
     """
     comp = _Compiled(f)
     n = f.dimension
@@ -512,12 +510,13 @@ def find_critical_points(
     active = np.ones(len(x), dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         g = comp.grad_batch(x)
-        gnorm = np.linalg.norm(g, axis=1)
+        gnorm = _norms(g)
         work = active & (gnorm > _NEWTON_TOL)
         if not work.any():
             break
         h = comp.hess_batch(x[work])
-        dets = np.linalg.det(h)
+        with np.errstate(over="ignore"):  # an inf determinant is far from singular
+            dets = np.linalg.det(h)
         ok = np.abs(dets) > 1e-300
         idx = np.flatnonzero(work)
         active[idx[~ok]] = False
@@ -532,7 +531,7 @@ def find_critical_points(
         x[idx[ok]] %= 1.0
 
     g = comp.grad_batch(x)
-    gnorm = np.linalg.norm(g, axis=1)
+    gnorm = _norms(g)
     keep = active & (gnorm <= _GRAD_TOL)
     # Candidates sorted by coordinates, then gradient norm: np.mod has the
     # bits of Python's float %, and lexsort takes its last key first.
@@ -557,6 +556,15 @@ def find_critical_points(
         raise EulerMismatchError(
             f"signed critical point count is {euler}, expected 0; "
             "raise grid_resolution"
+        )
+    # f attains its minimum and its maximum, at critical points of index 0
+    # and n, so a list without both is short, however the checks above
+    # passed (they pass vacuously on an empty list).
+    missing = sorted({0, n} - {e[2] for e in enriched})
+    if missing:
+        raise EulerMismatchError(
+            f"the search found no critical point of index {missing[0]}, but f attains "
+            "its minimum and its maximum at critical points"
         )
 
     enriched.sort(key=lambda e: (-e[2], tuple(round(v, 9) for v in e[0])))
@@ -598,13 +606,21 @@ def _half_diagonal(n: int, half: float) -> float:
     return math.sqrt(n) * half + _CELL_INFLATION
 
 
+def _norms(g: np.ndarray) -> np.ndarray:
+    """The norm of each row of `g`; one past the float range is inf, with no warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(g, axis=1)
+
+
 def _live(g: np.ndarray, rho: float, m2: float) -> np.ndarray:
     """Which cubes of half-diagonal `rho`, with gradients `g` at their centres, may hold a critical point.
 
     Across such a cube the gradient moves by at most M2 rho from its
-    centre value, so a cube with |grad f| > M2 rho there holds none.
+    centre value, so a cube with |grad f| > M2 rho there holds none.  A
+    norm that is not finite proves nothing, so its cube stays live.
     """
-    return np.linalg.norm(g, axis=1) <= m2 * rho + _ROUNDING_SLACK * m2
+    norms = _norms(g)
+    return (norms <= m2 * rho + _ROUNDING_SLACK * m2) | ~np.isfinite(norms)
 
 
 def _certify(
@@ -737,8 +753,8 @@ def _taylor_jet(comp: _Compiled, cs: np.ndarray, sense: np.ndarray, order: int) 
     return jet.transpose(0, 2, 1)
 
 
-def _taylor_size(jet: np.ndarray, tol: float) -> np.ndarray:
-    """The step of each row at which its last two terms stay within `tol`.
+def _taylor_size(jet: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """The step of each row at which its last two terms stay within its `tol`.
 
     That is min_j (tol/|x_j|)^(1/j) over j = p - 1, p, the step rule of
     Jorba & Zou (2005), with the largest coordinate as the norm; the
@@ -794,6 +810,53 @@ def _crossing(
         hi = np.where(wide, ends[rows, first + 1], hi)
         wide = hi - lo > cfg.step_min
     return _horner(jet[:, :, 0], x, lo[:, None]), lo
+
+
+def _passes(
+    jet: np.ndarray, x: np.ndarray, centres: np.ndarray, h: np.ndarray, cfg: NumericalConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether each row's step comes within `landing_radius` of its centre, and where.
+
+    Row i's step is the polynomial P_i(s) = x_i + sum_j c_j s^j on [0,
+    h_i], c_j = jet[j - 1, i], the step its lane took.  From time a to b
+    it travels at most L(a, b) = sum_j |c_j|_1 (b^j - a^j), so it stays at
+    least (|P(a) - c| + |P(b) - c| - L(a, b)) / 2 from its centre c.  Each
+    round cuts the bracket [lo, hi] (first [0, h_i]) into
+    `_CROSSING_PARTS` equal parts.  A row passes if an end of a part lies
+    within `landing_radius`, and does not if that bound keeps every part
+    outside it; otherwise its next bracket is the two parts next to the
+    nearest end.  Near a critical point the flow is close to linear, and
+    the squared distance along it, a sum of exponentials, is convex, so
+    the nearest point stays in the bracket.  A row stops, not passing,
+    once its bracket is at most `step_min` wide, so its result does not
+    depend on the other rows.  Returns the flags, and for a row that
+    passes its first end within the radius and that end's time.
+    """
+    radius = cfg.landing_radius
+    size = np.abs(jet).sum(axis=2)[..., None, None]
+    jet = jet[:, :, None]
+    parts = np.arange(_CROSSING_PARTS + 1) / _CROSSING_PARTS
+    rows = np.arange(len(x))
+    lo, hi = np.zeros_like(h), h
+    hit = np.zeros(len(x), dtype=bool)
+    point, when = np.array(x), np.zeros_like(h)
+    open_ = np.ones(len(x), dtype=bool)
+    while open_.any():
+        tau = lo[:, None] + (hi - lo)[:, None] * parts
+        ends = _horner(jet, x[:, None], tau[..., None])
+        dist = _wrap(ends - centres[:, None])[1]
+        within = dist <= radius
+        new = open_ & within.any(axis=1)
+        k = within.argmax(axis=1)
+        point[new], when[new] = ends[rows, k][new], tau[rows, k][new]
+        hit |= new
+        travel = np.diff(_horner(size, 0.0, tau[..., None])[..., 0], axis=1)
+        near = dist[:, :-1] + dist[:, 1:] - travel <= 2.0 * radius
+        k = dist.argmin(axis=1)
+        lo = np.where(open_, tau[rows, np.maximum(k - 1, 0)], lo)
+        hi = np.where(open_, tau[rows, np.minimum(k + 1, _CROSSING_PARTS)], hi)
+        open_ &= ~new & near.any(axis=1) & (hi - lo > cfg.step_min)
+    return hit, point, when
 
 
 # The circle samples of a T^2 partition within this many radians of a
@@ -880,6 +943,7 @@ class _Analysis:
         m2, m3 = _derivative_bounds(comp)
         w, q = np.linalg.eigh(comp.hess_batch(self.centres))
         self.trap_radius = _ball_radius(w[:, 0], m2, m3)
+        self.m2 = m2
         # The unstable frame of each point, by id, which departures and signs
         # are read against: the eigenvectors of the negative eigenvalues, each
         # signed so that its first entry clear of zero is positive, and the
@@ -927,7 +991,8 @@ class _Analysis:
         lane's flow (`_taylor_jet`), evaluated by Horner's rule.  Its size
         comes from the last two coefficients (Jorba & Zou, 2005;
         `_taylor_size`): h = min_j (tol/|x_j|)^(1/j), j = p - 1, p, with
-        tol = `step_tol`/1500, at most `step_max` and never below
+        tol = `step_tol`/1500 for a lane that does not trap and
+        `step_tol`/15 for one that may, at most `step_max` and never below
         `step_min`.  The cos and sin of the phases at the new point give
         sigma f there, for the descent check, and are the next step's zeroth
         order.  A step is taken only if sigma f drops; otherwise the lane
@@ -943,12 +1008,14 @@ class _Analysis:
         critical point within `landing_radius`.  `trap` is given per lane,
         or as one bool for all.  A trapping lane near none also lands at a
         sink once it is within `trap_radius` of the sink, a ball its flow
-        provably never leaves; its state is then not near the sink, so only
-        a lane whose landing class alone is read may trap, and only a
-        forward one.  The landing of a lane that does not trap carries its
-        trajectory: (time, point) at the seed and after every accepted
-        step.  No lane depends on the others, its kind included, so a lane
-        run alone gives the same bits.
+        provably never leaves, and at a point its last step passed within
+        `landing_radius` of between its ends (`_cut_at_passes`), so that its
+        class does not hang on where its steps fall; its state is then not
+        where its flow rests, so only a lane whose landing class alone is
+        read may trap, and only a forward one.  The landing of a lane that
+        does not trap carries its trajectory: (time, point) at the seed and
+        after every accepted step.  No lane depends on the others, its kind
+        included, so a lane run alone gives the same bits.
         """
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
@@ -957,16 +1024,23 @@ class _Analysis:
         # bounds a step's local error.  A Taylor step errs by about its last
         # term, and the shots read angles on the departure circle, where a
         # position error d at distance r from the index-2 point turns the
-        # angle by about d/r.  The last terms are held a hundred times below
-        # step_tol/15, which puts every boundary of the torus and the 25
-        # perturbed tori within 1.3e-9 rad of the boundary at step_tol 1e-12,
-        # against 9.9e-8 when they are held to step_tol/15 itself.
-        tol = cfg.step_tol / 1500.0
+        # angle by about d/r.  The last terms of a lane that does not trap
+        # are held a hundred times below step_tol/15, which puts every
+        # boundary of the torus and the 25 perturbed tori within 1.3e-9 rad
+        # of the boundary at step_tol 1e-12, against 9.9e-8 when they are
+        # held to step_tol/15 itself.  A lane that may trap is read for its
+        # landing class alone and is held to step_tol/15: its path errs as a
+        # shot held to step_tol/15 does, ten times inside `_SHOT_SPREAD`,
+        # the window within which `partition` takes any class.  Its larger
+        # steps would skip more of the near-passes of saddles that a test at
+        # step points alone catches, so a trapping lane also lands where a
+        # step passes within `landing_radius` of a point.
         out: list = [None] * len(seeds)
         lane = np.arange(len(seeds))
         x = np.array(seeds, dtype=float).reshape(len(seeds), self.n)
         sense = np.ones(len(seeds)) if senses is None else np.array(senses, dtype=float)
         traps = np.broadcast_to(np.asarray(trap, dtype=bool), len(seeds))
+        tols = np.where(traps, cfg.step_tol / 15.0, cfg.step_tol / 1500.0)
         cs = self.comp.trig_batch(x)
         fx = sense * self.comp.value_of(cs)
         t = np.zeros(len(seeds))
@@ -975,6 +1049,7 @@ class _Analysis:
         fresh = np.ones(len(seeds), dtype=bool)
         failed = np.zeros(len(seeds), dtype=bool)
         paths = [None if tr else [(0.0, tuple(s))] for s, tr in zip(x.tolist(), traps.tolist())]
+        jet, passing = None, bool(traps.any())
 
         while True:
             # A lane that has just accepted a step (or not yet taken one)
@@ -984,6 +1059,8 @@ class _Analysis:
             # first would cost more calls than it saves.
             d = x[:, None, :] - self.centres
             dist = _wrap(d)[1]
+            if passing and jet is not None:
+                self._cut_at_passes(jet, x0, x, d, dist, prev, h, t, fresh & traps[lane])
             near = dist <= cfg.landing_radius
             caught = (dist <= self.trap_radius) & traps[lane][:, None]
             near = np.where(near.any(axis=1, keepdims=True), near, caught)
@@ -1016,6 +1093,7 @@ class _Analysis:
                 # `fresh` and `failed` are not kept: the step sets them anew.
                 keep = ~done
                 lane, x, cs, fx = lane[keep], x[keep], cs[..., keep], fx[keep]
+                dist = dist[keep]
                 t, cap, sense, steps = t[keep], cap[keep], sense[keep], steps[keep]
             if not len(lane):
                 return out
@@ -1023,12 +1101,13 @@ class _Analysis:
             jet = _taylor_jet(self.comp, cs, sense, _TAYLOR_ORDER)
             # A jet that overflows gives a NaN rule; fmin takes the bound
             # instead, and the descent check then fails down to `step_min`.
-            h = np.fmax(np.fmin(cap, _taylor_size(jet, tol)), cfg.step_min)
+            h = np.fmax(np.fmin(cap, _taylor_size(jet, tols[lane])), cfg.step_min)
             xn = _horner(jet, x, h[:, None])
             csn = self.comp.trig_batch(xn)
             fn = sense * self.comp.value_of(csn)
             take = fn < fx
             failed = ~take & (h <= cfg.step_min)
+            x0, prev = x.copy(), dist
             rows = take[:, None]
             np.copyto(x, xn, where=rows)
             np.copyto(cs, csn, where=take)
@@ -1039,6 +1118,43 @@ class _Analysis:
             kept = take & ~traps[lane]
             for k, tk, xk in zip(lane[kept].tolist(), t[kept].tolist(), x[kept].tolist()):
                 paths[k].append((tk, tuple(xk)))
+
+    def _cut_at_passes(self, jet, x0, x, d, dist, prev, h, t, lanes) -> None:
+        """Cut each of `lanes`' last steps where it first passed within `landing_radius` of a critical point.
+
+        The step went from x0 along `jet` over time h to x; prev and dist
+        hold the distances from x0 and from x to every critical point, and d
+        the displacements from x.  Along the flow |x - c| changes at rate
+        at most |grad f(x)| <= M2 |x - c| (up to |grad f(c)|, which is
+        below `_GRAD_TOL`), so a step that passes within the radius R of c
+        at time s has prev <= R e^(M2 s) and dist <= R e^(M2 (h - s)), and
+        prev dist <= R^2 e^(M2 h).  `_passes` tests each c where that
+        holds and x is outside the radius (a step that ends inside lands
+        where it ends).  A lane whose step passes a point has x, d, dist and
+        t set, in place, to the earliest end `_passes` found within the
+        radius, where the check lands the lane.
+        """
+        radius = self.cfg.landing_radius
+        product = prev * dist
+        with np.errstate(over="ignore"):  # an infinite bound tests every point
+            if product.min(initial=np.inf) > radius * radius * np.exp(self.m2 * h.max()):
+                return
+            bound = radius * radius * np.exp(self.m2 * h)
+        li, ci = np.nonzero(product <= bound[:, None])
+        tested = lanes[li] & (dist[li, ci] > radius)
+        li, ci = li[tested], ci[tested]
+        if not len(li):
+            return
+        hit, point, when = _passes(jet[:, li], x0[li], self.centres[ci], h[li], self.cfg)
+        first = {}
+        for j in np.flatnonzero(hit):
+            if li[j] not in first or when[j] < when[first[li[j]]]:
+                first[li[j]] = j
+        for k, j in first.items():
+            t[k] += when[j] - h[k]
+            x[k] = point[j]
+            d[k] = x[k] - self.centres
+            dist[k] = _wrap(d[k])[1]
 
     # rigid flows ------------------------------------------------------------
 
@@ -1297,7 +1413,9 @@ class _Analysis:
         x = np.array([ld.trajectory[k - 1][1] for _, _, ld, k in shots]).reshape(-1, 2)
         t = np.array([ld.trajectory[k - 1][0] for _, _, ld, k in shots])
         h = np.array([ld.trajectory[k][0] for _, _, ld, k in shots]) - t
-        u = -self.comp.grad_batch(np.array([ld.trajectory[0][1] for _, _, ld, _ in shots]))
+        u = -self.comp.grad_batch(
+            np.array([ld.trajectory[0][1] for _, _, ld, _ in shots]).reshape(-1, 2)
+        )
         u = u / np.linalg.norm(u, axis=1)[:, None]
         x, tau = _crossing(self.comp, x, centres, h, self.cfg)
         t = t + tau

@@ -25,6 +25,7 @@ from .coeff import (
     IntegerMatrix,
     _homology_group,
     _json_integer,
+    _parse_rational,
     invariant_factors,
 )
 from .errors import (
@@ -59,7 +60,7 @@ class GapSequence:
             if gap == 0:
                 raise InputError("the basepoint requires source > target")
             return
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(_parse_rational(c) for c in self.coords)
         if len(coords) != max(gap - 1, 0):
             raise InputError(
                 f"expected {max(gap - 1, 0)} coordinates for a morphism "
@@ -98,6 +99,7 @@ class GapSequence:
     def coordinate(self, i: int) -> Fraction:
         if self.is_basepoint:
             raise InputError("the basepoint has no coordinates")
+        i = _json_integer(i, "index")
         if not (self.target < i < self.source):
             raise IndexRangeError(
                 f"index {i} not strictly between {self.target} and {self.source}"

@@ -508,13 +508,14 @@ def sum_in_order(values) -> float:
     return acc
 
 
-def scalar_flow(f, cfg, points, x0):
+def scalar_flow(f, cfg, points, x0, tol=None):
     """Follow the negative gradient of f from x0, one point at a time.
 
     The package's Taylor steps in plain Python floats, each order added up
     one term at a time (`taylor_jet`, order `TAYLOR_ORDER`): a step's size
     is min((tol/|x_{p-1}|)^(1/(p-1)), (tol/|x_p|)^(1/p)), tol =
-    step_tol/1500 and |.| the largest coordinate, at most `step_max`, or at
+    step_tol/1500 unless given (a recorded lane's; a trapping lane's is
+    step_tol/15) and |.| the largest coordinate, at most `step_max`, or at
     most half a step after which f failed to drop, and never below
     `step_min`; the powers are numpy's, as in the package, since on some
     CPUs numpy's power differs from the C library's in the last bit.  A
@@ -524,7 +525,7 @@ def scalar_flow(f, cfg, points, x0):
     trajectory) or raises the IntegrationFailureError of the package.
     """
     terms = _float_terms(f)
-    tol = cfg.step_tol / 1500.0
+    tol = cfg.step_tol / 1500.0 if tol is None else tol
     order = TAYLOR_ORDER
 
     def value(y):

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,20 @@ class TestCrit:
         assert rep["results"]["errorType"] == "NotMorseError"
         assert path in rep["inputs"]
         assert len(rep["inputs"][path]) == 64
+
+    @pytest.mark.parametrize("command", ["crit", "homology", "validate", "orbits"])
+    def test_a_search_that_finds_no_extremum_exits_two(self, capsys, tmp_path, command):
+        # At 10^160 times a bank function the gradient norms overflow; the
+        # search must not report an empty list as complete.
+        payload = bank.perturbed_torus(0).to_json()
+        for term in payload["terms"]:
+            for key in ("cos", "sin"):
+                if key in term:
+                    term[key] = str(Fraction(term[key]) * 10**160)
+        path = write_json(tmp_path / "f.json", payload)
+        code, rep = run(capsys, command, "--function", path)
+        assert code == 2 and rep["status"] == "validation-failure"
+        assert rep["results"]["errorType"] == "EulerMismatchError"
 
     def test_malformed_file_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -19,6 +19,7 @@ from morseflow import (
     validate_face_structure,
 )
 from morseflow.bank import ladder_category, torus_category
+from morseflow.corners import SIGN_DIAGRAM_K_MAX
 from morseflow.errors import (
     IndexRangeError,
     InputError,
@@ -119,6 +120,18 @@ class TestFaceStructure:
     def test_k_must_be_a_count(self, k, message):
         with pytest.raises(InputError, match=message):
             FaceStructure(k, (), ())
+
+    def test_sample_coordinates_must_be_rationals(self):
+        # A ValueError from Fraction("x") before.
+        with pytest.raises(InputError, match="bad rational 'x'"):
+            FaceStructure(1, [("x",)], [set()])
+        with pytest.raises(InputError, match="bad rational 'x'"):
+            FaceStructure.canonical(1, [("x",)])
+
+    def test_sample_coordinates_are_exact_past_the_float_range(self):
+        big = Fraction(10**400)
+        fs = FaceStructure.canonical(1, [(big,), (0,)])
+        assert fs.samples == ((big,), (Fraction(0),))
 
 
 class TestStrata:
@@ -221,6 +234,42 @@ class TestSignDiagram:
         # A ValueError and a TypeError from itertools.product before.
         with pytest.raises(InputError, match=message):
             SignDiagram(k, {})
+
+    def test_k_above_the_ceiling_is_refused_before_the_cube_is_built(self):
+        # Every vertex of 2^k was built before the first unit was looked up.
+        k = SIGN_DIAGRAM_K_MAX + 1
+        with pytest.raises(InputError, match=f"k {k} is above the ceiling {SIGN_DIAGRAM_K_MAX}"):
+            SignDiagram(k, {})
+
+    def test_units_and_pairs_above_the_ceiling_are_refused_before_the_cube_is_built(
+        self, monkeypatch
+    ):
+        # Both enumerated all 2^k vertices before the ceiling was checked.
+        half = SignDiagram.from_slot_units([1] * (SIGN_DIAGRAM_K_MAX // 2 + 1))
+
+        def built(k):
+            raise AssertionError(f"the cube 2^{k} was built")
+
+        monkeypatch.setattr(CubeObject, "all_objects", staticmethod(built))
+        k = SIGN_DIAGRAM_K_MAX + 1
+        with pytest.raises(InputError, match=f"k {k} is above the ceiling"):
+            SignDiagram.from_slot_units([1] * k)
+        with pytest.raises(InputError, match=f"k {2 * half.k} is above the ceiling"):
+            half.pair(half)
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ({(0,): 1, (1,): 1, (0, 1): 1}, "is not a vertex"),
+            ({(0,): 1, (1,): 1, 5: 1}, "is not a vertex"),
+            ({(0,): 1, (2,): 1}, "must be 0 or 1"),
+        ],
+        ids=["longer", "not-a-tuple", "not-a-bit"],
+    )
+    def test_every_key_must_be_a_vertex(self, assignment, message):
+        # Keys off the cube were passed over before, and (2,) read as (1,) missing.
+        with pytest.raises(InputError, match=message):
+            SignDiagram(1, assignment)
 
     def test_slot_units_are_multiplicative(self):
         d = SignDiagram.from_slot_units((1, -1, -1))

@@ -57,6 +57,7 @@ from morseflow.errors import (
     EulerMismatchError,
     InputError,
     IntegrationFailureError,
+    MorseflowError,
     MorseSmaleViolationError,
     NotMorseError,
     UnmatchedEndpointError,
@@ -71,6 +72,7 @@ from morseflow.morse import (
     _horner,
     _Landing,
     _orientation,
+    _passes,
     _taylor_jet,
     _wrap,
 )
@@ -787,6 +789,14 @@ class TestModuliFamilies:
         flows = flow_lines(f)
         with pytest.raises(InputError):
             moduli_family(f, pts[0], pts[1], flows, critical_points=pts)
+
+    def test_points_without_saddles_give_a_typed_error(self):
+        # A run with no saddles has no shots; their empty list reached the
+        # evaluators as shape (0,) and raised a ValueError from einsum.
+        f = torus_function()
+        pts = [p for p in find_critical_points(f) if p.index != 1]
+        with pytest.raises(MorseflowError):
+            moduli_family(f, pts[0], pts[1], [], critical_points=pts)
 
 
 def comparable(outcome):
@@ -1556,11 +1566,16 @@ def third_derivative_bound(f: TrigPolynomial) -> float:
 
 class TestTrapping:
     @pytest.mark.parametrize("samples", [NumericalConfig().circle_samples, 3, 5])
-    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    @pytest.mark.parametrize(
+        "f",
+        [torus_function()] + [perturbed_torus(s) for s in perturbed_torus_seeds(25)],
+        ids=["torus"] + [f"perturbed-{k}" for k in range(25)],
+    )
     def test_trapping_never_changes_a_class(self, monkeypatch, f, samples):
         # Every lane that may trap, the circle samples in the separatrix run
         # and any arc midpoints, gets the rest point and offset, or the
-        # error, that a lane running on to `landing_radius` gets.
+        # error, that a lane running on to `landing_radius` at the recorded
+        # lanes' step_tol/1500 gets.
         land = _Analysis.land_lanes
         seen = []
 
@@ -1652,25 +1667,28 @@ class TestTrapping:
 
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_a_trapped_lane_stops_at_the_first_recorded_point_in_a_ball(self, f):
-        # The same seed, run without trapping, records its path; the
-        # trapping lane stops at the first point of it inside a sink's ball,
-        # where the full landing is still well short of `landing_radius`.
-        # A departure that rests at a saddle enters no ball and runs on.
+        # The scalar twin of the same seed, at a trapping lane's step_tol/15,
+        # records its path; the trapping lane stops at the first point of
+        # it inside a sink's ball, where the full landing is still well
+        # short of `landing_radius`.  A departure that rests at a saddle
+        # enters no ball and runs on, to the twin's last point.
         analysis = _Analysis(f, NumericalConfig())
+        check_tol = analysis.cfg.step_tol / 15.0
         seeds = departures(analysis, 2) + departures(analysis, 1)
         sinks = [(i, p) for i, p in enumerate(analysis.points) if p.index == 0]
         far = resting = 0
-        for stop, got in zip(analysis.land_lanes(seeds, trap=True), analysis.land_lanes(seeds)):
-            path = np.array([x for _, x in got.trajectory])
-            if got.point.index != 0:
-                assert stop.state.tobytes() == got.state.tobytes()
+        for stop, seed in zip(analysis.land_lanes(seeds, trap=True), seeds):
+            point, offset, twin = scalar_flow(f, analysis.cfg, analysis.points, seed, check_tol)
+            path = np.array([x for _, x in twin])
+            assert (stop.point, stop.offset) == (point, offset)
+            if point.index != 0:
+                assert stop.state.tobytes() == path[-1].tobytes()
                 continue
             resting += 1
             inside = [_wrap(path - p.position)[1] <= analysis.trap_radius[i] for i, p in sinks]
             first = int(np.flatnonzero(np.any(inside, axis=0))[0])
             assert first > 0 and stop.trajectory is None
             assert stop.state.tobytes() == path[first].tobytes()
-            assert (stop.point, stop.offset) == (got.point, got.offset)
             far += torus_distance(stop.state, stop.point.position) > analysis.cfg.landing_radius
         assert far == resting > 0
 
@@ -1696,18 +1714,19 @@ class TestTrapping:
                 assert arcs == clean_arcs
 
     def test_trapped_lane_lands_where_full_landing_runs_out(self):
-        # A step budget or flow time that ends just after a lane enters the
-        # region: the classification lane lands, the full landing fails.
+        # A step budget or flow time that ends just as a trapping lane
+        # enters the ball, read off its scalar twin at step_tol/15: the
+        # classification lane lands, the full landing fails.
         f = lane_functions()[1]
         analysis = _Analysis(f, NumericalConfig())
         top = analysis.points[0]
         theta = 1.0
         seed = analysis.seed(top, analysis.direction_at(top, theta))
         (stop,) = analysis.land_lanes([seed], trap=True)
-        (got,) = analysis.land_lanes([seed])
+        twin = scalar_flow(f, analysis.cfg, analysis.points, seed, analysis.cfg.step_tol / 15.0)[2]
         assert torus_distance(stop.state, stop.point.position) > analysis.cfg.landing_radius
-        steps = [x for _, x in got.trajectory].index(tuple(stop.state.tolist()))
-        time = got.trajectory[steps][0]
+        steps = [x for _, x in twin].index(tuple(stop.state.tolist()))
+        time = twin[steps][0]
         for limits, message in (
             ({"max_steps": steps}, "step budget"),
             ({"max_flow_time": time}, "flow time"),
@@ -1716,6 +1735,45 @@ class TestTrapping:
             assert limited._classify_angles(top, [theta]) == [(stop.point.id, stop.offset)]
             (full,) = limited.land_lanes([seed])
             assert isinstance(full, IntegrationFailureError) and message in str(full)
+
+    @pytest.mark.parametrize("miss", [0.5, 0.999, 1.001, 2.0])
+    def test_a_straight_step_passes_a_point_by_its_distance(self, miss):
+        # A step from (0.1, 0.2) along (1, 0) for time 0.2 passes (0.2, 0.2
+        # + miss R) at its midpoint, at distance miss R, while both its ends
+        # stay 0.1 away.
+        cfg = NumericalConfig()
+        radius = cfg.landing_radius
+        jet = np.zeros((20, 1, 2))
+        jet[0, 0] = (1.0, 0.0)
+        x, h = np.array([[0.1, 0.2]]), np.array([0.2])
+        centre = np.array([[0.2, 0.2 + miss * radius]])
+        hit, point, when = _passes(jet, x, centre, h, cfg)
+        assert bool(hit[0]) == (miss < 1)
+        if miss < 1:
+            assert _wrap(point - centre)[1][0] <= radius and 0 < when[0] < h[0]
+
+    @pytest.mark.parametrize("step_tol", [1e-8, 1e-9, 1e-10])
+    def test_a_near_pass_of_a_saddle_is_caught_at_every_step_tol(self, step_tol):
+        # The circle sample 31 of p2.0 lies 6.7e-5 rad from a boundary of
+        # p1.0 and its flow passes 8.0e-5 from p1.0, inside `landing_radius`.
+        # It rests there at every step_tol, not only where a step point
+        # falls inside that ball, so the partition check refuses the build.
+        f = TrigPolynomial.from_json(
+            {
+                "dim": 2,
+                "terms": [
+                    {"freq": [2, 1], "cos": "-3/10", "sin": -1},
+                    {"freq": [-1, 0], "cos": "3/5", "sin": "3/5"},
+                    {"freq": [1, -2], "cos": "-17/10", "sin": 1},
+                ],
+            }
+        )
+        cfg = NumericalConfig(grid_resolution=48, step_tol=step_tol)
+        analysis = _Analysis(f, cfg)
+        theta = analysis.sample_angles[31]
+        assert analysis._classify_angles(analysis.by_id["p2.0"], [theta]) == [("p1.0", (0, 0))]
+        with pytest.raises(MorseSmaleViolationError, match="rests at p1.0, off the basins"):
+            build_flow_category(f, cfg)
 
 
 def circle_flow(x0: float, t: float) -> float:

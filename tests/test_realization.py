@@ -144,6 +144,25 @@ class TestGapSequence:
         with pytest.raises(InputError, match="not an integer"):
             GapSequence(source, target, None)
 
+    def test_coordinates_must_be_rationals(self):
+        # A ValueError from Fraction("x") before.
+        with pytest.raises(InputError, match="bad rational 'x'"):
+            GapSequence(3, 0, ("x", 1))
+
+    def test_coordinates_are_exact_past_the_float_range(self):
+        big = Fraction(10**400)
+        assert GapSequence.of(3, 1, {2: big}).coordinate(2) == big
+        assert GapSequence(3, 1, (str(big),)).coords == (big,)
+
+    @pytest.mark.parametrize("index", ["1", 1.5], ids=["str", "half"])
+    def test_an_index_must_be_an_integer(self, index):
+        # A TypeError from the comparison of "1" with 0, or from indexing
+        # the coordinates by 0.5, before.
+        with pytest.raises(InputError, match="is not an integer"):
+            GapSequence.of(3, 0, {index: 2})
+        with pytest.raises(InputError, match="is not an integer"):
+            GapSequence.of(3, 0, {1: 2}).coordinate(index)
+
     def test_basepoint_absorbs(self):
         f = GapSequence.of(3, 1, {2: Fraction(5)})
         b = GapSequence.basepoint(5, 3)

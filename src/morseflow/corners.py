@@ -298,11 +298,18 @@ class SignDiagram:
         return SignDiagram(k, assignment)
 
     def is_multiplicative(self) -> bool:
-        """Units factor over joins of disjointly supported vertices."""
-        objs = CubeObject.all_objects(self.k)
-        for a in objs:
-            for b in objs:
-                if a.disjoint_from(b):
-                    if self.unit(a.join(b)) != self.unit(a) * self.unit(b):
-                        return False
+        """Units factor over joins of disjointly supported vertices.
+
+        The bottom vertex carries +1, so that holds exactly when each unit
+        is the product of its slots' units, and so, by induction on the
+        number of slots, when each unit is its first slot's unit times the
+        unit of the rest: one product per vertex, not one per pair.
+        """
+        units, k = self.assignment, self.k
+        slots = [(0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k)]
+        for bits, unit in units.items():
+            if 1 in bits:
+                i = bits.index(1)
+                if unit != units[slots[i]] * units[(0,) * (i + 1) + bits[i + 1 :]]:
+                    return False
         return True

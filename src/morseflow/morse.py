@@ -373,12 +373,18 @@ def torus_distance(x: Sequence[float], p: Sequence[float]) -> float:
 
 
 class _Landing(NamedTuple):
-    """Where one lane came to rest; its trajectory unless it was a trapping lane."""
+    """Where one lane came to rest; its trajectory unless it was a trapping lane.
+
+    `entry` is the jet (order, n) of the step on which a recorded lane first
+    came within `sphere_radius` of the point it rests at, None for a
+    trapping lane or one seeded inside that sphere.
+    """
 
     point: CriticalPoint
     offset: tuple[int, ...]
     state: np.ndarray
     trajectory: tuple[tuple[float, tuple[float, ...]], ...] | None
+    entry: np.ndarray | None
 
 
 class _Arc(NamedTuple):
@@ -781,22 +787,23 @@ def _horner(jet: np.ndarray, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def _crossing(
-    comp: _Compiled, x: np.ndarray, centres: np.ndarray, h: np.ndarray, cfg: NumericalConfig
+    jet: np.ndarray, x: np.ndarray, centres: np.ndarray, h: np.ndarray, cfg: NumericalConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Where backward Taylor steps from the rows of `x` enter the departure spheres at `centres`.
+    """Where Taylor steps from the rows of `x` enter the departure spheres at `centres`.
 
     Row i steps over time h_i, from outside its sphere of radius
-    `sphere_radius` to inside it, along the polynomial P_i of
-    `_taylor_jet` at x_i, sense -1, the step its lane took.  Each round
-    cuts the bracket [lo, hi] of a crossing time (lo outside, hi inside,
-    from [0, h_i]) into `_CROSSING_PARTS` equal parts and keeps the first
-    part that ends inside: four bisections at 16 parts, on P_i, with no
+    `sphere_radius` to inside it, along the polynomial P_i(s) = x_i +
+    sum_j c_j s^j, c_j = jet[j - 1, i], the step its lane took, which
+    `land_lanes` kept as the lane's `_Landing.entry`.  Each round cuts the
+    bracket [lo, hi] of a crossing time (lo outside, hi inside, from [0,
+    h_i]) into `_CROSSING_PARTS` equal parts and keeps the first part that
+    ends inside: four bisections at 16 parts, on P_i, with no jet or
     gradient evaluated.  A row stops once its bracket is at most
     `step_min` wide, so its result does not depend on the other rows.
     Returns P(lo), the last point found outside, and lo.
     """
     radius = cfg.sphere_radius
-    jet = _taylor_jet(comp, comp.trig_batch(x), -np.ones(len(x)), _TAYLOR_ORDER)[:, :, None]
+    jet = jet[:, :, None]
     parts = np.arange(1.0, _CROSSING_PARTS) / _CROSSING_PARTS
     lo, hi = np.zeros_like(h), h
     wide = hi - lo > cfg.step_min
@@ -972,6 +979,18 @@ class _Analysis:
     def seed(self, p: CriticalPoint, direction: np.ndarray) -> list[float]:
         return (np.array(p.position) + self.cfg.sphere_radius * direction).tolist()
 
+    def circle_seeds(self, a: CriticalPoint, thetas: Sequence[float]) -> np.ndarray:
+        """The seeds of the departures out of `a` at angles `thetas`, as rows.
+
+        Row k has the bits of `seed(a, direction_at(a, thetas[k]))`: the
+        same products and sums, one array expression for all angles.
+        """
+        frame = self.frames[a.id]
+        cos = np.array([math.cos(th) for th in thetas])[:, None]
+        sin = np.array([math.sin(th) for th in thetas])[:, None]
+        directions = cos * frame[:, 0] + sin * frame[:, 1]
+        return np.array(a.position) + self.cfg.sphere_radius * directions
+
     def land_lanes(
         self,
         seeds: Sequence[Sequence[float]],
@@ -1014,8 +1033,16 @@ class _Analysis:
         where its flow rests, so only a lane whose landing class alone is
         read may trap, and only a forward one.  The landing of a lane that
         does not trap carries its trajectory: (time, point) at the seed and
-        after every accepted step.  No lane depends on the others, its kind
-        included, so a lane run alone gives the same bits.
+        after every accepted step, and as its `entry` the jet of the step on
+        which it first came within `sphere_radius` of the point it rests
+        at, so `_shot_flows` finds the crossing of that sphere on the step's
+        polynomial with no second jet.  No lane depends on the others, its
+        kind included, so a lane run alone gives the same bits.
+
+        Every per-lane array, the trap flags, tolerances and trap radii
+        included, is compacted once at the check that lanes leave, and the
+        landings of one check are read in one block: one `argmax` for their
+        points, one `np.rint` for their offsets, one slice for their states.
         """
         cfg = self.cfg
         # `step_tol` is a step-doubling tolerance: it bounds |one step - two
@@ -1041,6 +1068,9 @@ class _Analysis:
         sense = np.ones(len(seeds)) if senses is None else np.array(senses, dtype=float)
         traps = np.broadcast_to(np.asarray(trap, dtype=bool), len(seeds))
         tols = np.where(traps, cfg.step_tol / 15.0, cfg.step_tol / 1500.0)
+        # Each lane's trap radius per critical point: none (-inf) for a lane
+        # that does not trap.
+        radii = np.where(traps[:, None], self.trap_radius, -np.inf)
         cs = self.comp.trig_batch(x)
         fx = sense * self.comp.value_of(cs)
         t = np.zeros(len(seeds))
@@ -1049,6 +1079,9 @@ class _Analysis:
         fresh = np.ones(len(seeds), dtype=bool)
         failed = np.zeros(len(seeds), dtype=bool)
         paths = [None if tr else [(0.0, tuple(s))] for s, tr in zip(x.tolist(), traps.tolist())]
+        # The jet of the step on which a recorded lane first came within
+        # `sphere_radius` of each critical point, by point index.
+        entries = [None if tr else {} for tr in traps.tolist()]
         jet, passing = None, bool(traps.any())
 
         while True:
@@ -1059,11 +1092,20 @@ class _Analysis:
             # first would cost more calls than it saves.
             d = x[:, None, :] - self.centres
             dist = _wrap(d)[1]
-            if passing and jet is not None:
-                self._cut_at_passes(jet, x0, x, d, dist, prev, h, t, fresh & traps[lane])
+            if jet is not None:
+                # A step that ends inside a sphere it started outside of
+                # entered it; at most checks no lane is inside any sphere.
+                inside = dist <= cfg.sphere_radius
+                if inside.any():
+                    entered = inside & (prev > cfg.sphere_radius)
+                    for k, i in zip(*(ix.tolist() for ix in np.nonzero(entered))):
+                        entry = entries[lane[k]]
+                        if entry is not None and i not in entry:
+                            entry[i] = jet[:, k].copy()
+                if passing:
+                    self._cut_at_passes(jet, x0, x, d, dist, prev, h, t, fresh & traps)
             near = dist <= cfg.landing_radius
-            caught = (dist <= self.trap_radius) & traps[lane][:, None]
-            near = np.where(near.any(axis=1, keepdims=True), near, caught)
+            near = np.where(near.any(axis=1, keepdims=True), near, dist <= radii)
             live = fresh & (t <= cfg.max_flow_time)
             landed = live & near.any(axis=1)
             counted = live ^ landed
@@ -1072,28 +1114,34 @@ class _Analysis:
             late = fresh ^ live
             done = late | landed | spent | failed
             if done.any():
-                for k in np.flatnonzero(late):
+                hits = np.flatnonzero(landed)
+                if len(hits):
+                    at = near[hits].argmax(axis=1)
+                    offsets = np.rint(d[hits, at]).astype(int).tolist()
+                    for k, i, o, state in zip(lane[hits].tolist(), at.tolist(), offsets, x[hits]):
+                        path, entry = paths[k], entries[k]
+                        out[k] = _Landing(
+                            self.points[i],
+                            tuple(o),
+                            state,
+                            None if path is None else tuple(path),
+                            None if entry is None else entry.get(i),
+                        )
+                # The other three outcomes exclude each other: a late lane
+                # has just taken a step, a spent one has also passed the
+                # time check, and a failed one has taken none.
+                for k in np.flatnonzero(done ^ landed):
                     out[lane[k]] = IntegrationFailureError(
                         f"no rest point reached within flow time {cfg.max_flow_time}"
-                    )
-                for k in np.flatnonzero(landed):
-                    i = int(near[k].argmax())
-                    out[lane[k]] = _Landing(
-                        self.points[i],
-                        tuple(int(o) for o in np.round(d[k, i])),
-                        x[k].copy(),
-                        None if paths[lane[k]] is None else tuple(paths[lane[k]]),
-                    )
-                for k in np.flatnonzero(spent):
-                    out[lane[k]] = IntegrationFailureError("step budget exhausted")
-                for k in np.flatnonzero(failed):
-                    out[lane[k]] = IntegrationFailureError(
-                        "function value failed to decrease at the minimal step"
+                        if late[k]
+                        else "step budget exhausted"
+                        if spent[k]
+                        else "function value failed to decrease at the minimal step"
                     )
                 # `fresh` and `failed` are not kept: the step sets them anew.
                 keep = ~done
                 lane, x, cs, fx = lane[keep], x[keep], cs[..., keep], fx[keep]
-                dist = dist[keep]
+                dist, traps, tols, radii = dist[keep], traps[keep], tols[keep], radii[keep]
                 t, cap, sense, steps = t[keep], cap[keep], sense[keep], steps[keep]
             if not len(lane):
                 return out
@@ -1101,7 +1149,7 @@ class _Analysis:
             jet = _taylor_jet(self.comp, cs, sense, _TAYLOR_ORDER)
             # A jet that overflows gives a NaN rule; fmin takes the bound
             # instead, and the descent check then fails down to `step_min`.
-            h = np.fmax(np.fmin(cap, _taylor_size(jet, tols[lane])), cfg.step_min)
+            h = np.fmax(np.fmin(cap, _taylor_size(jet, tols)), cfg.step_min)
             xn = _horner(jet, x, h[:, None])
             csn = self.comp.trig_batch(xn)
             fn = sense * self.comp.value_of(csn)
@@ -1115,7 +1163,7 @@ class _Analysis:
             np.add(t, h, out=t, where=take)
             cap = np.where(take, cfg.step_max, 0.5 * h)
             fresh = take
-            kept = take & ~traps[lane]
+            kept = take & ~traps
             for k, tk, xk in zip(lane[kept].tolist(), t[kept].tolist(), x[kept].tolist()):
                 paths[k].append((tk, tuple(xk)))
 
@@ -1213,15 +1261,17 @@ class _Analysis:
         """
         lanes = [(s, side) for s in saddles for side in (1, -1)]
         seeds = [self.seed(s, side * self.frames[s.id][:, 0]) for s, side in lanes]
-        back, circle, senses = [], [], None
+        circle = np.concatenate(
+            [np.empty((0, self.n))]
+            + [self.circle_seeds(a, self.sample_angles) for a in maxima or ()]
+        )
+        back, senses = [], None
         if maxima is not None:
             back = [self.seed(s, side * self.stable_frames[s.id][:, 0]) for s, side in lanes]
-            circle = [
-                self.seed(a, self.direction_at(a, th)) for a in maxima for th in self.sample_angles
-            ]
             senses = [-1.0] * len(back) + [1.0] * (len(seeds) + len(circle))
         traps = [False] * (len(back) + len(seeds)) + [True] * len(circle)
-        landings = self.land_lanes(back + seeds + circle, trap=traps, senses=senses)
+        recorded = np.array(back + seeds, dtype=float).reshape(-1, self.n)
+        landings = self.land_lanes(np.concatenate((recorded, circle)), trap=traps, senses=senses)
         split = len(back) + len(seeds)
         shots = self._shot_flows(lanes, landings[: len(back)]) if maxima is not None else []
         flows = []
@@ -1270,7 +1320,7 @@ class _Analysis:
 
     def _classify_angles(self, a: CriticalPoint, thetas: Sequence[float]) -> list:
         """`_landing_class` of each departure angle of `a`, as trapping lanes of one run."""
-        seeds = [self.seed(a, self.direction_at(a, th)) for th in thetas]
+        seeds = self.circle_seeds(a, thetas)
         return [self._landing_class(a, got) for got in self.land_lanes(seeds, trap=True)]
 
     def partition(self, a: CriticalPoint) -> list[_Arc]:
@@ -1384,11 +1434,11 @@ class _Analysis:
         lane that fails raises its error, and one that rests at no index-2
         point (at a saddle: a saddle connection) raises
         MorseSmaleViolationError.  The crossing of a's departure sphere is
-        found on the polynomial of the lane's step into it, to within
-        `step_min` of flow time, with no gradient evaluated (`_crossing`),
-        and a -> s departs from the last point found outside: its
-        trajectory is the path up to there, reversed,
-        time from 0, and its lattice offset the landing offset negated.  Its
+        found on the polynomial of the lane's step into it, its `entry`, to
+        within `step_min` of flow time, with no jet or gradient evaluated
+        (`_crossing`), and a -> s departs from the last point found outside:
+        its trajectory is the path up to there, reversed, time from 0, and
+        its lattice offset the landing offset negated.  Its
         sign compares W^u(a), oriented by `frames[a.id]`, with R gamma' +
         T W^u(s), spanned at the seed by the frame (u/|u|, w_u), u = -grad f
         there and w_u = `frames[s.id][:, 0]`.  W^u(a) is open and the flow
@@ -1417,7 +1467,8 @@ class _Analysis:
             np.array([ld.trajectory[0][1] for _, _, ld, _ in shots]).reshape(-1, 2)
         )
         u = u / np.linalg.norm(u, axis=1)[:, None]
-        x, tau = _crossing(self.comp, x, centres, h, self.cfg)
+        jet = np.array([ld.entry for _, _, ld, _ in shots]).reshape(len(shots), _TAYLOR_ORDER, 2)
+        x, tau = _crossing(jet.transpose(1, 0, 2), x, centres, h, self.cfg)
         t = t + tau
         flows = []
         for (s, a, landing, k), r, xc, tc, us in zip(

@@ -283,6 +283,33 @@ class TestSignDiagram:
         d = SignDiagram(2, assignment)
         assert not d.is_multiplicative()
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_the_linear_check_is_the_pairwise_definition(self, k):
+        # Every diagram of 2^k: +1 at the bottom, any unit elsewhere.
+        objs = CubeObject.all_objects(k)
+        seen = set()
+        for units in itertools.product((1, -1), repeat=len(objs) - 1):
+            d = SignDiagram(k, dict(zip((o.bits for o in objs), (1,) + units)))
+            pairwise = all(
+                d.unit(a.join(b)) == d.unit(a) * d.unit(b)
+                for a in objs
+                for b in objs
+                if a.disjoint_from(b)
+            )
+            assert d.is_multiplicative() == pairwise
+            seen.add(pairwise)
+        assert seen == ({True} if k <= 1 else {True, False})
+
+    def test_the_check_is_linear_in_the_cube(self):
+        # 2^12 vertices: the pairwise check compared 2^24 pairs.
+        units = [1, -1] * 6
+        d = SignDiagram.from_slot_units(units)
+        assert d.is_multiplicative()
+        flipped = dict(d.assignment)
+        top = (1,) * 12
+        flipped[top] = -flipped[top]
+        assert not SignDiagram(12, flipped).is_multiplicative()
+
     def test_pairing_concatenates_and_multiplies(self):
         a = SignDiagram.from_slot_units((-1,))
         b = SignDiagram.from_slot_units((1, -1))

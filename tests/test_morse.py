@@ -44,6 +44,7 @@ from morseflow import (
     torus_distance,
     trajectories_svg,
     trajectory_csv,
+    validate_morse_smale,
 )
 from morseflow.bank import (
     circle_function,
@@ -887,6 +888,18 @@ class TestLanes:
             failed = sum(isinstance(got, Exception) for got in lanes)
             assert 0 < failed < len(seeds)
 
+    def test_circle_seeds_are_the_seeds_of_their_angles(self):
+        # The circle samples and arc midpoints are seeded in one array
+        # expression, with the bits of one seed per angle.
+        analysis = _Analysis(perturbed_torus(perturbed_torus_seeds(1)[0]), NumericalConfig())
+        thetas = analysis.sample_angles + [0.3 * k for k in range(22)]
+        for a in (p for p in analysis.points if p.index == 2):
+            assert [row.tobytes() for row in analysis.circle_seeds(a, thetas)] == [
+                np.array(analysis.seed(a, analysis.direction_at(a, th))).tobytes()
+                for th in thetas
+            ]
+        assert analysis.circle_seeds(analysis.points[0], []).shape == (0, 2)
+
     @pytest.mark.parametrize("index", [1, 2], ids=["saddles", "maxima"])
     def test_trajectories_and_states_do_not_depend_on_the_batch(self, index):
         # Every lane is run alone, in batches of two and in one mixed batch
@@ -1322,6 +1335,28 @@ class TestShots:
             (b.id, sign, offset) for b, offset, sign in forward
         ]
 
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_a_kept_entry_is_the_jet_of_the_step_into_the_sphere(self, f):
+        # `_crossing` reads the jet each backward lane kept for its step into
+        # the departure sphere of the point it rests at: it has the bits of
+        # a fresh jet of sense -1 at that step's start, the first point of
+        # the trajectory outside the sphere before the first one inside.
+        analysis = _Analysis(f, NumericalConfig())
+        comp, radius = analysis.comp, analysis.cfg.sphere_radius
+        seeds = [
+            analysis.seed(s, side * analysis.stable_frames[s.id][:, 0])
+            for s in analysis.points
+            if s.index == 1
+            for side in (1, -1)
+        ]
+        for got in analysis.land_lanes(seeds, senses=[-1.0] * len(seeds)):
+            path = np.array([p for _, p in got.trajectory])
+            k = int(np.argmax(_wrap(path - got.point.position)[1] <= radius))
+            assert k > 0
+            start = path[k - 1 : k]
+            jet = _taylor_jet(comp, comp.trig_batch(start), -np.ones(1), morse._TAYLOR_ORDER)
+            assert got.entry.tobytes() == jet[:, 0].tobytes()
+
     def test_no_shots_off_the_two_torus(self, monkeypatch):
         # On the circle the saddle flows are one run of two forward lanes; on
         # T^3 flows out of index-2 points raise InputError.
@@ -1493,6 +1528,43 @@ class TestSenses:
             torus_distance(got.state, got.point.position) > analysis.cfg.landing_radius
             for got in trapping
         )
+
+    def test_lanes_that_land_at_one_check_keep_their_lone_bits(self, monkeypatch):
+        # On the symmetric torus mirror lanes land together: the landings of
+        # one check are written in one block, each from its own row.  The
+        # batch mixes backward and forward recorded lanes with forward
+        # trapping lanes; each gives the point, offset, state, trajectory
+        # and entry jet of its lone run.
+        analysis = _Analysis(torus_function(), NumericalConfig())
+        lanes = (
+            [(s, -1.0, False) for s in self.backward_departures(analysis)]
+            + [(s, 1.0, False) for s in departures(analysis, 1)]
+            + [(s, 1.0, True) for s in departures(analysis, 2)]
+        )
+
+        def run(batch):
+            seeds, senses, traps = (list(column) for column in zip(*batch))
+            return analysis.land_lanes(seeds, trap=traps, senses=senses)
+
+        def bits(got):
+            entry = None if got.entry is None else got.entry.tobytes()
+            return lane_bits(got), entry
+
+        alone = [bits(run([lane])[0]) for lane in lanes]
+        jet, rows = morse._taylor_jet, []
+
+        def counting_jet(comp, cs, sense, order):
+            rows.append(len(sense))
+            return jet(comp, cs, sense, order)
+
+        monkeypatch.setattr(morse, "_taylor_jet", counting_jet)
+        got = run(lanes)
+        assert all(isinstance(g, _Landing) for g in got)
+        assert [bits(g) for g in got] == alone
+        left = [a - b for a, b in zip([len(lanes)] + rows, rows + [0])]
+        assert sum(n >= 2 for n in left) >= 3
+        assert {g.entry is None for g, (_, _, trap) in zip(got, lanes) if trap} == {True}
+        assert all(g.entry is not None for g in got[:4])
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
     def test_a_saddles_stable_frame_is_its_unstable_frame_of_minus_f(self, reverse):
@@ -1912,6 +1984,35 @@ class TestBuildFlowCategory:
             assert [str(g) for g in groups] == ["Z", "Z"]
             built += 1
         assert built == 12
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+                st.integers(-20, 20),
+                st.integers(-20, 20),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def test_a_random_torus_function_builds_the_torus_or_refuses_typed(self, terms):
+        # Every Morse function on T^2 has homology Z, Z^2, Z, so a build
+        # that gives anything else, or that fails either validator, is
+        # wrong; a refusal must be typed.  The functions are those of the
+        # random part of tools/outcome_corpus.py, with 2 to 4 terms.
+        try:
+            f = TrigPolynomial(
+                2, tuple(TrigTerm(k, Fraction(c, 10), Fraction(s, 10)) for k, c, s in terms)
+            )
+            cat, ori = build_flow_category(f, NumericalConfig(grid_resolution=48))
+        except MorseflowError:
+            return
+        assert validate_morse_smale(cat).passed
+        assert check_orientation_coherence(cat, ori).passed
+        groups = all_homology(floer_complex(cat, ori).complex, CoefficientRing.integers())
+        assert [str(g) for g in groups] == ["Z", "Z^2", "Z"]
 
 
 class TestExports:

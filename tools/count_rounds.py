@@ -10,23 +10,27 @@ the flow category and prints, per build:
   wherever they run: the circle samples, and the lanes beside each
   boundary or the arc midpoints that check the partition;
 - iters: lane iterations, the calls of `_taylor_jet`, one per iteration
-  of every `land_lanes` run, recorded runs included, and one more for the
-  crossing refinement (`morse._crossing`);
+  of every `land_lanes` run, recorded runs included;
 - lane-steps: the rows of those calls, lanes summed over iterations;
 - lane-runs: the calls of `_Analysis.land_lanes`, check, midpoint and
   separatrix runs alike;
 - shots: the `_taylor_jet` calls made inside `_Analysis._separatrices`,
   the recorded run of all four separatrices of every saddle (the stable
-  ones backward) and the refinement of the backward lanes' last steps,
-  which give the saddle flows, the boundaries and the flows out of the
-  index-2 points; `iters` includes them;
+  ones backward), which gives the saddle flows, the boundaries and the
+  flows out of the index-2 points; `iters` includes them;
 - grad-rows: the rows passed to the evaluators of `_Compiled` that take
   the cos and sin of the phases (`grad_batch` and `trig_batch`) inside
   `land_lanes`, so the rest of the pipeline does not count;
 - jet-rows: the rows passed to `_taylor_jet`, each a Taylor series of the
   tree's order;
 - cross-rows: the evaluator and jet rows of the refinement of the crossing
-  of the departure circles, those inside `morse._crossing`.
+  of the departure circles, those inside `morse._crossing`; it reads the
+  step polynomials the backward lanes kept (`_Landing.entry`), so a tree
+  that evaluates nothing there counts 0;
+- recorded, only with `--recorded`: the lane iterations in which a lane
+  that does not trap still runs, those of a run of the recorded lanes
+  alone (each lane takes one step attempt per iteration, so it leaves a
+  run at the same iteration in any batch), made outside the other counts.
 
 A second table counts the critical-point search of each build, and of the
 cosine sum on T^3, from the evaluator calls made inside
@@ -49,8 +53,9 @@ that has them:
     PYTHONPATH=new/src python tools/count_rounds.py > new.txt
     diff old.txt new.txt
 
-`--seeds N` changes the number of perturbed tori and `--samples K` sets
-`circle_samples`.  The counts are deterministic; no timing is taken.
+`--seeds N` changes the number of perturbed tori, `--samples K` sets
+`circle_samples` and `--recorded` adds the `recorded` column.  The counts
+are deterministic; no timing is taken.
 """
 
 from __future__ import annotations
@@ -77,7 +82,9 @@ def counting(tally: dict, search: list):
 
     The evaluator calls made inside the critical-point search are appended
     to `search` as (column, rows), with column "cells" inside the
-    certificate.
+    certificate.  With a "recorded" column in `tally`, each `land_lanes`
+    run with recorded lanes is run again with those alone, and its
+    iterations go to that column only.
     """
     classify, land = _Analysis._classify_angles, _Analysis.land_lanes
     shots, step = _Analysis._separatrices, morse._taylor_jet
@@ -91,7 +98,7 @@ def counting(tally: dict, search: list):
             ("hess_batch", "hess"),
         )
     }
-    shooting, landing, refining = [0], [0], [0]
+    shooting, landing, refining, replaying = [0], [0], [0], [False]
     finding, certifying = [False], [False]
 
     def counted_classify(self, a, thetas):
@@ -111,15 +118,31 @@ def counting(tally: dict, search: list):
     # Every caller passes `trap` by keyword; the rest is forwarded as given,
     # so trees whose `land_lanes` takes other parameters count alike.
     def counted_land(self, seeds, *args, **kwargs):
+        traps = np.broadcast_to(kwargs.get("trap", False), len(seeds))
         tally["lane-runs"] += 1
-        tally["check"] += int(np.broadcast_to(kwargs.get("trap", False), len(seeds)).sum())
-        return nested(landing, land)(self, seeds, *args, **kwargs)
+        tally["check"] += int(traps.sum())
+        out = nested(landing, land)(self, seeds, *args, **kwargs)
+        if "recorded" in tally and not traps.all():
+            kept = np.flatnonzero(~traps)
+            senses = kwargs.get("senses")
+            alone = dict(kwargs, trap=False)
+            if senses is not None:
+                alone["senses"] = np.asarray(senses)[kept]
+            replaying[0] = True
+            try:
+                land(self, np.asarray(seeds, dtype=float)[kept], *args, **alone)
+            finally:
+                replaying[0] = False
+        return out
 
     def refinement(rows):
         if refining[0]:
             tally["cross-rows"] += rows
 
     def counted_step(comp, cs, *args):
+        if replaying[0]:
+            tally["recorded"] += 1
+            return step(comp, cs, *args)
         rows = cs.shape[-1]
         tally["iters"] += 1
         tally["lane-steps"] += rows
@@ -145,6 +168,8 @@ def counting(tally: dict, search: list):
 
     def rows_counted(evaluate, column):
         def counted(comp, x):
+            if replaying[0]:
+                return evaluate(comp, x)
             if landing[0] and column in tally:
                 tally[column] += len(x)
             refinement(len(x))
@@ -214,26 +239,32 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=25, help="perturbed tori 0..N-1")
     parser.add_argument("--samples", type=int, default=NumericalConfig().circle_samples)
+    parser.add_argument(
+        "--recorded",
+        action="store_true",
+        help="add the iterations in which a lane that does not trap still runs",
+    )
     args = parser.parse_args(argv)
+    columns = COLUMNS + ("recorded",) * args.recorded
     cfg = NumericalConfig(circle_samples=args.samples)
     functions = [("torus", bank.torus_function())] + [
         (f"perturbed_torus({s})", bank.perturbed_torus(s)) for s in range(args.seeds)
     ]
-    print(f"{'function':<20}" + "".join(f"{c:>12}" for c in COLUMNS))
-    total = dict.fromkeys(COLUMNS, 0)
+    print(f"{'function':<20}" + "".join(f"{c:>12}" for c in columns))
+    total = dict.fromkeys(columns, 0)
     searches = []
     for name, f in functions:
         search: list = []
-        with counting(dict.fromkeys(COLUMNS, 0), search) as tally:
+        with counting(dict.fromkeys(columns, 0), search) as tally:
             try:
                 build_flow_category(f, cfg)
             except MorseflowError as exc:
                 name += f" [{type(exc).__name__}]"
-        print(f"{name:<20}" + "".join(f"{tally[c]:>12}" for c in COLUMNS))
-        for c in COLUMNS:
+        print(f"{name:<20}" + "".join(f"{tally[c]:>12}" for c in columns))
+        for c in columns:
             total[c] += tally[c]
         searches.append((name, search))
-    print(f"{'total':<20}" + "".join(f"{total[c]:>12}" for c in COLUMNS))
+    print(f"{'total':<20}" + "".join(f"{total[c]:>12}" for c in columns))
 
     search = []
     with counting(dict.fromkeys(COLUMNS, 0), search):

@@ -40,9 +40,12 @@ partitions are read the circle samples of every index-2 point ride in
 it, unrecorded, to check them; only the midpoints of arcs that no sample
 checks take a run of their own.  On T^3 the stable manifold of a saddle
 is a surface, which no finite set of shots traces, so there only the
-saddles' flows are computed, in one run.  A lane that only classifies an angle stops once it
-enters a ball around a sink that its flow provably never leaves, so it
-gets the class it would get by running on.
+saddles' flows are computed, in one run.  Every lane stops once it
+enters a ball around a sink of its flow that the flow provably never
+leaves, so it gets the class it would get by running on: a forward lane
+in its sink's certificate ball, a backward one at its first point inside
+both the departure sphere of the index-2 point it rests at and that
+point's ball for -f.
 The batch evaluators give each row the same bits whatever the batch, so no
 result depends on which lanes share a run.  When several lanes fail, the
 error raised is the one that building the flows one at a time would raise
@@ -373,7 +376,7 @@ def torus_distance(x: Sequence[float], p: Sequence[float]) -> float:
 
 
 class _Landing(NamedTuple):
-    """Where one lane came to rest; its trajectory unless it was a trapping lane.
+    """Where one lane stopped and the point it rests at; its path unless it was a trapping lane.
 
     `entry` is the jet (order, n) of the step on which a recorded lane first
     came within `sphere_radius` of the point it rests at, None for a
@@ -709,9 +712,10 @@ def _distances_from(xs: np.ndarray, i: int) -> np.ndarray:
 # -- the trajectory engine --------------------------------------------------
 
 # The order of every Taylor step: over the torus and the 25 perturbed tori
-# at the default `step_tol`, orders 18 to 22 build in about the same time,
-# with 575 to 463 lockstep iterations, 511 at 20.  `_crossing` cuts a bracket
-# into `_CROSSING_PARTS` parts per round.
+# at the default `step_tol`, orders 18 to 22 build in about the same time
+# (0.27-0.28 s CPU for all 26, best of 3, shared 2-core x86 machine), with
+# 422 to 349 lockstep iterations, 381 at 20 (`tools/count_rounds.py`).
+# `_crossing` cuts a bracket into `_CROSSING_PARTS` parts per round.
 _TAYLOR_ORDER = 20
 _CROSSING_PARTS = 16
 
@@ -932,8 +936,8 @@ class _Analysis:
                 "departure radius is not below half the minimal distance "
                 "between critical points"
             )
-        # A trapping region around each sink c, where classification lanes
-        # may stop: its ball B(c, r_c) of `_certify`, r_c = mu / M3, where mu,
+        # A trapping region around each sink c, where forward lanes stop:
+        # its ball B(c, r_c) of `_certify`, r_c = mu / M3, where mu,
         # the computed smallest Hessian eigenvalue lam less `_ROUNDING_SLACK`
         # M2, is below the true one.  At distance s from c, Hess f >= mu -
         # M3 s, so on the sphere |x - c| = r, <x - c, grad f(x)> >= r^2 (mu -
@@ -950,6 +954,15 @@ class _Analysis:
         m2, m3 = _derivative_bounds(comp)
         w, q = np.linalg.eigh(comp.hess_batch(self.centres))
         self.trap_radius = _ball_radius(w[:, 0], m2, m3)
+        # A backward lane follows the flow of -f, whose sinks are f's maxima,
+        # and -f has f's bounds M2, M3, so the same argument makes -f's ball
+        # around a maximum, mu = -lam_max less the slack, its trapping
+        # region.  It is capped at `sphere_radius` (a ball B(c, r) is
+        # forward-invariant for every r above 2 |grad f(c)| / mu), so a
+        # backward lane enters the departure sphere no later than it stops,
+        # and `_shot_flows` has the step into the sphere and the path up to
+        # it.  On the example bank the uncapped radius is 0.026 to 0.080.
+        self.back_radius = np.minimum(_ball_radius(-w[:, -1], m2, m3), cfg.sphere_radius)
         self.m2 = m2
         # The unstable frame of each point, by id, which departures and signs
         # are read against: the eigenvectors of the negative eigenvalues, each
@@ -1024,22 +1037,27 @@ class _Analysis:
         not descend at the minimal step fails the lane.  Lanes leave the run
         only at that check, a failed one at the check after its step, so
         every outcome is written in one place.  A lane lands at the first
-        critical point within `landing_radius`.  `trap` is given per lane,
-        or as one bool for all.  A trapping lane near none also lands at a
-        sink once it is within `trap_radius` of the sink, a ball its flow
-        provably never leaves, and at a point its last step passed within
-        `landing_radius` of between its ends (`_cut_at_passes`), so that its
-        class does not hang on where its steps fall; its state is then not
-        where its flow rests, so only a lane whose landing class alone is
-        read may trap, and only a forward one.  The landing of a lane that
-        does not trap carries its trajectory: (time, point) at the seed and
-        after every accepted step, and as its `entry` the jet of the step on
-        which it first came within `sphere_radius` of the point it rests
-        at, so `_shot_flows` finds the crossing of that sphere on the step's
-        polynomial with no second jet.  No lane depends on the others, its
-        kind included, so a lane run alone gives the same bits.
+        critical point within `landing_radius`, so a near-pass of a saddle
+        is caught; near none, it lands at the first sink of sigma f whose
+        ball it is in, a ball its flow provably never leaves: `trap_radius`
+        for a forward lane, `back_radius` for a backward one, the ball of
+        -f around a maximum capped at `sphere_radius`.  Its state is then
+        not where its flow rests, but its rest point and offset are proven.
+        `trap` is given per lane, or as one bool for all.  A trapping lane
+        is one whose landing class alone is read, and only a forward one
+        may trap: it takes the looser tolerance, also lands at a point its
+        last step passed within `landing_radius` of between its ends
+        (`_cut_at_passes`), so that its class does not hang on where its
+        steps fall, and records nothing.  The landing of a lane that does
+        not trap carries its trajectory: (time, point) at the seed and
+        after every accepted step, up to its stop, and as its `entry` the
+        jet of the step on which it first came within `sphere_radius` of
+        the point it rests at, so `_shot_flows` finds the crossing of that
+        sphere on the step's polynomial with no second jet.  No lane
+        depends on the others, its kind included, so a lane run alone
+        gives the same bits.
 
-        Every per-lane array, the trap flags, tolerances and trap radii
+        Every per-lane array, the trap flags, tolerances and stopping radii
         included, is compacted once at the check that lanes leave, and the
         landings of one check are read in one block: one `argmax` for their
         points, one `np.rint` for their offsets, one slice for their states.
@@ -1068,9 +1086,9 @@ class _Analysis:
         sense = np.ones(len(seeds)) if senses is None else np.array(senses, dtype=float)
         traps = np.broadcast_to(np.asarray(trap, dtype=bool), len(seeds))
         tols = np.where(traps, cfg.step_tol / 15.0, cfg.step_tol / 1500.0)
-        # Each lane's trap radius per critical point: none (-inf) for a lane
-        # that does not trap.
-        radii = np.where(traps[:, None], self.trap_radius, -np.inf)
+        # Each lane's stopping radius per critical point: the balls of the
+        # sinks of sigma f, negative (none) at every other point.
+        radii = np.where(sense[:, None] > 0.0, self.trap_radius, self.back_radius)
         cs = self.comp.trig_batch(x)
         fx = sense * self.comp.value_of(cs)
         t = np.zeros(len(seeds))
@@ -1430,12 +1448,13 @@ class _Analysis:
         out of an index-2 point a across a basin boundary of its departure
         circle.  `landings` are those of the backward lanes of
         `_separatrices`, one per (saddle, side) of `lanes`: each departs s
-        along side * w_s, follows the flow of -f and records its path.  A
-        lane that fails raises its error, and one that rests at no index-2
-        point (at a saddle: a saddle connection) raises
-        MorseSmaleViolationError.  The crossing of a's departure sphere is
-        found on the polynomial of the lane's step into it, its `entry`, to
-        within `step_min` of flow time, with no jet or gradient evaluated
+        along side * w_s, follows the flow of -f and records its path, which
+        stops at its first point inside both a's departure sphere and a's
+        ball for -f (`back_radius`).  A lane that fails raises its error,
+        and one that rests at no index-2 point (at a saddle: a saddle
+        connection) raises MorseSmaleViolationError.  The crossing of a's
+        departure sphere is found on the polynomial of the lane's step into
+        it, its `entry`, to within `step_min` of flow time, with no jet or gradient evaluated
         (`_crossing`), and a -> s departs from the last point found outside:
         its trajectory is the path up to there, reversed, time from 0, and
         its lattice offset the landing offset negated.  Its
@@ -1615,7 +1634,10 @@ def flow_lines(
 
     They come from one separatrix run made without the circle samples,
     since no partition is read; `build_flow_category` gives the same flows
-    from its run, in which the samples ride.
+    from its run, in which the samples ride.  A flow out of a saddle ends
+    at its first recorded point in its sink's certificate ball
+    (`_Analysis.trap_radius`), and one out of an index-2 point starts on
+    its departure sphere; neither runs on to `landing_radius`.
     """
     if f.dimension > 2:
         raise InputError("trajectory dumps cover the one- and two-torus")

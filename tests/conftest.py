@@ -16,6 +16,7 @@ certificate.  The library is then required to agree with them.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -438,13 +439,22 @@ def _neg_grad(terms, x) -> list[float]:
 TAYLOR_ORDER = 20
 
 
-def _landing(points, cfg, y):
-    """The first critical point within `landing_radius` of y, with its lattice offset, or None."""
+def _landing(points, cfg, y, radii=()):
+    """Where y stops, with its lattice offset, or None.
+
+    The first critical point within `landing_radius` of y; else the first
+    point i within radii[i] of y, where `radii` is given.
+    """
+    near = []
     for cp in points:
         d = [yi - pi for yi, pi in zip(y, cp.position)]
         off = tuple(round(di) for di in d)
         dist = math.sqrt(sum((di - oi) * (di - oi) for di, oi in zip(d, off)))
         if dist <= cfg.landing_radius:
+            return cp, off
+        near.append((dist, cp, off))
+    for (dist, cp, off), r in zip(near, radii):
+        if dist <= r:
             return cp, off
     return None
 
@@ -508,7 +518,7 @@ def sum_in_order(values) -> float:
     return acc
 
 
-def scalar_flow(f, cfg, points, x0, tol=None):
+def scalar_flow(f, cfg, points, x0, tol=None, radii=()):
     """Follow the negative gradient of f from x0, one point at a time.
 
     The package's Taylor steps in plain Python floats, each order added up
@@ -521,8 +531,12 @@ def scalar_flow(f, cfg, points, x0, tol=None):
     CPUs numpy's power differs from the C library's in the last bit.  A
     step is evaluated by Horner's rule and taken only if f, summed over the
     cos terms and then the sin terms, drops.  Checks flow time, landing and
-    step budget before each step.  Returns (rest point, lattice offset,
-    trajectory) or raises the IntegrationFailureError of the package.
+    step budget before each step.  A point lands within `landing_radius`
+    of a critical point, or else within radii[i] of point i: the package's
+    stopping balls, `trap_radius` for a forward lane and `back_radius`
+    (with -f as f) for a backward one; with no `radii` it runs on to
+    `landing_radius`.  Returns (rest point, lattice offset, trajectory) or
+    raises the IntegrationFailureError of the package.
     """
     terms = _float_terms(f)
     tol = cfg.step_tol / 1500.0 if tol is None else tol
@@ -548,7 +562,7 @@ def scalar_flow(f, cfg, points, x0, tol=None):
             raise IntegrationFailureError(
                 f"no rest point reached within flow time {cfg.max_flow_time}"
             )
-        hit = _landing(points, cfg, x)
+        hit = _landing(points, cfg, x, radii)
         if hit is not None:
             return hit[0], hit[1], tuple(traj)
         steps += 1
@@ -769,18 +783,26 @@ def backward_sign(analysis, s, side):
 BISECTION_TOL = 1e-10
 
 
+def running_on(analysis):
+    """A copy of `analysis` with no stopping balls, whose lanes run on to `landing_radius`."""
+    out = copy.copy(analysis)
+    out.trap_radius = np.full_like(analysis.trap_radius, -np.inf)
+    out.back_radius = np.full_like(analysis.back_radius, -np.inf)
+    return out
+
+
 def full_landing_classes(analysis, a, thetas):
     """Landing class of each departure angle of index-2 point `a`, by full landing.
 
     Entries take the shape of `_classify_angles`'s: (point id, offset) or
     the error.  Every lane runs
     until it is within `landing_radius` of its rest point, with no trapping
-    region, so these classes do not depend on the certificate that lets
-    `_classify_angles` stop early.
+    region (`running_on`), so these classes do not depend on the
+    certificate that lets the package's lanes stop early.
     """
     seeds = [analysis.seed(a, analysis.direction_at(a, th)) for th in thetas]
     out = []
-    for got in analysis.land_lanes(seeds):
+    for got in running_on(analysis).land_lanes(seeds):
         if isinstance(got, Exception):
             out.append(got)
         elif got.point.index >= a.index:

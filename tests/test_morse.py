@@ -19,6 +19,7 @@ from conftest import (
     forward_sign,
     full_landing_classes,
     probe_exit,
+    running_on,
     scalar_flow,
     taylor_jet,
 )
@@ -51,6 +52,7 @@ from morseflow.bank import (
     degenerate_function,
     perturbed_torus,
     perturbed_torus_seeds,
+    pullback,
     tilted_upright_torus,
     torus_function,
 )
@@ -806,9 +808,14 @@ def comparable(outcome):
 
 
 def oracle(analysis, seed):
-    """The scalar oracle's (rest point, offset, trajectory) from seed, or its error."""
+    """The scalar oracle's (rest point, offset, trajectory) from seed, or its error.
+
+    Like a forward lane, it stops at its first point in a sink's ball.
+    """
     try:
-        return scalar_flow(analysis.f, analysis.cfg, analysis.points, seed)[:3]
+        return scalar_flow(
+            analysis.f, analysis.cfg, analysis.points, seed, radii=analysis.trap_radius
+        )[:3]
     except IntegrationFailureError as exc:
         return exc
 
@@ -861,11 +868,13 @@ class TestLanes:
         "coarse", [{}, {"step_tol": 0.5, "step_max": 0.5}], ids=["default", "coarse"]
     )
     def test_lanes_stop_where_scalar_integration_stops(self, coarse):
-        # Step budget and flow time set at the median oracle run's exact
-        # step count and arrival time, and just below them: a lane whose
-        # step rule differs from the oracle's lands on the other side.  The
-        # coarse tolerance makes steps overshoot, so the descent check bites:
-        # the 32 lanes retry 21 steps in all.
+        # Step budget and flow time set at an oracle run's exact step count
+        # and arrival time, and just below them: a lane whose step rule
+        # differs from the oracle's lands on the other side.  The run is the
+        # first whose step count lies midway between the fewest and the
+        # most, so that each limit splits the seeds; stopping in the sinks'
+        # balls leaves most coarse runs at one count, the fewest.  The
+        # coarse tolerance makes steps overshoot, so the descent check bites.
         f = perturbed_torus(perturbed_torus_seeds(1)[0])
         analysis = _Analysis(f, NumericalConfig(**coarse))
         top = analysis.points[0]
@@ -874,7 +883,9 @@ class TestLanes:
             for k in range(32)
         ]
         runs = sorted((oracle(analysis, seed)[2] for seed in seeds), key=len)
-        steps, time = len(runs[16]) - 1, runs[16][-1][0]
+        counts = [len(run) - 1 for run in runs]
+        run = runs[counts.index((counts[0] + counts[-1]) // 2)]
+        steps, time = len(run) - 1, run[-1][0]
         for limits in (
             {"max_steps": steps},
             {"max_steps": steps - 1},
@@ -955,8 +966,9 @@ class TestLanes:
     def test_a_lane_that_fails_mid_run_leaves_the_others_running(self, monkeypatch):
         # An analysis that does not know p1.0 cannot land a lane seeded
         # there: its steps halve down to step_min and fail at the 10th
-        # iteration, while four departures of p2.0 run on and land.  The
-        # failed lane takes no further jet row, and every lane has the
+        # iteration, while four departures of p2.0 run on and land where
+        # the scalar twin does.  The failed lane takes no further jet row, a
+        # lane that lands after n steps takes n, and every lane has the
         # outcome it has alone.
         f = torus_function()
         points = find_critical_points(f)
@@ -974,12 +986,13 @@ class TestLanes:
 
         monkeypatch.setattr(morse, "_taylor_jet", counting_jet)
         got = analysis.land_lanes(seeds)
-        assert rows == [5] * 10 + [4, 4, 4, 4, 3, 1]
         assert isinstance(got[0], IntegrationFailureError)
         assert "failed to decrease at the minimal step" in str(got[0])
-        for landing in got[1:]:
-            assert isinstance(landing, _Landing)
-            assert 15 <= len(landing.trajectory) <= 17
+        for landing, seed in zip(got[1:], seeds[1:]):
+            assert recorded(landing) == oracle(analysis, seed)
+        runs = [10] + [len(landing.trajectory) - 1 for landing in got[1:]]
+        assert max(runs) > runs[0]
+        assert rows == [sum(n > i for n in runs) for i in range(max(runs))]
         alone = [analysis.land_lanes([seed])[0] for seed in seeds]
         assert list(map(lane_bits, got)) == list(map(lane_bits, alone))
 
@@ -1488,10 +1501,16 @@ class TestSenses:
 
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_a_backward_lane_is_a_lane_of_minus_f(self, f):
+        # It stops in the balls of -f, capped at `sphere_radius`: a lane of
+        # -f stopped there has its bits.
         analysis = _Analysis(f, NumericalConfig())
         seeds = self.backward_departures(analysis)
         backward = analysis.land_lanes(seeds, senses=[-1.0] * len(seeds))
-        of_minus_f = minus(analysis).land_lanes(seeds)
+        back = minus(analysis)
+        capped = np.minimum(back.trap_radius, analysis.cfg.sphere_radius)
+        assert capped.tobytes() == analysis.back_radius.tobytes()
+        back.trap_radius = capped
+        of_minus_f = back.land_lanes(seeds)
         assert all(isinstance(got, _Landing) for got in backward)
         assert list(map(lane_bits, backward)) == list(map(lane_bits, of_minus_f))
         # Forward sinks of -f are f's index-2 points, backward f's saddles too.
@@ -1627,6 +1646,21 @@ class TestSigns:
                 _orientation(basis, np.array([[1.0, 0.5], [0.0, det]]), "a->b")
 
 
+def record_lanes(monkeypatch) -> list:
+    """Patch `land_lanes` to log (seed, sense, trap, outcome) of every lane; returns the log."""
+    land = _Analysis.land_lanes
+    seen = []
+
+    def recording_land(self, seeds, trap=False, senses=None):
+        out = land(self, seeds, trap, senses)
+        traps = np.broadcast_to(trap, len(seeds)).tolist()
+        seen.extend(zip(seeds, [1.0] * len(seeds) if senses is None else senses, traps, out))
+        return out
+
+    monkeypatch.setattr(_Analysis, "land_lanes", recording_land)
+    return seen
+
+
 def third_derivative_bound(f: TrigPolynomial) -> float:
     """Sum of (|cos| + |sin|) (2 pi |k|)^3 over the terms, from the exact coefficients."""
     return sum(
@@ -1648,23 +1682,15 @@ class TestTrapping:
         # and any arc midpoints, gets the rest point and offset, or the
         # error, that a lane running on to `landing_radius` at the recorded
         # lanes' step_tol/1500 gets.
-        land = _Analysis.land_lanes
-        seen = []
-
-        def recording_land(self, seeds, trap=False, senses=None):
-            out = land(self, seeds, trap, senses)
-            traps = np.broadcast_to(trap, len(seeds))
-            seen.extend((seed, got) for seed, got, t in zip(seeds, out, traps) if t)
-            return out
-
-        monkeypatch.setattr(_Analysis, "land_lanes", recording_land)
+        lanes = record_lanes(monkeypatch)
         analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
         maxima = [a for a in analysis.points if a.index == 2]
         for a in maxima:
             analysis.partition(a)
+        seen = [(seed, got) for seed, _, trap, got in lanes if trap]
         assert len(seen) >= samples * len(maxima)
         seeds = [seed for seed, _ in seen]
-        full = analysis.land_lanes(seeds)
+        full = running_on(analysis).land_lanes(seeds)
 
         def rest(got):
             return comparable(got) if isinstance(got, Exception) else (got.point, got.offset)
@@ -1721,8 +1747,9 @@ class TestTrapping:
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_a_seed_inside_a_ball_stops_at_its_seed(self, f):
         # Near the rim and deep inside, on the sink's own lift and on
-        # another: the trapping lane stops before its first step, with the
-        # rest point and offset of a lane that runs on to `landing_radius`.
+        # another: a trapping lane and a recorded one both stop before their
+        # first step, with the rest point and offset of a lane that runs on
+        # to `landing_radius`.
         analysis = _Analysis(f, NumericalConfig())
         seeds = []
         for i, c in enumerate(analysis.points):
@@ -1731,10 +1758,14 @@ class TestTrapping:
                     u = np.array([math.cos(1.0 + 2.0 * k), math.sin(1.0 + 2.0 * k)])
                     seeds += [np.array(c.position) + r * u + lift for lift in ([0, 0], [1, -1])]
         trapped = analysis.land_lanes(seeds, trap=True)
-        assert [stop.state.tobytes() for stop in trapped] == [seed.tobytes() for seed in seeds]
-        for stop, got in zip(trapped, analysis.land_lanes(seeds)):
+        stopped = analysis.land_lanes(seeds)
+        for lanes in (trapped, stopped):
+            assert [stop.state.tobytes() for stop in lanes] == [seed.tobytes() for seed in seeds]
+        run_on = running_on(analysis).land_lanes(seeds)
+        for stop, lane, got, seed in zip(trapped, stopped, run_on, seeds):
             assert stop.trajectory is None and len(got.trajectory) > 1
-            assert (stop.point, stop.offset) == (got.point, got.offset)
+            assert lane.trajectory == ((0.0, tuple(seed.tolist())),)
+            assert (stop.point, stop.offset) == (lane.point, lane.offset) == (got.point, got.offset)
         assert {stop.offset for stop in trapped} == {(0, 0), (1, -1)}
 
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
@@ -1788,7 +1819,8 @@ class TestTrapping:
     def test_trapped_lane_lands_where_full_landing_runs_out(self):
         # A step budget or flow time that ends just as a trapping lane
         # enters the ball, read off its scalar twin at step_tol/15: the
-        # classification lane lands, the full landing fails.
+        # classification lane lands, a lane that runs on to
+        # `landing_radius` fails.
         f = lane_functions()[1]
         analysis = _Analysis(f, NumericalConfig())
         top = analysis.points[0]
@@ -1805,7 +1837,7 @@ class TestTrapping:
         ):
             limited = _Analysis(f, NumericalConfig(**limits), analysis.points)
             assert limited._classify_angles(top, [theta]) == [(stop.point.id, stop.offset)]
-            (full,) = limited.land_lanes([seed])
+            (full,) = running_on(limited).land_lanes([seed])
             assert isinstance(full, IntegrationFailureError) and message in str(full)
 
     @pytest.mark.parametrize("miss", [0.5, 0.999, 1.001, 2.0])
@@ -1848,6 +1880,107 @@ class TestTrapping:
             build_flow_category(f, cfg)
 
 
+def separatrix_landings(monkeypatch, analysis):
+    """(seed, sense, landing) of every recorded lane of `analysis`'s separatrix run."""
+    lanes = record_lanes(monkeypatch)
+    analysis.rigid_flows()
+    monkeypatch.undo()
+    return [(seed, sense, got) for seed, sense, trap, got in lanes if not trap]
+
+
+def minus_f_ball(f: TrigPolynomial, c: CriticalPoint) -> float:
+    """The certificate ball of -f around a maximum c, from its own eigenvalues and bounds."""
+    m2 = _derivative_bounds(_Compiled(f))[0]
+    lam = float(np.linalg.eigvalsh(eval_grad_hess(f, c.position)[2])[-1])
+    return (-lam - 1e-9 * m2) / third_derivative_bound(f)
+
+
+class TestStops:
+    # A lane of sense sigma stops at its first step point in the ball of a
+    # sink of sigma f: a forward lane in its sink's certificate ball, a
+    # backward one in the ball of -f around a maximum, capped at
+    # `sphere_radius`.
+
+    @pytest.mark.parametrize(
+        "f",
+        [circle_function(), torus_function()] + [perturbed_torus(s) for s in range(6)],
+        ids=["circle", "torus"] + [f"perturbed-{s}" for s in range(6)],
+    )
+    def test_a_recorded_lane_stops_at_its_first_point_in_a_ball(self, monkeypatch, f):
+        analysis = _Analysis(f, NumericalConfig(), samples=False)
+        cfg = analysis.cfg
+        seen = separatrix_landings(monkeypatch, analysis)
+        assert {sense for _, sense, _ in seen} == ({1.0} if f.dimension == 1 else {1.0, -1.0})
+        for _, sense, got in seen:
+            i = analysis.points.index(got.point)
+            assert got.point.index == (0 if sense > 0 else 2)
+            radii = analysis.trap_radius if sense > 0 else analysis.back_radius
+            if sense < 0:
+                ball = min(minus_f_ball(f, got.point), cfg.sphere_radius)
+                assert radii[i] == pytest.approx(ball, rel=1e-12)
+            path = np.array([x for _, x in got.trajectory])
+            dist = _wrap(path[:, None] - analysis.centres)[1]
+            assert got.state.tobytes() == path[-1].tobytes()
+            assert cfg.landing_radius < dist[-1, i] <= radii[i]
+            assert not (dist[:-1] <= np.maximum(radii, cfg.landing_radius)).any()
+            assert got.offset == tuple(np.rint(path[-1] - got.point.position).astype(int))
+
+    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
+    def test_a_backward_lane_has_its_scalar_twin_s_bits(self, f):
+        # Up to its stop, the first point inside the departure sphere, a
+        # stable separatrix followed backward has every bit of the scalar
+        # twin of -f stopped in the same balls.
+        analysis = _Analysis(f, NumericalConfig())
+        minus_f = minus(analysis).f
+        saddles = [p for p in analysis.points if p.index == 1]
+        seeds = [
+            analysis.seed(s, side * analysis.stable_frames[s.id][:, 0])
+            for s in saddles
+            for side in (1, -1)
+        ]
+        backward = analysis.land_lanes(seeds, senses=[-1.0] * len(seeds))
+        for seed, got in zip(seeds, backward):
+            twin = scalar_flow(
+                minus_f, analysis.cfg, analysis.points, seed, radii=analysis.back_radius
+            )
+            assert recorded(got) == twin
+            assert torus_distance(got.state, got.point.position) <= analysis.cfg.sphere_radius
+
+    def test_a_sphere_wider_than_the_ball_of_minus_f_stops_in_the_ball(self, monkeypatch):
+        # At `sphere_radius` 0.1 the torus's maximum has a ball of -f of
+        # radius 1/(4 pi) = 0.080 less the slack, inside its sphere, and
+        # `perturbed_torus(1)`'s maximum one of 0.040, so a backward lane
+        # runs on past the sphere into the ball (the torus's lanes take one
+        # step into both).  Its path up to the sphere is
+        # that of a lane that runs on to `landing_radius`, so the flows out
+        # of the maxima keep every bit, and the category is the one at the
+        # default radius.
+        cfg = NumericalConfig(sphere_radius=0.1)
+        torus = _Analysis(torus_function(), cfg)
+        assert torus.points[0].id == "p2.0"
+        assert torus.back_radius[0] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-6)
+        past = 0
+        for f in (torus_function(), perturbed_torus(1)):
+            analysis = _Analysis(f, cfg)
+            maxima = [p for p in analysis.points if p.index == 2]
+            seen = separatrix_landings(monkeypatch, analysis)
+            backward = [got for _, sense, got in seen if sense < 0]
+            assert len(backward) == 2 * sum(p.index == 1 for p in analysis.points)
+            for got in backward:
+                ball = analysis.back_radius[analysis.points.index(got.point)]
+                assert ball == pytest.approx(minus_f_ball(f, got.point), rel=1e-12)
+                assert ball < cfg.sphere_radius
+                dist = _wrap(np.array([x for _, x in got.trajectory]) - got.point.position)[1]
+                assert dist[-1] <= ball < dist[-2]
+                past += dist[-2] <= cfg.sphere_radius
+            run_on = _Analysis(f, cfg)
+            run_on.back_radius = np.full_like(analysis.back_radius, -np.inf)
+            for a in maxima:
+                assert analysis.max_flows(a) == run_on.max_flows(a)
+            assert build_flow_category(f, cfg) == build_flow_category(f)
+        assert past > 0
+
+
 def circle_flow(x0: float, t: float) -> float:
     """The negative gradient flow of cos(2 pi x): tan(pi x) grows as e^(4 pi^2 t)."""
     return math.atan(math.tan(math.pi * x0) * math.exp(4 * math.pi**2 * t)) / math.pi
@@ -1857,10 +1990,13 @@ class TestTaylorStep:
     @pytest.mark.parametrize("step_tol, within", [(1e-8, True)], ids=["default"])
     def test_circle_lane_follows_the_closed_form(self, step_tol, within):
         # Step-doubling RK4 stayed within 1.63e-8 of the closed form here.
+        # The lane is its scalar twin's: 8 points, the last the first in the
+        # sink's ball.
         analysis = _Analysis(circle_function(), NumericalConfig(step_tol=step_tol))
         x0 = 1e-3
         (got,) = analysis.land_lanes([[x0]])
-        assert got.point.index == 0 and len(got.trajectory) > 10
+        assert got.point.index == 0 and len(got.trajectory) == 8
+        assert recorded(got) == oracle(analysis, [x0])
         worst = max(abs(x[0] - circle_flow(x0, t)) for t, x in got.trajectory)
         assert (worst <= 5e-8) == within, worst
 
@@ -2001,18 +2137,33 @@ class TestBuildFlowCategory:
         # Every Morse function on T^2 has homology Z, Z^2, Z, so a build
         # that gives anything else, or that fails either validator, is
         # wrong; a refusal must be typed.  The functions are those of the
-        # random part of tools/outcome_corpus.py, with 2 to 4 terms.
+        # random part of tools/outcome_corpus.py, with 2 to 4 terms.  The
+        # swap of the axes is an isometry of the torus and 2f has f's flow
+        # at twice the speed, so each gives f's outcome kind.
         try:
             f = TrigPolynomial(
                 2, tuple(TrigTerm(k, Fraction(c, 10), Fraction(s, 10)) for k, c, s in terms)
             )
-            cat, ori = build_flow_category(f, NumericalConfig(grid_resolution=48))
         except MorseflowError:
             return
-        assert validate_morse_smale(cat).passed
-        assert check_orientation_coherence(cat, ori).passed
-        groups = all_homology(floer_complex(cat, ori).complex, CoefficientRing.integers())
-        assert [str(g) for g in groups] == ["Z", "Z^2", "Z"]
+        doubled = TrigPolynomial(
+            2, tuple(TrigTerm(t.frequency, 2 * t.cos_coeff, 2 * t.sin_coeff) for t in f.terms)
+        )
+
+        def outcome(g: TrigPolynomial) -> str:
+            try:
+                cat, ori = build_flow_category(g, NumericalConfig(grid_resolution=48))
+            except MorseflowError as exc:
+                return type(exc).__name__
+            assert validate_morse_smale(cat).passed
+            assert check_orientation_coherence(cat, ori).passed
+            groups = all_homology(floer_complex(cat, ori).complex, CoefficientRing.integers())
+            assert [str(h) for h in groups] == ["Z", "Z^2", "Z"]
+            return "built"
+
+        kind = outcome(f)
+        assert outcome(pullback(f, [[0, 1], [1, 0]])) == kind
+        assert outcome(doubled) == kind
 
 
 class TestExports:

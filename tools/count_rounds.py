@@ -31,6 +31,10 @@ the flow category and prints, per build:
   that does not trap still runs, those of a run of the recorded lanes
   alone (each lane takes one step attempt per iteration, so it leaves a
   run at the same iteration in any batch), made outside the other counts.
+  A recorded lane stops at its first point in the ball of a sink of its
+  flow: a forward one in its sink's certificate ball, a backward one
+  inside the departure sphere it crosses.  Where `recorded` is below
+  `iters`, a check lane sets the length of the run.
 
 A second table counts the critical-point search of each build, and of the
 cosine sum on T^3, from the evaluator calls made inside

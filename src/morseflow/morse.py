@@ -68,6 +68,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as _einsum  # np.einsum without its wrapper (_Compiled)
 
 from .coeff import _json_integer, _parse_rational
 from .errors import (
@@ -213,7 +214,7 @@ class _Compiled:
         wave = TWO_PI * self.freqs
         velocity = np.stack((-self.sin[:, None] * wave, self.cos[:, None] * wave))
         self.jet_table = np.concatenate(
-            (velocity, np.einsum("ktj,uj->ktu", velocity, wave)), axis=2
+            (velocity, _einsum("ktj,uj->ktu", velocity, wave)), axis=2
         )
         self.value_table = np.zeros((2, len(wave), 2))
         self.value_table[:, :, 0] = (self.cos, self.sin)
@@ -223,10 +224,16 @@ class _Compiled:
     # another summation order), while einsum treats every row alike.  With
     # the rows on its inner loop and a kept axis longer than one (the
     # tables' columns, or cos and sin in the sums over j of `_taylor_jet`),
-    # an einsum adds each sum from 0.0, one term after another.
+    # an einsum adds each sum from 0.0, one term after another.  Every call
+    # goes to numpy's einsum kernel, `_einsum`, itself: np.einsum with
+    # optimize=False, its default, hands its arguments to that kernel and
+    # returns what it gives, so the bits are the same.  Only the
+    # array-function dispatch and the Python body are skipped: about 1 us
+    # a call, against 1.5 us in the kernel for the rates of 4 rows of a
+    # jet and 3.7 us for 150.
 
     def _phases(self, x: np.ndarray) -> np.ndarray:
-        return TWO_PI * np.einsum("pj,tj->pt", np.ascontiguousarray(x), self.freqs)
+        return TWO_PI * _einsum("pj,tj->pt", np.ascontiguousarray(x), self.freqs)
 
     def value_batch(self, x: np.ndarray) -> np.ndarray:
         ph = self._phases(x)
@@ -246,17 +253,17 @@ class _Compiled:
 
     def value_of(self, cs: np.ndarray) -> np.ndarray:
         """Values from `trig_batch`: the cos terms, then the sin terms, added in order."""
-        return np.einsum("ktl,ktu->ul", cs, self.value_table)[0]
+        return _einsum("ktl,ktu->ul", cs, self.value_table)[0]
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
         ph = self._phases(x)
         w = TWO_PI * (np.cos(ph) * self.sin - np.sin(ph) * self.cos)
-        return np.einsum("pt,tj->pj", w, self.freqs)
+        return _einsum("pt,tj->pj", w, self.freqs)
 
     def hess_batch(self, x: np.ndarray) -> np.ndarray:
         ph = self._phases(x)
         w = -TWO_PI * TWO_PI * (np.cos(ph) * self.cos + np.sin(ph) * self.sin)
-        return np.einsum("pt,ti,tj->pij", w, self.freqs, self.freqs)
+        return _einsum("pt,ti,tj->pij", w, self.freqs, self.freqs)
 
 
 def eval_grad_hess(f: TrigPolynomial, x: Sequence[float]):
@@ -713,11 +720,16 @@ def _distances_from(xs: np.ndarray, i: int) -> np.ndarray:
 
 # The order of every Taylor step: over the torus and the 25 perturbed tori
 # at the default `step_tol`, orders 18 to 22 build in about the same time
-# (0.27-0.28 s CPU for all 26, best of 3, shared 2-core x86 machine), with
-# 422 to 349 lockstep iterations, 381 at 20 (`tools/count_rounds.py`).
-# `_crossing` cuts a bracket into `_CROSSING_PARTS` parts per round.
+# (0.19-0.20 s CPU for all 26, best of 6 alternating processes of 3 passes,
+# shared 2-core x86 machine), with 422 to 349 lockstep iterations, 381 at
+# 20 (`tools/count_rounds.py`).  `_crossing` cuts a bracket into
+# `_CROSSING_PARTS` parts per round.
 _TAYLOR_ORDER = 20
 _CROSSING_PARTS = 16
+# The divisors of `_taylor_jet` up to that order, made once: n + 1 for
+# x_{n+1}, and -(n + 1), n + 1 for C_{n+1}, S_{n+1}.
+_JET_DIVISORS = np.arange(1.0, _TAYLOR_ORDER + 1.0)[:, None, None]
+_JET_ROTATE = _JET_DIVISORS[:, None] * np.array([-1.0, 1.0])[:, None, None]
 
 
 def _taylor_jet(comp: _Compiled, cs: np.ndarray, sense: np.ndarray, order: int) -> np.ndarray:
@@ -743,7 +755,8 @@ def _taylor_jet(comp: _Compiled, cs: np.ndarray, sense: np.ndarray, order: int) 
     another, as the same sums in plain floats do, so a row has the same
     bits in any batch.  Each order's sums over j go straight into the slot
     of the next order, through a view that swaps C and S, and are divided
-    there.  Returns an array (order, rows, n), x_{j+1} at index j.
+    there by `_JET_ROTATE`, so `order` is at most `_TAYLOR_ORDER`.
+    Returns an array (order, rows, n), x_{j+1} at index j.
     """
     terms, rows = cs.shape[1:]
     n_x = comp.n
@@ -751,14 +764,13 @@ def _taylor_jet(comp: _Compiled, cs: np.ndarray, sense: np.ndarray, order: int) 
     w = np.empty((order, n_x + terms, rows))  # (n+1) x_{n+1} and D_{n+1} at n
     d = w[:, n_x:]
     e[-1] = cs
-    rotate = np.arange(1.0, order)[:, None, None, None] * np.array([-1.0, 1.0])[:, None, None]
     for n in range(order):
         top = order - 1 - n
-        np.einsum("ktl,ktu->ul", e[top], comp.jet_table, out=w[n])
+        _einsum("ktl,ktu->ul", e[top], comp.jet_table, out=w[n])
         if n + 1 < order:
-            np.einsum("jtl,jktl->ktl", d[: n + 1], e[top:], out=e[top - 1][::-1])
-            e[top - 1] /= rotate[n]
-    jet = w[:, :n_x] / np.arange(1.0, order + 1.0)[:, None, None]
+            _einsum("jtl,jktl->ktl", d[: n + 1], e[top:], out=e[top - 1][::-1])
+            e[top - 1] /= _JET_ROTATE[n]
+    jet = w[:, :n_x] / _JET_DIVISORS[:order]
     jet[::2] *= sense  # the odd orders; sense**j is 1 at the even ones
     return jet.transpose(0, 2, 1)
 

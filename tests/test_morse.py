@@ -1,9 +1,11 @@
 """Numerical Morse data: critical points, flow lines, one-dimensional families."""
 
 import functools
+import inspect
 import json
 import math
 import random
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -293,6 +295,54 @@ class TestEvaluation:
         fortran = np.asfortranarray(x)
         for evaluate in (comp.trig_batch, comp.value_batch, comp.grad_batch, comp.hess_batch):
             assert evaluate(fortran).tobytes() == evaluate(x).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 4, 72, 150])
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4, 5])
+    def test_the_einsum_kernel_has_the_bits_of_np_einsum(self, terms, rows):
+        # `morse` calls numpy's einsum kernel itself, which np.einsum with
+        # optimize=False only forwards to.  Each subscript string of the
+        # package gets operands of the shapes it contracts there, with
+        # magnitudes far apart so that another summation order shows, and
+        # `out=` fresh or the view the jet writes through: a slot of its
+        # rates, or the reversed slot that swaps C and S.
+        rng = np.random.default_rng(100 * terms + rows)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+        source = inspect.getsource(morse)
+        assert "np.einsum(" not in source
+        used = set(re.findall(r'_einsum\(\s*"([^"]+)"', source))
+        for n in (1, 2, 3):
+            cases = {
+                "ktj,uj->ktu": (draw(2, terms, n), draw(terms, n)),
+                "pj,tj->pt": (draw(rows, n), draw(terms, n)),
+                "ktl,ktu->ul": (draw(2, terms, rows), draw(2, terms, n + terms)),
+                "pt,tj->pj": (draw(rows, terms), draw(terms, n)),
+                "pt,ti,tj->pij": (draw(rows, terms), draw(terms, n), draw(terms, n)),
+            }
+            for subscripts, operands in cases.items():
+                want = np.einsum(subscripts, *operands)
+                assert morse._einsum(subscripts, *operands).tobytes() == want.tobytes()
+                got = np.empty_like(want)
+                assert morse._einsum(subscripts, *operands, out=got) is got
+                assert got.tobytes() == want.tobytes()
+            # A jet's rates go into slot n of its table, one order at a time.
+            cs, table = cases["ktl,ktu->ul"]
+            w = [np.zeros((3, n + terms, rows)) for _ in range(2)]
+            np.einsum("ktl,ktu->ul", cs, table, out=w[0][1])
+            morse._einsum("ktl,ktu->ul", cs, table, out=w[1][1])
+            assert w[0].tobytes() == w[1].tobytes()
+            # The sums over j, of 1 to 5 terms and of 20.
+            for length in (1, 2, 3, 4, 5, 20):
+                d = draw(length, terms, rows)
+                e = draw(length + 1, 2, terms, rows)
+                ends = [e.copy(), e.copy()]
+                np.einsum("jtl,jktl->ktl", d, e[1:], out=ends[0][0][::-1])
+                morse._einsum("jtl,jktl->ktl", d, e[1:], out=ends[1][0][::-1])
+                assert ends[0].tobytes() == ends[1].tobytes()
+                assert not np.array_equal(ends[0], e)
+        assert set(cases) | {"jtl,jktl->ktl"} == used
 
 
 class TestNumericalConfig:
@@ -2019,7 +2069,7 @@ class TestTaylorStep:
         jet = _taylor_jet(comp, cs, np.ones(1), morse._TAYLOR_ORDER)
         assert abs(_horner(jet, x, np.array([[0.01]]))[0, 0] - circle_flow(x0, 0.01)) <= 1e-15
 
-    @pytest.mark.parametrize("rows", [1, 4, 72])
+    @pytest.mark.parametrize("rows", [1, 4, 72, 150])
     @pytest.mark.parametrize("sense", [1.0, -1.0])
     @pytest.mark.parametrize(
         "f",
@@ -2034,7 +2084,7 @@ class TestTaylorStep:
         # x_j -0.0 where the twin of -f has 0.0 (at a critical point), so
         # that sense compares with zeros made positive: adding 0.0 changes
         # no other value.
-        x = np.vstack([[0.0, 0.0], [0.25, 0.5], np.random.default_rng(5).random((70, 2))])
+        x = np.vstack([[0.0, 0.0], [0.25, 0.5], np.random.default_rng(5).random((148, 2))])
         x = x[:rows, : f.dimension]
         comp = _Compiled(f)
         order = morse._TAYLOR_ORDER

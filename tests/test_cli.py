@@ -14,12 +14,14 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_realization import grid_surface
 
 from morseflow import NumericalConfig, bank
-from morseflow.cli import CONFIG_ENV, _build_parser, main
+from morseflow.cli import CONFIG_ENV, _build_parser, _report_text, main
 from morseflow.morse import _Analysis
 
 
@@ -681,6 +683,134 @@ class TestProcess:
             assert done.returncode == code, done.stderr
             report = json.loads(done.stdout)
             assert report["status"] == status and report["command"] == argv[0]
+
+
+# -- the report writer ------------------------------------------------------
+
+
+def stdlib_text(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((float("nan"), float("inf"), float("-inf"), -0.0, 0.0)),
+    st.text(),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7fé  \ud800\U0001f600 a'),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=6),
+        # Homogeneous lists take the writer's one-join path.
+        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=8),
+        st.lists(st.text(), min_size=1, max_size=8),
+    ),
+    max_leaves=40,
+)
+ANY_KEYS = st.one_of(
+    st.text(max_size=3),
+    st.integers(-5, 5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+
+
+def outcome(write, value):
+    """What `write(value)` returns, or the type and message of what it raises."""
+    try:
+        return write(value)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
+class TestReportText:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_same_text_as_the_stdlib(self, value):
+        assert _report_text(value) == stdlib_text(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(ANY_KEYS, JSON_SCALARS, max_size=5))
+    def test_mixed_keys_convert_or_raise_as_in_the_stdlib(self, value):
+        # An unorderable mix, such as a str key beside an int key, raises in
+        # the sort; an orderable one converts int, float, bool and None keys.
+        assert outcome(_report_text, {"k": [value]}) == outcome(stdlib_text, {"k": [value]})
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": 1, 2: "b"},
+            {True: 1, None: 2},
+            {1.5: "x", 2: "y", False: "z"},
+            {float("nan"): 0, 0.25: 1},
+            {(1, 2): "tuple key"},
+            {"rows": [[1, 2], [3, object()]]},
+            {"x": {1, 2}},
+            [b"bytes"],
+            [np.int64(1)],
+            {"n": np.int64(1)},
+            {np.int64(1): "numpy key"},
+            [np.float64(0.1), np.bool_(True)],
+            [1, True, 2],
+            {"c": "é", "b": ["☃", "x"], "a": {}},
+            ([], {}, ()),
+        ],
+    )
+    def test_odd_values_match_the_stdlib(self, value):
+        assert outcome(_report_text, value) == outcome(stdlib_text, value)
+
+
+def reencoded(text):
+    return stdlib_text(json.loads(text)) + "\n"
+
+
+class TestReportBytes:
+    # Every report, and every file `examples` writes, has the bytes
+    # `json.dumps(..., sort_keys=True, indent=2)` gives for its content.
+    def test_reports_have_the_stdlib_layout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cat, orientation = bank.example_category("torus")
+        category = write_json(tmp_path / "torus.category.json", cat.to_json(orientation))
+        surface = write_json(tmp_path / "torus6.json", grid_surface(6).to_json())
+        filtered = write_json(tmp_path / "filtered.json", FILTERED_COMPLEX)
+        Path("bad.json").write_text("{not json")
+        Path("fé.json").write_text('{"dim": 1}')
+        calls = [
+            ["crit", "--example", "torus"],
+            *(
+                ["homology", "--example", name, "--ring", ring]
+                for name in ("torus", "klein")
+                for ring in ("z", "zmod:2", "zmod:6", "q", "laurent:2:1")
+            ),
+            ["validate", "--category", category],
+            ["strata", "--example", "torus", "M", "m"],
+            ["orbits", "--example", "circle"],
+            ["realize", "--complex", surface],
+            ["realize", "--complex", filtered],
+            ["examples", "--name", "torus", "--out", "out"],
+            ["crit", "--function", "bad.json"],
+            ["homology", "--example", "torus", "--ring", "w"],
+            ["homology", "--example", "nope"],
+            ["crit", "--function", "fé.json"],
+        ]
+        codes = []
+        for argv in calls:
+            codes.append(main(argv))
+            out = capsys.readouterr().out
+            assert out == reencoded(out), argv
+        assert codes == [0] * (len(calls) - 4) + [1] * 4
+        written = sorted(Path("out").iterdir())
+        assert [p.name for p in written] == ["torus.category.json", "torus.function.json"]
+        for path in written:
+            text = path.read_text()
+            assert text == reencoded(text), path
 
 
 # -- fuzzing ----------------------------------------------------------------

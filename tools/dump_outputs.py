@@ -1,7 +1,8 @@
 """Dump every user-visible output of one source tree, for a byte-level diff.
 
 Runs the CLI in-process on every example name, writes each report (exit
-code and stdout) and every file the CLI writes under OUT/cli, and writes the
+code and stdout) and every file the CLI writes under OUT/cli, with the
+error reports of the malformed inputs in MALFORMED_CALLS, and writes the
 full category JSON with signs for the first N perturbed tori under
 OUT/perturbed, and the same with `reverse_orientation` under
 OUT/perturbed-reversed, which flips the unstable frames that signs and
@@ -104,6 +105,21 @@ REALIZE_CASES = {
     "component-shape": {**_LEVELS, "components": {**_ADJACENT, "2,0": [[1], [1]]}},
     "no-ring-key": {**_LEVELS, "components": {**_ADJACENT, "3,0": [[5]]}},
 }
+# Inputs the CLI refuses with exit 1 and an error report.  The function
+# file's non-ASCII name is a key of the report's `inputs`, written escaped.
+MALFORMED_FILES = {
+    "bad.json": "{not json",
+    "nan.config.json": '{"grid_resolution": NaN}',
+    "fonction-\u00e9t\u00e9.json": '{"dim": 1, "terms": 3}',
+}
+MALFORMED_CALLS = {
+    "bad-json": ["crit", "--function", "bad.json"],
+    "bad-json-category": ["validate", "--category", "bad.json"],
+    "unknown-ring": ["homology", "--example", "torus", "--ring", "w"],
+    "unknown-example": ["validate", "--example", "nope"],
+    "nan-config": ["orbits", "--example", "torus", "--config", "nan.config.json"],
+    "non-ascii-function": ["crit", "--function", "fonction-\u00e9t\u00e9.json"],
+}
 # Terms added to cos 2 pi x + cos 2 pi y + cos 2 pi z for the perturbed T^3
 # function; its eight critical points keep their indices.
 THREE_TORUS_EXTRA = (
@@ -178,6 +194,10 @@ def dump_cli(out: Path, names: list[str]) -> None:
                 _run(out, f"{stem}.validate-function", ["validate", "--function", fn_file])
             if Path(cat_file).exists():
                 _run(out, f"{stem}.validate-category", ["validate", "--category", cat_file])
+        for name, text in MALFORMED_FILES.items():
+            Path(name).write_text(text, encoding="utf-8")
+        for label, argv in MALFORMED_CALLS.items():
+            _run(out, f"malformed.{label}", argv)
     finally:
         os.chdir(cwd)
 

@@ -193,11 +193,13 @@ class _Compiled:
 
     `value_batch`, `grad_batch` and `hess_batch` take points as rows; the
     lanes instead read values and Taylor series (`value_of`, `_taylor_jet`)
-    off `trig_batch`, which puts the rows last.  Every evaluator gives each
-    row the same bits whatever else is in the batch and whatever its memory
-    layout (`_phases` reads the points row-major: on T^3 einsum adds the
-    coordinates of a column-major row in another order), so a lane of the
-    integrator does not depend on which other lanes are still running.
+    off `trig_batch`, which puts the rows last; the critical-point search
+    takes gradients at exact fractions (`grad_at`, `grad_of_numerators`).
+    Every evaluator gives each row the same bits whatever else is in the
+    batch and whatever its memory layout (`_phases` reads the points
+    row-major: on T^3 einsum adds the coordinates of a column-major row in
+    another order), so a lane of the integrator does not depend on which
+    other lanes are still running.
     """
 
     def __init__(self, f: TrigPolynomial):
@@ -258,6 +260,49 @@ class _Compiled:
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
         ph = self._phases(x)
         w = TWO_PI * (np.cos(ph) * self.sin - np.sin(ph) * self.cos)
+        return _einsum("pt,tj->pj", w, self.freqs)
+
+    def grad_at(self, num: np.ndarray, den: int) -> np.ndarray:
+        """grad f at the rows of num / den, for integer rows `num`: the search's evaluator.
+
+        Term t has the phase 2 pi m / den there, m = k_t . num an integer,
+        so `grad_of_numerators` takes cos and sin once per integer, not once
+        per row and term.
+        """
+        return self.grad_of_numerators(
+            _einsum("tj,pj->tp", self.freqs, np.asarray(num, dtype=float)), den
+        )
+
+    def grad_of_numerators(self, m: np.ndarray, den: int) -> np.ndarray:
+        """grad f at the points where term t has phase 2 pi m[t] / den, one column of `m` a point.
+
+        `m` holds integers (as floats).  The rates 2 pi (cos s_t - sin c_t)
+        of the terms are tabulated over the range of m and gathered, in
+        `grad_batch`'s layout, into its sum over the terms.  Where the
+        points and their products with the frequencies are exact in floats
+        (den a power of two), the phases, and so the bits, are those of
+        `grad_batch` at the points; elsewhere each phase is rounded once
+        from the exact fraction m / den.  A range longer than the points
+        would cost more than it saves, so then the phases are taken point
+        by point, with the same bits.
+        """
+        # The einsum's bits depend on the layout, so the rates `w` are laid
+        # out as in `grad_batch`, one row a point.
+        terms, rows = m.shape
+        lo, hi = (m.min(), m.max()) if rows else (0.0, 0.0)
+        if hi - lo < rows:
+            # Entry (t, v - lo) of the table is term t's rate at v; v - lo
+            # is exact, as is lo + (v - lo) wherever v is.
+            ph = TWO_PI * ((lo + np.arange(hi - lo + 1.0)) / den)
+            table = TWO_PI * (np.cos(ph) * self.sin[:, None] - np.sin(ph) * self.cos[:, None])
+            w = np.empty((rows, terms))
+            at = np.empty(rows, dtype=np.intp)
+            for t, rates in enumerate(table):
+                np.subtract(m[t], lo, out=at, casting="unsafe")
+                w[:, t] = rates.take(at)
+        else:
+            ph = TWO_PI * (np.ascontiguousarray(m.T) / den)
+            w = TWO_PI * (np.cos(ph) * self.sin - np.sin(ph) * self.cos)
         return _einsum("pt,tj->pj", w, self.freqs)
 
     def hess_batch(self, x: np.ndarray) -> np.ndarray:
@@ -469,6 +514,27 @@ def _dedupe(pts: np.ndarray, gnorms: np.ndarray, radius: float) -> list[int]:
     return reps
 
 
+def _grid_numerators(comp: _Compiled, res: int):
+    """The phase numerators k_t . i of the grid points i, block by block.
+
+    Yields (the row-major index of the block's first point, its numerators
+    with one column per point, as for `_Compiled.grad_of_numerators`).
+    k_t . i is the sum over the axes of k_tj i_j, so each block is one
+    broadcast sum of the first axis's products with those of the others.
+    A block holds as many whole slices of the first axis as fit in
+    `_GRID_BLOCK` points, and at least one (below `_GRID_POINTS_MAX` one
+    always fits).
+    """
+    axes = [np.multiply.outer(comp.freqs[:, j], np.arange(res)) for j in range(comp.n)]
+    rest = np.zeros((len(comp.freqs), 1))
+    for products in reversed(axes[1:]):
+        rest = (products[:, :, None] + rest[:, None, :]).reshape(len(rest), -1)
+    step = max(1, _GRID_BLOCK // rest.shape[1])
+    for first in range(0, res, step):
+        block = axes[0][:, first : first + step, None] + rest[:, None, :]
+        yield first * rest.shape[1], block.reshape(len(rest), -1)
+
+
 def _derivative_bounds(comp: _Compiled) -> tuple[float, float]:
     """Bounds M2 on the norm of Hess f and M3 on its third derivative, over the whole torus.
 
@@ -496,7 +562,10 @@ def find_critical_points(
     of the other cubes, the live cells.  The certificate then covers every
     live cell by the ball of a found point p of radius mu_p / M3, mu_p its
     smallest |Hessian eigenvalue|, which holds no other critical point;
-    cells that neither test settles are split (`_certify`).
+    cells that neither test settles are split (`_certify`).  The grid's
+    gradients come from the integer phase numerators k_t . i of its points
+    (`_grid_numerators`, `_Compiled.grad_of_numerators`), so no float grid
+    is built: only the live cells become coordinates, for Newton.
 
     Raises InputError when the grid would hold more than `_GRID_POINTS_MAX`
     points, NotMorseError when a converged point has a near-singular second
@@ -513,15 +582,14 @@ def find_critical_points(
             f"grid_resolution {res} gives {res}^{n} seed points, above the "
             f"ceiling {_GRID_POINTS_MAX}"
         )
-    axes = [np.arange(res) / res] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     m2, m3 = _derivative_bounds(comp)
     rho = _half_diagonal(n, 0.5 / res)
     live = [
-        _live(comp.grad_batch(grid[i : i + _GRID_BLOCK]), rho, m2)
-        for i in range(0, len(grid), _GRID_BLOCK)
+        np.flatnonzero(_live(comp.grad_of_numerators(m, res), rho, m2)) + start
+        for start, m in _grid_numerators(comp, res)
     ]
-    cells = grid[np.concatenate(live)]
+    seeds = np.stack(np.unravel_index(np.concatenate(live), (res,) * n), axis=1)
+    cells = seeds / res
     x = cells.copy()
     active = np.ones(len(x), dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
@@ -566,7 +634,7 @@ def find_critical_points(
             )
         enriched.append((pt, value, int(np.sum(e < 0.0)), tuple(e.tolist())))
 
-    _certify(comp, cells, 0.5 / res, xs, np.abs(eigs).min(axis=1), m2, m3)
+    _certify(comp, cells, 2 * seeds, 2 * res, xs, np.abs(eigs).min(axis=1), m2, m3)
     euler = sum((-1) ** e[2] for e in enriched)
     if euler != 0:
         raise EulerMismatchError(
@@ -600,17 +668,19 @@ def find_critical_points(
 # `_CELL_INFLATION`, far above the rounding of its centre (k / res, or a
 # split's centre, each within a few 2^-53 of its exact value per coordinate)
 # and of a distance or radius below 1, so the cubes of the computed centres
-# still cover the torus and the covering test errs on the safe side.
-# `_ROUNDING_SLACK` M2, some 4.5e6 ulps of M2, bounds the rounding of a
-# computed gradient and of a computed Hessian eigenvalue: the phase 2 pi k.x
-# is within a few ulps of 2 pi |k| sqrt(n), so a term of the gradient errs by
-# a few ulps of sqrt(n) (2 pi |k|)^2 |(c, s)| and one of the Hessian by a few
-# ulps of sqrt(n) (2 pi |k|)^3 |(c, s)|, which stays below the slack while
-# the number of terms times 2 pi max |k| stays below about 1e6.  A cube is
-# split at most `_CERT_DEPTH` times (the example bank needs at most 3 at
-# `grid_resolution` 24 or 32), and at most `_CERT_CELLS` cubes are examined
-# at one depth, so a grid far too coarse for the function's frequencies
-# raises instead of splitting on.
+# still cover the torus and the covering test errs on the safe side.  The
+# exclusion test takes its gradients at the exact centres, num / den with
+# integer rows num (`_Compiled.grad_at`), each phase rounded from an exact
+# fraction.  `_ROUNDING_SLACK` M2, some 4.5e6 ulps of M2, bounds the
+# rounding of a computed gradient and of a computed Hessian eigenvalue: the
+# phase 2 pi k.x is within a few ulps of 2 pi |k| sqrt(n), so a term of the
+# gradient errs by a few ulps of sqrt(n) (2 pi |k|)^2 |(c, s)| and one of
+# the Hessian by a few ulps of sqrt(n) (2 pi |k|)^3 |(c, s)|, which stays
+# below the slack while the number of terms times 2 pi max |k| stays below
+# about 1e6.  A cube is split at most `_CERT_DEPTH` times (the example bank
+# needs at most 3 at `grid_resolution` 24 or 32), and at most `_CERT_CELLS`
+# cubes are examined at one depth, so a grid far too coarse for the
+# function's frequencies raises instead of splitting on.
 _CELL_INFLATION = 1e-12
 _ROUNDING_SLACK = 1e-9
 _CERT_DEPTH = 5
@@ -623,9 +693,18 @@ def _half_diagonal(n: int, half: float) -> float:
 
 
 def _norms(g: np.ndarray) -> np.ndarray:
-    """The norm of each row of `g`; one past the float range is inf, with no warning."""
+    """The norm of each row of `g`; one past the float range is inf, with no warning.
+
+    The squares are added column by column, left to right, which is the
+    order, and so gives the bits, of np.linalg.norm(g, axis=1), at a
+    fraction of its cost on a few columns.
+    """
     with np.errstate(over="ignore"):
-        return np.linalg.norm(g, axis=1)
+        squares = g * g
+        total = squares[:, 0].copy()
+        for column in squares.T[1:]:
+            total += column
+        return np.sqrt(total)
 
 
 def _live(g: np.ndarray, rho: float, m2: float) -> np.ndarray:
@@ -642,7 +721,8 @@ def _live(g: np.ndarray, rho: float, m2: float) -> np.ndarray:
 def _certify(
     comp: _Compiled,
     cells: np.ndarray,
-    half: float,
+    num: np.ndarray,
+    den: int,
     xs: np.ndarray,
     mu: np.ndarray,
     m2: float,
@@ -650,8 +730,12 @@ def _certify(
 ) -> None:
     """Check that every critical point lies in the ball of a found point that holds no other.
 
-    `cells` are the centres of the live cubes of half-width `half`, the
-    others being excluded already (`_live`); `xs` are the found points and
+    `cells` are the centres of the live cubes of half-width 1 / den, the
+    others being excluded already (`_live`), and `num` their integer rows,
+    each centre being num / den.  The float centres serve the covering
+    test and the error message; the gradients that exclude a split cube
+    are taken at num / den (`_Compiled.grad_at`), the children of a cube
+    being 2 num +- 1 over 2 den.  `xs` are the found points and
     `mu` their smallest |Hessian eigenvalues|.  On the open ball B(p, r_p),
     r_p = (mu_p - slack) / M3, Hess f differs from Hess f(p) by less than
     the true mu_p in norm, so grad f is injective there and the ball holds
@@ -672,12 +756,16 @@ def _certify(
                 f"found points {tuple(xs[i].tolist())} and {tuple(xs[shared[0]].tolist())} "
                 "lie in one ball that holds at most one critical point"
             )
-    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=n)))
+    signs = np.array(list(itertools.product((-1, 1), repeat=n)))
+    corners = 0.5 * signs
     for depth in range(_CERT_DEPTH + 1):
+        half = 1.0 / den
         rho = _half_diagonal(n, half)
         if depth:
-            cells = cells[_live(comp.grad_batch(cells), rho, m2)]
-        cells = cells[~_covered(cells, rho, xs, radii)]
+            live = _live(comp.grad_at(num, den), rho, m2)
+            cells, num = cells[live], num[live]
+        keep = ~_covered(cells, rho, xs, radii)
+        cells, num = cells[keep], num[keep]
         if not len(cells):
             return
         if depth == _CERT_DEPTH or len(cells) << n > _CERT_CELLS:
@@ -687,7 +775,8 @@ def _certify(
                 "a critical point may be missing; raise grid_resolution"
             )
         cells = (cells[:, None] + half * corners).reshape(-1, n)
-        half = 0.5 * half
+        num = (2 * num[:, None] + signs).reshape(-1, n)
+        den = 2 * den
 
 
 def _ball_radius(mu: np.ndarray, m2: float, m3: float) -> np.ndarray:
@@ -899,11 +988,13 @@ _ANGLE_WRAP = 1e-12
 # candidate may keep, the radius within which two candidates are one point,
 # and the smallest |Hessian eigenvalue| of a nondegenerate point.  The seed
 # grid holds at most `_GRID_POINTS_MAX` points (1024 per axis on T^2, 101 on
-# T^3, against the default 32).  Its gradient pass takes several floats per
-# point and term, so it and the exclusion test run over `_GRID_BLOCK` rows
-# at a time, which bounds their memory by the block instead of the grid; a
-# default grid (at most 32^3 = 32,768 points) is one block.  Each row has the
-# same bits in any batch.
+# T^3, against the default 32).  No float grid is built, but its gradient
+# pass holds a few numbers per point and term (phase numerators, table
+# indices, gathered rates), so it and the exclusion test run over blocks of
+# at most `_GRID_BLOCK` points, whole slices of the first axis
+# (`_grid_numerators`), which bounds their memory by the block instead of
+# the grid; a default grid (at most 32^3 = 32,768 points) is one block.  Each
+# point has the same bits in any block.
 _GRID_POINTS_MAX = 1 << 20
 _GRID_BLOCK = 1 << 16
 _NEWTON_MAX_ITER = 80

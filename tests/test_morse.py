@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import itertools
 import json
 import math
 import random
@@ -74,8 +75,12 @@ from morseflow.morse import (
     _covered,
     _dedupe,
     _derivative_bounds,
+    _grid_numerators,
+    _half_diagonal,
     _horner,
     _Landing,
+    _live,
+    _norms,
     _orientation,
     _passes,
     _taylor_jet,
@@ -317,6 +322,7 @@ class TestEvaluation:
             cases = {
                 "ktj,uj->ktu": (draw(2, terms, n), draw(terms, n)),
                 "pj,tj->pt": (draw(rows, n), draw(terms, n)),
+                "tj,pj->tp": (draw(terms, n), draw(rows, n)),
                 "ktl,ktu->ul": (draw(2, terms, rows), draw(2, terms, n + terms)),
                 "pt,tj->pj": (draw(rows, terms), draw(terms, n)),
                 "pt,ti,tj->pij": (draw(rows, terms), draw(terms, n), draw(terms, n)),
@@ -575,8 +581,9 @@ class TestCertificate:
 
     def test_the_largest_seed_grid_is_searched_in_blocks(self):
         # 2^20 seed points, the ceiling, peaked at 216 MiB when their
-        # gradients were taken in one batch; in blocks the grid itself is
-        # most of the peak.
+        # gradients were taken in one batch, and at 32.0 MiB in blocks, the
+        # float grid being most of it.  With no float grid built it peaks at
+        # 6.8 MiB, the block's numerators, rates and gradients.
         tracemalloc.start()
         try:
             pts = find_critical_points(perturbed_torus(0), NumericalConfig(grid_resolution=1024))
@@ -584,7 +591,7 @@ class TestCertificate:
         finally:
             tracemalloc.stop()
         assert len(pts) == 4
-        assert peak < 64 << 20
+        assert peak < 24 << 20
 
     def test_passes_over_many_found_points_take_one_at_a_time(self):
         # 1,600 found points: dedupe, the one-ball check and the coverage
@@ -617,7 +624,8 @@ class TestCertificate:
             analysis = _Analysis(f, cfg, critical_points=points, samples=False)
             assert analysis.min_separation == min(dists.values(), default=1.0)
             shared = [(i, j) for i, j in pairs if dists[i, j] < mu[i]]
-            args = (_Compiled(f), np.empty((0, dim)), 0.5, np.array(xs), np.array(mu), 0.0, 1.0)
+            none = (np.empty((0, dim)), np.empty((0, dim), dtype=int), 2)
+            args = (_Compiled(f), *none, np.array(xs), np.array(mu), 0.0, 1.0)
             if not shared:
                 assert _certify(*args) is None
                 continue
@@ -638,6 +646,112 @@ class TestCertificate:
         # Acceptance 3 and the benchmark's torus builds take their
         # perturbations from this list, which the search filters.
         assert perturbed_torus_seeds(25) == list(range(25))
+
+
+def random_search_function(rng: np.random.Generator, n: int) -> TrigPolynomial:
+    """cos 2 pi x_1 plus 1 to 4 terms with frequency entries in -3..3 and coefficients in tenths."""
+    terms = [TrigTerm((1,) + (0,) * (n - 1), Fraction(1))]
+    for _ in range(int(rng.integers(1, 5))):
+        freq = tuple(int(k) for k in rng.integers(-3, 4, n))
+        cos, sin = (Fraction(int(c), 10) for c in rng.integers(-20, 21, 2))
+        terms.append(TrigTerm(freq, cos, sin))
+    return TrigPolynomial(n, tuple(terms))
+
+
+# The search bank, and seeded random functions on T^1, T^2 and T^3.
+EXACT_BANK = {
+    **SEARCH_BANK,
+    **{
+        f"random-T{n}-{i}": random_search_function(np.random.default_rng(10 * n + i), n)
+        for n in (1, 2, 3)
+        for i in range(4)
+    },
+}
+
+
+def certificate_cells(res: int, n: int, rng: np.random.Generator) -> list:
+    """(float centres, integer rows, den) of cells as `_certify` makes them.
+
+    The grid at depth 0, then at each of the first two split depths the
+    children of 40 cells of the depth before, drawn from `rng`.
+    """
+    seeds = np.indices((res,) * n).reshape(n, -1).T
+    cells, num, den = seeds / res, 2 * seeds, 2 * res
+    signs = np.array(list(itertools.product((-1, 1), repeat=n)))
+    out = [(cells, num, den)]
+    for _ in range(2):
+        pick = rng.choice(len(cells), size=min(40, len(cells)), replace=False)
+        cells = (cells[pick][:, None] + (1.0 / den) * (0.5 * signs)).reshape(-1, n)
+        num = (2 * num[pick][:, None] + signs).reshape(-1, n)
+        den *= 2
+        out.append((cells, num, den))
+    return out
+
+
+def float_grid_masks(comp: _Compiled, res: int, rho: float, m2: float) -> np.ndarray:
+    """The grid's `_live` mask from `grad_batch` on the float grid k / res, block by block."""
+    axes = [np.arange(res) / res] * comp.n
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, comp.n)
+    blocks = [grid[i : i + (1 << 16)] for i in range(0, len(grid), 1 << 16)]
+    return np.concatenate([_live(comp.grad_batch(block), rho, m2) for block in blocks])
+
+
+class TestExactPhases:
+    @pytest.mark.parametrize("res", [8, 16, 32, 64])
+    def test_gradients_have_the_bits_of_grad_batch_on_grids_of_a_power_of_two(self, res):
+        # Every k / res and its products with the frequencies are exact, so
+        # the phases are those of `grad_batch`, in the grid pass and at the
+        # certificate's first two split depths.  Both ways of taking the
+        # phases are met: the random T^1 functions, whose frequencies pass
+        # 1, take them point by point in the grid pass (their range is
+        # longer than the grid), as do the split cells of most functions.
+        rng = np.random.default_rng(res)
+        for name, f in EXACT_BANK.items():
+            comp = _Compiled(f)
+            grid = np.concatenate(
+                [comp.grad_of_numerators(m, res) for _, m in _grid_numerators(comp, res)]
+            )
+            cases = certificate_cells(res, f.dimension, rng)
+            assert grid.tobytes() == comp.grad_batch(cases[0][0]).tobytes(), name
+            for depth, (cells, num, den) in enumerate(cases):
+                got = comp.grad_at(num, den)
+                assert got.tobytes() == comp.grad_batch(cells).tobytes(), (name, depth)
+
+    @pytest.mark.parametrize("res", [24, 48, 101])
+    def test_live_masks_equal_those_of_grad_batch_on_other_grids(self, res):
+        # k / res is rounded, so the bits of the gradients may differ, but
+        # no cell changes sides of the exclusion test, in the grid pass or
+        # at the certificate's first two split depths.
+        rng = np.random.default_rng(res)
+        differ = 0
+        for name, f in EXACT_BANK.items():
+            if res**f.dimension > 1 << 20:
+                continue
+            comp = _Compiled(f)
+            m2 = _derivative_bounds(comp)[0]
+            rho = _half_diagonal(f.dimension, 0.5 / res)
+            masks = [
+                _live(comp.grad_of_numerators(m, res), rho, m2)
+                for _, m in _grid_numerators(comp, res)
+            ]
+            assert np.array_equal(np.concatenate(masks), float_grid_masks(comp, res, rho, m2)), name
+            for depth, (cells, num, den) in enumerate(certificate_cells(res, f.dimension, rng)):
+                rho = _half_diagonal(f.dimension, 1.0 / den)
+                got, want = comp.grad_at(num, den), comp.grad_batch(cells)
+                assert np.array_equal(_live(got, rho, m2), _live(want, rho, m2)), (name, depth)
+                differ += got.tobytes() != want.tobytes()
+        assert differ
+
+    def test_norms_have_the_bits_of_linalg_norm(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3):
+            for rows in (0, 1, 2, 7, 100, 5000):
+                g = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-8, 9, (rows, n))
+                assert _norms(g).tobytes() == np.linalg.norm(g, axis=1).tobytes()
+        g = np.array([[1e200, 1e200, 0.0], [np.inf, 1.0, 0.0], [np.nan, 0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(g, axis=1)
+        assert _norms(g).tobytes() == want.tobytes()
 
 
 class TestFlowLines:

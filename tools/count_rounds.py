@@ -38,7 +38,10 @@ the flow category and prints, per build:
 
 A second table counts the critical-point search of each build, and of the
 cosine sum on T^3, from the evaluator calls made inside
-`find_critical_points`:
+`find_critical_points`, each counting the points it evaluates (the rows of
+`grad_batch` and `hess_batch`, and on a tree that has it the points of the
+search's exact-phase evaluator `grad_of_numerators`, its numerators'
+columns, counted as gradient rows):
 
 - grid: the rows of the search's first gradient call, the seed grid;
 - seeds: the rows the Newton loop starts from, those of the gradient call
@@ -93,14 +96,18 @@ def counting(tally: dict, search: list):
     classify, land = _Analysis._classify_angles, _Analysis.land_lanes
     shots, step = _Analysis._separatrices, morse._taylor_jet
     find, certify, crossing = morse.find_critical_points, morse._certify, morse._crossing
-    # The Hessian rows are logged for the search alone.
+    # The Hessian rows are logged for the search alone.  The search's own
+    # evaluator, on trees that have it, takes its points as the columns of
+    # its phase numerators; `grad_at` passes them on to it.
     evaluators = {
-        name: (getattr(_Compiled, name), column)
-        for name, column in (
-            ("grad_batch", "grad-rows"),
-            ("trig_batch", "grad-rows"),
-            ("hess_batch", "hess"),
+        name: (getattr(_Compiled, name), column, rows)
+        for name, column, rows in (
+            ("grad_batch", "grad-rows", len),
+            ("trig_batch", "grad-rows", len),
+            ("hess_batch", "hess", len),
+            ("grad_of_numerators", "grad-rows", lambda m: m.shape[1]),
         )
+        if hasattr(_Compiled, name)
     }
     shooting, landing, refining, replaying = [0], [0], [0], [False]
     finding, certifying = [False], [False]
@@ -170,16 +177,17 @@ def counting(tally: dict, search: list):
         finally:
             certifying[0] = False
 
-    def rows_counted(evaluate, column):
-        def counted(comp, x):
+    def rows_counted(evaluate, column, rows_of):
+        def counted(comp, x, *args):
             if replaying[0]:
-                return evaluate(comp, x)
+                return evaluate(comp, x, *args)
+            rows = rows_of(x)
             if landing[0] and column in tally:
-                tally[column] += len(x)
-            refinement(len(x))
+                tally[column] += rows
+            refinement(rows)
             if finding[0]:
-                search.append(("cells" if certifying[0] else column, len(x)))
-            return evaluate(comp, x)
+                search.append(("cells" if certifying[0] else column, rows))
+            return evaluate(comp, x, *args)
 
         return counted
 
@@ -190,8 +198,8 @@ def counting(tally: dict, search: list):
     morse._crossing = nested(refining, crossing)
     morse.find_critical_points = counted_find
     morse._certify = counted_certify
-    for name, (evaluate, column) in evaluators.items():
-        setattr(_Compiled, name, rows_counted(evaluate, column))
+    for name, (evaluate, column, rows_of) in evaluators.items():
+        setattr(_Compiled, name, rows_counted(evaluate, column, rows_of))
     try:
         yield tally
     finally:
@@ -202,7 +210,7 @@ def counting(tally: dict, search: list):
         morse._crossing = crossing
         morse.find_critical_points = find
         morse._certify = certify
-        for name, (evaluate, _) in evaluators.items():
+        for name, (evaluate, _, _) in evaluators.items():
             setattr(_Compiled, name, evaluate)
 
 

@@ -2,7 +2,8 @@
 
 Runs the CLI in-process on every example name, writes each report (exit
 code and stdout) and every file the CLI writes under OUT/cli, with the
-error reports of the malformed inputs in MALFORMED_CALLS, and writes the
+`--help` report and the error reports of the malformed inputs in
+MALFORMED_CALLS, and writes the
 full category JSON with signs for the first N perturbed tori under
 OUT/perturbed, and the same with `reverse_orientation` under
 OUT/perturbed-reversed, which flips the unstable frames that signs and
@@ -130,10 +131,15 @@ THREE_TORUS_EXTRA = (
 
 _COS20 = TrigPolynomial(2, (TrigTerm((20, 0), Fraction(1)), TrigTerm((0, 20), Fraction(1))))
 _SHEARS = {"shear": ((1, 1), (0, 1)), "steep": ((1, 0), (2, 1))}
+_T3_COSINES = TrigPolynomial(
+    3, tuple(TrigTerm(tuple(int(i == j) for j in range(3)), Fraction(1)) for i in range(3))
+)
 # (function, grid_resolution) per case: cos 2 pi 20x + cos 2 pi 20y, whose
 # 1,600 critical points only the grid of 64 resolves; the anisotropic
-# pullbacks of two perturbed tori; and the tilted torus at its saddle
-# connection.
+# pullbacks of two perturbed tori; the tilted torus at its saddle
+# connection; and, since the search's grid gradients are exact in floats
+# only on a grid of a power of two, the torus, a perturbed torus and the
+# cosine sum on T^3 on grids of other sizes, and that sum on the default one.
 SEARCH_CASES = {
     **{f"cos20-grid{res}": (_COS20, res) for res in (8, 32, 64)},
     **{
@@ -142,6 +148,9 @@ SEARCH_CASES = {
         for name, a in _SHEARS.items()
     },
     "tilted0": (bank.tilted_upright_torus(0), 32),
+    "torus-grid24": (bank.torus_function(), 24),
+    "perturbed0-grid48": (bank.perturbed_torus(0), 48),
+    **{f"t3-cosines-grid{res}": (_T3_COSINES, res) for res in (24, 32)},
 }
 
 
@@ -167,6 +176,7 @@ def dump_cli(out: Path, names: list[str]) -> None:
     cwd = os.getcwd()
     os.chdir(out)
     try:
+        _run(out, "help", ["--help"])
         _run(out, "examples", ["examples"])
         for name in names:
             stem = name.replace(":", "-")
@@ -258,10 +268,9 @@ def dump_partitions(
 
 def dump_three_torus(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    axes = tuple(TrigTerm(tuple(int(i == j) for j in range(3)), Fraction(1)) for i in range(3))
     functions = {
-        "symmetric": TrigPolynomial(3, axes),
-        "perturbed": TrigPolynomial(3, axes + THREE_TORUS_EXTRA),
+        "symmetric": _T3_COSINES,
+        "perturbed": TrigPolynomial(3, _T3_COSINES.terms + THREE_TORUS_EXTRA),
     }
     orientations = {"": NumericalConfig(), "-reversed": NumericalConfig(reverse_orientation=True)}
     for name, f in functions.items():

@@ -35,13 +35,12 @@ carries its two ends, broken flows read off the signs with no run of
 their own, and its landing class, which both ends must rest in; a
 family is the arcs that rest at its sink, with their ends.
 All four separatrices of every saddle, the two unstable ones forward and
-the two stable ones backward, form one recorded run, and where
-partitions are read the circle samples of every index-2 point ride in
-it, unrecorded, to check them; only the midpoints of arcs that no sample
-checks take a run of their own.  On T^3 the stable manifold of a saddle
-is a surface, which no finite set of shots traces, so there only the
-saddles' flows are computed, in one run.  Every lane stops once it
-enters a ball around a sink of its flow that the flow provably never
+the two stable ones backward, form one recorded run, which fixes every
+partition; only the midpoints of arcs so thin that the shots could swap
+their boundaries take a run of their own.  On T^3 the stable manifold of
+a saddle is a surface, which no finite set of shots traces, so there
+only the saddles' flows are computed, in one run.  Every lane stops once
+it enters a ball around a sink of its flow that the flow provably never
 leaves, so it gets the class it would get by running on: a forward lane
 in its sink's certificate ball, a backward one at its first point inside
 both the departure sphere of the index-2 point it rests at and that
@@ -59,7 +58,6 @@ distinct.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
@@ -335,7 +333,6 @@ class NumericalConfig:
     step_tol: float = 1e-8
     max_flow_time: float = 60.0
     max_steps: int = 200000
-    circle_samples: int = 64
     reverse_orientation: bool = False
 
     def __post_init__(self):
@@ -971,11 +968,13 @@ def _passes(
     return hit, point, when
 
 
-# The circle samples of a T^2 partition within this many radians of a
-# boundary may rest at any sink or at that boundary's saddle: at the default
-# `step_tol`, the separatrix shots of the torus and of the 25 perturbed tori
-# of the example bank lie within 2.1e-7 of the 100 boundaries a bisection
-# resolves (it resolves none of `perturbed_torus(3)`'s).
+# The separatrix shots of a T^2 partition lie within this many radians of
+# the boundaries they stand for: at the default `step_tol`, the shots of the
+# torus and of the 25 perturbed tori of the example bank lie within 2.1e-7 of
+# the 100 boundaries a bisection resolves (it resolves none of
+# `perturbed_torus(3)`'s).  So the shots could swap the two boundaries of an
+# arc no wider than twice this, and `partition` gives such an arc a midpoint
+# lane; a wider arc takes its class from its two ends alone.
 _SHOT_SPREAD = 1e-6
 # A departure angle within this many radians below 2 pi reads as 0.  A
 # symmetric function puts a boundary on the first axis of the unstable
@@ -1007,9 +1006,8 @@ _NONDEG_TOL = 1e-6
 class _Analysis:
     """Points, frames and trap regions of one function + config, and its one separatrix run.
 
-    `samples` says whether the circle samples ride in the separatrix run,
-    for callers that read partitions; an analysis made without them has no
-    `sample_angles`, and `partition` refuses it.
+    The run gives every rigid flow, and on T^2 every partition too: each
+    caller, whether or not it reads a partition, makes the same run.
     """
 
     def __init__(
@@ -1017,7 +1015,6 @@ class _Analysis:
         f: TrigPolynomial,
         cfg: NumericalConfig,
         critical_points: list[CriticalPoint] | None = None,
-        samples: bool = True,
     ):
         self.f = f
         self.cfg = cfg
@@ -1085,10 +1082,7 @@ class _Analysis:
         self.stable_frames = {
             p.id: signed(qp[:, wp > 0.0][:, ::-1]) for p, wp, qp in zip(self.points, w, q)
         }
-        count = cfg.circle_samples if samples else 0
-        self.sample_angles = [k * (TWO_PI / count) for k in range(count)]
         self._rigid_flows: list[FlowLine] | None = None
-        self._samples: dict[str, list] = {}
 
     # integration ----------------------------------------------------------
 
@@ -1176,10 +1170,11 @@ class _Analysis:
         # are held a hundred times below step_tol/15, which puts every
         # boundary of the torus and the 25 perturbed tori within 1.3e-9 rad
         # of the boundary at step_tol 1e-12, against 9.9e-8 when they are
-        # held to step_tol/15 itself.  A lane that may trap is read for its
-        # landing class alone and is held to step_tol/15: its path errs as a
-        # shot held to step_tol/15 does, ten times inside `_SHOT_SPREAD`,
-        # the window within which `partition` takes any class.  Its larger
+        # held to step_tol/15 itself.  A lane that may trap, the midpoint of
+        # an arc no wider than 2 `_SHOT_SPREAD`, is read for its landing
+        # class alone and is held to step_tol/15: its path errs as a shot
+        # held to step_tol/15 does, about 1e-7 rad at the circle, ten times
+        # inside `_SHOT_SPREAD` though not always inside its arc.  Its larger
         # steps would skip more of the near-passes of saddles that a test at
         # step points alone catches, so a trapping lane also lands where a
         # step passes within `landing_radius` of a point.
@@ -1332,19 +1327,17 @@ class _Analysis:
 
         `find_critical_points` lists points by falling index, so the index-2
         points come first and the saddles after them, all from one run of
-        `_separatrices`.  Unless the analysis was made without `samples`,
-        the circle samples of every index-2 point ride in that run, for
-        `partition`; either way the flows have the same bits.  The flows
-        out of the index-2 points are the saddles' stable separatrices, two
-        per saddle by construction, so on T^3, which has index-2 points,
-        InputError is raised.
+        `_separatrices`, which `partition` reads too.  The flows out of the
+        index-2 points are the saddles' stable separatrices, two per saddle
+        by construction, so on T^3, which has index-2 points, InputError is
+        raised.
         """
         if self._rigid_flows is None:
             if self.n == 3:
                 raise InputError("rigid flows out of an index-2 point are computed on T^2")
             saddles = [p for p in self.points if p.index == 1]
             maxima = [p for p in self.points if p.index == 2] if self.n == 2 else None
-            self._rigid_flows, self._samples = self._separatrices(saddles, maxima)
+            self._rigid_flows = self._separatrices(saddles, maxima)
         return self._rigid_flows
 
     def max_flows(self, a: CriticalPoint) -> list[FlowLine]:
@@ -1353,11 +1346,11 @@ class _Analysis:
 
     def saddle_flows(self, saddles: Sequence[CriticalPoint]) -> list[FlowLine]:
         """Rigid flows along w and -w out of each index-1 point, all in one run."""
-        return self._separatrices(saddles)[0]
+        return self._separatrices(saddles)
 
     def _separatrices(
         self, saddles: Sequence[CriticalPoint], maxima: Sequence[CriticalPoint] | None = None
-    ) -> tuple[list[FlowLine], dict[str, list]]:
+    ) -> list[FlowLine]:
         """Rigid flows along the separatrices of `saddles`, all in one run.
 
         Forward lanes leave each saddle s along side * w_u, side = 1 then
@@ -1365,38 +1358,26 @@ class _Analysis:
         is s and these two flows, oriented by w_u, so each flow's sign is its
         side.  With `maxima` (on T^2), lanes of sense -1 ahead of them follow
         s's stable separatrices backward, along w_s and -w_s, w_s =
-        `stable_frames[s.id][:, 0]` (`_shot_flows`), and the departures of
-        each of `maxima` at the `sample_angles` (none for an analysis made
-        without `samples`) ride after them as forward trapping lanes,
-        unrecorded.  No lane depends on another, so the flows have the same
-        bits with or without the samples.  The backward lanes' errors are
-        raised first, in saddle order; then, in departure order, a failed
-        forward flow raises its error, and so does one that rests no lower
-        in index than its source.  The samples raise nothing here: each
-        comes back as its `_landing_class`, which `partition` checks.
-        Returns the rigid flows in point order, those out of the index-2
-        points (none without `maxima`) and then those out of the saddles,
-        each flow k between the same two points named source>target#k, and
-        the sample classes of each of `maxima` by point id, empty without
-        samples.
+        `stable_frames[s.id][:, 0]` (`_shot_flows`).  No lane depends on
+        another, so a flow has the same bits in any run.  The backward
+        lanes' errors are raised first, in saddle order; then, in departure
+        order, a failed forward flow raises its error, and so does one that
+        rests no lower in index than its source.  Returns the rigid flows
+        in point order, those out of the index-2 points (none without
+        `maxima`) and then those out of the saddles, each flow k between
+        the same two points named source>target#k.
         """
         lanes = [(s, side) for s in saddles for side in (1, -1)]
         seeds = [self.seed(s, side * self.frames[s.id][:, 0]) for s, side in lanes]
-        circle = np.concatenate(
-            [np.empty((0, self.n))]
-            + [self.circle_seeds(a, self.sample_angles) for a in maxima or ()]
-        )
         back, senses = [], None
         if maxima is not None:
             back = [self.seed(s, side * self.stable_frames[s.id][:, 0]) for s, side in lanes]
-            senses = [-1.0] * len(back) + [1.0] * (len(seeds) + len(circle))
-        traps = [False] * (len(back) + len(seeds)) + [True] * len(circle)
+            senses = [-1.0] * len(back) + [1.0] * len(seeds)
         recorded = np.array(back + seeds, dtype=float).reshape(-1, self.n)
-        landings = self.land_lanes(np.concatenate((recorded, circle)), trap=traps, senses=senses)
-        split = len(back) + len(seeds)
+        landings = self.land_lanes(recorded, senses=senses)
         shots = self._shot_flows(lanes, landings[: len(back)]) if maxima is not None else []
         flows = []
-        for (a, side), got in zip(lanes, landings[len(back) : split]):
+        for (a, side), got in zip(lanes, landings[len(back) :]):
             landing = _ok(got)
             target = landing.point
             if target.index >= a.index:
@@ -1414,12 +1395,7 @@ class _Analysis:
                     trajectory=landing.trajectory,
                 )
             )
-        per = len(self.sample_angles)
-        samples = {}
-        for k, a in enumerate(maxima or ()):
-            start = split + k * per
-            samples[a.id] = [self._landing_class(a, got) for got in landings[start : start + per]]
-        return shots + _named(flows), samples
+        return shots + _named(flows)
 
     # index-2 sources --------------------------------------------------------
 
@@ -1467,26 +1443,21 @@ class _Analysis:
         (sink id, offset): the target of its flow out of s, with the
         lattice offsets of both flows summed.
 
-        Integrated lanes check the arcs: the departures at the
-        `sample_angles`, which rode in the separatrix run (an analysis made
-        without `samples` has none, and InputError is raised), and one midpoint
-        for each arc that holds no sample clear of every boundary, in one
-        run of their own.  A sample more than `_SHOT_SPREAD` from every
-        boundary must rest in its arc's class, and one within it at any
-        sink or that boundary's saddle; a midpoint must rest in its arc's
-        class.  Else a boundary was missed or is extra, or there is a
-        near-tie, and MorseSmaleViolationError is raised, as it is when the
-        circle has no boundary at all (a Morse-Smale flow on T^2 has none
-        such: every index-2 disc is bounded by saddle separatrices).  The
-        samples' errors come first, in angle order, then a missing
-        boundary, the arcs' ends, the samples' checks and the midpoints'.
+        Every basin boundary of the circle is where a saddle's stable
+        separatrix crosses it, so the shots give them all, and an arc whose
+        ends disagree means a boundary was missed or one is a near-tie.
+        Only an arc no wider than 2 `_SHOT_SPREAD`, whose two boundaries
+        the shots could swap, takes a lane from its midpoint, all such arcs
+        of the circle in one run of their own; the midpoint must rest in
+        its arc's class.  Else, or when the circle has no boundary at all
+        (a Morse-Smale flow on T^2 has none such: every index-2 disc is
+        bounded by saddle separatrices), MorseSmaleViolationError is
+        raised.  A missing boundary comes first, then the arcs' ends, then
+        the midpoints' errors and classes, in angle order.
         """
         if a.index != 2 or self.n != 2:
             raise InputError("circle partition requires an index-2 source on T^2")
-        if not self.sample_angles:
-            raise InputError("an analysis made without circle samples has no partition")
-        flows = self.rigid_flows()  # the one run, which classifies the samples too
-        samples = [_ok(got) for got in self._samples[a.id]]
+        flows = self.rigid_flows()
         firsts = self.max_flows(a)
         if not firsts:
             raise MorseSmaleViolationError(f"the departure circle of {a.id} has no basin boundary")
@@ -1510,36 +1481,15 @@ class _Analysis:
                     f"{cls} and {cls1}: a basin boundary was missed, or one is a near-tie"
                 )
             arcs.append(_Arc(th, angles[j] + TWO_PI * (j == 0), cls, (start, end)))
-
-        def off_basins(th: float, point_id: str) -> MorseSmaleViolationError:
-            return MorseSmaleViolationError(
-                f"the departure from {a.id} at angle {th:.9f} rests at {point_id}, "
-                "off the basins of its partition: a basin boundary was missed or is extra"
-            )
-
-        starts = [arc.start for arc in arcs]
-        sampled = set()
-        for th, cls in zip(self.sample_angles, samples):
-            near = {
-                fl.target
-                for fl in firsts
-                if abs(math.remainder(th - fl.departure_angle, TWO_PI)) <= _SHOT_SPREAD
-            }
-            if near:
-                if not (cls[0] in near or self.by_id[cls[0]].index == 0):
-                    raise off_basins(th, cls[0])
-                continue
-            # The last arc wraps past 2 pi, so it also holds the angles below the first.
-            k = (bisect.bisect_right(starts, th) - 1) % len(arcs)
-            if cls != arcs[k].landing_class:
-                raise off_basins(th, cls[0])
-            sampled.add(k)
-        bare = [k for k in range(len(arcs)) if k not in sampled]
-        mids = [0.5 * (arcs[k].start + arcs[k].end) % TWO_PI for k in bare]
+        thin = [arc for arc in arcs if arc.end - arc.start <= 2.0 * _SHOT_SPREAD]
+        mids = [0.5 * (arc.start + arc.end) % TWO_PI for arc in thin]
         got = [_ok(got) for got in self._classify_angles(a, mids)] if mids else []
-        for k, th, cls in zip(bare, mids, got):
-            if cls != arcs[k].landing_class:
-                raise off_basins(th, cls[0])
+        for arc, th, cls in zip(thin, mids, got):
+            if cls != arc.landing_class:
+                raise MorseSmaleViolationError(
+                    f"the departure from {a.id} at angle {th:.9f} rests at {cls[0]}, "
+                    "off the basins of its partition: a basin boundary was missed or is extra"
+                )
         return arcs
 
     def _shot_flows(
@@ -1636,11 +1586,11 @@ def connecting_orbits(
 
     Flows out of an index-2 point are computed on T^2 only; elsewhere they
     raise InputError.  They come from the separatrix run of every saddle,
-    made without the circle samples, since no partition is read.
+    the run whose partitions `build_flow_category` reads.
     """
     if a.index - b.index != 1:
         raise InputError("rigid flows require an index gap of exactly one")
-    analysis = _Analysis(f, cfg, critical_points, samples=False)
+    analysis = _Analysis(f, cfg, critical_points)
     a = _resolve(analysis, a)
     b = _resolve(analysis, b)
     if a.index == 1:
@@ -1735,16 +1685,15 @@ def flow_lines(
 ) -> list[FlowLine]:
     """All rigid trajectories of a function on T^1 or T^2, with trajectories recorded.
 
-    They come from one separatrix run made without the circle samples,
-    since no partition is read; `build_flow_category` gives the same flows
-    from its run, in which the samples ride.  A flow out of a saddle ends
-    at its first recorded point in its sink's certificate ball
-    (`_Analysis.trap_radius`), and one out of an index-2 point starts on
-    its departure sphere; neither runs on to `landing_radius`.
+    They come from one separatrix run, the one `build_flow_category` makes,
+    so it gives the same flows.  A flow out of a saddle ends at its first
+    recorded point in its sink's certificate ball (`_Analysis.trap_radius`),
+    and one out of an index-2 point starts on its departure sphere; neither
+    runs on to `landing_radius`.
     """
     if f.dimension > 2:
         raise InputError("trajectory dumps cover the one- and two-torus")
-    return _Analysis(f, cfg, samples=False).rigid_flows()
+    return _Analysis(f, cfg).rigid_flows()
 
 
 # -- trajectory exports -----------------------------------------------------

@@ -817,18 +817,17 @@ def full_landing_classes(analysis, a, thetas):
     return out
 
 
-def bisect_one_at_a_time(analysis, a, visited=None):
+def bisect_one_at_a_time(analysis, a, visited=None, samples=64):
     """Basin boundaries on the departure circle of index-2 point `a`, naively.
 
-    The `circle_samples` angles form one batch; a sample that rests at a
-    saddle is a boundary, and every pair of neighbouring samples that rest
-    in different sink classes is bisected depth first, lower half first,
-    with one lane per midpoint.  Every class comes from
+    The `samples` angles k 2 pi / `samples` form one batch; a sample that
+    rests at a saddle is a boundary, and every pair of neighbouring samples
+    that rest in different sink classes is bisected depth first, lower half
+    first, with one lane per midpoint.  Every class comes from
     `full_landing_classes`.  Each visited bracket (lo, hi) is appended to
     `visited`.  Returns (angle, saddle) pairs in the order met, or raises
     the first error met.
     """
-    cfg = analysis.cfg
     visited = [] if visited is None else visited
 
     def ok(got):
@@ -857,13 +856,13 @@ def bisect_one_at_a_time(analysis, a, visited=None):
             return bisect(lo, lo_cls, mid, cls)
         return bisect(lo, lo_cls, mid, cls) + bisect(mid, cls, hi, hi_cls)
 
-    n = cfg.circle_samples
+    n = samples
     step = TWO_PI / n
     thetas = [k * step for k in range(n)]
-    samples = [ok(got) for got in full_landing_classes(analysis, a, thetas)]
-    found = [(th, analysis.by_id[cls[0]]) for th, cls in zip(thetas, samples) if index(cls) == 1]
+    classes = [ok(got) for got in full_landing_classes(analysis, a, thetas)]
+    found = [(th, analysis.by_id[cls[0]]) for th, cls in zip(thetas, classes) if index(cls) == 1]
     for k in range(n):
-        cls0, cls1 = samples[k], samples[(k + 1) % n]
+        cls0, cls1 = classes[k], classes[(k + 1) % n]
         if index(cls0) == index(cls1) == 0 and cls0 != cls1:
             found += bisect(thetas[k], cls0, thetas[k] + step, cls1)
     return found

@@ -232,12 +232,11 @@ class TestValidate:
         assert "endpoints used more than once" in failure
 
     def test_missed_basin_boundary_exits_two(self, capsys, tmp_path, monkeypatch):
-        # Three circle samples, which once hid both boundaries through p1.0,
-        # only check the boundaries the saddles' separatrices give.  A
-        # separatrix shot that goes missing leaves an arc whose ends rest in
-        # two basins, and the build fails loudly instead of passing 6 of 8.
+        # The saddles' separatrices give every boundary.  A separatrix shot
+        # that goes missing leaves an arc whose ends rest in two basins, and
+        # the build fails loudly instead of passing 6 of 8.
         path = write_json(tmp_path / "torus.json", bank.torus_function().to_json())
-        cfg = write_json(tmp_path / "c.json", {"circle_samples": 3})
+        cfg = write_json(tmp_path / "c.json", {"grid_resolution": 24})
         code, rep = run(capsys, "validate", "--function", path, "--config", cfg)
         assert code == 0 and rep["results"]["rigidFlows"] == 8
         max_flows = _Analysis.max_flows
@@ -385,7 +384,7 @@ class TestOrbits:
 
 class TestConfig:
     def test_config_flag(self, capsys, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", {"circle_samples": 48})
+        cfg = write_json(tmp_path / "cfg.json", {"grid_resolution": 48})
         code, rep = run(capsys, "crit", "--example", "circle", "--config", cfg)
         assert code == 0
         assert cfg in rep["inputs"]
@@ -413,8 +412,9 @@ class TestConfig:
 
     def test_unknown_config_field_exits_one(self, capsys, tmp_path):
         # Two names that were config fields until family ends came from
-        # signs, and six that went with the T^3 bisection and with the
-        # fields only the critical-point search read.
+        # signs, six that went with the T^3 bisection and with the fields
+        # only the critical-point search read, and the count of the circle
+        # samples, which went once the shots alone fixed each partition.
         removed = (
             "bisection_tol",
             "newton_max_iter",
@@ -422,6 +422,7 @@ class TestConfig:
             "grad_tol",
             "dedupe_radius",
             "nondeg_tol",
+            "circle_samples",
         )
         for field in ("bogus", "probe_offset", "endpoint_match_tol", *removed):
             cfg = write_json(tmp_path / "cfg.json", {field: 1})
@@ -463,7 +464,7 @@ class TestConfigOnAuthoredCategories:
 
     @pytest.mark.parametrize("command", AUTHORED_COMMANDS)
     def test_good_config_digest_is_listed(self, capsys, tmp_path, command):
-        cfg = write_json(tmp_path / "cfg.json", {"circle_samples": 48})
+        cfg = write_json(tmp_path / "cfg.json", {"grid_resolution": 48})
         argv = _authored_torus_argv(tmp_path, command) + ["--config", cfg]
         code, rep = run(capsys, *argv)
         assert code == 0 and rep["status"] == "ok"
@@ -498,7 +499,7 @@ class TestContract:
         # `main` builds its parser once per process.  Each call below, made
         # after those before it, prints the report it prints as the first
         # call on a fresh parser: parsing leaves nothing behind.
-        cfg = write_json(tmp_path / "cfg.json", {"circle_samples": 48})
+        cfg = write_json(tmp_path / "cfg.json", {"grid_resolution": 48})
         calls = [
             ["homology", "--example", "circle", "--ring", "w"],
             ["crit", "--bogus"],
@@ -534,11 +535,13 @@ MALFORMED = {
     "config-reverse-str": ("config", {"reverse_orientation": "no"}),
     "config-grid-str": ("config", {"grid_resolution": "a"}),
     "config-grid-nan": ("config", {"grid_resolution": float("nan")}),
-    "config-samples-float": ("config", {"circle_samples": 2.5}),
+    "config-max-steps-float": ("config", {"max_steps": 2.5}),
     # A step at or below step_min skips error control; this once ran unchecked.
     "config-step-min-above-max": ("config", {"step_min": 0.2}),
     # The first step of the Dormand–Prince lanes, no field since the Taylor lanes.
     "config-step-init-retired": ("config", {"step_init": 0.01}),
+    # The count of the circle samples, no field since the shots fix every partition.
+    "config-circle-samples-retired": ("config", {"circle_samples": 64}),
     "function-term-int": ("function", {"dim": 2, "terms": [1]}),
     "function-coeff-overflow": (
         "function",

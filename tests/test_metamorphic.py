@@ -178,7 +178,7 @@ class TestScaling:
 # seed: "certificate" is the critical-point search's EulerMismatchError (no
 # certificate for some cube), "arc-ends" and "off-basins" the partition's
 # MorseSmaleViolationError (the two ends of an arc rest in different
-# classes; a circle sample rests off the basins of its partition), and
+# classes; a thin arc's midpoint rests off the basins of its partition), and
 # "builds" a category with the homology of the torus.  Seed 3 of the first
 # shear builds: its two boundaries near pi/2 lie 1.6e-10 rad apart, the
 # same at step_tol 1e-8 and 1e-12.

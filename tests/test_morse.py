@@ -367,15 +367,17 @@ class TestNumericalConfig:
             NumericalConfig(step_min=0.2)
         equal = NumericalConfig(step_min=0.05, step_max=0.05)
         assert equal.step_min == equal.step_max
-        # The first step of the retired Dormand–Prince lanes is no field.
-        with pytest.raises(InputError, match="unknown config fields"):
-            NumericalConfig.from_json({"step_init": 0.01})
+        # The first step of the retired Dormand–Prince lanes is no field,
+        # and neither is the count of the retired circle samples.
+        for retired in ({"step_init": 0.01}, {"circle_samples": 64}):
+            with pytest.raises(InputError, match="unknown config fields"):
+                NumericalConfig.from_json(retired)
 
     def test_overrides_and_json(self):
-        cfg = NumericalConfig().with_overrides(circle_samples=128)
-        assert cfg.circle_samples == 128
-        cfg2 = NumericalConfig.from_json({"circle_samples": 128})
-        assert cfg2.circle_samples == 128
+        cfg = NumericalConfig().with_overrides(grid_resolution=48)
+        assert cfg.grid_resolution == 48
+        cfg2 = NumericalConfig.from_json({"grid_resolution": 48})
+        assert cfg2.grid_resolution == 48
         with pytest.raises(InputError):
             NumericalConfig.from_json({"bogus": 1})
 
@@ -621,7 +623,7 @@ class TestCertificate:
             pairs = [(i, j) for i in range(len(xs)) for j in range(len(xs)) if i != j]
             dists = {(i, j): loop_distance(xs[i], xs[j]) for i, j in pairs}
             points = [CriticalPoint(f"p0.{k}", x, 0.0, 0, (1.0,) * dim) for k, x in enumerate(xs)]
-            analysis = _Analysis(f, cfg, critical_points=points, samples=False)
+            analysis = _Analysis(f, cfg, critical_points=points)
             assert analysis.min_separation == min(dists.values(), default=1.0)
             shared = [(i, j) for i, j in pairs if dists[i, j] < mu[i]]
             none = (np.empty((0, dim)), np.empty((0, dim), dtype=int), 2)
@@ -791,18 +793,11 @@ class TestFlowLines:
 
     def test_flows_out_of_an_index_2_point_count_flows_into_each_saddle(self):
         # The flows out of an index-2 point are the saddles' stable
-        # separatrices, two into each saddle of the torus whatever the
-        # sampling; three samples, which hid the boundaries through p1.0
-        # from a bisection, give the flows of 64.
+        # separatrices, two into each saddle of the torus.
         f = torus_function()
         top, p1_0, p1_1, _ = find_critical_points(f)
         for saddle in (p1_0, p1_1):
-            runs = [
-                connecting_orbits(f, top, saddle, NumericalConfig(circle_samples=k))
-                for k in (3, 5, 7, 64)
-            ]
-            assert len(runs[-1]) == 2
-            assert all(flows == runs[-1] for flows in runs)
+            assert len(connecting_orbits(f, top, saddle)) == 2
 
     def test_torus_saddle_departure_angles(self):
         f = torus_function()
@@ -835,14 +830,14 @@ class TestFlowLines:
         + [tilted_upright_torus(Fraction(1, 10))],
         ids=["circle", "torus"] + [f"seed{seed}" for seed in range(5)] + ["tilted"],
     )
-    def test_sample_free_flows_are_the_sampled_run_s(self, monkeypatch, f, reverse):
-        # `flow_lines` and `connecting_orbits` read no partition, so their run
-        # carries the separatrix lanes alone; no lane depends on another, so
-        # every flow, trajectory included, has the bits of the sampled run's.
-        # `repr` tells -0.0 from 0.0 and round-trips every other float.
+    def test_public_flows_are_the_analysis_run_s(self, monkeypatch, f, reverse):
+        # `flow_lines` makes one run of the separatrix lanes, the run of an
+        # analysis, and `connecting_orbits` gives its flows: every flow,
+        # trajectory included, has the bits of the analysis's.  `repr`
+        # tells -0.0 from 0.0 and round-trips every other float.
         cfg = NumericalConfig(reverse_orientation=reverse)
-        sampled = _Analysis(f, cfg)
-        want = sampled.rigid_flows()
+        analysis = _Analysis(f, cfg)
+        want = analysis.rigid_flows()
         land = _Analysis.land_lanes
         runs = []
 
@@ -852,13 +847,13 @@ class TestFlowLines:
 
         monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
         assert repr(flow_lines(f, cfg)) == repr(want)
-        saddles = [p for p in sampled.points if p.index == 1]
+        saddles = [p for p in analysis.points if p.index == 1]
         assert runs == [(4 if f.dimension == 2 else 2) * len(saddles)]
-        for a in sampled.points:
+        for a in analysis.points:
             if a.index != 2:
                 continue
             for b in saddles:
-                got = connecting_orbits(f, a, b, cfg, critical_points=sampled.points)
+                got = connecting_orbits(f, a, b, cfg, critical_points=analysis.points)
                 assert got and repr(got) == repr(
                     [fl for fl in want if fl.source == a.id and fl.target == b.id]
                 )
@@ -888,14 +883,10 @@ class TestModuliFamilies:
 
     def test_family_counts_flows_into_each_saddle(self):
         # A bisection from three samples found two of the four intervals;
-        # the separatrices give all four at any sampling.
+        # the separatrices give all four.
         f = torus_function()
         top, _, _, bottom = find_critical_points(f)
-        flows = flow_lines(f)
-        fams = moduli_family(f, top, bottom, flows)
-        assert len(fams) == 4
-        for k in (3, 5, 7):
-            assert moduli_family(f, top, bottom, flows, NumericalConfig(circle_samples=k)) == fams
+        assert len(moduli_family(f, top, bottom, flow_lines(f))) == 4
 
     def test_given_flows_must_name_every_end(self):
         f = torus_function()
@@ -910,8 +901,8 @@ class TestModuliFamilies:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"reverse_orientation": True}, {"circle_samples": 7}],
-        ids=["default", "reversed", "samples7"],
+        [{}, {"reverse_orientation": True}],
+        ids=["default", "reversed"],
     )
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_ends_leave_each_saddle_the_way_probes_do(self, f, overrides):
@@ -1007,10 +998,9 @@ def departures(analysis, index):
 @functools.lru_cache(maxsize=None)
 def one_at_a_time(f: TrigPolynomial, samples: int, reverse_orientation: bool = False):
     """The bisection oracle's boundaries and visited brackets for the first point of f."""
-    cfg = NumericalConfig(circle_samples=samples, reverse_orientation=reverse_orientation)
-    analysis = _Analysis(f, cfg)
+    analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse_orientation))
     visited: list[tuple[float, float]] = []
-    found = bisect_one_at_a_time(analysis, analysis.points[0], visited)
+    found = bisect_one_at_a_time(analysis, analysis.points[0], visited, samples)
     return found, visited
 
 
@@ -1064,10 +1054,10 @@ class TestLanes:
             assert 0 < failed < len(seeds)
 
     def test_circle_seeds_are_the_seeds_of_their_angles(self):
-        # The circle samples and arc midpoints are seeded in one array
-        # expression, with the bits of one seed per angle.
+        # The arc midpoints are seeded in one array expression, with the
+        # bits of one seed per angle.
         analysis = _Analysis(perturbed_torus(perturbed_torus_seeds(1)[0]), NumericalConfig())
-        thetas = analysis.sample_angles + [0.3 * k for k in range(22)]
+        thetas = [k * (2 * math.pi / 64) for k in range(64)] + [0.3 * k for k in range(22)]
         for a in (p for p in analysis.points if p.index == 2):
             assert [row.tobytes() for row in analysis.circle_seeds(a, thetas)] == [
                 np.array(analysis.seed(a, analysis.direction_at(a, th))).tobytes()
@@ -1197,18 +1187,27 @@ class TestLanes:
 
 class TestPartition:
     # A two-torus build makes one separatrix run, every separatrix of every
-    # saddle with the circle samples of every index-2 point riding in it,
-    # and at most one more run per index-2 point, for the midpoints of the
-    # arcs that hold no sample clear of a boundary.  At 64 samples every arc
-    # holds one, so the build makes the one run.  No run is made on -f, and
-    # there is no bisection.
-    @pytest.mark.parametrize("samples", [3, 64])
+    # saddle, and at most one more run per index-2 point, for the midpoints
+    # of its arcs no wider than 2 `_SHOT_SPREAD`.  The bank has no such arc,
+    # so its builds make the one run; the tilted upright torus near its
+    # saddle connection and `perturbed_torus(3)` sheared x by y have two
+    # each, which one midpoint run covers.  No run is made on -f, and there
+    # is no bisection.
     @pytest.mark.parametrize(
-        "f",
-        [torus_function()] + [perturbed_torus(seed) for seed in range(6)],
-        ids=["torus"] + [f"seed{seed}" for seed in range(6)],
+        "f, thin",
+        [(torus_function(), 0)]
+        + [(perturbed_torus(seed), 0) for seed in range(6)]
+        + [
+            (tilted_upright_torus(Fraction(t)), 2)
+            for t in ("1/10", "-1/10", "1/100", "-1/100", "1/1000")
+        ]
+        + [(pullback(perturbed_torus(3), ((1, 1), (0, 1))), 2)],
+        ids=["torus"]
+        + [f"seed{seed}" for seed in range(6)]
+        + ["tilted", "tilted(-1/10)", "tilted(1/100)", "tilted(-1/100)", "tilted(1/1000)"]
+        + ["x-by-y(3)"],
     )
-    def test_a_two_torus_build_makes_two_runs(self, monkeypatch, f, samples):
+    def test_a_two_torus_build_makes_two_runs(self, monkeypatch, f, thin):
         land, classify = _Analysis.land_lanes, _Analysis._classify_angles
         runs, midpoints = [], []
 
@@ -1217,30 +1216,53 @@ class TestPartition:
             return land(self, *args, **kwargs)
 
         def counting_classify(self, a, thetas):
-            midpoints.append(a.id)
+            midpoints.append((self, a, list(thetas)))
             return classify(self, a, thetas)
 
         monkeypatch.setattr(_Analysis, "land_lanes", counting_land)
         monkeypatch.setattr(_Analysis, "_classify_angles", counting_classify)
-        cat, _ = build_flow_category(f, NumericalConfig(circle_samples=samples))
-        maxima = [p for p in cat.objects if cat.index[p] == 2]
-        assert maxima and set(midpoints) <= set(maxima)
-        assert len(midpoints) == len(set(midpoints))
+        build_flow_category(f)
+        monkeypatch.undo()
         assert runs == [f] * (1 + len(midpoints))
-        if samples == 64:
-            assert midpoints == []
+        assert len(midpoints) == (thin > 0)
+        for analysis, a, thetas in midpoints:
+            arcs = analysis.partition(a)
+            narrow = [arc for arc in arcs if arc.end - arc.start <= 2 * morse._SHOT_SPREAD]
+            assert len(narrow) == thin
+            assert thetas == [0.5 * (arc.start + arc.end) % (2 * math.pi) for arc in narrow]
 
-    def test_an_analysis_made_without_samples_has_no_partition(self):
-        # Its run carries no circle samples, so it refuses before any lane runs.
-        analysis = _Analysis(torus_function(), NumericalConfig(), samples=False)
-        with pytest.raises(InputError, match="has no partition"):
-            analysis.partition(analysis.points[0])
-        assert analysis.sample_angles == [] and analysis._rigid_flows is None
+    @pytest.mark.parametrize(
+        "f",
+        lane_functions()
+        + [tilted_upright_torus(Fraction(1, 10)), pullback(perturbed_torus(3), ((1, 1), (0, 1)))],
+        ids=["torus", "perturbed-a", "perturbed-b", "tilted", "x-by-y(3)"],
+    )
+    def test_connecting_orbits_partitions_as_a_build_does(self, monkeypatch, f):
+        # Every analysis makes the one separatrix run, which fixes every
+        # partition, so the analysis that `connecting_orbits` builds
+        # partitions each departure circle as `build_flow_category`'s does.
+        made = []
+        init = _Analysis.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(_Analysis, "__init__", recording_init)
+        build_flow_category(f)
+        (built,) = made
+        maxima = [p for p in built.points if p.index == 2]
+        saddle = next(p for p in built.points if p.index == 1)
+        assert connecting_orbits(f, maxima[0], saddle)
+        orbits = made[-1]
+        assert len(made) == 2 and orbits._rigid_flows is not None
+        for a in maxima:
+            assert orbits.partition(a) == built.partition(a)
 
     # Classification runs per partition when the boundaries were bisected
-    # with aimed speculation (`before`).  Read from the separatrix shots and
-    # checked by the samples that rode in the separatrix run, a partition at
-    # the default sampling makes no run of its own.
+    # with aimed speculation (`before`).  Read from the separatrix shots, a
+    # partition with no arc as thin as 2 `_SHOT_SPREAD` makes no run of its
+    # own.
     @pytest.mark.parametrize("seed, before", [(0, 7), (1, 7), (2, 6), (3, 9), (4, 7), (5, 8)])
     def test_aimed_speculation_adds_no_run(self, monkeypatch, seed, before):
         land = _Analysis.land_lanes
@@ -1272,7 +1294,7 @@ class TestPartition:
             if {(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)} <= spans
         )
         mid = 0.5 * (lo + hi)
-        analysis = _Analysis(f, NumericalConfig(circle_samples=3))
+        analysis = _Analysis(f, NumericalConfig())
         top = analysis.points[0]
         failing = {
             tuple(analysis.seed(top, analysis.direction_at(top, th))): half
@@ -1289,17 +1311,7 @@ class TestPartition:
 
         monkeypatch.setattr(_Analysis, "land_lanes", failing_land)
         with pytest.raises(IntegrationFailureError, match="lower half"):
-            bisect_one_at_a_time(analysis, analysis.points[0])
-
-    @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
-    def test_coarse_sampling_gives_the_full_category(self, f):
-        # Samples only check the boundaries, so none can be missed between
-        # them: 3, 5 and 7 samples give the category, signs and family ends
-        # of 64.
-        cat, orientation = build_flow_category(f)
-        for k in (3, 5, 7):
-            coarse = build_flow_category(f, NumericalConfig(circle_samples=k))
-            assert coarse[0].to_json(coarse[1]) == cat.to_json(orientation)
+            bisect_one_at_a_time(analysis, analysis.points[0], samples=3)
 
     def test_missed_basin_boundary_fails_loudly(self, monkeypatch):
         # A separatrix shot that goes missing drops its boundary, so the arc
@@ -1314,39 +1326,34 @@ class TestPartition:
             with pytest.raises(MorseSmaleViolationError, match="rest at .* was missed"):
                 build_flow_category(f)
 
-    def test_a_sample_at_a_saddle_off_every_boundary_fails_loudly(self, monkeypatch):
-        # A sample far from every boundary that rests at a saddle marks a
-        # boundary the shots missed.
-        analysis = _Analysis(lane_functions()[1], NumericalConfig())
+    def test_a_midpoint_at_a_saddle_fails_loudly(self, monkeypatch):
+        # The midpoint of an arc no wider than 2 `_SHOT_SPREAD` that rests
+        # at a saddle marks a boundary the shots missed or one that is extra.
+        f = tilted_upright_torus(Fraction(1, 10))
+        analysis = _Analysis(f, NumericalConfig())
         top = analysis.points[0]
         saddle = next(p for p in analysis.points if p.index == 1)
-        separatrices = _Analysis._separatrices
+        arc = next(
+            arc for arc in analysis.partition(top) if arc.end - arc.start <= 2 * morse._SHOT_SPREAD
+        )
+        theta = 0.5 * (arc.start + arc.end) % (2 * math.pi)
+        classify = _Analysis._classify_angles
 
-        def one_sample_at_the_saddle(self, *args):
-            flows, samples = separatrices(self, *args)
-            samples[top.id][0] = (saddle.id, (0, 0))
-            return flows, samples
+        def first_at_the_saddle(self, a, thetas):
+            return [(saddle.id, (0, 0))] + classify(self, a, thetas)[1:]
 
-        assert all(abs(arc.start) > 1e-3 for arc in analysis.partition(top))
-        analysis = _Analysis(lane_functions()[1], NumericalConfig(), analysis.points)
-        monkeypatch.setattr(_Analysis, "_separatrices", one_sample_at_the_saddle)
-        with pytest.raises(MorseSmaleViolationError, match="angle 0.000000000 rests at p1"):
+        monkeypatch.setattr(_Analysis, "_classify_angles", first_at_the_saddle)
+        expected = re.escape(f"angle {theta:.9f} rests at {saddle.id}, off the basins")
+        with pytest.raises(MorseSmaleViolationError, match=expected):
             analysis.partition(top)
+        with pytest.raises(MorseSmaleViolationError, match=expected):
+            build_flow_category(f)
 
     def test_a_circle_in_one_basin_fails_loudly(self, monkeypatch):
-        # A circle whose every angle rests at one sink, with no shot and no
-        # sample at a saddle, has no boundary, which no Morse-Smale flow on
+        # A circle with no shot has no boundary, which no Morse-Smale flow on
         # T^2 gives: every index-2 disc is bounded by saddle separatrices.
         analysis = _Analysis(torus_function(), NumericalConfig())
-        top, sink = analysis.points[0], analysis.points[-1]
-        cls = (sink.id, (0, 0))
-        separatrices = _Analysis._separatrices
-
-        def one_class(self, *args):
-            flows, samples = separatrices(self, *args)
-            return flows, {a: [cls] * len(got) for a, got in samples.items()}
-
-        monkeypatch.setattr(_Analysis, "_separatrices", one_class)
+        top = analysis.points[0]
         monkeypatch.setattr(_Analysis, "max_flows", lambda self, a: [])
         with pytest.raises(MorseSmaleViolationError, match=f"of {top.id} has no basin boundary"):
             analysis.partition(top)
@@ -1402,19 +1409,38 @@ class TestPartition:
     @pytest.mark.parametrize("f", lane_functions(), ids=["torus", "perturbed-a", "perturbed-b"])
     def test_every_arc_rests_where_its_midpoint_does(self, f, samples, reverse):
         # The class read off the signs at each end of an arc is that of a
-        # lane from the arc's midpoint, run on to `landing_radius`.
-        cfg = NumericalConfig(circle_samples=samples, reverse_orientation=reverse)
+        # lane from the arc's midpoint, run on to `landing_radius`, and that
+        # of a lane from each of the angles k 2 pi / samples inside it more
+        # than `_SHOT_SPREAD` from its ends; a lane from an angle within
+        # `_SHOT_SPREAD` of a boundary rests at a sink or that boundary's
+        # saddle.
+        cfg = NumericalConfig(reverse_orientation=reverse)
         analysis = _Analysis(f, cfg)
-        checked = 0
+        thetas = [k * (2 * math.pi / samples) for k in range(samples)]
+        spread = morse._SHOT_SPREAD
+        checked = sampled = 0
         for a in analysis.points:
             if a.index != 2:
                 continue
             arcs = analysis.partition(a)
-            mids = [0.5 * (arc.start + arc.end) for arc in arcs]
-            for arc, cls in zip(arcs, full_landing_classes(analysis, a, mids)):
-                assert cls == arc.landing_class
+            near = {}  # angle -> the saddle of the boundary within `spread`
+            inside = [[] for _ in arcs]
+            for th in thetas:
+                for arc, within in zip(arcs, inside):
+                    if abs(math.remainder(th - arc.start, 2 * math.pi)) <= spread:
+                        near[th] = arc.ends[0].via
+                    elif spread < (th - arc.start) % (2 * math.pi) < arc.end - arc.start - spread:
+                        within.append(th)
+            assert len(near) + sum(map(len, inside)) == samples
+            for th, cls in zip(near, full_landing_classes(analysis, a, list(near))):
+                assert cls[0] == near[th] or analysis.by_id[cls[0]].index == 0
+            for arc, within in zip(arcs, inside):
+                mid = 0.5 * (arc.start + arc.end)
+                classes = full_landing_classes(analysis, a, [mid] + within)
+                assert classes == [arc.landing_class] * len(classes)
                 checked += 1
-        assert checked >= 4
+                sampled += len(within)
+        assert checked >= 4 and sampled > 0
 
     # Along the tilted upright torus, the two boundaries that the lower
     # saddle's stable separatrices make close in on the upper saddle's
@@ -1498,7 +1524,7 @@ class TestShots:
         analysis = _Analysis(f, NumericalConfig(reverse_orientation=reverse))
         top = analysis.points[0]
         arcs = analysis.partition(top)
-        found, _ = one_at_a_time(f, NumericalConfig().circle_samples, reverse)
+        found, _ = one_at_a_time(f, 64, reverse)
         found = sorted(found, key=lambda b: b[0])
         assert len(found) == len(arcs) > 0
         for (angle, saddle), arc in zip(found, arcs):
@@ -1559,8 +1585,7 @@ class TestShots:
         """Let `spoil(analysis, outcomes)` rewrite the outcomes of the backward lanes.
 
         On T^2 they are the lanes of sense -1, which lead the separatrix run;
-        the saddles' forward lanes follow, one per backward lane, and then
-        the circle samples where they ride in the run.
+        the saddles' forward lanes follow, one per backward lane.
         """
         land = _Analysis.land_lanes
 
@@ -1569,7 +1594,7 @@ class TestShots:
             if senses is not None:
                 backward = senses.count(-1.0)
                 assert senses == [-1.0] * backward + [1.0] * (len(senses) - backward)
-                assert len(senses) - backward >= backward
+                assert len(senses) == 2 * backward
                 head = out[:backward]
                 spoil(self, head)
                 out[:backward] = head
@@ -1591,7 +1616,7 @@ class TestShots:
         def connect(analysis, out):
             out[0] = out[0]._replace(point=next(p for p in analysis.points if p.index == 1))
 
-        # Through a run without the circle samples and through one with them.
+        # Through the run of `flow_lines` and through that of a build.
         self.spoil_backward_run(monkeypatch, connect)
         for f in lane_functions():
             for build in (flow_lines, build_flow_category):
@@ -1608,14 +1633,14 @@ class TestShots:
         separatrices = _Analysis._separatrices
 
         def spoiled(self, *args):
-            flows, samples = separatrices(self, *args)
+            flows = separatrices(self, *args)
             k = next(k for k, fl in enumerate(flows) if self.by_id[fl.source].index == 1)
             fl = flows[k]
             if spoil == "offset":
                 fl = replace(fl, lattice_offset=(fl.lattice_offset[0] + 1,) + fl.lattice_offset[1:])
             else:
                 fl = replace(fl, target=next(p.id for p in self.points if p.index == 1))
-            return flows[:k] + [fl] + flows[k + 1 :], samples
+            return flows[:k] + [fl] + flows[k + 1 :]
 
         monkeypatch.setattr(_Analysis, "_separatrices", spoiled)
         for f in lane_functions():
@@ -1835,24 +1860,25 @@ def third_derivative_bound(f: TrigPolynomial) -> float:
 
 
 class TestTrapping:
-    @pytest.mark.parametrize("samples", [NumericalConfig().circle_samples, 3, 5])
+    @pytest.mark.parametrize("samples", [64, 3, 5])
     @pytest.mark.parametrize(
         "f",
         [torus_function()] + [perturbed_torus(s) for s in perturbed_torus_seeds(25)],
         ids=["torus"] + [f"perturbed-{k}" for k in range(25)],
     )
     def test_trapping_never_changes_a_class(self, monkeypatch, f, samples):
-        # Every lane that may trap, the circle samples in the separatrix run
-        # and any arc midpoints, gets the rest point and offset, or the
-        # error, that a lane running on to `landing_radius` at the recorded
-        # lanes' step_tol/1500 gets.
-        lanes = record_lanes(monkeypatch)
-        analysis = _Analysis(f, NumericalConfig(circle_samples=samples))
+        # A lane that may trap, an arc midpoint's, gets the rest point and
+        # offset, or the error, that a lane running on to `landing_radius`
+        # at the recorded lanes' step_tol/1500 gets: here at the angles
+        # k 2 pi / samples of every index-2 point.
+        thetas = [k * (2 * math.pi / samples) for k in range(samples)]
+        analysis = _Analysis(f, NumericalConfig())
         maxima = [a for a in analysis.points if a.index == 2]
+        lanes = record_lanes(monkeypatch)
         for a in maxima:
-            analysis.partition(a)
+            analysis._classify_angles(a, thetas)
         seen = [(seed, got) for seed, _, trap, got in lanes if trap]
-        assert len(seen) >= samples * len(maxima)
+        assert len(seen) == len(lanes) == samples * len(maxima) > 0
         seeds = [seed for seed, _ in seen]
         full = running_on(analysis).land_lanes(seeds)
 
@@ -2022,10 +2048,13 @@ class TestTrapping:
 
     @pytest.mark.parametrize("step_tol", [1e-8, 1e-9, 1e-10])
     def test_a_near_pass_of_a_saddle_is_caught_at_every_step_tol(self, step_tol):
-        # The circle sample 31 of p2.0 lies 6.7e-5 rad from a boundary of
-        # p1.0 and its flow passes 8.0e-5 from p1.0, inside `landing_radius`.
-        # It rests there at every step_tol, not only where a step point
-        # falls inside that ball, so the partition check refuses the build.
+        # The departure of p2.0 at angle 31 2 pi / 64 lies 6.7e-5 rad from a
+        # boundary of p1.0 and its flow passes 8.0e-5 from p1.0, inside
+        # `landing_radius`.  It rests there at every step_tol, not only where
+        # a step point falls inside that ball.  No arc of this function is
+        # as thin as 2 `_SHOT_SPREAD`, so no lane checks its partition
+        # there, and it builds the category it builds at `sphere_radius`
+        # 1e-2 and at step_tol 1e-12.
         f = TrigPolynomial.from_json(
             {
                 "dim": 2,
@@ -2038,10 +2067,12 @@ class TestTrapping:
         )
         cfg = NumericalConfig(grid_resolution=48, step_tol=step_tol)
         analysis = _Analysis(f, cfg)
-        theta = analysis.sample_angles[31]
+        theta = 31 * (2 * math.pi / 64)
         assert analysis._classify_angles(analysis.by_id["p2.0"], [theta]) == [("p1.0", (0, 0))]
-        with pytest.raises(MorseSmaleViolationError, match="rests at p1.0, off the basins"):
-            build_flow_category(f, cfg)
+        cat, orientation = build_flow_category(f, cfg)
+        for other in (cfg.with_overrides(sphere_radius=1e-2), cfg.with_overrides(step_tol=1e-12)):
+            other_cat, other_orientation = build_flow_category(f, other)
+            assert other_cat.to_json(other_orientation) == cat.to_json(orientation)
 
 
 def separatrix_landings(monkeypatch, analysis):
@@ -2071,7 +2102,7 @@ class TestStops:
         ids=["circle", "torus"] + [f"perturbed-{s}" for s in range(6)],
     )
     def test_a_recorded_lane_stops_at_its_first_point_in_a_ball(self, monkeypatch, f):
-        analysis = _Analysis(f, NumericalConfig(), samples=False)
+        analysis = _Analysis(f, NumericalConfig())
         cfg = analysis.cfg
         seen = separatrix_landings(monkeypatch, analysis)
         assert {sense for _, sense, _ in seen} == ({1.0} if f.dimension == 1 else {1.0, -1.0})
@@ -2229,7 +2260,6 @@ class TestRefinementInvariance:
         cfg = NumericalConfig()
         tight = cfg.with_overrides(
             step_tol=cfg.step_tol / 10,
-            circle_samples=2 * cfg.circle_samples,
             sphere_radius=cfg.sphere_radius / 2,
         )
         base = build_flow_category(f, cfg)

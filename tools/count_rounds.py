@@ -4,11 +4,11 @@ For the torus and `perturbed_torus(0..N-1)` (N = 25 by default) it builds
 the flow category and prints, per build:
 
 - runs: the partition's own lane runs, the calls of
-  `_Analysis._classify_angles`, the midpoint runs of the arcs that no
-  circle sample checks;
+  `_Analysis._classify_angles`, the midpoint runs of the arcs thin enough
+  to need a lane of their own;
 - check: the lanes that may trap, those whose landing class alone is read,
-  wherever they run: the circle samples, and the lanes beside each
-  boundary or the arc midpoints that check the partition;
+  wherever they run: the arc midpoints that check the partition, and on a
+  tree that has them the circle samples;
 - iters: lane iterations, the calls of `_taylor_jet`, one per iteration
   of every `land_lanes` run, recorded runs included;
 - lane-steps: the rows of those calls, lanes summed over iterations;
@@ -60,9 +60,8 @@ that has them:
     PYTHONPATH=new/src python tools/count_rounds.py > new.txt
     diff old.txt new.txt
 
-`--seeds N` changes the number of perturbed tori, `--samples K` sets
-`circle_samples` and `--recorded` adds the `recorded` column.  The counts
-are deterministic; no timing is taken.
+`--seeds N` changes the number of perturbed tori and `--recorded` adds
+the `recorded` column.  The counts are deterministic; no timing is taken.
 """
 
 from __future__ import annotations
@@ -250,7 +249,6 @@ def three_torus_cosine_sum() -> TrigPolynomial:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=25, help="perturbed tori 0..N-1")
-    parser.add_argument("--samples", type=int, default=NumericalConfig().circle_samples)
     parser.add_argument(
         "--recorded",
         action="store_true",
@@ -258,7 +256,7 @@ def main(argv=None) -> None:
     )
     args = parser.parse_args(argv)
     columns = COLUMNS + ("recorded",) * args.recorded
-    cfg = NumericalConfig(circle_samples=args.samples)
+    cfg = NumericalConfig()
     functions = [("torus", bank.torus_function())] + [
         (f"perturbed_torus({s})", bank.perturbed_torus(s)) for s in range(args.seeds)
     ]

@@ -15,9 +15,9 @@ the departure-circle partition of every index-2 point of the torus and of
 those perturbed tori: each boundary angle as `float.hex` with its saddle,
 and each arc's ends (also `float.hex`) with its landing class, so the
 separatrix shots that give the boundaries are compared bit for bit;
-OUT/partitions-coarse holds the same at 3 and 5 circle samples, which only
-check the boundaries, and a partition that raises is written as
-`type: message`.  Under OUT/three-torus it writes the rigid flows that
+OUT/partitions-thin holds the same for the functions of THIN_CASES, whose
+thinnest arcs `partition` checks with midpoint lanes, and a partition that
+raises is written as `type: message`.  Under OUT/three-torus it writes the rigid flows that
 `_Analysis.saddle_flows` gives out of the saddles on T^3, for the symmetric
 cosine sum and one perturbation of it (THREE_TORUS_EXTRA), each at default
 and reversed orientation: every flow's id, sign, departure angle and
@@ -90,7 +90,7 @@ SECTIONS = (
     "perturbed-reversed",
     "trajectories",
     "partitions",
-    "partitions-coarse",
+    "partitions-thin",
     "three-torus",
     "search",
 )
@@ -120,6 +120,17 @@ MALFORMED_CALLS = {
     "unknown-example": ["validate", "--example", "nope"],
     "nan-config": ["orbits", "--example", "torus", "--config", "nan.config.json"],
     "non-ascii-function": ["crit", "--function", "fonction-\u00e9t\u00e9.json"],
+}
+# Functions with arcs no wider than 2 `_SHOT_SPREAD`, the only arcs that
+# `partition` checks with lanes of their own: the tilted upright torus near
+# its saddle connection (narrowest arcs 1.2e-6 to 7.8e-9 rad) and
+# `perturbed_torus(3)` sheared x by y (1.6e-10 rad).
+THIN_CASES = {
+    **{
+        "tilted" + t.replace("/", "over"): bank.tilted_upright_torus(Fraction(t))
+        for t in ("1/10", "-1/10", "1/100", "-1/100", "1/1000")
+    },
+    "x-by-y3": bank.pullback(bank.perturbed_torus(3), ((1, 1), (0, 1))),
 }
 # Terms added to cos 2 pi x + cos 2 pi y + cos 2 pi z for the perturbed T^3
 # function; its eight critical points keep their indices.
@@ -241,12 +252,10 @@ def dump_trajectories(out: Path, count: int) -> None:
         (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
 
-def dump_partitions(
-    out: Path, count: int, cfg: NumericalConfig = NumericalConfig()
-) -> None:
+def dump_partitions(out: Path, functions: list) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    for name, f in _tori(count):
-        analysis = _Analysis(f, cfg)
+    for name, f in functions:
+        analysis = _Analysis(f, NumericalConfig())
         lines = []
         for p in analysis.points:
             if p.index != 2:
@@ -390,11 +399,9 @@ def main() -> None:
     if "trajectories" in only:
         dump_trajectories(out / "trajectories", args.seeds)
     if "partitions" in only:
-        dump_partitions(out / "partitions", args.seeds)
-    if "partitions-coarse" in only:
-        for samples in (3, 5):
-            coarse = NumericalConfig(circle_samples=samples)
-            dump_partitions(out / "partitions-coarse" / f"samples{samples}", args.seeds, coarse)
+        dump_partitions(out / "partitions", _tori(args.seeds))
+    if "partitions-thin" in only:
+        dump_partitions(out / "partitions-thin", list(THIN_CASES.items()))
     if "three-torus" in only:
         dump_three_torus(out / "three-torus")
     if "search" in only:

@@ -22,7 +22,9 @@ refusal rate of the pipeline.  Run it on two trees and diff:
     PYTHONPATH=new/src python tools/outcome_corpus.py > new.txt
     diff old.txt new.txt
 
-No timing is taken; the output is deterministic.
+No timing is taken; the output is deterministic.  tests/test_tightening.py
+builds the same corpus, through `corpus` and `outcome`, at the default
+`step_tol` and at 1e-12.
 """
 
 from __future__ import annotations
